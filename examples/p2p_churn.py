@@ -16,33 +16,26 @@ Run with::
 
 Scaling
 -------
-The second act shows the large-n machinery (PR 7).  The message-passing
-healer keys everything by *dense ints* internally — node identifiers are
-interned once at the boundary (``repro.core.ports.Interner``), the network
-adjacency is a flat list of int-sets with packed-int link-source keys, and
-Table 1 records live in struct-of-arrays columns — so a processor costs a
-few flat-array slots instead of a tangle of per-object dicts.  For sweeps
-past what one process should hold, ``repro.experiments.sweep_large_n``
-splits the node space into disjoint sub-networks: repairs in different
-shards can never share a spine (the fine-grained version of this test is
+The second act shows the large-n machinery.  For sweeps past what one
+process should hold, ``repro.experiments.sweep_large_n`` splits the node
+space into disjoint sub-networks: repairs in different shards can never
+share a spine (the fine-grained version of this test is
 ``repro.experiments.repair_footprint``), so the shards fan out over the
 deterministic-seed process pool and the rows come back bit-identical at
-any worker count.  The seed-era object-dict layout survives as
-``dense=False`` on both ``Network`` and the healer — the reference twin
-the ``large_n`` section of BENCH_perf.json times the dense core against.
+any worker count.  Inside each shard the message-passing healer keeps one
+adjacency dict and one link-source table keyed by node identifier, and one
+slotted Table 1 record per ``G'`` edge.
 
 Shared fabric
 -------------
-The fourth act shows the shared-network scale path (PR 10):
+The fourth act shows the shared-network scale path:
 ``sweep_large_n(shared_network=True)`` drops the sharding entirely and
 churns the whole graph as ONE :class:`~repro.distributed.Network` — one
-message pool, one outbox, one metrics ledger — by repeatedly feeding
-``delete_batch`` a disjoint-footprint victim burst until the deletion
-budget is spent.  Every wave's repairs ride the zero-allocation message
-fabric: slotted messages recycled through the per-network pool, same-link
-repair streams folded into packed struct-of-arrays carriers, and per-send
-accounting deferred into a per-round tally, so steady-state delivery
-allocates ~zero message objects per round.
+outbox, one metrics ledger — by repeatedly feeding ``delete_batch`` a
+disjoint-footprint victim burst until the deletion budget is spent.  The
+row times the three phases separately: building the network, the churn
+itself (``deletions_per_sec`` divides by this alone) and the closing
+oracle check.
 
 Bursts
 ------
@@ -135,7 +128,7 @@ def main() -> None:
 
 
 def scaling_demo(total_peers: int = 2_000, shards: int = 4) -> None:
-    """Sharded large-n churn on the dense-int message-passing healer."""
+    """Sharded large-n churn on the message-passing healer."""
     print(f"\nscaling: {total_peers} peers as {shards} independent shards")
     workers = min(shards, os.cpu_count() or 1)
     start = time.perf_counter()
@@ -223,7 +216,7 @@ def burst_demo(peers: int = 120) -> None:
 
 
 def shared_network_demo(total_peers: int = 3_000) -> None:
-    """Delete-heavy churn on ONE shared network over the message fabric."""
+    """Delete-heavy churn on ONE shared network, its phases timed apart."""
     print(f"\nshared fabric: {total_peers} peers churned on a single network")
     rows = sweep_large_n(
         "p2p-shared-fabric",
@@ -243,18 +236,20 @@ def shared_network_demo(total_peers: int = 3_000) -> None:
                     "departures": f"{row['deletions']}/{row['deletion_target']}",
                     "waves": row["waves"],
                     "rounds": row["rounds"],
-                    "peers/sec": f"{row['nodes_per_sec']:,.0f}",
+                    "build s": row["build_seconds"],
+                    "churn s": row["churn_seconds"],
+                    "departures/sec": f"{row['deletions_per_sec']:,.0f}",
+                    "verify s": row["verify_seconds"],
                     "connected": row["connected"],
                 }
             ],
-            title="one network, one pool, one outbox (sweep_large_n(shared_network=True))",
+            title="one network, one outbox (sweep_large_n(shared_network=True))",
         )
     )
     print(
         f"{row['waves']} disjoint-footprint bursts healed back-to-back in "
-        f"{row['rounds']} rounds on a single message fabric — pooled slotted "
-        "messages and packed same-link carriers keep the steady-state delivery "
-        "loop at ~zero message-object allocations per round."
+        f"{row['rounds']} rounds on a single network; departures/sec counts "
+        "the churn alone, not the network build."
     )
 
 

@@ -81,13 +81,6 @@ Workloads
     the quarantined, and that verification costs essentially nothing on
     the honest lossless path (the smoke-floor timing check).
 
-``network_delivery``
-    The batched ``Network.deliver_round`` (one recycled per-round buffer,
-    in-place fault compaction, reorder machinery skipped when no policy can
-    reorder) against the retained ``deliver_round_reference`` allocation
-    pattern, on identical distributed attacks; the per-deletion cost
-    reports must agree exactly.
-
 ``concurrent_repairs``
     Correctness-plus-latency gate (PR 8): a burst of deletions with
     pairwise-disjoint repair footprints healed concurrently — every message
@@ -103,43 +96,23 @@ Workloads
     leg.
 
 ``large_n``
-    The dense-int hot core (PR 7).  Three rows: *speedup* — a delete-heavy
-    attack on the dense healer (interned ids, flat adjacency, packed link
-    keys, struct-of-arrays Table 1 records) against the pre-PR object-dict
-    path (``dense=False`` plus the seed's per-deletion O(n + m) accounting,
-    the same reference twin ``distributed_repair`` uses), with a
-    transparent ``layout_speedup`` sub-figure isolating pure dense-vs-dict
-    under identical stock accounting, gated on bit-identical per-deletion
-    cost reports under lossless, byzantine and chaos schedules; *memory* —
-    tracemalloc bytes/node over a fixed build+churn for both layouts;
-    *scale* — a sharded delete-heavy churn sweep
-    (``repro.experiments.sweep_large_n``: disjoint sub-networks on the
-    deterministic-seed pool) reporting end-to-end nodes/sec.  A fourth
-    *transcript* row (PR 8) replays the memory workload at the default and
-    a trimmed ``receive_trace_limit``, reporting retained receive-transcript
-    messages and payload bytes — the knob that shrinks the per-processor
-    dispute window at large n.
-
-``message_fabric``
-    The zero-allocation message fabric (PR 10).  Four rows: *equivalence* —
-    the slotted + pooled + packed fabric against the PR 9 twin (pooling,
-    packed batching and tally accounting all off) on identical delete-heavy
-    attacks under every delivery preset plus the byzantine lie schedule,
-    gated on bit-identical per-deletion cost reports and healed link sets;
-    *allocations* — a live ``Message``-object census over a lossless
-    steady-state flood, asserting ~zero new objects per round once the
-    receive-trace deques have warmed the pool; *flood speedup* — the same
-    flood timed fabric-on vs the PR 9 path (metrics totals asserted equal
-    first); *shared scale* — ``sweep_large_n(shared_network=True)``: one
-    ``Network`` carrying the whole graph through ``delete_batch`` waves of
-    disjoint-footprint victim bursts, reporting end-to-end nodes/sec.
+    What ``repro.experiments.sweep_large_n`` does at scale.  Three rows:
+    *scale* — a sharded delete-heavy churn sweep (disjoint sub-networks on
+    the deterministic-seed pool) reporting end-to-end nodes/sec;
+    *transcript* — a hub-focused attack replayed at the default and a
+    trimmed ``receive_trace_limit``, reporting retained receive-transcript
+    messages and payload bytes (the knob that shrinks the per-processor
+    dispute window at large n); *shared scale* —
+    ``sweep_large_n(shared_network=True)``: one ``Network`` carrying the
+    whole graph through ``delete_batch`` waves of disjoint-footprint victim
+    bursts, with build, churn (``deletions_per_sec``) and the closing
+    oracle check timed separately.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -161,14 +134,13 @@ from repro.adversary.strategies import (
 )
 from repro.analysis import stretch_report, stretch_report_reference
 from repro.analysis.fastpaths import HAVE_SCIPY
-from repro.distributed import DistributedForgivingGraph, Network
+from repro.distributed import DistributedForgivingGraph
 from repro.distributed.faults import (
     BYZANTINE_PRESETS,
     DELIVERY_PRESETS,
     FaultSpec,
     fault_schedule,
 )
-from repro.distributed.messages import DeletionNotice
 from repro.distributed.metrics import (
     DeletionCostReport,
     aggregate_byzantine,
@@ -189,19 +161,12 @@ TARGET_CHURN_SPEEDUP = 5.0
 TARGET_ADVERSARY_SPEEDUP = 2.0
 TARGET_PARALLEL_SPEEDUP = 1.3
 TARGET_DISTRIBUTED_SPEEDUP_N1000 = 5.0
-TARGET_LARGE_N_SPEEDUP = 3.0
 #: A disjoint k>=4 burst healed concurrently must finish in under this
 #: fraction of the sequential round count (latency ~ max, not ~ sum).
 TARGET_CONCURRENT_ROUND_RATIO = 0.6
 #: Smoke mode (CI) only asserts "the fast path is not a regression"; the
 #: sub-1.0 floor absorbs scheduling noise on tiny-n timings (shared runners).
 TARGET_SMOKE_SPEEDUP = 0.7
-#: The pooled + packed message fabric must beat the PR 9 delivery path by
-#: this factor on the full-scale (n=5000) message flood.
-TARGET_FABRIC_SPEEDUP = 1.5
-#: Pooled steady state may allocate at most this many Message objects per
-#: delivered round (the gate's definition of "~zero").
-TARGET_FABRIC_ALLOCS_PER_ROUND = 0.5
 
 
 # --------------------------------------------------------------------------- #
@@ -850,265 +815,6 @@ def bench_byzantine_containment(
     }
 
 
-def bench_network_delivery(n: int, seed: int = 20090214) -> Dict[str, object]:
-    """Time the batched delivery round against the retained reference path.
-
-    Equivalence is checked end-to-end: both paths play the identical faulty
-    (chaos) distributed attack — same RNG consumption, so the per-deletion
-    cost reports must agree exactly.  Timing then isolates the delivery
-    machinery itself: a message flood through ``deliver_round`` under a
-    drop-only schedule, the regime the batching targets (the reference path
-    allocates fresh batch/survivor lists and builds the reorder machinery's
-    link list every round; the batched path recycles one buffer, compacts
-    fault survivors in place and skips the shuffle entirely because no
-    policy can reorder).
-    """
-    equivalence_graph = make_graph("power_law", min(n, 150), seed=seed)
-
-    def attack(batched: bool):
-        healer = DistributedForgivingGraph.from_graph(
-            equivalence_graph, fault_schedule=fault_schedule("chaos", seed=seed)
-        )
-        healer.network.batched_delivery = batched
-        strategy = MaxDegreeDeletion()
-        for _ in range(equivalence_graph.number_of_nodes() // 2):
-            victim = strategy.choose_victim(healer)
-            if victim is None or healer.num_alive <= 3:
-                break
-            healer.delete(victim)
-        return healer
-
-    if [_cost_report_key(r) for r in attack(True).cost_reports] != [
-        _cost_report_key(r) for r in attack(False).cost_reports
-    ]:
-        raise AssertionError(f"batched and reference delivery disagree at n={n}")
-
-    width = 64  # messages enqueued per round
-    # Floor the flood length so even the smoke-scale timing denominator is
-    # tens of milliseconds — large enough that one scheduler preemption on a
-    # shared CI runner cannot flip the no-regression gate.
-    rounds = max(n, 500)
-
-    def flood(batched: bool):
-        # One lossy link in an otherwise reliable network: the common faulty
-        # regime, and the one where the reference path's per-round overhead
-        # (fresh batch lists, a second per-message policy lookup inside the
-        # always-invoked shuffle machinery) is pure waste — no policy can
-        # reorder, so the batched path skips all of it.
-        from repro.distributed.faults import FaultSchedule, LinkFaultPolicy
-
-        schedule = FaultSchedule(
-            per_link={(0, 1): LinkFaultPolicy(drop=0.3)},
-            seed=seed,
-            name="one-lossy-link",
-        )
-        network = Network(strict_links=False, fault_schedule=schedule)
-        network.batched_delivery = batched
-        for p in range(width):
-            network.add_processor(p)
-        start = time.perf_counter()
-        for _ in range(rounds):
-            for p in range(width):
-                network.send(
-                    DeletionNotice(sender=p, receiver=(p + 1) % width, deleted=-1)
-                )
-            network.deliver_round()
-        return time.perf_counter() - start, network
-
-    _, reference = flood(False)  # warm-up + metrics capture
-    _, batched = flood(True)
-    for field in ("total_messages", "total_bits", "total_dropped", "total_rounds"):
-        if getattr(batched.metrics, field) != getattr(reference.metrics, field):
-            raise AssertionError(f"flood metrics diverge on {field} at n={n}")
-    # Best of two fresh runs per side (plus the warm-up above), so a single
-    # scheduler hiccup cannot decide the comparison.
-    seed_seconds = min(flood(False)[0] for _ in range(2))
-    fast_seconds = min(flood(True)[0] for _ in range(2))
-
-    return {
-        "n": n,
-        "flood_rounds": rounds,
-        "flood_messages": batched.metrics.total_messages,
-        "seed_seconds": round(seed_seconds, 4),
-        "fast_seconds": round(fast_seconds, 4),
-        "speedup": round(seed_seconds / fast_seconds, 2) if fast_seconds else float("inf"),
-    }
-
-
-def bench_message_fabric(
-    flood_n: int,
-    equivalence_n: int,
-    shared_total: int,
-    seed: int = 20090214,
-) -> Dict[str, object]:
-    """The zero-allocation message fabric gate (PR 10): four rows.
-
-    *Equivalence* — the pooled + packed + tally-accounted fabric and the
-    PR 9 twin (``pooled=False, packed_batching=False,
-    batched_accounting=False``) replay identical delete-heavy attacks under
-    every delivery preset plus the byzantine lie schedule; per-deletion cost
-    reports and the healed link sets must agree exactly (recycling a message
-    or folding several into one carrier may never change protocol
-    behaviour, bit for bit).  *Allocations* — a lossless steady-state flood
-    on the pooled path, measured by live ``Message``-object census after the
-    receive-trace deques warm up: the per-round allocation delta must be
-    ~zero (every instance the round needs comes back out of the pool).
-    *Flood speedup* — the same flood, fabric on vs the PR 9 twin, with
-    metrics totals asserted equal first.  *Shared scale* — one
-    ``sweep_large_n(shared_network=True)`` run: ``shared_total`` nodes on a
-    single ``Network`` churned through ``delete_batch`` waves, reporting
-    end-to-end nodes/sec, consistency and connectivity.
-    """
-    import gc
-
-    from repro.distributed.messages import Message
-
-    # -- equivalence: the fabric may never change behaviour ---------------- #
-    eq_graph = make_graph("power_law", equivalence_n, seed=seed)
-
-    def replay(preset: str, fabric: bool):
-        healer = DistributedForgivingGraph.from_graph(
-            eq_graph, fault_schedule=fault_schedule(preset, seed=seed)
-        )
-        network = healer.network
-        if not fabric:
-            network.pooled = False
-            network.packed_batching = False
-            network.batched_accounting = False
-        strategy = MaxDegreeDeletion()
-        for _ in range(eq_graph.number_of_nodes() // 2):
-            victim = strategy.choose_victim(healer)
-            if victim is None or healer.num_alive <= 3:
-                break
-            healer.delete(victim)
-        keys = [_cost_report_key(r) for r in healer.cost_reports]
-        links = frozenset(frozenset(link) for link in network.iter_links())
-        return keys, links
-
-    fabric_presets = sorted(DELIVERY_PRESETS) + ["byzantine"]
-    equivalent: Dict[str, bool] = {}
-    for preset in fabric_presets:
-        equivalent[preset] = replay(preset, True) == replay(preset, False)
-    if not all(equivalent.values()):
-        raise AssertionError(f"fabric and PR 9 twin diverge under {equivalent}")
-
-    # -- flood: pooled + packed + tallied vs the PR 9 twin ----------------- #
-    width = 32  # ring processors
-    # Same-link messages per round: a chunked report/digest wave sends its
-    # descriptors in MAX_ROOTS_PER_MESSAGE-deep streams down one scaffold
-    # edge, so a 12-message burst is the stream shape the carrier folds.
-    burst = 12
-    rounds = max(flood_n, 500)
-
-    def flood(fabric: bool):
-        network = Network(strict_links=False)
-        network.pooled = fabric
-        network.packed_batching = fabric
-        network.batched_accounting = fabric
-        for p in range(width):
-            network.add_processor(p)
-        send = network.send
-        new = network.new
-        start = time.perf_counter()
-        for _ in range(rounds):
-            for p in range(width):
-                receiver = (p + 1) % width
-                for _ in range(burst):
-                    send(new(DeletionNotice, p, receiver, -1))
-            network.deliver_round()
-        return time.perf_counter() - start, network
-
-    _, reference = flood(False)  # warm-up + metrics capture
-    _, fabric_net = flood(True)
-    for field in ("total_messages", "total_bits", "total_dropped", "total_rounds"):
-        if getattr(fabric_net.metrics, field) != getattr(reference.metrics, field):
-            raise AssertionError(f"flood metrics diverge on {field} at n={flood_n}")
-    reference_seconds = min(flood(False)[0] for _ in range(2))
-    fabric_seconds = min(flood(True)[0] for _ in range(2))
-
-    # -- allocations: live Message census over a pooled steady state ------- #
-    def message_census() -> int:
-        gc.collect()
-        return sum(1 for obj in gc.get_objects() if isinstance(obj, Message))
-
-    alloc_net = Network(strict_links=False)
-    for p in range(width):
-        alloc_net.add_processor(p)
-
-    def alloc_rounds(count: int) -> None:
-        for _ in range(count):
-            for p in range(width):
-                receiver = (p + 1) % width
-                for _ in range(burst):
-                    alloc_net.send(
-                        alloc_net.new(
-                            DeletionNotice, sender=p, receiver=receiver, deleted=-1
-                        )
-                    )
-            alloc_net.deliver_round()
-
-    # Warm-up must outlast the deepest receive-trace deque (eviction is what
-    # feeds the pool), then the census delta over the measured window is the
-    # steady-state allocation rate.
-    from repro.distributed.processor import Processor
-
-    warmup = Processor.RECEIVE_TRACE_LIMIT // burst + 8
-    measure_rounds = 100
-    alloc_rounds(warmup)
-    before = message_census()
-    alloc_rounds(measure_rounds)
-    after = message_census()
-    delta = after - before
-    per_round = delta / measure_rounds
-    if per_round > 0.5:
-        raise AssertionError(
-            f"pooled steady state allocates {per_round:.2f} Message objects/round"
-        )
-
-    # -- shared scale: one network, delete_batch waves --------------------- #
-    start = time.perf_counter()
-    shared_rows = sweep_large_n(
-        "bench-shared-network",
-        "erdos_renyi",
-        shared_total,
-        1,
-        attack=AttackConfig(
-            strategy="random", delete_fraction=0.005, delete_probability=1.0
-        ),
-        seed=seed % 1_000,
-        shared_network=True,
-    )
-    shared_row = dict(shared_rows[0])
-    shared_row["bench_seconds"] = round(time.perf_counter() - start, 4)
-
-    return {
-        "equivalence": equivalent,
-        "allocations": {
-            "width": width,
-            "burst": burst,
-            "warmup_rounds": warmup,
-            "measure_rounds": measure_rounds,
-            "message_objects_delta": delta,
-            "per_round": round(per_round, 4),
-        },
-        "flood": {
-            "n": flood_n,
-            "rounds": rounds,
-            "width": width,
-            "burst": burst,
-            "messages": fabric_net.metrics.total_messages,
-            "reference_seconds": round(reference_seconds, 4),
-            "fabric_seconds": round(fabric_seconds, 4),
-            "speedup": (
-                round(reference_seconds / fabric_seconds, 2)
-                if fabric_seconds
-                else float("inf")
-            ),
-        },
-        "shared_scale": shared_row,
-    }
-
-
 #: Mixed-traffic rows the ``concurrent_repairs`` gate can add on top of its
 #: always-on core checks: the chaos delivery preset and the byzantine lie
 #: schedule, each over a concurrent burst ("all" in ``--concurrent-schedule``).
@@ -1247,111 +953,13 @@ def bench_concurrent_repairs(
 
 
 def bench_large_n(
-    speedup_n: int,
-    memory_n: int,
+    transcript_n: int,
     scale_total: int,
     shards: int,
+    shared_total: int,
     seed: int = 20090214,
 ) -> Dict[str, object]:
-    """The dense-int hot core section: speedup, bytes/node, sharded nodes/sec.
-
-    Equivalence first: the dense healer and the ``dense=False`` object-dict
-    twin replay identical delete-heavy attacks under lossless, byzantine and
-    chaos schedules, and their per-deletion cost reports must agree exactly
-    (layout must never change protocol behaviour).  The speedup row then
-    times the dense fast path against the pre-PR object-dict path — the
-    dict layout *plus* the seed's per-deletion O(n + m) accounting, the
-    same reference twin ``bench_distributed_repair`` is defined against —
-    and reports ``layout_speedup`` alongside it: pure dense-vs-dict under
-    identical stock accounting, so the layout's own contribution is visible
-    separately from the accounting win.
-    """
-    # -- equivalence: layout may never change behaviour -------------------- #
-    eq_graph = make_graph("power_law", min(speedup_n, 150), seed=seed)
-
-    def replay_keys(preset: str, dense: bool):
-        healer = DistributedForgivingGraph.from_graph(
-            eq_graph, fault_schedule=fault_schedule(preset, seed=seed), dense=dense
-        )
-        strategy = MaxDegreeDeletion()
-        for _ in range(eq_graph.number_of_nodes() // 2):
-            victim = strategy.choose_victim(healer)
-            if victim is None or healer.num_alive <= 3:
-                break
-            healer.delete(victim)
-        return [_cost_report_key(r) for r in healer.cost_reports]
-
-    equivalent: Dict[str, bool] = {}
-    for preset in ("lossless", "byzantine", "chaos"):
-        equivalent[preset] = replay_keys(preset, True) == replay_keys(preset, False)
-    if not all(equivalent.values()):
-        raise AssertionError(
-            f"dense and object-dict healers diverge under {equivalent}"
-        )
-
-    # -- speedup: dense fast path vs the pre-PR object-dict path ----------- #
-    speedup_graph = make_graph("erdos_renyi", speedup_n, seed=seed)
-    deletions_target = max(speedup_n // 40, 20)
-
-    def attack_seconds(factory, repeats: int = 1) -> float:
-        # This runs late in a long-lived process; collect before timing and
-        # take the best of ``repeats`` so accumulated garbage from earlier
-        # sections cannot masquerade as a layout cost.
-        import gc
-
-        best = math.inf
-        for _ in range(repeats):
-            gc.collect()
-            start = time.perf_counter()
-            healer = factory()
-            strategy = MaxDegreeDeletion()
-            for _ in range(deletions_target):
-                victim = strategy.choose_victim(healer)
-                if victim is None or healer.num_alive <= 3:
-                    break
-                healer.delete(victim)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def seed_style():
-        healer = SeedAccountingDistributedGraph.from_graph(speedup_graph, dense=False)
-        healer.network.batched_delivery = False
-        return healer
-
-    fast_seconds = attack_seconds(
-        lambda: DistributedForgivingGraph.from_graph(speedup_graph), repeats=2
-    )
-    seed_seconds = attack_seconds(seed_style)
-    dict_seconds = attack_seconds(
-        lambda: DistributedForgivingGraph.from_graph(speedup_graph, dense=False),
-        repeats=2,
-    )
-
-    # -- memory: tracemalloc bytes/node over a fixed build+churn ----------- #
-    import gc
-    import tracemalloc
-
-    memory_graph = make_graph("erdos_renyi", memory_n, seed=seed)
-
-    def bytes_per_node(dense: bool) -> float:
-        gc.collect()
-        tracemalloc.start()
-        healer = DistributedForgivingGraph.from_graph(memory_graph, dense=dense)
-        strategy = RandomDeletion(seed=seed)
-        for _ in range(memory_n // 20):
-            victim = strategy.choose_victim(healer)
-            if victim is None or healer.num_alive <= 3:
-                break
-            healer.delete(victim)
-        gc.collect()
-        current, _peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert healer.network.n_ever >= memory_n  # keep the healer alive until measured
-        return current / memory_n
-
-    dense_bpn = bytes_per_node(True)
-    dict_bpn = bytes_per_node(False)
-
+    """The large-n section: sharded nodes/sec, transcript bytes, one shared network."""
     # -- transcript: receive-trace retention, default vs trimmed ----------- #
     # Per-processor receive transcripts dominate retained bytes at large n;
     # ``receive_trace_limit`` (PR 8) caps them.  Both depths replay the same
@@ -1359,14 +967,16 @@ def bench_large_n(
     # the last few messages saves.
     from repro.distributed.processor import Processor
 
+    transcript_graph = make_graph("erdos_renyi", transcript_n, seed=seed)
+
     def transcript_row(limit: Optional[int]) -> Dict[str, object]:
         healer = DistributedForgivingGraph.from_graph(
-            memory_graph, receive_trace_limit=limit
+            transcript_graph, receive_trace_limit=limit
         )
         # Hub-focused deletions concentrate repair traffic on the same
         # processors, so the deepest transcripts genuinely hit the cap.
         strategy = MaxDegreeDeletion()
-        for _ in range(memory_n // 3):
+        for _ in range(transcript_n // 3):
             victim = strategy.choose_victim(healer)
             if victim is None or healer.num_alive <= 3:
                 break
@@ -1404,25 +1014,22 @@ def bench_large_n(
     )
     scale_seconds = time.perf_counter() - start
 
+    # -- shared scale: one network, delete_batch waves --------------------- #
+    (shared_row,) = sweep_large_n(
+        "bench-shared-network",
+        "erdos_renyi",
+        shared_total,
+        1,
+        attack=AttackConfig(
+            strategy="random", delete_fraction=0.005, delete_probability=1.0
+        ),
+        seed=seed % 1_000,
+        shared_network=True,
+    )
+
     return {
-        "speedup": {
-            "n": speedup_n,
-            "deletions": deletions_target,
-            "seed_seconds": round(seed_seconds, 4),
-            "fast_seconds": round(fast_seconds, 4),
-            "speedup": round(seed_seconds / fast_seconds, 2) if fast_seconds else float("inf"),
-            "dict_layout_seconds": round(dict_seconds, 4),
-            "layout_speedup": round(dict_seconds / fast_seconds, 2) if fast_seconds else float("inf"),
-            "equivalent": equivalent,
-        },
-        "memory": {
-            "n": memory_n,
-            "dense_bytes_per_node": round(dense_bpn, 1),
-            "dict_bytes_per_node": round(dict_bpn, 1),
-            "ratio": round(dict_bpn / dense_bpn, 2) if dense_bpn else float("inf"),
-        },
         "transcript": {
-            "n": memory_n,
+            "n": transcript_n,
             "default": transcript_default,
             "trimmed": transcript_trimmed,
             "bytes_saved_ratio": round(
@@ -1441,6 +1048,7 @@ def bench_large_n(
             "nodes_per_sec": round(scale_total / scale_seconds, 1) if scale_seconds else float("inf"),
             "all_connected": all(bool(r["connected"]) for r in shard_rows),
         },
+        "shared_scale": shared_row,
     }
 
 
@@ -1557,10 +1165,8 @@ def build_report(
         message_native_sizes = [80]
         recovery_sizes = [80]
         byzantine_sizes = [80]
-        delivery_sizes = [150]
         concurrent_sizes = [80]
-        large_n = {"speedup_n": 200, "memory_n": 150, "scale_total": 600, "shards": 3}
-        fabric = {"flood_n": 150, "equivalence_n": 60, "shared_total": 600}
+        large_n = {"transcript_n": 150, "scale_total": 600, "shards": 3, "shared_total": 600}
         service = {"n": 40, "ops": 48}
     elif quick:
         sizes = [100, 1000]
@@ -1569,10 +1175,13 @@ def build_report(
         message_native_sizes = [100]
         recovery_sizes = [100]
         byzantine_sizes = [100]
-        delivery_sizes = [100, 1000]
         concurrent_sizes = [120]
-        large_n = {"speedup_n": 1000, "memory_n": 500, "scale_total": 20_000, "shards": 2}
-        fabric = {"flood_n": 1000, "equivalence_n": 100, "shared_total": 5_000}
+        large_n = {
+            "transcript_n": 500,
+            "scale_total": 20_000,
+            "shards": 2,
+            "shared_total": 5_000,
+        }
         service = {"n": 48, "ops": 96}
     else:
         sizes = [100, 1000, 5000]
@@ -1581,15 +1190,13 @@ def build_report(
         message_native_sizes = [100, 400]
         recovery_sizes = [100, 400]
         byzantine_sizes = [100, 400]
-        delivery_sizes = [100, 1000]
         concurrent_sizes = [120, 400]
         large_n = {
-            "speedup_n": 5000,
-            "memory_n": 2000,
+            "transcript_n": 2000,
             "scale_total": 100_000,
             "shards": 4,
+            "shared_total": 100_000,
         }
-        fabric = {"flood_n": 5000, "equivalence_n": 150, "shared_total": 100_000}
         service = {"n": 64, "ops": 160}
     if large_n_nodes is not None:
         large_n["scale_total"] = large_n_nodes
@@ -1686,15 +1293,6 @@ def build_report(
             )
         )
         byzantine_rows.append(row)
-    delivery_rows: List[Dict[str, object]] = []
-    for n in delivery_sizes:
-        print(f"[network_delivery] n={n} ...", flush=True)
-        row = bench_network_delivery(n)
-        print(
-            f"  reference={row['seed_seconds']}s batched={row['fast_seconds']}s "
-            f"-> {row['speedup']}x"
-        )
-        delivery_rows.append(row)
     concurrent_rows: List[Dict[str, object]] = []
     for n in concurrent_sizes:
         print(
@@ -1711,33 +1309,19 @@ def build_report(
         )
         concurrent_rows.append(row)
     print(
-        f"[large_n] speedup_n={large_n['speedup_n']} scale={large_n['scale_total']}"
-        f"x{large_n['shards']} shards ...",
+        f"[large_n] scale={large_n['scale_total']}x{large_n['shards']} shards "
+        f"shared={large_n['shared_total']} ...",
         flush=True,
     )
     large_n_row = bench_large_n(**large_n)
+    shared = large_n_row["shared_scale"]
     print(
-        f"  speedup {large_n_row['speedup']['speedup']}x "
-        f"(layout alone {large_n_row['speedup']['layout_speedup']}x); "
-        f"{large_n_row['memory']['dense_bytes_per_node']} bytes/node dense vs "
-        f"{large_n_row['memory']['dict_bytes_per_node']} dict; "
-        f"{large_n_row['scale']['nodes_per_sec']} nodes/sec over "
-        f"{large_n_row['scale']['shards']} shards"
-    )
-    print(
-        f"[message_fabric] flood_n={fabric['flood_n']} "
-        f"shared={fabric['shared_total']} ...",
-        flush=True,
-    )
-    fabric_row = bench_message_fabric(**fabric)
-    print(
-        f"  flood {fabric_row['flood']['reference_seconds']}s -> "
-        f"{fabric_row['flood']['fabric_seconds']}s "
-        f"({fabric_row['flood']['speedup']}x); "
-        f"{fabric_row['allocations']['per_round']} allocs/round; "
-        f"shared {fabric_row['shared_scale']['nodes_per_sec']} nodes/sec "
-        f"over {fabric_row['shared_scale']['deletions']} deletions "
-        f"(connected={fabric_row['shared_scale']['connected']})"
+        f"  {large_n_row['scale']['nodes_per_sec']} nodes/sec over "
+        f"{large_n_row['scale']['shards']} shards; transcript bytes saved "
+        f"{large_n_row['transcript']['bytes_saved_ratio']:.0%} at limit 16; shared "
+        f"build {shared['build_seconds']}s, churn {shared['deletions_per_sec']} "
+        f"deletions/sec over {shared['deletions']}, verify {shared['verify_seconds']}s "
+        f"(connected={shared['connected']})"
     )
     print(f"[service_churn] n={service['n']} ops={service['ops']} ...", flush=True)
     service_row = bench_service_churn(**service)
@@ -1767,28 +1351,14 @@ def build_report(
             "message_native_smoke": all(r["ok"] for r in message_native_rows),
             "message_native_recovery": all(r["ok"] for r in recovery_rows),
             "byzantine_containment": all(r["ok"] for r in byzantine_rows),
-            "network_delivery_smoke": all(
-                r["speedup"] >= TARGET_SMOKE_SPEEDUP for r in delivery_rows
-            ),
             "concurrent_repairs": all(r["ok"] for r in concurrent_rows),
             "large_n_smoke": (
-                large_n_row["speedup"]["speedup"] >= TARGET_SMOKE_SPEEDUP
-                and all(large_n_row["speedup"]["equivalent"].values())
-                and large_n_row["scale"]["all_connected"]
-            ),
-            "message_fabric_smoke": (
-                fabric_row["flood"]["speedup"] >= TARGET_SMOKE_SPEEDUP
-                and all(fabric_row["equivalence"].values())
-                and fabric_row["allocations"]["per_round"]
-                <= TARGET_FABRIC_ALLOCS_PER_ROUND
-                and fabric_row["shared_scale"]["connected"]
+                large_n_row["scale"]["all_connected"]
+                and large_n_row["shared_scale"]["connected"]
             ),
             "service_churn": service_row["ok"],
         }
-        targets = {
-            "smoke_min_speedup": TARGET_SMOKE_SPEEDUP,
-            "fabric_max_allocs_per_round": TARGET_FABRIC_ALLOCS_PER_ROUND,
-        }
+        targets = {"smoke_min_speedup": TARGET_SMOKE_SPEEDUP}
     else:
         stretch_1k = next(r for r in stretch_rows if r["n"] == 1000)
         # The at-scale targets apply where the optimized cost actually
@@ -1816,29 +1386,12 @@ def build_report(
             "message_native_merge": all(r["ok"] for r in message_native_rows),
             "message_native_recovery": all(r["ok"] for r in recovery_rows),
             "byzantine_containment": all(r["ok"] for r in byzantine_rows),
-            "network_delivery": all(
-                r["speedup"] >= TARGET_SMOKE_SPEEDUP for r in delivery_rows
-            ),
             "concurrent_repairs": all(r["ok"] for r in concurrent_rows),
-            "large_n_speedup": (
-                large_n_row["speedup"]["speedup"] >= TARGET_LARGE_N_SPEEDUP
-            ),
-            "large_n_equivalence": (
-                all(large_n_row["speedup"]["equivalent"].values())
-                and large_n_row["scale"]["all_connected"]
-            ),
-            "message_fabric_speedup": (
-                fabric_row["flood"]["speedup"] >= TARGET_FABRIC_SPEEDUP
-            ),
-            "message_fabric_equivalence": all(fabric_row["equivalence"].values()),
-            "message_fabric_allocations": (
-                fabric_row["allocations"]["per_round"]
-                <= TARGET_FABRIC_ALLOCS_PER_ROUND
-            ),
-            "message_fabric_shared_scale": bool(
-                fabric_row["shared_scale"]["connected"]
-                and fabric_row["shared_scale"]["deletions"]
-                >= fabric_row["shared_scale"]["deletion_target"]
+            "large_n_connected": large_n_row["scale"]["all_connected"],
+            "large_n_shared_scale": bool(
+                large_n_row["shared_scale"]["connected"]
+                and large_n_row["shared_scale"]["deletions"]
+                >= large_n_row["shared_scale"]["deletion_target"]
             ),
             "service_churn": service_row["ok"],
         }
@@ -1848,18 +1401,13 @@ def build_report(
             "adversary_min_choose_speedup": TARGET_ADVERSARY_SPEEDUP,
             "parallel_min_speedup": TARGET_PARALLEL_SPEEDUP,
             "distributed_n1000_min_speedup": TARGET_DISTRIBUTED_SPEEDUP_N1000,
-            # No-regression floor: the batching must never lose ground; the
-            # merge/recovery gates are boolean correctness gates (no
-            # threshold to record).
-            "network_delivery_min_speedup": TARGET_SMOKE_SPEEDUP,
+            # The merge/recovery/byzantine gates are boolean correctness
+            # gates (no threshold to record).
             "concurrent_max_round_ratio": TARGET_CONCURRENT_ROUND_RATIO,
-            "large_n_min_speedup": TARGET_LARGE_N_SPEEDUP,
-            "fabric_min_speedup": TARGET_FABRIC_SPEEDUP,
-            "fabric_max_allocs_per_round": TARGET_FABRIC_ALLOCS_PER_ROUND,
         }
 
     return {
-        "schema": "bench_perf/v10",
+        "schema": "bench_perf/v11",
         "generated_by": "scripts/perf_report.py" + (" --smoke" if smoke else ""),
         "scipy_backend": HAVE_SCIPY,
         "cpus": os.cpu_count(),
@@ -1871,10 +1419,8 @@ def build_report(
         "message_native_merge": message_native_rows,
         "message_native_recovery": recovery_rows,
         "byzantine_containment": byzantine_rows,
-        "network_delivery": delivery_rows,
         "concurrent_repairs": concurrent_rows,
         "large_n": large_n_row,
-        "message_fabric": fabric_row,
         "service_churn": service_row,
         "targets": targets,
         "targets_met": targets_met,

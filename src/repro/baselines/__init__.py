@@ -29,7 +29,7 @@ from .clique_heal import CliqueHealing
 from .cycle_heal import CycleHealing
 from .forgiving_tree import ForgivingTreeHealing
 from .no_heal import NoHealing
-from .registry import available_healers, make_healer
+from .registry import available_healers
 from .spec import DISTRIBUTED_HEALERS, HealerSpec
 from .surrogate_heal import SurrogateHealing
 from .unmerged_rt import UnmergedRTHealing
@@ -43,7 +43,6 @@ __all__ = [
     "ForgivingTreeHealing",
     "UnmergedRTHealing",
     "available_healers",
-    "make_healer",
     "HealerSpec",
     "DISTRIBUTED_HEALERS",
 ]

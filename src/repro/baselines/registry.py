@@ -1,16 +1,14 @@
-"""Healer registry: build any healer (Forgiving Graph or baseline) by name.
+"""Healer registry: every healer (Forgiving Graph or baseline) by name.
 
 The experiment harness describes runs as data; this registry is the single
 place that maps the string names used in experiment configurations and
-benchmark tables onto healer classes.
+benchmark tables onto healer classes.  Build healers through
+:class:`~repro.baselines.HealerSpec`, which validates names against it.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List
-
-import networkx as nx
 
 from ..core.forgiving_graph import ForgivingGraph
 from ..distributed.simulator import DistributedForgivingGraph
@@ -21,7 +19,7 @@ from .no_heal import NoHealing
 from .surrogate_heal import SurrogateHealing
 from .unmerged_rt import UnmergedRTHealing
 
-__all__ = ["available_healers", "make_healer"]
+__all__ = ["available_healers"]
 
 
 _HEALERS: Dict[str, Callable[..., object]] = {
@@ -39,38 +37,5 @@ _HEALERS: Dict[str, Callable[..., object]] = {
 
 
 def available_healers() -> List[str]:
-    """Names accepted by :func:`make_healer`."""
+    """Names accepted by :class:`~repro.baselines.HealerSpec`."""
     return sorted(_HEALERS)
-
-
-def make_healer(name: str, graph: nx.Graph, **options):
-    """Instantiate the named healer on a copy of ``graph`` (deprecated shim).
-
-    The typed construction path is :class:`repro.baselines.HealerSpec`:
-    ``HealerSpec(name, options, fault=...).build(graph)``.  This shim keeps
-    the historical kwargs-forwarding surface alive for external callers —
-    it lifts a ``fault_schedule`` keyword into the spec's fault axis and
-    delegates, so both paths construct bit-identical healers (pinned by
-    ``tests/test_service.py``) — but new code should build a spec.
-
-    ``"forgiving_graph"`` builds the paper's algorithm
-    (:class:`repro.core.ForgivingGraph`); ``"distributed_forgiving_graph"``
-    builds the same algorithm on the message-passing substrate
-    (:class:`repro.distributed.DistributedForgivingGraph`, whose deletions
-    additionally yield Lemma 4 cost reports); every other name builds the
-    corresponding baseline from :mod:`repro.baselines`.
-
-    Extra keyword ``options`` are forwarded to the healer's constructor;
-    a healer that does not understand an option raises its natural
-    ``TypeError`` rather than ignoring it silently.
-    """
-    from .spec import HealerSpec
-
-    warnings.warn(
-        "make_healer(name, graph, **options) is deprecated; build a typed "
-        "HealerSpec(name, options, fault=...) and call .build(graph)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    fault = options.pop("fault_schedule", None)
-    return HealerSpec(name, options, fault=fault).build(graph)

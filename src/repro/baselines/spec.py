@@ -8,8 +8,7 @@ that validates the name against the registry at construction time, carries
 the fault axis as a declarative :class:`~repro.distributed.faults.FaultSpec`
 (materialized per build, so RNG state is never shared between sessions),
 and rejects fault injection on healers that cannot honour it *before* any
-graph is copied.  ``make_healer`` remains as a deprecated shim delegating
-here, pinned bit-identical by ``tests/test_service.py``.
+graph is copied.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ class HealerSpec:
         unknown names raise :class:`~repro.core.errors.ConfigurationError`
         at spec construction, not at build time.
     options:
-        Constructor keyword arguments (e.g. ``dense=False`` or
-        ``repair_concurrency=4`` for the distributed healer).  Stored as a
+        Constructor keyword arguments (e.g. ``repair_concurrency=4`` or
+        ``receive_trace_limit=16`` for the distributed healer).  Stored as a
         plain dict but treated as immutable; ``fault_schedule`` must travel
         through ``fault``, not here.
     fault:

@@ -12,6 +12,10 @@ Modelling ports explicitly keeps Lemma 3 ("at most one helper node per edge")
 checkable as a run-time invariant and makes the homomorphism from the virtual
 graph onto the real network a one-liner (a port or helper maps to its owning
 processor).
+
+Node identifiers are used as they are everywhere, the message-passing
+network included: any hashable works, and :class:`NodeKey` gives them the
+one canonical total order every deterministic tie-break relies on.
 """
 
 from __future__ import annotations
@@ -109,67 +113,6 @@ class NodeKey:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeKey({self.value!r})"
-
-
-class Interner:
-    """Append-only bijection between node identifiers and dense ``int`` ids.
-
-    The dense-int hot core (PR 7) keys everything inside the network —
-    adjacency sets, link-source tables, processor lookup — by small
-    contiguous integers instead of arbitrary hashable identifiers.  The
-    interner is the *boundary* where :data:`NodeId` values enter that id
-    space: the first ``intern`` of an identifier assigns the next free id,
-    and the mapping never changes or shrinks afterwards.
-
-    Ids are **never reused**: a removed or quarantined processor keeps its
-    id forever, mirroring the network's ``n_ever`` semantics (message
-    sizing and the ``ever_had_processor`` distinction both need dead ids to
-    stay meaningful).  Because ids are assigned in first-appearance order,
-    two runs that intern the same identifier sequence — e.g. the same churn
-    under an order-preserving relabeling — produce identical id sequences,
-    which is what the relabeling-invariance property test pins.
-    """
-
-    __slots__ = ("_ids", "_nodes")
-
-    def __init__(self) -> None:
-        self._ids: dict = {}
-        self._nodes: list = []
-
-    def intern(self, node: NodeId) -> int:
-        """Return ``node``'s dense id, assigning the next free one if new."""
-        ids = self._ids
-        dense = ids.get(node)
-        if dense is None:
-            dense = len(self._nodes)
-            ids[node] = dense
-            self._nodes.append(node)
-        return dense
-
-    def id_of(self, node: NodeId) -> int:
-        """The dense id of an already-interned identifier (raises when unknown)."""
-        return self._ids[node]
-
-    def get_id(self, node: NodeId):
-        """The dense id of ``node``, or ``None`` when it was never interned."""
-        return self._ids.get(node)
-
-    def node_of(self, dense: int) -> NodeId:
-        """The identifier that owns dense id ``dense`` (raises when out of range)."""
-        return self._nodes[dense]
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._ids
-
-    def nodes(self) -> list:
-        """All interned identifiers, in id order (index ``i`` holds id ``i``)."""
-        return list(self._nodes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interner({len(self._nodes)} ids)"
 
 
 def node_order_key(node: NodeId) -> NodeKey:

@@ -195,15 +195,6 @@ class FaultSchedule:
         self.has_reorder = default.reorder > 0.0 or any(
             policy.reorder > 0.0 for policy in self.per_link.values()
         )
-        #: True when some policy can drop/delay/reorder at all.  When every
-        #: link is reliable (including the pure-byzantine presets, whose
-        #: lies ride reliable links), each message's fate is "deliver" and
-        #: ``judge`` consumes no RNG — which is what lets the network fold
-        #: same-link messages into packed carriers without perturbing the
-        #: fault replay (packing is disabled whenever this is True).
-        self.has_delivery_faults = not default.is_reliable or any(
-            not policy.is_reliable for policy in self.per_link.values()
-        )
         self._rng = np.random.default_rng(seed)
         # Observability: how often each fault actually fired.
         self.dropped = 0

@@ -48,18 +48,12 @@ Both tags cost O(1) words (folded into the existing per-descriptor word
 counts) and are computed lazily, so the lossless fast path pays nothing
 when nobody verifies.
 
-Zero-allocation fabric (PR 10): every message class is a hand-rolled
-``__slots__`` layout — no per-instance ``__dict__``, the lazy seal cache
-lives in the dedicated ``_seal`` slot, and ``kind`` / ``sealed`` /
-``packable`` stay class attributes so the delivery hot loop pays attribute
-loads, not method calls.  Because construction is a plain ``__init__``,
-the per-:class:`~repro.distributed.network.Network` message pool can
-recycle an instance by re-running its constructor (every slot is reset,
-including the seal cache and the oracle tags).  High-volume kinds
-additionally declare ``_payload_fields`` so :class:`PackedPayloads` — the
-struct-of-arrays carrier that coalesces same-link chunks of one round into
-a single in-flight object — can pack and unpack them generically with the
-exact per-part word accounting Lemma 4's ledgers need.
+Every message class is a hand-rolled ``__slots__`` layout: no
+per-instance ``__dict__``, the lazy seal cache lives in the dedicated
+``_seal`` slot, and ``kind`` / ``sealed`` stay class attributes so the
+delivery loop pays attribute loads, not method calls.  A message is built
+once by its sender, stamped with a per-network id when it enters
+:meth:`~repro.distributed.network.Network.send`, and never reused.
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.ports import NodeId, Port
 
@@ -84,7 +78,6 @@ __all__ = [
     "HelperAssignment",
     "Digest",
     "DigestRequest",
-    "PackedPayloads",
     "PortDigest",
     "words_to_bits",
     "payload_checksum",
@@ -92,11 +85,10 @@ __all__ = [
 ]
 
 #: Fallback id source for messages constructed outside any network (unit
-#: tests, out-of-band notices).  Messages that travel through a
+#: tests).  Messages that travel through a
 #: :class:`~repro.distributed.network.Network` are re-stamped from that
-#: network's own counter (and again on every pool reuse), so in-network ids
-#: are deterministic per run regardless of how many networks the process
-#: ran earlier.
+#: network's own counter, so in-network ids are deterministic per run
+#: regardless of how many networks the process ran earlier.
 _message_counter = itertools.count(1)
 
 
@@ -136,10 +128,7 @@ class Message:
 
     A hand-rolled ``__slots__`` class (not a dataclass): the message layer
     is the hot allocation site of every repair, so instances carry no
-    ``__dict__`` and every per-instance datum sits in a fixed slot.  The
-    constructor doubles as the pool-reset hook — re-running ``__init__`` on
-    a recycled instance restores every slot (seal cache, oracle tags, pin)
-    to the freshly-constructed state.
+    ``__dict__`` and every per-instance datum sits in a fixed slot.
     """
 
     __slots__ = (
@@ -149,7 +138,6 @@ class Message:
         "message_id",
         "byz_origin",
         "_seal",
-        "pinned",
     )
 
     #: Short name of the message type (used in traces and metrics).  A plain
@@ -161,16 +149,10 @@ class Message:
     #: verify (``kind in SEALED_KINDS``, precomputed per class so the
     #: receive gate is one attribute check for the unsealed majority).
     sealed = False
-    #: True for the high-volume kinds :class:`PackedPayloads` may coalesce.
-    packable = False
     #: Epoch tag default: repair-protocol messages shadow this with their
     #: ``deleted`` slot, so ``message.deleted`` is a plain attribute read
     #: everywhere (no ``getattr`` default on the delivery path).
     deleted = None
-    #: Logical message count — 1 for every plain message; the packed
-    #: carrier shadows it with its per-instance part count so in-flight
-    #: ledgers keep counting logical messages, not carriers.
-    count = 1
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -189,10 +171,6 @@ class Message:
         #: ground truth that scores detection.
         self.byz_origin: Optional[NodeId] = None
         self._seal: Optional[int] = None
-        #: True when some ledger retained this instance beyond delivery
-        #: (accusation evidence, cross-witness table) — the pool must never
-        #: recycle a pinned message.
-        self.pinned = False
 
     def __repr__(self) -> str:  # debugging/traces only — never on the hot path
         return (
@@ -254,8 +232,6 @@ class DeletionNotice(Message):
     """Failure notification: ``deleted`` has vanished (delivered to each neighbour)."""
 
     __slots__ = ("deleted",)
-    packable = True
-    _payload_fields = ("deleted",)
 
     def __init__(self, sender: NodeId, receiver: NodeId, deleted: NodeId = None) -> None:
         self.sender = sender
@@ -264,17 +240,6 @@ class DeletionNotice(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
-        self.deleted = deleted
-
-    def reset(self, sender: NodeId, receiver: NodeId, deleted: NodeId = None) -> None:
-        # Pooled re-init: ``payload_words`` is a class constant and the id
-        # is re-stamped by the network, so neither is touched here.
-        self.sender = sender
-        self.receiver = receiver
-        self.byz_origin = None
-        self._seal = None
-        self.pinned = False
         self.deleted = deleted
 
 
@@ -290,7 +255,6 @@ class InsertionNotice(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.inserted = inserted
 
 
@@ -312,7 +276,6 @@ class AnchorLink(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         #: Port identifying the fragment this anchor speaks for.
         self.anchor_port = anchor_port
@@ -322,8 +285,6 @@ class Probe(Message):
     """``FindPrRoots`` probe walking down the right spine of a fragment."""
 
     __slots__ = ("deleted", "target_port", "hops", "rt_index")
-    packable = True
-    _payload_fields = ("deleted", "target_port", "hops", "rt_index")
 
     def __init__(
         self,
@@ -340,32 +301,12 @@ class Probe(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         #: Port of the virtual node currently being probed.
         self.target_port = target_port
         #: Hop count so far (for tracing; the paper's probes carry child counts).
         self.hops = hops
         #: Which affected RT's spine this probe walks (plan-relative index).
-        self.rt_index = rt_index
-
-    def reset(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        target_port: Optional[Port] = None,
-        hops: int = 0,
-        rt_index: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.byz_origin = None
-        self._seal = None
-        self.pinned = False
-        self.deleted = deleted
-        self.target_port = target_port
-        self.hops = hops
         self.rt_index = rt_index
 
 
@@ -405,7 +346,6 @@ class PrimaryRootReport(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         self.roots = roots
         #: Which affected RT's spine this report travels on (plan-relative index).
@@ -434,7 +374,6 @@ class PrimaryRootList(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         self.roots = roots
 
@@ -464,7 +403,6 @@ class ParentUpdate(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         #: Port of the node (leaf or helper) whose parent changed.
         self.child_port = child_port
@@ -535,7 +473,6 @@ class HelperAssignment(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         self.helper_port = helper_port
         self.parent_port = parent_port
@@ -664,8 +601,6 @@ class Digest(Message):
     """
 
     __slots__ = ("deleted", "rt_index", "probed", "stripped", "ack", "pieces", "records")
-    packable = True
-    _payload_fields = ("deleted", "rt_index", "probed", "stripped", "ack", "pieces", "records")
 
     def __init__(
         self,
@@ -687,7 +622,6 @@ class Digest(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         #: Which affected RT's spine this digest describes (None otherwise).
         self.rt_index = rt_index
@@ -720,8 +654,6 @@ class DigestRequest(Message):
     """
 
     __slots__ = ("deleted", "ports")
-    packable = True
-    _payload_fields = ("deleted", "ports")
 
     def __init__(
         self,
@@ -736,164 +668,5 @@ class DigestRequest(Message):
         self.message_id = next(_message_counter)
         self.byz_origin = None
         self._seal = None
-        self.pinned = False
         self.deleted = deleted
         self.ports = ports
-
-
-# --------------------------------------------------------------------------- #
-# packed payload batching (PR 10)
-# --------------------------------------------------------------------------- #
-class PackedPayloads(Message):
-    """Struct-of-arrays carrier coalescing same-link chunks of one round.
-
-    When several messages of one *packable* kind travel between the same
-    ``(sender, receiver)`` pair — consecutive digest/ack chunks, probe
-    forwards, fanned-out deletion notices — the network folds them into one
-    carrier: the payload fields live in parallel columns (one list per
-    field), and the per-part word counts, lazy seal caches and oracle
-    provenance tags ride in their own columns.  ``payload_words`` is the
-    exact sum of the parts' words and ``count`` the number of logical
-    messages, so Lemma 4 ledgers, per-epoch window attribution and
-    in-flight accounting are bit-identical to the unbatched twin.  The
-    carrier has two lanes: on a pooled network it stashes (:meth:`stash`) the
-    sent instances themselves (retention is free — delivery feeds them
-    straight to the handlers and they return to the pool through trace
-    eviction); on an unpooled network it absorbs (:meth:`absorb`) payloads into
-    the columns and delivery rebuilds each part via :meth:`unpack_part`.
-    Either way seals and byzantine verification see exactly the messages
-    the sender authored.
-
-    Folding only ever merges *adjacent* outbox entries, so delivery order
-    is preserved by construction; the network refuses to pack at all when
-    the fault schedule can drop/delay/reorder (each logical message must
-    then consume the fault RNG individually to stay replay-identical).
-    """
-
-    __slots__ = (
-        "part_cls",
-        "deleted",
-        "count",
-        "parts",
-        "columns",
-        "part_words",
-        "part_seals",
-        "part_byz",
-        "part_ids",
-        "tally_entry",
-    )
-
-    def __init__(self, sender: NodeId = None, receiver: NodeId = None) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 0
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.pinned = False
-        self.deleted = None
-        self.count = 0
-        self.part_cls = None
-        #: The live ``[count, words_sum, words_max]`` tally cell this
-        #: carrier's stream bills into — cached here so folding a part is
-        #: three list ops, no tuple key or dict probe.  A tally flush
-        #: detaches the cell (the network walks its outbox and clears
-        #: these), after which the next fold re-resolves it.
-        self.tally_entry = None
-        # Recycled carriers keep their lists (cleared here / in
-        # ``open_columns``) so steady-state packing allocates no fresh
-        # lists per round; the column bookkeeping is only touched when the
-        # absorb lane actually engages.
-        try:
-            self.parts.clear()
-        except AttributeError:
-            self.parts: List[Message] = []
-            self.columns: Tuple[List, ...] = ()
-            self.part_words: List[int] = []
-            self.part_seals: List[Optional[int]] = []
-            self.part_byz: List[Optional[NodeId]] = []
-            self.part_ids: List[int] = []
-
-    def begin(self, part_cls: type) -> None:
-        """Declare the part class (both lanes fold on ``part_cls`` identity)."""
-        self.part_cls = part_cls
-
-    def open_columns(self) -> None:
-        """Point the columns at ``part_cls``'s payload layout (absorb lane)."""
-        names = self.part_cls._payload_fields
-        columns = self.columns
-        if len(columns) != len(names):
-            self.columns = tuple([] for _ in names)
-        else:
-            for column in columns:
-                column.clear()
-        self.part_words.clear()
-        self.part_seals.clear()
-        self.part_byz.clear()
-        self.part_ids.clear()
-
-    def stash(self, message: Message) -> None:
-        """Append one part *by instance* — the pooled network's fast lane.
-
-        When the network pools messages, retaining the sent instance is
-        free (it returns to the pool through the receiver's trace eviction
-        like every delivered message), so the carrier rides the instances
-        themselves and delivery dispatches them with zero per-field
-        copying.  ``payload_words`` stays the exact sum either way — the
-        Lemma 4 ledgers cannot tell the lanes apart.
-        """
-        self.parts.append(message)
-        self.payload_words += message.payload_words
-        self.count += 1
-        self.deleted = message.deleted
-
-    def absorb(self, message: Message) -> None:
-        """Append one part's payload (and its bookkeeping) to the columns."""
-        for column, name in zip(self.columns, self.part_cls._payload_fields):
-            column.append(getattr(message, name))
-        words = message.payload_words
-        self.part_words.append(words)
-        self.part_seals.append(message._seal)
-        self.part_byz.append(message.byz_origin)
-        self.part_ids.append(message.message_id)
-        self.payload_words += words
-        self.count += 1
-        self.deleted = message.deleted
-
-    def unpack_part(self, index: int, instance: Message) -> Message:
-        """Refill ``instance`` with part ``index``, initialising *every* slot.
-
-        ``instance`` may be a bare ``cls.__new__(cls)`` shell or a pooled
-        veteran — either way all base slots and all payload slots are
-        written (packable classes declare every payload slot in
-        ``_payload_fields``), so delivery never pays an ``__init__``.
-        """
-        for column, name in zip(self.columns, self.part_cls._payload_fields):
-            setattr(instance, name, column[index])
-        instance.sender = self.sender
-        instance.receiver = self.receiver
-        instance.pinned = False
-        instance.payload_words = self.part_words[index]
-        instance._seal = self.part_seals[index]
-        instance.byz_origin = self.part_byz[index]
-        instance.message_id = self.part_ids[index]
-        return instance
-
-
-def _install_resets() -> None:
-    """Give every message class a ``reset`` for pooled re-initialisation.
-
-    Classes that don't define a dedicated one (hot packable kinds skip the
-    fallback-id draw and constant fields) fall back to ``__init__`` — the
-    two are behaviourally identical because the network re-stamps
-    ``message_id`` on every send anyway.
-    """
-    stack = [Message]
-    while stack:
-        cls = stack.pop()
-        stack.extend(cls.__subclasses__())
-        if "reset" not in cls.__dict__:
-            cls.reset = cls.__init__
-
-
-_install_resets()

@@ -86,22 +86,6 @@ class MetricsWindow:
         self.messages_by_kind[kind] += 1
         self.bits_by_kind[kind] += bits
 
-    def record_batch(self, sender: NodeId, count: int, bits: int, max_bits: int, kind: str = "") -> None:
-        """Account for ``count`` messages of one ``(sender, kind)`` tally cell.
-
-        The folded form of ``count`` :meth:`record_message` calls: ``bits``
-        is their sum and ``max_bits`` the largest single message among them,
-        so every counter — including the per-window Lemma 4 maximum — lands
-        bit-identical to the per-send path.
-        """
-        self.messages += count
-        self.bits += bits
-        if max_bits > self.max_message_bits:
-            self.max_message_bits = max_bits
-        self.messages_by_node[sender] += count
-        self.messages_by_kind[kind] += count
-        self.bits_by_kind[kind] += bits
-
     def count_for_kinds(self, kinds) -> int:
         """Messages of the given kinds sent within the window."""
         return sum(self.messages_by_kind.get(kind, 0) for kind in kinds)
@@ -181,36 +165,6 @@ class NetworkMetrics:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:
                 epoch_window.record_message(sender, bits, kind=kind)
-
-    def record_message_batch(
-        self,
-        sender: NodeId,
-        kind: str,
-        count: int,
-        bits: int,
-        max_bits: int,
-        epoch: object = None,
-    ) -> None:
-        """Account for ``count`` sent messages of one ``(sender, kind, epoch)`` cell.
-
-        The network's per-round send tally flushes through here instead of
-        calling :meth:`record_message` once per message — same counters,
-        bit-identical values (sums distribute, maxima compose), one dict
-        walk per distinct cell per round instead of one per message.
-        """
-        self.total_messages += count
-        self.total_bits += bits
-        if max_bits > self.max_message_bits:
-            self.max_message_bits = max_bits
-        self.messages_by_kind[kind] += count
-        self.messages_sent_by_node[sender] += count
-        self.bits_sent_by_node[sender] += bits
-        if self.window is not None:
-            self.window.record_batch(sender, count, bits, max_bits, kind=kind)
-        if self.epoch_windows:
-            epoch_window = self.epoch_windows.get(epoch)
-            if epoch_window is not None:
-                epoch_window.record_batch(sender, count, bits, max_bits, kind=kind)
 
     def record_rounds(self, rounds: int) -> None:
         """Account for ``rounds`` parallel communication rounds."""

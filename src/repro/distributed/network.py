@@ -7,25 +7,23 @@ rounds — every message sent in round ``r`` is delivered at the start of round
 ``r + 1``, matching the paper's cost model where a message takes at most one
 time unit to traverse an edge and local computation is free.
 
-Topology lives in a **dense-int hot core** (PR 7): node identifiers are
-interned to a contiguous id space at the boundary
-(:class:`repro.core.ports.Interner`), and everything inside speaks small
-ints — the adjacency is a flat list of int-sets indexed by dense id, link
-sources are keyed by one packed integer per link (``lo << 32 | hi``)
-instead of a per-lookup ``frozenset`` allocation, and scaffolding tracks
-packed keys too.  The seed-era object-dict layout (adjacency dict keyed by
-raw identifiers, frozenset-keyed link sources) is retained verbatim as
-:class:`_DictTopology` — the reference twin selected with ``dense=False``
-that the churn-equivalence tests and the ``large_n`` benchmark compare
-against.  Both cores are O(1) for :meth:`Network.connect` /
-:meth:`Network.disconnect` / :meth:`Network.are_linked` and O(deg) for
-neighbour iteration and :meth:`Network.remove_processor` — no operation on
-the repair path ever scans the full link set.  The network enforces that
+The topology is one adjacency dict keyed by node identifier (a set of
+neighbours per processor) plus one link-source table keyed by the
+``frozenset`` of a link's endpoints.  :meth:`Network.connect` /
+:meth:`Network.disconnect` / :meth:`Network.are_linked` are O(1), neighbour
+iteration and :meth:`Network.remove_processor` O(deg) — no operation on the
+repair path ever scans the full link set.  The network enforces that
 messages only travel along existing links (or repair scaffolding, see
 below), and keeps the per-node and global counters that Lemma 4 bounds;
 :meth:`Network.begin_repair` / :meth:`Network.end_repair` bracket one repair
 with a :class:`~repro.distributed.metrics.MetricsWindow` so its cost report
 is assembled from O(repair) state instead of full counter snapshots.
+
+There is one message path: a handler constructs a message, :meth:`send`
+checks the link, applies any byzantine corruption, stamps the per-network
+message id and counts it with one
+:meth:`~repro.distributed.metrics.NetworkMetrics.record_message` call, and
+:meth:`deliver_round` hands it to its receiver in the next round.
 
 Two layers sit on top of the raw adjacency since the merge went
 message-native (PR 4):
@@ -72,279 +70,14 @@ import math
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ProtocolError, UnknownNodeError
-from ..core.ports import Interner, NodeId, NodeKey
+from ..core.ports import NodeId, NodeKey
 from .accountability import AccountabilityTranscript, InjectionLog
 from .faults import FaultSchedule
-from .messages import Message, PackedPayloads
+from .messages import Message
 from .metrics import MetricsWindow, NetworkMetrics
 from .processor import Processor
 
 __all__ = ["Network"]
-
-#: Packed undirected-link key: with ids interned densely, one Python int
-#: ``lo << 32 | hi`` names a link — no frozenset allocation per lookup.
-#: 32 bits per endpoint bounds the core at ~4e9 nodes ever, far beyond the
-#: million-node target.
-_PACK = 32
-
-
-class _DenseTopology:
-    """Flat-array topology keyed by interned dense ids (the fast core).
-
-    The interner assigns each identifier a contiguous int id on first
-    sight; ids are never reused (removed processors keep theirs, matching
-    ``n_ever``).  The adjacency is a list of int-sets indexed by dense id,
-    link sources a dict keyed by the packed link int.  All methods take raw
-    identifiers — interning happens here, at the boundary, so the
-    :class:`Network` surface stays identifier-typed.
-    """
-
-    __slots__ = ("interner", "adj", "sources", "scaffold_links")
-
-    def __init__(self) -> None:
-        self.interner = Interner()
-        #: Dense id -> set of linked dense ids (empty set for dead ids).
-        self.adj: List[Set[int]] = []
-        #: Packed link int -> set of source keys.
-        self.sources: Dict[int, Set[Tuple]] = {}
-        #: Packed link ints of the currently open repair scaffold.
-        self.scaffold_links: Set[int] = set()
-
-    # -- node lifecycle ----------------------------------------------------
-    def ensure_node(self, node: NodeId) -> int:
-        dense = self.interner.intern(node)
-        if dense == len(self.adj):
-            self.adj.append(set())
-        return dense
-
-    def drop_node(self, node: NodeId) -> None:
-        dense = self.interner.get_id(node)
-        if dense is None:
-            return
-        adj = self.adj
-        neighbors = adj[dense]
-        adj[dense] = set()
-        for other in neighbors:
-            adj[other].discard(dense)
-            self.sources.pop(self._pack(dense, other), None)
-
-    # -- links -------------------------------------------------------------
-    @staticmethod
-    def _pack(a: int, b: int) -> int:
-        return (a << _PACK | b) if a < b else (b << _PACK | a)
-
-    def connect(self, u: NodeId, v: NodeId) -> None:
-        iu = self.interner.id_of(u)
-        iv = self.interner.id_of(v)
-        self.adj[iu].add(iv)
-        self.adj[iv].add(iu)
-
-    def disconnect(self, u: NodeId, v: NodeId) -> None:
-        iu = self.interner.get_id(u)
-        iv = self.interner.get_id(v)
-        if iu is None or iv is None:
-            return
-        self.adj[iu].discard(iv)
-        self.adj[iv].discard(iu)
-        self.sources.pop(self._pack(iu, iv), None)
-
-    def are_linked(self, u: NodeId, v: NodeId) -> bool:
-        iu = self.interner.get_id(u)
-        iv = self.interner.get_id(v)
-        return iu is not None and iv is not None and iv in self.adj[iu]
-
-    def neighbors_iter(self, node: NodeId) -> Iterator[NodeId]:
-        dense = self.interner.get_id(node)
-        if dense is None:
-            return iter(())
-        node_of = self.interner.node_of
-        return (node_of(other) for other in self.adj[dense])
-
-    def links_iter(self) -> Iterator[Tuple[NodeId, NodeId]]:
-        node_of = self.interner.node_of
-        for dense, neighbors in enumerate(self.adj):
-            for other in neighbors:
-                if other > dense:
-                    yield (node_of(dense), node_of(other))
-
-    def num_links(self) -> int:
-        return sum(len(neighbors) for neighbors in self.adj) // 2
-
-    # -- sourced links -----------------------------------------------------
-    def add_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
-        iu = self.interner.id_of(u)
-        iv = self.interner.id_of(v)
-        link = self._pack(iu, iv)
-        sources = self.sources.get(link)
-        if sources is None:
-            sources = self.sources[link] = set()
-        sources.add(key)
-        self.adj[iu].add(iv)
-        self.adj[iv].add(iu)
-
-    def remove_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
-        iu = self.interner.get_id(u)
-        iv = self.interner.get_id(v)
-        if iu is None or iv is None:
-            return
-        link = self._pack(iu, iv)
-        sources = self.sources.get(link)
-        if sources is None:
-            return
-        sources.discard(key)
-        if not sources:
-            del self.sources[link]
-            if link not in self.scaffold_links:
-                self.adj[iu].discard(iv)
-                self.adj[iv].discard(iu)
-
-    def has_source(self, key: Tuple, u: NodeId, v: NodeId) -> bool:
-        iu = self.interner.get_id(u)
-        iv = self.interner.get_id(v)
-        if iu is None or iv is None:
-            return False
-        return key in self.sources.get(self._pack(iu, iv), ())
-
-    def source_count(self, u: NodeId, v: NodeId) -> int:
-        iu = self.interner.get_id(u)
-        iv = self.interner.get_id(v)
-        if iu is None or iv is None:
-            return 0
-        return len(self.sources.get(self._pack(iu, iv), ()))
-
-    def has_any_source(self, u: NodeId, v: NodeId) -> bool:
-        iu = self.interner.get_id(u)
-        iv = self.interner.get_id(v)
-        if iu is None or iv is None:
-            return False
-        return self._pack(iu, iv) in self.sources
-
-    def replace_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
-        id_of = self.interner.id_of
-        self.sources = {
-            self._pack(*(id_of(node) for node in link)): set(keys)
-            for link, keys in expected.items()
-        }
-
-    def sources_view(self) -> Dict[frozenset, Set[Tuple]]:
-        node_of = self.interner.node_of
-        mask = (1 << _PACK) - 1
-        return {
-            frozenset((node_of(link >> _PACK), node_of(link & mask))): set(keys)
-            for link, keys in self.sources.items()
-        }
-
-    # -- scaffolding -------------------------------------------------------
-    def scaffold_add(self, u: NodeId, v: NodeId) -> None:
-        self.scaffold_links.add(self._pack(self.interner.id_of(u), self.interner.id_of(v)))
-
-    def scaffold_clear(self) -> None:
-        self.scaffold_links = set()
-
-
-class _DictTopology:
-    """The seed-era object-dict topology, retained as the reference twin.
-
-    Adjacency keyed by raw identifiers, link sources by ``frozenset`` pairs
-    — exactly the pre-dense layout, selected with ``Network(dense=False)``
-    so the churn-equivalence tests and the ``large_n`` benchmark can pin
-    the dense core against it bit for bit.
-    """
-
-    __slots__ = ("adjacency", "sources", "scaffold_links")
-
-    def __init__(self) -> None:
-        self.adjacency: Dict[NodeId, Set[NodeId]] = {}
-        self.sources: Dict[frozenset, Set[Tuple]] = {}
-        self.scaffold_links: Set[frozenset] = set()
-
-    @property
-    def interner(self) -> None:
-        return None
-
-    # -- node lifecycle ----------------------------------------------------
-    def ensure_node(self, node: NodeId) -> None:
-        self.adjacency.setdefault(node, set())
-
-    def drop_node(self, node: NodeId) -> None:
-        for neighbor in self.adjacency.pop(node, ()):
-            self.adjacency[neighbor].discard(node)
-            self.sources.pop(frozenset((node, neighbor)), None)
-
-    # -- links -------------------------------------------------------------
-    def connect(self, u: NodeId, v: NodeId) -> None:
-        self.adjacency[u].add(v)
-        self.adjacency[v].add(u)
-
-    def disconnect(self, u: NodeId, v: NodeId) -> None:
-        adj_u = self.adjacency.get(u)
-        if adj_u is not None:
-            adj_u.discard(v)
-        adj_v = self.adjacency.get(v)
-        if adj_v is not None:
-            adj_v.discard(u)
-        self.sources.pop(frozenset((u, v)), None)
-
-    def are_linked(self, u: NodeId, v: NodeId) -> bool:
-        return v in self.adjacency.get(u, ())
-
-    def neighbors_iter(self, node: NodeId) -> Iterator[NodeId]:
-        return iter(self.adjacency.get(node, ()))
-
-    def links_iter(self) -> Iterator[Tuple[NodeId, NodeId]]:
-        seen: Set[NodeId] = set()
-        for node, neighbors in self.adjacency.items():
-            for other in neighbors:
-                if other not in seen:
-                    yield (node, other)
-            seen.add(node)
-
-    def num_links(self) -> int:
-        return sum(len(neighbors) for neighbors in self.adjacency.values()) // 2
-
-    # -- sourced links -----------------------------------------------------
-    def add_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
-        self.sources.setdefault(frozenset((u, v)), set()).add(key)
-        self.adjacency[u].add(v)
-        self.adjacency[v].add(u)
-
-    def remove_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
-        link = frozenset((u, v))
-        sources = self.sources.get(link)
-        if sources is None:
-            return
-        sources.discard(key)
-        if not sources:
-            del self.sources[link]
-            if link not in self.scaffold_links:
-                adj_u = self.adjacency.get(u)
-                if adj_u is not None:
-                    adj_u.discard(v)
-                adj_v = self.adjacency.get(v)
-                if adj_v is not None:
-                    adj_v.discard(u)
-
-    def has_source(self, key: Tuple, u: NodeId, v: NodeId) -> bool:
-        return key in self.sources.get(frozenset((u, v)), ())
-
-    def source_count(self, u: NodeId, v: NodeId) -> int:
-        return len(self.sources.get(frozenset((u, v)), ()))
-
-    def has_any_source(self, u: NodeId, v: NodeId) -> bool:
-        return frozenset((u, v)) in self.sources
-
-    def replace_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
-        self.sources = {link: set(keys) for link, keys in expected.items()}
-
-    def sources_view(self) -> Dict[frozenset, Set[Tuple]]:
-        return {link: set(keys) for link, keys in self.sources.items()}
-
-    # -- scaffolding -------------------------------------------------------
-    def scaffold_add(self, u: NodeId, v: NodeId) -> None:
-        self.scaffold_links.add(frozenset((u, v)))
-
-    def scaffold_clear(self) -> None:
-        self.scaffold_links = set()
 
 
 class Network:
@@ -355,7 +88,6 @@ class Network:
         strict_links: bool = True,
         fault_schedule: Optional[FaultSchedule] = None,
         accountability: bool = True,
-        dense: bool = True,
         receive_trace_limit: Optional[int] = None,
     ) -> None:
         self.processors: Dict[NodeId, Processor] = {}
@@ -364,69 +96,28 @@ class Network:
         #: bytes/node at large n, so deployments that only need the dispute
         #: window can shrink it (the ``large_n`` BENCH section reports both).
         self.receive_trace_limit = receive_trace_limit
-        #: When True (default) the dense-int hot core stores the topology
-        #: (interned ids, flat adjacency, packed link keys) and processors
-        #: use the struct-of-arrays Table 1 store; ``dense=False`` selects
-        #: the retained seed-era object-dict twin for both — the
-        #: equivalence/benchmark baseline of the ``large_n`` BENCH section.
-        self.dense = dense
-        self._topology = _DenseTopology() if dense else _DictTopology()
+        #: Processor -> set of linked processors (empty set while isolated).
+        self._adjacency: Dict[NodeId, Set[NodeId]] = {}
+        #: Link (``frozenset`` of its endpoints) -> set of source keys.
+        self._sources: Dict[frozenset, Set[Tuple]] = {}
         self._outbox: List[Message] = []
         #: Messages a fault delayed: (deliver_at_round, message).
         self._delayed: List[Tuple[int, Message]] = []
-        #: Recycled per-round delivery buffer: each round swaps the outbox
-        #: against this spare list instead of allocating fresh ones (the
-        #: ROADMAP's "one allocation per round, not per message" item).
-        self._spare_outbox: List[Message] = []
-        #: When False, the delivery machinery uses the retained seed-era
-        #: reference paths (fresh per-round allocations in
-        #: :meth:`deliver_round_reference`, a per-message log for sizing in
-        #: :meth:`send`) — the equivalence baseline the batched fast path is
-        #: benchmarked against (``network_delivery`` in BENCH_perf.json).
-        self.batched_delivery = True
-        #: When True (default), :meth:`send` folds per-message accounting
-        #: into a per-round tally that :attr:`metrics` flushes in one batched
-        #: pass — bit-identical counters, one dict walk per distinct
-        #: ``(sender, kind, epoch)`` cell per round instead of ten dict
-        #: updates per message.  ``False`` restores the retained per-send
-        #: :meth:`NetworkMetrics.record_message` path (the PR 9 twin the
-        #: ``message_fabric`` benchmark compares against).
-        self.batched_accounting = True
-        #: When True (default), :meth:`send` recycles delivered message
-        #: instances through a per-class free list and draws new sends from
-        #: it (:meth:`new` / :meth:`release`), so a steady-state flood
-        #: allocates ~zero message objects per round.  ``False`` is the
-        #: retained-reference twin: every message is a fresh allocation and
-        #: nothing is ever recycled, so traces keep exact object identity.
-        self.pooled = True
-        #: When True (default), consecutive same-link messages of one
-        #: packable kind coalesce into a :class:`PackedPayloads` carrier
-        #: (struct-of-arrays payload columns, exact summed ``size_bits``).
-        #: Automatically inert whenever the fault schedule can drop, delay
-        #: or reorder — each logical message must then consume the fault
-        #: RNG individually to stay replay-identical with the twin.
-        self.packed_batching = True
-        #: Per-class free lists of recycled message instances.
-        self._pool: Dict[type, List[Message]] = {}
         #: Per-network message id counter: every message entering this
-        #: network (pool reuse included) is re-stamped from it, so ids are
-        #: deterministic per run no matter how many networks the process
-        #: ran before this one (the module-global fallback counter only
-        #: serves messages that never touch a network).
+        #: network is stamped from it, so ids are deterministic per run no
+        #: matter how many networks the process ran before this one (the
+        #: module-global fallback counter only serves messages that never
+        #: touch a network).
         self._message_seq = 0
-        #: Round-local send tally: ``(sender, kind, epoch) -> [count,
-        #: words_sum, words_max]``, flushed into :attr:`metrics` in one
-        #: batched pass per round (or at any external metrics read).
-        self._tally: Dict[Tuple[NodeId, str, object], List[int]] = {}
         self._round = 0
-        self._metrics = NetworkMetrics()
+        self.metrics = NetworkMetrics()
         #: When True, sending a message between unlinked processors raises.
         self.strict_links = strict_links
         #: Optional fault injection applied at delivery time.
         self.fault_schedule = fault_schedule
-        #: Links auto-created for the currently open repair scaffold (the
-        #: topology keeps the O(1) membership twin of this recording list).
-        self._scaffold: Optional[List[Tuple[NodeId, NodeId]]] = None
+        #: Links auto-created for the currently open repair scaffold
+        #: (``None`` while no scaffold is open).
+        self._scaffold: Optional[Set[frozenset]] = None
         #: Number of processors ever added (message sizing's ``n``).  Counted
         #: per addition, so removals never shrink it; the distributed healer
         #: cross-checks it against the engine's ``nodes_ever``.
@@ -435,8 +126,7 @@ class Network:
         #: :meth:`ever_had_processor`).
         self._ever_ids: Set[NodeId] = set()
         #: Cached identifier word size ``max(ceil(log2(max(n_ever, 2))), 1)``:
-        #: recomputed once per processor addition instead of once per message
-        #: (the seed path recomputed the log for every single send).
+        #: recomputed once per processor addition instead of once per message.
         self._word_bits = 1
         #: Protocol-side accusation ledger (``None`` disables receive-time
         #: verification entirely — the baseline the overhead benchmark
@@ -451,113 +141,12 @@ class Network:
         #: graph, cut off from the network — the containment action).
         self.quarantined: Set[NodeId] = set()
 
-    @property
-    def interner(self) -> Optional[Interner]:
-        """The dense core's identifier interner (``None`` in reference mode)."""
-        return self._topology.interner
-
-    # ------------------------------------------------------------------ #
-    # metrics (batched per-round tally)
-    # ------------------------------------------------------------------ #
-    @property
-    def metrics(self) -> NetworkMetrics:
-        """The network's counters, with any pending send tally flushed first.
-
-        Every reader — tests, cost reports, window open/close calls — goes
-        through this property, so deferred accounting is externally
-        invisible: the instant anyone looks, the ledger is exact.
-        """
-        if self._tally:
-            self._flush_tally()
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: NetworkMetrics) -> None:
-        self._tally.clear()
-        for message in self._outbox:
-            if type(message) is PackedPayloads:
-                message.tally_entry = None
-        self._metrics = value
-
-    def _flush_tally(self) -> None:
-        """Batch-apply the round's send tally (bit-identical to per-send)."""
-        word_bits = self._word_bits
-        record = self._metrics.record_message_batch
-        for (sender, kind, epoch), (count, words, words_max) in self._tally.items():
-            record(
-                sender=sender,
-                kind=kind,
-                count=count,
-                bits=words * word_bits,
-                max_bits=words_max * word_bits,
-                epoch=epoch,
-            )
-        self._tally.clear()
-        # Open carriers cache a pointer into the tally we just cleared —
-        # detach them so the next fold re-resolves a live cell.
-        for message in self._outbox:
-            if type(message) is PackedPayloads:
-                message.tally_entry = None
-
-    # ------------------------------------------------------------------ #
-    # message pool
-    # ------------------------------------------------------------------ #
-    def new(self, cls: type, *args, **fields) -> Message:
-        """Construct a message of ``cls``, recycling a pooled instance if any.
-
-        Re-running ``__init__`` on a recycled instance resets every slot
-        (payload, seal cache, oracle tags), and the per-network id counter
-        re-stamps it, so a reused message is indistinguishable from a fresh
-        one.  With pooling off this is a plain constructor call — the
-        retained-reference twin.  Positional arguments are forwarded to
-        ``__init__`` verbatim (hot call sites skip the kwargs dict).
-
-        The per-network id stamp happens in :meth:`send` (every message
-        constructed here travels through it, or — for fold carriers — is
-        stamped at the fold site), so construction pays no stamp of its
-        own.
-        """
-        if self.pooled:
-            free = self._pool.get(cls)
-            if free:
-                message = free.pop()
-                message.reset(*args, **fields)
-                return message
-        return cls(*args, **fields)
-
     def stamp(self, message: Message) -> Message:
         """Assign the next per-network id — for messages delivered out of
         band (never passing :meth:`send`, which stamps everything else)."""
         self._message_seq += 1
         message.message_id = self._message_seq
         return message
-
-    def blank(self, cls: type) -> Message:
-        """A bare instance for ``unpack_part`` to fill — no ``__init__`` paid.
-
-        Carrier delivery rebuilds parts through this: a pooled veteran when
-        one is free, otherwise an uninitialised ``__new__`` shell.  Only
-        valid for packable classes, whose ``unpack_part`` writes every slot.
-        """
-        if self.pooled:
-            free = self._pool.get(cls)
-            if free:
-                return free.pop()
-        return cls.__new__(cls)
-
-    def release(self, message: Message) -> None:
-        """Return a message to the pool (no-op when unpooled or pinned).
-
-        Pinned instances — accusation evidence, cross-witnessed copies —
-        are never recycled: their payloads must stay readable forever.
-        """
-        if not self.pooled or message.pinned:
-            return
-        cls = type(message)
-        free = self._pool.get(cls)
-        if free is None:
-            free = self._pool[cls] = []
-        free.append(message)
 
     # ------------------------------------------------------------------ #
     # topology management
@@ -566,22 +155,13 @@ class Network:
         """Create (or return) the processor with identifier ``node``."""
         processor = self.processors.get(node)
         if processor is None:
-            processor = Processor(
-                node,
-                dense_records=self.dense,
-                receive_trace_limit=self.receive_trace_limit,
-            )
+            processor = Processor(node, receive_trace_limit=self.receive_trace_limit)
             processor.network = self
             self.processors[node] = processor
-            self._topology.ensure_node(node)
+            self._adjacency.setdefault(node, set())
             self._ever_ids.add(node)
             self.n_ever += 1
-            if self._tally:
-                # Pending sends were sized under the old word width.
-                self._flush_tally()
-            self._word_bits = max(
-                int(math.ceil(math.log2(max(self.n_ever, 2)))), 1
-            )
+            self._word_bits = max(int(math.ceil(math.log2(max(self.n_ever, 2)))), 1)
         return processor
 
     def ever_had_processor(self, node: NodeId) -> bool:
@@ -599,7 +179,9 @@ class Network:
         if node not in self.processors:
             raise UnknownNodeError(node, "remove_processor")
         del self.processors[node]
-        self._topology.drop_node(node)
+        for neighbor in self._adjacency.pop(node, ()):
+            self._adjacency[neighbor].discard(node)
+            self._sources.pop(frozenset((node, neighbor)), None)
 
     def has_processor(self, node: NodeId) -> bool:
         """True when ``node`` currently has a processor."""
@@ -611,15 +193,25 @@ class Network:
             return
         if u not in self.processors or v not in self.processors:
             raise UnknownNodeError(u if u not in self.processors else v, "connect")
-        self._topology.connect(u, v)
+        self._adjacency[u].add(v)
+        self._adjacency[v].add(u)
 
     def disconnect(self, u: NodeId, v: NodeId) -> None:
         """Drop the link between ``u`` and ``v`` if it exists (dead ends tolerated)."""
-        self._topology.disconnect(u, v)
+        self._unlink(u, v)
+        self._sources.pop(frozenset((u, v)), None)
+
+    def _unlink(self, u: NodeId, v: NodeId) -> None:
+        adj_u = self._adjacency.get(u)
+        if adj_u is not None:
+            adj_u.discard(v)
+        adj_v = self._adjacency.get(v)
+        if adj_v is not None:
+            adj_v.discard(u)
 
     def are_linked(self, u: NodeId, v: NodeId) -> bool:
         """True when a link currently exists between ``u`` and ``v``."""
-        return self._topology.are_linked(u, v)
+        return v in self._adjacency.get(u, ())
 
     # ------------------------------------------------------------------ #
     # sourced links (the healed graph as the processors know it)
@@ -633,29 +225,39 @@ class Network:
         """
         if u == v or u not in self.processors or v not in self.processors:
             return
-        self._topology.add_source(key, u, v)
+        self._sources.setdefault(frozenset((u, v)), set()).add(key)
+        self._adjacency[u].add(v)
+        self._adjacency[v].add(u)
 
     def remove_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
         """Drop one source of link ``(u, v)``; the link vanishes at zero sources
         (unless an open repair scaffold is still using it)."""
-        self._topology.remove_source(key, u, v)
+        link = frozenset((u, v))
+        sources = self._sources.get(link)
+        if sources is None:
+            return
+        sources.discard(key)
+        if not sources:
+            del self._sources[link]
+            if self._scaffold is None or link not in self._scaffold:
+                self._unlink(u, v)
 
     def has_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> bool:
         """True when ``key`` currently sources the link ``(u, v)``."""
-        return self._topology.has_source(key, u, v)
+        return key in self._sources.get(frozenset((u, v)), ())
 
     def link_source_count(self, u: NodeId, v: NodeId) -> int:
         """Number of sources of link ``(u, v)`` (the engine's edge multiplicity)."""
-        return self._topology.source_count(u, v)
+        return len(self._sources.get(frozenset((u, v)), ()))
 
     def replace_link_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
         """Overwrite the whole source table (the oracle resync's bulk write).
 
-        ``expected`` is keyed by ``frozenset`` endpoint pairs — the seed-era
-        wire format :meth:`DistributedForgivingGraph._sync_links_reference`
-        produces; the dense core re-keys it into packed ints on entry.
+        ``expected`` is keyed by ``frozenset`` endpoint pairs — the format
+        :meth:`DistributedForgivingGraph._sync_links_reference` produces and
+        the checkpoint store reloads.
         """
-        self._topology.replace_sources(expected)
+        self._sources = {link: set(keys) for link, keys in expected.items()}
 
     def export_link_sources(self) -> Dict[frozenset, Set[Tuple]]:
         """Snapshot the whole source table in the ``frozenset`` wire format.
@@ -664,7 +266,7 @@ class Network:
         service's checkpoint writer reads, so a restored network can rebuild
         the healed graph's sourced links exactly.
         """
-        return self._topology.sources_view()
+        return {link: set(keys) for link, keys in self._sources.items()}
 
     def set_census(self, n_ever: int, ever_ids: Iterable[NodeId] = ()) -> None:
         """Restore the addition-counted census after a checkpoint reload.
@@ -684,8 +286,6 @@ class Network:
             )
         self.n_ever = n_ever
         self._ever_ids.update(ever_ids)
-        if self._tally:
-            self._flush_tally()
         self._word_bits = max(int(math.ceil(math.log2(max(self.n_ever, 2)))), 1)
 
     # ------------------------------------------------------------------ #
@@ -693,8 +293,7 @@ class Network:
     # ------------------------------------------------------------------ #
     def begin_scaffold(self) -> None:
         """Open a scaffold: sends may auto-create links, all recorded."""
-        self._scaffold = []
-        self._topology.scaffold_clear()
+        self._scaffold = set()
 
     def scaffold_link(self, u: NodeId, v: NodeId) -> None:
         """Explicitly create (and record) a repair-local link."""
@@ -702,24 +301,19 @@ class Network:
             return
         self.connect(u, v)
         if self._scaffold is not None:
-            self._scaffold.append((u, v))
-            self._topology.scaffold_add(u, v)
+            self._scaffold.add(frozenset((u, v)))
 
     def end_scaffold(self) -> int:
         """Drop every scaffold link that acquired no source; returns how many."""
-        scaffold, self._scaffold = self._scaffold, None
-        topology = self._topology
-        topology.scaffold_clear()
-        dropped = 0
-        for u, v in scaffold or ():
-            if not topology.has_any_source(u, v):
-                self.disconnect(u, v)
-                dropped += 1
-        return dropped
+        scaffold, self._scaffold = self._scaffold or set(), None
+        dropped = [link for link in scaffold if link not in self._sources]
+        for link in dropped:
+            self.disconnect(*link)
+        return len(dropped)
 
     def num_links(self) -> int:
         """Number of current links (O(n) sum of neighbour-set sizes)."""
-        return self._topology.num_links()
+        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
 
     def iter_links(self) -> Iterator[Tuple[NodeId, NodeId]]:
         """Iterate the current links in arbitrary endpoint/iteration order.
@@ -728,7 +322,12 @@ class Network:
         graph constructors) — no per-pair :class:`NodeKey` comparisons.
         Use :meth:`links` when canonical tuple order matters.
         """
-        return self._topology.links_iter()
+        seen: Set[NodeId] = set()
+        for node, neighbors in self._adjacency.items():
+            for other in neighbors:
+                if other not in seen:
+                    yield (node, other)
+            seen.add(node)
 
     def links(self) -> Set[Tuple[NodeId, NodeId]]:
         """Return the current link set as canonically ordered tuples (inspection only).
@@ -737,17 +336,17 @@ class Network:
         repository's relabeling-invariant total order on node identifiers.
         """
         result: Set[Tuple[NodeId, NodeId]] = set()
-        for u, v in self._topology.links_iter():
+        for u, v in self.iter_links():
             result.add((u, v) if NodeKey(u) < NodeKey(v) else (v, u))
         return result
 
     def neighbors_unsorted(self, node: NodeId) -> List[NodeId]:
         """Current link neighbours of ``node`` in arbitrary order (fast path)."""
-        return list(self._topology.neighbors_iter(node))
+        return list(self._adjacency.get(node, ()))
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Current link neighbours of ``node``, in canonical :class:`NodeKey` order."""
-        return sorted(self._topology.neighbors_iter(node), key=NodeKey)
+        return sorted(self._adjacency.get(node, ()), key=NodeKey)
 
     # ------------------------------------------------------------------ #
     # per-repair accounting
@@ -776,103 +375,9 @@ class Network:
         """
         sender = message.sender
         receiver = message.receiver
-        # Fold fast path: when the tail of the outbox already carries this
-        # exact (sender, receiver, class, epoch) stream — either as a
-        # carrier or as the stream's first plain part — the existence/link
-        # checks were performed when that first part was sent (nothing can
-        # unlink the pair between two sends of one round), so this part
-        # pays only corruption, stamping, tallying and the fold itself.
-        outbox = self._outbox
-        if message.packable and self.packed_batching and outbox:
-            last = outbox[-1]
-            fold = 0
-            if (
-                last.sender == sender
-                and last.receiver == receiver
-                and last.deleted == message.deleted
-                and self.batched_accounting
-                and self.batched_delivery
-            ):
-                cls = type(message)
-                last_cls = type(last)
-                if last_cls is PackedPayloads:
-                    if last.part_cls is cls:
-                        fold = 1
-                elif last_cls is cls:
-                    # Opening a carrier needs what the slow-path fold gate
-                    # checks: delivery faults must bill each part its own
-                    # RNG draw, so they disable packing entirely.
-                    schedule = self.fault_schedule
-                    if schedule is None or not schedule.has_delivery_faults:
-                        fold = 2
-            if fold:
-                schedule = self.fault_schedule
-                if schedule is not None:
-                    if (
-                        message.byz_origin is None
-                        and schedule.has_byzantine
-                        and sender != receiver
-                        and schedule.is_byzantine(sender)
-                    ):
-                        schedule.corrupt_in_place(message)
-                    if message.byz_origin is not None:
-                        self.injection_log.note_sent(message.byz_origin, self._round)
-                self._message_seq += 1
-                message.message_id = self._message_seq
-                words = message.payload_words
-                if fold == 1:
-                    entry = last.tally_entry
-                    if entry is None:
-                        key = (sender, message.kind, message.deleted)
-                        entry = self._tally.get(key)
-                        if entry is None:
-                            entry = self._tally[key] = [0, 0, 0]
-                        last.tally_entry = entry
-                    entry[0] += 1
-                    entry[1] += words
-                    if words > entry[2]:
-                        entry[2] = words
-                    if last.parts:
-                        # stash() inlined (epoch already matched above).
-                        last.parts.append(message)
-                        last.payload_words += words
-                        last.count += 1
-                    else:
-                        last.absorb(message)
-                        self.release(message)
-                else:
-                    key = (sender, message.kind, message.deleted)
-                    entry = self._tally.get(key)
-                    if entry is None:
-                        entry = self._tally[key] = [1, words, words]
-                    else:
-                        entry[0] += 1
-                        entry[1] += words
-                        if words > entry[2]:
-                            entry[2] = words
-                    carrier = self.new(
-                        PackedPayloads, sender=sender, receiver=receiver
-                    )
-                    self._message_seq += 1
-                    carrier.message_id = self._message_seq
-                    carrier.tally_entry = entry
-                    carrier.begin(cls)
-                    if self.pooled:
-                        # Pooled fast lane: ride the instances themselves.
-                        carrier.stash(last)
-                        carrier.stash(message)
-                    else:
-                        carrier.open_columns()
-                        carrier.absorb(last)
-                        carrier.absorb(message)
-                        self.release(last)
-                        self.release(message)
-                    outbox[-1] = carrier
-                return
-        processors = self.processors
-        if sender not in processors:
+        if sender not in self.processors:
             raise ProtocolError(f"sender {sender!r} does not exist")
-        if receiver not in processors:
+        if receiver not in self.processors:
             raise ProtocolError(f"receiver {receiver!r} does not exist")
         if sender != receiver and not self.are_linked(sender, receiver):
             if self._scaffold is not None:
@@ -896,193 +401,30 @@ class Network:
             schedule.corrupt_in_place(message)
         if message.byz_origin is not None:
             self.injection_log.note_sent(message.byz_origin, self._round)
-        # Per-network id stamp (re-stamps pool reuses and direct constructs
-        # alike) — in-network ids are deterministic per run, independent of
-        # the process's module-global fallback counter.
-        self._message_seq += 1
-        message.message_id = self._message_seq
-        # Accounting.  ``payload_words * _word_bits`` equals
-        # ``message.size_bits(n_ever)`` exactly (same formula, log cached per
-        # topology change instead of recomputed per message); the
-        # batched-vs-reference equivalence checks compare the resulting bit
-        # counts verbatim.  Epoch attribution: every repair-protocol message
-        # carries the ``deleted`` victim it serves, which keys the per-epoch
-        # windows the concurrent batch driver opens (no-op outside
-        # ``delete_batch``).  On the fast path the per-message counter walk
-        # is folded into a round tally flushed in one batched pass.
-        if self.batched_delivery and self.batched_accounting:
-            key = (sender, message.kind, message.deleted)
-            words = message.payload_words
-            entry = self._tally.get(key)
-            if entry is None:
-                self._tally[key] = [1, words, words]
-            else:
-                entry[0] += 1
-                entry[1] += words
-                if words > entry[2]:
-                    entry[2] = words
-        else:
-            if self._tally:
-                self._flush_tally()
-            self._metrics.record_message(
-                sender=sender,
-                kind=message.kind,
-                bits=(
-                    message.payload_words * self._word_bits
-                    if self.batched_delivery
-                    else message.size_bits(max(self.n_ever, 2))
-                ),
-                epoch=message.deleted,
-            )
-        # Packed payload batching: consecutive same-link messages of one
-        # packable kind (and epoch) fold into a struct-of-arrays carrier.
-        # Adjacency makes folding order-preserving by construction; delivery
-        # faults disable it so every logical message consumes the fault RNG
-        # individually (the pure-byzantine presets ride reliable links, so
-        # lies pack fine — corruption already happened above, per part).
-        outbox = self._outbox
-        if (
-            message.packable
-            and self.packed_batching
-            and self.batched_delivery
-            and (schedule is None or not schedule.has_delivery_faults)
-            and outbox
-        ):
-            last = outbox[-1]
-            if last.sender == sender and last.receiver == receiver:
-                cls = type(message)
-                last_cls = type(last)
-                if last_cls is PackedPayloads:
-                    if last.part_cls is cls and last.deleted == message.deleted:
-                        if last.parts:
-                            last.stash(message)
-                        else:
-                            last.absorb(message)
-                            self.release(message)
-                        return
-                elif last_cls is cls and last.deleted == message.deleted:
-                    carrier = self.new(PackedPayloads, sender=sender, receiver=receiver)
-                    self._message_seq += 1
-                    carrier.message_id = self._message_seq
-                    carrier.begin(cls)
-                    if self.pooled:
-                        # Pooled fast lane: ride the instances themselves.
-                        carrier.stash(last)
-                        carrier.stash(message)
-                    else:
-                        carrier.open_columns()
-                        carrier.absorb(last)
-                        carrier.absorb(message)
-                        self.release(last)
-                        self.release(message)
-                    outbox[-1] = carrier
-                    return
-        outbox.append(message)
+        self.stamp(message)
+        # ``payload_words * _word_bits`` equals ``message.size_bits(n_ever)``
+        # (same formula, the log cached per processor addition).  Every
+        # repair-protocol message carries the ``deleted`` victim it serves,
+        # which keys the per-epoch windows ``delete_batch`` opens.
+        self.metrics.record_message(
+            sender=sender,
+            kind=message.kind,
+            bits=message.payload_words * self._word_bits,
+            epoch=message.deleted,
+        )
+        self._outbox.append(message)
 
     def deliver_round(self) -> int:
         """Advance one synchronous round; returns how many messages were delivered.
 
         The round's batch is this round's outbox plus any fault-delayed
         messages that came due.  The fault schedule (if any) judges every
-        message — drop, delay, or deliver — and may shuffle the batch's
-        delivery order.  Handlers may respond with new messages; those are
-        sent within this round and therefore delivered in the next one.
-
-        The fast path is struct-of-arrays: one pass over the batch both
-        compacts fault survivors in place *and* extracts the
-        ``(sender, receiver)`` column the reorder permutation consumes, so
-        nothing walks the message objects twice; the recycled per-round
-        buffer (the outbox swaps against a spare list) keeps a round at
-        zero list allocations, and per-message dispatch/seal work runs off
-        precomputed class attributes (``Message.kind`` / ``Message.sealed``
-        and the processor-side handler cache).  The seed-era allocation
-        pattern survives as :meth:`deliver_round_reference` and both paths
-        are replayable to identical results (fault decisions consume the
-        RNG identically; ``shuffle_round`` consumes nothing for batches
-        under two messages, so skipping it there is exact).
-        """
-        if not self.batched_delivery:
-            return self.deliver_round_reference()
-        self._round += 1
-        if self._tally:
-            self._flush_tally()
-        metrics = self._metrics
-        metrics.record_rounds(1)
-        batch, spare = self._outbox, self._spare_outbox
-        spare.clear()  # last round's batch (kept until now so a mid-round
-        self._outbox = spare  # exception can never lead to redelivery)
-        self._spare_outbox = batch
-        schedule = self.fault_schedule
-        collect = schedule is not None and schedule.has_reorder
-        pairs: Optional[List[Tuple[NodeId, NodeId]]] = [] if collect else None
-        if schedule is not None and batch:
-            # Fresh sends are judged exactly once, here; a message that drew
-            # a delay is delivered as-is when it comes due, so its fate stays
-            # within the policy's 1..max_delay contract.  Survivors are
-            # compacted into the batch's own prefix — no second list — and
-            # the sender/receiver column fills in the same pass.  (Carriers
-            # only exist on fault-free schedules, so each judged entry here
-            # is one logical message.)
-            kept = 0
-            for message in batch:
-                sender = message.sender
-                receiver = message.receiver
-                if sender != receiver:
-                    fate = schedule.judge(sender, receiver)
-                    if fate < 0:
-                        metrics.record_dropped(epoch=message.deleted)
-                        self.release(message)
-                        continue
-                    if fate > 0:
-                        self._delayed.append((self._round + fate, message))
-                        continue
-                batch[kept] = message
-                kept += 1
-                if collect:
-                    pairs.append((sender, receiver))
-            del batch[kept:]
-        if self._delayed:
-            due = [m for at, m in self._delayed if at <= self._round]
-            if due:
-                self._delayed = [(at, m) for at, m in self._delayed if at > self._round]
-                batch.extend(due)
-                if collect:
-                    pairs.extend((m.sender, m.receiver) for m in due)
-        if collect and len(batch) > 1:
-            permutation = schedule.shuffle_round(pairs)
-            if permutation is not None:
-                batch[:] = [batch[i] for i in permutation]
-        delivered = 0
-        processors = self.processors
-        for message in batch:
-            processor = processors.get(message.receiver)
-            if processor is None:
-                # Receiver died mid-round; the paper assumes one attack per
-                # round.  The undeliverable instance goes back to the pool.
-                self.release(message)
-                continue
-            if type(message) is PackedPayloads:
-                # Inlined for the hot loop; receive_packed sends its own
-                # responses part-by-part (see its docstring for why).
-                delivered += message.count
-                processor.receive_packed(message)
-                self.release(message)
-                continue
-            if message.byz_origin is not None:
-                self.injection_log.note_delivered(message.byz_origin, message.receiver)
-            responses = processor.receive(message)
-            delivered += 1
-            for response in responses or ():
-                self.send(response)
-        return delivered
-
-    def deliver_round_reference(self) -> int:
-        """The seed-era delivery round: fresh list allocations per round.
-
-        Retained as the reference the batched fast path is equivalence-tested
-        and benchmarked against (``network_delivery`` in BENCH_perf.json).
-        Identical observable behaviour: same delivery order, same fault
-        decisions (the RNG is consumed in the same sequence), same metrics.
+        fresh message — drop, delay, or deliver — and may shuffle the
+        batch's delivery order.  A message that drew a delay is delivered
+        as-is when it comes due, so its fate stays within the policy's
+        1..max_delay contract.  Handlers may respond with new messages;
+        those are sent within this round and therefore delivered in the
+        next one.
         """
         self._round += 1
         self.metrics.record_rounds(1)
@@ -1096,7 +438,7 @@ class Network:
                 if message.sender != message.receiver:
                     fate = schedule.judge(message.sender, message.receiver)
                     if fate < 0:
-                        self.metrics.record_dropped(epoch=getattr(message, "deleted", None))
+                        self.metrics.record_dropped(epoch=message.deleted)
                         continue
                     if fate > 0:
                         self._delayed.append((self._round + fate, message))
@@ -1105,7 +447,7 @@ class Network:
         if self._delayed:
             batch = batch + [m for at, m in self._delayed if at <= self._round]
             self._delayed = [(at, m) for at, m in self._delayed if at > self._round]
-        if schedule is not None:
+        if schedule is not None and schedule.has_reorder:
             permutation = schedule.shuffle_round([(m.sender, m.receiver) for m in batch])
             if permutation is not None:
                 batch = [batch[i] for i in permutation]
@@ -1113,6 +455,7 @@ class Network:
         for message in batch:
             processor = self.processors.get(message.receiver)
             if processor is None:
+                # Receiver died mid-round; the paper assumes one attack per round.
                 continue
             if message.byz_origin is not None:
                 self.injection_log.note_delivered(message.byz_origin, message.receiver)
@@ -1133,27 +476,16 @@ class Network:
         away is as lost as one the network dropped, and the cost rows
         should say so.
         """
-        count = 0
-        for message in self._outbox:
-            count += message.count
-        for _, message in self._delayed:
-            count += message.count
-        if count:
-            metrics = self.metrics  # flushes the send-side tally first
-            if metrics.epoch_windows:
-                for message in self._outbox:
-                    metrics.record_dropped(message.count, epoch=message.deleted)
-                for _, message in self._delayed:
-                    metrics.record_dropped(message.count, epoch=message.deleted)
+        leftover = self._outbox + [message for _, message in self._delayed]
+        if leftover:
+            if self.metrics.epoch_windows:
+                for message in leftover:
+                    self.metrics.record_dropped(epoch=message.deleted)
             else:
-                metrics.record_dropped(count)
-        for message in self._outbox:
-            self.release(message)
-        for _, message in self._delayed:
-            self.release(message)
-        self._outbox.clear()
-        self._delayed.clear()
-        return count
+                self.metrics.record_dropped(len(leftover))
+        self._outbox = []
+        self._delayed = []
+        return len(leftover)
 
     def in_flight_for(self, victim: NodeId) -> int:
         """Queued + fault-delayed messages belonging to ``victim``'s repair.
@@ -1163,14 +495,9 @@ class Network:
         siblings are still talking).  O(in-flight) per call — the queues at
         these scales are short-lived round buffers.
         """
-        count = 0
-        for message in self._outbox:
-            if message.deleted == victim:
-                count += message.count
-        for _, message in self._delayed:
-            if message.deleted == victim:
-                count += message.count
-        return count
+        return sum(1 for message in self._outbox if message.deleted == victim) + sum(
+            1 for _, message in self._delayed if message.deleted == victim
+        )
 
     # ------------------------------------------------------------------ #
     # byzantine accountability
@@ -1192,14 +519,11 @@ class Network:
         """
         if self.transcript is None:
             return False
-        evidence = tuple(evidence)
-        for message in evidence:
-            message.pinned = True  # transcript holds it forever; never recycle
         self.transcript.record(
             accused=accused,
             reporter=reporter,
             reason=reason,
-            evidence=evidence,
+            evidence=tuple(evidence),
             round=self._round,
         )
         self.quarantine(accused)
@@ -1249,12 +573,10 @@ class Network:
 
     @property
     def pending_messages(self) -> int:
-        """Logical messages queued for the next round (carrier parts counted)."""
-        return sum(message.count for message in self._outbox)
+        """Messages queued for the next round."""
+        return len(self._outbox)
 
     @property
     def in_flight(self) -> int:
-        """Logical messages queued for the next round plus fault-delayed ones."""
-        return sum(message.count for message in self._outbox) + sum(
-            message.count for _, message in self._delayed
-        )
+        """Messages queued for the next round plus fault-delayed ones."""
+        return len(self._outbox) + len(self._delayed)

@@ -1,10 +1,12 @@
 """Per-processor state and behaviour: Table 1 records plus the reactive repair.
 
 Each processor keeps one :class:`EdgeRecord` per ``G'`` edge it participates
-in.  The record has exactly the fields the paper lists in Table 1: the real
-node's current endpoint, whether the processor is simulating a helper node
-for this edge, the real node's RT parent and representative, plus the helper
-node's parent / children / height / children-count / representative.
+in, in a plain dict keyed by the neighbour's identifier.  The record is a
+slotted dataclass with exactly the fields the paper lists in Table 1: the
+real node's current endpoint, whether the processor is simulating a helper
+node for this edge, the real node's RT parent and representative, plus the
+helper node's parent / children / height / children-count / representative.
+Its field order is also the checkpoint store's record payload order.
 
 Since the merge went message-native (PR 4) the processor is no longer a
 passive recorder: during a repair it *acts* on what it receives.  At repair
@@ -46,7 +48,6 @@ the engine is an oracle, never a participant.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -72,17 +73,14 @@ from .messages import (
 )
 
 __all__ = [
-    "DenseEdgeTable",
-    "DictEdgeTable",
     "EdgeRecord",
-    "EdgeRecordView",
     "Processor",
     "RepairContext",
     "SpineRole",
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeRecord:
     """State kept by processor ``v`` for the ``G'`` edge ``(v, x)`` (Table 1)."""
 
@@ -125,232 +123,9 @@ class EdgeRecord:
         self.helper_victim = None
 
 
-#: (attribute, column, kind) triples describing the Table 1 record layout —
-#: the single source of truth both record stores derive from.  ``kind`` is
-#: ``"obj"`` (pointer column), ``"bool"`` (bytearray column) or ``"int"``
-#: (machine-int array column).
-_RECORD_COLUMNS: Tuple[Tuple[str, str, str], ...] = (
-    ("neighbor", "_neighbor", "obj"),
-    ("endpoint", "_endpoint", "obj"),
-    ("neighbor_alive", "_alive", "bool"),
-    ("has_helper", "_has_helper", "bool"),
-    ("rt_parent", "_rt_parent", "obj"),
-    ("representative", "_representative", "obj"),
-    ("helper_parent", "_helper_parent", "obj"),
-    ("helper_left", "_helper_left", "obj"),
-    ("helper_right", "_helper_right", "obj"),
-    ("helper_height", "_helper_height", "int"),
-    ("helper_children_count", "_helper_children", "int"),
-    ("helper_representative", "_helper_representative", "obj"),
-    ("helper_victim", "_helper_victim", "obj"),
-)
-
-
-def _view_property(column: str, kind: str):
-    """Build one :class:`EdgeRecordView` property reading/writing a column."""
-    if kind == "bool":
-
-        def getter(self):
-            return bool(getattr(self._table, column)[self._slot])
-
-        def setter(self, value):
-            getattr(self._table, column)[self._slot] = 1 if value else 0
-
-    else:
-
-        def getter(self):
-            return getattr(self._table, column)[self._slot]
-
-        def setter(self, value):
-            getattr(self._table, column)[self._slot] = value
-
-    return property(getter, setter)
-
-
-class EdgeRecordView:
-    """Live Table 1 record view over one :class:`DenseEdgeTable` slot.
-
-    Carries no state of its own — every attribute read/write goes straight
-    to the table's columns, so a view captured early (the tests do this)
-    always sees the current record.  The attribute surface is exactly
-    :class:`EdgeRecord`'s, which is what lets the dense store slide under
-    every handler unchanged.
-    """
-
-    __slots__ = ("_table", "_slot")
-
-    def __init__(self, table: "DenseEdgeTable", slot: int) -> None:
-        self._table = table
-        self._slot = slot
-
-    def clear_helper(self) -> None:
-        """Drop the helper node simulated for this edge (it was 'marked red')."""
-        table, slot = self._table, self._slot
-        table._has_helper[slot] = 0
-        table._helper_parent[slot] = None
-        table._helper_left[slot] = None
-        table._helper_right[slot] = None
-        table._helper_height[slot] = 0
-        table._helper_children[slot] = 0
-        table._helper_representative[slot] = None
-        table._helper_victim[slot] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name, _col, _kind in _RECORD_COLUMNS
-        )
-        return f"EdgeRecordView({fields})"
-
-
-for _name, _column, _kind in _RECORD_COLUMNS:
-    setattr(EdgeRecordView, _name, _view_property(_column, _kind))
-del _name, _column, _kind
-
-
-class DenseEdgeTable:
-    """Struct-of-arrays Table 1 store: one column per record field.
-
-    The dense-int fast path (PR 7): instead of one :class:`EdgeRecord`
-    dataclass instance (object header + ``__dict__``) per ``G'`` edge, the
-    table keeps thirteen parallel columns — pointer fields in plain lists,
-    booleans packed one byte each in bytearrays, counters in machine-int
-    arrays — and hands out slot-indexed :class:`EdgeRecordView` proxies.
-    Records are append-only (the protocol never deletes one; a dead
-    neighbour is ``neighbor_alive=False``), so slots never move and cached
-    views stay valid.  The mapping surface mirrors ``Dict[NodeId,
-    EdgeRecord]``, the seed layout retained in :class:`DictEdgeTable` as
-    the reference twin the churn-equivalence tests compare against.
-    """
-
-    __slots__ = (
-        "_slots",
-        "_views",
-        "_neighbor",
-        "_endpoint",
-        "_alive",
-        "_has_helper",
-        "_rt_parent",
-        "_representative",
-        "_helper_parent",
-        "_helper_left",
-        "_helper_right",
-        "_helper_height",
-        "_helper_children",
-        "_helper_representative",
-        "_helper_victim",
-    )
-
-    def __init__(self) -> None:
-        self._slots: Dict[NodeId, int] = {}
-        self._views: List[EdgeRecordView] = []
-        self._neighbor: List[NodeId] = []
-        self._endpoint: List[Optional[Port]] = []
-        self._alive = bytearray()
-        self._has_helper = bytearray()
-        self._rt_parent: List[Optional[Port]] = []
-        self._representative: List[Optional[Port]] = []
-        self._helper_parent: List[Optional[Port]] = []
-        self._helper_left: List[Optional[Port]] = []
-        self._helper_right: List[Optional[Port]] = []
-        self._helper_height = array("q")
-        self._helper_children = array("q")
-        self._helper_representative: List[Optional[Port]] = []
-        self._helper_victim: List[Optional[NodeId]] = []
-
-    def create(self, owner: NodeId, neighbor: NodeId) -> EdgeRecordView:
-        """Append a fresh record (``Init(v)`` defaults) and return its view."""
-        slot = len(self._neighbor)
-        self._slots[neighbor] = slot
-        self._neighbor.append(neighbor)
-        self._endpoint.append(None)
-        self._alive.append(1)
-        self._has_helper.append(0)
-        self._rt_parent.append(None)
-        self._representative.append(Port(owner, neighbor))
-        self._helper_parent.append(None)
-        self._helper_left.append(None)
-        self._helper_right.append(None)
-        self._helper_height.append(0)
-        self._helper_children.append(0)
-        self._helper_representative.append(None)
-        self._helper_victim.append(None)
-        view = EdgeRecordView(self, slot)
-        self._views.append(view)
-        return view
-
-    # -- mapping surface (mirrors Dict[NodeId, EdgeRecord]) ----------------
-    def __contains__(self, neighbor: NodeId) -> bool:
-        return neighbor in self._slots
-
-    def __getitem__(self, neighbor: NodeId) -> EdgeRecordView:
-        return self._views[self._slots[neighbor]]
-
-    def get(self, neighbor: NodeId, default=None):
-        slot = self._slots.get(neighbor)
-        return self._views[slot] if slot is not None else default
-
-    def __setitem__(self, neighbor: NodeId, record) -> None:
-        """Copy a record's fields into the slot for ``neighbor`` (rarely used)."""
-        view = self.get(neighbor)
-        if view is None:
-            view = self.create(None, neighbor)  # representative overwritten below
-        for name, _column, _kind in _RECORD_COLUMNS:
-            setattr(view, name, getattr(record, name))
-        view.neighbor = neighbor
-
-    def __len__(self) -> int:
-        return len(self._neighbor)
-
-    def __iter__(self):
-        return iter(self._neighbor)
-
-    def keys(self):
-        return list(self._neighbor)
-
-    def values(self):
-        return list(self._views)
-
-    def items(self):
-        return zip(self._neighbor, self._views)
-
-    def helper_slots(self) -> List[int]:
-        """Slots currently simulating a helper (one bytearray scan, no views)."""
-        flags = self._has_helper
-        return [slot for slot in range(len(flags)) if flags[slot]]
-
-    def nbytes(self) -> int:
-        """Approximate column payload size in bytes (the memory-row metric)."""
-        pointer_columns = sum(
-            1 for _name, _column, kind in _RECORD_COLUMNS if kind == "obj"
-        )
-        return (
-            len(self._neighbor) * (8 * pointer_columns)
-            + len(self._alive)
-            + len(self._has_helper)
-            + self._helper_height.itemsize * len(self._helper_height)
-            + self._helper_children.itemsize * len(self._helper_children)
-        )
-
-
-class DictEdgeTable(dict):
-    """Seed-style record store: one :class:`EdgeRecord` dataclass per edge.
-
-    The reference twin of :class:`DenseEdgeTable` (selected with
-    ``Processor(..., dense_records=False)``): a plain dict subclass, so
-    every seed-era access pattern works verbatim, plus the same ``create``
-    hook the dense store exposes.
-    """
-
-    def create(self, owner: NodeId, neighbor: NodeId) -> EdgeRecord:
-        record = EdgeRecord(neighbor=neighbor)
-        record.representative = Port(owner, neighbor)
-        self[neighbor] = record
-        return record
-
-
 #: Per-(class, kind) handler lookup cache: ``receive`` resolves its
 #: ``_on_<kind>`` handler through this table instead of a per-message
-#: ``getattr`` string build (the dispatch column of the batched delivery).
+#: ``getattr`` string build.
 _HANDLER_CACHE: Dict[Tuple[type, str], Optional[object]] = {}
 _UNRESOLVED = object()
 
@@ -444,14 +219,11 @@ class Processor:
     def __init__(
         self,
         node_id: NodeId,
-        dense_records: bool = True,
         receive_trace_limit: Optional[int] = None,
     ) -> None:
         self.node_id = node_id
         #: One record per ``G'`` edge, keyed by the neighbour's identifier.
-        #: Flat struct-of-arrays columns by default (PR 7); the seed-era
-        #: dataclass-per-edge layout is the retained reference twin.
-        self.edges = DenseEdgeTable() if dense_records else DictEdgeTable()
+        self.edges: Dict[NodeId, EdgeRecord] = {}
         #: Transcript depth for this processor (constructor-tunable because
         #: retained traces dominate bytes/node at large n; ``None`` keeps
         #: the class default).
@@ -485,7 +257,8 @@ class Processor:
         """
         record = self.edges.get(neighbor)
         if record is None:
-            record = self.edges.create(self.node_id, neighbor)
+            record = EdgeRecord(neighbor=neighbor, representative=Port(self.node_id, neighbor))
+            self.edges[neighbor] = record
         return record
 
     def port(self, neighbor: NodeId) -> Port:
@@ -494,11 +267,7 @@ class Processor:
 
     def helper_ports(self) -> List[Port]:
         """Ports for which this processor currently simulates a helper node."""
-        edges = self.edges
-        if isinstance(edges, DenseEdgeTable):
-            neighbors = edges._neighbor
-            return [Port(self.node_id, neighbors[slot]) for slot in edges.helper_slots()]
-        return [Port(self.node_id, nbr) for nbr, rec in edges.items() if rec.has_helper]
+        return [Port(self.node_id, nbr) for nbr, rec in self.edges.items() if rec.has_helper]
 
     def degree_in_edges(self) -> int:
         """Number of ``G'`` edges this processor participates in."""
@@ -598,19 +367,7 @@ class Processor:
         so this gate can never fire on delivery faults alone.
         """
         kind = message.kind
-        trace = self.received
-        if trace.maxlen and len(trace) == trace.maxlen:
-            # The trace is full, so appending evicts its oldest entry — the
-            # one moment we know nothing else can reach that instance.
-            # Recycling here is what makes the pooled steady state
-            # allocation-free once every trace deque has warmed up.
-            evicted = trace[0]
-            trace.append(message)
-            network = self.network
-            if network is not None:
-                network.release(evicted)
-        else:
-            trace.append(message)
+        self.received.append(message)
         counts = self.received_by_kind
         counts[kind] = counts.get(kind, 0) + 1
         # Seal gate ordered cheapest-first: ``sealed`` is a per-class flag
@@ -654,122 +411,7 @@ class Processor:
                 return "record-checksum"
         return None
 
-    def receive_packed(self, carrier) -> None:
-        """Batched twin of :meth:`receive` for one ``PackedPayloads`` carrier.
-
-        Per-part work identical to the unbatched path — every part lands in
-        the receive trace (evicting into the pool when full), byzantine
-        deliveries are scored, sealed parts are verified and accused on a
-        flaw, and the handler runs per part with its responses sent before
-        the next part is verified.  Sending per part (rather than returning
-        the collected responses) is a correctness requirement, not a style
-        choice: an accusation quarantines the sender immediately, so a
-        response addressed back to a liar must leave while the liar still
-        exists — exactly when the unbatched delivery loop sends it — or a
-        *later* lie in the same stream would turn the send into a
-        ``ProtocolError``.  What the batching hoists out of the loop is the
-        per-message dispatch overhead: kind counting, handler resolution and
-        the seal gate's transcript lookups happen once per carrier, which is
-        exactly why folded floods beat the one-object-per-message path.
-        """
-        network = self.network
-        cls = carrier.part_cls
-        kind = cls.kind
-        count = carrier.count
-        counts = self.received_by_kind
-        counts[kind] = counts.get(kind, 0) + count
-        pcls = type(self)
-        handler = _HANDLER_CACHE.get((pcls, kind), _UNRESOLVED)
-        if handler is _UNRESOLVED:
-            handler = getattr(pcls, f"_on_{kind}", None)
-            _HANDLER_CACHE[(pcls, kind)] = handler
-        guarded = (
-            cls.sealed
-            and carrier.sender != self.node_id
-            and network.transcript is not None
-        )
-        note_delivered = network.injection_log.note_delivered
-        release = network.release
-        # Evictions of this carrier's own kind return straight to its free
-        # list (the steady-state common case); mixed-kind or pinned
-        # stragglers take the full release() path.
-        free = network._pool.setdefault(cls, []) if network.pooled else None
-        trace = self.received
-        maxlen = trace.maxlen
-        if carrier.parts:
-            parts = carrier.parts  # stashed lane: the sent instances themselves
-        else:
-            blank = network.blank
-            unpack = carrier.unpack_part
-            parts = [unpack(index, blank(cls)) for index in range(count)]
-        # Pass 1 — byzantine scoring (only a byzantine schedule can tag
-        # parts, so the common case skips the whole pass).
-        schedule = network.fault_schedule
-        if schedule is not None and schedule.has_byzantine:
-            node_id = self.node_id
-            for part in parts:
-                if part.byz_origin is not None:
-                    note_delivered(part.byz_origin, node_id)
-        # Pass 2 — the receive trace, with the fullness test hoisted: the
-        # deque either has room for the whole carrier (extend) or is full
-        # (steady state: every append evicts trace[0] into the pool).
-        start = count
-        if maxlen is None:
-            trace.extend(parts)
-        elif len(trace) == maxlen:
-            start = 0
-        else:
-            room = maxlen - len(trace)
-            if room >= count:
-                trace.extend(parts)
-            else:
-                trace.extend(parts[:room])  # transition round only
-                start = room
-        if start < count:
-            for index in range(start, count):
-                part = parts[index]
-                evicted = trace[0]
-                trace.append(part)
-                if free is not None and type(evicted) is cls:
-                    if not evicted.pinned:
-                        free.append(evicted)
-                else:
-                    release(evicted)
-        # Pass 3 — verification and the handler, in part order, each part's
-        # responses sent before the next part runs (the unbatched loop's
-        # receive-then-send cadence, see the docstring).
-        send = network.send
-        if guarded:
-            for part in parts:
-                flaw = self._verify(part)
-                if flaw is not None:
-                    network.accuse(
-                        accused=part.sender,
-                        reporter=self.node_id,
-                        reason=flaw,
-                        evidence=(part,),
-                    )
-                    continue
-                if handler is not None:
-                    responses = handler(self, part)
-                    if responses:
-                        for response in responses:
-                            send(response)
-        elif handler is not None:
-            for part in parts:
-                responses = handler(self, part)
-                if responses:
-                    for response in responses:
-                        send(response)
-
     # -- repair-flow helpers -----------------------------------------------
-    def _new(self, cls: type, **fields) -> Message:
-        """Construct an outgoing message, drawing from the network's pool."""
-        network = self.network
-        if network is not None:
-            return network.new(cls, **fields)
-        return cls(**fields)
-
     def _emit(self, message: Message, out: List[Message]) -> None:
         """Queue a message, applying self-addressed ones locally for free.
 
@@ -789,7 +431,6 @@ class Processor:
             and not network.has_processor(message.receiver)
             and network.ever_had_processor(message.receiver)
         ):
-            network.release(message)
             return
         out.append(message)
 
@@ -804,8 +445,7 @@ class Processor:
         out: List[Message] = []
         for chunk in _chunks(payload, MAX_ROOTS_PER_MESSAGE) or [()]:
             self._emit(
-                self._new(
-                    PrimaryRootReport,
+                PrimaryRootReport(
                     sender=self.node_id,
                     receiver=role.prev_hop,
                     deleted=context.victim,
@@ -821,8 +461,7 @@ class Processor:
         out: List[Message] = []
         for chunk in _chunks(summaries, MAX_ROOTS_PER_MESSAGE) or [()]:
             self._emit(
-                self._new(
-                    PrimaryRootList,
+                PrimaryRootList(
                     sender=self.node_id,
                     receiver=context.bt_parent,
                     deleted=context.victim,
@@ -847,8 +486,7 @@ class Processor:
         for port in list(context.instructed):
             if port not in current_ports:
                 self._emit(
-                    self._new(
-                        HelperAssignment,
+                    HelperAssignment(
                         sender=self.node_id,
                         receiver=port.processor,
                         deleted=context.victim,
@@ -861,8 +499,7 @@ class Processor:
         for helper in outcome.helpers:
             context.instructed[helper.port] = None
             self._emit(
-                self._new(
-                    HelperAssignment,
+                HelperAssignment(
                     sender=self.node_id,
                     receiver=helper.port.processor,
                     deleted=context.victim,
@@ -880,8 +517,7 @@ class Processor:
             )
         for child_port, child_is_leaf, parent_port in outcome.parent_updates:
             self._emit(
-                self._new(
-                    ParentUpdate,
+                ParentUpdate(
                     sender=self.node_id,
                     receiver=child_port.processor,
                     deleted=context.victim,
@@ -935,8 +571,7 @@ class Processor:
             if role.next_hop is not None and not role.probe_forwarded:
                 role.probe_forwarded = True
                 self._emit(
-                    self._new(
-                        Probe,
+                    Probe(
                         sender=self.node_id,
                         receiver=role.next_hop,
                         deleted=context.victim,
@@ -985,10 +620,6 @@ class Processor:
             key = (summary.root_port, summary.root_is_leaf)
             prior = context.witnessed.get(key)
             if prior is None:
-                if message is not None:
-                    # Retained as potential accusation evidence — the pool
-                    # must never recycle it out from under the witness table.
-                    message.pinned = True
                 context.witnessed[key] = (summary, message)
                 admitted.append(summary)
             elif prior[0] == summary:
@@ -1037,8 +668,7 @@ class Processor:
         out: List[Message] = []
         for chunk in _chunks(fresh, MAX_ROOTS_PER_MESSAGE):
             self._emit(
-                self._new(
-                    PrimaryRootReport,
+                PrimaryRootReport(
                     sender=self.node_id,
                     receiver=role.prev_hop,
                     deleted=context.victim,
@@ -1181,8 +811,7 @@ class Processor:
                 continue
             for chunk in _chunks(pending, MAX_ROOTS_PER_MESSAGE) or [()]:
                 self._emit(
-                    self._new(
-                        Digest,
+                    Digest(
                         sender=self.node_id,
                         receiver=role.prev_hop,
                         deleted=victim,
@@ -1197,8 +826,7 @@ class Processor:
             pending = [s for s in context.gathered if s not in context.pieces_confirmed]
             for chunk in _chunks(pending, MAX_ROOTS_PER_MESSAGE):
                 self._emit(
-                    self._new(
-                        Digest,
+                    Digest(
                         sender=self.node_id,
                         receiver=context.bt_parent,
                         deleted=victim,
@@ -1215,8 +843,7 @@ class Processor:
             for owner, ports in targets.items():
                 for chunk in _chunks(list(ports), MAX_PORTS_PER_REQUEST):
                     self._emit(
-                        self._new(
-                            DigestRequest,
+                        DigestRequest(
                             sender=self.node_id,
                             receiver=owner,
                             deleted=victim,
@@ -1273,8 +900,7 @@ class Processor:
         # ``replace`` re-runs ``__post_init__``: the forged descriptor gets a
         # *valid* checksum over the lie, and the fresh message a valid seal.
         forged = dataclasses.replace(original, num_leaves=original.num_leaves + 1)
-        message = self._new(
-            Digest,
+        message = Digest(
             sender=self.node_id,
             receiver=receiver,
             deleted=context.victim,
@@ -1389,8 +1015,7 @@ class Processor:
                 # (the original travelled through here too), and probe
                 # receipt is idempotent: it strips and nothing else twice.
                 self._emit(
-                    self._new(
-                        Probe,
+                    Probe(
                         sender=self.node_id,
                         receiver=message.sender,
                         deleted=context.victim,
@@ -1408,8 +1033,7 @@ class Processor:
             # an unprobed empty digest is acked too (the resent probe may
             # yet be lost — the ack only confirms the *pieces* arrived).
             self._emit(
-                self._new(
-                    Digest,
+                Digest(
                     sender=self.node_id,
                     receiver=message.sender,
                     deleted=message.deleted,
@@ -1432,8 +1056,7 @@ class Processor:
         out: List[Message] = []
         if entries:
             self._emit(
-                self._new(
-                    Digest,
+                Digest(
                     sender=self.node_id,
                     receiver=message.sender,
                     deleted=message.deleted,
@@ -1539,8 +1162,7 @@ class Processor:
                     port_ok = False
                     context.instructed[helper.port] = None
                     self._emit(
-                        self._new(
-                            HelperAssignment,
+                        HelperAssignment(
                             sender=self.node_id,
                             receiver=record.port.processor,
                             deleted=victim,
@@ -1560,8 +1182,7 @@ class Processor:
                 # Applied under a superseded (partial) outcome: retract it.
                 port_ok = False
                 self._emit(
-                    self._new(
-                        HelperAssignment,
+                    HelperAssignment(
                         sender=self.node_id,
                         receiver=record.port.processor,
                         deleted=victim,
@@ -1587,8 +1208,7 @@ class Processor:
                 if actual != parent:
                     port_ok = False
                     self._emit(
-                        self._new(
-                            ParentUpdate,
+                        ParentUpdate(
                             sender=self.node_id,
                             receiver=record.port.processor,
                             deleted=victim,

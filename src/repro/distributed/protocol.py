@@ -327,14 +327,7 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     for neighbor in plan.neighbors:
         if network.has_processor(neighbor):
             network.processors[neighbor].receive(
-                network.stamp(
-                    network.new(
-                        DeletionNotice,
-                        sender=neighbor,
-                        receiver=neighbor,
-                        deleted=victim,
-                    )
-                )
+                network.stamp(DeletionNotice(sender=neighbor, receiver=neighbor, deleted=victim))
             )
 
     # Phase 1 seeding — BT_v formation and the first probe hops.
@@ -342,9 +335,7 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
         if network.has_processor(parent) and network.has_processor(child):
             network.scaffold_link(parent, child)
             network.send(
-                network.new(
-                    AnchorLink, sender=child, receiver=parent, deleted=victim, anchor_port=None
-                )
+                AnchorLink(sender=child, receiver=parent, deleted=victim, anchor_port=None)
             )
     for rt_index, path in enumerate(plan.probe_paths):
         live = [p for p in path if network.has_processor(p)]
@@ -361,14 +352,7 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
             anchor_processor.apply_strip(context)
         if len(live) > 1:
             network.send(
-                network.new(
-                    Probe,
-                    sender=anchor,
-                    receiver=live[1],
-                    deleted=victim,
-                    hops=1,
-                    rt_index=rt_index,
-                )
+                Probe(sender=anchor, receiver=live[1], deleted=victim, hops=1, rt_index=rt_index)
             )
     return participants
 

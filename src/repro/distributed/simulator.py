@@ -207,17 +207,13 @@ class DistributedForgivingGraph:
         auto_reconverge: bool = True,
         quarantine_oracle: bool = False,
         quarantine_plan_audit: bool = False,
-        dense: bool = True,
         repair_concurrency: Optional[int] = None,
         receive_trace_limit: Optional[int] = None,
     ) -> None:
         self._engine = ForgivingGraph(check_invariants=check_invariants)
-        #: ``dense=False`` selects the retained seed-era object-dict network
-        #: core (the equivalence/benchmark twin of the dense-int hot core).
         self.network = Network(
             strict_links=True,
             fault_schedule=fault_schedule,
-            dense=dense,
             receive_trace_limit=receive_trace_limit,
         )
         #: One cost report per deletion, in order.
@@ -235,11 +231,6 @@ class DistributedForgivingGraph:
         #: reference path, bit-identical to looping :meth:`delete`).
         self.repair_concurrency = repair_concurrency
         self._runtime: Optional[_RepairRuntime] = None
-
-    @property
-    def reconvergence_reports(self) -> List[RecoveryCostReport]:
-        """Back-compat alias for :attr:`recovery_reports`."""
-        return self.recovery_reports
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -390,9 +381,7 @@ class DistributedForgivingGraph:
             self.network.add_link_source(real_source_key(node, neighbor), node, neighbor)
             processor.ensure_edge(neighbor)
             self.network.processors[neighbor].ensure_edge(node)
-            self.network.send(
-                self.network.new(InsertionNotice, sender=node, receiver=neighbor, inserted=node)
-            )
+            self.network.send(InsertionNotice(sender=node, receiver=neighbor, inserted=node))
         if attach_to:
             self.network.deliver_round()
 

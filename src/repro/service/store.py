@@ -22,6 +22,7 @@ message-native path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sqlite3
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ import networkx as nx
 
 from ..core.errors import ConfigurationError
 from ..core.ports import NodeId, Port
-from ..distributed.processor import _RECORD_COLUMNS
+from ..distributed.processor import EdgeRecord
 
 __all__ = ["CheckpointStore", "CheckpointInfo", "JournalOp", "SCHEMA_VERSION"]
 
@@ -40,6 +41,10 @@ __all__ = ["CheckpointStore", "CheckpointInfo", "JournalOp", "SCHEMA_VERSION"]
 #: opening a store written under a different version refuses loudly instead
 #: of mis-decoding state.
 SCHEMA_VERSION = 1
+
+#: Table 1 record fields in checkpoint payload order (the ``EdgeRecord``
+#: declaration order — reordering its fields is a schema change).
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(EdgeRecord))
 
 
 # --------------------------------------------------------------------------- #
@@ -355,9 +360,7 @@ class CheckpointStore:
         for node_id, processor in network.processors.items():
             owner = _dumps(node_id)
             for neighbor, record in processor.edges.items():
-                payload = [
-                    encode_value(getattr(record, name)) for name, _col, _kind in _RECORD_COLUMNS
-                ]
+                payload = [encode_value(getattr(record, name)) for name in _RECORD_FIELDS]
                 record_rows.append(
                     (ckpt, owner, _dumps(neighbor), json.dumps(payload, separators=(",", ":")))
                 )
@@ -423,7 +426,7 @@ class CheckpointStore:
                 continue
             fields = {
                 name: decode_value(value)
-                for (name, _col, _kind), value in zip(_RECORD_COLUMNS, json.loads(payload))
+                for name, value in zip(_RECORD_FIELDS, json.loads(payload))
             }
             out.setdefault(_loads(owner), {})[_loads(neighbor)] = fields
         return out

@@ -8,7 +8,7 @@ distances remain fine.
 
 import networkx as nx
 from repro.adversary import MaxDegreeDeletion, deletion_only_schedule
-from repro.baselines import UnmergedRTHealing, available_healers, make_healer
+from repro.baselines import HealerSpec, UnmergedRTHealing, available_healers
 from repro.generators import make_graph
 
 
@@ -34,8 +34,8 @@ def test_connectivity_is_preserved_under_attack(power_law_60):
 def test_degree_guarantee_is_lost_without_merging():
     """The ablation's whole point: sustained attack breaks the constant-factor bound."""
     graph = make_graph("power_law", 150, seed=7)
-    merged = make_healer("forgiving_graph", graph)
-    unmerged = make_healer("unmerged_rt", graph)
+    merged = HealerSpec("forgiving_graph").build(graph)
+    unmerged = HealerSpec("unmerged_rt").build(graph)
     for healer in (merged, unmerged):
         deletion_only_schedule(steps=90, strategy=MaxDegreeDeletion(), seed=1).run(healer)
     assert merged.degree_increase_factor() <= 4.0 + 1e-9

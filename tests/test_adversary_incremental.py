@@ -21,7 +21,7 @@ from repro.adversary.strategies import (
     available_deletion_strategies,
     make_deletion_strategy,
 )
-from repro.baselines import make_healer
+from repro.baselines import HealerSpec
 from repro.generators import make_graph
 
 
@@ -92,14 +92,14 @@ def test_tracker_rebinds_to_a_different_healer():
 def test_tracker_supports_detection():
     fg = ForgivingGraph.from_graph(make_graph("ring", 8))
     assert SurvivorDegreeTracker.supports(fg)
-    baseline = make_healer("no_heal", make_graph("ring", 8))
+    baseline = HealerSpec("no_heal").build(make_graph("ring", 8))
     assert not SurvivorDegreeTracker.supports(baseline)
 
 
 def test_incremental_strategies_fall_back_on_baselines():
     """Baselines expose no journal: strategies silently use the reference scan."""
     graph = make_graph("star", 12)
-    healer = make_healer("cycle_heal", graph)
+    healer = HealerSpec("cycle_heal").build(graph)
     assert MaxDegreeDeletion().choose_victim(healer) == 0
     victim = MinDegreeDeletion().choose_victim(healer)
     assert victim in healer.alive_nodes and victim != 0

@@ -7,10 +7,10 @@ from repro.baselines import (
     CliqueHealing,
     CycleHealing,
     ForgivingTreeHealing,
+    HealerSpec,
     NoHealing,
     SurrogateHealing,
     available_healers,
-    make_healer,
 )
 from repro.core.errors import (
     ConfigurationError,
@@ -194,19 +194,19 @@ class TestRegistry:
         assert "forgiving_graph" in names
         assert {"no_heal", "cycle_heal", "clique_heal", "surrogate_heal", "forgiving_tree"} <= set(names)
 
-    def test_make_healer_builds_working_objects(self, small_er):
+    def test_spec_builds_working_objects(self, small_er):
         for name in available_healers():
-            healer = make_healer(name, small_er)
+            healer = HealerSpec(name).build(small_er)
             victim = sorted(healer.alive_nodes)[0]
             healer.delete(victim)
             assert not healer.is_alive(victim)
 
-    def test_make_healer_does_not_mutate_input(self, small_er):
+    def test_spec_build_does_not_mutate_input(self, small_er):
         edges_before = set(small_er.edges)
-        healer = make_healer("clique_heal", small_er)
+        healer = HealerSpec("clique_heal").build(small_er)
         healer.delete(sorted(healer.alive_nodes)[0])
         assert set(small_er.edges) == edges_before
 
     def test_unknown_healer(self, small_er):
         with pytest.raises(ConfigurationError):
-            make_healer("magic_heal", small_er)
+            HealerSpec("magic_heal").build(small_er)

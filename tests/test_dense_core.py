@@ -1,19 +1,10 @@
-"""The dense-int hot core (PR 7): equivalence, accessors, records, sharding.
+"""Network accessors, link sources, the oracle cross-check and sharded sweeps.
 
-House rule: every fast path keeps its reference twin and the two must be
-bit-identical on identical workloads.  Here the fast path is the whole
-dense-int core — interned ids, flat-array adjacency with packed link-source
-keys (``Network(dense=True)``), struct-of-arrays Table 1 records
-(``DenseEdgeTable``) — and the twin is the retained seed-era object-dict
-layout (``dense=False``).  Layout must never change protocol behaviour, so
-the churn-equivalence tests compare per-deletion cost reports exactly, under
-a lossless network, a byzantine schedule and the chaos delivery preset.
-
-Also pinned: the unsorted fast accessors agree with their NodeKey-ordered
-variants as sets, the dense record table behaves like the mapping the
-protocol code expects (live views, attribute writes, ``clear_helper``), the
-cadence-gated oracle cross-check actually runs inside ``AttackSession``,
-and the plan-footprint independence machinery behind the sharded sweeps.
+Pinned here: the unsorted fast accessors agree with their NodeKey-ordered
+variants as sets, the link-source table's lifecycle (idempotent adds, the
+link vanishing with its last source, the ``frozenset`` wire format), strict
+links, the cadence-gated oracle cross-check inside ``AttackSession``, and
+the plan-footprint independence machinery behind the sharded sweeps.
 """
 
 import networkx as nx
@@ -21,11 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ProtocolError
-from repro.distributed import DistributedForgivingGraph, Network, fault_schedule
-from repro.distributed.processor import DenseEdgeTable, DictEdgeTable, Processor
+from repro.distributed import DistributedForgivingGraph, Network
 from repro.engine import AttackSession
 from repro.adversary import MaxDegreeDeletion, churn_schedule
 from repro.experiments import (
+    AttackConfig,
     independent_repair_batches,
     repair_footprint,
     sweep_large_n,
@@ -33,22 +24,10 @@ from repro.experiments import (
 from repro.generators import make_graph
 
 
-def _cost_key(report):
-    return (
-        report.deleted_node,
-        report.messages,
-        report.bits,
-        report.rounds,
-        report.max_messages_per_node,
-    )
-
-
-def _churn_cost_keys(preset: str, dense: bool, n: int = 60, seed: int = 9):
-    """Replay one delete-heavy churn; return the per-deletion cost keys."""
+def _churned_healer(n: int, seed: int = 9):
+    """A lossless healer after one delete-heavy churn."""
     graph = make_graph("power_law", n, seed=seed)
-    healer = DistributedForgivingGraph.from_graph(
-        graph, fault_schedule=fault_schedule(preset, seed=seed), dense=dense
-    )
+    healer = DistributedForgivingGraph.from_graph(graph)
     rng = np.random.default_rng(seed)
     strategy = MaxDegreeDeletion()
     fresh = 10_000
@@ -66,40 +45,14 @@ def _churn_cost_keys(preset: str, dense: bool, n: int = 60, seed: int = 9):
             picks = rng.choice(len(alive), size=min(2, len(alive)), replace=False)
             healer.insert(fresh, attach_to=[alive[int(i)] for i in picks])
             fresh += 1
-    return [_cost_key(r) for r in healer.cost_reports], healer
-
-
-class TestDenseDictEquivalence:
-    """Layout may never change behaviour: dense == object-dict, bit for bit."""
-
-    @pytest.mark.parametrize("preset", ["lossless", "byzantine", "chaos"])
-    def test_churn_cost_reports_identical(self, preset):
-        dense_keys, dense_healer = _churn_cost_keys(preset, dense=True)
-        dict_keys, dict_healer = _churn_cost_keys(preset, dense=False)
-        assert dense_keys, "churn should have produced repairs"
-        assert dense_keys == dict_keys
-        # The healed topology agrees too, not just the accounting.
-        assert dense_healer.network.links() == dict_healer.network.links()
-        assert dense_healer.network.quarantined == dict_healer.network.quarantined
-
-    def test_lossless_dense_matches_oracle(self):
-        _, healer = _churn_cost_keys("lossless", dense=True)
-        healer.verify_consistency()
-
-    def test_dict_mode_has_no_interner(self):
-        dense = DistributedForgivingGraph.from_graph(nx.path_graph(4))
-        ref = DistributedForgivingGraph.from_graph(nx.path_graph(4), dense=False)
-        assert dense.network.interner is not None
-        assert len(dense.network.interner) == 4
-        assert ref.network.interner is None
+    return healer
 
 
 class TestUnsortedAccessors:
     """Satellite: fast unsorted accessors agree with the NodeKey-ordered ones."""
 
     def _network(self):
-        _, healer = _churn_cost_keys("lossless", dense=True, n=40)
-        return healer.network
+        return _churned_healer(n=40).network
 
     def test_iter_links_matches_links_as_sets(self):
         network = self._network()
@@ -118,66 +71,18 @@ class TestUnsortedAccessors:
             assert sorted(fast, key=repr) == sorted(canonical, key=repr)
             assert len(fast) == len(set(fast))
 
-    def test_both_layouts_expose_both_accessors(self):
-        for dense in (True, False):
-            network = Network(dense=dense)
-            for node in "abc":
-                network.add_processor(node)
-            network.connect("a", "b")
-            network.connect("b", "c")
-            assert {frozenset(p) for p in network.iter_links()} == {
-                frozenset("ab"),
-                frozenset("bc"),
-            }
-            assert network.neighbors("b") == ["a", "c"]
-            assert set(network.neighbors_unsorted("b")) == {"a", "c"}
-
-
-class TestDenseEdgeTable:
-    """The struct-of-arrays Table 1 store behaves like the dict it replaced."""
-
-    def test_mapping_surface(self):
-        processor = Processor("v")
-        record = processor.ensure_edge("x")
-        assert "x" in processor.edges
-        assert "y" not in processor.edges
-        assert processor.edges.get("y") is None
-        assert len(processor.edges) == 1
-        assert list(processor.edges.keys()) == ["x"]
-        assert processor.edges["x"] is record  # views are identity-stable
-
-    def test_views_are_live(self):
-        processor = Processor("v")
-        view = processor.ensure_edge("x")
-        assert view.neighbor_alive is True
-        assert view.has_helper is False
-        view.has_helper = True
-        view.helper_height = 3
-        assert processor.edges["x"].has_helper is True
-        assert processor.edges["x"].helper_height == 3
-        view.clear_helper()
-        assert processor.edges["x"].has_helper is False
-        assert processor.edges["x"].helper_height == 0
-        assert view.neighbor_alive is True  # clear_helper leaves liveness alone
-
-    def test_helper_slots_drive_helper_ports(self):
-        processor = Processor("v")
-        for neighbor in ("a", "b", "c"):
-            processor.ensure_edge(neighbor)
-        processor.edges["b"].has_helper = True
-        ports = processor.helper_ports()
-        assert [(p.processor, p.neighbor) for p in ports] == [("v", "b")]
-
-    def test_dense_vs_dict_choice(self):
-        assert isinstance(Processor("v").edges, DenseEdgeTable)
-        assert isinstance(Processor("v", dense_records=False).edges, DictEdgeTable)
-
-    def test_nbytes_grows_with_records(self):
-        processor = Processor("v")
-        empty = processor.edges.nbytes()
-        for neighbor in range(32):
-            processor.ensure_edge(neighbor)
-        assert processor.edges.nbytes() > empty
+    def test_accessors_on_a_small_network(self):
+        network = Network()
+        for node in "abc":
+            network.add_processor(node)
+        network.connect("a", "b")
+        network.connect("b", "c")
+        assert {frozenset(p) for p in network.iter_links()} == {
+            frozenset("ab"),
+            frozenset("bc"),
+        }
+        assert network.neighbors("b") == ["a", "c"]
+        assert set(network.neighbors_unsorted("b")) == {"a", "c"}
 
 
 class TestCrossCheckCadence:
@@ -259,6 +164,23 @@ class TestShardedSweeps:
         assert len(first) == 3
         assert all(row["connected"] for row in first)
 
+    def test_shared_network_rates_divide_by_churn_time_only(self):
+        (row,) = sweep_large_n(
+            "shared-smoke",
+            "erdos_renyi",
+            60,
+            1,
+            attack=AttackConfig(strategy="random", delete_fraction=0.1, delete_probability=1.0),
+            seed=3,
+            shared_network=True,
+        )
+        assert row["deletions"] > 0 and row["connected"]
+        assert row["deletions_per_sec"] == round(row["deletions"] / row["churn_seconds"], 2)
+        # Build time is reported on its own and feeds no rate.
+        assert [key for key in row if key.endswith("_per_sec")] == ["deletions_per_sec"]
+        assert "seconds" not in row
+        assert row["build_seconds"] >= 0 and row["verify_seconds"] >= 0
+
     def test_sweep_large_n_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError):
             sweep_large_n("bad", "erdos_renyi", 60, 0)
@@ -266,38 +188,43 @@ class TestShardedSweeps:
             sweep_large_n("bad", "erdos_renyi", 6, 4)
 
 
-class TestDensePackedLinkSources:
-    """Packed-int link sources behave exactly like the frozenset table."""
+class TestLinkSources:
+    """The link-source table: one source set per link, keyed by its endpoints."""
 
-    def test_source_lifecycle_both_layouts(self):
-        for dense in (True, False):
-            network = Network(dense=dense)
-            for node in ("u", "v"):
-                network.add_processor(node)
-            key = ("real", "u", "v")
-            assert not network.are_linked("u", "v")
-            network.add_link_source(key, "u", "v")
-            assert network.are_linked("u", "v")
-            assert network.has_link_source(key, "u", "v")
-            assert network.link_source_count("u", "v") == 1
-            network.add_link_source(key, "u", "v")  # idempotent
-            assert network.link_source_count("u", "v") == 1
-            network.remove_link_source(key, "u", "v")
-            assert not network.are_linked("u", "v")
-            assert network.link_source_count("u", "v") == 0
+    def test_source_lifecycle(self):
+        network = Network()
+        for node in ("u", "v"):
+            network.add_processor(node)
+        key = ("real", "u", "v")
+        assert not network.are_linked("u", "v")
+        network.add_link_source(key, "u", "v")
+        assert network.are_linked("u", "v")
+        assert network.has_link_source(key, "u", "v")
+        assert network.link_source_count("u", "v") == 1
+        network.add_link_source(key, "u", "v")  # idempotent
+        assert network.link_source_count("u", "v") == 1
+        network.remove_link_source(key, "u", "v")
+        assert not network.are_linked("u", "v")
+        assert network.link_source_count("u", "v") == 0
 
     def test_replace_link_sources_accepts_frozenset_wire_format(self):
-        for dense in (True, False):
-            network = Network(dense=dense)
-            for node in ("u", "v", "w"):
-                network.add_processor(node)
-            network.connect("u", "v")
-            network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}})
-            assert network.link_source_count("u", "v") == 1
-            assert network.link_source_count("v", "w") == 0
+        network = Network()
+        for node in ("u", "v", "w"):
+            network.add_processor(node)
+        network.connect("u", "v")
+        network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}})
+        assert network.link_source_count("u", "v") == 1
+        assert network.link_source_count("v", "w") == 0
+        assert network.export_link_sources() == {frozenset(("u", "v")): {("real", "u", "v")}}
+
+    def test_dense_option_is_gone(self):
+        with pytest.raises(TypeError):
+            Network(dense=True)
+        with pytest.raises(TypeError):
+            DistributedForgivingGraph(dense=True)
 
     def test_strict_links_still_enforced(self):
-        network = Network(dense=True)
+        network = Network()
         for node in ("u", "v"):
             network.add_processor(node)
         from repro.distributed.messages import DeletionNotice

@@ -20,7 +20,7 @@ from repro.adversary import (
     churn_schedule,
     deletion_only_schedule,
 )
-from repro.baselines import available_healers, make_healer
+from repro.baselines import HealerSpec, available_healers
 from repro.distributed import DistributedForgivingGraph, Network
 from repro.engine import AttackSession
 from repro.experiments import AttackConfig, ExperimentConfig, run_attack
@@ -169,7 +169,7 @@ class TestNetworkNEver:
 class TestEngineIntegration:
     def test_registry_builds_distributed_healer(self):
         assert "distributed_forgiving_graph" in available_healers()
-        healer = make_healer("distributed_forgiving_graph", make_graph("ring", 10))
+        healer = HealerSpec("distributed_forgiving_graph").build(make_graph("ring", 10))
         assert isinstance(healer, DistributedForgivingGraph)
         victim = sorted(healer.alive_nodes)[0]
         report = healer.delete(victim)

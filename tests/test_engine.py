@@ -6,7 +6,7 @@ import pytest
 
 from repro import AttackSession, ForgivingGraph
 from repro.adversary import churn_schedule, deletion_only_schedule
-from repro.baselines import make_healer
+from repro.baselines import HealerSpec
 from repro.engine import SessionResult, StepEvent
 from repro.generators import make_graph
 
@@ -56,7 +56,7 @@ class TestAttackSessionRun:
         graph = make_graph("erdos_renyi", 30, seed=2)
         for name in ("no_heal", "cycle_heal"):
             session = AttackSession(
-                make_healer(name, graph),
+                HealerSpec(name).build(graph),
                 deletion_only_schedule(steps=8, seed=2),
                 healer_name=name,
             )

@@ -30,7 +30,7 @@ from repro.analysis import (
     stretch_report_reference,
 )
 from repro.analysis.fastpaths import CSRGraph, NodeIndex
-from repro.baselines import make_healer
+from repro.baselines import HealerSpec
 from repro.generators import make_graph
 
 
@@ -109,7 +109,7 @@ def test_component_labels_match_networkx():
 def test_connectivity_preserved_matches_reference_semantics():
     fg = churned_forgiving_graph(n=40, seed=29)
     assert check_connectivity_preserved(fg)
-    broken = make_healer("no_heal", make_graph("star", 20, seed=1))
+    broken = HealerSpec("no_heal").build(make_graph("star", 20, seed=1))
     broken.delete(0)  # hub gone, no healing: leaves are mutually unreachable
     assert not check_connectivity_preserved(broken)
 
@@ -144,7 +144,7 @@ def test_stretch_report_matches_reference_sampled():
 
 
 def test_stretch_report_matches_reference_on_baselines_and_disconnection():
-    healer = make_healer("no_heal", make_graph("star", 16, seed=2))
+    healer = HealerSpec("no_heal").build(make_graph("star", 16, seed=2))
     healer.delete(0)
     fast = stretch_report(healer)
     reference = stretch_report_reference(healer)
@@ -177,7 +177,7 @@ def test_pairwise_stretch_values():
     # disconnected in G' -> nan; disconnected only in healed -> inf
     fg2 = ForgivingGraph.from_edges([(0, 1)], nodes=[5])
     assert math.isnan(pairwise_stretch(fg2, 0, 5))
-    broken = make_healer("no_heal", make_graph("star", 8, seed=3))
+    broken = HealerSpec("no_heal").build(make_graph("star", 8, seed=3))
     broken.delete(0)
     leaves = sorted(broken.alive_nodes)
     assert math.isinf(pairwise_stretch(broken, leaves[0], leaves[1]))

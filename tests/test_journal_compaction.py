@@ -159,9 +159,9 @@ class TestSessionCompaction:
         fg.check_invariants()
 
     def test_healers_without_journals_are_tolerated(self):
-        from repro.baselines import make_healer
+        from repro.baselines import HealerSpec
 
-        healer = make_healer("no_heal", make_graph("ring", 12))
+        healer = HealerSpec("no_heal").build(make_graph("ring", 12))
         schedule = churn_schedule(steps=8, delete_probability=0.5, seed=1)
         session = AttackSession(healer, schedule, stretch_sources=4, measure_every=4)
         assert session.compact_journals() == {}

@@ -1,36 +1,20 @@
-"""PR 10 zero-allocation message fabric: slots, pooling, packing, accounting.
+"""The message layer: slotted records, per-network ids, accusation ordering.
 
-The fabric's contract is *bit-exact invisibility*: recycling a message
-instance, folding several same-link messages into one packed carrier, or
-deferring per-send accounting into a round tally may never change a cost
-report, a healed link set, or a metrics counter.  These tests pin that
-contract, plus the allocation budget itself (a pooled steady-state flood
-must allocate ~zero message objects per round).
+Messages and Table 1 records are ``__slots__`` layouts (no per-instance
+``__dict__``); a network stamps every message it carries from its own id
+counter, so ids replay exactly per run; and a reply queued to a sender that a
+later message in the same round gets quarantined is discarded quietly at
+delivery.  The Lemma 4 ledgers the message path feeds are pinned by the
+golden digests (``tests/test_golden_digests.py``).
 """
 
-import gc
-
-import pytest
-
-from repro.adversary import MaxDegreeDeletion
 from repro.distributed import (
     DeletionNotice,
-    DistributedForgivingGraph,
+    EdgeRecord,
     Network,
     Probe,
-    Processor,
-    fault_schedule,
 )
-from repro.distributed.faults import DELIVERY_PRESETS
-from repro.distributed.messages import (
-    Digest,
-    DigestRequest,
-    Message,
-    PackedPayloads,
-)
-from repro.generators import make_graph
-
-FABRIC_PRESETS = sorted(DELIVERY_PRESETS) + ["byzantine"]
+from repro.distributed.messages import Digest, DigestRequest, Message
 
 
 def flood_network(width: int = 8):
@@ -45,32 +29,8 @@ def run_flood(network, rounds: int, width: int = 8, burst: int = 4) -> None:
         for p in range(width):
             receiver = (p + 1) % width
             for _ in range(burst):
-                network.send(network.new(DeletionNotice, p, receiver, -1))
+                network.send(DeletionNotice(p, receiver, -1))
         network.deliver_round()
-
-
-def replay_attack(preset: str, *, pooled: bool, packed: bool, batched: bool, n: int = 40):
-    """Delete-heavy attack under ``preset``; returns (cost keys, healed links)."""
-    graph = make_graph("power_law", n, seed=7)
-    healer = DistributedForgivingGraph.from_graph(
-        graph, fault_schedule=fault_schedule(preset, seed=7)
-    )
-    network = healer.network
-    network.pooled = pooled
-    network.packed_batching = packed
-    network.batched_accounting = batched
-    strategy = MaxDegreeDeletion()
-    for _ in range(n // 2):
-        victim = strategy.choose_victim(healer)
-        if victim is None or healer.num_alive <= 3:
-            break
-        healer.delete(victim)
-    keys = [
-        (r.deleted_node, r.messages, r.bits, r.rounds, r.max_messages_per_node)
-        for r in healer.cost_reports
-    ]
-    links = frozenset(frozenset(link) for link in network.iter_links())
-    return keys, links
 
 
 class TestSlots:
@@ -80,9 +40,11 @@ class TestSlots:
             Probe(sender=1, receiver=2, deleted=3),
             Digest(sender=1, receiver=2, deleted=3),
             DigestRequest(sender=1, receiver=2, deleted=3),
-            PackedPayloads(sender=1, receiver=2),
         ):
             assert not hasattr(message, "__dict__")
+
+    def test_edge_records_have_no_dict(self):
+        assert not hasattr(EdgeRecord(neighbor=1), "__dict__")
 
     def test_kind_and_sealed_stay_class_attributes(self):
         assert "kind" not in Message.__slots__
@@ -90,67 +52,8 @@ class TestSlots:
         assert Digest.sealed is True
         assert DeletionNotice.sealed is False
 
-    def test_packable_payload_fields_cover_all_slots(self):
-        for cls in (DeletionNotice, Probe, Digest, DigestRequest):
-            assert cls.packable
-            assert set(cls.__slots__) == set(cls._payload_fields)
 
-    def test_reset_matches_init_for_every_field(self):
-        constructed = Probe(sender=1, receiver=2, deleted=3, hops=4, rt_index=1)
-        recycled = Probe(sender=9, receiver=9, deleted=9, hops=9, rt_index=0)
-        recycled.byz_origin = 5
-        recycled._seal = 123
-        recycled.pinned = True
-        recycled.reset(sender=1, receiver=2, deleted=3, hops=4, rt_index=1)
-        for slot in ("sender", "receiver", "payload_words", "byz_origin",
-                     "_seal", "pinned", "deleted", "target_port", "hops",
-                     "rt_index"):
-            assert getattr(recycled, slot) == getattr(constructed, slot), slot
-
-
-class TestPool:
-    def test_pool_recycles_released_instances(self):
-        network = flood_network()
-        message = network.new(DeletionNotice, 0, 1, -1)
-        network.release(message)
-        assert network.new(DeletionNotice, 0, 1, -1) is message
-
-    def test_pool_reuse_resets_seal_cache(self):
-        network = flood_network()
-        message = network.new(Digest, 0, 1, -1)
-        _ = message.seal  # force the lazy seal into its cache slot
-        assert message._seal is not None
-        network.release(message)
-        again = network.new(Digest, 0, 1, -1)
-        assert again is message
-        assert again._seal is None
-
-    def test_pinned_instances_are_never_recycled(self):
-        network = flood_network()
-        message = network.new(DeletionNotice, 0, 1, -1)
-        message.pinned = True
-        network.release(message)
-        assert network.new(DeletionNotice, 0, 1, -1) is not message
-
-    def test_unpooled_twin_never_recycles(self):
-        network = flood_network()
-        network.pooled = False
-        message = network.new(DeletionNotice, 0, 1, -1)
-        network.release(message)
-        assert network.new(DeletionNotice, 0, 1, -1) is not message
-
-    def test_steady_state_flood_allocates_no_message_objects(self):
-        network = flood_network()
-        burst = 4
-        warmup = Processor.RECEIVE_TRACE_LIMIT // burst + 8
-        run_flood(network, warmup, burst=burst)
-        gc.collect()
-        before = sum(1 for obj in gc.get_objects() if isinstance(obj, Message))
-        run_flood(network, 30, burst=burst)
-        gc.collect()
-        after = sum(1 for obj in gc.get_objects() if isinstance(obj, Message))
-        assert after - before == 0
-
+class TestMessageIds:
     def test_message_ids_are_per_network_deterministic(self):
         def delivered_ids():
             network = flood_network(width=4)
@@ -163,147 +66,37 @@ class TestPool:
         assert delivered_ids() == delivered_ids()
 
 
-class TestPackedCarrier:
-    def test_same_link_burst_folds_into_one_carrier(self):
-        network = flood_network()
-        for _ in range(3):
-            network.send(network.new(DeletionNotice, 0, 1, -1))
-        assert len(network._outbox) == 1
-        carrier = network._outbox[0]
-        assert type(carrier) is PackedPayloads
-        assert carrier.count == 3
-        assert carrier.part_cls is DeletionNotice
+class TestAccusationOrdering:
+    def test_answer_to_liar_queued_before_quarantine_is_discarded(self, monkeypatch):
+        """An answer to a liar leaves before the liar's later lie lands.
 
-    def test_carrier_payload_words_is_exact_sum_of_parts(self):
-        network = flood_network()
-        words = []
-        for ports in ((), (1,), (1, 2, 3)):
-            message = network.new(DigestRequest, 0, 1, -1, tuple(ports))
-            words.append(message.payload_words)
-            network.send(message)
-        carrier = network._outbox[0]
-        assert carrier.payload_words == sum(words)
-
-    def test_in_flight_counts_logical_parts_not_carriers(self):
-        network = flood_network()
-        for _ in range(5):
-            network.send(network.new(DeletionNotice, 0, 1, -1))
-        assert len(network._outbox) == 1
-        assert network.pending_messages == 5
-        assert network.in_flight == 5
-        assert network.in_flight_for(-1) == 5
-
-    def test_different_receivers_never_fold(self):
-        network = flood_network()
-        network.send(network.new(DeletionNotice, 0, 1, -1))
-        network.send(network.new(DeletionNotice, 0, 2, -1))
-        assert len(network._outbox) == 2
-
-    def test_delivery_faults_disable_packing(self):
-        network = Network(
-            strict_links=False, fault_schedule=fault_schedule("drop", seed=1)
-        )
-        for p in range(3):
-            network.add_processor(p)
-        for _ in range(4):
-            network.send(network.new(DeletionNotice, 0, 1, -1))
-        assert all(type(m) is DeletionNotice for m in network._outbox)
-        assert len(network._outbox) == 4
-
-    def test_packed_delivery_matches_unpacked_counts(self):
-        packed = flood_network()
-        plain = flood_network()
-        plain.packed_batching = False
-        run_flood(packed, 5)
-        run_flood(plain, 5)
-        for p in range(8):
-            assert (
-                packed.processors[p].received_by_kind
-                == plain.processors[p].received_by_kind
-            )
-
-    def test_column_lane_rebuilds_parts_when_unpooled(self):
-        network = flood_network()
-        network.pooled = False
-        for hops in (1, 2, 3):
-            network.send(network.new(Probe, 0, 1, -1, None, hops, 0))
-        carrier = network._outbox[0]
-        assert not carrier.parts  # column lane, not the stash lane
-        assert carrier.count == 3
-        network.deliver_round()
-        delivered = [m for m in network.processors[1].received if m.kind == "Probe"]
-        assert [m.hops for m in delivered] == [1, 2, 3]
-
-
-class TestPackedAccusationOrdering:
-    def test_response_to_liar_sent_before_later_lie_quarantines(self, monkeypatch):
-        """A part's responses leave before the NEXT part is verified.
-
-        Regression: one carrier from a (byzantine) sender holds an honest
-        part whose handler answers the sender, followed by a lie.  The
-        unbatched loop sends the answer while the liar still exists and only
-        then hits the lie; collecting the carrier's responses and sending
-        them after the fact made the quarantine land first, turning the
-        answer into a ``ProtocolError: receiver does not exist``.
+        In one round the receiver first handles the liar's honest digest and
+        answers the liar, then verifies the liar's tampered digest and
+        quarantines it.  The answer was queued while the liar still existed,
+        so ``send`` accepted it; the next round must discard it quietly
+        rather than raise ``ProtocolError: receiver does not exist``.
         """
         from repro.distributed.processor import _HANDLER_CACHE
 
         network = flood_network(width=2)
-        honest = network.new(Digest, 1, 0, -1)
-        lie = network.new(Digest, 1, 0, -1)
+        honest = Digest(1, 0, -1)
+        lie = Digest(1, 0, -1)
         _ = lie.seal  # freeze the author's seal, then tamper
         lie.probed = not lie.probed
         assert not lie.seal_valid()
+        network.send(honest)
+        network.send(lie)
 
         def answer_the_sender(processor, message):
-            return [network.new(Digest, 0, message.sender, -1, None, True, True, True)]
+            return [Digest(0, message.sender, -1, None, True, True, True)]
 
         cls = type(network.processors[0])
         monkeypatch.setitem(_HANDLER_CACHE, (cls, "Digest"), answer_the_sender)
-
-        carrier = network.new(PackedPayloads, sender=1, receiver=0)
-        carrier.begin(Digest)
-        carrier.stash(honest)
-        carrier.stash(lie)
-        network._outbox.append(carrier)
-        network.deliver_round()  # raised ProtocolError before the fix
+        network.deliver_round()
 
         assert 1 in network.quarantined
         assert 1 not in network.processors
         answers = [m for m in network._outbox if m.receiver == 1]
         assert len(answers) == 1  # sent while the liar still existed
-        network.deliver_round()  # undeliverable answer is released, no error
-
-
-class TestAccounting:
-    def test_batched_tally_is_invisible_through_metrics_property(self):
-        network = flood_network()
-        network.send(network.new(DeletionNotice, 0, 1, -1))
-        network.send(network.new(DeletionNotice, 0, 1, -1))
-        assert network.metrics.total_messages == 2
-        network.send(network.new(DeletionNotice, 0, 1, -1))
-        assert network.metrics.total_messages == 3
-
-    def test_batched_accounting_matches_reference_counters(self):
-        batched = flood_network()
-        reference = flood_network()
-        reference.batched_accounting = False
-        run_flood(batched, 6)
-        run_flood(reference, 6)
-        for field in ("total_messages", "total_bits", "total_dropped", "total_rounds"):
-            assert getattr(batched.metrics, field) == getattr(
-                reference.metrics, field
-            ), field
-
-
-class TestEquivalence:
-    @pytest.mark.parametrize("preset", FABRIC_PRESETS)
-    def test_fabric_is_bit_identical_to_pr9_twin(self, preset):
-        fabric = replay_attack(preset, pooled=True, packed=True, batched=True)
-        twin = replay_attack(preset, pooled=False, packed=False, batched=False)
-        assert fabric == twin
-
-    def test_column_lane_is_bit_identical_to_stash_lane(self):
-        stash = replay_attack("lossless", pooled=True, packed=True, batched=True)
-        column = replay_attack("lossless", pooled=False, packed=True, batched=True)
-        assert stash == column
+        assert network.deliver_round() == 0  # discarded, no ProtocolError
+        assert network.in_flight == 0

@@ -105,12 +105,12 @@ def test_public_classes_have_documented_public_methods(cls_path):
 def test_healer_protocol_is_uniform():
     """ForgivingGraph, DistributedForgivingGraph and every baseline share the healer API."""
     from repro import ForgivingGraph
-    from repro.baselines import available_healers, make_healer
+    from repro.baselines import HealerSpec, available_healers
     from repro.distributed import DistributedForgivingGraph
     from repro.generators import make_graph
 
     graph = make_graph("ring", 8)
-    healers = [make_healer(name, graph) for name in available_healers()]
+    healers = [HealerSpec(name).build(graph) for name in available_healers()]
     healers.append(DistributedForgivingGraph.from_graph(graph))
     for healer in healers:
         for attribute in ("insert", "delete", "actual_graph", "g_prime_view", "g_prime_degree",

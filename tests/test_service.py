@@ -3,9 +3,8 @@
 Pins the tentpole claims:
 
 * the typed config stack — ``FaultSpec.parse`` is the single fault-axis
-  entry point (presets, schedules, specs; errors name every preset),
-  ``HealerSpec`` validates at construction and the deprecated
-  ``make_healer`` shim stays bit-identical to building through the spec;
+  entry point (presets, schedules, specs; errors name every preset) and
+  ``HealerSpec`` validates at construction;
 * the checkpoint store round-trips the full distributed state (Table 1
   records through the typed codec, sourced links, transcript, census);
 * crash-recover is real: abandoning a daemon mid-churn and restoring
@@ -16,17 +15,20 @@ Pins the tentpole claims:
 * concurrent client streams are deterministic under a fixed seed.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.baselines import HealerSpec, available_healers, make_healer
+from repro.baselines import HealerSpec
 from repro.core.errors import ConfigurationError
 from repro.distributed import DistributedForgivingGraph, fault_schedule
-from repro.distributed.faults import FAULT_PRESETS, FaultSchedule, FaultSpec
+from repro.distributed.faults import FAULT_PRESETS, FaultSpec
+from repro.distributed.processor import EdgeRecord
 from repro.generators import make_graph
 from repro.generators.graphs import GraphSpec
 from repro.service import (
+    SCHEMA_VERSION,
     CheckpointStore,
     HealerDaemon,
     ServiceConfig,
@@ -84,7 +86,7 @@ class TestFaultSpec:
 
 
 # --------------------------------------------------------------------------- #
-# HealerSpec + the deprecated make_healer shim (satellite: api_redesign)
+# HealerSpec (satellite: api_redesign)
 # --------------------------------------------------------------------------- #
 class TestHealerSpec:
     def test_unknown_name_rejected_eagerly(self):
@@ -102,51 +104,6 @@ class TestHealerSpec:
     def test_non_distributed_healer_rejects_faults(self):
         with pytest.raises(ConfigurationError):
             HealerSpec("forgiving_graph", fault="drop")
-
-    def test_make_healer_is_deprecated(self):
-        graph = make_graph("ring", 8)
-        with pytest.deprecated_call():
-            make_healer("forgiving_graph", graph)
-
-    @pytest.mark.parametrize("name", sorted(available_healers()))
-    def test_shim_equivalence_all_healers(self, name):
-        """make_healer and HealerSpec.build produce bit-identical sessions."""
-        graph = make_graph("power_law", 24, seed=4)
-        with pytest.warns(DeprecationWarning):
-            via_shim = make_healer(name, graph)
-        via_spec = HealerSpec(name).build(graph)
-        rng = random.Random(11)
-        for _ in range(6):
-            victims = sorted(via_shim.alive_nodes, key=repr)
-            if len(victims) <= 3:
-                break
-            victim = rng.choice(victims)
-            via_shim.delete(victim)
-            via_spec.delete(victim)
-        assert set(via_shim.actual_graph().edges) == set(via_spec.actual_graph().edges)
-
-    def test_shim_equivalence_with_fault_schedule(self):
-        """The shim's fault_schedule kwarg equals the spec's fault axis."""
-        graph = make_graph("power_law", 24, seed=4)
-        with pytest.warns(DeprecationWarning):
-            via_shim = make_healer(
-                "distributed_forgiving_graph",
-                graph,
-                fault_schedule=fault_schedule("drop", seed=7),
-            )
-        via_spec = HealerSpec("distributed_forgiving_graph", fault=FaultSpec("drop", seed=7)).build(graph)
-        rng = random.Random(2)
-        for _ in range(6):
-            victims = sorted(via_shim.alive_nodes, key=repr)
-            victim = rng.choice(victims)
-            r1 = via_shim.delete(victim)
-            r2 = via_spec.delete(victim)
-            assert (r1.messages, r1.dropped_messages, r1.retransmissions) == (
-                r2.messages,
-                r2.dropped_messages,
-                r2.retransmissions,
-            )
-        assert set(via_shim.actual_graph().edges) == set(via_spec.actual_graph().edges)
 
 
 # --------------------------------------------------------------------------- #
@@ -216,13 +173,14 @@ class TestStore:
 
         network = healer.network
         records = store.load_records(ckpt_id)
-        from repro.distributed.processor import _RECORD_COLUMNS
+        names = [f.name for f in dataclasses.fields(EdgeRecord)]
 
         for node, processor in network.processors.items():
             stored = records[node]
-            assert set(stored) == set(dict(processor.edges.items()))
+            assert set(stored) == set(processor.edges)
             for neighbor, record in processor.edges.items():
-                for name, _col, _kind in _RECORD_COLUMNS:
+                assert list(stored[neighbor]) == names
+                for name in names:
                     assert stored[neighbor][name] == getattr(record, name), (
                         f"{node}->{neighbor}.{name} did not round-trip"
                     )
@@ -234,6 +192,25 @@ class TestStore:
         assert set(info.alive) == set(network.processors)
         assert store.genesis_graph().number_of_edges() == graph.number_of_edges()
         store.close()
+
+    def test_record_payload_order_is_schema_v1(self):
+        """Checkpoint payloads list EdgeRecord fields in this order under v1."""
+        assert SCHEMA_VERSION == 1
+        assert [f.name for f in dataclasses.fields(EdgeRecord)] == [
+            "neighbor",
+            "endpoint",
+            "neighbor_alive",
+            "has_helper",
+            "rt_parent",
+            "representative",
+            "helper_parent",
+            "helper_left",
+            "helper_right",
+            "helper_height",
+            "helper_children_count",
+            "helper_representative",
+            "helper_victim",
+        ]
 
     def test_schema_version_guard(self, tmp_path):
         path = tmp_path / "run.db"

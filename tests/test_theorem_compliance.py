@@ -20,7 +20,7 @@ from repro.analysis import (
     stretch_report,
     verify_tradeoff_against_lower_bound,
 )
-from repro.baselines import make_healer
+from repro.baselines import HealerSpec
 from repro.generators import make_graph
 
 TOPOLOGIES = ["erdos_renyi", "power_law", "grid", "ring", "binary_tree", "star", "path"]
@@ -64,7 +64,7 @@ def test_theorem2_star_lower_bound_consistency(n):
     """Theorem 2 on the star: measured (degree, stretch) never beats the floor."""
     star = make_graph("star", n)
     for healer_name in ("forgiving_graph", "forgiving_tree", "cycle_heal", "surrogate_heal"):
-        healer = make_healer(healer_name, star)
+        healer = HealerSpec(healer_name).build(star)
         healer.delete(0)
         report = guarantee_report(healer, healer_name=healer_name)
         check = verify_tradeoff_against_lower_bound(
