@@ -462,9 +462,9 @@ def _sweep_large_n_shared(
 
     The in-process complement of the sharded path: instead of splitting the
     node space, the entire graph lives on a single :class:`Network` (one
-    outbox, one metrics ledger) and the burst driver
-    repeatedly feeds ``delete_batch`` a first-fit disjoint-footprint victim
-    set until the attack's deletion budget is spent.  Deterministic given
+    outbox, one metrics ledger) and the loop repeatedly feeds
+    ``delete_batch`` a first-fit disjoint-footprint victim set until the
+    attack's deletion budget is spent.  Deterministic given
     ``seed``: candidate sampling, victim selection and every repair replay
     identically across runs.
     """

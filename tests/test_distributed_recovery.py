@@ -16,8 +16,8 @@ Pins the tentpole claims:
 * the protocol is deterministic given the fault schedule's seed, survives
   a non-leader participant crashing mid-recovery, and a recovery that hits
   its round budget mid-delivery reports ``converged=False`` plus the
-  leftover in-flight count instead of leaking traffic into the next repair
-  (the PR 5 satellite fix).
+  leftover in-flight count instead of leaking traffic into the next
+  repair.
 """
 
 import pytest

@@ -86,7 +86,7 @@ class TestFaultSpec:
 
 
 # --------------------------------------------------------------------------- #
-# HealerSpec (satellite: api_redesign)
+# HealerSpec: typed healer construction
 # --------------------------------------------------------------------------- #
 class TestHealerSpec:
     def test_unknown_name_rejected_eagerly(self):
