@@ -1,18 +1,25 @@
 """Network accessors, link sources, the oracle cross-check and sharded sweeps.
 
 Pinned here: the unsorted fast accessors agree with their NodeKey-ordered
-variants as sets, the link-source table's lifecycle (idempotent adds, the
-link vanishing with its last source, the ``frozenset`` wire format), strict
-links, the cadence-gated oracle cross-check inside ``AttackSession``, and
-the plan-footprint independence machinery behind the sharded sweeps.
+variants as sets; a churned network matches the oracle, replays identically
+under an order-preserving relabeling of the node ids, and keeps every
+removed or quarantined identifier in its census; the link-source table's
+lifecycle (idempotent adds, the link vanishing with its last source or its
+endpoint, scaffold teardown, the ``frozenset`` wire format), strict links,
+the cadence-gated oracle cross-check inside ``AttackSession``, and the
+plan-footprint independence machinery behind the sharded sweeps.
 """
+
+import dataclasses
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.core.errors import ProtocolError
+from repro.core.ports import NodeKey
 from repro.distributed import DistributedForgivingGraph, Network
+from repro.distributed.messages import DeletionNotice
 from repro.engine import AttackSession
 from repro.adversary import MaxDegreeDeletion, churn_schedule
 from repro.experiments import (
@@ -46,6 +53,86 @@ def _churned_healer(n: int, seed: int = 9):
             healer.insert(fresh, attach_to=[alive[int(i)] for i in picks])
             fresh += 1
     return healer
+
+
+def _relabeled_churn(offset: int, steps: int = 40, seed: int = 23):
+    """One seeded churn on ``power_law(40)`` with every node id shifted by ``offset``.
+
+    Moves pick nodes by position in ``NodeKey`` order, which an
+    order-preserving relabeling leaves unchanged, so every offset replays
+    the same churn.
+    """
+    graph = make_graph("power_law", 40, seed=seed)
+    healer = DistributedForgivingGraph.from_graph(
+        nx.relabel_nodes(graph, {node: node + offset for node in graph})
+    )
+    rng = np.random.default_rng(seed)
+    fresh = 10_000
+    for _ in range(steps):
+        alive = sorted(
+            (x for x in healer.alive_nodes if healer.network.has_processor(x)), key=NodeKey
+        )
+        if rng.random() < 0.6 and len(alive) > 4:
+            healer.delete(alive[int(rng.integers(len(alive)))])
+        else:
+            picks = rng.choice(len(alive), size=min(2, len(alive)), replace=False)
+            healer.insert(fresh + offset, attach_to=[alive[int(i)] for i in picks])
+            fresh += 1
+    return healer
+
+
+class TestChurnedNetwork:
+    """The network after churn: oracle agreement, relabeling, census."""
+
+    def test_lossless_churn_matches_oracle(self):
+        healer = _churned_healer(n=60)
+        assert healer.cost_reports
+        healer.verify_consistency()
+
+    def test_churn_is_invariant_under_order_preserving_relabeling(self):
+        offset = 1_000_000
+        plain, shifted = _relabeled_churn(0), _relabeled_churn(offset)
+        assert plain.cost_reports
+        # Same ledgers (the victim named in its own labels), same healed links.
+        assert [
+            dataclasses.replace(r, deleted_node=r.deleted_node - offset)
+            for r in shifted.cost_reports
+        ] == plain.cost_reports
+        assert {frozenset(x - offset for x in link) for link in shifted.network.iter_links()} == {
+            frozenset(link) for link in plain.network.iter_links()
+        }
+
+    def test_census_keeps_quarantined_and_removed_identifiers(self):
+        healer = _churned_healer(n=40)
+        network = healer.network
+        deleted = [r.deleted_node for r in healer.cost_reports]
+        liars = sorted(network.processors, key=NodeKey)[:2]
+        census = network.n_ever
+        for node in liars:
+            network.quarantine(node)
+            network.quarantine(node)  # idempotent
+        assert network.n_ever == census == healer.nodes_ever
+        assert network.quarantined == set(liars)
+        assert deleted
+        for node in deleted + liars:
+            assert network.ever_had_processor(node)
+            assert not network.has_processor(node)
+        assert not network.ever_had_processor("never-seen")
+
+    def test_quarantine_drops_links_and_their_sources(self):
+        network = _churned_healer(n=40).network
+        liar = max(
+            sorted(network.processors, key=NodeKey),
+            key=lambda node: len(network.neighbors_unsorted(node)),
+        )
+        neighbors = network.neighbors(liar)
+        assert neighbors
+        assert any(liar in link for link in network.export_link_sources())
+        network.quarantine(liar)
+        assert all(liar not in link for link in network.export_link_sources())
+        assert all(liar not in pair for pair in network.iter_links())
+        for node in neighbors:
+            assert liar not in network.neighbors_unsorted(node)
 
 
 class TestUnsortedAccessors:
@@ -217,6 +304,38 @@ class TestLinkSources:
         assert network.link_source_count("v", "w") == 0
         assert network.export_link_sources() == {frozenset(("u", "v")): {("real", "u", "v")}}
 
+    def test_remove_processor_drops_its_links_and_sources(self):
+        network = Network()
+        for node in "uvw":
+            network.add_processor(node)
+        network.add_link_source(("real", "u", "v"), "u", "v")
+        network.add_link_source(("real", "v", "w"), "v", "w")
+        network.remove_processor("v")
+        assert network.export_link_sources() == {}
+        assert network.num_links() == 0
+        network.add_link_source(("real", "u", "v"), "u", "v")  # dead endpoint: ignored
+        assert network.link_source_count("u", "v") == 0
+        assert not network.are_linked("u", "v")
+
+    def test_end_scaffold_keeps_only_sourced_links(self):
+        network = Network()
+        for node in "uvw":
+            network.add_processor(node)
+        network.begin_scaffold()
+        network.send(DeletionNotice(sender="u", receiver="v", deleted="x"))  # wires u-v
+        network.scaffold_link("v", "w")
+        assert network.are_linked("u", "v") and network.are_linked("v", "w")
+        key = ("real", "v", "w")
+        network.add_link_source(key, "v", "w")
+        network.remove_link_source(key, "v", "w")
+        assert network.are_linked("v", "w")  # the open scaffold still uses it
+        network.add_link_source(key, "v", "w")
+        assert network.end_scaffold() == 1
+        assert not network.are_linked("u", "v")
+        assert network.are_linked("v", "w")
+        with pytest.raises(ProtocolError):
+            network.send(DeletionNotice(sender="u", receiver="v", deleted="x"))
+
     def test_dense_option_is_gone(self):
         with pytest.raises(TypeError):
             Network(dense=True)
@@ -227,7 +346,5 @@ class TestLinkSources:
         network = Network()
         for node in ("u", "v"):
             network.add_processor(node)
-        from repro.distributed.messages import DeletionNotice
-
         with pytest.raises(ProtocolError):
             network.send(DeletionNotice(sender="u", receiver="v", deleted="x"))

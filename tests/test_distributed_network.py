@@ -1,11 +1,14 @@
 """Unit tests for the message-passing substrate: messages, network, processors."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import ProtocolError, UnknownNodeError
 from repro.core.ports import Port
 from repro.distributed import (
     DeletionNotice,
+    EdgeRecord,
     HelperAssignment,
     InsertionNotice,
     Network,
@@ -248,6 +251,37 @@ class TestProcessorState:
         assert record.rt_parent == Port("w", "x")
         assert record.endpoint == Port("w", "x")
         assert not record.neighbor_alive
+
+    def test_ensure_edge_returns_the_stored_record(self):
+        processor = Processor("v")
+        record = processor.ensure_edge("x")
+        record.has_helper = True
+        record.helper_height = 3
+        assert processor.ensure_edge("x") is record
+        assert processor.edges["x"].helper_height == 3
+        processor.ensure_edge("y")
+        assert list(processor.edges) == ["x", "y"]
+        assert processor.degree_in_edges() == 2
+
+    def test_clear_helper_resets_helper_fields_only(self):
+        processor = Processor("v")
+        record = processor.ensure_edge("x")
+        record.neighbor_alive = False
+        record.endpoint = record.rt_parent = Port("w", "x")
+        record.has_helper = True
+        record.helper_parent = record.helper_representative = Port("a", "x")
+        record.helper_left, record.helper_right = Port("b", "x"), Port("c", "x")
+        record.helper_height = record.helper_children_count = 2
+        record.helper_victim = "z"
+        record.clear_helper()
+        fresh = EdgeRecord(neighbor="x")
+        for field in dataclasses.fields(EdgeRecord):
+            if field.name == "has_helper" or field.name.startswith("helper_"):
+                assert getattr(record, field.name) == getattr(fresh, field.name), field.name
+        # The real-node half of the record is untouched.
+        assert record.neighbor_alive is False
+        assert record.endpoint == record.rt_parent == Port("w", "x")
+        assert record.representative == Port("v", "x")
 
     def test_helper_ports_listing(self):
         processor = Processor("v")

@@ -13,12 +13,18 @@ Pins the tentpole claims:
   (digest) traffic split from retransmissions, Lemma-4-style per-sweep
   budgets, threaded into ``DeletionCostReport`` and the engine's
   ``StepEvent`` stream;
+* every message a deletion causes is charged to exactly one ledger: its
+  repair window or its recovery's digest/retransmission split (per victim
+  epoch inside a ``delete_batch`` burst);
 * the protocol is deterministic given the fault schedule's seed, survives
   a non-leader participant crashing mid-recovery, and a recovery that hits
   its round budget mid-delivery reports ``converged=False`` plus the
   leftover in-flight count instead of leaking traffic into the next
   repair.
 """
+
+import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +34,7 @@ from repro.distributed import (
     RecoveryCostReport,
     fault_schedule,
 )
+from repro.distributed.metrics import DIGEST_KINDS
 from repro.generators import make_graph
 
 
@@ -240,6 +247,102 @@ class TestCrashMidRecovery:
         for node in survivors[:2]:
             healer.delete(node)
             healer.reconverge()
+
+
+def tap_sends(network):
+    """Record ``(open repair window, message)`` for every message ``network`` accepts."""
+    sent = []
+    send = network.send
+
+    def tapped(message):
+        send(message)
+        sent.append((network.metrics.window, message))
+
+    network.send = tapped
+    return sent
+
+
+def tap_repair_windows(network):
+    """Collect every window ``network.end_repair`` closes, in order."""
+    closed = []
+    end_repair = network.end_repair
+
+    def tapped():
+        window = end_repair()
+        closed.append(window)
+        return window
+
+    network.end_repair = tapped
+    return closed
+
+
+class TestLedgerAttribution:
+    """Each sent message lands in the ledger of the deletion that caused it."""
+
+    @pytest.mark.parametrize("preset", ["lossless", "chaos"])
+    def test_deletion_report_charges_every_send(self, preset):
+        healer = faulty_healer(preset, seed=11)
+        network = healer.network
+        sent = tap_sends(network)
+        closed = tap_repair_windows(network)
+        strategy = RandomDeletion(seed=4)
+        recovered = 0
+        for _ in range(12):
+            victim = strategy.choose_victim(healer)
+            if victim is None or healer.num_alive <= 3:
+                break
+            sent.clear()
+            report = healer.delete(victim)
+            assert all(window is not None for window, _ in sent), "a send escaped every ledger"
+            repair = [m for window, m in sent if window is closed[-1]]
+            recovery = [m for window, m in sent if window is not closed[-1]]
+
+            def bits(messages):
+                return sum(m.size_bits(network.n_ever) for m in messages)
+
+            assert report.messages == len(repair)
+            assert report.bits == bits(repair)
+            by_sender = Counter(m.sender for m in repair)
+            assert report.max_messages_per_node == max(by_sender.values(), default=0)
+            if report.recovery is None:
+                assert recovery == []
+                continue
+            recovered += 1
+            digests = [m for m in recovery if m.kind in DIGEST_KINDS]
+            assert report.recovery.digest_messages == len(digests)
+            assert report.recovery.digest_bits == bits(digests)
+            assert report.recovery.retransmissions == len(recovery) - len(digests)
+            assert report.recovery.retransmission_bits == bits(recovery) - bits(digests)
+        assert healer.cost_reports
+        assert recovered == (0 if preset == "lossless" else len(healer.cost_reports))
+
+    @pytest.mark.parametrize("preset", ["lossless", "chaos"])
+    def test_burst_reports_charge_every_send_to_its_epoch(self, preset):
+        healer = faulty_healer(preset, seed=11)
+        network = healer.network
+        sent = tap_sends(network)
+        rng = random.Random(3)
+        for _ in range(3):
+            alive = sorted((n for n in healer.alive_nodes if network.has_processor(n)), key=repr)
+            victims = rng.sample(alive, 4)
+            sent.clear()
+            burst = healer.delete_batch(victims)
+            messages = Counter(m.deleted for _, m in sent)
+            bits = Counter()
+            for _, m in sent:
+                bits[m.deleted] += m.size_bits(network.n_ever)
+            assert set(messages) <= set(victims)
+            assert sorted(r.deleted_node for r in burst.reports) == sorted(victims)
+            for report in burst.reports:
+                recovery = report.recovery
+                assert recovery is not None
+                victim = report.deleted_node
+                assert messages[victim] == (
+                    report.messages + recovery.digest_messages + recovery.retransmissions
+                )
+                assert bits[victim] == (
+                    report.bits + recovery.digest_bits + recovery.retransmission_bits
+                )
 
 
 class TestDropInFlight:

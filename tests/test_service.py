@@ -4,7 +4,9 @@ Pins the tentpole claims:
 
 * the typed config stack — ``FaultSpec.parse`` is the single fault-axis
   entry point (presets, schedules, specs; errors name every preset) and
-  ``HealerSpec`` validates at construction;
+  ``HealerSpec`` validates at construction and survives its JSON round
+  trip: the rebuilt spec replays a session bit-identically, fault axis
+  included;
 * the checkpoint store round-trips the full distributed state (Table 1
   records through the typed codec, sourced links, transcript, census);
 * crash-recover is real: abandoning a daemon mid-churn and restoring
@@ -20,7 +22,7 @@ import random
 
 import pytest
 
-from repro.baselines import HealerSpec
+from repro.baselines import HealerSpec, available_healers
 from repro.core.errors import ConfigurationError
 from repro.distributed import DistributedForgivingGraph, fault_schedule
 from repro.distributed.faults import FAULT_PRESETS, FaultSpec
@@ -104,6 +106,50 @@ class TestHealerSpec:
     def test_non_distributed_healer_rejects_faults(self):
         with pytest.raises(ConfigurationError):
             HealerSpec("forgiving_graph", fault="drop")
+
+    @pytest.mark.parametrize("name", sorted(available_healers()))
+    def test_json_round_trip_rebuilds_identical_sessions(self, name):
+        """A spec rebuilt from its JSON form replays the same session."""
+        spec = HealerSpec(name)
+        rebuilt = HealerSpec.from_json(spec.to_json())
+        assert rebuilt == spec
+        graph = make_graph("power_law", 24, seed=4)
+        edges_before = set(graph.edges)
+        first, second = spec.build(graph), rebuilt.build(graph)
+        rng = random.Random(11)
+        for _ in range(6):
+            victims = sorted(first.alive_nodes, key=repr)
+            if len(victims) <= 3:
+                break
+            victim = rng.choice(victims)
+            first.delete(victim)
+            second.delete(victim)
+        assert len(first.alive_nodes) < graph.number_of_nodes()
+        assert set(first.actual_graph().edges) == set(second.actual_graph().edges)
+        assert set(graph.edges) == edges_before  # each build healed its own copy
+
+    def test_json_round_trip_keeps_fault_axis(self):
+        """The rebuilt spec materializes the same fault schedule, per build."""
+        spec = HealerSpec("distributed_forgiving_graph", fault=FaultSpec("drop", seed=7))
+        rebuilt = HealerSpec.from_json(spec.to_json())
+        assert rebuilt.fault == spec.fault
+        graph = make_graph("power_law", 24, seed=4)
+        first, second = spec.build(graph), rebuilt.build(graph)
+        assert first.fault_schedule is not second.fault_schedule
+        rng = random.Random(2)
+        dropped = 0
+        for _ in range(6):
+            victim = rng.choice(sorted(first.alive_nodes, key=repr))
+            r1 = first.delete(victim)
+            r2 = second.delete(victim)
+            assert (r1.messages, r1.dropped_messages, r1.retransmissions) == (
+                r2.messages,
+                r2.dropped_messages,
+                r2.retransmissions,
+            )
+            dropped += r1.dropped_messages
+        assert dropped > 0
+        assert set(first.actual_graph().edges) == set(second.actual_graph().edges)
 
 
 # --------------------------------------------------------------------------- #
