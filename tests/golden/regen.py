@@ -156,7 +156,10 @@ def attack(preset: str) -> Dict[str, object]:
 
 
 def bursts(preset: str) -> Dict[str, object]:
-    """Three ``delete_batch`` bursts of 4 disjoint-footprint victims each."""
+    """Three ``delete_batch`` bursts of 4 disjoint-footprint victims each.
+
+    Under ``byzantine`` this pins the wave path's ``ByzantineReport``.
+    """
     healer = _healer(preset)
     for _ in range(3):
         # Newest nodes first: in a power-law graph they sit away from the
@@ -210,7 +213,7 @@ def scenarios() -> Dict[str, Callable[[], Dict[str, object]]]:
     table: Dict[str, Callable[[], Dict[str, object]]] = {}
     for preset in [*DELIVERY_PRESETS, "byzantine", "byzantine-chaos"]:
         table[f"attack/{preset}"] = lambda preset=preset: attack(preset)
-    for preset in ("lossless", "chaos"):
+    for preset in ("lossless", "chaos", "byzantine"):
         table[f"bursts/{preset}"] = lambda preset=preset: bursts(preset)
     table["daemon/restore"] = daemon
     return table
