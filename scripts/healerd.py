@@ -33,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.distributed.faults import FAULT_PRESETS, FaultSpec  # noqa: E402
+from repro.distributed.faults import DELIVERY_PRESETS  # noqa: E402
 from repro.generators.graphs import GraphSpec, available_topologies  # noqa: E402
 from repro.service import HealerDaemon, ServiceConfig  # noqa: E402
 
@@ -75,7 +75,8 @@ def main() -> int:
     parser.add_argument(
         "--fault",
         default="lossless",
-        help=f"fault preset ({', '.join(sorted(FAULT_PRESETS))})",
+        choices=sorted(DELIVERY_PRESETS),
+        help="delivery-fault preset",
     )
     parser.add_argument("--ops", type=int, default=200, help="total ops budget (journalled)")
     parser.add_argument("--checkpoint-every", type=int, default=16)
@@ -109,13 +110,9 @@ def main() -> int:
             print("restore certification FAILED", file=sys.stderr)
             return 1
     else:
-        try:
-            spec = FaultSpec.parse(args.fault, seed=args.seed)
-        except ValueError as exc:
-            parser.error(str(exc))
         config = ServiceConfig(
             graph=GraphSpec(args.topology, args.n),
-            fault=spec,
+            fault=args.fault,
             seed=args.seed,
             checkpoint_every=args.checkpoint_every,
             batch_window=args.batch_window,

@@ -18,7 +18,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 
 from ..baselines.spec import DISTRIBUTED_HEALERS, HealerSpec
 from ..core.errors import ConfigurationError
-from ..distributed.faults import FaultSchedule, FaultSpec
+from ..distributed.faults import BYZANTINE_PRESETS, DELIVERY_PRESETS, FaultSchedule, FaultSpec
 from ..generators.graphs import GraphSpec, available_topologies
 
 __all__ = ["ServiceConfig"]
@@ -41,7 +41,10 @@ class ServiceConfig:
         Declarative fault axis — anything :meth:`FaultSpec.parse` accepts
         *except* an explicit ``FaultSchedule`` (live RNG state does not
         survive a crash, so the service only accepts preset specs it can
-        persist and re-materialize deterministically).
+        persist and re-materialize deterministically) and except the
+        byzantine presets (restore certification compares against the
+        engine oracle, which a quarantined liar diverges from by design),
+        i.e. one of :data:`~repro.distributed.faults.DELIVERY_PRESETS`.
     seed:
         Master seed: genesis build, fault materialization and the demo
         churn generators all derive from it.
@@ -100,6 +103,13 @@ class ServiceConfig:
                 "ServiceConfig requires a declarative fault axis (preset + "
                 "seed): an explicit FaultSchedule carries live RNG state "
                 "that cannot be persisted across a crash"
+            )
+        if fault_spec.preset in BYZANTINE_PRESETS:
+            raise ConfigurationError(
+                f"fault preset {fault_spec.preset!r} quarantines liars, so the "
+                "healed graph diverges from the oracle that restore "
+                "certification compares against; use one of "
+                f"{sorted(DELIVERY_PRESETS)}"
             )
         # The healer spec's own fault axis must not compete with the
         # service-level one; the service owns materialization.

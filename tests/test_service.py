@@ -25,7 +25,7 @@ import pytest
 from repro.baselines import HealerSpec, available_healers
 from repro.core.errors import ConfigurationError
 from repro.distributed import DistributedForgivingGraph, fault_schedule
-from repro.distributed.faults import FAULT_PRESETS, FaultSpec
+from repro.distributed.faults import DELIVERY_PRESETS, FAULT_PRESETS, FaultSpec
 from repro.distributed.processor import EdgeRecord
 from repro.generators import make_graph
 from repro.generators.graphs import GraphSpec
@@ -174,9 +174,12 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError):
             ServiceConfig(healer="forgiving_graph")
 
-    def test_rejects_unknown_fault_preset(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(fault="gamma-rays")
+    @pytest.mark.parametrize("preset", ["gamma-rays", "byzantine", "byzantine-chaos"])
+    def test_rejects_unknown_fault_preset(self, preset):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ServiceConfig(fault=preset)
+        for name in DELIVERY_PRESETS:
+            assert name in str(excinfo.value)
 
 
 # --------------------------------------------------------------------------- #
@@ -350,7 +353,11 @@ class TestHealerDaemon:
         assert report.converged and report.audit_clean and report.verified
         assert set(restored.healer.alive_nodes) == expected_alive
         restored.healer.verify_consistency()
-        assert restored.status()["restarts"] == 1
+        status = restored.status()
+        assert status["restarts"] == 1
+        # The links are lossless, so every fixed-point probe was silent.
+        assert status["recovery"]["fixed_point_silent"] > 0
+        assert status["recovery"]["fixed_point_noisy"] == 0
         restored.close()
 
     def test_restart_without_checkpoint_replays_full_path(self, tmp_path):
