@@ -103,7 +103,7 @@ from .metrics import (
 from .network import Network
 from .processor import EdgeRecord, Processor, RepairContext
 from .recovery import BackgroundRecovery, run_recovery
-from .simulator import DistributedForgivingGraph, ReconvergenceReport
+from .simulator import DistributedForgivingGraph
 
 __all__ = [
     "Message",
@@ -130,7 +130,6 @@ __all__ = [
     "run_recovery",
     "BackgroundRecovery",
     "DistributedForgivingGraph",
-    "ReconvergenceReport",
     "FaultSchedule",
     "FaultSpec",
     "LinkFaultPolicy",

@@ -90,7 +90,7 @@ from .network import Network
 from .protocol import RepairPlan, execute_repair, plan_repair, seed_repair
 from .recovery import BackgroundRecovery, run_recovery
 
-__all__ = ["DistributedForgivingGraph", "ReconvergenceReport"]
+__all__ = ["DistributedForgivingGraph"]
 
 
 class _Quarantine:
@@ -128,18 +128,14 @@ class _PlanAuditQuarantine(_Quarantine):
 
     The repair plan's ``contexts`` map (every participant's knowledge) and
     ``all_summaries`` union are exactly what no single processor of the
-    paper's model holds; the digest recovery must work without them, so the
-    ``message_native_recovery`` gate replaces both with this poison before
-    any reconvergence runs.
+    paper's model holds; the digest recovery must work without them, so
+    ``quarantine_plan_audit`` replaces both with this poison before any
+    reconvergence runs.
     """
 
     _message = (
         "message-native recovery consulted the repair plan's global knowledge"
     )
-
-
-#: Back-compat alias: reconvergence now returns the full recovery ledger.
-ReconvergenceReport = RecoveryCostReport
 
 
 @dataclass
@@ -158,6 +154,16 @@ class _RepairRuntime:
     degree: int
     helpers_released: int
     participants: List[NodeId] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _ByzantineMark:
+    """The accountability counters before a repair; its report carries the deltas."""
+
+    accused: frozenset
+    accusations: int
+    lies_sent: int
+    lies_delivered: int
 
 
 class DistributedForgivingGraph:
@@ -180,14 +186,14 @@ class DistributedForgivingGraph:
         After every oracle ``delete`` replace the engine's merge-outcome
         attributes with poison objects that raise on access — a structural
         proof that the measured repair path never reads them.  Used by the
-        perf report's ``message_native_merge`` gate and the tests.
+        message-native merge and recovery tests.
     quarantine_plan_audit:
         After every repair replace the plan's *global* knowledge (the
         per-participant context map and the all-pieces union — exactly what
         no single processor holds) with poison objects, so any reconvergence
         that follows provably runs on gossip digests alone.  Used by the
-        perf report's ``message_native_recovery`` gate and the tests; the
-        plan-based :meth:`_audit_reference` naturally raises under it.
+        recovery tests and experiment E12; the plan-based
+        :meth:`_audit_reference` naturally raises under it.
     repair_concurrency:
         Default admission cap for :meth:`delete_batch`: ``1`` pins the
         sequential reference path, ``None`` (default) admits every
@@ -396,30 +402,14 @@ class DistributedForgivingGraph:
         self._uninstall_runtime()
         plan = plan_repair(self._engine, node)
 
-        # Byzantine accountability: snapshot the transcript / injection-log
-        # counters so the report can carry this deletion's deltas.
-        schedule = self.network.fault_schedule
-        transcript = self.network.transcript
-        track_byzantine = (
-            transcript is not None and schedule is not None and schedule.has_byzantine
-        )
-        if track_byzantine:
-            injection = self.network.injection_log
-            pre_accused = set(transcript.accused)
-            pre_accusations = len(transcript)
-            pre_lies_sent = injection.total_sent
-            pre_lies_delivered = injection.total_delivered
-
+        mark = self._byzantine_mark()
         self.network.begin_repair()
 
         # The oracle executes the same move (it owns the G'/alive bookkeeping
         # every consumer reads); its merge outcome is quarantined away from
         # the message path when paranoia is requested.
         self._engine.delete(node)
-        if self.quarantine_oracle:
-            self._engine.last_repair_rt = _OracleQuarantine()
-            self._engine.last_new_helpers = _OracleQuarantine()
-            self._engine.last_released_helper_ports = _OracleQuarantine()
+        self._poison_oracle()
 
         if self.network.has_processor(node):
             self.network.remove_processor(node)
@@ -436,41 +426,12 @@ class DistributedForgivingGraph:
             ),
             participants=[p for p in plan.contexts if self.network.has_processor(p)],
         )
-        if self.quarantine_plan_audit:
-            # From here on the plan's global knowledge is poison: the
-            # recovery below (and any manual reconverge) must run on gossip
-            # digests alone.
-            plan.contexts = _PlanAuditQuarantine()
-            plan.all_summaries = _PlanAuditQuarantine()
+        self._poison_plan(plan)
         recon: Optional[RecoveryCostReport] = None
         if self.network.fault_schedule is not None and self.auto_reconverge:
             recon = self.reconverge()
 
-        byzantine: Optional[ByzantineReport] = None
-        if track_byzantine:
-            newly = tuple(
-                sorted(transcript.accused - pre_accused, key=repr)
-            )
-            latencies: Dict[NodeId, int] = {}
-            for accused in newly:
-                latency = injection.detection_latency(accused, transcript)
-                if latency is not None:
-                    latencies[accused] = latency
-            byzantine = ByzantineReport(
-                lies_sent=injection.total_sent - pre_lies_sent,
-                lies_delivered=injection.total_delivered - pre_lies_delivered,
-                accusations=len(transcript) - pre_accusations,
-                newly_accused=newly,
-                false_accusations=sum(
-                    1 for accused in newly if not schedule.is_byzantine(accused)
-                ),
-                containment={
-                    accused: injection.containment_radius(accused) for accused in newly
-                },
-                detection_latency=latencies,
-                quarantined_total=len(self.network.quarantined),
-            )
-
+        byzantine = self._byzantine_report(mark)
         outcome = self._leader_outcome()
         report = DeletionCostReport(
             deleted_node=node,
@@ -495,6 +456,68 @@ class DistributedForgivingGraph:
         )
         self.cost_reports.append(report)
         return report
+
+    def _poison_oracle(self) -> None:
+        """Under ``quarantine_oracle``, poison the engine's merge outcome."""
+        if self.quarantine_oracle:
+            self._engine.last_repair_rt = _OracleQuarantine()
+            self._engine.last_new_helpers = _OracleQuarantine()
+            self._engine.last_released_helper_ports = _OracleQuarantine()
+
+    def _poison_plan(self, plan: RepairPlan) -> None:
+        """Under ``quarantine_plan_audit``, poison the plan's global knowledge.
+
+        From here on any recovery of the plan's repair must run on gossip
+        digests alone.
+        """
+        if self.quarantine_plan_audit:
+            plan.contexts = _PlanAuditQuarantine()
+            plan.all_summaries = _PlanAuditQuarantine()
+
+    def _byzantine_mark(self) -> Optional[_ByzantineMark]:
+        """Snapshot the transcript and injection-log counters before a repair.
+
+        ``None`` when the fault schedule schedules no liars.
+        """
+        network = self.network
+        schedule = network.fault_schedule
+        if schedule is None or not schedule.has_byzantine:
+            return None
+        injection = network.injection_log
+        return _ByzantineMark(
+            accused=frozenset(network.transcript.accused),
+            accusations=len(network.transcript),
+            lies_sent=injection.total_sent,
+            lies_delivered=injection.total_delivered,
+        )
+
+    def _byzantine_report(self, mark: Optional[_ByzantineMark]) -> Optional[ByzantineReport]:
+        """The accountability deltas since ``mark`` (``None`` without liars)."""
+        if mark is None:
+            return None
+        network = self.network
+        transcript = network.transcript
+        injection = network.injection_log
+        newly = tuple(sorted(transcript.accused - mark.accused, key=repr))
+        latencies: Dict[NodeId, int] = {}
+        for accused in newly:
+            latency = injection.detection_latency(accused, transcript)
+            if latency is not None:
+                latencies[accused] = latency
+        return ByzantineReport(
+            lies_sent=injection.total_sent - mark.lies_sent,
+            lies_delivered=injection.total_delivered - mark.lies_delivered,
+            accusations=len(transcript) - mark.accusations,
+            newly_accused=newly,
+            false_accusations=sum(
+                1 for accused in newly if not network.fault_schedule.is_byzantine(accused)
+            ),
+            containment={
+                accused: injection.containment_radius(accused) for accused in newly
+            },
+            detection_latency=latencies,
+            quarantined_total=len(network.quarantined),
+        )
 
     # ------------------------------------------------------------------ #
     # concurrent epoch-tagged bursts
@@ -529,8 +552,8 @@ class DistributedForgivingGraph:
         ``concurrency=1`` is the retained reference path: it literally
         loops :meth:`delete`, so it is bit-identical to sequential deletes
         under every delivery preset.  Burst cost trends to ~max, not ~sum,
-        of the individual repair latencies (the ``concurrent_repairs``
-        BENCH gate).
+        of the individual repair latencies
+        (``test_disjoint_burst_runs_in_one_wave_and_fewer_rounds``).
         """
         if concurrency is self._BATCH_DEFAULT:
             concurrency = self.repair_concurrency
@@ -598,17 +621,7 @@ class DistributedForgivingGraph:
         """Run one admission wave of disjoint repairs in a shared round loop."""
         network = self.network
         metrics = network.metrics
-        schedule = network.fault_schedule
-        transcript = network.transcript
-        track_byzantine = (
-            transcript is not None and schedule is not None and schedule.has_byzantine
-        )
-        if track_byzantine:
-            injection = network.injection_log
-            pre_accused = set(transcript.accused)
-            pre_accusations = len(transcript)
-            pre_lies_sent = injection.total_sent
-            pre_lies_delivered = injection.total_delivered
+        mark = self._byzantine_mark()
 
         # Everything reporting needs is copied out of the plans now, so the
         # plan-audit quarantine can poison their global knowledge before a
@@ -626,10 +639,7 @@ class DistributedForgivingGraph:
         # Phase 0/1 into the same open scaffold.
         for victim, _ in wave:
             self._engine.delete(victim)
-            if self.quarantine_oracle:
-                self._engine.last_repair_rt = _OracleQuarantine()
-                self._engine.last_new_helpers = _OracleQuarantine()
-                self._engine.last_released_helper_ports = _OracleQuarantine()
+            self._poison_oracle()
             if network.has_processor(victim):
                 network.remove_processor(victim)
         network.begin_scaffold()
@@ -669,10 +679,8 @@ class DistributedForgivingGraph:
                         on_start=_roll_window,
                     )
                 )
-        if self.quarantine_plan_audit:
-            for _, plan in wave:
-                plan.contexts = _PlanAuditQuarantine()
-                plan.all_summaries = _PlanAuditQuarantine()
+        for _, plan in wave:
+            self._poison_plan(plan)
 
         # The shared round loop: all epochs' probes, reports, merges,
         # assignments and digests interleave in the same delivery stream.
@@ -703,29 +711,7 @@ class DistributedForgivingGraph:
             network.drop_in_flight()
         network.end_scaffold()
 
-        byzantine: Optional[ByzantineReport] = None
-        if track_byzantine:
-            newly = tuple(sorted(transcript.accused - pre_accused, key=repr))
-            latencies: Dict[NodeId, int] = {}
-            for accused in newly:
-                latency = injection.detection_latency(accused, transcript)
-                if latency is not None:
-                    latencies[accused] = latency
-            byzantine = ByzantineReport(
-                lies_sent=injection.total_sent - pre_lies_sent,
-                lies_delivered=injection.total_delivered - pre_lies_delivered,
-                accusations=len(transcript) - pre_accusations,
-                newly_accused=newly,
-                false_accusations=sum(
-                    1 for accused in newly if not schedule.is_byzantine(accused)
-                ),
-                containment={
-                    accused: injection.containment_radius(accused) for accused in newly
-                },
-                detection_latency=latencies,
-                quarantined_total=len(network.quarantined),
-            )
-
+        byzantine = self._byzantine_report(mark)
         recovery_by_victim = {recovery.victim: recovery for recovery in recoveries}
         wave_reports: List[DeletionCostReport] = []
         for victim, _ in wave:
@@ -860,7 +846,7 @@ class DistributedForgivingGraph:
         fixed point the global audit recognizes.  Used by the equivalence
         tests as a ``verify_consistency``-style check; it reads the plan's
         global knowledge, so it *raises* under ``quarantine_plan_audit``
-        (which is exactly the structural proof the recovery gate wants).
+        (which is exactly the structural proof the recovery tests want).
         """
         runtime = self._runtime
         if runtime is None:
