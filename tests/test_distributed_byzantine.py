@@ -69,7 +69,6 @@ def byzantine_attack(
     delivery=None,
 ) -> DistributedForgivingGraph:
     """A max-degree attack with the given lie policy, both quarantines armed."""
-    graph = make_graph("power_law", n, seed=seed)
     kwargs = {"default": delivery} if delivery is not None else {}
     schedule = FaultSchedule(
         seed=seed,
@@ -78,8 +77,15 @@ def byzantine_attack(
         byzantine_policy=policy,
         **kwargs,
     )
+    return attack_under(schedule, n=n, steps=steps, seed=seed)
+
+
+def attack_under(
+    schedule: FaultSchedule, *, n: int = 48, steps: int = 18, seed: int = 9
+) -> DistributedForgivingGraph:
+    """A max-degree attack under ``schedule``, both quarantines armed."""
     healer = DistributedForgivingGraph.from_graph(
-        graph,
+        make_graph("power_law", n, seed=seed),
         fault_schedule=schedule,
         quarantine_oracle=True,
         quarantine_plan_audit=True,
@@ -94,7 +100,7 @@ def byzantine_attack(
 
 
 def assert_accountable(healer: DistributedForgivingGraph) -> None:
-    """The run-level acceptance bar of the byzantine gate."""
+    """The run-level acceptance bar of a byzantine run."""
     schedule = healer.fault_schedule
     transcript = healer.network.transcript
     injection = healer.network.injection_log
@@ -235,10 +241,15 @@ class TestLieClasses:
         assert_accountable(healer)
         assert len(healer.network.transcript) > 0
 
-    def test_preset_policy_combines_all_classes(self):
-        healer = byzantine_attack(policy=BYZANTINE_PRESETS["byzantine"].policy)
+    @pytest.mark.parametrize("preset", sorted(BYZANTINE_PRESETS))
+    def test_preset_policy_combines_all_classes(self, preset):
+        healer = attack_under(fault_schedule(preset, seed=9))
         assert healer.network.injection_log.total_sent > 0
         assert_accountable(healer)
+        summary = aggregate_byzantine([r.byzantine for r in healer.cost_reports])
+        assert summary["lies_delivered"] > 0
+        assert summary["accusations"] > 0
+        assert summary["max_containment_radius"] >= 1
 
     def test_accusations_carry_evidence_messages(self):
         healer = byzantine_attack(policy=BYZANTINE_PRESETS["byzantine"].policy)

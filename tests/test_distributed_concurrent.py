@@ -104,9 +104,11 @@ class TestConcurrentAdmission:
         seq = sequential.delete_batch(burst_victims, concurrency=1)
         concurrent = DistributedForgivingGraph.from_graph(burst_graph)
         conc = concurrent.delete_batch(burst_victims, concurrency=None)
+        assert len(burst_victims) >= 4
         assert conc.waves == 1
         assert conc.wave_sizes == (len(burst_victims),)
-        assert conc.rounds < seq.rounds
+        # Burst latency trends to ~max, not ~sum, of the repair latencies.
+        assert conc.rounds < 0.6 * seq.rounds
         concurrent.verify_consistency()
 
     def test_disjoint_burst_heals_identically_at_any_concurrency(

@@ -103,6 +103,8 @@ class TestFaultInjection:
                 break
             report = d.delete(victim)
             assert report.converged
+            assert report.within_message_budget
+            assert report.within_round_budget
         d.verify_consistency()
 
     def test_drops_cause_real_divergence_without_reconvergence(self):

@@ -67,6 +67,8 @@ class TestNoGlobalKnowledge:
         attack(healer, steps=15, reconverge_lossless=True)
         assert len(healer.recovery_reports) > 0
         assert all(r.converged for r in healer.recovery_reports)
+        assert all(r.within_digest_budget for r in healer.recovery_reports)
+        assert all(r.within_round_budget for r in healer.recovery_reports)
         healer.verify_consistency()
 
     def test_plan_audit_raises_under_the_poison(self):

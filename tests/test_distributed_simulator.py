@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.adversary import MaxDegreeDeletion, RandomDeletion
+from repro.adversary import MaxDegreeDeletion, RandomDeletion, make_deletion_strategy
 from repro.distributed import DistributedForgivingGraph
 from repro.generators import make_graph
 
@@ -101,9 +101,13 @@ class TestLemma4Budgets:
         assert d.cost_reports
         assert all(report.within_message_budget for report in d.cost_reports)
 
-    def test_every_repair_within_round_budget(self):
-        d = DistributedForgivingGraph.from_graph(make_graph("erdos_renyi", 60, seed=8))
-        strategy = RandomDeletion(seed=1)
+    @pytest.mark.parametrize(
+        "topology,seed,strategy",
+        [("erdos_renyi", 8, "random"), ("power_law", 7, "max_degree")],
+    )
+    def test_every_repair_within_round_budget(self, topology, seed, strategy):
+        d = DistributedForgivingGraph.from_graph(make_graph(topology, 60, seed=seed))
+        strategy = make_deletion_strategy(strategy, seed=1)
         for _ in range(40):
             victim = strategy.choose_victim(d)
             if victim is None or d.num_alive <= 3:
@@ -123,11 +127,12 @@ class TestLemma4Budgets:
     def test_star_hub_repair_costs_scale_with_degree(self):
         """Deleting the hub of a star costs O(d log n) messages, not O(d^2)."""
         costs = {}
-        for leaves in (15, 31, 63):
+        for leaves in (15, 31, 63, 255):
             d = DistributedForgivingGraph.from_edges([(0, i) for i in range(1, leaves + 1)])
             report = d.delete(0)
             costs[leaves] = report.messages
             assert report.within_message_budget
+            assert report.within_round_budget
         assert costs[63] < 10 * costs[15]  # roughly linear in d, certainly not quadratic
 
     def test_cost_report_row_is_serialisable(self):

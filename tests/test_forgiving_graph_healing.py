@@ -13,7 +13,7 @@ from repro.generators import make_graph
 class TestStarScenario:
     """Figure 2 / Theorem 2 setting: a hub with many leaves is deleted."""
 
-    @pytest.mark.parametrize("n_leaves", [2, 3, 4, 7, 8, 15, 16, 31, 63])
+    @pytest.mark.parametrize("n_leaves", [2, 3, 4, 7, 8, 15, 16, 31, 63, 512])
     def test_hub_deletion_builds_haft_over_leaves(self, n_leaves):
         fg = ForgivingGraph.from_edges([(0, i) for i in range(1, n_leaves + 1)], check_invariants=True)
         fg.delete(0)
@@ -65,9 +65,12 @@ class TestRTMerging:
         fg.delete(7)
         assert len(fg.reconstruction_trees()) == 2
 
-    def test_path_stays_connected_through_many_deletions(self):
+    @pytest.mark.parametrize(
+        "victims", [range(1, 19, 2), range(1, 20)], ids=["every-other", "every-interior"]
+    )
+    def test_path_stays_connected_through_many_deletions(self, victims):
         fg = ForgivingGraph.from_edges([(i, i + 1) for i in range(20)], check_invariants=True)
-        for victim in range(1, 19, 2):
+        for victim in victims:
             fg.delete(victim)
         healed = fg.actual_graph()
         assert nx.is_connected(healed)

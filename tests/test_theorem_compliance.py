@@ -98,14 +98,19 @@ def test_diameter_increase_matches_forgiving_tree_style_bound():
     assert nx.diameter(healed) <= 2 * math.ceil(math.log2(d))
 
 
-def test_insertions_never_trigger_repair_work():
+@pytest.mark.parametrize("deletions", [1, 0])
+def test_insertions_never_trigger_repair_work(deletions):
     """Insertions are free: no reconstruction trees are created or modified."""
     fg = ForgivingGraph.from_graph(make_graph("erdos_renyi", 20, seed=1), check_invariants=True)
-    fg.delete(sorted(fg.alive_nodes)[0])
+    for _ in range(deletions):
+        fg.delete(sorted(fg.alive_nodes)[0])
     rts_before = {rt.rt_id for rt in fg.reconstruction_trees()}
+    factor_before = max(fg.degree_increase_factor(), 1.0)
     for i in range(10):
         fg.insert(1000 + i, attach_to=sorted(fg.alive_nodes)[:3])
     assert {rt.rt_id for rt in fg.reconstruction_trees()} == rts_before
+    # An insertion adds the same edges to G' and the healed graph.
+    assert fg.degree_increase_factor() <= factor_before + 1e-9
 
 
 def test_large_scale_attack_stays_within_bounds():
