@@ -217,8 +217,8 @@ def stretch_report_reference(
     """The original dict-based networkx stretch measurement.
 
     Kept verbatim as the ground truth for :func:`stretch_report`: the
-    equivalence tests run both over churned healers and assert identical
-    metrics, and ``scripts/perf_report.py`` times it as the seed baseline.
+    equivalence tests (``tests/test_fastpaths.py``) run both over churned
+    healers and assert identical metrics.
     """
     actual = healer.actual_graph()
     g_prime = healer.g_prime_view()

@@ -11,8 +11,8 @@ earlier deletions.
 
 Under a sustained targeted attack the same survivors keep being drafted as
 internal nodes of new trees, so their degree grows with the length of the
-attack instead of staying within a constant factor — the experiment
-``benchmarks/bench_ablation_merge.py`` and the E9 comparison show the gap.
+attack instead of staying within a constant factor —
+``tests/test_ablation_unmerged_rt.py`` and the E9 comparison show the gap.
 This isolates the contribution of the haft-merge machinery, which is the
 ablation DESIGN.md calls out.
 """

@@ -16,7 +16,7 @@ a deliberate split mirroring the engine-oracle split of
   any third party replaying the evidence pairs can re-derive each verdict.
 * :class:`InjectionLog` — the **oracle-side** ground truth.  The fault
   layer records which lies it actually injected and who they reached, so
-  experiments and perf gates can score the transcript (detection rate,
+  experiments and tests can score the transcript (detection rate,
   false accusations, containment radius) without the protocol ever
   reading this log.
 
@@ -119,7 +119,7 @@ class InjectionLog:
 
     The fault layer (and byzantine processors' own forging hook) notes
     every corrupted payload it sends and every receiver such a payload
-    actually reaches.  Gates and experiment rows compare the
+    actually reaches.  Tests and experiment rows compare the
     :class:`AccountabilityTranscript` against this log; the processors do
     not know it exists.
     """

@@ -21,15 +21,13 @@ reconverge.  This module provides the per-link fault policies the
   decisions are bit-identical with or without byzantine processors.
 * :func:`fault_schedule` — named presets: the delivery-only
   :data:`DELIVERY_PRESETS` (``"drop"``, ``"delay"``, ``"reorder"``,
-  ``"chaos"``) used by the E11/E12 experiments, the CI fault-schedule
-  smoke and the tests, plus the byzantine presets (``"byzantine"``,
-  ``"byzantine-chaos"``) used by E13 and the ``byzantine_containment``
-  perf gate.
+  ``"chaos"``) used by the E11/E12 experiments and the tests, plus the
+  byzantine presets (``"byzantine"``, ``"byzantine-chaos"``) used by E13
+  and ``tests/test_distributed_byzantine.py``.
 * :class:`FaultSpec` — the typed-config entry point unifying preset
-  strings, explicit :class:`FaultSchedule` objects and comma-separated
-  CLI flag values (:meth:`FaultSpec.parse` / :meth:`FaultSpec.parse_list`)
-  under one value the experiment configs, the sweeps, the perf-report
-  flags and the healer service all accept.
+  strings and explicit :class:`FaultSchedule` objects
+  (:meth:`FaultSpec.parse`) under one value the experiment configs, the
+  sweeps and the healer service all accept.
 
 Faults apply only to protocol traffic travelling through
 :meth:`Network.deliver_round` (delivery faults) or entering
@@ -44,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -162,8 +160,8 @@ class FaultSchedule:
         Optional overrides keyed by the (unordered) endpoint pair.
     seed:
         RNG seed; the same seed and message sequence reproduce the same
-        drops/delays/shuffles exactly, which is what makes the CI
-        fault-schedule smoke and the reconvergence tests deterministic.
+        drops/delays/shuffles exactly, which is what makes the
+        reconvergence tests deterministic.
     byzantine:
         Optional explicit per-processor byzantine policies.
     byzantine_fraction / byzantine_policy:
@@ -404,8 +402,8 @@ class FaultSchedule:
 
 
 #: Delivery-only presets: the vocabulary shared by experiments E11/E12, the
-#: CI fault-schedule matrix, the reconvergence tests and the oracle-equality
-#: perf gates (which require every processor to be *honest* so the
+#: reconvergence tests and the healer service, all of which compare against
+#: the engine oracle (which requires every processor to be *honest* so the
 #: message-built state can converge to the engine exactly).
 DELIVERY_PRESETS: Dict[str, LinkFaultPolicy] = {
     "lossless": RELIABLE,
@@ -469,17 +467,14 @@ def fault_schedule(preset: str, seed: int = 0) -> Optional[FaultSchedule]:
 class FaultSpec:
     """The typed fault axis: one value every configuration surface accepts.
 
-    Historically the fault axis travelled as three different shapes —
-    preset strings in :class:`repro.experiments.config.AttackConfig`,
-    :class:`FaultSchedule` objects handed straight to healer constructors,
-    and comma-separated flag values in ``scripts/perf_report.py`` — with
-    validation scattered across each consumer.  ``FaultSpec`` is the single
-    entry point: :meth:`parse` normalizes ``None`` / preset string /
-    ``FaultSchedule`` / ``FaultSpec`` into one frozen value, :meth:`build`
-    materializes the seeded schedule on demand, and :meth:`parse_list`
-    owns the flag-splitting (``"all"`` / ``"none"`` / comma list) the
-    perf-report CLI uses.  Every rejection names the full preset
-    vocabulary, extending the :func:`fault_schedule` ValueError contract.
+    The fault axis arrives as preset strings
+    (:class:`repro.experiments.config.AttackConfig`) or as
+    :class:`FaultSchedule` objects handed straight to healer constructors.
+    ``FaultSpec`` is the single entry point: :meth:`parse` normalizes
+    ``None`` / preset string / ``FaultSchedule`` / ``FaultSpec`` into one
+    frozen value, and :meth:`build` materializes the seeded schedule on
+    demand.  Every rejection names the full preset vocabulary, extending
+    the :func:`fault_schedule` ValueError contract.
 
     A spec built from a preset is declarative and JSON-serializable
     (``{"preset": ..., "seed": ...}``); a spec wrapping an explicit
@@ -534,38 +529,6 @@ class FaultSpec:
             "fault axis must be None, a preset name, a FaultSchedule or a "
             f"FaultSpec, got {type(value).__name__}"
         )
-
-    @classmethod
-    def parse_list(
-        cls,
-        value: str,
-        *,
-        flag: str = "fault presets",
-        registry: Optional[Mapping[str, object]] = None,
-        everything: Optional[Sequence[str]] = None,
-    ) -> List[str]:
-        """Split a comma-separated flag value into validated preset names.
-
-        The shared grammar of the perf-report scheduling flags: ``"all"``
-        expands to ``everything`` (default: the registry's keys in
-        insertion order), ``"none"`` or an empty string means no presets,
-        anything else is a comma list validated against ``registry``
-        (default: :data:`FAULT_PRESETS`).  Unknown names raise a
-        ``ValueError`` that names the flag and every available preset.
-        """
-        vocabulary = FAULT_PRESETS if registry is None else registry
-        stripped = value.strip()
-        if stripped == "all":
-            return list(vocabulary if everything is None else everything)
-        if stripped == "none" or not stripped:
-            return []
-        presets = [p.strip() for p in value.split(",") if p.strip()]
-        unknown = [p for p in presets if p not in vocabulary]
-        if unknown:
-            raise ValueError(
-                f"unknown {flag} preset(s) {unknown}; available: {sorted(vocabulary)}"
-            )
-        return presets
 
     # ------------------------------------------------------------------ #
     # materialization

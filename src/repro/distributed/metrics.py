@@ -11,8 +11,8 @@ nodes seen so far:
 :class:`MetricsWindow` is the per-repair slice of those counters (opened by
 :meth:`NetworkMetrics.begin_window`, so a repair's cost report is computed
 from O(repair) state instead of diffing full counter snapshots);
-:class:`DeletionCostReport` is the per-deletion record the experiments and
-benchmarks consume (experiment E5 in DESIGN.md).
+:class:`DeletionCostReport` is the per-deletion record the experiments,
+the healer benchmark and the tests consume (experiment E5 in DESIGN.md).
 
 Recovery has its own ledger (PR 5): the gossip-digest anti-entropy protocol
 (:mod:`repro.distributed.recovery`) runs inside its own window, and
@@ -303,10 +303,9 @@ class RecoveryCostReport:
 def aggregate_recovery(reports) -> Dict[str, object]:
     """Fold a run's :class:`RecoveryCostReport` list into one summary row.
 
-    The shared core every recovery consumer reports (experiment E12, the
-    perf report's ``message_native_recovery`` gate); callers add their own
-    extra columns on top, so a field added here reaches all of them at
-    once.
+    The shared core every recovery consumer reports (experiment E12);
+    callers add their own extra columns on top, so a field added here
+    reaches all of them at once.
     """
     reports = list(reports)
     return {
@@ -334,7 +333,8 @@ class ByzantineReport:
     off — together with the **detection latency** in delivery rounds
     between its first delivered lie and its first accusation.
     ``false_accusations`` counts accused processors the injection schedule
-    says were honest; the perf gate pins it at zero.
+    says were honest; ``tests/test_distributed_byzantine.py`` pins it at
+    zero.
     """
 
     #: Corrupted payloads sent / actually delivered during this deletion.
@@ -377,7 +377,7 @@ class ByzantineReport:
 def aggregate_byzantine(reports) -> Dict[str, object]:
     """Fold a run's :class:`ByzantineReport` list into one summary row.
 
-    The shared core of E13 and the ``byzantine_containment`` perf gate
+    The shared core of E13 and the byzantine preset tests
     (mirroring :func:`aggregate_recovery` for the recovery ledger).
     """
     reports = [report for report in reports if report is not None]

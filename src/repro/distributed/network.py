@@ -87,14 +87,14 @@ class Network:
         self,
         strict_links: bool = True,
         fault_schedule: Optional[FaultSchedule] = None,
-        accountability: bool = True,
         receive_trace_limit: Optional[int] = None,
     ) -> None:
         self.processors: Dict[NodeId, Processor] = {}
         #: Per-processor receive-transcript depth (``None`` = the class
         #: default ``Processor.RECEIVE_TRACE_LIMIT``).  Transcripts dominate
         #: bytes/node at large n, so deployments that only need the dispute
-        #: window can shrink it (the ``large_n`` BENCH section reports both).
+        #: window can shrink it (``test_distributed_concurrent`` checks the
+        #: limit reaches every processor).
         self.receive_trace_limit = receive_trace_limit
         #: Processor -> set of linked processors (empty set while isolated).
         self._adjacency: Dict[NodeId, Set[NodeId]] = {}
@@ -128,14 +128,10 @@ class Network:
         #: Cached identifier word size ``max(ceil(log2(max(n_ever, 2))), 1)``:
         #: recomputed once per processor addition instead of once per message.
         self._word_bits = 1
-        #: Protocol-side accusation ledger (``None`` disables receive-time
-        #: verification entirely — the baseline the overhead benchmark
-        #: compares against).
-        self.transcript: Optional[AccountabilityTranscript] = (
-            AccountabilityTranscript() if accountability else None
-        )
+        #: Protocol-side accusation ledger.
+        self.transcript = AccountabilityTranscript()
         #: Oracle-side ground truth of injected lies (never read by protocol
-        #: code; gates/metrics score the transcript against it).
+        #: code; tests and metrics score the transcript against it).
         self.injection_log = InjectionLog()
         #: Processors removed by :meth:`quarantine` (alive in the model's
         #: graph, cut off from the network — the containment action).
@@ -509,16 +505,13 @@ class Network:
         reporter: NodeId,
         reason: str,
         evidence: Iterable[Message],
-    ) -> bool:
+    ) -> None:
         """Record a message-backed accusation and quarantine the accused.
 
         Called by processors from :meth:`Processor.receive` when a seal or
         checksum fails, or when a validly-sealed payload contradicts an
-        already-witnessed one.  No-op (returns ``False``) when
-        accountability is disabled.
+        already-witnessed one.
         """
-        if self.transcript is None:
-            return False
         self.transcript.record(
             accused=accused,
             reporter=reporter,
@@ -527,7 +520,6 @@ class Network:
             round=self._round,
         )
         self.quarantine(accused)
-        return True
 
     def quarantine(self, node: NodeId) -> None:
         """Cut a detected liar off: drop its processor and every link it holds.

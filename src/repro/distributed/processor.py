@@ -358,8 +358,8 @@ class Processor:
     def receive(self, message: Message) -> List[Message]:
         """Dispatch an incoming message; returns any response messages.
 
-        Structural messages are integrity-checked first (when the network
-        carries an accountability transcript): a stale payload seal or a
+        Structural messages are integrity-checked first (when the
+        processor sits in a network): a stale payload seal or a
         descriptor whose content checksum fails proves the *sender* mutated
         an authored payload — the whole message is discarded undispatched
         (containment: a detected lie influences nothing) and the sender is
@@ -376,7 +376,7 @@ class Processor:
         # lookup plus two network reads.
         if message.sealed and message.sender != self.node_id:
             network = self.network
-            if network is not None and network.transcript is not None:
+            if network is not None:
                 flaw = self._verify(message)
                 if flaw is not None:
                     network.accuse(
@@ -609,7 +609,7 @@ class Processor:
         this hop.
         """
         network = self.network
-        if network is None or network.transcript is None:
+        if network is None:
             for summary in summaries:
                 context.witnessed.setdefault(
                     (summary.root_port, summary.root_is_leaf), (summary, message)
@@ -873,7 +873,8 @@ class Processor:
         (``confirmed``), so the receiver provably witnessed the true copy:
         the forgery is guaranteed to contradict a witness on delivery and
         the accusation lands on the right processor — exactly the
-        cross-witness guarantee the ``byzantine_containment`` gate checks.
+        cross-witness guarantee ``tests/test_distributed_byzantine.py``
+        checks.
         """
         policy = schedule.policy_for_processor(self.node_id)
         if not schedule.byz_roll(policy.forge):

@@ -44,9 +44,9 @@ budgets.
 
 The plan-based audit this module replaces survives as
 :meth:`DistributedForgivingGraph._audit_reference` — an oracle used only by
-``verify_consistency``-style checks; the perf report's
-``message_native_recovery`` gate runs with the plan's global knowledge
-*poisoned* to prove the recovery path never reads it.
+``verify_consistency``-style checks; the recovery tests run with the
+plan's global knowledge *poisoned* (``quarantine_plan_audit``) to prove the
+recovery path never reads it.
 
 Two byzantine-era notes (PR 6).  Recovery traffic passes through the same
 ``receive()``-time verification as repair traffic, so a liar that keeps
@@ -96,8 +96,8 @@ class BackgroundRecovery:
     is the **fixed-point probe**, and its emission count is recorded as
     ``fixed_point_messages``.  On the lossless path the probe provably
     emits nothing (every obligation a predicate waives or confirms is
-    exactly what ``recovery_tick`` would re-offer), which the
-    ``concurrent_repairs`` perf gate asserts as ``== 0``.
+    exactly what ``recovery_tick`` would re-offer), which
+    ``tests/test_distributed_concurrent.py`` asserts as ``== 0``.
     """
 
     #: Consecutive quiet-but-unsatisfied polls tolerated before giving up

@@ -1,7 +1,7 @@
 """The unified attack-session engine.
 
 Every workload in this repository — experiment runner, parameter sweeps,
-benchmarks, the perf report and the examples — is ultimately the same loop:
+the healer benchmark and the examples — is ultimately the same loop:
 an adversary makes a move, the healer repairs, and the Theorem 1 quantities
 are measured incrementally at some cadence.  :class:`AttackSession` owns that
 loop once, so there is exactly one audited, fast path from an attack
@@ -124,9 +124,8 @@ class AttackSession:
     measure_every:
         Measurement cadence in adversarial moves.  ``None`` (default) picks
         the automatic coarse interval ``max(steps // 8, 1)``; ``0`` disables
-        periodic measurement entirely (consumers that measure themselves,
-        e.g. the perf report's seed-emulation side); any positive value is
-        used as-is.
+        periodic measurement entirely (consumers that measure themselves);
+        any positive value is used as-is.
     measure_final:
         Take a final measurement when the schedule is exhausted (on by
         default; the final report is required for :attr:`SessionResult`).

@@ -4,7 +4,7 @@ Each ``experiment_e*`` function regenerates one row-set of EXPERIMENTS.md.
 They accept a ``scale`` parameter so the same code serves three purposes:
 
 * ``scale="smoke"`` — seconds; used by the integration tests,
-* ``scale="bench"`` — the sizes used by ``benchmarks/`` (pytest-benchmark),
+* ``scale="bench"`` — mid-sized runs between the two,
 * ``scale="full"``  — the sizes quoted in EXPERIMENTS.md
   (``python -m repro.experiments`` regenerates the whole report).
 
@@ -680,9 +680,8 @@ def experiment_e13_byzantine_containment(scale: str = "full") -> Section:
         for _ in session.stream():
             pass
         byzantine_pop = sum(1 for node in graph.nodes if sched.is_byzantine(node))
-        transcript = healer.network.transcript
         injection = healer.network.injection_log
-        accused = set(transcript.accused) if transcript is not None else set()
+        accused = set(healer.network.transcript.accused)
         row: Row = {
             "byzantine_fraction": fraction,
             "byzantine_processors": byzantine_pop,

@@ -1,6 +1,6 @@
 """Parameter sweeps: parallel multi-config execution on the session engine.
 
-Sweeps are how the benchmarks and EXPERIMENTS.md show the *shape* of the
+Sweeps are how the experiments and EXPERIMENTS.md show the *shape* of the
 paper's claims: e.g. the degree factor staying flat while ``n`` grows, or
 the stretch tracking ``log n`` rather than ``n``.
 
@@ -348,8 +348,8 @@ def select_disjoint_victims(
     :func:`repair_footprint` is disjoint from everything already kept —
     i.e. the first batch :func:`independent_repair_batches` would form —
     optionally truncated to ``limit``.  This is how the concurrent-burst
-    experiments and the ``concurrent_repairs`` BENCH gate pick a burst
-    that ``delete_batch`` can admit in a single wave.
+    experiments and tests pick a burst that ``delete_batch`` can admit in
+    a single wave.
     """
     footprints = [(victim, repair_footprint(healer, victim)) for victim in candidates]
     batches = independent_repair_batches(footprints)
@@ -387,8 +387,8 @@ def sweep_large_n(
     ``seed`` and its index, so the sweep as a whole is reproducible and
     resumable (``jsonl_path`` / ``resume``) like any other sweep.
 
-    Returns one row per shard; aggregate throughput (the BENCH ``large_n``
-    nodes/sec) is ``total_nodes / max(seconds)`` under a parallel pool and
+    Returns one row per shard; aggregate throughput (nodes/sec) is
+    ``total_nodes / max(seconds)`` under a parallel pool and
     ``total_nodes / sum(seconds)`` serially.
 
     With ``shared_network=True`` the sharding is dropped entirely: the whole

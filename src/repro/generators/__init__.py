@@ -2,7 +2,7 @@
 
 The paper's model starts from an arbitrary connected graph ``G_0``
 (Section 2).  The generators here produce the topologies used throughout the
-benchmarks — the adversarially bad cases (star, path) as well as the
+experiments — the adversarially bad cases (star, path) as well as the
 peer-to-peer style topologies the introduction motivates (power-law,
 Erdős–Rényi, random regular, grid, tree, ring).
 """

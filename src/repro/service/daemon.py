@@ -233,15 +233,14 @@ class HealerDaemon:
                 u, v = tuple(link)
                 network.connect(u, v)
             network.quarantined = set(ckpt.quarantined)
-            if network.transcript is not None:
-                for accused, reporter, reason, round_ in store.load_transcript(ckpt.ckpt_id):
-                    network.transcript.record(
-                        accused=accused,
-                        reporter=reporter,
-                        reason=reason,
-                        evidence=(),
-                        round=round_,
-                    )
+            for accused, reporter, reason, round_ in store.load_transcript(ckpt.ckpt_id):
+                network.transcript.record(
+                    accused=accused,
+                    reporter=reporter,
+                    reason=reason,
+                    evidence=(),
+                    round=round_,
+                )
             network.set_census(engine.nodes_ever, ever_ids=ever_ids)
 
         daemon = cls(
@@ -548,11 +547,7 @@ class HealerDaemon:
                     "applied": self._applied_len,
                 },
                 "checkpoints": self._checkpoint_count,
-                "transcript_accusations": (
-                    len(self.healer.network.transcript)
-                    if self.healer.network.transcript is not None
-                    else 0
-                ),
+                "transcript_accusations": len(self.healer.network.transcript),
                 "store_bytes": self.store.size_bytes(),
             }
         )

@@ -8,8 +8,8 @@ evidence), wave occupancy from the ``delete_batch`` admission path, and
 store sizes.  :meth:`snapshot` renders everything as one JSON-safe dict;
 :class:`StatusServer` serves that snapshot over HTTP (``GET /status``) from
 a stdlib ``ThreadingHTTPServer`` so a live daemon can be probed — by a
-human, the perf-report service-churn benchmark, or the CI smoke leg —
-without touching its event loop.
+human, a monitor, or the CI service job — without touching its event
+loop.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class StatusServer:
     responses always reflect the daemon's current state; any other path is
     a 404.  ``port=0`` binds an ephemeral port (the bound port is on
     :attr:`port`, and ``scripts/healerd.py`` writes it to a port file so
-    the benchmark/CI probe can find it).
+    an external probe can find it).
     """
 
     def __init__(self, snapshot_fn, host: str = "127.0.0.1", port: int = 0) -> None:

@@ -375,16 +375,14 @@ class CheckpointStore:
         conn.executemany(
             "INSERT INTO links (ckpt_id, u, v, sources) VALUES (?, ?, ?, ?)", link_rows
         )
-        transcript = network.transcript
-        if transcript is not None:
-            conn.executemany(
-                "INSERT INTO transcript (ckpt_id, accused, reporter, reason, round) "
-                "VALUES (?, ?, ?, ?, ?)",
-                [
-                    (ckpt, _dumps(a.accused), _dumps(a.reporter), a.reason, a.round)
-                    for a in transcript.accusations
-                ],
-            )
+        conn.executemany(
+            "INSERT INTO transcript (ckpt_id, accused, reporter, reason, round) "
+            "VALUES (?, ?, ?, ?, ?)",
+            [
+                (ckpt, _dumps(a.accused), _dumps(a.reporter), a.reason, a.round)
+                for a in network.transcript.accusations
+            ],
+        )
         conn.commit()
         return ckpt
 

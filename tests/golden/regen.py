@@ -93,9 +93,6 @@ def _records(healer: DistributedForgivingGraph) -> List[object]:
 
 
 def _accusations(healer: DistributedForgivingGraph) -> List[object]:
-    transcript = healer.network.transcript
-    if transcript is None:
-        return []
     return [
         (
             a.accused,
@@ -104,7 +101,7 @@ def _accusations(healer: DistributedForgivingGraph) -> List[object]:
             a.round,
             [(m.kind, m.sender, m.receiver, m.seal) for m in a.evidence],
         )
-        for a in transcript.accusations
+        for a in healer.network.transcript.accusations
     ]
 
 

@@ -24,7 +24,7 @@ import pytest
 from repro.adversary import MaxDegreeDeletion, RandomDeletion
 from repro.adversary.schedule import deletion_only_schedule
 from repro.core.ports import Port
-from repro.distributed import DistributedForgivingGraph
+from repro.distributed import DistributedForgivingGraph, Network
 from repro.distributed.accountability import (
     AccountabilityTranscript,
     InjectionLog,
@@ -374,6 +374,12 @@ class TestHonestRunsStayAccusationFree:
 
 
 class TestAccountabilityLedger:
+    def test_every_network_verifies_and_records(self):
+        """Receive-time verification has no off switch."""
+        assert isinstance(Network().transcript, AccountabilityTranscript)
+        with pytest.raises(TypeError):
+            Network(**{"accountability": False})
+
     def test_injection_log_radius_and_latency(self):
         log = InjectionLog()
         log.note_sent("liar", round=3)

@@ -62,16 +62,6 @@ class TestFaultSpec:
         with pytest.raises(TypeError):
             FaultSpec.parse(42)
 
-    def test_parse_list_grammar(self):
-        assert FaultSpec.parse_list("all") == list(FAULT_PRESETS)
-        assert FaultSpec.parse_list("none") == []
-        assert FaultSpec.parse_list("") == []
-        assert FaultSpec.parse_list("drop, reorder") == ["drop", "reorder"]
-        with pytest.raises(ValueError) as excinfo:
-            FaultSpec.parse_list("drop,bogus", flag="--fault-schedule")
-        assert "--fault-schedule" in str(excinfo.value)
-        assert "bogus" in str(excinfo.value)
-
     def test_build_materializes_fresh_deterministic_schedules(self):
         spec = FaultSpec("drop", seed=5)
         first, second = spec.build(), spec.build()
