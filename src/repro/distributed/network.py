@@ -93,8 +93,7 @@ class Network:
         #: Per-processor receive-transcript depth (``None`` = the class
         #: default ``Processor.RECEIVE_TRACE_LIMIT``).  Transcripts dominate
         #: bytes/node at large n, so deployments that only need the dispute
-        #: window can shrink it (``test_distributed_concurrent`` checks the
-        #: limit reaches every processor).
+        #: window can shrink it.
         self.receive_trace_limit = receive_trace_limit
         #: Processor -> set of linked processors (empty set while isolated).
         self._adjacency: Dict[NodeId, Set[NodeId]] = {}

@@ -4,7 +4,7 @@ Each ``experiment_e*`` function regenerates one row-set of EXPERIMENTS.md.
 They accept a ``scale`` parameter so the same code serves three purposes:
 
 * ``scale="smoke"`` — seconds; used by the integration tests,
-* ``scale="bench"`` — mid-sized runs between the two,
+* ``scale="bench"`` — mid-sized runs between ``smoke`` and ``full``,
 * ``scale="full"``  — the sizes quoted in EXPERIMENTS.md
   (``python -m repro.experiments`` regenerates the whole report).
 

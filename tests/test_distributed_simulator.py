@@ -102,12 +102,12 @@ class TestLemma4Budgets:
         assert all(report.within_message_budget for report in d.cost_reports)
 
     @pytest.mark.parametrize(
-        "topology,seed,strategy",
+        "topology,seed,adversary",
         [("erdos_renyi", 8, "random"), ("power_law", 7, "max_degree")],
     )
-    def test_every_repair_within_round_budget(self, topology, seed, strategy):
+    def test_every_repair_within_round_budget(self, topology, seed, adversary):
         d = DistributedForgivingGraph.from_graph(make_graph(topology, 60, seed=seed))
-        strategy = make_deletion_strategy(strategy, seed=1)
+        strategy = make_deletion_strategy(adversary, seed=1)
         for _ in range(40):
             victim = strategy.choose_victim(d)
             if victim is None or d.num_alive <= 3:
