@@ -5,9 +5,10 @@ Messages and Table 1 records are ``__slots__`` layouts (no per-instance
 message it carries from its own id counter, so ids replay exactly per run;
 ``NetworkMetrics`` counts every accepted message exactly once, at its
 ``size_bits(n_ever)`` size, under every fault preset; delivery neither loses
-nor duplicates a message it did not account as dropped; and a reply queued
-to a sender that a later message in the same round gets quarantined is
-discarded quietly at delivery.  The Lemma 4 ledgers the message path feeds
+nor duplicates a message it did not account as dropped; a reply queued to a
+sender that a later message in the same round gets quarantined is
+discarded quietly at delivery; and one specimen per message class pins its
+payload size and seal, and that tampering with any sealed field shows.  The Lemma 4 ledgers the message path feeds
 are also pinned by the golden digests (``tests/test_golden_digests.py``).
 """
 
@@ -24,8 +25,23 @@ from repro.distributed import (
     Probe,
     fault_schedule,
 )
+from repro.core.ports import Port
+from repro.distributed import messages
 from repro.distributed.faults import DELIVERY_PRESETS, FAULT_PRESETS
-from repro.distributed.messages import Digest, DigestRequest, Message
+from repro.distributed.merge import PieceSummary
+from repro.distributed.messages import (
+    SEALED_KINDS,
+    AnchorLink,
+    Digest,
+    DigestRequest,
+    HelperAssignment,
+    InsertionNotice,
+    Message,
+    ParentUpdate,
+    PortDigest,
+    PrimaryRootList,
+    PrimaryRootReport,
+)
 from repro.generators import make_graph
 
 
@@ -82,9 +98,133 @@ def replay_attack(preset: str, n: int = 40):
 
 
 def message_classes(cls=Message):
+    """Every live message class, once.
+
+    Only the classes the messages module exports count: a class decorator
+    that rebuilds its class (``dataclass(slots=True)`` does) leaves the
+    original listed in ``__subclasses__`` until the garbage collector runs.
+    """
     for sub in cls.__subclasses__():
-        yield sub
+        if getattr(messages, sub.__name__, None) is sub:
+            yield sub
         yield from message_classes(sub)
+
+
+SUMMARY = PieceSummary(
+    root_port=Port(3, 4), root_is_leaf=False, num_leaves=4, height=2, representative=Port(5, 3)
+)
+LEAF = PieceSummary(
+    root_port=Port(6, 99), root_is_leaf=True, num_leaves=1, height=0, representative=Port(6, 99)
+)
+RECORD = PortDigest(
+    port=Port(2, 7),
+    helper_for_victim=True,
+    helper_left=Port(7, 2),
+    helper_right=Port(2, 8),
+    helper_parent=Port(9, 2),
+    rt_parent=Port(2, 9),
+    links_ok=False,
+    busy_with=11,
+)
+
+
+def specimens():
+    """One fresh message per class, every payload field off its default."""
+    return {
+        "DeletionNotice": DeletionNotice(sender=1, receiver=2, deleted=99),
+        "InsertionNotice": InsertionNotice(sender=1, receiver=2, inserted=42),
+        "AnchorLink": AnchorLink(sender=1, receiver=2, deleted=99),
+        "Probe": Probe(sender=1, receiver=2, deleted=99, hops=3, rt_index=2),
+        "PrimaryRootReport": PrimaryRootReport(
+            sender=1, receiver=2, deleted=99, roots=(SUMMARY, LEAF), rt_index=1
+        ),
+        "PrimaryRootList": PrimaryRootList(sender=1, receiver=2, deleted=99, roots=(SUMMARY,)),
+        "ParentUpdate": ParentUpdate(
+            sender=1,
+            receiver=2,
+            deleted=99,
+            child_port=Port(2, 5),
+            parent_port=Port(6, 2),
+            child_is_helper=True,
+            epoch=3,
+        ),
+        "HelperAssignment": HelperAssignment(
+            sender=1,
+            receiver=2,
+            deleted=99,
+            helper_port=Port(2, 5),
+            parent_port=Port(6, 2),
+            left_port=Port(2, 7),
+            right_port=Port(8, 3),
+            create=False,
+            representative_port=Port(8, 3),
+            height=3,
+            num_leaves=8,
+            epoch=2,
+        ),
+        "Digest": Digest(
+            sender=1,
+            receiver=2,
+            deleted=99,
+            rt_index=0,
+            probed=False,
+            stripped=False,
+            ack=True,
+            pieces=(SUMMARY, LEAF),
+            records=(RECORD,),
+        ),
+        "DigestRequest": DigestRequest(
+            sender=1, receiver=2, deleted=99, ports=(Port(2, 5), Port(2, 6), Port(2, 7))
+        ),
+    }
+
+
+#: ``(payload_words, seal)`` of each specimen (``None`` for unsealed kinds).
+#: A seal is the crc32 of a repr, stable across Python versions; seals ride
+#: accusation evidence into the golden digests.
+PINNED = {
+    "DeletionNotice": (2, None),
+    "InsertionNotice": (2, None),
+    "AnchorLink": (2, None),
+    "Probe": (2, None),
+    "PrimaryRootReport": (10, 1500717600),
+    "PrimaryRootList": (6, 3335368007),
+    "ParentUpdate": (5, 844289931),
+    "HelperAssignment": (10, 1378711080),
+    "Digest": (18, 2138756007),
+    "DigestRequest": (5, None),
+}
+
+#: The payload fields each sealed kind's seal covers, in declaration order.
+SEALED_FIELDS = {
+    "PrimaryRootReport": ("deleted", "roots", "rt_index"),
+    "PrimaryRootList": ("deleted", "roots"),
+    "ParentUpdate": ("deleted", "child_port", "parent_port", "child_is_helper", "epoch"),
+    "HelperAssignment": (
+        "deleted",
+        "helper_port",
+        "parent_port",
+        "left_port",
+        "right_port",
+        "create",
+        "representative_port",
+        "height",
+        "num_leaves",
+        "epoch",
+    ),
+    "Digest": ("deleted", "rt_index", "probed", "stripped", "ack", "pieces", "records"),
+}
+
+
+def mutated(value):
+    """A value of the same shape as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, tuple):
+        return value[:-1]
+    return Port("elsewhere", 0)
 
 
 class TestSlots:
@@ -115,6 +255,40 @@ class TestSlots:
         assert DeletionNotice.kind == "DeletionNotice"
         assert Digest.sealed is True
         assert DeletionNotice.sealed is False
+
+
+class TestMessageLayerPins:
+    """One specimen per class pins payload sizes and seals exactly, so a
+    rewrite of the message layer cannot move a ledger or an evidence seal."""
+
+    def test_each_live_class_has_one_specimen(self):
+        assert sorted(cls.__name__ for cls in message_classes()) == sorted(PINNED)
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_payload_words_and_seal(self, kind):
+        message = specimens()[kind]
+        words, seal = PINNED[kind]
+        assert message.kind == kind
+        assert message.payload_words == words
+        assert message.size_bits(n_ever=1024) == words * 10
+        assert message.sealed == (seal is not None)
+        if seal is not None:
+            assert message.seal == seal
+
+    def test_sealed_kinds_are_the_pinned_ones(self):
+        assert set(SEALED_FIELDS) == SEALED_KINDS
+        assert {kind for kind, (_, seal) in PINNED.items() if seal is not None} == SEALED_KINDS
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [(kind, name) for kind, names in sorted(SEALED_FIELDS.items()) for name in names],
+    )
+    def test_mutating_any_payload_field_breaks_the_seal(self, kind, name):
+        message = specimens()[kind]
+        _ = message.seal  # freeze the author's seal, then tamper
+        assert message.seal_valid()
+        setattr(message, name, mutated(getattr(message, name)))
+        assert not message.seal_valid()
 
 
 class TestMessageIds:
