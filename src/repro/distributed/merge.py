@@ -52,13 +52,16 @@ from ..core.reconstruction_tree import (
     RTNode,
     representative_of,
 )
-from .messages import payload_checksum
+from .messages import HelperAssignment, ParentUpdate, payload_checksum
 
 __all__ = [
     "PieceSummary",
     "StripPlan",
     "MergedHelper",
     "MergeOutcome",
+    "helper_assignment",
+    "helper_retraction",
+    "parent_update",
     "plan_strip",
     "merge_summaries",
     "link_source_key",
@@ -302,6 +305,58 @@ class MergedHelper:
     num_leaves: int
     #: Representative leaf port of the helper's subtree.
     representative: Port
+
+
+def helper_assignment(
+    sender: NodeId, victim: NodeId, helper: MergedHelper, epoch: int
+) -> HelperAssignment:
+    """The instruction that makes ``helper``'s owner simulate it."""
+    return HelperAssignment(
+        sender=sender,
+        receiver=helper.port.processor,
+        deleted=victim,
+        helper_port=helper.port,
+        parent_port=helper.parent_port,
+        left_port=helper.left_port,
+        right_port=helper.right_port,
+        create=True,
+        representative_port=helper.representative,
+        height=helper.height,
+        num_leaves=helper.num_leaves,
+        epoch=epoch,
+    )
+
+
+def helper_retraction(sender: NodeId, victim: NodeId, port: Port, epoch: int) -> HelperAssignment:
+    """The instruction that drops the helper ``port``'s owner simulates for ``victim``."""
+    return HelperAssignment(
+        sender=sender,
+        receiver=port.processor,
+        deleted=victim,
+        helper_port=port,
+        create=False,
+        epoch=epoch,
+    )
+
+
+def parent_update(
+    sender: NodeId,
+    victim: NodeId,
+    child_port: Port,
+    child_is_leaf: bool,
+    parent_port: Port,
+    epoch: int,
+) -> ParentUpdate:
+    """The instruction that re-parents one piece root (a ``parent_updates`` entry)."""
+    return ParentUpdate(
+        sender=sender,
+        receiver=child_port.processor,
+        deleted=victim,
+        child_port=child_port,
+        parent_port=parent_port,
+        child_is_helper=not child_is_leaf,
+        epoch=epoch,
+    )
 
 
 @dataclass

@@ -48,11 +48,14 @@ Both tags cost O(1) words (folded into the existing per-descriptor word
 counts) and are computed lazily, so the lossless fast path pays nothing
 when nobody verifies.
 
-Every message class is a hand-rolled ``__slots__`` layout: no
-per-instance ``__dict__``, the lazy seal cache lives in the dedicated
-``_seal`` slot, and ``kind`` / ``sealed`` stay class attributes so the
-delivery loop pays attribute loads, not method calls.  A message is built
-once by its sender, stamped with a per-network id when it enters
+Every message class is a slotted dataclass: no per-instance ``__dict__``,
+the envelope (sender, receiver, id, provenance tag, lazy seal cache) is
+declared once on :class:`Message`, and each subclass declares only its
+payload fields, in positional order.  ``kind``, ``sealed`` and fixed
+payload sizes are class attributes, so the delivery loop pays attribute
+loads, not method calls; a sealed kind's seal covers its declared payload
+fields in declaration order.  A message is built once by its sender,
+stamped with a per-network id when it enters
 :meth:`~repro.distributed.network.Network.send`, and never reused.
 """
 
@@ -123,22 +126,34 @@ def words_to_bits(words: int, n_ever: int) -> int:
     return words * word_bits
 
 
+#: The one class shape every message shares: slotted (no per-instance
+#: ``__dict__``), identity equality, and :meth:`Message.__repr__`.
+_message = dataclass(slots=True, eq=False, repr=False)
+
+
+@_message
 class Message:
     """Base class for protocol messages travelling between processors.
 
-    A hand-rolled ``__slots__`` class (not a dataclass): the message layer
-    is the hot allocation site of every repair, so instances carry no
-    ``__dict__`` and every per-instance datum sits in a fixed slot.
+    Declares the envelope once; each subclass declares only its payload
+    fields.  ``dataclass(slots=True)`` replaces every decorated class with
+    a slotted copy, so no method of these classes may call zero-argument
+    ``super()`` (its ``__class__`` cell would name the replaced class).
     """
 
-    __slots__ = (
-        "sender",
-        "receiver",
-        "payload_words",
-        "message_id",
-        "byz_origin",
-        "_seal",
-    )
+    sender: NodeId
+    receiver: NodeId
+    #: Networkless fallback id; :meth:`Network.stamp` overwrites it with the
+    #: network's own counter when the message enters a network.
+    message_id: int = field(init=False, default_factory=_message_counter.__next__)
+    #: Oracle-side provenance tag: set to the liar's NodeId when the fault
+    #: layer (or a byzantine processor's forging hook) corrupted this
+    #: message's payload.  Protocol code never reads it — it only feeds the
+    #: :class:`~repro.distributed.accountability.InjectionLog` ground truth
+    #: that scores detection.
+    byz_origin: Optional[NodeId] = field(init=False, default=None)
+    #: Lazy seal cache (see :attr:`seal`).
+    _seal: Optional[int] = field(init=False, default=None)
 
     #: Short name of the message type (used in traces and metrics).  A plain
     #: class attribute — stamped per subclass below — delivery reads
@@ -150,27 +165,21 @@ class Message:
     #: receive gate is one attribute check for the unsealed majority).
     sealed = False
     #: Epoch tag default: repair-protocol messages shadow this with their
-    #: ``deleted`` slot, so ``message.deleted`` is a plain attribute read
+    #: ``deleted`` field, so ``message.deleted`` is a plain attribute read
     #: everywhere (no ``getattr`` default on the delivery path).
     deleted = None
+    #: Payload size in identifier words; kinds whose payload varies compute
+    #: it in a property.
+    payload_words = 2
+    #: Names of the payload fields the seal covers, in declaration order
+    #: (every declared payload field of a sealed kind, none otherwise).
+    _seal_names = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls) -> None:
         cls.kind = cls.__name__
         cls.sealed = cls.__name__ in SEALED_KINDS
-
-    def __init__(self, sender: NodeId, receiver: NodeId) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 2
-        self.message_id = next(_message_counter)
-        #: Oracle-side provenance tag: set to the liar's NodeId when the
-        #: fault layer (or a byzantine processor's forging hook) corrupted
-        #: this message's payload.  Protocol code never reads it — it only
-        #: feeds the :class:`~repro.distributed.accountability.InjectionLog`
-        #: ground truth that scores detection.
-        self.byz_origin: Optional[NodeId] = None
-        self._seal: Optional[int] = None
+        payload = cls.__dict__.get("__annotations__", {})
+        cls._seal_names = tuple(payload) if cls.sealed else ()
 
     def __repr__(self) -> str:  # debugging/traces only — never on the hot path
         return (
@@ -186,8 +195,8 @@ class Message:
     # payload seal (simulated MAC)
     # ------------------------------------------------------------------ #
     def _seal_fields(self) -> Tuple[object, ...]:
-        """Payload fields covered by the seal (subclasses override)."""
-        return ()
+        """Payload fields covered by the seal, in declaration order."""
+        return tuple(getattr(self, name) for name in self._seal_names)
 
     @property
     def seal(self) -> int:
@@ -218,96 +227,37 @@ class Message:
             return True
         return cached == payload_checksum(self.kind, self._seal_fields())
 
-    def reseal(self) -> None:
-        """Recompute the seal over the *current* payload (forging helper).
 
-        Only byzantine senders call this: it models a liar authoring a
-        fresh payload under its own valid MAC — undetectable by seal
-        checks, caught instead by cross-witness contradiction.
-        """
-        self._seal = payload_checksum(self.kind, self._seal_fields())
-
-
+@_message
 class DeletionNotice(Message):
     """Failure notification: ``deleted`` has vanished (delivered to each neighbour)."""
 
-    __slots__ = ("deleted",)
-
-    def __init__(self, sender: NodeId, receiver: NodeId, deleted: NodeId = None) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 2
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
+    deleted: Optional[NodeId] = None
 
 
+@_message
 class InsertionNotice(Message):
     """A freshly inserted node announces itself to one of its chosen neighbours."""
 
-    __slots__ = ("inserted",)
-
-    def __init__(self, sender: NodeId, receiver: NodeId, inserted: NodeId = None) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 2
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.inserted = inserted
+    inserted: Optional[NodeId] = None
 
 
+@_message
 class AnchorLink(Message):
     """Anchors of affected fragments link into the binary tree ``BT_v``."""
 
-    __slots__ = ("deleted", "anchor_port")
-
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        anchor_port: Optional[Port] = None,
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 2
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        #: Port identifying the fragment this anchor speaks for.
-        self.anchor_port = anchor_port
+    deleted: Optional[NodeId] = None
 
 
+@_message
 class Probe(Message):
     """``FindPrRoots`` probe walking down the right spine of a fragment."""
 
-    __slots__ = ("deleted", "target_port", "hops", "rt_index")
-
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        target_port: Optional[Port] = None,
-        hops: int = 0,
-        rt_index: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 2
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        #: Port of the virtual node currently being probed.
-        self.target_port = target_port
-        #: Hop count so far (for tracing; the paper's probes carry child counts).
-        self.hops = hops
-        #: Which affected RT's spine this probe walks (plan-relative index).
-        self.rt_index = rt_index
+    deleted: Optional[NodeId] = None
+    #: Hop count so far (for tracing; the paper's probes carry child counts).
+    hops: int = 0
+    #: Which affected RT's spine this probe walks (plan-relative index).
+    rt_index: int = 0
 
 
 #: Identifier words per serialized primary-root descriptor (root port,
@@ -321,6 +271,7 @@ ROOT_DESCRIPTOR_WORDS = 4
 MAX_ROOTS_PER_MESSAGE = 12
 
 
+@_message
 class PrimaryRootReport(Message):
     """Primary-root descriptors flowing back up a probe path to the anchor.
 
@@ -330,100 +281,49 @@ class PrimaryRootReport(Message):
     survived the trip.
     """
 
-    __slots__ = ("deleted", "roots", "rt_index")
+    deleted: Optional[NodeId] = None
+    roots: Tuple[object, ...] = ()
+    #: Which affected RT's spine this report travels on (plan-relative index).
+    rt_index: int = 0
 
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        roots: Tuple[object, ...] = (),
-        rt_index: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 2 + ROOT_DESCRIPTOR_WORDS * len(roots)
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        self.roots = roots
-        #: Which affected RT's spine this report travels on (plan-relative index).
-        self.rt_index = rt_index
-
-    def _seal_fields(self) -> Tuple[object, ...]:
-        return (self.deleted, self.roots, self.rt_index)
+    @property
+    def payload_words(self) -> int:
+        return 2 + ROOT_DESCRIPTOR_WORDS * len(self.roots)
 
 
+@_message
 class PrimaryRootList(Message):
     """An anchor ships its primary-root descriptors to its ``BT_v`` parent."""
 
-    __slots__ = ("deleted", "roots")
+    deleted: Optional[NodeId] = None
+    roots: Tuple[object, ...] = ()
 
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        roots: Tuple[object, ...] = (),
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
+    @property
+    def payload_words(self) -> int:
         # A few descriptor words per primary root plus a header.
-        self.payload_words = 2 + ROOT_DESCRIPTOR_WORDS * len(roots)
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        self.roots = roots
-
-    def _seal_fields(self) -> Tuple[object, ...]:
-        return (self.deleted, self.roots)
+        return 2 + ROOT_DESCRIPTOR_WORDS * len(self.roots)
 
 
+@_message
 class ParentUpdate(Message):
     """Tell a processor the new RT parent of one of its real or helper nodes."""
 
-    __slots__ = ("deleted", "child_port", "parent_port", "child_is_helper", "epoch")
+    deleted: Optional[NodeId] = None
+    #: Port of the node (leaf or helper) whose parent changed.
+    child_port: Optional[Port] = None
+    #: Port of the new parent helper node.
+    parent_port: Optional[Port] = None
+    #: True when the update concerns the processor's helper node rather
+    #: than its leaf.
+    child_is_helper: bool = False
+    #: Merge-outcome epoch (see :class:`HelperAssignment`).
+    epoch: int = 0
 
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        child_port: Optional[Port] = None,
-        parent_port: Optional[Port] = None,
-        child_is_helper: bool = False,
-        epoch: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        # deleted + child port + parent port + flag + epoch, one word each.
-        self.payload_words = 5
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        #: Port of the node (leaf or helper) whose parent changed.
-        self.child_port = child_port
-        #: Port of the new parent helper node.
-        self.parent_port = parent_port
-        #: True when the update concerns the processor's helper node rather
-        #: than its leaf.
-        self.child_is_helper = child_is_helper
-        #: Merge-outcome epoch (see :class:`HelperAssignment`).
-        self.epoch = epoch
-
-    def _seal_fields(self) -> Tuple[object, ...]:
-        return (
-            self.deleted,
-            self.child_port,
-            self.parent_port,
-            self.child_is_helper,
-            self.epoch,
-        )
+    # deleted + child port + parent port + flag + epoch, one word each.
+    payload_words = 5
 
 
+@_message
 class HelperAssignment(Message):
     """Instruct a processor to instantiate / rewire the helper node of one of its ports.
 
@@ -437,70 +337,24 @@ class HelperAssignment(Message):
     overwrite a corrective update).
     """
 
-    __slots__ = (
-        "deleted",
-        "helper_port",
-        "parent_port",
-        "left_port",
-        "right_port",
-        "create",
-        "representative_port",
-        "height",
-        "num_leaves",
-        "epoch",
-    )
+    deleted: Optional[NodeId] = None
+    helper_port: Optional[Port] = None
+    parent_port: Optional[Port] = None
+    left_port: Optional[Port] = None
+    right_port: Optional[Port] = None
+    #: False when the helper should be dropped ("marked red") instead of
+    #: created.
+    create: bool = True
+    #: Representative leaf port of the helper's subtree (Table 1 state).
+    representative_port: Optional[Port] = None
+    #: Cached subtree height / leaf count (Table 1 state).
+    height: int = 0
+    num_leaves: int = 0
+    epoch: int = 0
 
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        helper_port: Optional[Port] = None,
-        parent_port: Optional[Port] = None,
-        left_port: Optional[Port] = None,
-        right_port: Optional[Port] = None,
-        create: bool = True,
-        representative_port: Optional[Port] = None,
-        height: int = 0,
-        num_leaves: int = 0,
-        epoch: int = 0,
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        # deleted + 5 ports + height + leaf count + epoch + create flag,
-        # one O(log n)-bit word each.
-        self.payload_words = 10
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        self.helper_port = helper_port
-        self.parent_port = parent_port
-        self.left_port = left_port
-        self.right_port = right_port
-        #: False when the helper should be dropped ("marked red") instead
-        #: of created.
-        self.create = create
-        #: Representative leaf port of the helper's subtree (Table 1 state).
-        self.representative_port = representative_port
-        #: Cached subtree height / leaf count (Table 1 state).
-        self.height = height
-        self.num_leaves = num_leaves
-        self.epoch = epoch
-
-    def _seal_fields(self) -> Tuple[object, ...]:
-        return (
-            self.deleted,
-            self.helper_port,
-            self.parent_port,
-            self.left_port,
-            self.right_port,
-            self.create,
-            self.representative_port,
-            self.height,
-            self.num_leaves,
-            self.epoch,
-        )
+    # deleted + 5 ports + height + leaf count + epoch + create flag, one
+    # O(log n)-bit word each.
+    payload_words = 10
 
 
 # --------------------------------------------------------------------------- #
@@ -574,6 +428,7 @@ RECORD_DESCRIPTOR_WORDS = 7
 MAX_PORTS_PER_REQUEST = 16
 
 
+@_message
 class Digest(Message):
     """One participant's compact repair-state digest (anti-entropy gossip).
 
@@ -600,50 +455,26 @@ class Digest(Message):
     the repair's own list messages, so every digest stays ``O(log n)`` bits.
     """
 
-    __slots__ = ("deleted", "rt_index", "probed", "stripped", "ack", "pieces", "records")
+    deleted: Optional[NodeId] = None
+    #: Which affected RT's spine this digest describes (None otherwise).
+    rt_index: Optional[int] = None
+    probed: bool = True
+    stripped: bool = True
+    #: True when this digest echoes a received chunk back to its sender.
+    ack: bool = False
+    pieces: Tuple[object, ...] = ()
+    records: Tuple[PortDigest, ...] = ()
 
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        rt_index: Optional[int] = None,
-        probed: bool = True,
-        stripped: bool = True,
-        ack: bool = False,
-        pieces: Tuple[object, ...] = (),
-        records: Tuple[PortDigest, ...] = (),
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = (
-            3 + ROOT_DESCRIPTOR_WORDS * len(pieces) + RECORD_DESCRIPTOR_WORDS * len(records)
-        )
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        #: Which affected RT's spine this digest describes (None otherwise).
-        self.rt_index = rt_index
-        self.probed = probed
-        self.stripped = stripped
-        #: True when this digest echoes a received chunk back to its sender.
-        self.ack = ack
-        self.pieces = pieces
-        self.records = records
-
-    def _seal_fields(self) -> Tuple[object, ...]:
+    @property
+    def payload_words(self) -> int:
         return (
-            self.deleted,
-            self.rt_index,
-            self.probed,
-            self.stripped,
-            self.ack,
-            self.pieces,
-            self.records,
+            3
+            + ROOT_DESCRIPTOR_WORDS * len(self.pieces)
+            + RECORD_DESCRIPTOR_WORDS * len(self.records)
         )
 
 
+@_message
 class DigestRequest(Message):
     """The merge leader pulls record digests for ports it instructed.
 
@@ -653,20 +484,9 @@ class DigestRequest(Message):
     port it actually owns.
     """
 
-    __slots__ = ("deleted", "ports")
+    deleted: Optional[NodeId] = None
+    ports: Tuple[Port, ...] = ()
 
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        deleted: NodeId = None,
-        ports: Tuple[Port, ...] = (),
-    ) -> None:
-        self.sender = sender
-        self.receiver = receiver
-        self.payload_words = 2 + len(ports)
-        self.message_id = next(_message_counter)
-        self.byz_origin = None
-        self._seal = None
-        self.deleted = deleted
-        self.ports = ports
+    @property
+    def payload_words(self) -> int:
+        return 2 + len(self.ports)

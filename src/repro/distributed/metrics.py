@@ -8,14 +8,18 @@ nodes seen so far:
 * recovery time:  ``O(log d log n)`` rounds.
 
 :class:`NetworkMetrics` accumulates the raw counts while the simulator runs;
-:class:`MetricsWindow` is the per-repair slice of those counters (opened by
-:meth:`NetworkMetrics.begin_window`, so a repair's cost report is computed
-from O(repair) state instead of diffing full counter snapshots);
-:class:`DeletionCostReport` is the per-deletion record the experiments,
-the healer benchmark and the tests consume (experiment E5 in DESIGN.md).
+:class:`MetricsWindow` is the per-repair slice of those counters.  Every
+repair-protocol message carries its repair's victim as epoch tag
+(``deleted``), so :meth:`NetworkMetrics.begin_epoch_window` keyed by the
+victim is the one per-repair ledger — for a lone ``delete``, for each
+repair of a ``delete_batch`` wave, and for a recovery pass — and a cost
+report is computed from O(repair) state instead of diffing full counter
+snapshots.  :class:`DeletionCostReport` is the per-deletion record the
+experiments, the healer benchmark and the tests consume (experiment E5 in
+DESIGN.md).
 
 Recovery has its own ledger (PR 5): the gossip-digest anti-entropy protocol
-(:mod:`repro.distributed.recovery`) runs inside its own window, and
+(:mod:`repro.distributed.recovery`) runs inside its own epoch window, and
 :class:`RecoveryCostReport` splits its traffic into *digest* cost (the
 price of detection — paid even when nothing was lost) and *retransmission*
 cost (the price of the faults), with Lemma-4-style per-sweep budgets.
@@ -51,7 +55,7 @@ DIGEST_KINDS = frozenset({"Digest", "DigestRequest"})
 
 @dataclass
 class MetricsWindow:
-    """Counters restricted to one repair: everything recorded while it is open.
+    """Counters restricted to one repair: its epoch's traffic while it is open.
 
     The window only ever holds state proportional to the repair it measures
     (its per-sender dict has one entry per processor that actually sent a
@@ -62,7 +66,6 @@ class MetricsWindow:
 
     messages: int = 0
     bits: int = 0
-    rounds: int = 0
     #: Messages a fault dropped while the window was open.
     dropped: int = 0
     #: Largest single message sent *within the window* (the per-repair value
@@ -94,10 +97,6 @@ class MetricsWindow:
         """Bits of the given kinds sent within the window."""
         return sum(self.bits_by_kind.get(kind, 0) for kind in kinds)
 
-    def record_rounds(self, rounds: int) -> None:
-        """Account for communication rounds elapsed while the window is open."""
-        self.rounds += rounds
-
     def record_dropped(self, count: int = 1) -> None:
         """Account for fault-dropped (or loudly discarded) messages."""
         self.dropped += count
@@ -122,24 +121,10 @@ class NetworkMetrics:
     messages_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     messages_sent_by_node: Dict[NodeId, int] = field(default_factory=lambda: defaultdict(int))
     bits_sent_by_node: Dict[NodeId, int] = field(default_factory=lambda: defaultdict(int))
-    #: The currently open per-repair window (``None`` between repairs).
-    window: Optional[MetricsWindow] = None
-    #: Concurrently open per-epoch windows, keyed by the repair's victim
-    #: (every repair-protocol message carries ``deleted``, so the victim IS
-    #: the epoch tag).  Empty outside ``delete_batch``; the sequential path
-    #: never touches this dict.
+    #: Open per-repair windows, keyed by the repair's victim (every
+    #: repair-protocol message carries ``deleted``, so the victim IS the
+    #: epoch tag).  Empty between repairs.
     epoch_windows: Dict[object, MetricsWindow] = field(default_factory=dict)
-
-    def begin_window(self) -> MetricsWindow:
-        """Open (and return) a fresh per-repair window; replaces any open one."""
-        self.window = MetricsWindow()
-        return self.window
-
-    def end_window(self) -> MetricsWindow:
-        """Close the open window and return it (empty window if none was open)."""
-        window = self.window if self.window is not None else MetricsWindow()
-        self.window = None
-        return window
 
     def begin_epoch_window(self, key: object) -> MetricsWindow:
         """Open a window attributed to one repair epoch (keyed by victim)."""
@@ -159,8 +144,6 @@ class NetworkMetrics:
         self.messages_by_kind[kind] += 1
         self.messages_sent_by_node[sender] += 1
         self.bits_sent_by_node[sender] += bits
-        if self.window is not None:
-            self.window.record_message(sender, bits, kind=kind)
         if self.epoch_windows:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:
@@ -169,14 +152,10 @@ class NetworkMetrics:
     def record_rounds(self, rounds: int) -> None:
         """Account for ``rounds`` parallel communication rounds."""
         self.total_rounds += rounds
-        if self.window is not None:
-            self.window.record_rounds(rounds)
 
     def record_dropped(self, count: int = 1, epoch: object = None) -> None:
         """Account for messages lost to fault injection (or discarded loudly)."""
         self.total_dropped += count
-        if self.window is not None:
-            self.window.record_dropped(count)
         if self.epoch_windows:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:

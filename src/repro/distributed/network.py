@@ -15,9 +15,10 @@ iteration and :meth:`Network.remove_processor` O(deg) — no operation on the
 repair path ever scans the full link set.  The network enforces that
 messages only travel along existing links (or repair scaffolding, see
 below), and keeps the per-node and global counters that Lemma 4 bounds;
-:meth:`Network.begin_repair` / :meth:`Network.end_repair` bracket one repair
-with a :class:`~repro.distributed.metrics.MetricsWindow` so its cost report
-is assembled from O(repair) state instead of full counter snapshots.
+each message's ``deleted`` epoch tag charges it to its repair's
+:class:`~repro.distributed.metrics.MetricsWindow` (opened with
+``metrics.begin_epoch_window(victim)``), so a cost report is assembled from
+O(repair) state instead of full counter snapshots.
 
 There is one message path: a handler constructs a message, :meth:`send`
 checks the link, applies any byzantine corruption, stamps the per-network
@@ -66,15 +67,14 @@ digest retransmission) heals around it.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ProtocolError, UnknownNodeError
 from ..core.ports import NodeId, NodeKey
 from .accountability import AccountabilityTranscript, InjectionLog
 from .faults import FaultSchedule
-from .messages import Message
-from .metrics import MetricsWindow, NetworkMetrics
+from .messages import Message, words_to_bits
+from .metrics import NetworkMetrics
 from .processor import Processor
 
 __all__ = ["Network"]
@@ -124,7 +124,7 @@ class Network:
         #: Identifiers that have ever had a processor (see
         #: :meth:`ever_had_processor`).
         self._ever_ids: Set[NodeId] = set()
-        #: Cached identifier word size ``max(ceil(log2(max(n_ever, 2))), 1)``:
+        #: Cached identifier word size ``words_to_bits(1, n_ever)``:
         #: recomputed once per processor addition instead of once per message.
         self._word_bits = 1
         #: Protocol-side accusation ledger.
@@ -156,7 +156,7 @@ class Network:
             self._adjacency.setdefault(node, set())
             self._ever_ids.add(node)
             self.n_ever += 1
-            self._word_bits = max(int(math.ceil(math.log2(max(self.n_ever, 2)))), 1)
+            self._word_bits = words_to_bits(1, self.n_ever)
         return processor
 
     def ever_had_processor(self, node: NodeId) -> bool:
@@ -281,7 +281,7 @@ class Network:
             )
         self.n_ever = n_ever
         self._ever_ids.update(ever_ids)
-        self._word_bits = max(int(math.ceil(math.log2(max(self.n_ever, 2)))), 1)
+        self._word_bits = words_to_bits(1, self.n_ever)
 
     # ------------------------------------------------------------------ #
     # repair scaffolding
@@ -344,17 +344,6 @@ class Network:
         return sorted(self._adjacency.get(node, ()), key=NodeKey)
 
     # ------------------------------------------------------------------ #
-    # per-repair accounting
-    # ------------------------------------------------------------------ #
-    def begin_repair(self) -> MetricsWindow:
-        """Open a per-repair metrics window; all traffic until :meth:`end_repair` lands in it."""
-        return self.metrics.begin_window()
-
-    def end_repair(self) -> MetricsWindow:
-        """Close the per-repair window and return its counters."""
-        return self.metrics.end_window()
-
-    # ------------------------------------------------------------------ #
     # message passing
     # ------------------------------------------------------------------ #
     def send(self, message: Message) -> None:
@@ -400,7 +389,7 @@ class Network:
         # ``payload_words * _word_bits`` equals ``message.size_bits(n_ever)``
         # (same formula, the log cached per processor addition).  Every
         # repair-protocol message carries the ``deleted`` victim it serves,
-        # which keys the per-epoch windows ``delete_batch`` opens.
+        # which keys the per-repair epoch windows.
         self.metrics.record_message(
             sender=sender,
             kind=message.kind,
@@ -466,18 +455,14 @@ class Network:
         Used by the recovery driver when its round budget runs out
         mid-delivery: the leftover traffic is *counted* into the recovery
         report and removed, because delivering it during a later repair
-        could apply stale instructions.  The discards are folded into the
-        metrics window's ``dropped`` ledger — a message the driver threw
-        away is as lost as one the network dropped, and the cost rows
+        could apply stale instructions.  Each discard is folded into the
+        ``dropped`` ledger of its epoch's window — a message the driver
+        threw away is as lost as one the network dropped, and the cost rows
         should say so.
         """
         leftover = self._outbox + [message for _, message in self._delayed]
-        if leftover:
-            if self.metrics.epoch_windows:
-                for message in leftover:
-                    self.metrics.record_dropped(epoch=message.deleted)
-            else:
-                self.metrics.record_dropped(len(leftover))
+        for message in leftover:
+            self.metrics.record_dropped(epoch=message.deleted)
         self._outbox = []
         self._delayed = []
         return len(leftover)

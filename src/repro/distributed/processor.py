@@ -55,7 +55,15 @@ from typing import Deque, Dict, List, Optional, Tuple
 import dataclasses
 
 from ..core.ports import NodeId, Port
-from .merge import MergeOutcome, PieceSummary, link_source_key, merge_summaries
+from .merge import (
+    MergeOutcome,
+    PieceSummary,
+    helper_assignment,
+    helper_retraction,
+    link_source_key,
+    merge_summaries,
+    parent_update,
+)
 from .messages import (
     MAX_PORTS_PER_REQUEST,
     MAX_ROOTS_PER_MESSAGE,
@@ -479,53 +487,20 @@ class Processor:
     def _disseminate(self, context: RepairContext) -> List[Message]:
         """Leader: instruct every owner per the current outcome (one epoch)."""
         outcome = context.outcome
+        victim = context.victim
         epoch = context.epoch
         out: List[Message] = []
         current_ports = outcome.helper_ports()
         # Retract helpers instructed under a superseded (partial) outcome.
         for port in list(context.instructed):
             if port not in current_ports:
-                self._emit(
-                    HelperAssignment(
-                        sender=self.node_id,
-                        receiver=port.processor,
-                        deleted=context.victim,
-                        helper_port=port,
-                        create=False,
-                        epoch=epoch,
-                    ),
-                    out,
-                )
+                self._emit(helper_retraction(self.node_id, victim, port, epoch), out)
         for helper in outcome.helpers:
             context.instructed[helper.port] = None
-            self._emit(
-                HelperAssignment(
-                    sender=self.node_id,
-                    receiver=helper.port.processor,
-                    deleted=context.victim,
-                    helper_port=helper.port,
-                    parent_port=helper.parent_port,
-                    left_port=helper.left_port,
-                    right_port=helper.right_port,
-                    create=True,
-                    representative_port=helper.representative,
-                    height=helper.height,
-                    num_leaves=helper.num_leaves,
-                    epoch=epoch,
-                ),
-                out,
-            )
+            self._emit(helper_assignment(self.node_id, victim, helper, epoch), out)
         for child_port, child_is_leaf, parent_port in outcome.parent_updates:
             self._emit(
-                ParentUpdate(
-                    sender=self.node_id,
-                    receiver=child_port.processor,
-                    deleted=context.victim,
-                    child_port=child_port,
-                    parent_port=parent_port,
-                    child_is_helper=not child_is_leaf,
-                    epoch=epoch,
-                ),
+                parent_update(self.node_id, victim, child_port, child_is_leaf, parent_port, epoch),
                 out,
             )
         return out
@@ -1162,37 +1137,11 @@ class Processor:
                 if not applied:
                     port_ok = False
                     context.instructed[helper.port] = None
-                    self._emit(
-                        HelperAssignment(
-                            sender=self.node_id,
-                            receiver=record.port.processor,
-                            deleted=victim,
-                            helper_port=helper.port,
-                            parent_port=helper.parent_port,
-                            left_port=helper.left_port,
-                            right_port=helper.right_port,
-                            create=True,
-                            representative_port=helper.representative,
-                            height=helper.height,
-                            num_leaves=helper.num_leaves,
-                            epoch=epoch,
-                        ),
-                        out,
-                    )
+                    self._emit(helper_assignment(self.node_id, victim, helper, epoch), out)
             elif record.helper_for_victim and record.port in context.instructed:
                 # Applied under a superseded (partial) outcome: retract it.
                 port_ok = False
-                self._emit(
-                    HelperAssignment(
-                        sender=self.node_id,
-                        receiver=record.port.processor,
-                        deleted=victim,
-                        helper_port=record.port,
-                        create=False,
-                        epoch=epoch,
-                    ),
-                    out,
-                )
+                self._emit(helper_retraction(self.node_id, victim, record.port, epoch), out)
             for child_is_leaf in (True, False):
                 parent = parents_by_child.get((record.port, child_is_leaf))
                 if parent is None:
@@ -1209,14 +1158,8 @@ class Processor:
                 if actual != parent:
                     port_ok = False
                     self._emit(
-                        ParentUpdate(
-                            sender=self.node_id,
-                            receiver=record.port.processor,
-                            deleted=victim,
-                            child_port=record.port,
-                            parent_port=parent,
-                            child_is_helper=not child_is_leaf,
-                            epoch=epoch,
+                        parent_update(
+                            self.node_id, victim, record.port, child_is_leaf, parent, epoch
                         ),
                         out,
                     )

@@ -334,9 +334,7 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     for parent, child in plan.bt_edges:
         if network.has_processor(parent) and network.has_processor(child):
             network.scaffold_link(parent, child)
-            network.send(
-                AnchorLink(sender=child, receiver=parent, deleted=victim, anchor_port=None)
-            )
+            network.send(AnchorLink(sender=child, receiver=parent, deleted=victim))
     for rt_index, path in enumerate(plan.probe_paths):
         live = [p for p in path if network.has_processor(p)]
         if not live:

@@ -35,8 +35,9 @@ until its round budget runs out — in which case it reports
 (and discards them *loudly*, so stale recovery traffic can never leak into
 the next repair).
 
-Cost accounting mirrors the repair's: the whole recovery runs inside its
-own :class:`~repro.distributed.metrics.MetricsWindow`, and the resulting
+Cost accounting mirrors the repair's: the whole recovery runs inside the
+victim's epoch window (a :class:`~repro.distributed.metrics.MetricsWindow`
+that every message tagged ``deleted == victim`` lands in), and the resulting
 :class:`~repro.distributed.metrics.RecoveryCostReport` splits detection
 cost (digest messages/bits — paid even when nothing was lost) from fault
 cost (retransmissions), each checked against Lemma-4-style per-sweep
@@ -54,7 +55,7 @@ lying during recovery is caught and quarantined mid-sweep; the fixed-point
 predicate (:meth:`Processor.recovery_satisfied`) waives every obligation
 towards crashed *or quarantined* peers, so convergence is reached around
 them.  And budget exhaustion stays loud: the in-flight messages discarded
-by :meth:`Network.drop_in_flight` are counted into the metrics window's
+by :meth:`Network.drop_in_flight` are counted into their epoch window's
 ``dropped`` tally (and therefore into the reports), never silently thrown
 away.
 """
@@ -224,7 +225,6 @@ def run_recovery(
     participants: Sequence[NodeId],
     degree: int,
     n_ever: int,
-    leader: Optional[NodeId] = None,
     max_rounds: int = 600,
     max_sweeps: int = 40,
 ) -> RecoveryCostReport:
@@ -234,9 +234,8 @@ def run_recovery(
     recovery timers (``recovery_tick`` — the synchronous model's "everyone
     knows the round number") and delivers rounds; every detection and every
     retransmission decision is made by a processor from its own context and
-    the digests that physically reached it.  ``leader`` is accepted for
-    symmetry with the plan but not consulted — the leader acts because its
-    own context says it is the leader.
+    the digests that physically reached it (the leader acts because its own
+    context says it is the leader).
 
     Termination: the protocol is *silent* in the self-stabilizing sense —
     digests are acknowledged chunk by chunk, confirmed knowledge drops out
@@ -252,7 +251,7 @@ def run_recovery(
     hitting them is reported (``converged=False`` plus the leftover
     in-flight count) rather than silently swallowed.
     """
-    network.metrics.begin_window()
+    network.metrics.begin_epoch_window(victim)
     network.begin_scaffold()
     converged = False
     sweeps = 0
@@ -291,7 +290,7 @@ def run_recovery(
         network.end_scaffold()
         if not converged:
             leftover = network.drop_in_flight()
-        window = network.metrics.end_window()
+        window = network.metrics.end_epoch_window(victim)
     return RecoveryCostReport(
         victim=victim,
         degree=degree,

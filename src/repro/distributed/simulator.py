@@ -51,8 +51,9 @@ The accounting remains incremental end to end (Lemma 4 bounds each repair
 at ``O(d log n)`` messages, so the measurement layer must not be O(n + m)
 per deletion): planning reads zero-copy views and O(broken-region)
 structures, link maintenance is driven by O(repair) message effects on the
-network's sourced link set, and per-deletion cost reports come from the
-network's per-repair :class:`~repro.distributed.metrics.MetricsWindow`.
+network's sourced link set, and per-deletion cost reports come from each
+repair's epoch window (a :class:`~repro.distributed.metrics.MetricsWindow`
+keyed by the victim every repair message carries as its ``deleted`` tag).
 The seed-era full-diff link sync survives as
 :meth:`_sync_links_reference` — now an oracle *resync* used by the
 equivalence tests and as a last-resort recovery path.
@@ -77,8 +78,14 @@ from ..core.forgiving_graph import ForgivingGraph
 from ..core.ports import NodeId, Port
 from ..core.reconstruction_tree import RTHelper, RTLeaf
 from .faults import FaultSchedule
-from .merge import link_source_key, real_source_key
-from .messages import HelperAssignment, InsertionNotice, ParentUpdate, PrimaryRootList, Probe
+from .merge import (
+    helper_assignment,
+    helper_retraction,
+    link_source_key,
+    parent_update,
+    real_source_key,
+)
+from .messages import InsertionNotice, PrimaryRootList, Probe
 from .metrics import (
     BurstCostReport,
     ByzantineReport,
@@ -395,15 +402,18 @@ class DistributedForgivingGraph:
         """Adversarial deletion: heal the network and account for every message.
 
         The repair is planned from pre-deletion local knowledge, executed as
-        messages, and measured off the per-repair metrics window — O(repair)
-        work throughout, and no oracle reads anywhere on the path.
+        messages, and measured off the victim's epoch window — O(repair)
+        work throughout.  The oracle is read before the repair (the victim's
+        ``G'`` degree, and the RTs ``plan_repair`` lays out), never by the
+        message path.
         """
         degree = self._engine.g_prime_degree(node)
         self._uninstall_runtime()
         plan = plan_repair(self._engine, node)
 
         mark = self._byzantine_mark()
-        self.network.begin_repair()
+        metrics = self.network.metrics
+        metrics.begin_epoch_window(node)
 
         # The oracle executes the same move (it owns the G'/alive bookkeeping
         # every consumer reads); its merge outcome is quarantined away from
@@ -415,7 +425,7 @@ class DistributedForgivingGraph:
             self.network.remove_processor(node)
         rounds = execute_repair(self.network, plan)
 
-        window = self.network.end_repair()
+        window = metrics.end_epoch_window(node)
         self._runtime = _RepairRuntime(
             plan=plan,
             victim=plan.victim,
@@ -828,7 +838,6 @@ class DistributedForgivingGraph:
             participants=runtime.participants,
             degree=runtime.degree,
             n_ever=self._engine.nodes_ever,
-            leader=runtime.leader,
             max_rounds=max_rounds,
             max_sweeps=max_sweeps,
         )
@@ -928,22 +937,7 @@ class DistributedForgivingGraph:
                 if u != v
             )
             if not applied or not links_ok:
-                resends.append(
-                    HelperAssignment(
-                        sender=leader,
-                        receiver=helper.port.processor,
-                        deleted=victim,
-                        helper_port=helper.port,
-                        parent_port=helper.parent_port,
-                        left_port=helper.left_port,
-                        right_port=helper.right_port,
-                        create=True,
-                        representative_port=helper.representative,
-                        height=helper.height,
-                        num_leaves=helper.num_leaves,
-                        epoch=epoch,
-                    )
-                )
+                resends.append(helper_assignment(leader, victim, helper, epoch))
         for child_port, child_is_leaf, parent_port in outcome.parent_updates:
             record = self._record_of(child_port)
             if record is None:
@@ -955,15 +949,7 @@ class DistributedForgivingGraph:
             )
             if not applied:
                 resends.append(
-                    ParentUpdate(
-                        sender=leader,
-                        receiver=child_port.processor,
-                        deleted=victim,
-                        child_port=child_port,
-                        parent_port=parent_port,
-                        child_is_helper=not child_is_leaf,
-                        epoch=epoch,
-                    )
+                    parent_update(leader, victim, child_port, child_is_leaf, parent_port, epoch)
                 )
         # (4) Assignments a re-merge superseded but that are still applied.
         for port in leader_context.instructed:
@@ -971,16 +957,7 @@ class DistributedForgivingGraph:
                 continue
             record = self._record_of(port)
             if record is not None and record.has_helper and record.helper_victim == victim:
-                resends.append(
-                    HelperAssignment(
-                        sender=leader,
-                        receiver=port.processor,
-                        deleted=victim,
-                        helper_port=port,
-                        create=False,
-                        epoch=epoch,
-                    )
-                )
+                resends.append(helper_retraction(leader, victim, port, epoch))
         return resends
 
     def _record_of(self, port: Port):

@@ -167,26 +167,26 @@ class TestMessageDelivery:
 
     def test_repair_window_isolates_its_traffic(self):
         net = self.make_pair()
-        net.send(Probe(sender="a", receiver="b"))
+        net.send(Probe(sender="a", receiver="b", deleted="x"))
         net.deliver_round()  # pre-window traffic
-        window = net.begin_repair()
-        net.send(Probe(sender="b", receiver="a"))
+        window = net.metrics.begin_epoch_window("x")
+        net.send(Probe(sender="b", receiver="a", deleted="x"))
+        net.send(Probe(sender="a", receiver="b", deleted="y"))  # another epoch's traffic
         net.deliver_round()
-        closed = net.end_repair()
+        closed = net.metrics.end_epoch_window("x")
         assert closed is window
         assert closed.messages == 1
-        assert closed.rounds == 1
         assert dict(closed.messages_by_node) == {"b": 1}
         assert closed.max_messages_per_node() == 1
         assert closed.max_message_bits > 0
         # Cumulative counters still cover the whole run.
-        assert net.metrics.total_messages == 2
+        assert net.metrics.total_messages == 3
         assert net.metrics.total_rounds == 2
-        # Traffic after end_repair lands only on the cumulative counters.
-        net.send(Probe(sender="a", receiver="b"))
+        # Traffic after the window closes lands only on the cumulative counters.
+        net.send(Probe(sender="a", receiver="b", deleted="x"))
         net.deliver_round()
         assert closed.messages == 1
-        assert net.metrics.total_messages == 3
+        assert net.metrics.total_messages == 4
 
 
 class TestProcessorState:

@@ -252,29 +252,29 @@ class TestCrashMidRecovery:
 
 
 def tap_sends(network):
-    """Record ``(open repair window, message)`` for every message ``network`` accepts."""
+    """Record ``(open epoch window, message)`` for every message ``network`` accepts."""
     sent = []
     send = network.send
 
     def tapped(message):
         send(message)
-        sent.append((network.metrics.window, message))
+        sent.append((network.metrics.epoch_windows.get(message.deleted), message))
 
     network.send = tapped
     return sent
 
 
-def tap_repair_windows(network):
-    """Collect every window ``network.end_repair`` closes, in order."""
+def tap_closed_windows(network):
+    """Collect every epoch window ``network.metrics`` closes, in order."""
     closed = []
-    end_repair = network.end_repair
+    end_epoch_window = network.metrics.end_epoch_window
 
-    def tapped():
-        window = end_repair()
+    def tapped(key):
+        window = end_epoch_window(key)
         closed.append(window)
         return window
 
-    network.end_repair = tapped
+    network.metrics.end_epoch_window = tapped
     return closed
 
 
@@ -286,7 +286,7 @@ class TestLedgerAttribution:
         healer = faulty_healer(preset, seed=11)
         network = healer.network
         sent = tap_sends(network)
-        closed = tap_repair_windows(network)
+        closed = tap_closed_windows(network)
         strategy = RandomDeletion(seed=4)
         recovered = 0
         for _ in range(12):
@@ -294,10 +294,13 @@ class TestLedgerAttribution:
             if victim is None or healer.num_alive <= 3:
                 break
             sent.clear()
+            first = len(closed)
             report = healer.delete(victim)
             assert all(window is not None for window, _ in sent), "a send escaped every ledger"
-            repair = [m for window, m in sent if window is closed[-1]]
-            recovery = [m for window, m in sent if window is not closed[-1]]
+            # The repair's window closes first; a recovery pass closes its own.
+            assert len(closed) - first == (1 if report.recovery is None else 2)
+            repair = [m for window, m in sent if window is closed[first]]
+            recovery = [m for window, m in sent if window is not closed[first]]
 
             def bits(messages):
                 return sum(m.size_bits(network.n_ever) for m in messages)
