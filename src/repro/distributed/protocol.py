@@ -64,7 +64,7 @@ anti-entropy recovery converges on the survivors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.forgiving_graph import ForgivingGraph
 from ..core.ports import NodeId, NodeKey, Port
@@ -74,7 +74,16 @@ from .messages import AnchorLink, DeletionNotice, Probe
 from .network import Network
 from .processor import RepairContext, SpineRole
 
-__all__ = ["RepairPlan", "plan_repair", "seed_repair", "execute_repair"]
+__all__ = [
+    "RepairPlan",
+    "plan_repair",
+    "seed_repair",
+    "execute_repair",
+    "footprint",
+    "repair_footprint",
+    "independent_repair_batches",
+    "select_disjoint_victims",
+]
 
 
 @dataclass
@@ -383,6 +392,75 @@ def execute_repair(network: Network, plan: RepairPlan) -> int:
     # network's own source sets, not from an engine probe.
     network.end_scaffold()
     return rounds
+
+
+def footprint(plan: RepairPlan) -> FrozenSet[NodeId]:
+    """The processors ``plan``'s repair touches: every participant plus the victim.
+
+    Two repairs whose footprints are disjoint share no spine, no anchor and
+    no scaffold traffic, so they can heal concurrently without racing: the
+    independence test of :func:`independent_repair_batches`, which
+    ``DistributedForgivingGraph.delete_batch`` admits its waves by.
+    """
+    return frozenset(plan.contexts) | {plan.victim}
+
+
+def repair_footprint(healer, victim: NodeId) -> FrozenSet[NodeId]:
+    """The :func:`footprint` of ``victim``'s repair, planned read-only now.
+
+    :func:`plan_repair` is a pre-deletion inspection costing O(victim
+    neighbourhood + broken glue).  Accepts the distributed healer or a bare
+    engine.
+    """
+    engine = getattr(healer, "_engine", healer)
+    return footprint(plan_repair(engine, victim))
+
+
+def independent_repair_batches(
+    footprints: Sequence[Tuple[NodeId, FrozenSet[NodeId]]],
+) -> List[List[NodeId]]:
+    """Greedily group repairs with pairwise-disjoint footprints into batches.
+
+    ``footprints`` is a sequence of ``(victim, footprint)`` pairs (see
+    :func:`footprint`).  Returns batches of victims, in input order within
+    each batch: every batch's footprints are pairwise disjoint, so its
+    repairs touch disjoint spines and may run concurrently; successive
+    batches must still run in sequence.  Greedy first-fit keeps the
+    grouping deterministic (a victim lands in the earliest batch it does
+    not collide with), which the sharded-sweep equivalence relies on.
+    """
+    batches: List[List[NodeId]] = []
+    occupied: List[set] = []
+    for victim, fp in footprints:
+        for index, taken in enumerate(occupied):
+            if taken.isdisjoint(fp):
+                batches[index].append(victim)
+                taken.update(fp)
+                break
+        else:
+            batches.append([victim])
+            occupied.append(set(fp))
+    return batches
+
+
+def select_disjoint_victims(
+    healer,
+    candidates: Sequence[NodeId],
+    limit: Optional[int] = None,
+) -> List[NodeId]:
+    """First-fit a burst of pairwise-disjoint-footprint victims (read-only).
+
+    Walks ``candidates`` in order, keeping each victim whose
+    :func:`repair_footprint` is disjoint from everything already kept —
+    i.e. the first batch :func:`independent_repair_batches` would form —
+    optionally truncated to ``limit``.  This is how the concurrent-burst
+    experiments and tests pick a burst that ``delete_batch`` can admit in
+    a single wave.
+    """
+    footprints = [(victim, repair_footprint(healer, victim)) for victim in candidates]
+    batches = independent_repair_batches(footprints)
+    burst = batches[0] if batches else []
+    return burst[:limit] if limit is not None else burst
 
 
 def _balanced_tree_edges(anchors: Sequence[NodeId]) -> List[Tuple[NodeId, NodeId]]:

@@ -94,7 +94,14 @@ from .metrics import (
     RecoveryCostReport,
 )
 from .network import Network
-from .protocol import RepairPlan, execute_repair, plan_repair, seed_repair
+from .protocol import (
+    RepairPlan,
+    execute_repair,
+    footprint,
+    independent_repair_batches,
+    plan_repair,
+    seed_repair,
+)
 from .recovery import BackgroundRecovery, run_recovery
 
 __all__ = ["DistributedForgivingGraph"]
@@ -544,8 +551,8 @@ class DistributedForgivingGraph:
         """Heal a burst of deletions, admitting disjoint repairs concurrently.
 
         The driver plans every pending victim, groups pairwise-disjoint
-        repair footprints (the ``repair_footprint`` locality test of
-        ``experiments.sweeps``) into an admission **wave**, and runs the
+        repair footprints (:func:`~repro.distributed.protocol.footprint`)
+        into an admission **wave**, and runs the
         whole wave's repairs inside one shared ``deliver_round`` stream:
         every message carries its repair's victim as epoch tag, handler
         state is epoch-keyed, and per-epoch metrics windows attribute each
@@ -581,8 +588,6 @@ class DistributedForgivingGraph:
             self.burst_reports.append(burst)
             return burst
 
-        from ..experiments.sweeps import independent_repair_batches
-
         self._uninstall_runtime()
         pending = list(victims)
         all_reports: List[DeletionCostReport] = []
@@ -590,15 +595,11 @@ class DistributedForgivingGraph:
         total_rounds = 0
         while pending:
             # Plan every pending victim on the *current* engine state and
-            # admit the first-fit disjoint batch (same footprint definition
-            # as ``experiments.sweeps.repair_footprint``).
-            plans: Dict[NodeId, RepairPlan] = {}
-            footprints = []
-            for victim in pending:
-                plan = plan_repair(self._engine, victim)
-                plans[victim] = plan
-                footprints.append((victim, frozenset(plan.contexts) | {victim}))
-            wave = independent_repair_batches(footprints)[0]
+            # admit the first-fit disjoint batch.
+            plans = {victim: plan_repair(self._engine, victim) for victim in pending}
+            wave = independent_repair_batches(
+                [(victim, footprint(plan)) for victim, plan in plans.items()]
+            )[0]
             if concurrency is not None:
                 wave = wave[: max(int(concurrency), 1)]
             admitted = set(wave)

@@ -14,6 +14,11 @@ executable experiment.  This package provides the plumbing:
   ``python -m repro.experiments`` regenerates them all.
 """
 
+from ..distributed.protocol import (
+    independent_repair_batches,
+    repair_footprint,
+    select_disjoint_victims,
+)
 from .config import AttackConfig, ExperimentConfig
 from .reporting import (
     JsonlReporter,
@@ -27,10 +32,7 @@ from .reporting import (
 from .runner import AttackOutcome, build_session, run_attack, run_healer_comparison
 from .sweeps import (
     SweepTask,
-    independent_repair_batches,
-    repair_footprint,
     run_sweep,
-    select_disjoint_victims,
     sweep_graph_sizes,
     sweep_healers,
     sweep_large_n,

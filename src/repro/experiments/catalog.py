@@ -45,11 +45,12 @@ from ..distributed.faults import (
     fault_schedule,
 )
 from ..distributed.metrics import aggregate_byzantine, aggregate_recovery
+from ..distributed.protocol import select_disjoint_victims
 from ..distributed.simulator import DistributedForgivingGraph
 from ..engine import AttackSession
 from ..generators.graphs import make_graph, star_graph
 from .config import AttackConfig
-from .sweeps import select_disjoint_victims, sweep_graph_sizes, sweep_healers
+from .sweeps import sweep_graph_sizes, sweep_healers
 
 __all__ = [
     "SCALES",
@@ -710,7 +711,7 @@ def experiment_e14_concurrent_bursts(scale: str = "full") -> Section:
     """Concurrent epoch-tagged bursts: repair latency trends to max, not sum.
 
     One burst of deletions with pairwise-disjoint repair footprints (picked
-    by :func:`~repro.experiments.sweeps.select_disjoint_victims`, away from
+    by :func:`~repro.distributed.protocol.select_disjoint_victims`, away from
     the hubs whose footprints blanket the graph) is healed three ways on
     identical copies of the same graph: one repair at a time (the retained
     reference path, bit-identical to sequential :meth:`delete` calls), with

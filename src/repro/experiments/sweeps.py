@@ -28,9 +28,9 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from ..core.ports import NodeId
+from ..distributed.protocol import select_disjoint_victims
 from ..generators.graphs import GraphSpec
 from .config import AttackConfig, ExperimentConfig
 from .reporting import JsonlReporter, json_safe_row
@@ -38,10 +38,7 @@ from .runner import run_attack, run_healer_comparison
 
 __all__ = [
     "SweepTask",
-    "independent_repair_batches",
-    "repair_footprint",
     "run_sweep",
-    "select_disjoint_victims",
     "sweep_graph_sizes",
     "sweep_healers",
     "sweep_large_n",
@@ -291,72 +288,6 @@ def sweep_fault_presets(
 # --------------------------------------------------------------------------- #
 # sharded large-n sweeps
 # --------------------------------------------------------------------------- #
-def repair_footprint(healer, victim: NodeId) -> FrozenSet[NodeId]:
-    """The processors one deletion's repair would touch, read from the plan.
-
-    Wraps :func:`repro.distributed.protocol.plan_repair` — a read-only,
-    pre-deletion inspection costing O(victim neighbourhood + broken glue) —
-    and returns the participant set (every processor the plan hands a
-    :class:`RepairContext`, plus the victim itself).  Two repairs whose
-    footprints are disjoint share no spine, no anchor and no scaffold
-    traffic, so they can heal in parallel without racing: this is the
-    independence test :func:`independent_repair_batches` and the sharded
-    sweeps build on.  Accepts the distributed healer or a bare engine.
-    """
-    from ..distributed.protocol import plan_repair
-
-    engine = getattr(healer, "_engine", healer)
-    plan = plan_repair(engine, victim)
-    return frozenset(plan.contexts) | {victim}
-
-
-def independent_repair_batches(
-    footprints: Sequence[Tuple[NodeId, FrozenSet[NodeId]]],
-) -> List[List[NodeId]]:
-    """Greedily group repairs with pairwise-disjoint footprints into batches.
-
-    ``footprints`` is a sequence of ``(victim, footprint)`` pairs (see
-    :func:`repair_footprint`).  Returns batches of victims, in input order
-    within each batch: every batch's footprints are pairwise disjoint, so
-    its repairs touch disjoint spines and may run concurrently; successive
-    batches must still run in sequence.  Greedy first-fit keeps the
-    grouping deterministic (a victim lands in the earliest batch it does
-    not collide with), which the sharded-sweep equivalence relies on.
-    """
-    batches: List[List[NodeId]] = []
-    occupied: List[set] = []
-    for victim, footprint in footprints:
-        for index, taken in enumerate(occupied):
-            if taken.isdisjoint(footprint):
-                batches[index].append(victim)
-                taken.update(footprint)
-                break
-        else:
-            batches.append([victim])
-            occupied.append(set(footprint))
-    return batches
-
-
-def select_disjoint_victims(
-    healer,
-    candidates: Sequence[NodeId],
-    limit: Optional[int] = None,
-) -> List[NodeId]:
-    """First-fit a burst of pairwise-disjoint-footprint victims (read-only).
-
-    Walks ``candidates`` in order, keeping each victim whose
-    :func:`repair_footprint` is disjoint from everything already kept —
-    i.e. the first batch :func:`independent_repair_batches` would form —
-    optionally truncated to ``limit``.  This is how the concurrent-burst
-    experiments and tests pick a burst that ``delete_batch`` can admit in
-    a single wave.
-    """
-    footprints = [(victim, repair_footprint(healer, victim)) for victim in candidates]
-    batches = independent_repair_batches(footprints)
-    burst = batches[0] if batches else []
-    return burst[:limit] if limit is not None else burst
-
-
 def sweep_large_n(
     name: str,
     topology: str,
@@ -381,9 +312,10 @@ def sweep_large_n(
     as its own :class:`ExperimentConfig` task on the existing
     deterministic-seed pool (:func:`run_sweep`).  Disjoint node spaces are
     the coarse-grained form of the plan-footprint independence
-    (:func:`repair_footprint`): repairs in different shards can never share
-    a spine, so the shards are embarrassingly parallel and the row set is
-    bit-identical at any worker count.  Each shard's seed is derived from
+    (:func:`~repro.distributed.protocol.repair_footprint`): repairs in
+    different shards can never share a spine, so the shards are
+    embarrassingly parallel and the row set is bit-identical at any worker
+    count.  Each shard's seed is derived from
     ``seed`` and its index, so the sweep as a whole is reproducible and
     resumable (``jsonl_path`` / ``resume``) like any other sweep.
 
@@ -394,8 +326,9 @@ def sweep_large_n(
     With ``shared_network=True`` the sharding is dropped entirely: the whole
     ``total_nodes`` graph is built as *one* :class:`DistributedForgivingGraph`
     and churned in-process through ``delete_batch`` waves — each burst is a
-    pairwise-disjoint-footprint victim set (:func:`select_disjoint_victims`
-    over a seeded random ``candidate_pool`` of degree >= 2 survivors, at most
+    pairwise-disjoint-footprint victim set
+    (:func:`~repro.distributed.protocol.select_disjoint_victims` over a
+    seeded random ``candidate_pool`` of degree >= 2 survivors, at most
     ``burst_width`` victims per burst), so every wave's repairs share one
     ``deliver_round`` stream on one message fabric instead of per-shard
     sub-networks.  ``shards``/``max_workers``/``resume`` are ignored in this
