@@ -40,7 +40,7 @@ class HealerSpec:
         unknown names raise :class:`~repro.core.errors.ConfigurationError`
         at spec construction, not at build time.
     options:
-        Constructor keyword arguments (e.g. ``repair_concurrency=4`` or
+        Constructor keyword arguments (e.g. ``auto_reconverge=False`` or
         ``receive_trace_limit=16`` for the distributed healer).  Stored as a
         plain dict but treated as immutable; ``fault_schedule`` must travel
         through ``fault``, not here.

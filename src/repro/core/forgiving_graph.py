@@ -150,13 +150,6 @@ class ForgivingGraph:
         # register a cursor and refresh only the touched nodes, so their
         # per-move cost is proportional to the repair delta instead of O(n).
         self._degree_touch_log: Journal[NodeId] = Journal()
-        # Edge-delta journal ----------------------------------------------------------------
-        # Append-only log of healed-graph edge changes, written by the same
-        # hooks: one (added, u, v) entry per edge of ``G`` that appears
-        # (added=True) or disappears (added=False).  Mirrors the degree-touch
-        # journal design: consumers register a cursor and apply exactly the
-        # delta of the last operation, never a full edge-set diff.
-        self._edge_delta_log: Journal[Tuple[bool, NodeId, NodeId]] = Journal()
         # Auditing -------------------------------------------------------------------------
         self.events: List[HealingEvent] = []
         self._step = 0
@@ -384,7 +377,6 @@ class ForgivingGraph:
             self._actual.add_edge(u, v)
             self._degree_touch_log.append(u)
             self._degree_touch_log.append(v)
-            self._edge_delta_log.append((True, u, v))
         self._edge_mult[key] = count + 1
 
     def _edge_source_removed(self, u: NodeId, v: NodeId) -> None:
@@ -399,7 +391,6 @@ class ForgivingGraph:
                 self._actual.remove_edge(u, v)
                 self._degree_touch_log.append(u)
                 self._degree_touch_log.append(v)
-                self._edge_delta_log.append((False, u, v))
         else:
             self._edge_mult[key] = count - 1
 
@@ -416,39 +407,18 @@ class ForgivingGraph:
         """
         return self._degree_touch_log
 
-    @property
-    def edge_delta_log(self) -> Journal[Tuple[bool, NodeId, NodeId]]:
-        """Append-only journal of healed-graph edge changes.
-
-        One ``(added, u, v)`` entry per edge of ``G`` that appeared
-        (``added=True``) or disappeared (``added=False``), written by the same
-        incremental hooks that maintain ``G`` — so the suffix written during
-        one repair *is* that repair's exact edge delta.  Consumers keep (and
-        register) their own cursor, like with :attr:`degree_touch_log`.
-
-        No in-tree consumer registers at the moment: the distributed layer's
-        link sync, its original consumer, became message-native in PR 4.
-        The journal remains the supported surface for external/future
-        incremental edge consumers, and since compaction drops everything
-        nobody registered for, an unconsumed journal costs only the appends
-        since the last :meth:`compact_journals` call.
-        """
-        return self._edge_delta_log
-
     def compact_journals(self) -> Dict[str, int]:
-        """Truncate the journal prefixes every registered consumer has drained.
+        """Truncate the journal prefix every registered consumer has drained.
 
-        The journals are append-only per engine; without compaction a
-        multi-million-step session retains every entry forever.  Consumers
-        that registered a cursor pin their undrained suffix; history nobody
-        registered for is dropped.  Returns the number of entries dropped
-        per journal.  Called by :class:`repro.engine.AttackSession` on its
-        measurement cadence, and safe to call at any time.
+        The degree-touch journal is append-only per engine; without
+        compaction a multi-million-step session retains every entry forever.
+        Consumers that registered a cursor pin their undrained suffix;
+        history nobody registered for is dropped.  Returns the number of
+        entries dropped per journal.  Called by
+        :class:`repro.engine.AttackSession` on its measurement cadence, and
+        safe to call at any time.
         """
-        return {
-            "degree_touch": self._degree_touch_log.compact(),
-            "edge_delta": self._edge_delta_log.compact(),
-        }
+        return {"degree_touch": self._degree_touch_log.compact()}
 
     def has_actual_edge(self, u: NodeId, v: NodeId) -> bool:
         """True when the healed network ``G`` currently has the edge ``(u, v)`` (O(1))."""
@@ -678,20 +648,6 @@ class ForgivingGraph:
     # ------------------------------------------------------------------ #
     # RT registry maintenance
     # ------------------------------------------------------------------ #
-    def _register_rt(self, rt: ReconstructionTree) -> None:
-        self._rts[rt.rt_id] = rt
-        for port in rt.leaves:
-            self._rt_of_leaf[port] = rt
-        for port in rt.helpers:
-            self._rt_of_helper[port] = rt
-
-    def _unregister_rt(self, rt: ReconstructionTree) -> None:
-        self._rts.pop(rt.rt_id, None)
-        for port in rt.leaves:
-            self._rt_of_leaf.pop(port, None)
-        for port in rt.helpers:
-            self._rt_of_helper.pop(port, None)
-
     def _purge_processor(self, node: NodeId) -> None:
         """Remove every port-keyed record owned by a (now dead) processor."""
         for neighbor in self._g_prime.neighbors(node):

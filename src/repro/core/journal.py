@@ -1,12 +1,10 @@
 """Compactable append-only journals with registered consumer cursors.
 
-The engine's incremental consumers (the adversary's survivor-degree heap,
-historically the distributed link sync) read the degree-touch and edge-delta
-journals through *absolute positions*: each keeps a cursor and drains
-``journal[cursor:]`` after every move.  The journals themselves used to be
-plain lists that grew without bound for the lifetime of the engine — fine
-for a 10⁴-step test, a real memory leak for multi-million-step sessions
-(ROADMAP open item).
+The engine's incremental consumers (the adversary's survivor-degree heap)
+read its degree-touch journal through *absolute positions*: each keeps a
+cursor and drains ``journal[cursor:]`` after every move.  A plain list
+would grow without bound for the lifetime of the engine — fine for a
+10⁴-step test, a real memory leak for multi-million-step sessions.
 
 :class:`Journal` keeps the exact same consumer contract — ``len()`` returns
 the *total* number of entries ever appended and slicing uses absolute

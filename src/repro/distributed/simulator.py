@@ -185,8 +185,6 @@ class DistributedForgivingGraph:
 
     Parameters
     ----------
-    check_invariants:
-        Forwarded to the embedded oracle engine.
     fault_schedule:
         Optional :class:`~repro.distributed.faults.FaultSchedule`; when set,
         protocol messages can be dropped / delayed / reordered and each
@@ -208,10 +206,6 @@ class DistributedForgivingGraph:
         that follows provably runs on gossip digests alone.  Used by the
         recovery tests and experiment E12; the plan-based
         :meth:`_audit_reference` naturally raises under it.
-    repair_concurrency:
-        Default admission cap for :meth:`delete_batch`: ``1`` pins the
-        sequential reference path, ``None`` (default) admits every
-        pairwise-disjoint repair of a burst concurrently.
     receive_trace_limit:
         Per-processor receive-transcript depth (``None`` keeps
         ``Processor.RECEIVE_TRACE_LIMIT``); threaded through the network to
@@ -222,15 +216,13 @@ class DistributedForgivingGraph:
 
     def __init__(
         self,
-        check_invariants: bool = False,
         fault_schedule: Optional[FaultSchedule] = None,
         auto_reconverge: bool = True,
         quarantine_oracle: bool = False,
         quarantine_plan_audit: bool = False,
-        repair_concurrency: Optional[int] = None,
         receive_trace_limit: Optional[int] = None,
     ) -> None:
-        self._engine = ForgivingGraph(check_invariants=check_invariants)
+        self._engine = ForgivingGraph()
         self.network = Network(
             strict_links=True,
             fault_schedule=fault_schedule,
@@ -245,11 +237,6 @@ class DistributedForgivingGraph:
         self.auto_reconverge = auto_reconverge
         self.quarantine_oracle = quarantine_oracle
         self.quarantine_plan_audit = quarantine_plan_audit
-        #: Default admission cap for :meth:`delete_batch` (``None`` =
-        #: unbounded — every pairwise-disjoint repair of a burst is admitted
-        #: into the shared fabric at once; ``1`` = the retained sequential
-        #: reference path, bit-identical to looping :meth:`delete`).
-        self.repair_concurrency = repair_concurrency
         self._runtime: Optional[_RepairRuntime] = None
 
     # ------------------------------------------------------------------ #
@@ -539,12 +526,10 @@ class DistributedForgivingGraph:
     # ------------------------------------------------------------------ #
     # concurrent epoch-tagged bursts
     # ------------------------------------------------------------------ #
-    _BATCH_DEFAULT = object()  # sentinel: "use self.repair_concurrency"
-
     def delete_batch(
         self,
         victims: Sequence[NodeId],
-        concurrency=_BATCH_DEFAULT,
+        concurrency: Optional[int] = None,
         max_rounds: int = 600,
         max_sweeps: int = 40,
     ) -> BurstCostReport:
@@ -572,8 +557,6 @@ class DistributedForgivingGraph:
         of the individual repair latencies
         (``test_disjoint_burst_runs_in_one_wave_and_fewer_rounds``).
         """
-        if concurrency is self._BATCH_DEFAULT:
-            concurrency = self.repair_concurrency
         victims = list(dict.fromkeys(victims))
         if concurrency is not None and concurrency <= 1:
             reports = [self.delete(victim) for victim in victims]

@@ -298,7 +298,7 @@ class AttackSession:
         self.finalize(start=start)
 
     def compact_journals(self) -> Dict[str, int]:
-        """Compact the healer's incremental journals (degree-touch, edge-delta).
+        """Compact the healer's incremental journals (the degree-touch journal).
 
         The journals are append-only per engine and would grow without bound
         over a long session; the session compacts them on its measurement

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.errors import ProtocolError
 from repro.core.ports import NodeKey
-from repro.distributed import DistributedForgivingGraph, Network
+from repro.distributed import DistributedForgivingGraph, Network, run_recovery
 from repro.distributed.messages import DeletionNotice
 from repro.engine import AttackSession
 from repro.adversary import MaxDegreeDeletion, churn_schedule
@@ -344,6 +344,12 @@ class TestLinkSources:
             Network(dense=True)
         with pytest.raises(TypeError):
             DistributedForgivingGraph(dense=True)
+        with pytest.raises(TypeError):
+            DistributedForgivingGraph(repair_concurrency=2)
+        with pytest.raises(TypeError):
+            DistributedForgivingGraph(check_invariants=True)
+        with pytest.raises(TypeError):
+            run_recovery(Network(), victim=0, participants=(), degree=1, n_ever=2, leader=0)
 
     def test_strict_links_still_enforced(self):
         network = Network()

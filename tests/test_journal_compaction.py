@@ -1,8 +1,8 @@
-"""Journal compaction: bounded memory for the engine's append-only journals.
+"""Journal compaction: bounded memory for the engine's append-only journal.
 
-The ROADMAP open item: the degree-touch and edge-delta journals were
-append-only and unbounded per engine.  :class:`repro.core.journal.Journal`
-keeps the absolute-index consumer contract while dropping the prefix every
+The degree-touch journal is append-only, so without compaction it would be
+unbounded per engine.  :class:`repro.core.journal.Journal` keeps the
+absolute-index consumer contract while dropping the prefix every
 *registered* cursor has drained; :class:`repro.engine.AttackSession` calls
 ``compact_journals()`` on its measurement cadence.  These tests pin the
 container semantics, the consumer (tracker) equivalence under aggressive
@@ -95,7 +95,6 @@ class TestEngineCompaction:
         assert before > 0
         dropped = fg.compact_journals()
         assert dropped["degree_touch"] == before
-        assert dropped["edge_delta"] > 0
         # Absolute length is preserved; the storage is gone.
         assert len(fg.degree_touch_log) == before
         assert fg.degree_touch_log.compacted == before
@@ -123,7 +122,7 @@ class TestEngineCompaction:
             if d.num_alive > 3:
                 d.delete(victim)
         dropped = d.compact_journals()
-        assert dropped["edge_delta"] > 0
+        assert dropped["degree_touch"] > 0
         d.verify_consistency()
 
 
