@@ -54,7 +54,8 @@ class ServiceConfig:
         one (0 disables periodic checkpoints — only explicit calls write).
     batch_window:
         Admission window: up to this many consecutive journalled deletions
-        are grouped into one ``delete_batch`` wave (1 = sequential path).
+        are grouped into one ``delete_batch`` call.  Every window, even a
+        one-victim one, heals as a wave with background recovery.
     latency_window:
         Ring-buffer depth of the live repair-latency percentile tracker.
     """

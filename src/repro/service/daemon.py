@@ -295,7 +295,12 @@ class HealerDaemon:
         """Validate against the projected state, journal durably, enqueue."""
         attach = tuple(dict.fromkeys(attach))
         if kind == "insert":
-            if node in self._projected_alive or node in self.healer.deleted_nodes:
+            # An identifier is spent once the engine has seen it (alive or
+            # deleted) or the backlog names it: applying the insert would
+            # raise in every pump and every restore of this store.
+            if node in self.healer.g_prime_graph_view() or any(
+                op.node == node for op in self._pending
+            ):
                 raise ConfigurationError(
                     f"cannot insert {node!r}: the identifier is already in use"
                 )

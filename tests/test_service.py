@@ -319,6 +319,40 @@ class TestHealerDaemon:
             client.delete(0)  # projected dead before the pump
         daemon.close()
 
+    @pytest.mark.parametrize(
+        "backlog",
+        [("delete",), ("insert", "delete")],
+        ids=["delete-reinsert", "insert-delete-reinsert"],
+    )
+    def test_reinsert_of_a_backlogged_id_is_rejected(self, tmp_path, backlog):
+        """An insert reusing an id the unpumped backlog names is refused
+        before it is journalled: applied, it would raise in every pump and
+        every restore of the store."""
+        db = tmp_path / "run.db"
+        daemon = HealerDaemon.create(
+            db, ServiceConfig(graph=GraphSpec("erdos_renyi", 20), seed=1)
+        )
+        client = daemon.client("c")
+        node = 0 if backlog == ("delete",) else 500
+        for kind in backlog:
+            if kind == "insert":
+                client.insert(node, [1, 2])
+            else:
+                client.delete(node)
+        journalled = daemon.store.journal_len()
+        with pytest.raises(ConfigurationError):
+            client.insert(node, [1, 2])
+        assert daemon.store.journal_len() == journalled
+        assert daemon.pump() == len(backlog)
+        assert daemon.backlog == 0
+        daemon.store.close()
+        del daemon
+
+        restored, report = HealerDaemon.restore(db)
+        assert report.converged and report.audit_clean and report.verified
+        assert node not in restored.healer.alive_nodes
+        restored.close()
+
     def test_kill_and_restart_reconverges(self, tmp_path):
         """Abandoning the daemon mid-churn loses nothing the journal holds."""
         db = tmp_path / "run.db"
