@@ -61,6 +61,7 @@ stamped with a per-network id when it enters
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import zlib
@@ -178,8 +179,7 @@ class Message:
     def __init_subclass__(cls) -> None:
         cls.kind = cls.__name__
         cls.sealed = cls.__name__ in SEALED_KINDS
-        payload = cls.__dict__.get("__annotations__", {})
-        cls._seal_names = tuple(payload) if cls.sealed else ()
+        cls._seal_names = tuple(inspect.get_annotations(cls)) if cls.sealed else ()
 
     def __repr__(self) -> str:  # debugging/traces only — never on the hot path
         return (

@@ -97,9 +97,9 @@ class MetricsWindow:
         """Bits of the given kinds sent within the window."""
         return sum(self.bits_by_kind.get(kind, 0) for kind in kinds)
 
-    def record_dropped(self, count: int = 1) -> None:
-        """Account for fault-dropped (or loudly discarded) messages."""
-        self.dropped += count
+    def record_dropped(self) -> None:
+        """Account for one fault-dropped (or loudly discarded) message."""
+        self.dropped += 1
 
     def max_messages_per_node(self) -> int:
         """The busiest single sender's message count within the window."""
@@ -153,13 +153,13 @@ class NetworkMetrics:
         """Account for ``rounds`` parallel communication rounds."""
         self.total_rounds += rounds
 
-    def record_dropped(self, count: int = 1, epoch: object = None) -> None:
-        """Account for messages lost to fault injection (or discarded loudly)."""
-        self.total_dropped += count
+    def record_dropped(self, epoch: object = None) -> None:
+        """Account for one message lost to fault injection (or discarded loudly)."""
+        self.total_dropped += 1
         if self.epoch_windows:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:
-                epoch_window.record_dropped(count)
+                epoch_window.record_dropped()
 
     def max_messages_per_node(self) -> int:
         """The busiest single node's message count (success metric 3 of Figure 1)."""

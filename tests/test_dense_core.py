@@ -11,6 +11,7 @@ plan-footprint independence machinery behind the sharded sweeps.
 """
 
 import dataclasses
+import inspect
 
 import networkx as nx
 import numpy as np
@@ -345,11 +346,17 @@ class TestLinkSources:
         with pytest.raises(TypeError):
             DistributedForgivingGraph(dense=True)
         with pytest.raises(TypeError):
-            DistributedForgivingGraph(repair_concurrency=2)
-        with pytest.raises(TypeError):
             DistributedForgivingGraph(check_invariants=True)
         with pytest.raises(TypeError):
             run_recovery(Network(), victim=0, participants=(), degree=1, n_ever=2, leader=0)
+        # The healer's whole option set; any other keyword raises TypeError.
+        assert list(inspect.signature(DistributedForgivingGraph).parameters) == [
+            "fault_schedule",
+            "auto_reconverge",
+            "quarantine_oracle",
+            "quarantine_plan_audit",
+            "receive_trace_limit",
+        ]
 
     def test_strict_links_still_enforced(self):
         network = Network()
