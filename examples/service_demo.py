@@ -34,9 +34,9 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="service_demo_"))
     db_path = workdir / "run.db"
 
-    # The typed config surface: topology, healer, fault axis and service
-    # knobs in one JSON-round-trippable object, persisted in the store so
-    # a restart reconstructs exactly this configuration.
+    # The typed config surface: topology, fault axis and service knobs in
+    # one JSON-round-trippable object, persisted in the store so a restart
+    # reconstructs exactly this configuration.
     config = ServiceConfig(
         graph=GraphSpec("power_law", 48),
         seed=7,

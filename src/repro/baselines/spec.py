@@ -40,10 +40,10 @@ class HealerSpec:
         unknown names raise :class:`~repro.core.errors.ConfigurationError`
         at spec construction, not at build time.
     options:
-        Constructor keyword arguments (e.g. ``auto_reconverge=False`` or
-        ``receive_trace_limit=16`` for the distributed healer).  Stored as a
-        plain dict but treated as immutable; ``fault_schedule`` must travel
-        through ``fault``, not here.
+        Constructor keyword arguments (e.g. ``auto_reconverge=False`` for
+        the distributed healer).  Stored as a plain dict but treated as
+        immutable; ``fault_schedule`` must travel through ``fault``, not
+        here.
     fault:
         The fault axis as anything :meth:`FaultSpec.parse` accepts —
         ``None`` (lossless), a preset string, a ``FaultSchedule`` or a
@@ -102,40 +102,3 @@ class HealerSpec:
         if schedule is not None:
             options["fault_schedule"] = schedule
         return factory(graph.copy(), **options)
-
-    def with_fault(self, fault: Union[None, str, FaultSchedule, FaultSpec]) -> "HealerSpec":
-        """A copy of this spec with the fault axis replaced."""
-        return HealerSpec(self.name, self.options, fault=fault)
-
-    def with_options(self, **options: Any) -> "HealerSpec":
-        """A copy of this spec with extra constructor options merged in."""
-        merged = dict(self.options)
-        merged.update(options)
-        return HealerSpec(self.name, merged, fault=self.fault)
-
-    # ------------------------------------------------------------------ #
-    # serialization (the service persists its healer spec in the store)
-    # ------------------------------------------------------------------ #
-    def to_json(self) -> Dict[str, Any]:
-        """Declarative form; raises when the fault axis is an explicit schedule."""
-        return {
-            "name": self.name,
-            "options": dict(self.options),
-            "fault": self.fault.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "HealerSpec":
-        return cls(
-            str(payload["name"]),
-            payload.get("options") or {},
-            fault=FaultSpec.from_json(payload.get("fault") or {"preset": "lossless"}),
-        )
-
-    def describe(self) -> str:
-        parts = [self.name]
-        if self.options:
-            parts.append(",".join(f"{k}={v}" for k, v in sorted(self.options.items())))
-        if not self.fault.is_lossless:
-            parts.append(f"fault={self.fault.describe()}")
-        return "/".join(parts)

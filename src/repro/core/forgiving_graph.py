@@ -420,11 +420,6 @@ class ForgivingGraph:
         """
         return {"degree_touch": self._degree_touch_log.compact()}
 
-    def has_actual_edge(self, u: NodeId, v: NodeId) -> bool:
-        """True when the healed network ``G`` currently has the edge ``(u, v)`` (O(1))."""
-        return self._actual.has_edge(u, v)
-
-
     # ------------------------------------------------------------------ #
     # adversarial insertion
     # ------------------------------------------------------------------ #

@@ -83,11 +83,6 @@ class HaftNode:
         """True when the node has no children."""
         return self.left is None and self.right is None
 
-    @property
-    def is_root(self) -> bool:
-        """True when the node has no parent."""
-        return self.parent is None
-
     def recompute_from_children(self) -> None:
         """Refresh ``height`` and ``num_leaves`` from the current children."""
         if self.is_leaf:

@@ -194,10 +194,6 @@ class FaultSchedule:
             policy.reorder > 0.0 for policy in self.per_link.values()
         )
         self._rng = np.random.default_rng(seed)
-        # Observability: how often each fault actually fired.
-        self.dropped = 0
-        self.delayed = 0
-        self.reordered_batches = 0
         # Byzantine axis.  Lies draw from a *separate* RNG stream so the
         # delivery-fault decisions above are bit-identical with or without
         # byzantine processors (same seed => same drops/delays/shuffles).
@@ -210,7 +206,6 @@ class FaultSchedule:
         self.byzantine_policy = byzantine_policy if byzantine_policy is not None else HONEST
         self._byz_rng = np.random.default_rng([seed, 0xB12A])
         self._byz_cache: Dict[NodeId, bool] = {}
-        self.corrupted = 0
 
     def policy_for(self, sender: NodeId, receiver: NodeId) -> LinkFaultPolicy:
         # Presets never set per-link overrides, so the common case skips the
@@ -227,10 +222,8 @@ class FaultSchedule:
             return 0
         roll = self._rng.random()
         if roll < policy.drop:
-            self.dropped += 1
             return -1
         if roll < policy.drop + policy.delay:
-            self.delayed += 1
             return int(self._rng.integers(1, policy.max_delay + 1))
         return 0
 
@@ -251,7 +244,6 @@ class FaultSchedule:
                 movable.append(index)
         if len(movable) < 2:
             return None
-        self.reordered_batches += 1
         permutation = np.arange(len(links))
         permutation[movable] = permutation[self._rng.permutation(movable)]
         return permutation
@@ -356,7 +348,6 @@ class FaultSchedule:
                 message.child_is_helper = not message.child_is_helper
                 reason = "equivocate"
         if reason is not None:
-            self.corrupted += 1
             message.byz_origin = message.sender
         return reason
 

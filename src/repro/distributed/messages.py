@@ -156,10 +156,11 @@ class Message:
     #: Lazy seal cache (see :attr:`seal`).
     _seal: Optional[int] = field(init=False, default=None)
 
-    #: Short name of the message type (used in traces and metrics).  A plain
-    #: class attribute — stamped per subclass below — delivery reads
-    #: ``kind`` several times per message (counters, dispatch, seals), so
-    #: the hot loop pays one attribute load, not a method call.
+    #: Short name of the message type (used by handler dispatch and the
+    #: per-kind ledgers).  A plain class attribute — stamped per subclass
+    #: below — delivery reads ``kind`` several times per message (counters,
+    #: dispatch, seals), so the hot loop pays one attribute load, not a
+    #: method call.
     kind = "Message"
     #: True when this message type carries a payload seal that receivers
     #: verify (``kind in SEALED_KINDS``, precomputed per class so the

@@ -118,9 +118,9 @@ class NetworkMetrics:
     #: Largest single message of the whole run (cumulative; per-repair maxima
     #: live on the :class:`MetricsWindow` of each repair).
     max_message_bits: int = 0
-    messages_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    #: Messages sent per processor over the whole run (per-kind splits live
+    #: only on the per-repair :class:`MetricsWindow`).
     messages_sent_by_node: Dict[NodeId, int] = field(default_factory=lambda: defaultdict(int))
-    bits_sent_by_node: Dict[NodeId, int] = field(default_factory=lambda: defaultdict(int))
     #: Open per-repair windows, keyed by the repair's victim (every
     #: repair-protocol message carries ``deleted``, so the victim IS the
     #: epoch tag).  Empty between repairs.
@@ -141,9 +141,7 @@ class NetworkMetrics:
         self.total_messages += 1
         self.total_bits += bits
         self.max_message_bits = max(self.max_message_bits, bits)
-        self.messages_by_kind[kind] += 1
         self.messages_sent_by_node[sender] += 1
-        self.bits_sent_by_node[sender] += bits
         if self.epoch_windows:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:
@@ -165,10 +163,6 @@ class NetworkMetrics:
         """The busiest single node's message count (success metric 3 of Figure 1)."""
         return max(self.messages_sent_by_node.values(), default=0)
 
-    def max_bits_per_node(self) -> int:
-        """The busiest single node's bits sent."""
-        return max(self.bits_sent_by_node.values(), default=0)
-
     def snapshot(self) -> "NetworkMetrics":
         """Deep-ish copy of every counter — O(n) in the number of senders.
 
@@ -183,9 +177,7 @@ class NetworkMetrics:
             total_dropped=self.total_dropped,
             max_message_bits=self.max_message_bits,
         )
-        clone.messages_by_kind = defaultdict(int, self.messages_by_kind)
         clone.messages_sent_by_node = defaultdict(int, self.messages_sent_by_node)
-        clone.bits_sent_by_node = defaultdict(int, self.bits_sent_by_node)
         return clone
 
 

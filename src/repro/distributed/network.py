@@ -83,18 +83,8 @@ __all__ = ["Network"]
 class Network:
     """A synchronous message-passing network of :class:`Processor` objects."""
 
-    def __init__(
-        self,
-        strict_links: bool = True,
-        fault_schedule: Optional[FaultSchedule] = None,
-        receive_trace_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, fault_schedule: Optional[FaultSchedule] = None) -> None:
         self.processors: Dict[NodeId, Processor] = {}
-        #: Per-processor receive-transcript depth (``None`` = the class
-        #: default ``Processor.RECEIVE_TRACE_LIMIT``).  Transcripts dominate
-        #: bytes/node at large n, so deployments that only need the dispute
-        #: window can shrink it.
-        self.receive_trace_limit = receive_trace_limit
         #: Processor -> set of linked processors (empty set while isolated).
         self._adjacency: Dict[NodeId, Set[NodeId]] = {}
         #: Link (``frozenset`` of its endpoints) -> set of source keys.
@@ -110,8 +100,6 @@ class Network:
         self._message_seq = 0
         self._round = 0
         self.metrics = NetworkMetrics()
-        #: When True, sending a message between unlinked processors raises.
-        self.strict_links = strict_links
         #: Optional fault injection applied at delivery time.
         self.fault_schedule = fault_schedule
         #: Links auto-created for the currently open repair scaffold
@@ -150,7 +138,7 @@ class Network:
         """Create (or return) the processor with identifier ``node``."""
         processor = self.processors.get(node)
         if processor is None:
-            processor = Processor(node, receive_trace_limit=self.receive_trace_limit)
+            processor = Processor(node)
             processor.network = self
             self.processors[node] = processor
             self._adjacency.setdefault(node, set())
@@ -335,10 +323,6 @@ class Network:
             result.add((u, v) if NodeKey(u) < NodeKey(v) else (v, u))
         return result
 
-    def neighbors_unsorted(self, node: NodeId) -> List[NodeId]:
-        """Current link neighbours of ``node`` in arbitrary order (fast path)."""
-        return list(self._adjacency.get(node, ()))
-
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Current link neighbours of ``node``, in canonical :class:`NodeKey` order."""
         return sorted(self._adjacency.get(node, ()), key=NodeKey)
@@ -349,13 +333,14 @@ class Network:
     def send(self, message: Message) -> None:
         """Queue a message for delivery in the next round.
 
-        In strict mode the sender and receiver must currently be linked —
-        the paper's model only lets processors talk to their immediate
-        neighbours (names of other vertices may be *carried* in messages,
-        but not used as direct destinations).  While a repair scaffold is
-        open, a missing link is created and recorded instead: the repair is
-        entitled to wire its own temporary edges (Algorithm A.3), and the
-        scaffold teardown reclaims them.
+        The sender and receiver must currently be linked — the paper's
+        model only lets processors talk to their immediate neighbours
+        (names of other vertices may be *carried* in messages, but not used
+        as direct destinations), so an unlinked send raises
+        :class:`ProtocolError`.  While a repair scaffold is open, a missing
+        link is created and recorded instead: the repair is entitled to
+        wire its own temporary edges (Algorithm A.3), and the scaffold
+        teardown reclaims them.
         """
         sender = message.sender
         receiver = message.receiver
@@ -366,7 +351,7 @@ class Network:
         if sender != receiver and not self.are_linked(sender, receiver):
             if self._scaffold is not None:
                 self.scaffold_link(sender, receiver)
-            elif self.strict_links:
+            else:
                 raise ProtocolError(
                     f"{message.kind} from {sender!r} to {receiver!r} "
                     "would travel between unlinked processors"

@@ -7,6 +7,9 @@ real node's current endpoint, whether the processor is simulating a helper
 node for this edge, the real node's RT parent and representative, plus the
 helper node's parent / children / height / children-count / representative.
 Its field order is also the checkpoint store's record payload order.
+Beside the records a processor holds only its active repair contexts; it
+keeps no log of the messages it received (the network's metrics count the
+traffic, and an accusation carries its own evidence).
 
 Since the merge went message-native (PR 4) the processor is no longer a
 passive recorder: during a repair it *acts* on what it receives.  At repair
@@ -48,9 +51,8 @@ the engine is an oracle, never a participant.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import dataclasses
 
@@ -221,30 +223,10 @@ class RepairContext:
 class Processor:
     """A network processor: identifier, per-edge records, repair behaviour."""
 
-    #: How many recent messages :attr:`received` retains per processor.
-    RECEIVE_TRACE_LIMIT = 128
-
-    def __init__(
-        self,
-        node_id: NodeId,
-        receive_trace_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, node_id: NodeId) -> None:
         self.node_id = node_id
         #: One record per ``G'`` edge, keyed by the neighbour's identifier.
         self.edges: Dict[NodeId, EdgeRecord] = {}
-        #: Transcript depth for this processor (constructor-tunable because
-        #: retained traces dominate bytes/node at large n; ``None`` keeps
-        #: the class default).
-        self.receive_trace_limit = (
-            self.RECEIVE_TRACE_LIMIT if receive_trace_limit is None else receive_trace_limit
-        )
-        #: The most recent messages received, in arrival order (a bounded
-        #: trace for tests/debugging — an unbounded log would dominate
-        #: memory over long sessions, since every repair and retransmission
-        #: lands here).  Totals live in :attr:`received_by_kind`.
-        self.received: Deque[Message] = deque(maxlen=self.receive_trace_limit)
-        #: Messages received per kind (cheap counters for assertions).
-        self.received_by_kind: Dict[str, int] = {}
         #: Back-reference set by :meth:`Network.add_processor`; lets message
         #: handlers update the sourced link set.  ``None`` for standalone
         #: processors (unit tests), where link effects are skipped.
@@ -374,10 +356,6 @@ class Processor:
         accused and quarantined.  Honest messages are valid by construction,
         so this gate can never fire on delivery faults alone.
         """
-        kind = message.kind
-        self.received.append(message)
-        counts = self.received_by_kind
-        counts[kind] = counts.get(kind, 0) + 1
         # Seal gate ordered cheapest-first: ``sealed`` is a per-class flag
         # (False for the unsealed majority — probes, notices, requests), so
         # most messages pay one attribute check here instead of a frozenset
@@ -395,6 +373,7 @@ class Processor:
                     )
                     return []
         cls = type(self)
+        kind = message.kind
         handler = _HANDLER_CACHE.get((cls, kind), _UNRESOLVED)
         if handler is _UNRESOLVED:
             handler = getattr(cls, f"_on_{kind}", None)

@@ -206,10 +206,6 @@ class DistributedForgivingGraph:
         that follows provably runs on gossip digests alone.  Used by the
         recovery tests and experiment E12; the plan-based
         :meth:`_audit_reference` naturally raises under it.
-    receive_trace_limit:
-        Per-processor receive-transcript depth (``None`` keeps
-        ``Processor.RECEIVE_TRACE_LIMIT``); threaded through the network to
-        every processor it creates.
     """
 
     name = "distributed_forgiving_graph"
@@ -220,14 +216,9 @@ class DistributedForgivingGraph:
         auto_reconverge: bool = True,
         quarantine_oracle: bool = False,
         quarantine_plan_audit: bool = False,
-        receive_trace_limit: Optional[int] = None,
     ) -> None:
         self._engine = ForgivingGraph()
-        self.network = Network(
-            strict_links=True,
-            fault_schedule=fault_schedule,
-            receive_trace_limit=receive_trace_limit,
-        )
+        self.network = Network(fault_schedule=fault_schedule)
         #: One cost report per deletion, in order.
         self.cost_reports: List[DeletionCostReport] = []
         #: One recovery ledger per reconverge() call, in order.

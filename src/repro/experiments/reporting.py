@@ -97,11 +97,6 @@ class JsonlReporter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = self.path.open("a")
 
-    @property
-    def completed_keys(self) -> Set[str]:
-        """Task keys already present in the stream (from this run or a resumed one)."""
-        return set(self._completed)
-
     def is_done(self, task_key: str) -> bool:
         """True when a row for ``task_key`` is already in the stream."""
         return task_key in self._completed

@@ -9,9 +9,9 @@ admission path, checkpoints the full distributed state to sqlite
 (:mod:`repro.service.store`), and exposes live repair-latency percentiles,
 recovery costs and store sizes over a JSON status endpoint
 (:mod:`repro.service.metrics`).  The typed configuration surface
-(:class:`ServiceConfig`, composing :class:`~repro.baselines.HealerSpec` and
-:class:`~repro.distributed.faults.FaultSpec`) is JSON-round-trippable and
-persisted in the store, so a restarted daemon reconstructs exactly the
+(:class:`ServiceConfig`, composing :class:`~repro.generators.graphs.GraphSpec`
+and :class:`~repro.distributed.faults.FaultSpec`) is JSON-round-trippable
+and persisted in the store, so a restarted daemon reconstructs exactly the
 configuration the crashed one ran.
 
 Crash-recover is the point: ``kill -9`` mid-churn then

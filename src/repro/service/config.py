@@ -2,12 +2,14 @@
 
 :class:`ServiceConfig` is the top of the typed-config stack introduced by
 the api_redesign: it composes a :class:`~repro.generators.graphs.GraphSpec`
-(the genesis topology), a :class:`~repro.baselines.HealerSpec` (which
-healer, with which options) and a :class:`~repro.distributed.faults
-.FaultSpec` (the network conditions) into one frozen, JSON-round-trippable
-value.  The service persists it in the checkpoint store's ``meta`` table,
-so a restarted daemon reconstructs *exactly* the configuration the crashed
-one ran — which is why every axis here must be declarative: explicit
+(the genesis topology) and a :class:`~repro.distributed.faults.FaultSpec`
+(the network conditions) into one frozen, JSON-round-trippable value.  The
+healer is always the :class:`~repro.distributed.DistributedForgivingGraph`
+with its default options: the service drives ``delete_batch`` waves and
+the digest-recovery rejoin path, which only that healer has.  The service
+persists the config in the checkpoint store's ``meta`` table, so a
+restarted daemon reconstructs *exactly* the configuration the crashed one
+ran — which is why every axis here must be declarative: explicit
 :class:`FaultSchedule` objects carry live RNG state and are rejected.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
-from ..baselines.spec import DISTRIBUTED_HEALERS, HealerSpec
 from ..core.errors import ConfigurationError
 from ..distributed.faults import BYZANTINE_PRESETS, DELIVERY_PRESETS, FaultSchedule, FaultSpec
 from ..generators.graphs import GraphSpec, available_topologies
@@ -33,10 +34,6 @@ class ServiceConfig:
     graph:
         The genesis topology spec (built once, at first start; restarts
         load the genesis from the store instead of rebuilding).
-    healer:
-        The healer to run.  The service drives ``delete_batch`` waves and
-        the digest-recovery rejoin path, so only healers in
-        :data:`~repro.baselines.DISTRIBUTED_HEALERS` are legal.
     fault:
         Declarative fault axis — anything :meth:`FaultSpec.parse` accepts
         *except* an explicit ``FaultSchedule`` (live RNG state does not
@@ -61,9 +58,6 @@ class ServiceConfig:
     """
 
     graph: GraphSpec = field(default_factory=lambda: GraphSpec("erdos_renyi", 48))
-    healer: HealerSpec = field(
-        default_factory=lambda: HealerSpec("distributed_forgiving_graph")
-    )
     fault: FaultSpec = field(default_factory=FaultSpec)
     seed: int = 0
     checkpoint_every: int = 16
@@ -73,7 +67,6 @@ class ServiceConfig:
     def __init__(
         self,
         graph: Optional[GraphSpec] = None,
-        healer: Union[None, str, HealerSpec] = None,
         fault: Union[None, str, FaultSpec, FaultSchedule] = None,
         seed: int = 0,
         checkpoint_every: int = 16,
@@ -84,16 +77,6 @@ class ServiceConfig:
         if graph.topology not in available_topologies():
             raise ConfigurationError(
                 f"unknown topology {graph.topology!r}; available: {available_topologies()}"
-            )
-        if isinstance(healer, str):
-            healer = HealerSpec(healer)
-        elif healer is None:
-            healer = HealerSpec("distributed_forgiving_graph")
-        if healer.name not in DISTRIBUTED_HEALERS:
-            raise ConfigurationError(
-                f"the healer service drives delete_batch waves and digest "
-                f"recovery; healer {healer.name!r} has no network — use one "
-                f"of {sorted(DISTRIBUTED_HEALERS)}"
             )
         try:
             fault_spec = FaultSpec.parse(fault, seed=seed)
@@ -112,14 +95,6 @@ class ServiceConfig:
                 "certification compares against; use one of "
                 f"{sorted(DELIVERY_PRESETS)}"
             )
-        # The healer spec's own fault axis must not compete with the
-        # service-level one; the service owns materialization.
-        if not healer.fault.is_lossless:
-            raise ConfigurationError(
-                "pass the fault axis through ServiceConfig(fault=...), not "
-                "through the healer spec — the service persists and "
-                "re-materializes it on restart"
-            )
         if checkpoint_every < 0:
             raise ConfigurationError("checkpoint_every must be >= 0")
         if batch_window < 1:
@@ -127,7 +102,6 @@ class ServiceConfig:
         if latency_window < 1:
             raise ConfigurationError("latency_window must be >= 1")
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "healer", healer)
         object.__setattr__(self, "fault", fault_spec)
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "checkpoint_every", int(checkpoint_every))
@@ -144,7 +118,6 @@ class ServiceConfig:
                 "n": self.graph.n,
                 "params": dict(self.graph.params),
             },
-            "healer": self.healer.to_json(),
             "fault": self.fault.to_json(),
             "seed": self.seed,
             "checkpoint_every": self.checkpoint_every,
@@ -154,6 +127,11 @@ class ServiceConfig:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "ServiceConfig":
+        """Rebuild a persisted config.
+
+        A ``"healer"`` entry, which older stores carry, is ignored: it could
+        only name the distributed healer, the one the service runs.
+        """
         graph_payload = payload["graph"]
         return cls(
             graph=GraphSpec(
@@ -161,7 +139,6 @@ class ServiceConfig:
                 n=int(graph_payload["n"]),
                 params=dict(graph_payload.get("params") or {}),
             ),
-            healer=HealerSpec.from_json(payload["healer"]),
             fault=FaultSpec.from_json(payload["fault"]),
             seed=int(payload.get("seed", 0)),
             checkpoint_every=int(payload.get("checkpoint_every", 16)),
@@ -170,7 +147,4 @@ class ServiceConfig:
         )
 
     def describe(self) -> str:
-        return (
-            f"{self.graph.label()}/{self.healer.describe()}"
-            f"/fault={self.fault.describe()}/seed={self.seed}"
-        )
+        return f"{self.graph.label()}/fault={self.fault.describe()}/seed={self.seed}"

@@ -17,8 +17,8 @@ Crash-recover is real, twice over:
   engine-application order the journal's ``apply_rank`` column records),
   rebuilds the network verbatim from the checkpoint tables, then replays
   the suffix — the ops the crash interrupted — through the full
-  message-native path, and certifies the result (``reconverge`` +
-  ``audit_reference`` + ``verify_consistency``).
+  message-native path, and certifies the result (every suffix deletion
+  converged, ``audit_reference`` is empty, ``verify_consistency`` passes).
 
 * **Stale-processor rejoin** — :meth:`HealerDaemon.rejoin_stale` restarts
   one repair participant from the latest checkpoint image *mid-repair*:
@@ -60,8 +60,13 @@ class RestartReport:
     prefix_ops: int
     #: Ops replayed through the full message-native path (the crash suffix).
     suffix_ops: int
+    #: Every deletion of the suffix replay reported ``converged`` (its
+    #: background recovery reached the fixed point); True for a suffix
+    #: without deletions.
     converged: bool
-    #: ``audit_reference()`` came back empty after the suffix replay.
+    #: ``audit_reference()`` came back empty after the suffix replay.  The
+    #: plan audit covers only a sequential repair whose contexts are still
+    #: installed, and the replay's ``delete_batch`` waves never leave one.
     audit_clean: bool
     #: ``verify_consistency()`` passed (records/links/census match the oracle).
     verified: bool
@@ -159,11 +164,9 @@ class HealerDaemon:
 
     @staticmethod
     def _build_healer(config: ServiceConfig, genesis) -> DistributedForgivingGraph:
-        options = dict(config.healer.options)
-        schedule = config.fault.build(config.seed)
-        if schedule is not None:
-            options["fault_schedule"] = schedule
-        return DistributedForgivingGraph.from_graph(genesis, **options)
+        return DistributedForgivingGraph.from_graph(
+            genesis, fault_schedule=config.fault.build(config.seed)
+        )
 
     @classmethod
     def restore(
@@ -176,9 +179,11 @@ class HealerDaemon:
         originally saw), the distributed state loads verbatim from the
         checkpoint tables, and the crash suffix replays through the full
         message-native path.  The restored daemon is certified before it
-        is returned: recovery reaches its fixed point, the plan-based
-        audit wants nothing, and ``verify_consistency`` ties every record
-        and link back to the oracle.
+        is returned: every suffix deletion's recovery reached its fixed
+        point, the plan-based audit wants nothing, and
+        ``verify_consistency`` ties every record and link back to the
+        oracle.  A restore that replayed a suffix writes a fresh checkpoint
+        only when the replay converged and verified.
         """
         store = CheckpointStore(db_path)
         if not store.initialized:
@@ -213,10 +218,7 @@ class HealerDaemon:
             checkpoint_seq = ckpt.seq
 
             # 2. Rebuild the distributed side verbatim from the checkpoint.
-            options = dict(config.healer.options)
-            healer = DistributedForgivingGraph(
-                fault_schedule=config.fault.build(config.seed), **options
-            )
+            healer = DistributedForgivingGraph(fault_schedule=config.fault.build(config.seed))
             healer._engine = engine
             network = healer.network
             for node in ckpt.alive:
@@ -261,8 +263,9 @@ class HealerDaemon:
             daemon._project(op)
         daemon.pump(checkpoint=False)
 
-        # 4. Certification.
-        recovery = daemon.healer.reconverge()
+        # 4. Certification.  The restored healer's cost reports are exactly
+        #    the suffix replay's, so they carry its convergence.
+        converged = all(report.converged for report in daemon.healer.cost_reports)
         audit = daemon.healer.audit_reference()
         verified = True
         try:
@@ -273,7 +276,7 @@ class HealerDaemon:
             checkpoint_seq=checkpoint_seq,
             prefix_ops=prefix_count,
             suffix_ops=len(suffix),
-            converged=recovery.converged,
+            converged=converged,
             audit_clean=not audit,
             verified=verified,
         )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import ForgivingGraph
+from repro.distributed import Processor
 from repro.generators import make_graph
 
 
@@ -44,3 +45,21 @@ def power_law_60():
 def checked_fg(small_er):
     """A ForgivingGraph over the small ER graph with invariant checking enabled."""
     return ForgivingGraph.from_graph(small_er, check_invariants=True)
+
+
+@pytest.fixture
+def received_messages(monkeypatch):
+    """Every message a processor is handed during the test, in delivery order.
+
+    Taps ``Processor.receive`` on the class, so it sees every delivery of
+    every network the test builds.
+    """
+    received = []
+    receive = Processor.receive
+
+    def tapped(processor, message):
+        received.append(message)
+        return receive(processor, message)
+
+    monkeypatch.setattr(Processor, "receive", tapped)
+    return received

@@ -124,7 +124,7 @@ class TestChurnedNetwork:
         network = _churned_healer(n=40).network
         liar = max(
             sorted(network.processors, key=NodeKey),
-            key=lambda node: len(network.neighbors_unsorted(node)),
+            key=lambda node: len(network.neighbors(node)),
         )
         neighbors = network.neighbors(liar)
         assert neighbors
@@ -133,7 +133,7 @@ class TestChurnedNetwork:
         assert all(liar not in link for link in network.export_link_sources())
         assert all(liar not in pair for pair in network.iter_links())
         for node in neighbors:
-            assert liar not in network.neighbors_unsorted(node)
+            assert liar not in network.neighbors(node)
 
 
 class TestUnsortedAccessors:
@@ -151,14 +151,6 @@ class TestUnsortedAccessors:
             frozenset(pair) for pair in ordered
         }
 
-    def test_neighbors_unsorted_matches_neighbors_as_sets(self):
-        network = self._network()
-        for node in network.processors:
-            fast = network.neighbors_unsorted(node)
-            canonical = network.neighbors(node)
-            assert sorted(fast, key=repr) == sorted(canonical, key=repr)
-            assert len(fast) == len(set(fast))
-
     def test_accessors_on_a_small_network(self):
         network = Network()
         for node in "abc":
@@ -170,7 +162,6 @@ class TestUnsortedAccessors:
             frozenset("bc"),
         }
         assert network.neighbors("b") == ["a", "c"]
-        assert set(network.neighbors_unsorted("b")) == {"a", "c"}
 
 
 class TestCrossCheckCadence:
@@ -349,13 +340,16 @@ class TestLinkSources:
             DistributedForgivingGraph(check_invariants=True)
         with pytest.raises(TypeError):
             run_recovery(Network(), victim=0, participants=(), degree=1, n_ever=2, leader=0)
+        with pytest.raises(TypeError):
+            DistributedForgivingGraph(receive_trace_limit=8)
+        with pytest.raises(TypeError):
+            Network(strict_links=False)
         # The healer's whole option set; any other keyword raises TypeError.
         assert list(inspect.signature(DistributedForgivingGraph).parameters) == [
             "fault_schedule",
             "auto_reconverge",
             "quarantine_oracle",
             "quarantine_plan_audit",
-            "receive_trace_limit",
         ]
 
     def test_strict_links_still_enforced(self):

@@ -15,8 +15,7 @@ PR 8's contract, each clause tested on its own:
   accusations — mixed-epoch traffic does not confuse the accountability
   machinery;
 * the engine surfaces bursts as first-class ``StepEvent``s with per-victim
-  cost reports, and ``receive_trace_limit`` threads through to every
-  processor.
+  cost reports.
 """
 
 from __future__ import annotations
@@ -221,18 +220,3 @@ class TestEngineIntegration:
         assert events
         assert all(event.kind == "burst_delete" for event in events)
         assert healer.num_alive == 40 - sum(len(e.victims) for e in events)
-
-
-class TestReceiveTraceLimit:
-    def test_limit_threads_through_to_every_processor(self):
-        graph = make_graph("power_law", 40, seed=9)
-        healer = DistributedForgivingGraph.from_graph(graph, receive_trace_limit=8)
-        assert all(
-            p.received.maxlen == 8 for p in healer.network.processors.values()
-        )
-        victims = _disjoint_burst(graph, min_k=2, limit=4)
-        healer.delete_batch(victims, concurrency=None)
-        healer.verify_consistency()
-        assert all(
-            len(p.received) <= 8 for p in healer.network.processors.values()
-        )

@@ -113,27 +113,21 @@ class TestMessageDelivery:
         net.connect("a", "b")
         return net
 
-    def test_messages_are_delivered_next_round(self):
+    def test_messages_are_delivered_next_round(self, received_messages):
         net = self.make_pair()
         net.send(Probe(sender="a", receiver="b", deleted="x"))
         assert net.pending_messages == 1
+        assert received_messages == []
         delivered = net.deliver_round()
         assert delivered == 1
-        assert net.processors["b"].received_by_kind["Probe"] == 1
+        assert [(m.receiver, m.kind) for m in received_messages] == [("b", "Probe")]
 
     def test_strict_mode_rejects_unlinked_send(self):
-        net = Network(strict_links=True)
+        net = Network()
         net.add_processor("a")
         net.add_processor("b")
         with pytest.raises(ProtocolError):
             net.send(Probe(sender="a", receiver="b"))
-
-    def test_non_strict_mode_allows_unlinked_send(self):
-        net = Network(strict_links=False)
-        net.add_processor("a")
-        net.add_processor("b")
-        net.send(Probe(sender="a", receiver="b"))
-        assert net.deliver_round() == 1
 
     def test_send_requires_existing_endpoints(self):
         net = self.make_pair()

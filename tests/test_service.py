@@ -4,20 +4,24 @@ Pins the tentpole claims:
 
 * the typed config stack — ``FaultSpec.parse`` is the single fault-axis
   entry point (presets, schedules, specs; errors name every preset) and
-  ``HealerSpec`` validates at construction and survives its JSON round
-  trip: the rebuilt spec replays a session bit-identically, fault axis
-  included;
+  ``HealerSpec`` validates at construction; two builds of one spec replay
+  a session bit-identically, each with its own fault schedule;
+* ``ServiceConfig`` is a graph and a fault axis, and still loads the
+  ``healer`` entry older stores carry;
 * the checkpoint store round-trips the full distributed state (Table 1
   records through the typed codec, sourced links, transcript, census);
 * crash-recover is real: abandoning a daemon mid-churn and restoring
   from its store replays the journal around the last checkpoint and
-  certifies (reconverge + empty audit + ``verify_consistency``);
+  certifies (every suffix deletion converged, empty audit,
+  ``verify_consistency``); a replay that did not converge is reported as
+  such and not checkpointed;
 * a processor rejoining with a stale checkpoint image mid-repair is a
   digest divergence that recovery heals with genuine retransmissions;
 * concurrent client streams are deterministic under a fixed seed.
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -26,7 +30,7 @@ from repro.baselines import HealerSpec, available_healers
 from repro.core.errors import ConfigurationError
 from repro.distributed import DistributedForgivingGraph, fault_schedule
 from repro.distributed.faults import DELIVERY_PRESETS, FAULT_PRESETS, FaultSpec
-from repro.distributed.processor import EdgeRecord
+from repro.distributed.processor import EdgeRecord, Processor
 from repro.generators import make_graph
 from repro.generators.graphs import GraphSpec
 from repro.service import (
@@ -98,14 +102,12 @@ class TestHealerSpec:
             HealerSpec("forgiving_graph", fault="drop")
 
     @pytest.mark.parametrize("name", sorted(available_healers()))
-    def test_json_round_trip_rebuilds_identical_sessions(self, name):
-        """A spec rebuilt from its JSON form replays the same session."""
+    def test_two_builds_replay_identical_sessions(self, name):
+        """Two builds of one spec replay the same session."""
         spec = HealerSpec(name)
-        rebuilt = HealerSpec.from_json(spec.to_json())
-        assert rebuilt == spec
         graph = make_graph("power_law", 24, seed=4)
         edges_before = set(graph.edges)
-        first, second = spec.build(graph), rebuilt.build(graph)
+        first, second = spec.build(graph), spec.build(graph)
         rng = random.Random(11)
         for _ in range(6):
             victims = sorted(first.alive_nodes, key=repr)
@@ -118,13 +120,11 @@ class TestHealerSpec:
         assert set(first.actual_graph().edges) == set(second.actual_graph().edges)
         assert set(graph.edges) == edges_before  # each build healed its own copy
 
-    def test_json_round_trip_keeps_fault_axis(self):
-        """The rebuilt spec materializes the same fault schedule, per build."""
+    def test_each_build_gets_its_own_fault_schedule(self):
+        """Every build materializes the spec's fault axis afresh."""
         spec = HealerSpec("distributed_forgiving_graph", fault=FaultSpec("drop", seed=7))
-        rebuilt = HealerSpec.from_json(spec.to_json())
-        assert rebuilt.fault == spec.fault
         graph = make_graph("power_law", 24, seed=4)
-        first, second = spec.build(graph), rebuilt.build(graph)
+        first, second = spec.build(graph), spec.build(graph)
         assert first.fault_schedule is not second.fault_schedule
         rng = random.Random(2)
         dropped = 0
@@ -160,9 +160,11 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError):
             ServiceConfig(fault=fault_schedule("drop", seed=0))
 
-    def test_rejects_non_distributed_healer(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(healer="forgiving_graph")
+    def test_has_no_healer_option(self):
+        """The service runs the distributed healer; there is nothing to choose."""
+        for name in ("forgiving_graph", "distributed_forgiving_graph"):
+            with pytest.raises(TypeError):
+                ServiceConfig(healer=name)
 
     @pytest.mark.parametrize("preset", ["gamma-rays", "byzantine", "byzantine-chaos"])
     def test_rejects_unknown_fault_preset(self, preset):
@@ -382,6 +384,64 @@ class TestHealerDaemon:
         # The links are lossless, so every fixed-point probe was silent.
         assert status["recovery"]["fixed_point_silent"] > 0
         assert status["recovery"]["fixed_point_noisy"] == 0
+        restored.close()
+
+    def test_restore_of_a_store_with_a_healer_entry(self, tmp_path):
+        """A store whose config still carries the ``healer`` entry older
+        stores were written with restores and certifies."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(graph=GraphSpec("power_law", 32), seed=5, checkpoint_every=4)
+        daemon = HealerDaemon.create(db, config)
+        _drive(daemon, 10, seed=1)
+        legacy = dict(
+            config.to_json(),
+            healer={
+                "name": "distributed_forgiving_graph",
+                "options": {},
+                "fault": {"preset": "lossless", "seed": None},
+            },
+        )
+        daemon.store._set_meta("config", json.dumps(legacy))
+        daemon.store._conn.commit()
+        daemon.store.close()
+        del daemon
+        restored, report = HealerDaemon.restore(db)
+        assert restored.config == config
+        assert report.converged and report.audit_clean and report.verified
+        restored.close()
+
+    def test_restore_reports_a_suffix_replay_that_did_not_converge(
+        self, tmp_path, monkeypatch
+    ):
+        """Certification reads the suffix replay's own convergence.
+
+        With every recovery predicate forced false, no suffix deletion
+        reaches its fixed point: the restore must say so and must not write
+        a checkpoint on top of that state.
+        """
+        db = tmp_path / "run.db"
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 40), seed=5, checkpoint_every=8, batch_window=3
+        )
+        daemon = HealerDaemon.create(db, config)
+        client = daemon.client("c")
+        rng = random.Random(5)
+        for i in range(15):
+            client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))
+            if i < 12 and (i + 1) % 4 == 0:
+                daemon.pump()
+        assert daemon.backlog == 3
+        checkpoints = daemon.store.checkpoint_count()
+        assert checkpoints > 0
+        daemon.store.close()
+        del daemon
+
+        monkeypatch.setattr(Processor, "recovery_satisfied", lambda self, victim: False)
+        restored, report = HealerDaemon.restore(db)
+        assert report.suffix_ops == len(restored.healer.cost_reports) == 7
+        assert not any(r.converged for r in restored.healer.cost_reports)
+        assert report.converged is False
+        assert restored.store.checkpoint_count() == checkpoints
         restored.close()
 
     def test_restart_without_checkpoint_replays_full_path(self, tmp_path):
