@@ -24,29 +24,31 @@ Lemma 4).  This package provides
   :class:`EdgeRecord` per ``G'`` edge with exactly the fields of Table 1)
   plus the reactive repair behaviour driven by received messages,
 * :mod:`repro.distributed.protocol` — planning (each participant's
-  pre-failure local knowledge) and the synchronous round loop
-  (notification, BT_v formation, probing for primary roots, leader merge
-  and dissemination),
+  pre-failure local knowledge), seeding (notification, BT_v formation, the
+  first probe hops) and ``execute_repair``, the one synchronous round loop
+  every repair and recovery runs in (probing for primary roots, leader
+  merge and dissemination),
 * :mod:`repro.distributed.recovery` — the gossip-digest anti-entropy
   recovery: participants gossip compact digests of their own repair state
-  and retransmit only what their neighbours' digests show missing, with
-  its own :class:`RecoveryCostReport` cost ledger; the same protocol
-  re-cut as the per-epoch :class:`BackgroundRecovery` state machine for
-  concurrent bursts,
+  and retransmit only what their neighbours' digests show missing, as the
+  per-epoch :class:`BackgroundRecovery` state machine that round loop
+  polls, with its own :class:`RecoveryCostReport` cost ledger,
 * :mod:`repro.distributed.simulator` — :class:`DistributedForgivingGraph`,
   a drop-in healer that runs every repair through the message-passing
   substrate, reports per-deletion communication costs, reconverges after
   injected faults, and heals deletion *bursts* concurrently
   (:meth:`~DistributedForgivingGraph.delete_batch`: disjoint-footprint
   waves of epoch-tagged repairs in one shared delivery stream, summarized
-  per burst by :class:`BurstCostReport`).
+  per burst by :class:`BurstCostReport`; a lone ``delete`` is a wave of
+  one).
 
 The merge *and* the recovery are message-native: the healed structure is
 decided by the merge leader from the descriptors that physically arrived
 and applied by owners from the instructions they physically received — so
-faulty links make processors disagree — and
-:meth:`DistributedForgivingGraph.reconverge` heals the divergence with
-digest gossip, never a global audit (the plan-based audit survives only as
+faulty links make processors disagree — and each repair's
+:class:`BackgroundRecovery` heals the divergence with digest gossip in the
+repair's own round loop, never a global audit (the plan-based audit
+survives only as
 the :meth:`~DistributedForgivingGraph.audit_reference` oracle).  The
 centralized reference engine is an *oracle*: the tests in
 ``tests/test_distributed_*`` assert the message-built state converges to
@@ -102,7 +104,7 @@ from .metrics import (
 )
 from .network import Network
 from .processor import EdgeRecord, Processor, RepairContext
-from .recovery import BackgroundRecovery, run_recovery
+from .recovery import BackgroundRecovery
 from .simulator import DistributedForgivingGraph
 
 __all__ = [
@@ -127,7 +129,6 @@ __all__ = [
     "DeletionCostReport",
     "RecoveryCostReport",
     "BurstCostReport",
-    "run_recovery",
     "BackgroundRecovery",
     "DistributedForgivingGraph",
     "FaultSchedule",

@@ -60,8 +60,8 @@ class MetricsWindow:
     The window only ever holds state proportional to the repair it measures
     (its per-sender dict has one entry per processor that actually sent a
     message), which is what keeps the simulator's per-deletion accounting
-    O(delta) — the alternative, diffing two :meth:`NetworkMetrics.snapshot`
-    copies, is O(n) per deletion regardless of how small the repair was.
+    O(delta) — diffing two copies of the run-wide counters would be O(n)
+    per deletion regardless of how small the repair was.
     """
 
     messages: int = 0
@@ -163,23 +163,6 @@ class NetworkMetrics:
         """The busiest single node's message count (success metric 3 of Figure 1)."""
         return max(self.messages_sent_by_node.values(), default=0)
 
-    def snapshot(self) -> "NetworkMetrics":
-        """Deep-ish copy of every counter — O(n) in the number of senders.
-
-        Retained as the reference accounting: the simulator's fast path now
-        derives per-deletion deltas from a :class:`MetricsWindow` instead of
-        diffing two snapshots, and the equivalence tests cross-check the two.
-        """
-        clone = NetworkMetrics(
-            total_messages=self.total_messages,
-            total_bits=self.total_bits,
-            total_rounds=self.total_rounds,
-            total_dropped=self.total_dropped,
-            max_message_bits=self.max_message_bits,
-        )
-        clone.messages_sent_by_node = defaultdict(int, self.messages_sent_by_node)
-        return clone
-
 
 @dataclass
 class RecoveryCostReport:
@@ -227,8 +210,8 @@ class RecoveryCostReport:
     #: Messages emitted by the first anti-entropy sweep run *after* every
     #: participant's ``recovery_satisfied`` predicate already held — the
     #: fixed-point probe.  The silent-protocol property says this is 0 on
-    #: the lossless path (recorded only by the background/piggyback driver;
-    #: -1 means the probe never ran, e.g. the standalone ``run_recovery``).
+    #: the lossless path; -1 means the recovery never started (its repair's
+    #: traffic never drained, or the round budget ran out first).
     fixed_point_messages: int = -1
 
     @property
@@ -388,6 +371,8 @@ class DeletionCostReport:
     n_ever: int
     messages: int
     bits: int
+    #: Rounds of the loop the repair ran in: its wave's shared rounds, the
+    #: wave's recoveries included.
     rounds: int
     #: Largest single message sent *during this repair* (not the run so far).
     max_message_bits: int
@@ -397,6 +382,7 @@ class DeletionCostReport:
     #: Fault-tolerance accounting (all zero on a lossless network).
     dropped_messages: int = 0
     retransmissions: int = 0
+    #: This repair's recovery's share of ``rounds`` (0 when none ran).
     reconvergence_rounds: int = 0
     converged: bool = True
     #: Full ledger of this deletion's anti-entropy recovery pass, when one

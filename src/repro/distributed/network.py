@@ -234,11 +234,10 @@ class Network:
         return len(self._sources.get(frozenset((u, v)), ()))
 
     def replace_link_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
-        """Overwrite the whole source table (the oracle resync's bulk write).
+        """Overwrite the whole source table (a checkpoint restore's bulk write).
 
         ``expected`` is keyed by ``frozenset`` endpoint pairs — the format
-        :meth:`DistributedForgivingGraph._sync_links_reference` produces and
-        the checkpoint store reloads.
+        :meth:`export_link_sources` writes and the checkpoint store reloads.
         """
         self._sources = {link: set(keys) for link, keys in expected.items()}
 

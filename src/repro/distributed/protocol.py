@@ -28,8 +28,8 @@ them to their Table 1 records and to the network's sourced link set.
 The merge is **message-native**: the structural outcome — which helper nodes
 exist, who simulates them, the shape of the merged RT — is computed by the
 leader from descriptors that physically travelled the network, so dropped or
-delayed messages make processors *disagree*; the reconvergence loop in
-:mod:`repro.distributed.simulator` detects and repairs the divergence.  The
+delayed messages make processors *disagree*; the anti-entropy recovery of
+:mod:`repro.distributed.recovery` detects and repairs the divergence.  The
 centralized engine is consulted only *before* the deletion, to lay out each
 participant's pre-failure local knowledge (:func:`plan_repair`) — the same
 role it plays for the adversary — and afterwards only by the equivalence
@@ -38,18 +38,19 @@ tests, as an oracle.
 Round accounting is deadline-driven: the protocol is synchronous, so every
 participant knows when to act from timing bounds alone (an anchor ships its
 list once the probe round-trip must have completed, the leader merges once
-every anchor must have shipped).  :func:`execute_repair` advances the
-network round by round until all deadlines passed and no messages remain in
-flight; the number of rounds it took is the repair's recovery time, checked
-against Lemma 4's ``O(log d log n)`` budget.
+every anchor must have shipped).  :func:`execute_repair` is the one round
+loop: it advances the network round by round until all deadlines passed and
+no messages remain in flight; the number of rounds it took is the repair's
+recovery time, checked against Lemma 4's ``O(log d log n)`` budget.
 
 Under a fault schedule a repair can end with processors disagreeing; the
-follow-up is *anti-entropy* (:mod:`repro.distributed.recovery`, PR 5): the
-same per-participant contexts installed here double as the local state the
-gossip-digest recovery derives its digests from, so no new knowledge is
-handed out for recovery — each processor recovers from exactly what this
-plan gave it plus the messages that reached it, with the cost ledgered
-separately in a :class:`~repro.distributed.metrics.RecoveryCostReport`.
+follow-up is *anti-entropy* (:mod:`repro.distributed.recovery`, PR 5),
+polled inside the same loop: the same per-participant contexts installed
+here double as the local state the gossip-digest recovery derives its
+digests from, so no new knowledge is handed out for recovery — each
+processor recovers from exactly what this plan gave it plus the messages
+that reached it, with the cost ledgered separately in a
+:class:`~repro.distributed.metrics.RecoveryCostReport`.
 
 Under a *byzantine* schedule (PR 6) the payloads themselves can lie;
 receivers verify sealed kinds and descriptor checksums at ``receive()``
@@ -73,6 +74,7 @@ from .merge import PieceSummary, plan_strip, trivial_summary
 from .messages import AnchorLink, DeletionNotice, Probe
 from .network import Network
 from .processor import RepairContext, SpineRole
+from .recovery import BackgroundRecovery
 
 __all__ = [
     "RepairPlan",
@@ -364,33 +366,44 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     return participants
 
 
-def execute_repair(network: Network, plan: RepairPlan) -> int:
-    """Run the repair of ``plan.victim`` as messages on ``network``.
+def execute_repair(
+    network: Network,
+    participants: Sequence[NodeId],
+    deadline: int,
+    recoveries: Sequence[BackgroundRecovery] = (),
+    max_rounds: int = 600,
+) -> int:
+    """The synchronous round loop every repair and recovery runs in.
 
-    Must be called after the victim's processor has been removed.  The
-    engine is *not* consulted: participants act on the installed contexts
-    and on what they receive.  Returns the number of communication rounds
-    the repair used.  This is the retained one-repair-at-a-time reference;
-    ``simulator.delete_batch`` drives the same :func:`seed_repair` prefix
-    for several plans inside one shared round loop.
+    Each round delivers the messages in flight, fires the ``participants``'
+    deadline timers and polls every recovery.  The loop stops once nothing
+    is in flight, round ``deadline`` has passed and every recovery has
+    finished.  Seeding (:func:`seed_repair`) and the scaffold are the
+    caller's.  Returns the rounds counted, the seeding round included.
+
+    Reaching ``max_rounds`` ends the loop loudly: each unfinished recovery
+    is finished with its epoch's in-flight count as leftover, then every
+    message still in flight is discarded into its epoch's ``dropped`` tally
+    (:meth:`Network.drop_in_flight`), so stale traffic never reaches a
+    later repair.
     """
-    network.begin_scaffold()
-    participants = seed_repair(network, plan)
     rounds = 1
-
-    # ------------------------------------------------------------------ #
-    # The synchronous round loop: deliver, then fire deadline timers.
-    # ------------------------------------------------------------------ #
-    while network.in_flight or rounds < plan.max_deadline:
+    while (
+        network.in_flight
+        or rounds < deadline
+        or any(not recovery.finished for recovery in recoveries)
+    ):
+        if rounds >= max_rounds:
+            for recovery in recoveries:
+                if not recovery.finished:
+                    recovery.finish(rounds, leftover=network.in_flight_for(recovery.victim))
+            network.drop_in_flight()
+            break
         network.deliver_round()
         rounds += 1
         network.tick(rounds, participants)
-
-    # Every link this repair created for its own traffic (BT_v edges, probe
-    # hops, merge wiring) is dropped again unless the healed graph now
-    # sources it (Algorithm A.3, "delete the edges E_v") — decided from the
-    # network's own source sets, not from an engine probe.
-    network.end_scaffold()
+        for recovery in recoveries:
+            recovery.step(rounds)
     return rounds
 
 

@@ -1,13 +1,12 @@
 """Message-native anti-entropy recovery: gossip digests instead of a global audit.
 
-Until PR 5 the *repair* was message-native but the *recovery* was not:
-:meth:`DistributedForgivingGraph.reconverge` audited every participant
-against the full :class:`~repro.distributed.protocol.RepairPlan` and the
-leader's outcome — knowledge no single processor of the paper's model
-possesses.  This module replaces that god's-eye audit with the protocol
-shape of self-stabilizing *silent* algorithms (Devismes–Masuzawa–Tixeuil):
-periodic compact state digests whose communication cost is bounded and
-separately accountable.
+A repair under a fault schedule can end with processors disagreeing.  This
+module heals the divergence with the protocol shape of self-stabilizing
+*silent* algorithms (Devismes–Masuzawa–Tixeuil): periodic compact state
+digests whose communication cost is bounded and separately accountable,
+instead of an audit against the full
+:class:`~repro.distributed.protocol.RepairPlan` — knowledge no single
+processor of the paper's model possesses.
 
 One **gossip sweep** works like this (all of it local knowledge plus
 messages delivered through :meth:`Network.deliver_round`, so injected
@@ -28,12 +27,15 @@ faults hit the recovery traffic exactly like they hit the repair's):
 
 A sweep that produces **no retransmission traffic** (only digests flowed)
 is the silent fixed point: every piece the participants vouch for reached
-the leader, every instruction of the leader's outcome is applied.  The
-driver, :func:`run_recovery`, repeats sweeps until that fixed point or
-until its round budget runs out — in which case it reports
-``converged=False`` together with the number of messages still in flight
-(and discards them *loudly*, so stale recovery traffic can never leak into
-the next repair).
+the leader, every instruction of the leader's outcome is applied.
+:class:`BackgroundRecovery` runs the sweeps of one repair as a state
+machine that :func:`repro.distributed.protocol.execute_repair` polls once
+per round — inside the repair's own round loop (``delete`` under a fault
+schedule, every ``delete_batch`` wave), or alone for
+:meth:`DistributedForgivingGraph.reconverge`.  When the loop's round
+budget runs out, the machine is finished with ``converged=False`` and its
+epoch's in-flight count, and that traffic is discarded *loudly*, so stale
+recovery traffic can never leak into the next repair.
 
 Cost accounting mirrors the repair's: the whole recovery runs inside the
 victim's epoch window (a :class:`~repro.distributed.metrics.MetricsWindow`
@@ -49,7 +51,7 @@ The plan-based audit this module replaces survives as
 plan's global knowledge *poisoned* (``quarantine_plan_audit``) to prove the
 recovery path never reads it.
 
-Two byzantine-era notes (PR 6).  Recovery traffic passes through the same
+Two byzantine notes.  Recovery traffic passes through the same
 ``receive()``-time verification as repair traffic, so a liar that keeps
 lying during recovery is caught and quarantined mid-sweep; the fixed-point
 predicate (:meth:`Processor.recovery_satisfied`) waives every obligation
@@ -68,29 +70,31 @@ from ..core.ports import NodeId
 from .metrics import DIGEST_KINDS, MetricsWindow, RecoveryCostReport
 from .network import Network
 
-__all__ = ["BackgroundRecovery", "run_recovery"]
-
-
-def _non_digest_messages(window: MetricsWindow) -> int:
-    """Retransmission traffic recorded so far: everything that is not a digest."""
-    return window.messages - window.count_for_kinds(DIGEST_KINDS)
+__all__ = ["BackgroundRecovery"]
 
 
 class BackgroundRecovery:
-    """Piggybacked anti-entropy for one repair inside a *shared* round loop.
+    """Anti-entropy for one repair, polled once per round by the shared loop.
 
-    :func:`run_recovery` is a standalone post-hoc phase: it owns the round
-    loop, sweeps, drains, and returns.  The concurrent batch driver
-    (``DistributedForgivingGraph.delete_batch``) cannot hand any single
-    repair the loop — several repairs interleave in the same
-    ``Network.deliver_round`` stream — so this class is the same gossip
-    protocol re-cut as a per-repair state machine the driver polls once per
-    shared round.  Digest chunks ride the live fabric alongside other
-    epochs' probes and reports (byzantine lies and delivery faults hit the
-    mixed traffic), and each instance paces itself off its *own* epoch's
-    quiescence: a sweep is emitted only when ``in_flight_for(victim)`` is
-    zero, so acknowledgements from the previous chunked exchange have
-    landed before the residue is re-offered.
+    :func:`~repro.distributed.protocol.execute_repair` owns the rounds, and
+    several repairs may interleave in its ``Network.deliver_round`` stream,
+    so each recovery is a per-repair state machine the loop polls after
+    every round's delivery and timers.  Digest chunks ride the live fabric
+    alongside other epochs' probes and reports (byzantine lies and delivery
+    faults hit the mixed traffic), and each instance paces itself off its
+    *own* epoch's quiescence: a sweep is emitted only when
+    ``in_flight_for(victim)`` is zero, so acknowledgements from the previous
+    chunked exchange have landed before the residue is re-offered.
+
+    Termination: digests are acknowledged chunk by chunk, confirmed
+    knowledge drops out of later sweeps, and each processor's
+    :meth:`Processor.recovery_satisfied` predicate reads only its own
+    context and the acknowledgements that physically reached it (a dropped
+    digest stays unconfirmed and is re-offered, so lost *detection* traffic
+    can never fake convergence).  With any fault probability below one,
+    convergence is almost sure; ``max_sweeps`` and the loop's round budget
+    bound the pathological tail, and hitting either is reported as
+    ``converged=False``.
 
     The silent-protocol property is made explicit: the first sweep emitted
     *after* every live participant's ``recovery_satisfied`` predicate holds
@@ -128,7 +132,7 @@ class BackgroundRecovery:
         #: until the repair-phase timers have all had their chance to fire.
         self.deadline = deadline
         self.max_sweeps = max_sweeps
-        #: Invoked once, just before the first sweep's sends — the batch
+        #: Invoked once, just before the first sweep's sends — the wave
         #: driver uses it to roll the victim's epoch window over from
         #: repair attribution to recovery attribution.
         self.on_start = on_start
@@ -140,10 +144,17 @@ class BackgroundRecovery:
         self.fixed_point_messages = -1
         self.converged = False
         self.finished = False
+        #: This epoch's messages in flight when the round budget ran out.
+        self.leftover = 0
 
-    def finish(self, shared_round: int) -> None:
-        """Stop the machine (converged or not) at ``shared_round``."""
+    def finish(self, shared_round: int, leftover: int = 0) -> None:
+        """Stop the machine (converged or not) at ``shared_round``.
+
+        ``leftover`` is this epoch's in-flight count when the loop gave up,
+        measured before the loop discards it.
+        """
         self.end_round = shared_round
+        self.leftover = leftover
         self.finished = True
 
     def step(self, shared_round: int) -> int:
@@ -193,13 +204,14 @@ class BackgroundRecovery:
                 self.finish(shared_round)
         return emitted
 
-    def report(self, window: MetricsWindow, leftover: int = 0) -> RecoveryCostReport:
+    def report(self, window: MetricsWindow) -> RecoveryCostReport:
         """Build this epoch's ledger from its closed recovery window.
 
-        ``leftover`` is this epoch's in-flight count at the moment the
-        driver gave up (measured *before* the loud discard, which is global
-        across the wave).
+        Every message of the window that is not a digest is a
+        retransmission of repair traffic.
         """
+        digest_messages = window.count_for_kinds(DIGEST_KINDS)
+        digest_bits = window.bits_for_kinds(DIGEST_KINDS)
         return RecoveryCostReport(
             victim=self.victim,
             degree=self.degree,
@@ -207,102 +219,13 @@ class BackgroundRecovery:
             converged=self.converged,
             sweeps=self.sweeps,
             rounds=max(self.end_round - self.start_round, 0) if self.started else 0,
-            digest_messages=window.count_for_kinds(DIGEST_KINDS),
-            digest_bits=window.bits_for_kinds(DIGEST_KINDS),
+            digest_messages=digest_messages,
+            digest_bits=digest_bits,
             max_message_bits=window.max_message_bits,
-            retransmissions=_non_digest_messages(window),
-            retransmission_bits=window.bits - window.bits_for_kinds(DIGEST_KINDS),
+            retransmissions=window.messages - digest_messages,
+            retransmission_bits=window.bits - digest_bits,
             dropped=window.dropped,
-            in_flight_leftover=leftover,
+            in_flight_leftover=self.leftover,
             fixed_point_messages=self.fixed_point_messages,
         )
 
-
-def run_recovery(
-    network: Network,
-    *,
-    victim: NodeId,
-    participants: Sequence[NodeId],
-    degree: int,
-    n_ever: int,
-    max_rounds: int = 600,
-    max_sweeps: int = 40,
-) -> RecoveryCostReport:
-    """Drive gossip sweeps for one repair until the silent fixed point.
-
-    The driver is deliberately thin: it only fires the participants'
-    recovery timers (``recovery_tick`` — the synchronous model's "everyone
-    knows the round number") and delivers rounds; every detection and every
-    retransmission decision is made by a processor from its own context and
-    the digests that physically reached it (the leader acts because its own
-    context says it is the leader).
-
-    Termination: the protocol is *silent* in the self-stabilizing sense —
-    digests are acknowledged chunk by chunk, confirmed knowledge drops out
-    of later sweeps, and at the fixed point a sweep emits nothing at all.
-    The driver stops once every live participant reports
-    :meth:`Processor.recovery_satisfied` — a predicate each processor
-    computes from its own context and the acknowledgements that physically
-    reached it (a dropped digest simply stays unconfirmed and is re-offered
-    next sweep, so lost *detection* traffic can never fake convergence).
-    With any fault probability below one every chunk is eventually
-    delivered and acknowledged, so convergence is almost sure;
-    ``max_sweeps`` / ``max_rounds`` bound the pathological tail, and
-    hitting them is reported (``converged=False`` plus the leftover
-    in-flight count) rather than silently swallowed.
-    """
-    network.metrics.begin_epoch_window(victim)
-    network.begin_scaffold()
-    converged = False
-    sweeps = 0
-    rounds = 0
-    leftover = 0
-    try:
-        while sweeps < max_sweeps and rounds < max_rounds:
-            sweeps += 1
-            for node in participants:
-                processor = network.processors.get(node)
-                if processor is None:
-                    continue  # crashed mid-recovery; its knowledge died with it
-                for message in processor.recovery_tick(victim):
-                    network.send(message)
-            while network.in_flight and rounds < max_rounds:
-                network.deliver_round()
-                rounds += 1
-            if network.in_flight:
-                break  # round budget hit mid-delivery; reported below
-            if all(
-                network.processors[node].recovery_satisfied(victim)
-                for node in participants
-                if node in network.processors
-            ):
-                # Every live participant's obligations are acknowledged:
-                # the next sweep would be empty — the protocol is silent.
-                converged = True
-                break
-    finally:
-        # Cleanup must run on the exception path too: the satellite fix for
-        # the old reconverge() — traffic still in flight at the budget's
-        # edge (or when a handler raised) is counted into the report and
-        # discarded explicitly, because delivering it during a *later*
-        # repair could apply stale instructions; and the metrics window
-        # must never be left open for the next repair to inherit.
-        network.end_scaffold()
-        if not converged:
-            leftover = network.drop_in_flight()
-        window = network.metrics.end_epoch_window(victim)
-    return RecoveryCostReport(
-        victim=victim,
-        degree=degree,
-        n_ever=n_ever,
-        converged=converged,
-        sweeps=sweeps,
-        rounds=rounds,
-        digest_messages=window.count_for_kinds(DIGEST_KINDS),
-        digest_bits=window.bits_for_kinds(DIGEST_KINDS),
-        max_message_bits=window.max_message_bits,
-        retransmissions=_non_digest_messages(window),
-        retransmission_bits=window.bits - window.bits_for_kinds(DIGEST_KINDS),
-        dropped=window.dropped,
-        in_flight_leftover=leftover,
-    )

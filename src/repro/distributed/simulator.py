@@ -23,17 +23,22 @@ repair path consults the engine's merge outcome — under a lossless network
 the two provably coincide; under an injected
 :class:`~repro.distributed.faults.FaultSchedule` they *diverge*.
 
-The recovery is message-native too (PR 5): :meth:`reconverge` is now a thin
-driver over the gossip-digest anti-entropy protocol of
-:mod:`repro.distributed.recovery` — each participant derives a compact
-digest from its *own* repair context and Table 1 records, gossips it along
-spine/anchor links as real ``Digest`` / ``DigestRequest`` messages through
-:meth:`Network.deliver_round` (so faults hit recovery traffic as well), and
-retransmits only what its neighbours' digests show missing, until a sweep
-is silent.  The old plan-based global audit survives as
-:meth:`_audit_reference` — an oracle for ``verify_consistency``-style
-checks, never consulted by the recovery (``quarantine_plan_audit`` poisons
-the plan's global knowledge to prove it structurally).
+Every repair has one driver: ``delete`` runs a one-victim wave and
+``delete_batch`` runs waves of disjoint repairs, both through
+:meth:`_run_wave`, whose shared round loop is
+:func:`~repro.distributed.protocol.execute_repair`.  The recovery is
+message-native too: a :class:`~repro.distributed.recovery.BackgroundRecovery`
+polled by that same loop runs the gossip-digest anti-entropy protocol —
+each participant derives a compact digest from its *own* repair context and
+Table 1 records, gossips it along spine/anchor links as real ``Digest`` /
+``DigestRequest`` messages through :meth:`Network.deliver_round` (so faults
+hit recovery traffic as well), and retransmits only what its neighbours'
+digests show missing, until a sweep is silent.  :meth:`reconverge` runs one
+more such recovery on demand for the repair ``delete`` left installed.  The
+old plan-based global audit survives as :meth:`_audit_reference` — an
+oracle for ``verify_consistency``-style checks, never consulted by the
+recovery (``quarantine_plan_audit`` poisons the plan's global knowledge to
+prove it structurally).
 
 Fault tolerance is **byzantine-aware** (PR 6): when the fault schedule
 carries a byzantine axis, designated processors corrupt outgoing payloads
@@ -54,9 +59,6 @@ structures, link maintenance is driven by O(repair) message effects on the
 network's sourced link set, and per-deletion cost reports come from each
 repair's epoch window (a :class:`~repro.distributed.metrics.MetricsWindow`
 keyed by the victim every repair message carries as its ``deleted`` tag).
-The seed-era full-diff link sync survives as
-:meth:`_sync_links_reference` — now an oracle *resync* used by the
-equivalence tests and as a last-resort recovery path.
 
 The class is also a first-class engine citizen: it is registered in
 :mod:`repro.baselines.registry` as ``"distributed_forgiving_graph"``, it
@@ -67,7 +69,6 @@ exposes the degree-touch journal the incremental adversaries consume, and
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -102,7 +103,7 @@ from .protocol import (
     plan_repair,
     seed_repair,
 )
-from .recovery import BackgroundRecovery, run_recovery
+from .recovery import BackgroundRecovery
 
 __all__ = ["DistributedForgivingGraph"]
 
@@ -153,13 +154,13 @@ class _PlanAuditQuarantine(_Quarantine):
 
 
 @dataclass
-class _RepairRuntime:
-    """Per-repair state kept for recovery driving and reference audits.
+class _Repair:
+    """One admitted repair, as recovery, reporting and audits read it.
 
-    ``victim`` / ``leader`` / ``degree`` / ``helpers_released`` are copied
-    out of the plan at repair time so that nothing on the recovery or
-    reporting path needs to read the plan again once its global knowledge
-    has been quarantined.
+    Everything but ``plan`` is copied out of the plan at admission, so
+    nothing after seeding needs to read the plan again once its global
+    knowledge has been quarantined; ``participants`` are the processors
+    :func:`seed_repair` installed the repair on.
     """
 
     plan: RepairPlan
@@ -167,6 +168,7 @@ class _RepairRuntime:
     leader: Optional[NodeId]
     degree: int
     helpers_released: int
+    deadline: int
     participants: List[NodeId] = field(default_factory=list)
 
 
@@ -188,12 +190,15 @@ class DistributedForgivingGraph:
     fault_schedule:
         Optional :class:`~repro.distributed.faults.FaultSchedule`; when set,
         protocol messages can be dropped / delayed / reordered and each
-        deletion finishes with a reconvergence pass (see ``auto_reconverge``).
+        deletion's repair is followed by anti-entropy recovery (see
+        ``auto_reconverge``).
     auto_reconverge:
-        Run :meth:`reconverge` at the end of every ``delete`` when a fault
-        schedule is active (on by default — the next adversarial move should
-        find the network consistent, matching the paper's one-attack-at-a-
-        time model).
+        Run each repair's anti-entropy recovery in the repair's own round
+        loop: every ``delete_batch`` wave's, and ``delete``'s when a fault
+        schedule is active (on by default — the next adversarial move
+        should find the network consistent, matching the paper's
+        one-attack-at-a-time model).  Off, repairs end without recovery and
+        :meth:`reconverge` runs it on demand.
     quarantine_oracle:
         After every oracle ``delete`` replace the engine's merge-outcome
         attributes with poison objects that raise on access — a structural
@@ -228,7 +233,8 @@ class DistributedForgivingGraph:
         self.auto_reconverge = auto_reconverge
         self.quarantine_oracle = quarantine_oracle
         self.quarantine_plan_audit = quarantine_plan_audit
-        self._runtime: Optional[_RepairRuntime] = None
+        #: The last delete()'s repair, installed until the next deletion.
+        self._installed: Optional[_Repair] = None
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -386,71 +392,23 @@ class DistributedForgivingGraph:
     def delete(self, node: NodeId) -> DeletionCostReport:
         """Adversarial deletion: heal the network and account for every message.
 
-        The repair is planned from pre-deletion local knowledge, executed as
-        messages, and measured off the victim's epoch window — O(repair)
-        work throughout.  The oracle is read before the repair (the victim's
-        ``G'`` degree, and the RTs ``plan_repair`` lays out), never by the
-        message path.
+        The repair runs as a one-victim wave (:meth:`_run_wave`): planned
+        from pre-deletion local knowledge, executed as messages, and
+        measured off the victim's epoch window — O(repair) work throughout.
+        Under a fault schedule (and ``auto_reconverge``) its anti-entropy
+        recovery rides the same round loop.  The oracle is read before the
+        repair (the victim's ``G'`` degree, and the RTs ``plan_repair`` lays
+        out), never by the message path.  The repair stays installed until
+        the next deletion, for :meth:`reconverge` and :meth:`audit_reference`.
         """
-        degree = self._engine.g_prime_degree(node)
-        self._uninstall_runtime()
-        plan = plan_repair(self._engine, node)
-
-        mark = self._byzantine_mark()
-        metrics = self.network.metrics
-        metrics.begin_epoch_window(node)
-
-        # The oracle executes the same move (it owns the G'/alive bookkeeping
-        # every consumer reads); its merge outcome is quarantined away from
-        # the message path when paranoia is requested.
-        self._engine.delete(node)
-        self._poison_oracle()
-
-        if self.network.has_processor(node):
-            self.network.remove_processor(node)
-        rounds = execute_repair(self.network, plan)
-
-        window = metrics.end_epoch_window(node)
-        self._runtime = _RepairRuntime(
-            plan=plan,
-            victim=plan.victim,
-            leader=plan.leader,
-            degree=degree,
-            helpers_released=sum(
-                len(context.released) for context in plan.contexts.values()
-            ),
-            participants=[p for p in plan.contexts if self.network.has_processor(p)],
+        if self._installed is not None:
+            self._retire([self._installed])
+        recover = self.network.fault_schedule is not None and self.auto_reconverge
+        repairs, reports, _ = self._run_wave(
+            [(node, plan_repair(self._engine, node))], recover=recover
         )
-        self._poison_plan(plan)
-        recon: Optional[RecoveryCostReport] = None
-        if self.network.fault_schedule is not None and self.auto_reconverge:
-            recon = self.reconverge()
-
-        byzantine = self._byzantine_report(mark)
-        outcome = self._leader_outcome()
-        report = DeletionCostReport(
-            deleted_node=node,
-            degree=degree,
-            n_ever=self._engine.nodes_ever,
-            messages=window.messages,
-            bits=window.bits,
-            rounds=rounds,
-            max_message_bits=window.max_message_bits,
-            max_messages_per_node=window.max_messages_per_node(),
-            helpers_created=len(outcome.helpers) if outcome is not None else 0,
-            helpers_released=self._runtime.helpers_released,
-            # All of this deletion's losses: the repair window's plus any
-            # suffered while reconverging (the window closes before recovery).
-            dropped_messages=window.dropped
-            + (recon.dropped if recon is not None else 0),
-            retransmissions=recon.retransmissions if recon is not None else 0,
-            reconvergence_rounds=recon.rounds if recon is not None else 0,
-            converged=recon.converged if recon is not None else True,
-            recovery=recon,
-            byzantine=byzantine,
-        )
-        self.cost_reports.append(report)
-        return report
+        self._installed = repairs[0]
+        return reports[0]
 
     def _poison_oracle(self) -> None:
         """Under ``quarantine_oracle``, poison the engine's merge outcome."""
@@ -528,41 +486,29 @@ class DistributedForgivingGraph:
 
         The driver plans every pending victim, groups pairwise-disjoint
         repair footprints (:func:`~repro.distributed.protocol.footprint`)
-        into an admission **wave**, and runs the
-        whole wave's repairs inside one shared ``deliver_round`` stream:
-        every message carries its repair's victim as epoch tag, handler
-        state is epoch-keyed, and per-epoch metrics windows attribute each
-        message to its repair.  Overlapping footprints queue and are
-        re-planned once their predecessors complete (the predecessor's
-        repair changes the RT structure the successor's plan must read).
-        Anti-entropy is folded into the background: once a repair's
-        deadline passes, its participants gossip digest chunks *inside the
-        same loop* (see :class:`~repro.distributed.recovery
+        into an admission **wave** of at most ``concurrency`` repairs, and
+        runs the whole wave's repairs inside one shared ``deliver_round``
+        stream: every message carries its repair's victim as epoch tag,
+        handler state is epoch-keyed, and per-epoch metrics windows
+        attribute each message to its repair.  Overlapping footprints queue
+        and are re-planned once their predecessors complete (the
+        predecessor's repair changes the RT structure the successor's plan
+        must read).  Anti-entropy is folded into the background: once a
+        repair's deadline passes, its participants gossip digest chunks
+        *inside the same loop* (see :class:`~repro.distributed.recovery
         .BackgroundRecovery`), and the first sweep after every
         ``recovery_satisfied`` predicate holds is recorded as the
         fixed-point probe — provably empty on the lossless path.
 
-        ``concurrency=1`` is the retained reference path: it literally
-        loops :meth:`delete`, so it is bit-identical to sequential deletes
-        under every delivery preset.  Burst cost trends to ~max, not ~sum,
-        of the individual repair latencies
+        ``concurrency=1`` runs waves of one, in ``victims`` order; each
+        still runs its background recovery.  Burst cost trends to ~max, not
+        ~sum, of the individual repair latencies
         (``test_disjoint_burst_runs_in_one_wave_and_fewer_rounds``).
         """
         victims = list(dict.fromkeys(victims))
-        if concurrency is not None and concurrency <= 1:
-            reports = [self.delete(victim) for victim in victims]
-            burst = BurstCostReport(
-                victims=tuple(victims),
-                concurrency=1,
-                waves=len(victims),
-                rounds=sum(r.rounds + r.reconvergence_rounds for r in reports),
-                reports=reports,
-                wave_sizes=tuple(1 for _ in victims),
-            )
-            self.burst_reports.append(burst)
-            return burst
-
-        self._uninstall_runtime()
+        if self._installed is not None:
+            self._retire([self._installed])
+            self._installed = None
         pending = list(victims)
         all_reports: List[DeletionCostReport] = []
         wave_sizes: List[int] = []
@@ -578,11 +524,13 @@ class DistributedForgivingGraph:
                 wave = wave[: max(int(concurrency), 1)]
             admitted = set(wave)
             pending = [victim for victim in pending if victim not in admitted]
-            wave_reports, wave_rounds = self._run_wave(
+            repairs, wave_reports, wave_rounds = self._run_wave(
                 [(victim, plans[victim]) for victim in wave],
+                recover=self.auto_reconverge,
                 max_rounds=max_rounds,
                 max_sweeps=max_sweeps,
             )
+            self._retire(repairs)
             all_reports.extend(wave_reports)
             wave_sizes.append(len(wave))
             total_rounds += wave_rounds
@@ -600,10 +548,23 @@ class DistributedForgivingGraph:
     def _run_wave(
         self,
         wave: List[Tuple[NodeId, RepairPlan]],
-        max_rounds: int,
-        max_sweeps: int,
-    ) -> Tuple[List[DeletionCostReport], int]:
-        """Run one admission wave of disjoint repairs in a shared round loop."""
+        recover: bool,
+        max_rounds: int = 600,
+        max_sweeps: int = 40,
+    ) -> Tuple[List[_Repair], List[DeletionCostReport], int]:
+        """Run one wave of disjoint repairs in the shared round loop.
+
+        The whole wave dies in one adversarial move: the oracle deletes
+        every victim first, then every repair seeds its Phase 0/1 into the
+        same open scaffold under its own epoch window, and
+        :func:`execute_repair` runs them together — with one
+        :class:`BackgroundRecovery` per epoch when ``recover`` is set.  A
+        wave that reaches ``max_rounds`` reports ``converged=False`` for
+        every repair; the traffic the loop discarded is in each report's
+        ``dropped_messages``.  Returns the admitted repairs (still installed
+        on their participants; the caller retires them), one cost report
+        per victim and the wave's rounds.
+        """
         network = self.network
         metrics = network.metrics
         mark = self._byzantine_mark()
@@ -611,211 +572,178 @@ class DistributedForgivingGraph:
         # Everything reporting needs is copied out of the plans now, so the
         # plan-audit quarantine can poison their global knowledge before a
         # single message flows.
-        degrees = {victim: self._engine.g_prime_degree(victim) for victim, _ in wave}
-        leaders = {victim: plan.leader for victim, plan in wave}
-        released = {
-            victim: sum(len(context.released) for context in plan.contexts.values())
+        repairs = [
+            _Repair(
+                plan=plan,
+                victim=victim,
+                leader=plan.leader,
+                degree=self._engine.g_prime_degree(victim),
+                helpers_released=sum(
+                    len(context.released) for context in plan.contexts.values()
+                ),
+                deadline=plan.max_deadline,
+            )
             for victim, plan in wave
-        }
-        deadlines = {victim: plan.max_deadline for victim, plan in wave}
-
-        # Admission: the whole wave dies in one adversarial move — oracle
-        # deletes first (mirroring ``delete``), then every repair seeds its
-        # Phase 0/1 into the same open scaffold.
-        for victim, _ in wave:
-            self._engine.delete(victim)
+        ]
+        # The oracle executes the same move first (it owns the G'/alive
+        # bookkeeping every consumer reads); its merge outcome is quarantined
+        # away from the message path when paranoia is requested.
+        for repair in repairs:
+            self._engine.delete(repair.victim)
             self._poison_oracle()
-            if network.has_processor(victim):
-                network.remove_processor(victim)
+            if network.has_processor(repair.victim):
+                network.remove_processor(repair.victim)
         network.begin_scaffold()
-        participants_by_victim: Dict[NodeId, List[NodeId]] = {}
-        union_participants: List[NodeId] = []
-        seen: Set[NodeId] = set()
-        for victim, plan in wave:
-            metrics.begin_epoch_window(victim)
-            participants = seed_repair(network, plan)
-            participants_by_victim[victim] = participants
-            for node in participants:
-                if node not in seen:
-                    seen.add(node)
-                    union_participants.append(node)
+        for repair in repairs:
+            metrics.begin_epoch_window(repair.victim)
+            repair.participants = seed_repair(network, repair.plan)
 
         repair_windows: Dict[NodeId, MetricsWindow] = {}
-        recoveries: List[BackgroundRecovery] = []
-        if self.auto_reconverge:
-            for victim, _ in wave:
+        recoveries: Dict[NodeId, BackgroundRecovery] = {}
+        if recover:
+            for repair in repairs:
 
-                def _roll_window(victim: NodeId = victim) -> None:
+                def _roll_window(victim: NodeId = repair.victim) -> None:
                     # The repair phase is quiet: everything this epoch sends
                     # from here on is anti-entropy, attributed to its own
                     # recovery window.
                     repair_windows[victim] = metrics.end_epoch_window(victim)
                     metrics.begin_epoch_window(victim)
 
-                recoveries.append(
-                    BackgroundRecovery(
-                        network,
-                        victim=victim,
-                        participants=participants_by_victim[victim],
-                        degree=degrees[victim],
-                        n_ever=self._engine.nodes_ever,
-                        deadline=deadlines[victim],
-                        max_sweeps=max_sweeps,
-                        on_start=_roll_window,
-                    )
+                recoveries[repair.victim] = BackgroundRecovery(
+                    network,
+                    victim=repair.victim,
+                    participants=repair.participants,
+                    degree=repair.degree,
+                    n_ever=self._engine.nodes_ever,
+                    deadline=repair.deadline,
+                    max_sweeps=max_sweeps,
+                    on_start=_roll_window,
                 )
-        for _, plan in wave:
-            self._poison_plan(plan)
+        for repair in repairs:
+            self._poison_plan(repair.plan)
 
-        # The shared round loop: all epochs' probes, reports, merges,
-        # assignments and digests interleave in the same delivery stream.
-        shared_deadline = max(deadlines.values(), default=1)
-        rounds = 1
-        while (
-            network.in_flight
-            or rounds < shared_deadline
-            or any(not recovery.finished for recovery in recoveries)
-        ):
-            if rounds >= max_rounds:
-                break
-            network.deliver_round()
-            rounds += 1
-            network.tick(rounds, union_participants)
-            for recovery in recoveries:
-                recovery.step(rounds)
-
-        # Budget exhaustion is loud, exactly like the standalone recovery:
-        # per-epoch leftovers are measured, then the traffic is discarded
-        # (the drops land in whichever epoch window is open for the victim).
-        leftovers: Dict[NodeId, int] = {}
-        if network.in_flight or any(not recovery.finished for recovery in recoveries):
-            for recovery in recoveries:
-                if not recovery.finished:
-                    leftovers[recovery.victim] = network.in_flight_for(recovery.victim)
-                    recovery.finish(rounds)
-            network.drop_in_flight()
+        # All epochs' probes, reports, merges, assignments and digests
+        # interleave in the same delivery stream.
+        rounds = execute_repair(
+            network,
+            list(dict.fromkeys(node for repair in repairs for node in repair.participants)),
+            max((repair.deadline for repair in repairs), default=1),
+            list(recoveries.values()),
+            max_rounds,
+        )
+        starved = rounds >= max_rounds
         network.end_scaffold()
 
         byzantine = self._byzantine_report(mark)
-        recovery_by_victim = {recovery.victim: recovery for recovery in recoveries}
-        wave_reports: List[DeletionCostReport] = []
-        for victim, _ in wave:
+        reports: List[DeletionCostReport] = []
+        for repair in repairs:
+            victim = repair.victim
             repair_window = repair_windows.pop(victim, None)
             if repair_window is None:
-                # Recovery never reached its quiet point (or is disabled):
+                # Recovery never reached its quiet point (or did not run):
                 # the epoch window still holds the repair attribution.
                 repair_window = metrics.end_epoch_window(victim)
                 recovery_window = MetricsWindow()
             else:
                 recovery_window = metrics.end_epoch_window(victim)
-            recovery = recovery_by_victim.get(victim)
             recon: Optional[RecoveryCostReport] = None
-            if recovery is not None:
-                recon = recovery.report(
-                    recovery_window, leftover=leftovers.get(victim, 0)
-                )
+            if victim in recoveries:
+                recon = recoveries[victim].report(recovery_window)
                 self.recovery_reports.append(recon)
-            outcome = self._outcome_of(leaders[victim], victim)
-            wave_reports.append(
+            outcome = self._outcome_of(repair)
+            reports.append(
                 DeletionCostReport(
                     deleted_node=victim,
-                    degree=degrees[victim],
+                    degree=repair.degree,
                     n_ever=self._engine.nodes_ever,
                     messages=repair_window.messages,
                     bits=repair_window.bits,
                     # Shared wall clock: every repair of the wave rode the
-                    # same rounds (the burst's cost ≈ max story).
+                    # same rounds, its recovery's included.
                     rounds=rounds,
                     max_message_bits=repair_window.max_message_bits,
                     max_messages_per_node=repair_window.max_messages_per_node(),
                     helpers_created=len(outcome.helpers) if outcome is not None else 0,
-                    helpers_released=released[victim],
+                    helpers_released=repair.helpers_released,
                     dropped_messages=repair_window.dropped
                     + (recon.dropped if recon is not None else 0),
                     retransmissions=recon.retransmissions if recon is not None else 0,
                     reconvergence_rounds=recon.rounds if recon is not None else 0,
-                    converged=recon.converged if recon is not None else True,
+                    converged=not starved and (recon is None or recon.converged),
                     recovery=recon,
-                    byzantine=None,
+                    # Wave-level accountability deltas ride the wave's last
+                    # report (attaching to each would double-count under
+                    # aggregation).
+                    byzantine=byzantine if repair is repairs[-1] else None,
                 )
             )
-        if byzantine is not None and wave_reports:
-            # Wave-level accountability deltas ride the wave's last report
-            # (attaching to each would double-count under aggregation).
-            wave_reports[-1] = dataclasses.replace(wave_reports[-1], byzantine=byzantine)
+        self.cost_reports.extend(reports)
+        return repairs, reports, rounds
 
-        for victim, _ in wave:
-            for node in participants_by_victim[victim]:
-                processor = network.processors.get(node)
-                if processor is not None:
-                    processor.uninstall_repair(victim)
-        self.cost_reports.extend(wave_reports)
-        return wave_reports, rounds
-
-    def _outcome_of(self, leader: Optional[NodeId], victim: NodeId):
-        """One repair's leader merge outcome, read through its processor."""
-        if leader is None:
-            return None
-        processor = self.network.processors.get(leader)
-        if processor is None:
-            return None
-        context = processor.repairs.get(victim)
-        return context.outcome if context is not None else None
-
-    def _leader_outcome(self):
-        """The leader's current merge outcome, read through its processor.
+    def _outcome_of(self, repair: _Repair):
+        """The repair's leader merge outcome, read through its processor.
 
         Reporting reads the leader's *own* context as installed on its
-        processor (never the plan's context map, which may be quarantined).
+        processor, never the plan's context map, which may be quarantined.
         """
-        runtime = self._runtime
-        if runtime is None or runtime.leader is None:
-            return None
-        return self._outcome_of(runtime.leader, runtime.victim)
+        processor = self.network.processors.get(repair.leader)
+        context = processor.repairs.get(repair.victim) if processor is not None else None
+        return context.outcome if context is not None else None
 
-    def _uninstall_runtime(self) -> None:
-        """Retire the previous repair's contexts before planning the next one."""
-        runtime, self._runtime = self._runtime, None
-        if runtime is None:
-            return
-        for node in runtime.participants:
-            processor = self.network.processors.get(node)
-            if processor is not None:
-                processor.uninstall_repair(runtime.victim)
+    def _retire(self, repairs: Iterable[_Repair]) -> None:
+        """Uninstall finished repairs from their surviving participants."""
+        for repair in repairs:
+            for node in repair.participants:
+                processor = self.network.processors.get(node)
+                if processor is not None:
+                    processor.uninstall_repair(repair.victim)
 
     # ------------------------------------------------------------------ #
     # reconvergence (gossip-digest anti-entropy, message-native)
     # ------------------------------------------------------------------ #
     def reconverge(self, max_rounds: int = 600, max_sweeps: int = 40) -> RecoveryCostReport:
-        """Drive the last repair's distributed state back to a fixed point.
+        """Drive the installed repair's distributed state back to a fixed point.
 
-        A thin driver over :func:`repro.distributed.recovery.run_recovery`:
-        participants gossip compact digests of their *own* repair state
-        along spine/anchor links (real messages through
-        ``Network.deliver_round``, so faults hit recovery traffic too) and
-        retransmit exactly what their neighbours' digests show missing; the
-        leader re-merges under a higher epoch when digests surface
-        unreported pieces.  A sweep that carried digests only is the silent
-        fixed point.  With any fault probability below one, termination is
-        almost sure, every run is deterministic given the fault schedule's
-        seed, and exhausting ``max_rounds`` mid-delivery is reported
+        Runs one :class:`~repro.distributed.recovery.BackgroundRecovery` for
+        the repair the last :meth:`delete` left installed, through the round
+        loop every repair uses (:func:`execute_repair`), inside its own
+        scaffold and epoch window: participants gossip compact digests of
+        their *own* repair state along spine/anchor links (real messages
+        through ``Network.deliver_round``, so faults hit recovery traffic
+        too) and retransmit exactly what their neighbours' digests show
+        missing; the leader re-merges under a higher epoch when digests
+        surface unreported pieces.  The first sweep after every
+        participant's ``recovery_satisfied`` predicate holds is the silent
+        fixed-point probe.  Every run is deterministic given the fault
+        schedule's seed, and exhausting ``max_rounds`` is reported
         (``converged=False`` plus the discarded in-flight count), never
-        silently swallowed.
+        silently swallowed.  With no repair installed the report is empty
+        and converged.
         """
-        runtime = self._runtime
-        if runtime is None:
+        repair = self._installed
+        if repair is None:
             return RecoveryCostReport(
                 victim=None, degree=0, n_ever=self._engine.nodes_ever, converged=True
             )
-        report = run_recovery(
-            self.network,
-            victim=runtime.victim,
-            participants=runtime.participants,
-            degree=runtime.degree,
+        network = self.network
+        recovery = BackgroundRecovery(
+            network,
+            victim=repair.victim,
+            participants=repair.participants,
+            degree=repair.degree,
             n_ever=self._engine.nodes_ever,
-            max_rounds=max_rounds,
+            deadline=0,
             max_sweeps=max_sweeps,
         )
+        network.metrics.begin_epoch_window(repair.victim)
+        network.begin_scaffold()
+        # The first sweep leaves before any round is delivered, so even a
+        # one-round budget finds this recovery's traffic in flight.
+        recovery.step(1)
+        execute_repair(network, repair.participants, 0, [recovery], max_rounds)
+        network.end_scaffold()
+        report = recovery.report(network.metrics.end_epoch_window(repair.victim))
         self.recovery_reports.append(report)
         return report
 
@@ -832,10 +760,8 @@ class DistributedForgivingGraph:
         global knowledge, so it *raises* under ``quarantine_plan_audit``
         (which is exactly the structural proof the recovery tests want).
         """
-        runtime = self._runtime
-        if runtime is None:
-            return []
-        return self._audit_reference(runtime.plan)
+        repair = self._installed
+        return [] if repair is None else self._audit_reference(repair.plan)
 
     def _audit_reference(self, plan: RepairPlan) -> List:
         """One global audit pass: the retransmissions the repair still needs.
@@ -940,43 +866,6 @@ class DistributedForgivingGraph:
         if processor is None:
             return None
         return processor.edges.get(port.neighbor)
-
-    # ------------------------------------------------------------------ #
-    # oracle resync (the retained full-diff reference path)
-    # ------------------------------------------------------------------ #
-    def _sync_links_reference(self) -> None:
-        """Rebuild the sourced link set from the oracle — a full O(n + m) diff.
-
-        The seed-era link sync, retained as the ground truth the
-        message-native maintenance is equivalence-tested against (the tests
-        assert it is a *no-op* after lossless repairs) and as a last-resort
-        recovery: it reconstitutes every link source — real edges and RT
-        virtual edges — exactly as the message flow would have.
-        """
-        expected: Dict[frozenset, Set[Tuple]] = {}
-        engine = self._engine
-        alive = engine.alive_nodes
-        for u, v in engine.g_prime_graph_view().edges:
-            if u in alive and v in alive:
-                expected.setdefault(frozenset((u, v)), set()).add(real_source_key(u, v))
-        for rt in engine.reconstruction_trees():
-            for parent, child in rt.virtual_edges():
-                p, c = parent.processor, child.processor
-                if p != c:
-                    parent_port = parent.port if isinstance(parent, RTLeaf) else parent.simulated_by
-                    child_port = child.port if isinstance(child, RTLeaf) else child.simulated_by
-                    expected.setdefault(frozenset((p, c)), set()).add(
-                        link_source_key(parent_port, child_port)
-                    )
-        network = self.network
-        for link in {frozenset(pair) for pair in network.iter_links()} - set(expected):
-            u, v = tuple(link)
-            network.disconnect(u, v)
-        network.replace_link_sources(expected)
-        for link in expected:
-            u, v = tuple(link)
-            if network.has_processor(u) and network.has_processor(v):
-                network.connect(u, v)
 
     # ------------------------------------------------------------------ #
     # consistency between distributed state and the reference engine

@@ -713,15 +713,15 @@ def experiment_e14_concurrent_bursts(scale: str = "full") -> Section:
     One burst of deletions with pairwise-disjoint repair footprints (picked
     by :func:`~repro.distributed.protocol.select_disjoint_victims`, away from
     the hubs whose footprints blanket the graph) is healed three ways on
-    identical copies of the same graph: one repair at a time (the retained
-    reference path, bit-identical to sequential :meth:`delete` calls), with
-    admission capped at two concurrent repairs, and unbounded.  Because the
-    admitted repairs share one ``deliver_round`` stream, the burst's round
-    count trends towards the *maximum* of the individual repair latencies
-    instead of their sum — ``round_ratio`` is the measured fraction of the
-    sequential cost.  Anti-entropy rides the same fabric in the background;
-    on this lossless run every epoch's fixed-point probe must be empty
-    (``silent_fixed_point``), the protocol's silence made measurable.
+    identical copies of the same graph: one repair at a time (waves of
+    one), with admission capped at two concurrent repairs, and unbounded.
+    Because the admitted repairs share one ``deliver_round`` stream, the
+    burst's round count trends towards the *maximum* of the individual
+    repair latencies instead of their sum — ``round_ratio`` is the measured
+    fraction of the sequential cost.  Anti-entropy rides the same fabric in
+    the background, in every row; on this lossless run every epoch's
+    fixed-point probe must be empty (``silent_fixed_point``), the
+    protocol's silence made measurable.
     """
     params = _params(scale)
     n = int(params["fault_graph_size"])
@@ -762,7 +762,7 @@ def experiment_e14_concurrent_bursts(scale: str = "full") -> Section:
                 "rounds": burst.rounds,
                 "round_ratio": round(burst.rounds / max(sequential_rounds, 1), 3),
                 "messages": sum(r.messages for r in burst.reports),
-                "silent_fixed_point": silent if concurrency != 1 else None,
+                "silent_fixed_point": silent,
                 "consistent_with_oracle": consistent,
             }
         )
@@ -772,8 +772,8 @@ def experiment_e14_concurrent_bursts(scale: str = "full") -> Section:
         "admitted repairs interleave in one delivery stream, and each epoch's "
         "anti-entropy gossip rides the same fabric in the background.  The burst's "
         "round count trends to the max of the individual repair latencies instead of "
-        "their sum (round_ratio vs the bit-identical sequential reference), and on "
-        "the lossless path every epoch's recovery goes provably silent: the "
+        "their sum (round_ratio vs healing one repair at a time), and on the "
+        "lossless path every epoch's recovery goes provably silent: the "
         "fixed-point probe emits zero messages."
     )
     return ("E14 — concurrent burst repair latency vs admission concurrency", rows, preamble)

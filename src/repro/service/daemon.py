@@ -462,11 +462,11 @@ class HealerDaemon:
         self.metrics.record_wave(1, elapsed_ms)
         self._ops_since_checkpoint += 1
 
-        runtime = healer._runtime
+        repair = healer._installed
         candidates = [
             p
-            for p in runtime.participants
-            if p != runtime.leader and network.has_processor(p)
+            for p in repair.participants
+            if p != repair.leader and network.has_processor(p)
         ]
         if stale is None:
             stale = candidates[0] if candidates else None
@@ -501,7 +501,7 @@ class HealerDaemon:
             if record is None:
                 continue
             changed = False
-            if record.has_helper and record.helper_victim == runtime.victim:
+            if record.has_helper and record.helper_victim == repair.victim:
                 record.clear_helper()
                 changed = True
             if record.rt_parent != fields["rt_parent"]:
@@ -511,8 +511,8 @@ class HealerDaemon:
                 record.representative = fields["representative"]
                 changed = True
             rolled_back += changed
-        leader_proc = network.processors.get(runtime.leader)
-        context = leader_proc.repairs.get(runtime.victim) if leader_proc else None
+        leader_proc = network.processors.get(repair.leader)
+        context = leader_proc.repairs.get(repair.victim) if leader_proc else None
         if context is not None:
             for port in list(context.confirmed_ports):
                 if port.processor == stale:

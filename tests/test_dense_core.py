@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.errors import ProtocolError
 from repro.core.ports import NodeKey
-from repro.distributed import DistributedForgivingGraph, Network, run_recovery
+from repro.distributed import DistributedForgivingGraph, Network
 from repro.distributed.messages import DeletionNotice
 from repro.engine import AttackSession
 from repro.adversary import MaxDegreeDeletion, churn_schedule
@@ -338,8 +338,6 @@ class TestLinkSources:
             DistributedForgivingGraph(dense=True)
         with pytest.raises(TypeError):
             DistributedForgivingGraph(check_invariants=True)
-        with pytest.raises(TypeError):
-            run_recovery(Network(), victim=0, participants=(), degree=1, n_ever=2, leader=0)
         with pytest.raises(TypeError):
             DistributedForgivingGraph(receive_trace_limit=8)
         with pytest.raises(TypeError):

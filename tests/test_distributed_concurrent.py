@@ -2,9 +2,11 @@
 
 PR 8's contract, each clause tested on its own:
 
-* ``delete_batch(concurrency=1)`` is the retained reference twin — bit-
-  identical per-deletion cost reports to sequential ``delete`` calls under
-  every delivery preset;
+* ``delete_batch(concurrency=1)`` and sequential ``delete`` calls run the
+  same driver: under every faulty preset their cost reports and link
+  sources are identical; on lossless links, where ``delete`` runs no
+  recovery, the repairs' traffic is identical and each one-victim wave's
+  rounds exceed ``delete``'s by exactly its recovery's rounds;
 * disjoint-footprint bursts are admitted into one shared ``deliver_round``
   stream (one wave) and finish in fewer rounds than the sequential sum,
   healing to the exact same graph at any concurrency;
@@ -20,26 +22,18 @@ PR 8's contract, each clause tested on its own:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.adversary import deletion_burst_schedule
 from repro.core.ports import NodeKey
 from repro.core.views import g_prime_view_of
-from repro.distributed.faults import DELIVERY_PRESETS, fault_schedule
+from repro.distributed.faults import FAULT_PRESETS, fault_schedule
 from repro.distributed.simulator import DistributedForgivingGraph
 from repro.engine import AttackSession
 from repro.experiments.sweeps import select_disjoint_victims
 from repro.generators.graphs import make_graph
-
-
-def _cost_key(report):
-    return (
-        report.deleted_node,
-        report.messages,
-        report.bits,
-        report.rounds,
-        report.max_messages_per_node,
-    )
 
 
 def _disjoint_burst(graph, min_k=3, limit=8):
@@ -69,8 +63,8 @@ def burst_victims(burst_graph):
 
 
 class TestReferenceTwin:
-    @pytest.mark.parametrize("preset", sorted(DELIVERY_PRESETS))
-    def test_concurrency_one_is_bit_identical_to_sequential(
+    @pytest.mark.parametrize("preset", sorted(FAULT_PRESETS))
+    def test_concurrency_one_matches_sequential_delete(
         self, burst_graph, burst_victims, preset
     ):
         batch = DistributedForgivingGraph.from_graph(
@@ -82,9 +76,29 @@ class TestReferenceTwin:
         )
         for victim in burst_victims:
             loop.delete(victim)
-        assert [_cost_key(r) for r in batch.cost_reports] == [
-            _cost_key(r) for r in loop.cost_reports
-        ]
+        assert len(batch.cost_reports) == len(loop.cost_reports) == len(burst_victims)
+        if preset != "lossless":
+            # delete() recovers under a fault schedule exactly like a wave.
+            assert [dataclasses.asdict(r) for r in batch.cost_reports] == [
+                dataclasses.asdict(r) for r in loop.cost_reports
+            ]
+            assert batch.network.export_link_sources() == loop.network.export_link_sources()
+            return
+        # Lossless delete() runs no recovery; each one-victim wave still
+        # does, after the same repair traffic.
+        for wave, sequential in zip(batch.cost_reports, loop.cost_reports):
+            for name in (
+                "deleted_node",
+                "messages",
+                "bits",
+                "max_message_bits",
+                "max_messages_per_node",
+                "helpers_created",
+                "helpers_released",
+            ):
+                assert getattr(wave, name) == getattr(sequential, name), name
+            assert sequential.recovery is None
+            assert wave.rounds == sequential.rounds + wave.reconvergence_rounds
 
     def test_concurrency_one_burst_report_shape(self, burst_graph, burst_victims):
         healer = DistributedForgivingGraph.from_graph(burst_graph)

@@ -194,6 +194,21 @@ class TestRoundBudgetExhaustion:
             assert report.converged
             assert report.in_flight_leftover == 0
 
+    @pytest.mark.parametrize("auto_reconverge", [False, True])
+    def test_wave_out_of_rounds_reports_unconverged(self, auto_reconverge):
+        # Three rounds cannot finish a hub's repair, with or without the
+        # wave's background recovery.
+        healer = DistributedForgivingGraph.from_graph(
+            make_graph("power_law", 60, seed=3), auto_reconverge=auto_reconverge
+        )
+        hub = max(sorted(healer.alive_nodes), key=healer.actual_degree)
+        burst = healer.delete_batch([hub], max_rounds=3)
+        (report,) = burst.reports
+        assert burst.rounds == 3
+        assert report.dropped_messages > 0
+        assert healer.network.in_flight == 0
+        assert not report.converged
+
 
 class TestCrashMidRecovery:
     def test_non_leader_crash_mid_recovery_terminates_cleanly(self):
@@ -205,11 +220,11 @@ class TestCrashMidRecovery:
             if victim is None or healer.num_alive <= 4:
                 break
             healer.delete(victim)
-            runtime = healer._runtime
+            repair = healer._installed
             bystanders = [
                 node
-                for node in runtime.participants
-                if node != runtime.leader and healer.network.has_processor(node)
+                for node in repair.participants
+                if node != repair.leader and healer.network.has_processor(node)
             ]
             if not crashed and len(bystanders) > 1:
                 # Crash one non-leader participant between the repair and
@@ -231,11 +246,11 @@ class TestCrashMidRecovery:
         strategy = RandomDeletion(seed=7)
         victim = strategy.choose_victim(healer)
         healer.delete(victim)
-        runtime = healer._runtime
+        repair = healer._installed
         bystanders = [
             node
-            for node in runtime.participants
-            if node != runtime.leader and healer.network.has_processor(node)
+            for node in repair.participants
+            if node != repair.leader and healer.network.has_processor(node)
         ]
         if bystanders:
             healer.network.remove_processor(bystanders[0])
