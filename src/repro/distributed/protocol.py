@@ -375,17 +375,14 @@ def execute_repair(
 ) -> int:
     """The synchronous round loop every repair and recovery runs in.
 
-    Each round delivers the messages in flight, fires the ``participants``'
-    deadline timers and polls every recovery.  The loop stops once nothing
-    is in flight, round ``deadline`` has passed and every recovery has
-    finished.  Seeding (:func:`seed_repair`) and the scaffold are the
-    caller's.  Returns the rounds counted, the seeding round included.
-
-    Reaching ``max_rounds`` ends the loop loudly: each unfinished recovery
-    is finished with its epoch's in-flight count as leftover, then every
-    message still in flight is discarded into its epoch's ``dropped`` tally
-    (:meth:`Network.drop_in_flight`), so stale traffic never reaches a
-    later repair.
+    Each round delivers what is in flight, fires the ``participants``'
+    timers and polls every recovery, until nothing is in flight, round
+    ``deadline`` has passed and every recovery has finished.  Seeding
+    (:func:`seed_repair`) and the scaffold are the caller's.  At
+    ``max_rounds`` each unfinished recovery is finished with its epoch's
+    in-flight count as leftover, and everything in flight is discarded into
+    its epoch's ``dropped`` tally, so stale traffic never reaches a later
+    repair.  Returns the rounds counted, the seeding round included.
     """
     rounds = 1
     while (

@@ -28,14 +28,11 @@ faults hit the recovery traffic exactly like they hit the repair's):
 A sweep that produces **no retransmission traffic** (only digests flowed)
 is the silent fixed point: every piece the participants vouch for reached
 the leader, every instruction of the leader's outcome is applied.
-:class:`BackgroundRecovery` runs the sweeps of one repair as a state
-machine that :func:`repro.distributed.protocol.execute_repair` polls once
-per round — inside the repair's own round loop (``delete`` under a fault
-schedule, every ``delete_batch`` wave), or alone for
-:meth:`DistributedForgivingGraph.reconverge`.  When the loop's round
-budget runs out, the machine is finished with ``converged=False`` and its
-epoch's in-flight count, and that traffic is discarded *loudly*, so stale
-recovery traffic can never leak into the next repair.
+:class:`BackgroundRecovery` runs one repair's sweeps as a state machine
+that the round loop (:func:`repro.distributed.protocol.execute_repair`)
+polls once per round; a loop that runs out of rounds finishes it with
+``converged=False`` and discards its epoch's in-flight traffic *loudly*,
+so stale recovery traffic can never leak into the next repair.
 
 Cost accounting mirrors the repair's: the whole recovery runs inside the
 victim's epoch window (a :class:`~repro.distributed.metrics.MetricsWindow`
@@ -86,15 +83,10 @@ class BackgroundRecovery:
     ``in_flight_for(victim)`` is zero, so acknowledgements from the previous
     chunked exchange have landed before the residue is re-offered.
 
-    Termination: digests are acknowledged chunk by chunk, confirmed
-    knowledge drops out of later sweeps, and each processor's
-    :meth:`Processor.recovery_satisfied` predicate reads only its own
-    context and the acknowledgements that physically reached it (a dropped
-    digest stays unconfirmed and is re-offered, so lost *detection* traffic
-    can never fake convergence).  With any fault probability below one,
-    convergence is almost sure; ``max_sweeps`` and the loop's round budget
-    bound the pathological tail, and hitting either is reported as
-    ``converged=False``.
+    Termination: confirmed knowledge drops out of later sweeps, and a
+    dropped digest stays unconfirmed and is re-offered, so lost detection
+    traffic can never fake convergence; ``max_sweeps`` and the loop's round
+    budget bound the pathological tail, reported as ``converged=False``.
 
     The silent-protocol property is made explicit: the first sweep emitted
     *after* every live participant's ``recovery_satisfied`` predicate holds

@@ -651,7 +651,11 @@ class DistributedForgivingGraph:
             if victim in recoveries:
                 recon = recoveries[victim].report(recovery_window)
                 self.recovery_reports.append(recon)
-            outcome = self._outcome_of(repair)
+            # The leader's own installed context, never the plan's context
+            # map (which may be quarantined).
+            leader = network.processors.get(repair.leader)
+            context = leader.repairs.get(victim) if leader is not None else None
+            outcome = context.outcome if context is not None else None
             reports.append(
                 DeletionCostReport(
                     deleted_node=victim,
@@ -681,16 +685,6 @@ class DistributedForgivingGraph:
         self.cost_reports.extend(reports)
         return repairs, reports, rounds
 
-    def _outcome_of(self, repair: _Repair):
-        """The repair's leader merge outcome, read through its processor.
-
-        Reporting reads the leader's *own* context as installed on its
-        processor, never the plan's context map, which may be quarantined.
-        """
-        processor = self.network.processors.get(repair.leader)
-        context = processor.repairs.get(repair.victim) if processor is not None else None
-        return context.outcome if context is not None else None
-
     def _retire(self, repairs: Iterable[_Repair]) -> None:
         """Uninstall finished repairs from their surviving participants."""
         for repair in repairs:
@@ -707,19 +701,14 @@ class DistributedForgivingGraph:
 
         Runs one :class:`~repro.distributed.recovery.BackgroundRecovery` for
         the repair the last :meth:`delete` left installed, through the round
-        loop every repair uses (:func:`execute_repair`), inside its own
-        scaffold and epoch window: participants gossip compact digests of
-        their *own* repair state along spine/anchor links (real messages
-        through ``Network.deliver_round``, so faults hit recovery traffic
-        too) and retransmit exactly what their neighbours' digests show
-        missing; the leader re-merges under a higher epoch when digests
-        surface unreported pieces.  The first sweep after every
-        participant's ``recovery_satisfied`` predicate holds is the silent
-        fixed-point probe.  Every run is deterministic given the fault
-        schedule's seed, and exhausting ``max_rounds`` is reported
-        (``converged=False`` plus the discarded in-flight count), never
-        silently swallowed.  With no repair installed the report is empty
-        and converged.
+        loop every repair uses, in its own scaffold and epoch window:
+        participants gossip digests of their *own* repair state as real
+        messages (faults hit them too) and retransmit exactly what their
+        neighbours' digests show missing, until the fixed-point probe is
+        silent.  Deterministic given the fault schedule's seed; exhausting
+        ``max_rounds`` is reported (``converged=False`` plus the discarded
+        in-flight count), never swallowed.  With no repair installed the
+        report is empty and converged.
         """
         repair = self._installed
         if repair is None:
