@@ -20,7 +20,8 @@ Pins the tentpole claims:
   a non-leader participant crashing mid-recovery, and a recovery that hits
   its round budget mid-delivery reports ``converged=False`` plus the
   leftover in-flight count instead of leaking traffic into the next
-  repair.
+  repair; a wave that runs out of rounds reports ``converged=False``
+  whether or not a recovery ran.
 """
 
 import random
