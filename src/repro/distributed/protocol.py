@@ -44,12 +44,12 @@ no messages remain in flight; the number of rounds it took is the repair's
 recovery time, checked against Lemma 4's ``O(log d log n)`` budget.
 
 Under a fault schedule a repair can end with processors disagreeing; the
-follow-up is *anti-entropy* (:mod:`repro.distributed.recovery`, PR 5),
-polled inside the same loop: the same per-participant contexts installed
-here double as the local state the gossip-digest recovery derives its
-digests from, so no new knowledge is handed out for recovery — each
-processor recovers from exactly what this plan gave it plus the messages
-that reached it, with the cost ledgered separately in a
+follow-up is *anti-entropy* (:mod:`repro.distributed.recovery`), polled
+inside the same loop: the same per-participant contexts installed here
+double as the local state the gossip-digest recovery derives its digests
+from, so no new knowledge is handed out for recovery — each processor
+recovers from exactly what this plan gave it plus the messages that
+reached it, with the cost ledgered separately in a
 :class:`~repro.distributed.metrics.RecoveryCostReport`.
 
 Under a *byzantine* schedule (PR 6) the payloads themselves can lie;
