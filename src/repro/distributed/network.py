@@ -123,6 +123,12 @@ class Network:
         #: Processors removed by :meth:`quarantine` (alive in the model's
         #: graph, cut off from the network — the containment action).
         self.quarantined: Set[NodeId] = set()
+        #: Processors whose Table 1 records or sourced links changed since the
+        #: service's checkpoint store last drained the set (it rewrites only
+        #: these).  The network and its processors mark it wherever they write
+        #: that state; it holds node ids only, so it never outgrows
+        #: ``n_ever``, and outside the service nothing drains it.
+        self.dirty: Set[NodeId] = set()
 
     def stamp(self, message: Message) -> Message:
         """Assign the next per-network id — for messages delivered out of
@@ -143,6 +149,7 @@ class Network:
             self.processors[node] = processor
             self._adjacency.setdefault(node, set())
             self._ever_ids.add(node)
+            self.dirty.add(node)
             self.n_ever += 1
             self._word_bits = words_to_bits(1, self.n_ever)
         return processor
@@ -162,9 +169,11 @@ class Network:
         if node not in self.processors:
             raise UnknownNodeError(node, "remove_processor")
         del self.processors[node]
+        self.dirty.add(node)
         for neighbor in self._adjacency.pop(node, ()):
             self._adjacency[neighbor].discard(node)
-            self._sources.pop(frozenset((node, neighbor)), None)
+            if self._sources.pop(frozenset((node, neighbor)), None) is not None:
+                self.dirty.add(neighbor)
 
     def has_processor(self, node: NodeId) -> bool:
         """True when ``node`` currently has a processor."""
@@ -182,7 +191,8 @@ class Network:
     def disconnect(self, u: NodeId, v: NodeId) -> None:
         """Drop the link between ``u`` and ``v`` if it exists (dead ends tolerated)."""
         self._unlink(u, v)
-        self._sources.pop(frozenset((u, v)), None)
+        if self._sources.pop(frozenset((u, v)), None) is not None:
+            self.dirty.update((u, v))
 
     def _unlink(self, u: NodeId, v: NodeId) -> None:
         adj_u = self._adjacency.get(u)
@@ -211,6 +221,7 @@ class Network:
         self._sources.setdefault(frozenset((u, v)), set()).add(key)
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
+        self.dirty.update((u, v))
 
     def remove_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
         """Drop one source of link ``(u, v)``; the link vanishes at zero sources
@@ -220,6 +231,7 @@ class Network:
         if sources is None:
             return
         sources.discard(key)
+        self.dirty.update((u, v))
         if not sources:
             del self._sources[link]
             if self._scaffold is None or link not in self._scaffold:
@@ -239,16 +251,32 @@ class Network:
         ``expected`` is keyed by ``frozenset`` endpoint pairs — the format
         :meth:`export_link_sources` writes and the checkpoint store reloads.
         """
+        for link in (*self._sources, *expected):
+            self.dirty.update(link)
         self._sources = {link: set(keys) for link, keys in expected.items()}
 
-    def export_link_sources(self) -> Dict[frozenset, Set[Tuple]]:
-        """Snapshot the whole source table in the ``frozenset`` wire format.
+    def export_link_sources(
+        self, nodes: Optional[Iterable[NodeId]] = None
+    ) -> Dict[frozenset, Set[Tuple]]:
+        """Snapshot the source table in the ``frozenset`` wire format.
 
         The inverse of :meth:`replace_link_sources` — what the healer
         service's checkpoint writer reads, so a restored network can rebuild
-        the healed graph's sourced links exactly.
+        the healed graph's sourced links exactly.  ``nodes`` narrows the
+        snapshot to the sourced links incident to those processors (the
+        writer's incremental rewrite), found through their adjacency, which
+        holds every sourced link; ``None`` snapshots the whole table.
         """
-        return {link: set(keys) for link, keys in self._sources.items()}
+        if nodes is None:
+            return {link: set(keys) for link, keys in self._sources.items()}
+        out: Dict[frozenset, Set[Tuple]] = {}
+        for node in nodes:
+            for neighbor in self._adjacency.get(node, ()):
+                link = frozenset((node, neighbor))
+                keys = self._sources.get(link)
+                if keys:
+                    out[link] = set(keys)
+        return out
 
     def set_census(self, n_ever: int, ever_ids: Iterable[NodeId] = ()) -> None:
         """Restore the addition-counted census after a checkpoint reload.

@@ -228,8 +228,9 @@ class Processor:
         #: One record per ``G'`` edge, keyed by the neighbour's identifier.
         self.edges: Dict[NodeId, EdgeRecord] = {}
         #: Back-reference set by :meth:`Network.add_processor`; lets message
-        #: handlers update the sourced link set.  ``None`` for standalone
-        #: processors (unit tests), where link effects are skipped.
+        #: handlers update the sourced link set and mark this processor in
+        #: ``Network.dirty`` when they write a record.  ``None`` for
+        #: standalone processors (unit tests), where both are skipped.
         self.network = None
         #: Active repair contexts, keyed by the deleted node.
         self.repairs: Dict[NodeId, RepairContext] = {}
@@ -249,7 +250,13 @@ class Processor:
         if record is None:
             record = EdgeRecord(neighbor=neighbor, representative=Port(self.node_id, neighbor))
             self.edges[neighbor] = record
+            self._mark_dirty()
         return record
+
+    def _mark_dirty(self) -> None:
+        """Note in the network that this processor's records changed."""
+        if self.network is not None:
+            self.network.dirty.add(self.node_id)
 
     def port(self, neighbor: NodeId) -> Port:
         """The port this processor owns for the edge to ``neighbor``."""
@@ -299,6 +306,7 @@ class Processor:
             record = self.edges.get(port.neighbor)
             if record is not None and record.has_helper and record.helper_victim != context.victim:
                 record.clear_helper()
+                self._mark_dirty()
         if self.network is not None:
             for key, u, v in context.glue:
                 self.network.remove_link_source(key, u, v)
@@ -504,6 +512,7 @@ class Processor:
         if record is not None:
             record.neighbor_alive = False
             record.endpoint = None
+            self._mark_dirty()
 
     def _on_AnchorLink(self, message) -> None:
         # BT_v formation is topological (the scaffold records the link); the
@@ -677,6 +686,7 @@ class Processor:
             record.rt_parent = message.parent_port
             record.endpoint = message.parent_port
             record.neighbor_alive = False
+        self._mark_dirty()
 
     def _on_HelperAssignment(self, message: HelperAssignment) -> None:
         port = message.helper_port
@@ -693,6 +703,7 @@ class Processor:
             if record.has_helper and (victim is None or record.helper_victim == victim):
                 self._drop_helper_links(record, port)
                 record.clear_helper()
+                self._mark_dirty()
             return
         if record.has_helper and record.helper_victim != victim:
             # Another repair's helper lives here; a (necessarily partial)
@@ -708,6 +719,7 @@ class Processor:
         record.helper_height = message.height
         record.helper_children_count = 2
         record.helper_representative = message.representative_port
+        self._mark_dirty()
         if self.network is not None:
             for child in (message.left_port, message.right_port):
                 if child is not None:

@@ -5,9 +5,11 @@ service.  Clients (:class:`ServiceClient`) submit insert/delete operations;
 every submission is journalled durably *before* it is acknowledged, then
 :meth:`HealerDaemon.pump` applies the backlog — consecutive deletions are
 grouped into ``delete_batch`` admission waves (the PR 8 concurrent path),
-inserts ride individually — and periodically checkpoints the full
-distributed state (Table 1 records, sourced links, accountability
-transcript, census) through :class:`~repro.service.store.CheckpointStore`.
+inserts ride individually — and periodically checkpoints the distributed
+state (Table 1 records, sourced links, accountability transcript, census)
+into the one live image :class:`~repro.service.store.CheckpointStore`
+keeps, rewriting only the processors that changed since the previous
+checkpoint.
 
 Crash-recover is real, twice over:
 
@@ -223,19 +225,19 @@ class HealerDaemon:
             network = healer.network
             for node in ckpt.alive:
                 network.add_processor(node)
-            for owner, neighbors in store.load_records(ckpt.ckpt_id).items():
+            for owner, neighbors in store.load_records().items():
                 processor = network.processors[owner]
                 for neighbor, fields in neighbors.items():
                     record = processor.ensure_edge(neighbor)
                     for name, value in fields.items():
                         setattr(record, name, value)
-            links = store.load_links(ckpt.ckpt_id)
+            links = store.load_links()
             network.replace_link_sources(links)
             for link in links:
                 u, v = tuple(link)
                 network.connect(u, v)
             network.quarantined = set(ckpt.quarantined)
-            for accused, reporter, reason, round_ in store.load_transcript(ckpt.ckpt_id):
+            for accused, reporter, reason, round_ in store.load_transcript():
                 network.transcript.record(
                     accused=accused,
                     reporter=reporter,
@@ -244,6 +246,8 @@ class HealerDaemon:
                     round=round_,
                 )
             network.set_census(engine.nodes_ever, ever_ids=ever_ids)
+            # The network now equals the stored image: nothing to rewrite.
+            network.dirty.clear()
 
         daemon = cls(
             store,
@@ -447,7 +451,7 @@ class HealerDaemon:
             )
         if victim not in self._projected_alive:
             raise ConfigurationError(f"rejoin victim {victim!r} is not alive")
-        ckpt_id = self.checkpoint()
+        self.checkpoint()
 
         seq = self.store.append_op("__rejoin__", "delete", victim)
         self._journal_len += 1
@@ -493,7 +497,7 @@ class HealerDaemon:
         # The restart: re-read the checkpoint image, scoped to what this
         # repair wrote.  The repair context survives (a rejoiner answers
         # digest requests; losing the context entirely is the *crash* case).
-        image = self.store.load_records(ckpt_id, [stale]).get(stale, {})
+        image = self.store.load_records([stale]).get(stale, {})
         processor = network.processors[stale]
         rolled_back = 0
         for neighbor, fields in image.items():
@@ -511,6 +515,7 @@ class HealerDaemon:
                 record.representative = fields["representative"]
                 changed = True
             rolled_back += changed
+        network.dirty.add(stale)
         leader_proc = network.processors.get(repair.leader)
         context = leader_proc.repairs.get(repair.victim) if leader_proc else None
         if context is not None:

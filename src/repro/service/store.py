@@ -3,14 +3,32 @@
 One database file per service run, holding everything a crashed daemon
 needs to come back: the service configuration, the genesis topology, an
 append-only operation journal (every client-submitted insert/delete, with
-an ``applied`` watermark), and periodic structured checkpoints — the Table
-1 per-edge records of every processor, the healed graph's sourced links,
-the accountability transcript and the census.  The store is plain sqlite in
-WAL mode (journal appends survive a ``kill -9`` between checkpoints), and
-every value that names a node or port goes through an explicit typed codec
-rather than pickle, so a checkpoint written by one process version is
-readable by another and the on-disk format is inspectable with the sqlite
-CLI.
+an ``applied`` watermark), and one live *image* of the distributed state —
+the Table 1 per-edge records of every processor, the healed graph's
+sourced links and the accountability transcript — under the header of the
+checkpoint that last brought it up to date (journal watermark and census).
+
+Checkpoints are incremental.  The network marks every processor whose
+records or sourced links change (``Network.dirty``), and
+:meth:`CheckpointStore.write_checkpoint` rewrites only those processors'
+record rows and incident link rows, in one transaction that also replaces
+the header; a store that has no image yet gets the whole image.  A
+checkpoint therefore costs what changed since the previous one, and
+retention needs no policy: the tables hold one image, never a copy per
+checkpoint, and a checkpoint that fails mid-write rolls back to the
+previous image intact.
+
+The store is plain sqlite in WAL mode (journal appends survive a ``kill
+-9`` between checkpoints), and every value that names a node or port goes
+through an explicit typed codec rather than pickle, so a checkpoint written
+by one process version is readable by another and the on-disk format is
+inspectable with the sqlite CLI.  Encoded node ids are also the image's row
+keys (a rewrite deletes a processor's rows by its encoded id), so the
+codec's bytes are part of the schema.
+
+A schema v1 store (a full image per checkpoint, none ever deleted) is
+migrated when it is opened: its latest checkpoint, a complete image, is
+kept and every older one dropped.
 
 The restore contract (see :meth:`repro.service.daemon.HealerDaemon.restore`)
 splits the journal at the checkpoint's sequence number: the prefix is
@@ -32,15 +50,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 import networkx as nx
 
 from ..core.errors import ConfigurationError
-from ..core.ports import NodeId, Port
+from ..core.ports import NodeId, NodeKey, Port
 from ..distributed.processor import EdgeRecord
 
 __all__ = ["CheckpointStore", "CheckpointInfo", "JournalOp", "SCHEMA_VERSION"]
 
 #: Bumped on any incompatible change to the table layout or the value codec;
 #: opening a store written under a different version refuses loudly instead
-#: of mis-decoding state.
-SCHEMA_VERSION = 1
+#: of mis-decoding state (v1 stores are migrated, see the module docstring).
+SCHEMA_VERSION = 2
 
 #: Table 1 record fields in checkpoint payload order (the ``EdgeRecord``
 #: declaration order — reordering its fields is a schema change).
@@ -98,8 +116,13 @@ def decode_value(payload: object) -> object:
     raise ConfigurationError(f"unknown codec tag {tag!r} in stored value")
 
 
+#: The one compact encoder every stored value goes through:
+#: ``json.dumps(..., separators=...)`` would build a new encoder per call.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _dumps(value: object) -> str:
-    return json.dumps(encode_value(value), separators=(",", ":"))
+    return _ENCODE(encode_value(value))
 
 
 def _loads(text: str) -> object:
@@ -127,7 +150,7 @@ class JournalOp:
 
 @dataclass(frozen=True)
 class CheckpointInfo:
-    """Header row of one checkpoint (the state tables hang off ``ckpt_id``)."""
+    """Header of the checkpoint that last brought the stored image up to date."""
 
     ckpt_id: int
     #: Highest applied journal sequence number the checkpoint covers.
@@ -137,11 +160,22 @@ class CheckpointInfo:
     quarantined: Tuple[NodeId, ...]
 
 
-_TABLES = """
+#: Created first: the constructor reads the schema version before it touches
+#: any other table.
+_META_TABLE = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
+)
+"""
+
+#: ``checkpoints`` keeps only the latest header.  ``records``, ``links`` and
+#: ``transcript`` are the live image: one row per Table 1 record, per sourced
+#: link and per accusation, each stamped with the ``ckpt_id`` of the
+#: checkpoint that wrote it.  A link row orders its endpoints by ``NodeKey``;
+#: rows migrated from v1 keep their stored order, which no read or delete
+#: depends on (both match either endpoint).
+_TABLES = """
 CREATE TABLE IF NOT EXISTS genesis_nodes (
     node TEXT NOT NULL
 );
@@ -172,14 +206,12 @@ CREATE TABLE IF NOT EXISTS records (
     neighbor TEXT NOT NULL,
     payload TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_records_ckpt ON records (ckpt_id);
 CREATE TABLE IF NOT EXISTS links (
     ckpt_id INTEGER NOT NULL,
     u TEXT NOT NULL,
     v TEXT NOT NULL,
     sources TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_links_ckpt ON links (ckpt_id);
 CREATE TABLE IF NOT EXISTS transcript (
     ckpt_id INTEGER NOT NULL,
     accused TEXT NOT NULL,
@@ -187,8 +219,15 @@ CREATE TABLE IF NOT EXISTS transcript (
     reason TEXT NOT NULL,
     round INTEGER NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_transcript_ckpt ON transcript (ckpt_id);
 """
+
+#: v2 row keys.  Kept apart from ``_TABLES``: a v1 store holds one image per
+#: checkpoint, so these unique indexes can only be built after its migration.
+_INDEXES = (
+    "CREATE UNIQUE INDEX IF NOT EXISTS records_key ON records (processor, neighbor)",
+    "CREATE UNIQUE INDEX IF NOT EXISTS links_key ON links (u, v)",
+    "CREATE INDEX IF NOT EXISTS links_v ON links (v)",
+)
 
 
 class CheckpointStore:
@@ -196,24 +235,48 @@ class CheckpointStore:
 
     A store is opened either *fresh* (:meth:`initialize` writes the schema
     version, the service configuration and the genesis topology) or for
-    *recovery* (the constructor validates the schema version and the
-    accessors read everything back).  All writes commit immediately — the
-    journal is the crash-safety boundary, so an op acknowledged to a client
-    is an op the restore will replay.
+    *recovery* (the constructor validates the schema version, migrates a v1
+    store, and the accessors read everything back).  All writes commit
+    immediately — the journal is the crash-safety boundary, so an op
+    acknowledged to a client is an op the restore will replay.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._conn = sqlite3.connect(str(self.path))
         self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.executescript(_TABLES)
-        self._conn.commit()
+        self._conn.execute(_META_TABLE)
         existing = self._meta("schema_version")
-        if existing is not None and int(existing) != SCHEMA_VERSION:
+        if existing == "1":
+            self._migrate_v1()
+        elif existing is not None and int(existing) != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"checkpoint store {self.path} was written under schema "
                 f"v{existing}; this build reads v{SCHEMA_VERSION}"
             )
+        self._conn.executescript(_TABLES)
+        for statement in _INDEXES:
+            self._conn.execute(statement)
+        self._conn.commit()
+
+    def _migrate_v1(self) -> None:
+        """Upgrade a v1 store in place, in one transaction.
+
+        v1 kept a full image per checkpoint.  The latest one is complete on
+        its own, so it becomes the live image and every older checkpoint's
+        rows go; then v1's per-checkpoint indexes give way to the v2 row
+        keys.
+        """
+        conn = self._conn
+        with conn:
+            (latest,) = conn.execute("SELECT MAX(ckpt_id) FROM checkpoints").fetchone()
+            conn.execute("DELETE FROM checkpoints WHERE ckpt_id IS NOT ?", (latest,))
+            for table in ("records", "links", "transcript"):
+                conn.execute(f"DELETE FROM {table} WHERE ckpt_id IS NOT ?", (latest,))
+                conn.execute(f"DROP INDEX IF EXISTS idx_{table}_ckpt")
+            for statement in _INDEXES:
+                conn.execute(statement)
+            self._set_meta("schema_version", str(SCHEMA_VERSION))
 
     def close(self) -> None:
         self._conn.close()
@@ -335,55 +398,77 @@ class CheckpointStore:
     # checkpoints
     # ------------------------------------------------------------------ #
     def write_checkpoint(self, healer, seq: int) -> int:
-        """Persist the healer's distributed state as one checkpoint.
+        """Bring the stored image up to the healer's state; returns the new id.
 
         ``healer`` is a :class:`~repro.distributed.DistributedForgivingGraph`
         at a quiescent point (between adversarial moves); ``seq`` is the
-        highest applied journal sequence number the state reflects.  Table 1
-        records, the sourced link table, the accountability transcript and
-        the census all go in one transaction, so a crash mid-checkpoint
-        leaves the previous checkpoint intact.
+        highest applied journal sequence number the state reflects.
+
+        Only the processors in ``network.dirty`` are rewritten: their own
+        Table 1 record rows and every sourced link incident to them are
+        deleted and re-inserted from the live state (a removed processor's
+        rows are just deleted).  A store that has no image yet gets every
+        processor.  The new header replaces the superseded one and the
+        accusations beyond those already stored are appended, all in one
+        transaction: a checkpoint that fails mid-write rolls back and
+        leaves the previous image intact, and the written ids leave
+        ``network.dirty`` only once the transaction has committed.
         """
         network = healer.network
         conn = self._conn
-        cursor = conn.execute(
-            "INSERT INTO checkpoints (seq, n_ever, alive, quarantined) VALUES (?, ?, ?, ?)",
-            (
-                seq,
-                network.n_ever,
-                _dumps(tuple(network.processors)),
-                _dumps(tuple(network.quarantined)),
-            ),
-        )
-        ckpt = int(cursor.lastrowid)
-        record_rows = []
-        for node_id, processor in network.processors.items():
-            owner = _dumps(node_id)
-            for neighbor, record in processor.edges.items():
-                payload = [encode_value(getattr(record, name)) for name in _RECORD_FIELDS]
-                record_rows.append(
-                    (ckpt, owner, _dumps(neighbor), json.dumps(payload, separators=(",", ":")))
+        nodes = set(network.dirty)
+        if conn.execute("SELECT 1 FROM checkpoints LIMIT 1").fetchone() is None:
+            nodes.update(network.processors)
+        owners = {node: _dumps(node) for node in nodes}
+        with conn:
+            ckpt = int(
+                conn.execute(
+                    "INSERT INTO checkpoints (seq, n_ever, alive, quarantined) "
+                    "VALUES (?, ?, ?, ?)",
+                    (
+                        seq,
+                        network.n_ever,
+                        _dumps(tuple(network.processors)),
+                        _dumps(tuple(network.quarantined)),
+                    ),
+                ).lastrowid
+            )
+            conn.execute("DELETE FROM checkpoints WHERE ckpt_id < ?", (ckpt,))
+            owner_rows = [(owner,) for owner in owners.values()]
+            conn.executemany("DELETE FROM records WHERE processor=?", owner_rows)
+            conn.executemany("DELETE FROM links WHERE u=?", owner_rows)
+            conn.executemany("DELETE FROM links WHERE v=?", owner_rows)
+            record_rows = []
+            for node, owner in owners.items():
+                processor = network.processors.get(node)
+                if processor is None:
+                    continue
+                for neighbor, record in processor.edges.items():
+                    payload = [encode_value(getattr(record, name)) for name in _RECORD_FIELDS]
+                    record_rows.append((ckpt, owner, _dumps(neighbor), _ENCODE(payload)))
+            conn.executemany(
+                "INSERT INTO records (ckpt_id, processor, neighbor, payload) VALUES (?, ?, ?, ?)",
+                record_rows,
+            )
+            link_rows = []
+            for link, keys in network.export_link_sources(nodes).items():
+                u, v = sorted(link, key=NodeKey)
+                link_rows.append(
+                    (ckpt, _dumps(u), _dumps(v), _dumps(tuple(sorted(keys, key=repr))))
                 )
-        conn.executemany(
-            "INSERT INTO records (ckpt_id, processor, neighbor, payload) VALUES (?, ?, ?, ?)",
-            record_rows,
-        )
-        link_rows = []
-        for link, keys in network.export_link_sources().items():
-            u, v = tuple(link)
-            link_rows.append((ckpt, _dumps(u), _dumps(v), _dumps(tuple(sorted(keys, key=repr)))))
-        conn.executemany(
-            "INSERT INTO links (ckpt_id, u, v, sources) VALUES (?, ?, ?, ?)", link_rows
-        )
-        conn.executemany(
-            "INSERT INTO transcript (ckpt_id, accused, reporter, reason, round) "
-            "VALUES (?, ?, ?, ?, ?)",
-            [
-                (ckpt, _dumps(a.accused), _dumps(a.reporter), a.reason, a.round)
-                for a in network.transcript.accusations
-            ],
-        )
-        conn.commit()
+            conn.executemany(
+                "INSERT INTO links (ckpt_id, u, v, sources) VALUES (?, ?, ?, ?)", link_rows
+            )
+            (stored,) = conn.execute("SELECT COUNT(*) FROM transcript").fetchone()
+            conn.executemany(
+                "INSERT INTO transcript (ckpt_id, accused, reporter, reason, round) "
+                "VALUES (?, ?, ?, ?, ?)",
+                [
+                    (ckpt, _dumps(a.accused), _dumps(a.reporter), a.reason, a.round)
+                    for a in network.transcript.accusations[stored:]
+                ],
+            )
+        network.dirty.difference_update(nodes)
         return ckpt
 
     def latest_checkpoint(self) -> Optional[CheckpointInfo]:
@@ -403,25 +488,30 @@ class CheckpointStore:
         )
 
     def checkpoint_count(self) -> int:
-        return int(self._conn.execute("SELECT COUNT(*) FROM checkpoints").fetchone()[0])
+        """Checkpoints written over the store's life: the latest ``ckpt_id``
+        (AUTOINCREMENT never reuses one, and the latest header is kept)."""
+        (latest,) = self._conn.execute("SELECT MAX(ckpt_id) FROM checkpoints").fetchone()
+        return int(latest or 0)
 
     def load_records(
-        self, ckpt_id: int, processors: Optional[Iterable[NodeId]] = None
+        self, processors: Optional[Iterable[NodeId]] = None
     ) -> Dict[NodeId, Dict[NodeId, Dict[str, object]]]:
-        """Checkpointed Table 1 records: ``{processor: {neighbor: fields}}``.
+        """The image's Table 1 records: ``{processor: {neighbor: fields}}``.
 
         ``processors`` narrows the load (the stale-rejoin path reloads a
-        single processor's records); ``None`` loads the whole checkpoint.
+        single processor's records); ``None`` loads the whole image.
         """
-        wanted: Optional[Set[str]] = (
-            None if processors is None else {_dumps(node) for node in processors}
-        )
+        query = "SELECT processor, neighbor, payload FROM records"
+        if processors is None:
+            rows = self._conn.execute(query).fetchall()
+        else:
+            rows = [
+                row
+                for node in processors
+                for row in self._conn.execute(query + " WHERE processor=?", (_dumps(node),))
+            ]
         out: Dict[NodeId, Dict[NodeId, Dict[str, object]]] = {}
-        for owner, neighbor, payload in self._conn.execute(
-            "SELECT processor, neighbor, payload FROM records WHERE ckpt_id=?", (ckpt_id,)
-        ):
-            if wanted is not None and owner not in wanted:
-                continue
+        for owner, neighbor, payload in rows:
             fields = {
                 name: decode_value(value)
                 for name, value in zip(_RECORD_FIELDS, json.loads(payload))
@@ -429,17 +519,15 @@ class CheckpointStore:
             out.setdefault(_loads(owner), {})[_loads(neighbor)] = fields
         return out
 
-    def load_links(self, ckpt_id: int) -> Dict[frozenset, Set[Tuple]]:
-        """Checkpointed sourced links in the ``replace_link_sources`` wire format."""
+    def load_links(self) -> Dict[frozenset, Set[Tuple]]:
+        """The image's sourced links in the ``replace_link_sources`` wire format."""
         out: Dict[frozenset, Set[Tuple]] = {}
-        for u, v, sources in self._conn.execute(
-            "SELECT u, v, sources FROM links WHERE ckpt_id=?", (ckpt_id,)
-        ):
+        for u, v, sources in self._conn.execute("SELECT u, v, sources FROM links"):
             out[frozenset((_loads(u), _loads(v)))] = set(_loads(sources))
         return out
 
-    def load_transcript(self, ckpt_id: int) -> List[Tuple[NodeId, NodeId, str, int]]:
-        """Checkpointed accusations as ``(accused, reporter, reason, round)``.
+    def load_transcript(self) -> List[Tuple[NodeId, NodeId, str, int]]:
+        """The image's accusations, in order, as ``(accused, reporter, reason, round)``.
 
         Message evidence does not round-trip the store (evidence tuples hold
         live :class:`Message` objects); restored accusations carry empty
@@ -449,8 +537,7 @@ class CheckpointStore:
         return [
             (_loads(accused), _loads(reporter), reason, round_)
             for accused, reporter, reason, round_ in self._conn.execute(
-                "SELECT accused, reporter, reason, round FROM transcript WHERE ckpt_id=?",
-                (ckpt_id,),
+                "SELECT accused, reporter, reason, round FROM transcript ORDER BY rowid"
             )
         ]
 

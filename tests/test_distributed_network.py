@@ -16,6 +16,7 @@ from repro.distributed import (
     PrimaryRootList,
     Probe,
     Processor,
+    RepairContext,
 )
 from repro.distributed.messages import words_to_bits
 
@@ -282,3 +283,72 @@ class TestProcessorState:
         processor.ensure_edge("x")
         processor.edges["x"].has_helper = True
         assert processor.helper_ports() == [Port("v", "x")]
+
+
+class TestDirtyTracking:
+    """Every write of Table 1 records or sourced links marks ``Network.dirty``
+    with exactly the processors whose checkpoint rows it changed."""
+
+    def test_link_writes_mark_their_endpoints(self):
+        net = Network()
+        for node in "abc":
+            net.add_processor(node)
+        assert net.dirty == {"a", "b", "c"}
+        writes = [
+            (lambda: net.add_link_source(("k",), "a", "b"), {"a", "b"}),
+            (lambda: net.remove_link_source(("k",), "a", "b"), {"a", "b"}),
+            (lambda: net.add_link_source(("k",), "a", "b"), {"a", "b"}),
+            (lambda: net.disconnect("a", "b"), {"a", "b"}),
+            # A link without sources has no checkpoint row to change.
+            (lambda: net.connect("a", "c"), set()),
+            (lambda: net.disconnect("a", "c"), set()),
+            (lambda: net.add_link_source(("k",), "b", "c"), {"b", "c"}),
+            (lambda: net.add_link_source(("k",), "a", "b"), {"a", "b"}),
+            (lambda: net.remove_processor("a"), {"a", "b"}),
+            (lambda: net.replace_link_sources({frozenset("bc"): {("j",)}}), {"b", "c"}),
+        ]
+        for write, marked in writes:
+            net.dirty.clear()
+            write()
+            assert net.dirty == marked
+
+    def test_record_writes_mark_their_owner(self):
+        net = Network()
+        processor = net.add_processor("v")
+        helper = Port("v", "x")
+        writes = [
+            (lambda: processor.ensure_edge("x"), {"v"}),
+            (lambda: processor.ensure_edge("x"), set()),
+            (
+                lambda: processor.receive(
+                    HelperAssignment(sender="w", receiver="v", helper_port=helper, create=True)
+                ),
+                {"v"},
+            ),
+            (
+                lambda: processor.receive(
+                    HelperAssignment(sender="w", receiver="v", helper_port=helper, create=False)
+                ),
+                {"v"},
+            ),
+            (
+                lambda: processor.receive(
+                    ParentUpdate(
+                        sender="w", receiver="v", child_port=helper, parent_port=Port("w", "x")
+                    )
+                ),
+                {"v"},
+            ),
+            (lambda: processor.receive(DeletionNotice(sender="v", receiver="v", deleted="x")), {"v"}),
+            (lambda: processor.receive(DeletionNotice(sender="v", receiver="v", deleted="y")), set()),
+        ]
+        for write, marked in writes:
+            net.dirty.clear()
+            write()
+            assert net.dirty == marked
+        record = processor.edges["x"]
+        record.has_helper, record.helper_victim = True, "old"
+        net.dirty.clear()
+        processor.apply_strip(RepairContext(victim="z", released=[helper]))
+        assert not record.has_helper
+        assert net.dirty == {"v"}

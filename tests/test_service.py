@@ -23,6 +23,7 @@ Pins the tentpole claims:
 import dataclasses
 import json
 import random
+import sqlite3
 
 import pytest
 
@@ -40,7 +41,7 @@ from repro.service import (
     ServiceConfig,
     ServiceMetrics,
 )
-from repro.service.store import decode_value, encode_value
+from repro.service.store import _dumps, decode_value, encode_value
 
 
 # --------------------------------------------------------------------------- #
@@ -196,47 +197,75 @@ class TestStore:
         ]
         for value in values:
             assert decode_value(encode_value(value)) == value
+            # Encoded ids are the image's row keys: the shared encoder must
+            # write exactly what a fresh compact json.dumps writes.
+            assert _dumps(value) == json.dumps(encode_value(value), separators=(",", ":"))
 
     def test_codec_rejects_exotic_types(self):
         with pytest.raises(ConfigurationError):
             encode_value(object())
 
-    def test_checkpoint_round_trip(self, tmp_path):
-        """Records, links, census and transcript survive the store verbatim."""
+    @pytest.mark.parametrize("preset", ["lossless", "byzantine"])
+    def test_checkpoint_round_trip(self, tmp_path, preset):
+        """Records, links, census and transcript survive the store verbatim,
+        through the first (whole) image and an incremental rewrite of it.
+
+        Under ``byzantine`` each checkpoint adds accusations and quarantines
+        processors, so the rewrite also appends to the transcript and drops
+        removed processors' rows.
+        """
         graph = make_graph("power_law", 32, seed=6)
-        healer = DistributedForgivingGraph.from_graph(graph)
+        healer = DistributedForgivingGraph.from_graph(
+            graph, fault_schedule=fault_schedule(preset, seed=6)
+        )
+        network = healer.network
         rng = random.Random(9)
-        for _ in range(8):
-            healer.delete_batch([rng.choice(sorted(healer.alive_nodes, key=repr))])
         store = CheckpointStore(tmp_path / "run.db")
         store.initialize({"probe": True}, graph)
-        ckpt_id = store.write_checkpoint(healer, seq=8)
-
-        network = healer.network
-        records = store.load_records(ckpt_id)
         names = [f.name for f in dataclasses.fields(EdgeRecord)]
 
-        for node, processor in network.processors.items():
-            stored = records[node]
-            assert set(stored) == set(processor.edges)
-            for neighbor, record in processor.edges.items():
-                assert list(stored[neighbor]) == names
-                for name in names:
-                    assert stored[neighbor][name] == getattr(record, name), (
-                        f"{node}->{neighbor}.{name} did not round-trip"
-                    )
-        assert store.load_links(ckpt_id) == network.export_link_sources()
-        info = store.latest_checkpoint()
-        assert info.ckpt_id == ckpt_id
-        assert info.seq == 8
-        assert info.n_ever == network.n_ever
-        assert set(info.alive) == set(network.processors)
+        for seq, moves in ((5, 5), (8, 3)):
+            for _ in range(moves):
+                healer.delete_batch([rng.choice(sorted(healer.alive_nodes, key=repr))])
+            ckpt_id = store.write_checkpoint(healer, seq=seq)
+            assert not network.dirty
+
+            records = store.load_records()
+            assert set(records) == set(network.processors)
+            for node, processor in network.processors.items():
+                stored = records[node]
+                assert set(stored) == set(processor.edges)
+                for neighbor, record in processor.edges.items():
+                    assert list(stored[neighbor]) == names
+                    for name in names:
+                        assert stored[neighbor][name] == getattr(record, name), (
+                            f"{node}->{neighbor}.{name} did not round-trip"
+                        )
+            assert store.load_links() == network.export_link_sources()
+            assert store.load_transcript() == _accusations(network)
+            info = store.latest_checkpoint()
+            assert info.ckpt_id == ckpt_id
+            assert info.seq == seq
+            assert info.n_ever == network.n_ever
+            assert set(info.alive) == set(network.processors)
+            assert set(info.quarantined) == network.quarantined
+        # The second checkpoint rewrote only what changed: rows the first
+        # one wrote are still there.
+        (kept,) = store._conn.execute(
+            "SELECT COUNT(*) FROM records WHERE ckpt_id < ?", (ckpt_id,)
+        ).fetchone()
+        assert kept > 0
+        if preset == "byzantine":
+            assert network.quarantined
+            assert store._conn.execute(
+                "SELECT COUNT(DISTINCT ckpt_id) FROM transcript"
+            ).fetchone() == (2,)
         assert store.genesis_graph().number_of_edges() == graph.number_of_edges()
         store.close()
 
-    def test_record_payload_order_is_schema_v1(self):
-        """Checkpoint payloads list EdgeRecord fields in this order under v1."""
-        assert SCHEMA_VERSION == 1
+    def test_record_payload_order_is_schema_v2(self):
+        """Checkpoint payloads list EdgeRecord fields in this order under v2."""
+        assert SCHEMA_VERSION == 2
         assert [f.name for f in dataclasses.fields(EdgeRecord)] == [
             "neighbor",
             "endpoint",
@@ -263,12 +292,127 @@ class TestStore:
         with pytest.raises(ConfigurationError):
             CheckpointStore(path)
 
+    def test_v1_store_is_migrated_when_opened(self, tmp_path):
+        """A v1 store, one full image per checkpoint, restores and certifies,
+        and afterwards holds one image under the v2 row keys."""
+        live_db, v1_db = tmp_path / "live.db", tmp_path / "v1.db"
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=0, batch_window=3
+        )
+        daemon = HealerDaemon.create(live_db, config)
+        legacy = sqlite3.connect(str(v1_db))
+        legacy.executescript(_V1_TABLES)
+        legacy.execute("ATTACH DATABASE ? AS live", (str(live_db),))
+        client = daemon.client("c")
+        rng = random.Random(4)
+
+        def churn(ops):
+            for _ in range(ops):
+                client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))
+            daemon.pump()
+
+        for _ in range(2):
+            # v1 wrote each checkpoint as a full image under its own ckpt_id.
+            churn(4)
+            ckpt = daemon.checkpoint()
+            legacy.execute("INSERT INTO checkpoints SELECT * FROM live.checkpoints")
+            for table, columns in (
+                ("records", "processor, neighbor, payload"),
+                ("links", "u, v, sources"),
+                ("transcript", "accused, reporter, reason, round"),
+            ):
+                legacy.execute(
+                    f"INSERT INTO {table} SELECT ?, {columns} FROM live.{table}", (ckpt,)
+                )
+            legacy.commit()  # ends the read snapshot of the live store
+        client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))  # the suffix
+        for table in ("meta", "genesis_nodes", "genesis_edges", "journal"):
+            legacy.execute(f"INSERT INTO {table} SELECT * FROM live.{table}")
+        legacy.execute("UPDATE meta SET value='1' WHERE key='schema_version'")
+        legacy.commit()
+        assert legacy.execute("SELECT COUNT(*) FROM checkpoints").fetchone() == (2,)
+        legacy.close()
+        daemon.close()
+
+        restored, report = HealerDaemon.restore(v1_db)
+        assert report.converged and report.audit_clean and report.verified, report
+        assert report.suffix_ops == 1
+        store, network = restored.store, restored.healer.network
+        assert store._meta("schema_version") == str(SCHEMA_VERSION)
+        assert store.checkpoint_count() == 3
+        assert store._conn.execute("SELECT COUNT(*) FROM checkpoints").fetchone() == (1,)
+        assert store._conn.execute("SELECT COUNT(*) FROM records").fetchone() == (
+            sum(len(p.edges) for p in network.processors.values()),
+        )
+        _assert_image_matches(store, network)
+        indexes = {
+            name
+            for (name,) in store._conn.execute("SELECT name FROM sqlite_master WHERE type='index'")
+        }
+        assert not indexes & {"idx_records_ckpt", "idx_links_ckpt", "idx_transcript_ckpt"}
+        restored.close()
+
     def test_double_initialize_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path / "run.db")
         store.initialize({}, make_graph("ring", 4))
         with pytest.raises(ConfigurationError):
             store.initialize({}, make_graph("ring", 4))
         store.close()
+
+
+#: The table layout of schema v1, which kept one full image per checkpoint.
+_V1_TABLES = """
+CREATE TABLE IF NOT EXISTS meta (
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS genesis_nodes (
+    node TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS genesis_edges (
+    u TEXT NOT NULL,
+    v TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS journal (
+    seq INTEGER PRIMARY KEY AUTOINCREMENT,
+    client TEXT NOT NULL,
+    kind TEXT NOT NULL,
+    node TEXT NOT NULL,
+    attach TEXT NOT NULL,
+    applied INTEGER NOT NULL DEFAULT 0,
+    apply_rank INTEGER,
+    latency_ms REAL
+);
+CREATE TABLE IF NOT EXISTS checkpoints (
+    ckpt_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    seq INTEGER NOT NULL,
+    n_ever INTEGER NOT NULL,
+    alive TEXT NOT NULL,
+    quarantined TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS records (
+    ckpt_id INTEGER NOT NULL,
+    processor TEXT NOT NULL,
+    neighbor TEXT NOT NULL,
+    payload TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_records_ckpt ON records (ckpt_id);
+CREATE TABLE IF NOT EXISTS links (
+    ckpt_id INTEGER NOT NULL,
+    u TEXT NOT NULL,
+    v TEXT NOT NULL,
+    sources TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_links_ckpt ON links (ckpt_id);
+CREATE TABLE IF NOT EXISTS transcript (
+    ckpt_id INTEGER NOT NULL,
+    accused TEXT NOT NULL,
+    reporter TEXT NOT NULL,
+    reason TEXT NOT NULL,
+    round INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_transcript_ckpt ON transcript (ckpt_id);
+"""
 
 
 def _drive(daemon, steps, seed, pump_every=5):
@@ -287,6 +431,27 @@ def _drive(daemon, steps, seed, pump_every=5):
         if (i + 1) % pump_every == 0:
             daemon.pump()
     daemon.pump()
+
+
+def _accusations(network):
+    """The live transcript in the store's ``load_transcript`` shape."""
+    return [(a.accused, a.reporter, a.reason, a.round) for a in network.transcript.accusations]
+
+
+def _assert_image_matches(store, network):
+    """The store's one image equals the network's live state."""
+    names = [f.name for f in dataclasses.fields(EdgeRecord)]
+    live = {
+        node: {
+            neighbor: {name: getattr(record, name) for name in names}
+            for neighbor, record in processor.edges.items()
+        }
+        for node, processor in network.processors.items()
+        if processor.edges
+    }
+    assert store.load_records() == live
+    assert store.load_links() == network.export_link_sources()
+    assert store.load_transcript() == _accusations(network)
 
 
 # --------------------------------------------------------------------------- #
@@ -521,6 +686,137 @@ class TestHealerDaemon:
             )
             daemon.close()
         assert outcomes[0] == outcomes[1]
+
+    def test_store_retains_one_image(self, tmp_path):
+        """After k checkpoints the store holds one header and one image."""
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=4, batch_window=3
+        )
+        daemon = HealerDaemon.create(tmp_path / "run.db", config)
+        _drive(daemon, 24, seed=7)
+        daemon.checkpoint()
+        checkpoints = daemon.status()["checkpoints"]
+        assert checkpoints >= 5
+        network = daemon.healer.network
+
+        def rows(table):
+            return daemon.store._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+
+        assert rows("checkpoints") == 1
+        assert daemon.store.checkpoint_count() == checkpoints
+        assert rows("records") == sum(len(p.edges) for p in network.processors.values())
+        assert rows("links") == len(network.export_link_sources())
+        assert rows("transcript") == len(network.transcript)
+        daemon.close()
+
+    def test_failed_checkpoint_leaves_the_previous_image(self, tmp_path, monkeypatch):
+        """A checkpoint that fails mid-write rolls back: the next journal
+        write commits none of it, and the next checkpoint writes every
+        processor changed since the last good one."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=0, batch_window=3
+        )
+        daemon = HealerDaemon.create(db, config)
+        store, network = daemon.store, daemon.healer.network
+        client = daemon.client("c")
+        rng = random.Random(3)
+
+        def churn(ops):
+            for _ in range(ops):
+                client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))
+            daemon.pump()
+
+        def image_rows():
+            return [
+                sorted(store._conn.execute(f"SELECT * FROM {table}"))
+                for table in ("checkpoints", "records", "links", "transcript")
+            ]
+
+        churn(4)
+        good = daemon.checkpoint()
+        image = image_rows()
+        churn(4)
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(network, "export_link_sources", disk_full)
+        with pytest.raises(OSError):
+            daemon.checkpoint()
+        monkeypatch.undo()
+        client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))
+
+        assert store.latest_checkpoint().ckpt_id == good
+        assert image_rows() == image
+        failed = set(network.dirty)
+        assert failed
+        daemon.pump()
+        union = set(network.dirty)
+        assert failed <= union
+        ckpt = daemon.checkpoint()
+        stamped = {
+            decode_value(json.loads(owner))
+            for (owner,) in store._conn.execute(
+                "SELECT DISTINCT processor FROM records WHERE ckpt_id=?", (ckpt,)
+            )
+        }
+        assert stamped == {
+            node for node in union if node in network.processors and network.processors[node].edges
+        }
+        _assert_image_matches(store, network)
+        daemon.close()
+
+        restored, report = HealerDaemon.restore(db)
+        assert report.converged and report.audit_clean and report.verified, report
+        restored.close()
+
+    @pytest.mark.parametrize("preset", DELIVERY_PRESETS)
+    def test_stored_image_equals_live_state(self, tmp_path, monkeypatch, preset):
+        """After every checkpoint the stored image equals the live state:
+        through churn, after a stale rejoin, and after a restore's
+        re-anchoring checkpoint, and the restore certifies."""
+        write = CheckpointStore.write_checkpoint
+        compared = []
+
+        def write_and_compare(store, healer, seq):
+            ckpt_id = write(store, healer, seq)
+            _assert_image_matches(store, healer.network)
+            compared.append(ckpt_id)
+            return ckpt_id
+
+        monkeypatch.setattr(CheckpointStore, "write_checkpoint", write_and_compare)
+        db = tmp_path / "run.db"
+        config = ServiceConfig(
+            graph=GraphSpec("erdos_renyi", 100),
+            fault=preset,
+            seed=2,
+            checkpoint_every=8,
+            batch_window=3,
+        )
+        daemon = HealerDaemon.create(db, config)
+        _drive(daemon, 32, seed=4, pump_every=4)
+        assert len(compared) >= 4
+        daemon.rejoin_stale()
+        daemon.checkpoint()
+        client = daemon.client("tail")
+        rng = random.Random(8)
+        for _ in range(3):
+            client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))
+        daemon.store.close()
+        del daemon
+
+        checkpoints = len(compared)
+        restored, report = HealerDaemon.restore(db)
+        assert report.converged and report.audit_clean and report.verified, report
+        assert len(compared) == checkpoints + 1
+        # The network rebuilt from the image is not dirty, so the
+        # re-anchoring checkpoint rewrote only what the suffix changed.
+        (kept,) = restored.store._conn.execute(
+            "SELECT COUNT(*) FROM records WHERE ckpt_id < ?", (compared[-1],)
+        ).fetchone()
+        assert kept > 0
+        restored.close()
 
     def test_status_endpoint_serves_live_json(self, tmp_path):
         import json
