@@ -574,8 +574,9 @@ class ForgivingGraph:
             ):
                 base = rt
         if complete_trees:
-            busy_ports = set(self._rt_of_helper.keys())
-            new_root, new_helpers = compute_haft(complete_trees, busy_ports=busy_ports)
+            # The registry itself is the safety net's busy set: compute_haft
+            # only tests membership, and the new helpers are registered below.
+            new_root, new_helpers = compute_haft(complete_trees, busy_ports=self._rt_of_helper)
             if base is None:
                 base = ReconstructionTree(root=new_root, leaves={}, helpers={})
                 self._rts[base.rt_id] = base

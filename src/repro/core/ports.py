@@ -20,22 +20,28 @@ one canonical total order every deterministic tie-break relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 #: Type alias for processor identifiers.  Anything hashable works (ints,
 #: strings, tuples); experiments in this repository use ints and strings.
 NodeId = Hashable
 
 
-@dataclass(frozen=True, order=True)
-class Port:
+class Port(NamedTuple):
     """The *real node* owned by ``processor`` for the ``G'`` edge to ``neighbor``.
 
     A port is a stable name: it refers to the same conceptual object for the
     whole lifetime of the edge ``(processor, neighbor)`` in ``G'``, regardless
     of whether ``neighbor`` is still alive.  Ports of dead processors are
     discarded together with the processor.
+
+    Ports key every table of the data structure and order every merge, so
+    the type is a tuple: hashing, equality and ordering run in C.  A port
+    therefore equals, and hashes like, the plain pair ``(processor,
+    neighbor)``; no container mixes ports with plain pairs of node ids.  The
+    repr, ``Port(processor=1, neighbor='a')``, is part of every message seal
+    (:func:`repro.distributed.messages.payload_checksum`).  Code that
+    dispatches on type must test ``Port`` before ``tuple``.
     """
 
     processor: NodeId
@@ -44,25 +50,6 @@ class Port:
     def reversed(self) -> "Port":
         """Return the port at the other end of the same ``G'`` edge."""
         return Port(self.neighbor, self.processor)
-
-    # Ports key every table of the data structure and order every merge, so
-    # their hash and repr sit on the engine's hot paths; both are memoized on
-    # first use (the instance is frozen, so they can never go stale).  The
-    # repr string matches the dataclass-generated format exactly — merge
-    # tie-breaking orders predate the memoization and must not change.
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.processor, self.neighbor))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __repr__(self) -> str:
-        cached = self.__dict__.get("_repr")
-        if cached is None:
-            cached = f"Port(processor={self.processor!r}, neighbor={self.neighbor!r})"
-            object.__setattr__(self, "_repr", cached)
-        return cached
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"port({self.processor}|{self.neighbor})"

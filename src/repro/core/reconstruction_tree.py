@@ -31,8 +31,10 @@ The engine in :mod:`repro.core.forgiving_graph` wires these pieces together.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from operator import itemgetter
+from typing import Container, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import HaftStructureError, InvariantViolationError
 from .haft import validate_haft
@@ -517,9 +519,13 @@ def extract_surviving_complete_trees(
 # ---------------------------------------------------------------------- #
 # ComputeHaft (Algorithm A.9) — merge with the representative mechanism
 # ---------------------------------------------------------------------- #
+#: Sort key of the ``(key, tree)`` pairs :func:`compute_haft` merges.
+_forest_key = itemgetter(0)
+
+
 def compute_haft(
     complete_roots: Sequence[RTNode],
-    busy_ports: Optional[Set[Port]] = None,
+    busy_ports: Optional[Container[Port]] = None,
 ) -> Tuple[RTNode, List[RTHelper]]:
     """Merge complete trees into a single haft using representative helpers.
 
@@ -537,10 +543,14 @@ def compute_haft(
         Detached roots of complete trees (leaves are :class:`RTLeaf`,
         internal nodes :class:`RTHelper`).  Must be non-empty.
     busy_ports:
-        Ports that are already simulating a helper node elsewhere.  Used as
-        a safety net: the representative mechanism guarantees the ports it
+        Ports that are already simulating a helper node elsewhere: any
+        container, checked in place with ``in`` and never copied or
+        iterated, so the engine passes its helper registry itself (it
+        registers the new helpers only after this returns).  Used as a
+        safety net: the representative mechanism guarantees the ports it
         picks are free, and this function raises
-        :class:`InvariantViolationError` if that guarantee is ever violated.
+        :class:`InvariantViolationError` if a picked port is busy or was
+        already claimed by this merge.
 
     Returns
     -------
@@ -549,37 +559,43 @@ def compute_haft(
     """
     if not complete_roots:
         raise ValueError("compute_haft() requires at least one complete tree")
-    busy = set(busy_ports) if busy_ports is not None else set()
+    busy: Container[Port] = busy_ports if busy_ports is not None else ()
+    claimed: Set[Port] = set()
     new_helpers: List[RTHelper] = []
-
-    # Merge order must be a total order that survives id relabelings: equal
-    # sizes tie-break on the representative port's node ids in their *natural*
-    # order (port_order_key), not on reprs, so isomorphic inputs whose ids map
-    # monotonically onto each other produce identical hafts.
-    def sort_key(node: RTNode) -> Tuple[int, tuple]:
-        return (node.num_leaves, port_order_key(representative_of(node).port))
 
     def make_helper(simulating_rep: RTLeaf, inherited_rep: RTLeaf, left: RTNode, right: RTNode) -> RTHelper:
         port = simulating_rep.port
-        if port in busy:
+        if port in busy or port in claimed:
             raise InvariantViolationError(
                 f"representative mechanism picked busy port {port} to simulate a helper"
             )
         helper = RTHelper(simulated_by=port)
         helper.attach_children(left, right)
         helper.representative = inherited_rep
-        busy.add(port)
+        claimed.add(port)
         new_helpers.append(helper)
         return helper
 
-    forest: List[RTNode] = sorted(complete_roots, key=sort_key)
+    # Merge order must be a total order that survives id relabelings: equal
+    # sizes tie-break on the representative port's node ids in their *natural*
+    # order (port_order_key), not on reprs, so isomorphic inputs whose ids map
+    # monotonically onto each other produce identical hafts.  The forest holds
+    # ``(key, tree)`` pairs: each input's key is computed once, and a new
+    # helper's key reuses the one of the tree whose representative it inherits.
+    forest: List[Tuple[Tuple[int, tuple], RTNode]] = sorted(
+        (
+            ((node.num_leaves, port_order_key(representative_of(node).port)), node)
+            for node in complete_roots
+        ),
+        key=_forest_key,
+    )
     if len(forest) == 1:
-        return forest[0], new_helpers
+        return forest[0][1], new_helpers
 
     # Phase 1 — combine equal-sized complete trees (binary-addition carries).
     i = 0
     while i < len(forest) - 1:
-        a, b = forest[i], forest[i + 1]
+        (_, a), (b_key, b) = forest[i], forest[i + 1]
         if a.num_leaves == b.num_leaves:
             helper = make_helper(
                 simulating_rep=representative_of(a),
@@ -588,15 +604,15 @@ def compute_haft(
                 right=b,
             )
             del forest[i : i + 2]
-            _insert_sorted_rt(forest, helper, sort_key)
+            bisect.insort_left(forest, ((helper.num_leaves, b_key[1]), helper), key=_forest_key)
             i = max(i - 1, 0)
         else:
             i += 1
 
     # Phase 2 — chain the distinct-sized complete trees smallest-first; the
     # larger tree is always the left child so every prefix is a haft.
-    root = forest[0]
-    for tree in forest[1:]:
+    root = forest[0][1]
+    for _, tree in forest[1:]:
         helper = make_helper(
             simulating_rep=representative_of(tree),
             inherited_rep=representative_of(root),
@@ -605,15 +621,3 @@ def compute_haft(
         )
         root = helper
     return root, new_helpers
-
-
-def _insert_sorted_rt(forest: List[RTNode], node: RTNode, sort_key) -> None:
-    key = sort_key(node)
-    lo, hi = 0, len(forest)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sort_key(forest[mid]) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    forest.insert(lo, node)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.ports import NodeId, Port, port_order_key
@@ -398,6 +399,12 @@ class _Piece:
     num_leaves: int
     height: int
     representative: Port
+    #: Merge order ``(num_leaves, port_order_key(representative))``, fixed
+    #: when the piece is made so sorting and every ``insort`` probe reuse it.
+    key: Tuple[int, tuple]
+
+
+_piece_key = attrgetter("key")
 
 
 def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeOutcome:
@@ -425,12 +432,10 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
             num_leaves=s.num_leaves,
             height=s.height,
             representative=s.representative,
+            key=(s.num_leaves, port_order_key(s.representative)),
         )
         for s in dict.fromkeys(summaries)  # idempotent under retransmission
     ]
-
-    def sort_key(piece: _Piece) -> Tuple[int, tuple]:
-        return (piece.num_leaves, port_order_key(piece.representative))
 
     # A leaf and the helper simulated by the same port are *distinct* virtual
     # nodes (a helper is always an ancestor of its own leaf), so parent
@@ -439,19 +444,22 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
     helper_records: List[Tuple[Port, _Piece, _Piece, _Piece]] = []
 
     def make_helper(a: _Piece, b: _Piece) -> _Piece:
+        num_leaves = a.num_leaves + b.num_leaves
         merged = _Piece(
             port=a.representative,
             is_leaf=False,
-            num_leaves=a.num_leaves + b.num_leaves,
+            num_leaves=num_leaves,
             height=1 + max(a.height, b.height),
             representative=b.representative,
+            # Same representative as ``b``, so the same port order key.
+            key=(num_leaves, b.key[1]),
         )
         parent_of[(a.port, a.is_leaf)] = merged.port
         parent_of[(b.port, b.is_leaf)] = merged.port
         helper_records.append((merged.port, a, b, merged))
         return merged
 
-    forest = sorted(pieces, key=sort_key)
+    forest = sorted(pieces, key=_piece_key)
     if len(forest) > 1:
         # Phase 1 — combine equal-sized complete trees (binary-addition carries).
         i = 0
@@ -460,7 +468,7 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
             if a.num_leaves == b.num_leaves:
                 merged = make_helper(a, b)
                 del forest[i : i + 2]
-                bisect.insort_left(forest, merged, key=sort_key)
+                bisect.insort_left(forest, merged, key=_piece_key)
                 i = max(i - 1, 0)
             else:
                 i += 1

@@ -99,9 +99,10 @@ _message_counter = itertools.count(1)
 def payload_checksum(*parts: object) -> int:
     """Cheap content checksum over payload parts (CRC32 of their repr).
 
-    Ports have stable memoized reprs and descriptor dataclasses exclude
-    their own checksum fields from ``repr``, so the digest covers exactly
-    the semantic content.  This stands in for a collision-resistant hash:
+    A port's repr is its named tuple's, fixed by its field names (for
+    example ``Port(processor=1, neighbor='a')``), and descriptor
+    dataclasses exclude their own checksum fields from ``repr``, so the
+    digest covers exactly the semantic content.  This stands in for a collision-resistant hash:
     the simulation never *searches* for collisions, it only compares a
     frozen tag against recomputed content.
     """

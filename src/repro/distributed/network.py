@@ -536,8 +536,10 @@ class Network:
 
         Synchronous protocols act on timeouts as well as on messages (an
         anchor ships its list when the probe deadline passes, whether or not
-        every report made it back).  Returns how many messages the timers
-        produced.
+        every report made it back).  The round loop
+        (:func:`~repro.distributed.protocol.execute_repair`) calls this once
+        per round with only the participants that have a timer due, in
+        participant order.  Returns how many messages the timers produced.
         """
         produced = 0
         for node in participants:

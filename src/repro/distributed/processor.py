@@ -314,8 +314,39 @@ class Processor:
     # ------------------------------------------------------------------ #
     # round timers
     # ------------------------------------------------------------------ #
+    def next_deadline(self) -> Optional[int]:
+        """The earliest deadline among the timers :meth:`tick` has not fired yet.
+
+        Covers every installed repair's strip, spine reports, anchor ship
+        and leader decide timer; ``None`` when none is pending.  Timers only
+        retire (a fired or message-satisfied timer never re-arms), so the
+        value never moves earlier.  A timer past its deadline that cannot
+        fire yet — a report still waiting for its probe — keeps the value in
+        the past, and the round loop retries it every round.
+        """
+        pending: List[int] = []
+        for context in self.repairs.values():
+            if not context.stripped and context.strip_round is not None:
+                pending.append(context.strip_round)
+            for role in context.spines:
+                if not role.report_sent and role.prev_hop is not None:
+                    pending.append(role.report_round)
+            if (
+                context.is_anchor
+                and not context.shipped
+                and context.ship_round is not None
+                and context.bt_parent is not None
+            ):
+                pending.append(context.ship_round)
+            if context.is_leader and context.outcome is None and context.decide_round is not None:
+                pending.append(context.decide_round)
+        return min(pending, default=None)
+
     def tick(self, round_index: int) -> List[Message]:
-        """Fire deadline-driven actions for the given round."""
+        """Fire deadline-driven actions for the given round.
+
+        A no-op unless :meth:`next_deadline` is at most ``round_index``.
+        """
         out: List[Message] = []
         for context in self.repairs.values():
             if (

@@ -40,8 +40,9 @@ participant knows when to act from timing bounds alone (an anchor ships its
 list once the probe round-trip must have completed, the leader merges once
 every anchor must have shipped).  :func:`execute_repair` is the one round
 loop: it advances the network round by round until all deadlines passed and
-no messages remain in flight; the number of rounds it took is the repair's
-recovery time, checked against Lemma 4's ``O(log d log n)`` budget.
+no messages remain in flight, waking only the participants whose deadline
+is due; the number of rounds it took is the repair's recovery time, checked
+against Lemma 4's ``O(log d log n)`` budget.
 
 Under a fault schedule a repair can end with processors disagreeing; the
 follow-up is *anti-entropy* (:mod:`repro.distributed.recovery`), polled
@@ -64,6 +65,7 @@ anti-entropy recovery converges on the survivors.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -73,7 +75,7 @@ from ..core.reconstruction_tree import ReconstructionTree, RTHelper, RTNode
 from .merge import PieceSummary, plan_strip, trivial_summary
 from .messages import AnchorLink, DeletionNotice, Probe
 from .network import Network
-from .processor import RepairContext, SpineRole
+from .processor import Processor, RepairContext, SpineRole
 from .recovery import BackgroundRecovery
 
 __all__ = [
@@ -375,15 +377,25 @@ def execute_repair(
 ) -> int:
     """The synchronous round loop every repair and recovery runs in.
 
-    Each round delivers what is in flight, fires the ``participants``'
+    Each round delivers what is in flight, fires the participants' due
     timers and polls every recovery, until nothing is in flight, round
-    ``deadline`` has passed and every recovery has finished.  Seeding
-    (:func:`seed_repair`) and the scaffold are the caller's.  At
+    ``deadline`` has passed and every recovery has finished.  Only the
+    participants with a timer due are ticked, in participant order, through
+    one ``Network.tick`` call per round: a heap orders the participants by
+    :meth:`Processor.next_deadline`, and a ticked one goes back at its new
+    deadline but never earlier than the next round, so a timer past due that
+    cannot fire yet is retried every round.  A tick with nothing due is a
+    no-op, so this fires exactly what ticking every participant would.
+    Seeding (:func:`seed_repair`) and the scaffold are the caller's.  At
     ``max_rounds`` each unfinished recovery is finished with its epoch's
     in-flight count as leftover, and everything in flight is discarded into
     its epoch's ``dropped`` tally, so stale traffic never reaches a later
     repair.  Returns the rounds counted, the seeding round included.
     """
+    processors = network.processors
+    deadlines = [_next_deadline(processors, node) for node in participants]
+    timers = [(due, index) for index, due in enumerate(deadlines) if due is not None]
+    heapq.heapify(timers)
     rounds = 1
     while (
         network.in_flight
@@ -398,10 +410,46 @@ def execute_repair(
             break
         network.deliver_round()
         rounds += 1
-        network.tick(rounds, participants)
+        ticked = _due_participants(processors, participants, timers, rounds)
+        network.tick(rounds, [participants[index] for index in ticked])
+        for index in ticked:
+            due = _next_deadline(processors, participants[index])
+            if due is not None:
+                heapq.heappush(timers, (max(due, rounds + 1), index))
         for recovery in recoveries:
             recovery.step(rounds)
     return rounds
+
+
+def _next_deadline(processors: Dict[NodeId, Processor], node: NodeId) -> Optional[int]:
+    processor = processors.get(node)
+    return processor.next_deadline() if processor is not None else None
+
+
+def _due_participants(
+    processors: Dict[NodeId, Processor],
+    participants: Sequence[NodeId],
+    timers: List[Tuple[int, int]],
+    round_index: int,
+) -> List[int]:
+    """Pop the indices of the participants with a timer due at ``round_index``, sorted.
+
+    An entry is stale when messages retired the timer it was pushed for:
+    its participant goes back at its current deadline, or is dropped when
+    nothing is pending or its processor is gone, without a tick.
+    """
+    due: List[int] = []
+    while timers and timers[0][0] <= round_index:
+        _, index = heapq.heappop(timers)
+        deadline = _next_deadline(processors, participants[index])
+        if deadline is None:
+            continue
+        if deadline > round_index:
+            heapq.heappush(timers, (deadline, index))
+        else:
+            due.append(index)
+    due.sort()
+    return due
 
 
 def footprint(plan: RepairPlan) -> FrozenSet[NodeId]:

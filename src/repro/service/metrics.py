@@ -15,6 +15,7 @@ loop.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -24,12 +25,17 @@ __all__ = ["ServiceMetrics", "StatusServer", "percentile"]
 
 
 def percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]) of a non-empty sample list."""
+    """Nearest-rank percentile (``q`` in [0, 100]) of a sample list; 0.0 when empty.
+
+    The smallest sample with at least ``q`` percent of the samples at or
+    below it: rank ``ceil(q * n / 100)``, at least 1.
+    """
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    rank = max(int(round(q / 100.0 * len(ordered) + 0.5)) - 1, 0)
-    return ordered[min(rank, len(ordered) - 1)]
+    # Multiplying first keeps q * n / 100 exact for whole ranks (90 * 10 / 100 == 9).
+    rank = max(math.ceil(q * len(ordered) / 100), 1)
+    return ordered[rank - 1]
 
 
 class ServiceMetrics:

@@ -251,7 +251,7 @@ def mutated(value):
         return not value
     if isinstance(value, int):
         return value + 1
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and not isinstance(value, Port):
         return value[:-1]
     return Port("elsewhere", 0)
 

@@ -68,6 +68,14 @@ class TestPort:
         table = {Port(0, 1): "x"}
         assert table[Port(0, 1)] == "x"
 
+    def test_is_its_plain_pair_with_a_pinned_repr(self):
+        """Message seals cover payload reprs, so the repr must never drift."""
+        port = Port(1, "a")
+        assert repr(port) == "Port(processor=1, neighbor='a')"
+        assert isinstance(port, tuple)
+        assert port == (1, "a")
+        assert hash(port) == hash((1, "a"))
+
 
 class TestEdgeKey:
     def test_symmetric(self):

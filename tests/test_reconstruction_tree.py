@@ -88,6 +88,35 @@ class TestComputeHaft:
         with pytest.raises(InvariantViolationError):
             compute_haft(leaves, busy_ports={Port("a", "dead"), Port("b", "dead")})
 
+    def test_busy_registry_is_checked_in_place(self):
+        """Any container serves: it is asked ``in`` per new helper, never walked."""
+
+        class MembershipOnly:
+            def __init__(self, ports):
+                self.ports = set(ports)
+                self.asked = []
+
+            def __contains__(self, port):
+                self.asked.append(port)
+                return port in self.ports
+
+        registry = MembershipOnly([Port("elsewhere", "dead")])
+        _root, helpers = compute_haft(make_leaves(["a", "b", "c", "d", "e"]), busy_ports=registry)
+        assert registry.asked == [helper.simulated_by for helper in helpers]
+
+    def test_representative_in_the_helper_registry_raises(self):
+        # The engine passes its helper registry, a dict keyed by port.
+        registry = {Port("a", "dead"): object()}
+        with pytest.raises(InvariantViolationError, match="busy port"):
+            compute_haft(make_leaves(["a", "b"]), busy_ports=registry)
+
+    def test_one_merge_claiming_a_port_twice_raises(self):
+        # Two leaves for one port: the first carry claims it, and the chain
+        # step picks the same port again as the carried tree's representative.
+        leaves = [RTLeaf(Port("a", "dead")), RTLeaf(Port("a", "dead")), RTLeaf(Port("b", "dead"))]
+        with pytest.raises(InvariantViolationError, match="busy port"):
+            compute_haft(leaves, busy_ports={})
+
     def test_merging_unequal_trees(self):
         first_root, _ = compute_haft(make_leaves(["a", "b", "c", "d"]))
         extra = make_leaves(["e"], neighbor="other")[0]

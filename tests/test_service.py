@@ -41,6 +41,7 @@ from repro.service import (
     ServiceConfig,
     ServiceMetrics,
 )
+from repro.service.metrics import percentile
 from repro.service.store import _dumps, decode_value, encode_value
 
 
@@ -200,6 +201,19 @@ class TestStore:
             # Encoded ids are the image's row keys: the shared encoder must
             # write exactly what a fresh compact json.dumps writes.
             assert _dumps(value) == json.dumps(encode_value(value), separators=(",", ":"))
+
+    def test_codec_pins_the_port_encoding(self):
+        """A Port is a tuple, so the codec must tag it before the tuple case."""
+        from repro.core.ports import Port
+
+        port = Port(1, "a")
+        assert _dumps(port) == '["P",["i",1],["s","a"]]'
+        assert _dumps(("rt", port, Port("b", 2))) == (
+            '["t",[["s","rt"],["P",["i",1],["s","a"]],["P",["s","b"],["i",2]]]]'
+        )
+        assert type(decode_value(encode_value(port))) is Port
+        key = decode_value(encode_value(("rt", port, port)))
+        assert [type(item) for item in key] == [str, Port, Port]
 
     def test_codec_rejects_exotic_types(self):
         with pytest.raises(ConfigurationError):
@@ -845,6 +859,22 @@ class TestServiceMetrics:
         assert snap["latency_ms"]["p99"] == 4.0
         assert snap["ops_applied"] == 4
         assert snap["ops_per_sec"] > 0
+
+    @pytest.mark.parametrize(
+        "samples, q, expected",
+        [
+            ([1.0, 2.0], 50, 1.0),
+            ([float(v) for v in range(1, 7)], 50, 3.0),
+            ([float(v) for v in range(1, 11)], 90, 9.0),
+            ([float(v) for v in range(1, 101)], 99, 99.0),
+            ([5.0, 1.0, 3.0], 0, 1.0),
+            ([5.0, 1.0, 3.0], 100, 5.0),
+            ([7.0], 99, 7.0),
+            ([], 50, 0.0),
+        ],
+    )
+    def test_percentile_is_nearest_rank(self, samples, q, expected):
+        assert percentile(samples, q) == expected
 
     def test_window_bounds_samples(self):
         metrics = ServiceMetrics(latency_window=4)
