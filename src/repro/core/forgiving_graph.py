@@ -58,7 +58,6 @@ from .journal import Journal
 from .ports import NodeId, Port
 from .reconstruction_tree import (
     ReconstructionTree,
-    RTHelper,
     RTLeaf,
     RTNode,
     compute_haft,
@@ -155,13 +154,6 @@ class ForgivingGraph:
         self._step = 0
         self._check_invariants = check_invariants
         self._invariant_check_limit = invariant_check_limit
-        #: The reconstruction tree produced by the most recent deletion (if any).
-        #: Exposed for the distributed layer, which replays the repair as messages.
-        self.last_repair_rt: Optional[ReconstructionTree] = None
-        #: Helper nodes created by the most recent deletion's merge.
-        self.last_new_helpers: List[RTHelper] = []
-        #: Ports whose helper node was released ("marked red") by the most recent deletion.
-        self.last_released_helper_ports: List[Port] = []
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -516,7 +508,6 @@ class ForgivingGraph:
         #    are carried into the merged RT untouched.
         helpers_released = 0
         merged_rts = len(affected_rts) + len(new_trivial_leaves)
-        self.last_released_helper_ports = []
         removed_virtual_edges: List[Tuple[NodeId, NodeId]] = []
         released_by_rt: Dict[int, List[Port]] = {}
         for rt in affected_rts.values():
@@ -528,7 +519,6 @@ class ForgivingGraph:
             )
             complete_trees.extend(pieces)
             helpers_released += len(released_ports)
-            self.last_released_helper_ports.extend(released_ports)
             released_by_rt[rt.rt_id] = released_ports
         for p, c in removed_virtual_edges:
             self._edge_source_removed(p, c)
@@ -565,8 +555,6 @@ class ForgivingGraph:
         #    bookkeeping cost of a repair is proportional to the smaller
         #    trees, the broken glue and the dead node's degree — never to the
         #    bulk of the largest tree.
-        self.last_repair_rt = None
-        self.last_new_helpers = []
         base: Optional[ReconstructionTree] = None
         for rt in affected_rts.values():
             if base is None or len(rt.leaves) + len(rt.helpers) > len(base.leaves) + len(
@@ -620,8 +608,6 @@ class ForgivingGraph:
                         self._edge_source_added(helper.processor, child.processor)
             report.new_rt_size = base.size
             report.helpers_created = len(new_helpers)
-            self.last_repair_rt = base
-            self.last_new_helpers = new_helpers
         elif base is not None:
             # Nothing survived any affected RT: they dissolve entirely (all
             # their ports were the dead processor's, so the registries are

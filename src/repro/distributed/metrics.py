@@ -108,7 +108,11 @@ class MetricsWindow:
 
 @dataclass
 class NetworkMetrics:
-    """Running totals of the message-passing simulator."""
+    """Running totals of the message-passing simulator.
+
+    Per-sender and per-kind counts live only on each repair's
+    :class:`MetricsWindow`.
+    """
 
     total_messages: int = 0
     total_bits: int = 0
@@ -118,9 +122,6 @@ class NetworkMetrics:
     #: Largest single message of the whole run (cumulative; per-repair maxima
     #: live on the :class:`MetricsWindow` of each repair).
     max_message_bits: int = 0
-    #: Messages sent per processor over the whole run (per-kind splits live
-    #: only on the per-repair :class:`MetricsWindow`).
-    messages_sent_by_node: Dict[NodeId, int] = field(default_factory=lambda: defaultdict(int))
     #: Open per-repair windows, keyed by the repair's victim (every
     #: repair-protocol message carries ``deleted``, so the victim IS the
     #: epoch tag).  Empty between repairs.
@@ -141,7 +142,6 @@ class NetworkMetrics:
         self.total_messages += 1
         self.total_bits += bits
         self.max_message_bits = max(self.max_message_bits, bits)
-        self.messages_sent_by_node[sender] += 1
         if self.epoch_windows:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:
@@ -158,10 +158,6 @@ class NetworkMetrics:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:
                 epoch_window.record_dropped()
-
-    def max_messages_per_node(self) -> int:
-        """The busiest single node's message count (success metric 3 of Figure 1)."""
-        return max(self.messages_sent_by_node.values(), default=0)
 
 
 @dataclass

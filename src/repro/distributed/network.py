@@ -7,18 +7,19 @@ rounds — every message sent in round ``r`` is delivered at the start of round
 ``r + 1``, matching the paper's cost model where a message takes at most one
 time unit to traverse an edge and local computation is free.
 
-The topology is one adjacency dict keyed by node identifier (a set of
-neighbours per processor) plus one link-source table keyed by the
-``frozenset`` of a link's endpoints.  :meth:`Network.connect` /
-:meth:`Network.disconnect` / :meth:`Network.are_linked` are O(1), neighbour
-iteration and :meth:`Network.remove_processor` O(deg) — no operation on the
-repair path ever scans the full link set.  The network enforces that
+The topology is one map: processor -> {linked processor: that link's set
+of source keys}.  Both endpoints hold the same set object, so a link and
+its sources cannot disagree, and an unsourced link holds an empty set.
+:meth:`Network.connect` / :meth:`Network.disconnect` /
+:meth:`Network.are_linked` are O(1), neighbour iteration and
+:meth:`Network.remove_processor` O(deg) — no operation on the repair path
+ever scans the full link set.  The network enforces that
 messages only travel along existing links (or repair scaffolding, see
-below), and keeps the per-node and global counters that Lemma 4 bounds;
-each message's ``deleted`` epoch tag charges it to its repair's
-:class:`~repro.distributed.metrics.MetricsWindow` (opened with
-``metrics.begin_epoch_window(victim)``), so a cost report is assembled from
-O(repair) state instead of full counter snapshots.
+below), and keeps the counters that Lemma 4 bounds: run-wide totals, and
+per repair a :class:`~repro.distributed.metrics.MetricsWindow` (opened with
+``metrics.begin_epoch_window(victim)``, per-node counts included) that each
+message's ``deleted`` epoch tag charges it to, so a cost report is
+assembled from O(repair) state instead of full counter snapshots.
 
 There is one message path: a handler constructs a message, :meth:`send`
 checks the link, applies any byzantine corruption, stamps the per-network
@@ -26,13 +27,13 @@ message id and counts it with one
 :meth:`~repro.distributed.metrics.NetworkMetrics.record_message` call, and
 :meth:`deliver_round` hands it to its receiver in the next round.
 
-Two layers sit on top of the raw adjacency since the merge went
+Two layers sit on top of the raw links since the merge went
 message-native (PR 4):
 
 *Sourced links.*  A healed-graph link exists because one or more *sources*
 project onto it: the surviving real edge, and any number of RT virtual
 edges between the same two processors.  :meth:`add_link_source` /
-:meth:`remove_link_source` maintain one set of source keys per link —
+:meth:`remove_link_source` maintain each link's set of source keys —
 the distributed twin of the engine's edge-multiplicity counting — and the
 link itself appears/disappears as its source set becomes (non-)empty.
 Source updates are driven by received protocol messages (helper
@@ -43,8 +44,8 @@ retransmitted messages cannot corrupt the topology.
 *Scaffolding.*  A repair creates temporary links for its own traffic (the
 ``BT_v`` tree, probe hops, merge wiring).  While a scaffold is open
 (:meth:`begin_scaffold`), :meth:`send` auto-creates missing links and
-records them; :meth:`end_scaffold` drops every recorded link that did not
-acquire a source in the meantime — "delete the edges E_v" of Algorithm A.3,
+records them; :meth:`end_scaffold` drops every recorded link that holds no
+source by then — "delete the edges E_v" of Algorithm A.3,
 decided from the network's own source sets rather than an engine probe.
 
 Faults: an optional :class:`~repro.distributed.faults.FaultSchedule` is
@@ -67,6 +68,7 @@ digest retransmission) heals around it.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ProtocolError, UnknownNodeError
@@ -79,16 +81,19 @@ from .processor import Processor
 
 __all__ = ["Network"]
 
+#: Read-only stand-in for the link map of a node without a processor.
+_NO_LINKS = MappingProxyType({})
+
 
 class Network:
     """A synchronous message-passing network of :class:`Processor` objects."""
 
     def __init__(self, fault_schedule: Optional[FaultSchedule] = None) -> None:
         self.processors: Dict[NodeId, Processor] = {}
-        #: Processor -> set of linked processors (empty set while isolated).
-        self._adjacency: Dict[NodeId, Set[NodeId]] = {}
-        #: Link (``frozenset`` of its endpoints) -> set of source keys.
-        self._sources: Dict[frozenset, Set[Tuple]] = {}
+        #: Processor -> {linked processor: the link's source keys} (an empty
+        #: dict while isolated).  Both endpoints share one key set; an
+        #: unsourced link (bare or scaffold) holds an empty one.
+        self._links: Dict[NodeId, Dict[NodeId, Set[Tuple]]] = {}
         self._outbox: List[Message] = []
         #: Messages a fault delayed: (deliver_at_round, message).
         self._delayed: List[Tuple[int, Message]] = []
@@ -147,7 +152,7 @@ class Network:
             processor = Processor(node)
             processor.network = self
             self.processors[node] = processor
-            self._adjacency.setdefault(node, set())
+            self._links[node] = {}
             self._ever_ids.add(node)
             self.dirty.add(node)
             self.n_ever += 1
@@ -170,9 +175,9 @@ class Network:
             raise UnknownNodeError(node, "remove_processor")
         del self.processors[node]
         self.dirty.add(node)
-        for neighbor in self._adjacency.pop(node, ()):
-            self._adjacency[neighbor].discard(node)
-            if self._sources.pop(frozenset((node, neighbor)), None) is not None:
+        for neighbor, keys in self._links.pop(node).items():
+            del self._links[neighbor][node]
+            if keys:
                 self.dirty.add(neighbor)
 
     def has_processor(self, node: NodeId) -> bool:
@@ -185,26 +190,28 @@ class Network:
             return
         if u not in self.processors or v not in self.processors:
             raise UnknownNodeError(u if u not in self.processors else v, "connect")
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
+        self._link_keys(u, v)
+
+    def _link_keys(self, u: NodeId, v: NodeId) -> Set[Tuple]:
+        """The key set of link ``(u, v)`` between two live processors,
+        creating the link unsourced if it is absent."""
+        keys = self._links[u].get(v)
+        if keys is None:
+            keys = self._links[u][v] = self._links[v][u] = set()
+        return keys
 
     def disconnect(self, u: NodeId, v: NodeId) -> None:
         """Drop the link between ``u`` and ``v`` if it exists (dead ends tolerated)."""
-        self._unlink(u, v)
-        if self._sources.pop(frozenset((u, v)), None) is not None:
+        if not self.are_linked(u, v):
+            return
+        keys = self._links[u].pop(v)
+        del self._links[v][u]
+        if keys:
             self.dirty.update((u, v))
-
-    def _unlink(self, u: NodeId, v: NodeId) -> None:
-        adj_u = self._adjacency.get(u)
-        if adj_u is not None:
-            adj_u.discard(v)
-        adj_v = self._adjacency.get(v)
-        if adj_v is not None:
-            adj_v.discard(u)
 
     def are_linked(self, u: NodeId, v: NodeId) -> bool:
         """True when a link currently exists between ``u`` and ``v``."""
-        return v in self._adjacency.get(u, ())
+        return v in self._links.get(u, _NO_LINKS)
 
     # ------------------------------------------------------------------ #
     # sourced links (the healed graph as the processors know it)
@@ -218,64 +225,71 @@ class Network:
         """
         if u == v or u not in self.processors or v not in self.processors:
             return
-        self._sources.setdefault(frozenset((u, v)), set()).add(key)
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
+        self._link_keys(u, v).add(key)
         self.dirty.update((u, v))
 
     def remove_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
         """Drop one source of link ``(u, v)``; the link vanishes at zero sources
         (unless an open repair scaffold is still using it)."""
-        link = frozenset((u, v))
-        sources = self._sources.get(link)
-        if sources is None:
+        keys = self._links.get(u, _NO_LINKS).get(v)
+        if not keys:
             return
-        sources.discard(key)
+        keys.discard(key)
         self.dirty.update((u, v))
-        if not sources:
-            del self._sources[link]
-            if self._scaffold is None or link not in self._scaffold:
-                self._unlink(u, v)
+        if not keys and (self._scaffold is None or frozenset((u, v)) not in self._scaffold):
+            del self._links[u][v], self._links[v][u]
 
     def has_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> bool:
         """True when ``key`` currently sources the link ``(u, v)``."""
-        return key in self._sources.get(frozenset((u, v)), ())
+        return key in self._links.get(u, _NO_LINKS).get(v, ())
 
     def link_source_count(self, u: NodeId, v: NodeId) -> int:
         """Number of sources of link ``(u, v)`` (the engine's edge multiplicity)."""
-        return len(self._sources.get(frozenset((u, v)), ()))
+        return len(self._links.get(u, _NO_LINKS).get(v, ()))
 
     def replace_link_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
-        """Overwrite the whole source table (a checkpoint restore's bulk write).
+        """Overwrite every link's sources (a checkpoint restore's bulk write).
 
         ``expected`` is keyed by ``frozenset`` endpoint pairs — the format
         :meth:`export_link_sources` writes and the checkpoint store reloads.
+        Each of its links is created if absent and gets exactly its keys;
+        every other link keeps existing, unsourced.  An entry naming a node
+        without a processor raises :class:`UnknownNodeError` before anything
+        is written.
         """
-        for link in (*self._sources, *expected):
+        for link in expected:
+            for node in link:
+                if node not in self.processors:
+                    raise UnknownNodeError(node, "replace_link_sources")
+        for node, links in self._links.items():
+            for neighbor, keys in links.items():
+                if keys:
+                    self.dirty.update((node, neighbor))
+                    keys.clear()
+        for link, keys in expected.items():
+            u, v = link
+            self._link_keys(u, v).update(keys)
             self.dirty.update(link)
-        self._sources = {link: set(keys) for link, keys in expected.items()}
 
     def export_link_sources(
         self, nodes: Optional[Iterable[NodeId]] = None
     ) -> Dict[frozenset, Set[Tuple]]:
-        """Snapshot the source table in the ``frozenset`` wire format.
+        """Snapshot the sourced links in the ``frozenset`` wire format.
 
         The inverse of :meth:`replace_link_sources` — what the healer
         service's checkpoint writer reads, so a restored network can rebuild
         the healed graph's sourced links exactly.  ``nodes`` narrows the
         snapshot to the sourced links incident to those processors (the
-        writer's incremental rewrite), found through their adjacency, which
-        holds every sourced link; ``None`` snapshots the whole table.
+        writer's incremental rewrite); ``None`` snapshots every sourced
+        link.  Each link is visited once and unsourced links are left out.
         """
-        if nodes is None:
-            return {link: set(keys) for link, keys in self._sources.items()}
         out: Dict[frozenset, Set[Tuple]] = {}
-        for node in nodes:
-            for neighbor in self._adjacency.get(node, ()):
-                link = frozenset((node, neighbor))
-                keys = self._sources.get(link)
-                if keys:
-                    out[link] = set(keys)
+        visited: Set[NodeId] = set()
+        for node in self._links if nodes is None else nodes:
+            for neighbor, keys in self._links.get(node, _NO_LINKS).items():
+                if keys and neighbor not in visited:
+                    out[frozenset((node, neighbor))] = set(keys)
+            visited.add(node)
         return out
 
     def set_census(self, n_ever: int, ever_ids: Iterable[NodeId] = ()) -> None:
@@ -316,14 +330,16 @@ class Network:
     def end_scaffold(self) -> int:
         """Drop every scaffold link that acquired no source; returns how many."""
         scaffold, self._scaffold = self._scaffold or set(), None
-        dropped = [link for link in scaffold if link not in self._sources]
-        for link in dropped:
-            self.disconnect(*link)
-        return len(dropped)
+        dropped = 0
+        for u, v in scaffold:
+            if not self._links.get(u, _NO_LINKS).get(v):
+                self.disconnect(u, v)
+                dropped += 1
+        return dropped
 
     def num_links(self) -> int:
-        """Number of current links (O(n) sum of neighbour-set sizes)."""
-        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
+        """Number of current links (O(n) sum of neighbour-map sizes)."""
+        return sum(len(links) for links in self._links.values()) // 2
 
     def iter_links(self) -> Iterator[Tuple[NodeId, NodeId]]:
         """Iterate the current links in arbitrary endpoint/iteration order.
@@ -333,8 +349,8 @@ class Network:
         Use :meth:`links` when canonical tuple order matters.
         """
         seen: Set[NodeId] = set()
-        for node, neighbors in self._adjacency.items():
-            for other in neighbors:
+        for node, links in self._links.items():
+            for other in links:
                 if other not in seen:
                     yield (node, other)
             seen.add(node)
@@ -352,7 +368,7 @@ class Network:
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Current link neighbours of ``node``, in canonical :class:`NodeKey` order."""
-        return sorted(self._adjacency.get(node, ()), key=NodeKey)
+        return sorted(self._links.get(node, _NO_LINKS), key=NodeKey)
 
     # ------------------------------------------------------------------ #
     # message passing

@@ -109,12 +109,19 @@ __all__ = ["DistributedForgivingGraph"]
 
 
 class _Quarantine:
-    """Poison placeholder: any read of the quarantined state raises."""
+    """Poison proving the recovery path never reads the plan's global knowledge.
 
-    _message = "quarantined state was read"
+    The repair plan's ``contexts`` map (every participant's knowledge) and
+    ``all_summaries`` union are exactly what no single processor of the
+    paper's model holds; the digest recovery must work without them, so
+    ``quarantine_plan_audit`` replaces both with this poison before any
+    reconvergence runs.  Any read of it raises.
+    """
 
     def _trip(self, what: str):
-        raise AssertionError(f"{self._message} ({what})")
+        raise AssertionError(
+            f"message-native recovery consulted the repair plan's global knowledge ({what})"
+        )
 
     def __getattr__(self, name):
         self._trip(name)
@@ -130,27 +137,6 @@ class _Quarantine:
 
     def __bool__(self):
         self._trip("bool")
-
-
-class _OracleQuarantine(_Quarantine):
-    """Poison proving the repair path never reads the oracle's merge."""
-
-    _message = "message-native repair consulted the reference engine's merge outcome"
-
-
-class _PlanAuditQuarantine(_Quarantine):
-    """Poison proving the recovery path never reads the plan's global knowledge.
-
-    The repair plan's ``contexts`` map (every participant's knowledge) and
-    ``all_summaries`` union are exactly what no single processor of the
-    paper's model holds; the digest recovery must work without them, so
-    ``quarantine_plan_audit`` replaces both with this poison before any
-    reconvergence runs.
-    """
-
-    _message = (
-        "message-native recovery consulted the repair plan's global knowledge"
-    )
 
 
 @dataclass
@@ -199,11 +185,6 @@ class DistributedForgivingGraph:
         should find the network consistent, matching the paper's
         one-attack-at-a-time model).  Off, repairs end without recovery and
         :meth:`reconverge` runs it on demand.
-    quarantine_oracle:
-        After every oracle ``delete`` replace the engine's merge-outcome
-        attributes with poison objects that raise on access — a structural
-        proof that the measured repair path never reads them.  Used by the
-        message-native merge and recovery tests.
     quarantine_plan_audit:
         After every repair replace the plan's *global* knowledge (the
         per-participant context map and the all-pieces union — exactly what
@@ -219,7 +200,6 @@ class DistributedForgivingGraph:
         self,
         fault_schedule: Optional[FaultSchedule] = None,
         auto_reconverge: bool = True,
-        quarantine_oracle: bool = False,
         quarantine_plan_audit: bool = False,
     ) -> None:
         self._engine = ForgivingGraph()
@@ -231,7 +211,6 @@ class DistributedForgivingGraph:
         #: One ledger per :meth:`delete_batch` call, in order.
         self.burst_reports: List[BurstCostReport] = []
         self.auto_reconverge = auto_reconverge
-        self.quarantine_oracle = quarantine_oracle
         self.quarantine_plan_audit = quarantine_plan_audit
         #: The last delete()'s repair, installed until the next deletion.
         self._installed: Optional[_Repair] = None
@@ -410,13 +389,6 @@ class DistributedForgivingGraph:
         self._installed = repairs[0]
         return reports[0]
 
-    def _poison_oracle(self) -> None:
-        """Under ``quarantine_oracle``, poison the engine's merge outcome."""
-        if self.quarantine_oracle:
-            self._engine.last_repair_rt = _OracleQuarantine()
-            self._engine.last_new_helpers = _OracleQuarantine()
-            self._engine.last_released_helper_ports = _OracleQuarantine()
-
     def _poison_plan(self, plan: RepairPlan) -> None:
         """Under ``quarantine_plan_audit``, poison the plan's global knowledge.
 
@@ -424,8 +396,8 @@ class DistributedForgivingGraph:
         digests alone.
         """
         if self.quarantine_plan_audit:
-            plan.contexts = _PlanAuditQuarantine()
-            plan.all_summaries = _PlanAuditQuarantine()
+            plan.contexts = _Quarantine()
+            plan.all_summaries = _Quarantine()
 
     def _byzantine_mark(self) -> Optional[_ByzantineMark]:
         """Snapshot the transcript and injection-log counters before a repair.
@@ -586,11 +558,10 @@ class DistributedForgivingGraph:
             for victim, plan in wave
         ]
         # The oracle executes the same move first (it owns the G'/alive
-        # bookkeeping every consumer reads); its merge outcome is quarantined
-        # away from the message path when paranoia is requested.
+        # bookkeeping every consumer reads); the message path never reads
+        # its merge outcome.
         for repair in repairs:
             self._engine.delete(repair.victim)
-            self._poison_oracle()
             if network.has_processor(repair.victim):
                 network.remove_processor(repair.victim)
         network.begin_scaffold()

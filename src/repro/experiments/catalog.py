@@ -562,9 +562,11 @@ def experiment_e11_fault_tolerance(scale: str = "full") -> Section:
     preamble = (
         "The repair merge is computed from messages, so dropped/delayed/reordered "
         "messages make processors disagree about the healed structure.  Each row runs "
-        "the same attack under one seeded fault preset; reconvergence retransmits what "
-        "the audit finds missing until the distributed state again equals the oracle's, "
-        "with the Theorem 1 guarantees intact."
+        "the same attack under one seeded fault preset.  After every repair the "
+        "processors gossip digests of their own state and retransmit what their "
+        "neighbours' digests show missing, until a sweep is silent; the oracle only "
+        "checks that the distributed state again equals its own, with the Theorem 1 "
+        "guarantees intact."
     )
     return ("E11 — fault tolerance of the message-native merge", rows, preamble)
 

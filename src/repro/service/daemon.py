@@ -231,11 +231,7 @@ class HealerDaemon:
                     record = processor.ensure_edge(neighbor)
                     for name, value in fields.items():
                         setattr(record, name, value)
-            links = store.load_links()
-            network.replace_link_sources(links)
-            for link in links:
-                u, v = tuple(link)
-                network.connect(u, v)
+            network.replace_link_sources(store.load_links())
             network.quarantined = set(ckpt.quarantined)
             for accused, reporter, reason, round_ in store.load_transcript():
                 network.transcript.record(

@@ -68,7 +68,7 @@ def byzantine_attack(
     seed: int = 9,
     delivery=None,
 ) -> DistributedForgivingGraph:
-    """A max-degree attack with the given lie policy, both quarantines armed."""
+    """A max-degree attack with the given lie policy, the plan-audit poison armed."""
     kwargs = {"default": delivery} if delivery is not None else {}
     schedule = FaultSchedule(
         seed=seed,
@@ -83,11 +83,10 @@ def byzantine_attack(
 def attack_under(
     schedule: FaultSchedule, *, n: int = 48, steps: int = 18, seed: int = 9
 ) -> DistributedForgivingGraph:
-    """A max-degree attack under ``schedule``, both quarantines armed."""
+    """A max-degree attack under ``schedule``, the plan-audit poison armed."""
     healer = DistributedForgivingGraph.from_graph(
         make_graph("power_law", n, seed=seed),
         fault_schedule=schedule,
-        quarantine_oracle=True,
         quarantine_plan_audit=True,
     )
     strategy = MaxDegreeDeletion()

