@@ -247,28 +247,31 @@ class Network:
         """Number of sources of link ``(u, v)`` (the engine's edge multiplicity)."""
         return len(self._links.get(u, _NO_LINKS).get(v, ()))
 
-    def replace_link_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
-        """Overwrite every link's sources (a checkpoint restore's bulk write).
+    def replace_link_sources(
+        self, expected: Dict[frozenset, Set[Tuple]], nodes: Iterable[NodeId]
+    ) -> None:
+        """Overwrite the links incident to ``nodes`` (a checkpoint restore's bulk write).
 
         ``expected`` is keyed by ``frozenset`` endpoint pairs — the format
         :meth:`export_link_sources` writes and the checkpoint store reloads.
-        Each of its links is created if absent and gets exactly its keys;
-        every other link keeps existing, unsourced.  An entry naming a node
-        without a processor raises :class:`UnknownNodeError` before anything
-        is written.
+        Every link incident to one of ``nodes`` goes, then each link of
+        ``expected`` is created if absent and gets exactly its keys; links
+        incident to no node of ``nodes`` and absent from ``expected`` are
+        left as they are.  An entry naming a node without a processor
+        raises :class:`UnknownNodeError` before anything is written.
         """
         for link in expected:
             for node in link:
                 if node not in self.processors:
                     raise UnknownNodeError(node, "replace_link_sources")
-        for node, links in self._links.items():
-            for neighbor, keys in links.items():
-                if keys:
-                    self.dirty.update((node, neighbor))
-                    keys.clear()
+        for node in nodes:
+            for neighbor in list(self._links.get(node, _NO_LINKS)):
+                self.disconnect(node, neighbor)
         for link, keys in expected.items():
             u, v = link
-            self._link_keys(u, v).update(keys)
+            link_keys = self._link_keys(u, v)
+            link_keys.clear()
+            link_keys.update(keys)
             self.dirty.update(link)
 
     def export_link_sources(

@@ -4,11 +4,11 @@ Everything else in the repository is batch — build a graph, run an attack,
 exit.  This package runs the distributed Forgiving Graph as a *service*:
 :class:`HealerDaemon` accepts concurrent churn streams through
 :class:`ServiceClient` handles, journals every operation durably before
-acknowledging it, applies deletions through the PR 8 ``delete_batch``
-admission path, checkpoints the full distributed state to sqlite
-(:mod:`repro.service.store`), and exposes live repair-latency percentiles,
-recovery costs and store sizes over a JSON status endpoint
-(:mod:`repro.service.metrics`).  The typed configuration surface
+acknowledging it, applies deletions through the ``delete_batch``
+admission path, checkpoints what changed in the distributed state since
+genesis to sqlite (:mod:`repro.service.store`), and exposes live
+repair-latency percentiles, recovery costs, checkpoint times and store
+sizes over a JSON status endpoint (:mod:`repro.service.metrics`).  The typed configuration surface
 (:class:`ServiceConfig`, composing :class:`~repro.generators.graphs.GraphSpec`
 and :class:`~repro.distributed.faults.FaultSpec`) is JSON-round-trippable
 and persisted in the store, so a restarted daemon reconstructs exactly the

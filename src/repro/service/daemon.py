@@ -4,26 +4,30 @@
 service.  Clients (:class:`ServiceClient`) submit insert/delete operations;
 every submission is journalled durably *before* it is acknowledged, then
 :meth:`HealerDaemon.pump` applies the backlog — consecutive deletions are
-grouped into ``delete_batch`` admission waves (the PR 8 concurrent path),
+grouped into ``delete_batch`` admission waves (the concurrent path),
 inserts ride individually — and periodically checkpoints the distributed
 state (Table 1 records, sourced links, accountability transcript, census)
 into the one live image :class:`~repro.service.store.CheckpointStore`
-keeps, rewriting only the processors that changed since the previous
-checkpoint.
+keeps.  The genesis is that image's base: the daemon clears the dirty
+marks of its genesis bootstrap, so every checkpoint, the first included,
+rewrites only the processors that changed since the previous one.
 
 Crash-recover is real, twice over:
 
 * **Process crash** — ``kill -9`` mid-churn loses nothing durable.
-  :meth:`HealerDaemon.restore` replays the journal prefix up to the last
-  checkpoint *oracle-only* (the engine is deterministic given the
+  :meth:`HealerDaemon.restore` bootstraps the healer from the stored
+  genesis, replays the journal prefix up to the last checkpoint
+  *oracle-only* on its engine (deterministic given the
   engine-application order the journal's ``apply_rank`` column records),
-  rebuilds the network verbatim from the checkpoint tables, then replays
-  the suffix — the ops the crash interrupted — through the full
-  message-native path, and certifies the result (every suffix deletion
-  converged, ``audit_reference`` is empty, ``verify_consistency`` passes).
+  turns the bootstrapped network into the stored image with the
+  checkpoint rows, then replays the suffix — the ops the crash
+  interrupted — through the full message-native path, and certifies the
+  result (every suffix deletion converged, ``audit_reference`` is empty,
+  ``verify_consistency`` passes).
 
 * **Stale-processor rejoin** — :meth:`HealerDaemon.rejoin_stale` restarts
-  one repair participant from the latest checkpoint image *mid-repair*:
+  one repair participant from the latest checkpoint image *mid-repair*
+  (its rows, or its genesis records if no checkpoint rewrote it):
   the records it re-reads predate the repair it just took part in, which
   is exactly a digest divergence for the PR 5 gossip recovery to heal.
   The rollback is scoped to what the interrupted repair wrote (its helper
@@ -42,7 +46,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.errors import ConfigurationError, ForgivingGraphError
-from ..core.forgiving_graph import ForgivingGraph
 from ..core.ports import NodeId
 from ..distributed.simulator import DistributedForgivingGraph
 from .config import ServiceConfig
@@ -166,9 +169,14 @@ class HealerDaemon:
 
     @staticmethod
     def _build_healer(config: ServiceConfig, genesis) -> DistributedForgivingGraph:
-        return DistributedForgivingGraph.from_graph(
+        """The healer bootstrapped from ``genesis``, the stored image's base:
+        its bootstrap marks are cleared, so checkpoints write only what
+        changed since."""
+        healer = DistributedForgivingGraph.from_graph(
             genesis, fault_schedule=config.fault.build(config.seed)
         )
+        healer.network.dirty.clear()
+        return healer
 
     @classmethod
     def restore(
@@ -176,38 +184,46 @@ class HealerDaemon:
     ) -> Tuple["HealerDaemon", RestartReport]:
         """Recover a crashed run from its store.
 
-        The checkpoint prefix of the journal replays through the embedded
-        engine only (in ``apply_rank`` order — the order the oracle
-        originally saw), the distributed state loads verbatim from the
-        checkpoint tables, and the crash suffix replays through the full
-        message-native path.  The restored daemon is certified before it
-        is returned: every suffix deletion's recovery reached its fixed
-        point, the plan-based audit wants nothing, and
-        ``verify_consistency`` ties every record and link back to the
-        oracle.  A restore that replayed a suffix writes a fresh checkpoint
-        only when the replay converged and verified.
+        The healer is bootstrapped from the stored genesis, the image's
+        base.  The checkpoint prefix of the journal replays through that
+        healer's engine only (in ``apply_rank`` order — the order the
+        oracle originally saw), the checkpoint rows turn the bootstrapped
+        network into the stored image
+        (:meth:`~repro.service.store.CheckpointStore.load_image`), and the
+        crash suffix replays through the full message-native path.  The
+        restored daemon is certified before it is returned: every suffix
+        deletion's recovery reached its fixed point, the plan-based audit
+        wants nothing, and ``verify_consistency`` ties every record and
+        link back to the oracle.  A restore that replayed a suffix writes a
+        fresh checkpoint only when the replay converged and verified.
+
+        A path that holds no file is refused without creating one, and a
+        restore that raises closes the store it opened.
         """
+        if not Path(db_path).is_file():
+            raise ConfigurationError(f"no checkpoint store at {db_path} to restore")
         store = CheckpointStore(db_path)
+        try:
+            return cls._restore(store)
+        except BaseException:
+            store.close()
+            raise
+
+    @classmethod
+    def _restore(cls, store: CheckpointStore) -> Tuple["HealerDaemon", RestartReport]:
         if not store.initialized:
-            raise ConfigurationError(f"store {db_path} holds no service run to restore")
+            raise ConfigurationError(f"store {store.path} holds no service run to restore")
         config = ServiceConfig.from_json(store.config_json())
         genesis = store.genesis_graph()
+        healer = cls._build_healer(config, genesis)
         ckpt = store.latest_checkpoint()
-
-        if ckpt is None:
-            # No checkpoint yet: the genesis itself is the recovery point
-            # and the whole journal is the suffix.
-            healer = cls._build_healer(config, genesis)
-            prefix_count = 0
-            checkpoint_seq = 0
-        else:
+        # Without a checkpoint the genesis itself is the recovery point and
+        # the whole journal is the suffix.
+        prefix_count = checkpoint_seq = apply_rank = 0
+        if ckpt is not None:
             # 1. Oracle prefix replay: the engine is deterministic given
             #    the engine-application order, which apply_rank recorded.
-            engine = ForgivingGraph()
-            for node in genesis.nodes:
-                engine._add_initial_node(node)
-            for u, v in genesis.edges:
-                engine._add_initial_edge(u, v)
+            engine = healer.engine
             prefix = store.journal_ops(until=ckpt.seq, order="rank")
             ever_ids = set(genesis.nodes)
             for op in prefix:
@@ -218,39 +234,17 @@ class HealerDaemon:
                     engine.delete(op.node)
             prefix_count = len(prefix)
             checkpoint_seq = ckpt.seq
+            apply_rank = store.max_apply_rank()
 
-            # 2. Rebuild the distributed side verbatim from the checkpoint.
-            healer = DistributedForgivingGraph(fault_schedule=config.fault.build(config.seed))
-            healer._engine = engine
+            # 2. The distributed side: the genesis bootstrap plus the rows.
             network = healer.network
-            for node in ckpt.alive:
-                network.add_processor(node)
-            for owner, neighbors in store.load_records().items():
-                processor = network.processors[owner]
-                for neighbor, fields in neighbors.items():
-                    record = processor.ensure_edge(neighbor)
-                    for name, value in fields.items():
-                        setattr(record, name, value)
-            network.replace_link_sources(store.load_links())
-            network.quarantined = set(ckpt.quarantined)
-            for accused, reporter, reason, round_ in store.load_transcript():
-                network.transcript.record(
-                    accused=accused,
-                    reporter=reporter,
-                    reason=reason,
-                    evidence=(),
-                    round=round_,
-                )
+            store.load_image(network, ckpt)
             network.set_census(engine.nodes_ever, ever_ids=ever_ids)
             # The network now equals the stored image: nothing to rewrite.
             network.dirty.clear()
 
         daemon = cls(
-            store,
-            config,
-            healer,
-            applied_seq=checkpoint_seq,
-            apply_rank=store.max_apply_rank() if ckpt is not None else 0,
+            store, config, healer, applied_seq=checkpoint_seq, apply_rank=apply_rank
         )
         daemon.metrics.record_restart()
 
@@ -408,12 +402,16 @@ class HealerDaemon:
 
         Unpumped backlog is untouched — it stays journalled and lands in
         the suffix any restore replays, so checkpointing between pump
-        iterations is always safe.
+        iterations is always safe.  The metrics record the checkpoint's
+        wall time and how many processors it rewrote.
         """
+        rewritten = len(self.healer.network.dirty)
+        started = time.perf_counter()
         ckpt_id = self.store.write_checkpoint(self.healer, seq=self._applied_seq)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._checkpoint_count += 1
         self._ops_since_checkpoint = 0
-        self.metrics.record_checkpoint()
+        self.metrics.record_checkpoint(elapsed_ms, rewritten)
         return ckpt_id
 
     # ------------------------------------------------------------------ #
@@ -490,13 +488,16 @@ class HealerDaemon:
                 verified=self._verify_quietly(),
             )
 
-        # The restart: re-read the checkpoint image, scoped to what this
-        # repair wrote.  The repair context survives (a rejoiner answers
-        # digest requests; losing the context entirely is the *crash* case).
-        image = self.store.load_records([stale]).get(stale, {})
+        # The restart: re-read the checkpoint image, composed as a restore
+        # composes it (a processor no checkpoint rewrote reads its genesis
+        # records), scoped to what this repair wrote.  The repair context
+        # survives (a rejoiner answers digest requests; losing the context
+        # entirely is the *crash* case).
+        image = DistributedForgivingGraph.from_graph(self.store.genesis_graph()).network
+        self.store.load_image(image, self.store.latest_checkpoint())
         processor = network.processors[stale]
         rolled_back = 0
-        for neighbor, fields in image.items():
+        for neighbor, stored in image.processors[stale].edges.items():
             record = processor.edges.get(neighbor)
             if record is None:
                 continue
@@ -504,11 +505,11 @@ class HealerDaemon:
             if record.has_helper and record.helper_victim == repair.victim:
                 record.clear_helper()
                 changed = True
-            if record.rt_parent != fields["rt_parent"]:
-                record.rt_parent = fields["rt_parent"]
+            if record.rt_parent != stored.rt_parent:
+                record.rt_parent = stored.rt_parent
                 changed = True
-            if record.representative != fields["representative"]:
-                record.representative = fields["representative"]
+            if record.representative != stored.representative:
+                record.representative = stored.representative
                 changed = True
             rolled_back += changed
         network.dirty.add(stale)

@@ -8,15 +8,26 @@ the Table 1 per-edge records of every processor, the healed graph's
 sourced links and the accountability transcript — under the header of the
 checkpoint that last brought it up to date (journal watermark and census).
 
-Checkpoints are incremental.  The network marks every processor whose
-records or sourced links change (``Network.dirty``), and
-:meth:`CheckpointStore.write_checkpoint` rewrites only those processors'
-record rows and incident link rows, in one transaction that also replaces
-the header; a store that has no image yet gets the whole image.  A
-checkpoint therefore costs what changed since the previous one, and
+The genesis is the image's base, and the rows hold only what changed
+since.  The network marks every processor whose records or sourced links
+change (``Network.dirty``; the daemon clears the marks its genesis
+bootstrap made), and :meth:`CheckpointStore.write_checkpoint` rewrites
+only those processors' record rows and incident link rows, in one
+transaction that also replaces the header.  A checkpoint therefore costs
+what changed since the previous one, the first one included, and
 retention needs no policy: the tables hold one image, never a copy per
 checkpoint, and a checkpoint that fails mid-write rolls back to the
 previous image intact.
+
+:meth:`CheckpointStore.load_image` reads the image back onto a network
+bootstrapped from the genesis: processors missing from the header's alive
+list go, a processor with record rows takes exactly those rows, every
+link incident to such a processor comes from the link rows, and every
+other record and link is the one genesis made.  That composition is exact
+because records are never removed and both endpoints of a link hold a
+record for it: a processor with a genesis link has a genesis record, so
+once any checkpoint rewrote it, it has rows, and a rewritten processor
+without rows holds no link.
 
 The store is plain sqlite in WAL mode (journal appends survive a ``kill
 -9`` between checkpoints), and every value that names a node or port goes
@@ -24,18 +35,21 @@ through an explicit typed codec rather than pickle, so a checkpoint written
 by one process version is readable by another and the on-disk format is
 inspectable with the sqlite CLI.  Encoded node ids are also the image's row
 keys (a rewrite deletes a processor's rows by its encoded id), so the
-codec's bytes are part of the schema.
+codec's bytes are part of the schema: the writer's direct text encoder
+(``_dumps``) must write exactly what :func:`encode_value` plus the compact
+JSON encoder write.
 
-A schema v1 store (a full image per checkpoint, none ever deleted) is
-migrated when it is opened: its latest checkpoint, a complete image, is
-kept and every older one dropped.
+A schema v2 store holds a complete image, which is a valid v3 image, so
+it opens with no row rewritten.  A schema v1 store (a full image per
+checkpoint, none ever deleted) is migrated when it is opened: its latest
+checkpoint, a complete image, is kept and every older one dropped.
 
 The restore contract (see :meth:`repro.service.daemon.HealerDaemon.restore`)
 splits the journal at the checkpoint's sequence number: the prefix is
 replayed oracle-only (the engine is deterministic given the op sequence),
-the distributed state comes from the checkpoint tables verbatim, and the
-suffix — everything the crash interrupted — replays through the full
-message-native path.
+the distributed state comes from the genesis plus the checkpoint rows,
+and the suffix — everything the crash interrupted — replays through the
+full message-native path.
 """
 
 from __future__ import annotations
@@ -44,25 +58,31 @@ import dataclasses
 import json
 import sqlite3
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
 from ..core.errors import ConfigurationError
 from ..core.ports import NodeId, NodeKey, Port
+from ..distributed.network import Network
 from ..distributed.processor import EdgeRecord
 
 __all__ = ["CheckpointStore", "CheckpointInfo", "JournalOp", "SCHEMA_VERSION"]
 
-#: Bumped on any incompatible change to the table layout or the value codec;
-#: opening a store written under a different version refuses loudly instead
-#: of mis-decoding state (v1 stores are migrated, see the module docstring).
-SCHEMA_VERSION = 2
+#: Bumped on any incompatible change to the table layout, the value codec or
+#: what the image means; opening a store written under a different version
+#: refuses loudly instead of mis-decoding state (v1 and v2 stores are
+#: upgraded, see the module docstring).  v3: the image may be partial, the
+#: genesis is its base.
+SCHEMA_VERSION = 3
 
 #: Table 1 record fields in checkpoint payload order (the ``EdgeRecord``
 #: declaration order — reordering its fields is a schema change).
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(EdgeRecord))
+#: A record's field values in payload order, read in one C call.
+_record_values = attrgetter(*_RECORD_FIELDS)
 
 
 # --------------------------------------------------------------------------- #
@@ -116,13 +136,56 @@ def decode_value(payload: object) -> object:
     raise ConfigurationError(f"unknown codec tag {tag!r} in stored value")
 
 
-#: The one compact encoder every stored value goes through:
-#: ``json.dumps(..., separators=...)`` would build a new encoder per call.
+#: The compact JSON encoder that defines the stored text of a value:
+#: ``_ENCODE(encode_value(value))``.  ``json.dumps(..., separators=...)``
+#: would build a new encoder per call.
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+#: JSON's own ASCII string encoder (the one ``_ENCODE`` uses), quotes included.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps_tuple(value: tuple) -> str:
+    return '["t",[' + ",".join(map(_dumps, value)) + "]]"
+
+
+def _dumps_frozenset(value: frozenset) -> str:
+    # encode_value sorts the members by their json.dumps text, whose ", "
+    # separators differ from the compact text only by a space after each
+    # separator comma.  Two texts' first difference lies past a common
+    # prefix that both tokenize alike (no text is a prefix of another), so
+    # the compact texts sort in the same order.
+    return '["f",[' + ",".join(sorted(map(_dumps, value))) + "]]"
+
+
+#: Direct writers for the exact types the protocol state holds.  Anything
+#: else — subclasses, and values the codec refuses — takes the reference path.
+_WRITERS = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: lambda value: f'["i",{value}]',
+    str: lambda value: f'["s",{_encode_str(value)}]',
+    Port: lambda value: f'["P",{_dumps(value[0])},{_dumps(value[1])}]',
+    tuple: _dumps_tuple,
+    frozenset: _dumps_frozenset,
+}
 
 
 def _dumps(value: object) -> str:
-    return _ENCODE(encode_value(value))
+    """The stored text of ``value``, written in one pass.
+
+    Byte for byte ``_ENCODE(encode_value(value))`` — encoded ids are row
+    keys — without building the tagged lists first.
+    """
+    writer = _WRITERS.get(type(value))
+    if writer is None:
+        return _ENCODE(encode_value(value))
+    return writer(value)
+
+
+def _record_payload(record: EdgeRecord) -> str:
+    """A record row's payload: its field values in ``_RECORD_FIELDS`` order."""
+    return "[" + ",".join(map(_dumps, _record_values(record))) + "]"
 
 
 def _loads(text: str) -> object:
@@ -235,37 +298,45 @@ class CheckpointStore:
 
     A store is opened either *fresh* (:meth:`initialize` writes the schema
     version, the service configuration and the genesis topology) or for
-    *recovery* (the constructor validates the schema version, migrates a v1
-    store, and the accessors read everything back).  All writes commit
-    immediately — the journal is the crash-safety boundary, so an op
-    acknowledged to a client is an op the restore will replay.
+    *recovery* (the constructor validates the schema version, upgrades a
+    v1 or v2 store, and the accessors read everything back; a constructor
+    that raises closes its connection).  All writes commit immediately —
+    the journal is the crash-safety boundary, so an op acknowledged to a
+    client is an op the restore will replay.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._conn = sqlite3.connect(str(self.path))
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(_META_TABLE)
-        existing = self._meta("schema_version")
-        if existing == "1":
-            self._migrate_v1()
-        elif existing is not None and int(existing) != SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"checkpoint store {self.path} was written under schema "
-                f"v{existing}; this build reads v{SCHEMA_VERSION}"
-            )
-        self._conn.executescript(_TABLES)
-        for statement in _INDEXES:
-            self._conn.execute(statement)
-        self._conn.commit()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute(_META_TABLE)
+            existing = self._meta("schema_version")
+            if existing == "1":
+                self._migrate_v1()
+            elif existing == "2":
+                # A v2 image is complete, hence a valid v3 image as it stands.
+                with self._conn:
+                    self._set_meta("schema_version", str(SCHEMA_VERSION))
+            elif existing is not None and int(existing) != SCHEMA_VERSION:
+                raise ConfigurationError(
+                    f"checkpoint store {self.path} was written under schema "
+                    f"v{existing}; this build reads v{SCHEMA_VERSION}"
+                )
+            self._conn.executescript(_TABLES)
+            for statement in _INDEXES:
+                self._conn.execute(statement)
+            self._conn.commit()
+        except BaseException:
+            self._conn.close()
+            raise
 
     def _migrate_v1(self) -> None:
         """Upgrade a v1 store in place, in one transaction.
 
         v1 kept a full image per checkpoint.  The latest one is complete on
         its own, so it becomes the live image and every older checkpoint's
-        rows go; then v1's per-checkpoint indexes give way to the v2 row
-        keys.
+        rows go; then v1's per-checkpoint indexes give way to the row keys.
         """
         conn = self._conn
         with conn:
@@ -407,8 +478,10 @@ class CheckpointStore:
         Only the processors in ``network.dirty`` are rewritten: their own
         Table 1 record rows and every sourced link incident to them are
         deleted and re-inserted from the live state (a removed processor's
-        rows are just deleted).  A store that has no image yet gets every
-        processor.  The new header replaces the superseded one and the
+        rows are just deleted).  Every other processor keeps the rows an
+        earlier checkpoint wrote, or none if it is as genesis made it — so
+        the network's marks must cover every change since the genesis
+        bootstrap.  The new header replaces the superseded one and the
         accusations beyond those already stored are appended, all in one
         transaction: a checkpoint that fails mid-write rolls back and
         leaves the previous image intact, and the written ids leave
@@ -417,8 +490,6 @@ class CheckpointStore:
         network = healer.network
         conn = self._conn
         nodes = set(network.dirty)
-        if conn.execute("SELECT 1 FROM checkpoints LIMIT 1").fetchone() is None:
-            nodes.update(network.processors)
         owners = {node: _dumps(node) for node in nodes}
         with conn:
             ckpt = int(
@@ -444,8 +515,7 @@ class CheckpointStore:
                 if processor is None:
                     continue
                 for neighbor, record in processor.edges.items():
-                    payload = [encode_value(getattr(record, name)) for name in _RECORD_FIELDS]
-                    record_rows.append((ckpt, owner, _dumps(neighbor), _ENCODE(payload)))
+                    record_rows.append((ckpt, owner, _dumps(neighbor), _record_payload(record)))
             conn.executemany(
                 "INSERT INTO records (ckpt_id, processor, neighbor, payload) VALUES (?, ?, ?, ?)",
                 record_rows,
@@ -493,25 +563,45 @@ class CheckpointStore:
         (latest,) = self._conn.execute("SELECT MAX(ckpt_id) FROM checkpoints").fetchone()
         return int(latest or 0)
 
-    def load_records(
-        self, processors: Optional[Iterable[NodeId]] = None
-    ) -> Dict[NodeId, Dict[NodeId, Dict[str, object]]]:
-        """The image's Table 1 records: ``{processor: {neighbor: fields}}``.
+    def load_image(self, network: Network, ckpt: CheckpointInfo) -> None:
+        """Turn ``network``, bootstrapped from :meth:`genesis_graph`, into the image.
 
-        ``processors`` narrows the load (the stale-rejoin path reloads a
-        single processor's records); ``None`` loads the whole image.
+        The image is the genesis plus the rows.  Processors missing from the
+        header's alive list go, with their links, and those added since
+        genesis are created.  A processor with record rows takes exactly
+        those rows, and every link incident to it comes from the link rows;
+        every other record and link stays as the bootstrap made it.  The
+        header's quarantine set and the stored accusations (see
+        :meth:`load_transcript`) complete the image.  The census is left to
+        the caller: it comes from the oracle's journal replay.
         """
-        query = "SELECT processor, neighbor, payload FROM records"
-        if processors is None:
-            rows = self._conn.execute(query).fetchall()
-        else:
-            rows = [
-                row
-                for node in processors
-                for row in self._conn.execute(query + " WHERE processor=?", (_dumps(node),))
-            ]
+        alive = set(ckpt.alive)
+        for node in [node for node in network.processors if node not in alive]:
+            network.remove_processor(node)
+        for node in ckpt.alive:
+            network.add_processor(node)
+        records = self.load_records()
+        for owner, rows in records.items():
+            network.processors[owner].edges = {
+                neighbor: EdgeRecord(**fields) for neighbor, fields in rows.items()
+            }
+        network.replace_link_sources(self.load_links(), nodes=records)
+        network.quarantined = set(ckpt.quarantined)
+        for accused, reporter, reason, round_ in self.load_transcript():
+            network.transcript.record(
+                accused=accused, reporter=reporter, reason=reason, evidence=(), round=round_
+            )
+
+    def load_records(self) -> Dict[NodeId, Dict[NodeId, Dict[str, object]]]:
+        """The image's record rows: ``{processor: {neighbor: fields}}``.
+
+        Only the processors a checkpoint rewrote since genesis have rows
+        (:meth:`load_image` composes the rest from the genesis).
+        """
         out: Dict[NodeId, Dict[NodeId, Dict[str, object]]] = {}
-        for owner, neighbor, payload in rows:
+        for owner, neighbor, payload in self._conn.execute(
+            "SELECT processor, neighbor, payload FROM records"
+        ):
             fields = {
                 name: decode_value(value)
                 for name, value in zip(_RECORD_FIELDS, json.loads(payload))
@@ -520,7 +610,8 @@ class CheckpointStore:
         return out
 
     def load_links(self) -> Dict[frozenset, Set[Tuple]]:
-        """The image's sourced links in the ``replace_link_sources`` wire format."""
+        """The image's link rows in the ``replace_link_sources`` wire format:
+        every sourced link incident to a processor that has record rows."""
         out: Dict[frozenset, Set[Tuple]] = {}
         for u, v, sources in self._conn.execute("SELECT u, v, sources FROM links"):
             out[frozenset((_loads(u), _loads(v)))] = set(_loads(sources))

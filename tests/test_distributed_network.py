@@ -303,7 +303,7 @@ class TestDirtyTracking:
             (lambda: net.add_link_source(("k",), "b", "c"), {"b", "c"}),
             (lambda: net.add_link_source(("k",), "a", "b"), {"a", "b"}),
             (lambda: net.remove_processor("a"), {"a", "b"}),
-            (lambda: net.replace_link_sources({frozenset("bc"): {("j",)}}), {"b", "c"}),
+            (lambda: net.replace_link_sources({frozenset("bc"): {("j",)}}, "bc"), {"b", "c"}),
         ]
         for write, marked in writes:
             net.dirty.clear()

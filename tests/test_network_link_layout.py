@@ -160,9 +160,10 @@ class LinkLayoutMachine(RuleBasedStateMachine):
                 ),
                 label="expected",
             )
-        self.net.replace_link_sources(expected)
-        for sources in self.links.values():
-            sources.clear()
+        owned = data.draw(st.sets(nodes), label="nodes")
+        self.net.replace_link_sources(expected, owned)
+        for link in [link for link in self.links if link & owned]:
+            del self.links[link]
         for link, link_keys in expected.items():
             self.links[link] = set(link_keys)
 
@@ -249,15 +250,31 @@ def test_replace_link_sources_creates_the_links_it_sources():
     network = Network()
     for node in "uvw":
         network.add_processor(node)
-    network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}})
+    network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}}, nodes=["u"])
     assert network.are_linked("u", "v")
     assert network.neighbors("u") == ["v"]
     assert network.num_links() == 1
     assert not network.are_linked("v", "w")
 
 
+def test_replace_link_sources_owns_only_the_links_of_its_nodes():
+    """A write scoped to ``nodes`` replaces their links and leaves the rest."""
+    network = Network()
+    for node in "uvwx":
+        network.add_processor(node)
+    network.add_link_source(("real", "u", "v"), "u", "v")
+    network.add_link_source(("real", "u", "w"), "u", "w")
+    network.add_link_source(("real", "w", "x"), "w", "x")
+    network.replace_link_sources({frozenset(("u", "x")): {("rt", 1)}}, nodes=["u"])
+    assert network.links() == {("u", "x"), ("w", "x")}
+    assert network.export_link_sources() == {
+        frozenset(("u", "x")): {("rt", 1)},
+        frozenset(("w", "x")): {("real", "w", "x")},
+    }
+
+
 def test_replace_link_sources_rejects_a_dead_endpoint():
     network = Network()
     network.add_processor("u")
     with pytest.raises(UnknownNodeError):
-        network.replace_link_sources({frozenset(("u", "ghost")): {("real", "u", "ghost")}})
+        network.replace_link_sources({frozenset(("u", "ghost")): {("real", "u", "ghost")}}, ["u"])

@@ -10,6 +10,11 @@ Pins the tentpole claims:
   ``healer`` entry older stores carry;
 * the checkpoint store round-trips the full distributed state (Table 1
   records through the typed codec, sourced links, transcript, census);
+  its one image is the genesis plus rows for the processors checkpoints
+  rewrote, read back by one composer, and the direct row encoder writes
+  exactly the bytes of the tagged-list reference codec;
+* a store that fails to open, or a restore of a path without a store,
+  leaves no connection open and creates no file;
 * crash-recover is real: abandoning a daemon mid-churn and restoring
   from its store replays the journal around the last checkpoint and
   certifies (every suffix deletion converged, empty audit,
@@ -17,18 +22,27 @@ Pins the tentpole claims:
   such and not checkpointed;
 * a processor rejoining with a stale checkpoint image mid-repair is a
   digest divergence that recovery heals with genuine retransmissions;
-* concurrent client streams are deterministic under a fixed seed.
+* concurrent client streams are deterministic under a fixed seed;
+* generated daemon programs (submit, pump, checkpoint, crash + restore,
+  stale rejoin) keep the stored image equal to the live state after every
+  checkpoint, and every restore and rejoin certifies.
 """
 
 import dataclasses
 import json
 import random
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from repro.baselines import HealerSpec, available_healers
 from repro.core.errors import ConfigurationError
+from repro.core.ports import Port
 from repro.distributed import DistributedForgivingGraph, fault_schedule
 from repro.distributed.faults import DELIVERY_PRESETS, FAULT_PRESETS, FaultSpec
 from repro.distributed.processor import EdgeRecord, Processor
@@ -42,7 +56,14 @@ from repro.service import (
     ServiceMetrics,
 )
 from repro.service.metrics import percentile
-from repro.service.store import _dumps, decode_value, encode_value
+from repro.service.store import (
+    _ENCODE,
+    _RECORD_FIELDS,
+    _dumps,
+    _record_payload,
+    decode_value,
+    encode_value,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -179,10 +200,19 @@ class TestServiceConfig:
 # --------------------------------------------------------------------------- #
 # the store: typed codec + checkpoint round-trip
 # --------------------------------------------------------------------------- #
+#: Node ids, then every value shape the protocol state holds, nested.
+_ids = st.integers(-(2**40), 2**40) | st.text(max_size=5)
+_values = st.recursive(
+    st.none() | st.booleans() | _ids | st.builds(Port, _ids, _ids),
+    lambda children: (
+        st.lists(children, max_size=3).map(tuple) | st.frozensets(children, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
 class TestStore:
     def test_codec_round_trips_protocol_values(self):
-        from repro.core.ports import Port
-
         values = [
             None,
             True,
@@ -204,8 +234,6 @@ class TestStore:
 
     def test_codec_pins_the_port_encoding(self):
         """A Port is a tuple, so the codec must tag it before the tuple case."""
-        from repro.core.ports import Port
-
         port = Port(1, "a")
         assert _dumps(port) == '["P",["i",1],["s","a"]]'
         assert _dumps(("rt", port, Port("b", 2))) == (
@@ -218,6 +246,63 @@ class TestStore:
     def test_codec_rejects_exotic_types(self):
         with pytest.raises(ConfigurationError):
             encode_value(object())
+        for value in (object(), 1.5, ("rt", 2.0), frozenset((b"x",))):
+            with pytest.raises(ConfigurationError):
+                _dumps(value)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(value=_values)
+    def test_text_encoder_writes_the_reference_bytes(self, value):
+        """The direct encoder writes exactly what the tagged lists plus the
+        compact JSON encoder write: encoded ids are row keys."""
+        assert _dumps(value) == _ENCODE(encode_value(value))
+        assert decode_value(json.loads(_dumps(value))) == value
+
+    def test_text_encoder_on_subclasses_and_odd_strings(self):
+        """Subclasses take the reference path; escapes and non-ASCII text
+        encode as the JSON encoder escapes them."""
+
+        class NodeNumber(int):
+            def __str__(self):
+                return "not-a-number"
+
+        class Label(str):
+            pass
+
+        class Pair(tuple):
+            pass
+
+        for value in (
+            NodeNumber(7),
+            Label("x"),
+            Pair((1, "a")),
+            Port(NodeNumber(3), Label("b")),
+            ("real", frozenset((NodeNumber(1), 2))),
+            'quote" back\\slash \n tab\t é ☃ \ud83d',
+            frozenset(("a,b", "a", ("a",), "a\"", "")),
+            frozenset((("s", 1), ("s", 10), ("s", 2), Port(1, 2), Port(1, 10))),
+            2**80,
+            -(2**80),
+        ):
+            assert _dumps(value) == _ENCODE(encode_value(value)), value
+
+    def test_record_payload_writes_the_reference_bytes(self):
+        """Every record of a healed network encodes in one pass to the bytes
+        of its field-by-field reference encoding."""
+        graph = make_graph("power_law", 60, seed=2)
+        healer = DistributedForgivingGraph.from_graph(graph)
+        rng = random.Random(2)
+        for step in range(30):
+            alive = sorted(healer.alive_nodes, key=repr)
+            if step % 3 == 2:
+                healer.insert(1000 + step, rng.sample(alive, 3))
+            else:
+                healer.delete_batch([rng.choice(alive)])
+        records = [r for p in healer.network.processors.values() for r in p.edges.values()]
+        assert any(record.has_helper for record in records)
+        for record in records:
+            reference = _ENCODE([encode_value(getattr(record, name)) for name in _RECORD_FIELDS])
+            assert _record_payload(record) == reference
 
     @pytest.mark.parametrize("preset", ["lossless", "byzantine"])
     def test_checkpoint_round_trip(self, tmp_path, preset):
@@ -277,9 +362,10 @@ class TestStore:
         assert store.genesis_graph().number_of_edges() == graph.number_of_edges()
         store.close()
 
-    def test_record_payload_order_is_schema_v2(self):
-        """Checkpoint payloads list EdgeRecord fields in this order under v2."""
-        assert SCHEMA_VERSION == 2
+    def test_record_payload_order_is_schema_v3(self):
+        """Checkpoint payloads list EdgeRecord fields in this order under v3
+        (unchanged since v2; v3 made the genesis the image's base)."""
+        assert SCHEMA_VERSION == 3
         assert [f.name for f in dataclasses.fields(EdgeRecord)] == [
             "neighbor",
             "endpoint",
@@ -326,8 +412,10 @@ class TestStore:
             daemon.pump()
 
         for _ in range(2):
-            # v1 wrote each checkpoint as a full image under its own ckpt_id.
+            # v1 wrote each checkpoint as a full image under its own ckpt_id:
+            # marking every processor makes the checkpoint write one.
             churn(4)
+            daemon.healer.network.dirty.update(daemon.healer.network.processors)
             ckpt = daemon.checkpoint()
             legacy.execute("INSERT INTO checkpoints SELECT * FROM live.checkpoints")
             for table, columns in (
@@ -372,6 +460,129 @@ class TestStore:
         with pytest.raises(ConfigurationError):
             store.initialize({}, make_graph("ring", 4))
         store.close()
+
+    def test_v2_store_opens_unchanged_and_restores(self, tmp_path):
+        """A v2 store holds a complete image, a valid v3 image: opening it
+        rewrites no row, and it restores and certifies."""
+        db = tmp_path / "v2.db"
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=0, batch_window=3
+        )
+        daemon = HealerDaemon.create(db, config)
+        network = daemon.healer.network
+        _drive(daemon, 8, seed=5)
+        # v2's first checkpoint wrote the whole image, later ones what changed.
+        network.dirty.update(network.processors)
+        daemon.checkpoint()
+        client = daemon.client("c")
+        for node in sorted(daemon._projected_alive, key=repr)[:4]:
+            client.delete(node)
+        daemon.pump()
+        daemon.checkpoint()
+        client.delete(sorted(daemon._projected_alive, key=repr)[0])
+        daemon.store._set_meta("schema_version", "2")
+        daemon.store._conn.commit()
+        daemon.close()
+
+        def image_rows():
+            conn = sqlite3.connect(str(db))
+            try:
+                return [
+                    sorted(conn.execute(f"SELECT * FROM {table}"))
+                    for table in ("checkpoints", "records", "links", "transcript")
+                ]
+            finally:
+                conn.close()
+
+        image = image_rows()
+        store = CheckpointStore(db)
+        assert store._meta("schema_version") == str(SCHEMA_VERSION)
+        store.close()
+        assert image_rows() == image
+
+        restored, report = HealerDaemon.restore(db)
+        assert report.converged and report.audit_clean and report.verified, report
+        assert report.suffix_ops == 1
+        _assert_image_matches(restored.store, restored.healer.network)
+        restored.close()
+
+
+def _tracked_connections(monkeypatch):
+    """Every sqlite connection opened from here on (for leak checks)."""
+    opened = []
+    connect = sqlite3.connect
+
+    def tracking(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", tracking)
+    return opened
+
+
+def _is_closed(conn):
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
+class TestStoreLifetime:
+    """A store that fails to open, or a restore that refuses, leaves no
+    connection open and creates no file."""
+
+    def test_schema_guard_closes_the_connection(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.db"
+        store = CheckpointStore(path)
+        store.initialize({}, make_graph("ring", 4))
+        store._set_meta("schema_version", "999")
+        store._conn.commit()
+        store.close()
+        opened = _tracked_connections(monkeypatch)
+        with pytest.raises(ConfigurationError):
+            CheckpointStore(path)
+        assert len(opened) == 1 and _is_closed(opened[0])
+
+    def test_failed_v1_migration_closes_the_connection(self, tmp_path, monkeypatch):
+        """Two rows for one record key in the latest v1 image break the
+        migration's unique index: the migration rolls back and the
+        connection closes."""
+        path = tmp_path / "v1.db"
+        legacy = sqlite3.connect(str(path))
+        legacy.executescript(_V1_TABLES)
+        legacy.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+        legacy.execute("INSERT INTO checkpoints VALUES (1, 0, 1, '[]', '[]')")
+        legacy.executemany(
+            "INSERT INTO records VALUES (1, ?, ?, '[]')", [(_dumps(1), _dumps(2))] * 2
+        )
+        legacy.commit()
+        legacy.close()
+        opened = _tracked_connections(monkeypatch)
+        with pytest.raises(sqlite3.IntegrityError):
+            CheckpointStore(path)
+        assert len(opened) == 1 and _is_closed(opened[0])
+        monkeypatch.undo()
+        check = sqlite3.connect(str(path))
+        assert check.execute("SELECT value FROM meta").fetchone() == ("1",)
+        check.close()
+
+    def test_restore_refuses_a_missing_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "missing.db"
+        opened = _tracked_connections(monkeypatch)
+        with pytest.raises(ConfigurationError):
+            HealerDaemon.restore(path)
+        assert not path.exists()
+        assert not opened
+
+    def test_restore_of_an_empty_store_closes_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "empty.db"
+        CheckpointStore(path).close()
+        opened = _tracked_connections(monkeypatch)
+        with pytest.raises(ConfigurationError):
+            HealerDaemon.restore(path)
+        assert len(opened) == 1 and _is_closed(opened[0])
 
 
 #: The table layout of schema v1, which kept one full image per checkpoint.
@@ -452,20 +663,43 @@ def _accusations(network):
     return [(a.accused, a.reporter, a.reason, a.round) for a in network.transcript.accusations]
 
 
+def _records(network):
+    """Every processor's Table 1 records, in the network's own orders."""
+    return [
+        (node, [(neighbor, dataclasses.astuple(record)) for neighbor, record in p.edges.items()])
+        for node, p in network.processors.items()
+    ]
+
+
+def _image(store):
+    """The store's image, composed the way a restore composes it: a genesis
+    bootstrap turned into the image by the checkpoint rows (the genesis
+    alone before the first checkpoint)."""
+    network = DistributedForgivingGraph.from_graph(store.genesis_graph()).network
+    ckpt = store.latest_checkpoint()
+    if ckpt is not None:
+        store.load_image(network, ckpt)
+    return network
+
+
 def _assert_image_matches(store, network):
-    """The store's one image equals the network's live state."""
-    names = [f.name for f in dataclasses.fields(EdgeRecord)]
-    live = {
-        node: {
-            neighbor: {name: getattr(record, name) for name in names}
-            for neighbor, record in processor.edges.items()
-        }
-        for node, processor in network.processors.items()
-        if processor.edges
+    """The store's one image, genesis plus rows, equals the network's live
+    state: records (in order), every link and its sources, the quarantine
+    set and the transcript."""
+    image = _image(store)
+    assert _records(image) == _records(network)
+    assert image.links() == network.links()
+    assert image.export_link_sources() == network.export_link_sources()
+    assert image.quarantined == network.quarantined
+    assert _accusations(image) == _accusations(network)
+
+
+def _stored_processors(store):
+    """The processors that have record rows."""
+    return {
+        decode_value(json.loads(owner))
+        for (owner,) in store._conn.execute("SELECT DISTINCT processor FROM records")
     }
-    assert store.load_records() == live
-    assert store.load_links() == network.export_link_sources()
-    assert store.load_transcript() == _accusations(network)
 
 
 # --------------------------------------------------------------------------- #
@@ -673,6 +907,49 @@ class TestHealerDaemon:
             daemon.close()
         assert healed_with_retransmissions > 0
 
+    def test_stale_rejoin_on_a_fresh_daemon(self, tmp_path):
+        """On a fresh daemon no checkpoint has rewritten the stale processor,
+        so the image it restarts from is its genesis records: the rollback
+        still finds the record the repair rewired, and recovery heals it."""
+        for seed in range(6):
+            config = ServiceConfig(graph=GraphSpec("power_law", 64), seed=seed, checkpoint_every=0)
+            daemon = HealerDaemon.create(tmp_path / f"run{seed}.db", config)
+            report = daemon.rejoin_stale()
+            assert report.stale is not None, seed
+            assert report.stale not in _stored_processors(daemon.store), seed
+            assert (report.records_rolled_back, report.retransmissions) == (1, 2), (seed, report)
+            assert report.converged and report.audit_clean and report.verified, (seed, report)
+            daemon.close()
+
+    def test_first_checkpoint_writes_only_what_changed_since_genesis(self, tmp_path):
+        """The genesis is the image's base: a fresh daemon's first checkpoint
+        writes the processors changed since genesis and no other, and the
+        status endpoint reports its time and how many it rewrote."""
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 64), seed=4, checkpoint_every=0, batch_window=3
+        )
+        daemon = HealerDaemon.create(tmp_path / "run.db", config)
+        store, network = daemon.store, daemon.healer.network
+        assert not network.dirty
+        daemon.checkpoint()
+        assert _stored_processors(store) == set()
+        assert store._conn.execute("SELECT COUNT(*) FROM links").fetchone() == (0,)
+        _assert_image_matches(store, network)
+
+        _drive(daemon, 12, seed=4)
+        changed = set(network.dirty)
+        assert 0 < len(changed) < len(network.processors)
+        daemon.checkpoint()
+        assert _stored_processors(store) == {
+            node for node in changed if node in network.processors and network.processors[node].edges
+        }
+        _assert_image_matches(store, network)
+        status = daemon.status()["checkpoint"]
+        assert status["last_processors"] == len(changed)
+        assert status["processors"] == len(changed)
+        assert status["total_ms"] >= status["last_ms"] > 0
+        daemon.close()
+
     def test_concurrent_streams_deterministic_under_fixed_seed(self, tmp_path):
         """Same seed, same submissions => bit-identical service state."""
         outcomes = []
@@ -718,9 +995,15 @@ class TestHealerDaemon:
 
         assert rows("checkpoints") == 1
         assert daemon.store.checkpoint_count() == checkpoints
-        assert rows("records") == sum(len(p.edges) for p in network.processors.values())
-        assert rows("links") == len(network.export_link_sources())
+        # One row per record and per sourced link of the processors the
+        # checkpoints rewrote, and no row for the ones still as genesis
+        # made them.
+        stored = _stored_processors(daemon.store)
+        assert 0 < len(stored) < len(network.processors)
+        assert rows("records") == sum(len(network.processors[node].edges) for node in stored)
+        assert rows("links") == len(network.export_link_sources(stored))
         assert rows("transcript") == len(network.transcript)
+        _assert_image_matches(daemon.store, network)
         daemon.close()
 
     def test_failed_checkpoint_leaves_the_previous_image(self, tmp_path, monkeypatch):
@@ -876,8 +1159,123 @@ class TestServiceMetrics:
     def test_percentile_is_nearest_rank(self, samples, q, expected):
         assert percentile(samples, q) == expected
 
+    def test_checkpoint_time_and_processors(self):
+        metrics = ServiceMetrics()
+        metrics.record_checkpoint(12.5, 40)
+        metrics.record_checkpoint(2.25, 3)
+        snap = metrics.snapshot()
+        assert snap["checkpoints_written"] == 2
+        assert snap["checkpoint"] == {
+            "last_ms": 2.25,
+            "total_ms": 14.75,
+            "last_processors": 3,
+            "processors": 43,
+        }
+
     def test_window_bounds_samples(self):
         metrics = ServiceMetrics(latency_window=4)
         for ms in range(10):
             metrics.record_insert(float(ms))
         assert metrics.snapshot()["latency_ms"]["samples"] == 4
+
+
+# --------------------------------------------------------------------------- #
+# generated daemon programs
+# --------------------------------------------------------------------------- #
+class DaemonMachine(RuleBasedStateMachine):
+    """Random programs of submits, pumps, checkpoints, crash + restore and
+    stale rejoins over one daemon.
+
+    Every checkpoint, whoever writes it (a rule, a pump, a rejoin or a
+    restore's re-anchoring), is followed by composing the stored image,
+    genesis plus rows, and comparing it with the live state; every restore
+    and every rejoin must certify.
+    """
+
+    @initialize(
+        seed=st.integers(0, 5),
+        fault=st.sampled_from(["lossless", "reorder", "delay"]),
+        checkpoint_every=st.sampled_from([0, 4]),
+    )
+    def start(self, seed, fault, checkpoint_every):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.db = Path(self.tmp.name) / "run.db"
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 24),
+            fault=fault,
+            seed=seed,
+            checkpoint_every=checkpoint_every,
+            batch_window=3,
+        )
+        self.daemon = None
+        self.watch(HealerDaemon.create(self.db, config))
+        self.next_id = 1000
+
+    def watch(self, daemon):
+        """Compare the image with the live state after each of ``daemon``'s checkpoints."""
+        self.daemon = daemon
+        store = daemon.store
+        write = store.write_checkpoint
+
+        def write_and_compare(healer, seq):
+            ckpt = write(healer, seq)
+            _assert_image_matches(store, healer.network)
+            return ckpt
+
+        store.write_checkpoint = write_and_compare
+
+    def alive(self):
+        return sorted(self.daemon._projected_alive, key=repr)
+
+    @precondition(lambda machine: len(machine.alive()) > 8)
+    @rule(data=st.data())
+    def submit_delete(self, data):
+        self.daemon.client("c").delete(data.draw(st.sampled_from(self.alive()), label="victim"))
+
+    @rule(data=st.data(), degree=st.integers(0, 3))
+    def submit_insert(self, data, degree):
+        attach = data.draw(st.permutations(self.alive()), label="attach")[:degree]
+        self.daemon.client("c").insert(self.next_id, attach)
+        self.next_id += 1
+
+    @rule()
+    def pump(self):
+        self.daemon.pump()
+
+    @rule()
+    def checkpoint(self):
+        self.daemon.checkpoint()
+
+    @rule()
+    def crash_and_restore(self):
+        """Close without a checkpoint (the backlog stays journalled), restore."""
+        expected = set(self.daemon._projected_alive)
+        self.daemon.close()
+        self.daemon = None
+        restored, report = HealerDaemon.restore(self.db)
+        self.watch(restored)
+        assert report.converged and report.audit_clean and report.verified, report
+        assert set(restored.healer.alive_nodes) == expected
+        # The restore's re-anchoring checkpoint (if it replayed a suffix)
+        # ran before the watch: the image must match either way.
+        _assert_image_matches(restored.store, restored.healer.network)
+
+    @precondition(lambda machine: len(machine.alive()) > 8)
+    @rule()
+    def rejoin_stale(self):
+        self.daemon.pump()
+        report = self.daemon.rejoin_stale()
+        assert report.converged and report.audit_clean and report.verified, report
+
+    def teardown(self):
+        if getattr(self, "daemon", None) is not None:
+            self.daemon.close()
+        if hasattr(self, "tmp"):
+            self.tmp.cleanup()
+
+
+# Derandomized, so tier-1 replays the same programs every run.
+DaemonMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=30, stateful_step_count=10, deadline=None
+)
+TestDaemonPrograms = DaemonMachine.TestCase
