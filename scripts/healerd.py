@@ -9,7 +9,7 @@ journalled durably before it is applied, so the process is safe to
 ``kill -9`` at any moment::
 
     PYTHONPATH=src python scripts/healerd.py --db run.db --topology power_law \\
-        --n 64 --seed 7 --ops 200 --checkpoint-every 16 --status-port 0 \\
+        --n 256 --seed 7 --ops 200 --checkpoint-every 16 --status-port 0 \\
         --port-file run.port
     # ... SIGKILL it mid-churn, then pick up where the checkpoint left off:
     PYTHONPATH=src python scripts/healerd.py --db run.db --resume --ops 200
@@ -41,22 +41,27 @@ from repro.service import HealerDaemon, ServiceConfig  # noqa: E402
 def drive_churn(daemon: HealerDaemon, ops_target: int, pump_every: int = 8) -> None:
     """Seeded two-client churn until the store holds ``ops_target`` ops.
 
-    Deterministic given the config seed and the current journal length, so
-    a resumed run continues the same workload shape the crashed one ran.
+    Each op deletes with probability alive/(2n), n the genesis size, and
+    inserts otherwise, so the alive count stays near n.  Deterministic given
+    the config seed and the current journal length, so a resumed run
+    continues the same workload shape the crashed one ran.
     """
-    rng = random.Random(daemon.config.seed * 7919 + daemon.store.journal_len())
+    journalled = daemon.store.journal_len()
+    rng = random.Random(daemon.config.seed * 7919 + journalled)
     clients = [daemon.client("churn-a"), daemon.client("churn-b")]
-    next_id = 10_000 + daemon.store.journal_len()
+    next_id = 10_000 + journalled
+    genesis_n = daemon.config.graph.n
     submitted = 0
-    while daemon.store.journal_len() < ops_target:
+    while journalled < ops_target:
         client = clients[submitted % len(clients)]
         alive = sorted(daemon._projected_alive, key=repr)
-        if rng.random() < 0.3 or len(alive) <= 4:
+        if len(alive) > 2 and rng.random() < len(alive) / (2 * genesis_n):
+            client.delete(rng.choice(alive))
+        else:
             attach = rng.sample(alive, min(3, len(alive)))
             client.insert(next_id, attach)
             next_id += 1
-        else:
-            client.delete(rng.choice(alive))
+        journalled += 1
         submitted += 1
         if submitted % pump_every == 0:
             daemon.pump()

@@ -64,10 +64,17 @@ Receivers verify seals/checksums in :meth:`Processor.receive` and call
 quarantines the accused — its processor and links are removed exactly like
 a crashed node, so the existing recovery machinery (dead-peer waivers,
 digest retransmission) heals around it.
+
+Checkpoint marks: once the healer service's checkpoint owner calls
+:meth:`Network.start_marks`, every write of a Table 1 record, of a link's
+source set, or a processor's removal is noted in :attr:`Network.marks`
+(a :class:`CheckpointMarks`), so a checkpoint rewrites exactly those rows.
+Until then nothing is recorded: an attack run keeps no marks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -79,10 +86,33 @@ from .messages import Message, words_to_bits
 from .metrics import NetworkMetrics
 from .processor import Processor
 
-__all__ = ["Network"]
+__all__ = ["CheckpointMarks", "Network"]
 
 #: Read-only stand-in for the link map of a node without a processor.
 _NO_LINKS = MappingProxyType({})
+
+
+@dataclass(slots=True)
+class CheckpointMarks:
+    """What changed since the checkpoint store last wrote its image.
+
+    The network and its processors add to it wherever they write that
+    state; the store drains it once a checkpoint has committed.
+    """
+
+    #: Each Table 1 record written, as ``(processor, neighbor)``, in the
+    #: order of its first write: records created since the last checkpoint
+    #: are listed in creation order, the order their processor holds them.
+    records: Dict[Tuple[NodeId, NodeId], None] = field(default_factory=dict)
+    #: Each link whose source set was written, as its ``frozenset`` endpoint pair.
+    links: Set[frozenset] = field(default_factory=set)
+    #: Each processor removed.
+    removed: Set[NodeId] = field(default_factory=set)
+
+    def clear(self) -> None:
+        self.records.clear()
+        self.links.clear()
+        self.removed.clear()
 
 
 class Network:
@@ -128,12 +158,23 @@ class Network:
         #: Processors removed by :meth:`quarantine` (alive in the model's
         #: graph, cut off from the network — the containment action).
         self.quarantined: Set[NodeId] = set()
-        #: Processors whose Table 1 records or sourced links changed since the
-        #: service's checkpoint store last drained the set (it rewrites only
-        #: these).  The network and its processors mark it wherever they write
-        #: that state; it holds node ids only, so it never outgrows
-        #: ``n_ever``, and outside the service nothing drains it.
-        self.dirty: Set[NodeId] = set()
+        #: The checkpoint marks, ``None`` until :meth:`start_marks`: only the
+        #: service's checkpoint owner drains them, so nothing else keeps any.
+        self.marks: Optional[CheckpointMarks] = None
+
+    def start_marks(self) -> CheckpointMarks:
+        """Record checkpoint marks from now on, dropping any recorded so far.
+
+        The checkpoint owner calls this where the network equals its stored
+        image (after a genesis bootstrap, or a restore), so the marks cover
+        every change since.
+        """
+        self.marks = CheckpointMarks()
+        return self.marks
+
+    def _mark_link(self, u: NodeId, v: NodeId) -> None:
+        if self.marks is not None:
+            self.marks.links.add(frozenset((u, v)))
 
     def stamp(self, message: Message) -> Message:
         """Assign the next per-network id — for messages delivered out of
@@ -154,7 +195,6 @@ class Network:
             self.processors[node] = processor
             self._links[node] = {}
             self._ever_ids.add(node)
-            self.dirty.add(node)
             self.n_ever += 1
             self._word_bits = words_to_bits(1, self.n_ever)
         return processor
@@ -174,11 +214,12 @@ class Network:
         if node not in self.processors:
             raise UnknownNodeError(node, "remove_processor")
         del self.processors[node]
-        self.dirty.add(node)
+        if self.marks is not None:
+            self.marks.removed.add(node)
         for neighbor, keys in self._links.pop(node).items():
             del self._links[neighbor][node]
             if keys:
-                self.dirty.add(neighbor)
+                self._mark_link(node, neighbor)
 
     def has_processor(self, node: NodeId) -> bool:
         """True when ``node`` currently has a processor."""
@@ -207,7 +248,7 @@ class Network:
         keys = self._links[u].pop(v)
         del self._links[v][u]
         if keys:
-            self.dirty.update((u, v))
+            self._mark_link(u, v)
 
     def are_linked(self, u: NodeId, v: NodeId) -> bool:
         """True when a link currently exists between ``u`` and ``v``."""
@@ -226,7 +267,7 @@ class Network:
         if u == v or u not in self.processors or v not in self.processors:
             return
         self._link_keys(u, v).add(key)
-        self.dirty.update((u, v))
+        self._mark_link(u, v)
 
     def remove_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
         """Drop one source of link ``(u, v)``; the link vanishes at zero sources
@@ -235,7 +276,7 @@ class Network:
         if not keys:
             return
         keys.discard(key)
-        self.dirty.update((u, v))
+        self._mark_link(u, v)
         if not keys and (self._scaffold is None or frozenset((u, v)) not in self._scaffold):
             del self._links[u][v], self._links[v][u]
 
@@ -247,49 +288,40 @@ class Network:
         """Number of sources of link ``(u, v)`` (the engine's edge multiplicity)."""
         return len(self._links.get(u, _NO_LINKS).get(v, ()))
 
-    def replace_link_sources(
-        self, expected: Dict[frozenset, Set[Tuple]], nodes: Iterable[NodeId]
-    ) -> None:
-        """Overwrite the links incident to ``nodes`` (a checkpoint restore's bulk write).
+    def link_sources(self, u: NodeId, v: NodeId) -> frozenset:
+        """The source keys of link ``(u, v)``; empty when it is unsourced or absent."""
+        return frozenset(self._links.get(u, _NO_LINKS).get(v, ()))
+
+    def replace_link_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
+        """Give each link of ``expected`` exactly its keys (a checkpoint restore's bulk write).
 
         ``expected`` is keyed by ``frozenset`` endpoint pairs — the format
         :meth:`export_link_sources` writes and the checkpoint store reloads.
-        Every link incident to one of ``nodes`` goes, then each link of
-        ``expected`` is created if absent and gets exactly its keys; links
-        incident to no node of ``nodes`` and absent from ``expected`` are
-        left as they are.  An entry naming a node without a processor
-        raises :class:`UnknownNodeError` before anything is written.
+        Each link is created if absent; every other link is left as it is.
+        An entry naming a node without a processor raises
+        :class:`UnknownNodeError` before anything is written.
         """
         for link in expected:
             for node in link:
                 if node not in self.processors:
                     raise UnknownNodeError(node, "replace_link_sources")
-        for node in nodes:
-            for neighbor in list(self._links.get(node, _NO_LINKS)):
-                self.disconnect(node, neighbor)
         for link, keys in expected.items():
             u, v = link
             link_keys = self._link_keys(u, v)
             link_keys.clear()
             link_keys.update(keys)
-            self.dirty.update(link)
+            self._mark_link(u, v)
 
-    def export_link_sources(
-        self, nodes: Optional[Iterable[NodeId]] = None
-    ) -> Dict[frozenset, Set[Tuple]]:
-        """Snapshot the sourced links in the ``frozenset`` wire format.
+    def export_link_sources(self) -> Dict[frozenset, Set[Tuple]]:
+        """Snapshot every sourced link in the ``frozenset`` wire format.
 
-        The inverse of :meth:`replace_link_sources` — what the healer
-        service's checkpoint writer reads, so a restored network can rebuild
-        the healed graph's sourced links exactly.  ``nodes`` narrows the
-        snapshot to the sourced links incident to those processors (the
-        writer's incremental rewrite); ``None`` snapshots every sourced
-        link.  Each link is visited once and unsourced links are left out.
+        The inverse of :meth:`replace_link_sources`.  Each link is visited
+        once and unsourced links are left out.
         """
         out: Dict[frozenset, Set[Tuple]] = {}
         visited: Set[NodeId] = set()
-        for node in self._links if nodes is None else nodes:
-            for neighbor, keys in self._links.get(node, _NO_LINKS).items():
+        for node, links in self._links.items():
+            for neighbor, keys in links.items():
                 if keys and neighbor not in visited:
                     out[frozenset((node, neighbor))] = set(keys)
             visited.add(node)

@@ -228,9 +228,9 @@ class Processor:
         #: One record per ``G'`` edge, keyed by the neighbour's identifier.
         self.edges: Dict[NodeId, EdgeRecord] = {}
         #: Back-reference set by :meth:`Network.add_processor`; lets message
-        #: handlers update the sourced link set and mark this processor in
-        #: ``Network.dirty`` when they write a record.  ``None`` for
-        #: standalone processors (unit tests), where both are skipped.
+        #: handlers update the sourced link set and note each record they
+        #: write in the network's checkpoint marks.  ``None`` for standalone
+        #: processors (unit tests), where both are skipped.
         self.network = None
         #: Active repair contexts, keyed by the deleted node.
         self.repairs: Dict[NodeId, RepairContext] = {}
@@ -250,13 +250,15 @@ class Processor:
         if record is None:
             record = EdgeRecord(neighbor=neighbor, representative=Port(self.node_id, neighbor))
             self.edges[neighbor] = record
-            self._mark_dirty()
+            self.mark_record(neighbor)
         return record
 
-    def _mark_dirty(self) -> None:
-        """Note in the network that this processor's records changed."""
-        if self.network is not None:
-            self.network.dirty.add(self.node_id)
+    def mark_record(self, neighbor: NodeId) -> None:
+        """Note in the network's checkpoint marks (if it keeps any) that the
+        record for ``neighbor`` was written."""
+        network = self.network
+        if network is not None and network.marks is not None:
+            network.marks.records[(self.node_id, neighbor)] = None
 
     def port(self, neighbor: NodeId) -> Port:
         """The port this processor owns for the edge to ``neighbor``."""
@@ -306,7 +308,7 @@ class Processor:
             record = self.edges.get(port.neighbor)
             if record is not None and record.has_helper and record.helper_victim != context.victim:
                 record.clear_helper()
-                self._mark_dirty()
+                self.mark_record(port.neighbor)
         if self.network is not None:
             for key, u, v in context.glue:
                 self.network.remove_link_source(key, u, v)
@@ -543,7 +545,7 @@ class Processor:
         if record is not None:
             record.neighbor_alive = False
             record.endpoint = None
-            self._mark_dirty()
+            self.mark_record(message.deleted)
 
     def _on_AnchorLink(self, message) -> None:
         # BT_v formation is topological (the scaffold records the link); the
@@ -717,7 +719,7 @@ class Processor:
             record.rt_parent = message.parent_port
             record.endpoint = message.parent_port
             record.neighbor_alive = False
-        self._mark_dirty()
+        self.mark_record(port.neighbor)
 
     def _on_HelperAssignment(self, message: HelperAssignment) -> None:
         port = message.helper_port
@@ -734,7 +736,7 @@ class Processor:
             if record.has_helper and (victim is None or record.helper_victim == victim):
                 self._drop_helper_links(record, port)
                 record.clear_helper()
-                self._mark_dirty()
+                self.mark_record(port.neighbor)
             return
         if record.has_helper and record.helper_victim != victim:
             # Another repair's helper lives here; a (necessarily partial)
@@ -750,7 +752,7 @@ class Processor:
         record.helper_height = message.height
         record.helper_children_count = 2
         record.helper_representative = message.representative_port
-        self._mark_dirty()
+        self.mark_record(port.neighbor)
         if self.network is not None:
             for child in (message.left_port, message.right_port):
                 if child is not None:

@@ -8,9 +8,12 @@ grouped into ``delete_batch`` admission waves (the concurrent path),
 inserts ride individually — and periodically checkpoints the distributed
 state (Table 1 records, sourced links, accountability transcript, census)
 into the one live image :class:`~repro.service.store.CheckpointStore`
-keeps.  The genesis is that image's base: the daemon clears the dirty
-marks of its genesis bootstrap, so every checkpoint, the first included,
-rewrites only the processors that changed since the previous one.
+keeps.  The genesis is that image's base: the daemon starts the network's
+checkpoint marks after its genesis bootstrap, so every checkpoint, the
+first included, rewrites only the records and links written since the
+previous one.  A pump commits the applied marks of its ops once before
+each checkpoint it writes and once at its end; each submission commits on
+its own, since that commit is the client's acknowledgement.
 
 Crash-recover is real, twice over:
 
@@ -27,7 +30,7 @@ Crash-recover is real, twice over:
 
 * **Stale-processor rejoin** — :meth:`HealerDaemon.rejoin_stale` restarts
   one repair participant from the latest checkpoint image *mid-repair*
-  (its rows, or its genesis records if no checkpoint rewrote it):
+  (its genesis records, overridden by any rows a checkpoint wrote):
   the records it re-reads predate the repair it just took part in, which
   is exactly a digest divergence for the PR 5 gossip recovery to heal.
   The rollback is scoped to what the interrupted repair wrote (its helper
@@ -170,12 +173,12 @@ class HealerDaemon:
     @staticmethod
     def _build_healer(config: ServiceConfig, genesis) -> DistributedForgivingGraph:
         """The healer bootstrapped from ``genesis``, the stored image's base:
-        its bootstrap marks are cleared, so checkpoints write only what
-        changed since."""
+        its checkpoint marks start after the bootstrap, so checkpoints write
+        only what changed since."""
         healer = DistributedForgivingGraph.from_graph(
             genesis, fault_schedule=config.fault.build(config.seed)
         )
-        healer.network.dirty.clear()
+        healer.network.start_marks()
         return healer
 
     @classmethod
@@ -241,7 +244,7 @@ class HealerDaemon:
             store.load_image(network, ckpt)
             network.set_census(engine.nodes_ever, ever_ids=ever_ids)
             # The network now equals the stored image: nothing to rewrite.
-            network.dirty.clear()
+            network.start_marks()
 
         daemon = cls(
             store, config, healer, applied_seq=checkpoint_seq, apply_rank=apply_rank
@@ -344,6 +347,11 @@ class HealerDaemon:
         metrics fold in (including the silent fixed-point probe).  When
         ``checkpoint`` is left on, a checkpoint lands every
         ``config.checkpoint_every`` applied ops.
+
+        Durability: the applied marks (``mark_applied``) commit together,
+        once before each checkpoint (see :meth:`checkpoint`) and once when
+        the backlog is done.  A crash in between loses only marks of ops
+        past the last checkpoint, which the restore replays as its suffix.
         """
         applied = 0
         while self._pending:
@@ -395,6 +403,7 @@ class HealerDaemon:
                 and self._ops_since_checkpoint >= self.config.checkpoint_every
             ):
                 self.checkpoint()
+        self.store.commit()
         return applied
 
     def checkpoint(self) -> int:
@@ -402,16 +411,20 @@ class HealerDaemon:
 
         Unpumped backlog is untouched — it stays journalled and lands in
         the suffix any restore replays, so checkpointing between pump
-        iterations is always safe.  The metrics record the checkpoint's
-        wall time and how many processors it rewrote.
+        iterations is always safe.  The applied marks commit first, on
+        their own: a checkpoint that fails rolls back only itself, never the
+        apply ranks of the ops it covers.  The metrics record the
+        checkpoint's wall time and the record and link rows it rewrote.
         """
-        rewritten = len(self.healer.network.dirty)
+        marks = self.healer.network.marks
+        record_rows, link_rows = len(marks.records), len(marks.links)
+        self.store.commit()
         started = time.perf_counter()
         ckpt_id = self.store.write_checkpoint(self.healer, seq=self._applied_seq)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._checkpoint_count += 1
         self._ops_since_checkpoint = 0
-        self.metrics.record_checkpoint(elapsed_ms, rewritten)
+        self.metrics.record_checkpoint(elapsed_ms, record_rows, link_rows)
         return ckpt_id
 
     # ------------------------------------------------------------------ #
@@ -455,6 +468,7 @@ class HealerDaemon:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._apply_rank += 1
         self.store.mark_applied(seq, elapsed_ms, self._apply_rank)
+        self.store.commit()
         self._applied_len += 1
         self._applied_seq = seq
         self.metrics.record_wave(1, elapsed_ms)
@@ -489,8 +503,8 @@ class HealerDaemon:
             )
 
         # The restart: re-read the checkpoint image, composed as a restore
-        # composes it (a processor no checkpoint rewrote reads its genesis
-        # records), scoped to what this repair wrote.  The repair context
+        # composes it (a record no checkpoint rewrote reads as genesis made
+        # it), scoped to what this repair wrote.  The repair context
         # survives (a rejoiner answers digest requests; losing the context
         # entirely is the *crash* case).
         image = DistributedForgivingGraph.from_graph(self.store.genesis_graph()).network
@@ -511,8 +525,9 @@ class HealerDaemon:
             if record.representative != stored.representative:
                 record.representative = stored.representative
                 changed = True
-            rolled_back += changed
-        network.dirty.add(stale)
+            if changed:
+                processor.mark_record(neighbor)
+                rolled_back += 1
         leader_proc = network.processors.get(repair.leader)
         context = leader_proc.repairs.get(repair.victim) if leader_proc else None
         if context is not None:

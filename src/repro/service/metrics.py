@@ -5,8 +5,8 @@ applies operations: per-repair latency samples (a bounded ring buffer, so
 percentiles reflect *recent* behaviour), recovery-cost totals (digest
 traffic, retransmissions, fixed-point probe results — the silent-protocol
 evidence), wave occupancy from the ``delete_batch`` admission path,
-checkpoint wall time and the processors each checkpoint rewrote, and
-store sizes.  :meth:`snapshot` renders everything as one JSON-safe dict;
+checkpoint wall time and the record and link rows each checkpoint
+rewrote, and store sizes.  :meth:`snapshot` renders everything as one JSON-safe dict;
 :class:`StatusServer` serves that snapshot over HTTP (``GET /status``) from
 a stdlib ``ThreadingHTTPServer`` so a live daemon can be probed — by a
 human, a monitor, or the CI service job — without touching its event
@@ -67,11 +67,13 @@ class ServiceMetrics:
         self.fixed_point_noisy = 0
         self.checkpoints_written = 0
         #: Wall-clock milliseconds of the latest checkpoint and of all of them,
-        #: and how many processors the latest one and all of them rewrote.
+        #: and the record and link rows the latest one and all of them rewrote.
         self.checkpoint_last_ms = 0.0
         self.checkpoint_total_ms = 0.0
-        self.checkpoint_last_processors = 0
-        self.checkpoint_processors = 0
+        self.checkpoint_last_record_rows = 0
+        self.checkpoint_record_rows = 0
+        self.checkpoint_last_link_rows = 0
+        self.checkpoint_link_rows = 0
         self.restarts = 0
         self.rejoins_healed = 0
         #: Wall-clock seconds this run has spent applying ops.
@@ -112,14 +114,17 @@ class ServiceMetrics:
             elif report.fixed_point_messages > 0:
                 self.fixed_point_noisy += 1
 
-    def record_checkpoint(self, elapsed_ms: float, processors: int) -> None:
-        """One checkpoint that took ``elapsed_ms`` and rewrote ``processors``."""
+    def record_checkpoint(self, elapsed_ms: float, record_rows: int, link_rows: int) -> None:
+        """One checkpoint that took ``elapsed_ms`` and rewrote ``record_rows``
+        record rows and ``link_rows`` link rows."""
         with self._lock:
             self.checkpoints_written += 1
             self.checkpoint_last_ms = elapsed_ms
             self.checkpoint_total_ms += elapsed_ms
-            self.checkpoint_last_processors = processors
-            self.checkpoint_processors += processors
+            self.checkpoint_last_record_rows = record_rows
+            self.checkpoint_record_rows += record_rows
+            self.checkpoint_last_link_rows = link_rows
+            self.checkpoint_link_rows += link_rows
 
     def record_restart(self) -> None:
         with self._lock:
@@ -168,8 +173,10 @@ class ServiceMetrics:
                 "checkpoint": {
                     "last_ms": round(self.checkpoint_last_ms, 3),
                     "total_ms": round(self.checkpoint_total_ms, 3),
-                    "last_processors": self.checkpoint_last_processors,
-                    "processors": self.checkpoint_processors,
+                    "last_record_rows": self.checkpoint_last_record_rows,
+                    "record_rows": self.checkpoint_record_rows,
+                    "last_link_rows": self.checkpoint_last_link_rows,
+                    "link_rows": self.checkpoint_link_rows,
                 },
                 "restarts": self.restarts,
                 "rejoins_healed": self.rejoins_healed,

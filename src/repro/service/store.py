@@ -9,40 +9,39 @@ sourced links and the accountability transcript — under the header of the
 checkpoint that last brought it up to date (journal watermark and census).
 
 The genesis is the image's base, and the rows hold only what changed
-since.  The network marks every processor whose records or sourced links
-change (``Network.dirty``; the daemon clears the marks its genesis
-bootstrap made), and :meth:`CheckpointStore.write_checkpoint` rewrites
-only those processors' record rows and incident link rows, in one
-transaction that also replaces the header.  A checkpoint therefore costs
-what changed since the previous one, the first one included, and
-retention needs no policy: the tables hold one image, never a copy per
-checkpoint, and a checkpoint that fails mid-write rolls back to the
-previous image intact.
+since: one row per Table 1 record and one per link.  The network notes
+every record written, every link whose source set was written and every
+processor removed (``Network.marks``, started by the daemon after its
+genesis bootstrap), and :meth:`CheckpointStore.write_checkpoint` rewrites
+exactly those rows, in one transaction that also replaces the header.  A
+checkpoint therefore costs what changed since the previous one, the first
+one included, and retention needs no policy: the tables hold one image,
+never a copy per checkpoint, and a checkpoint that fails mid-write rolls
+back to the previous image intact.
 
 :meth:`CheckpointStore.load_image` reads the image back onto a network
 bootstrapped from the genesis: processors missing from the header's alive
-list go, a processor with record rows takes exactly those rows, every
-link incident to such a processor comes from the link rows, and every
-other record and link is the one genesis made.  That composition is exact
-because records are never removed and both endpoints of a link hold a
-record for it: a processor with a genesis link has a genesis record, so
-once any checkpoint rewrote it, it has rows, and a rewritten processor
-without rows holds no link.
+list go, a record row overrides that one record, a link row sets that one
+link's sources, and every other record and link is the one genesis made.
+That composition is exact because records are never removed, and only
+``("rt", ...)`` link sources ever are: a link with a real-edge source, as
+every genesis link has, exists until one of its endpoints dies.
 
 The store is plain sqlite in WAL mode (journal appends survive a ``kill
 -9`` between checkpoints), and every value that names a node or port goes
 through an explicit typed codec rather than pickle, so a checkpoint written
 by one process version is readable by another and the on-disk format is
 inspectable with the sqlite CLI.  Encoded node ids are also the image's row
-keys (a rewrite deletes a processor's rows by its encoded id), so the
+keys (a rewrite finds a record's or a link's row by its encoded ids), so the
 codec's bytes are part of the schema: the writer's direct text encoder
 (``_dumps``) must write exactly what :func:`encode_value` plus the compact
 JSON encoder write.
 
-A schema v2 store holds a complete image, which is a valid v3 image, so
-it opens with no row rewritten.  A schema v1 store (a full image per
-checkpoint, none ever deleted) is migrated when it is opened: its latest
-checkpoint, a complete image, is kept and every older one dropped.
+A schema v2 store holds a complete image and a v3 store every row of each
+processor some checkpoint rewrote; both are valid v4 images, so they open
+with no row rewritten.  A schema v1 store (a full image per checkpoint,
+none ever deleted) is migrated when it is opened: its latest checkpoint, a
+complete image, is kept and every older one dropped.
 
 The restore contract (see :meth:`repro.service.daemon.HealerDaemon.restore`)
 splits the journal at the checkpoint's sequence number: the prefix is
@@ -75,8 +74,8 @@ __all__ = ["CheckpointStore", "CheckpointInfo", "JournalOp", "SCHEMA_VERSION"]
 #: what the image means; opening a store written under a different version
 #: refuses loudly instead of mis-decoding state (v1 and v2 stores are
 #: upgraded, see the module docstring).  v3: the image may be partial, the
-#: genesis is its base.
-SCHEMA_VERSION = 3
+#: genesis is its base.  v4: rows stand per record and per link.
+SCHEMA_VERSION = 4
 
 #: Table 1 record fields in checkpoint payload order (the ``EdgeRecord``
 #: declaration order — reordering its fields is a schema change).
@@ -233,11 +232,12 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 #: ``checkpoints`` keeps only the latest header.  ``records``, ``links`` and
-#: ``transcript`` are the live image: one row per Table 1 record, per sourced
-#: link and per accusation, each stamped with the ``ckpt_id`` of the
-#: checkpoint that wrote it.  A link row orders its endpoints by ``NodeKey``;
-#: rows migrated from v1 keep their stored order, which no read or delete
-#: depends on (both match either endpoint).
+#: ``transcript`` are the live image: one row per Table 1 record and per
+#: sourced link changed since genesis, and one per accusation, each stamped
+#: with the ``ckpt_id`` of the checkpoint that wrote it.  A processor's
+#: record rows are in its record order by rowid.  A link row orders its
+#: endpoints by ``NodeKey``; rows migrated from v1 keep their stored order,
+#: which no read or delete depends on (a rewrite matches either order).
 _TABLES = """
 CREATE TABLE IF NOT EXISTS genesis_nodes (
     node TEXT NOT NULL
@@ -284,12 +284,19 @@ CREATE TABLE IF NOT EXISTS transcript (
 );
 """
 
-#: v2 row keys.  Kept apart from ``_TABLES``: a v1 store holds one image per
+#: The row keys.  Kept apart from ``_TABLES``: a v1 store holds one image per
 #: checkpoint, so these unique indexes can only be built after its migration.
 _INDEXES = (
     "CREATE UNIQUE INDEX IF NOT EXISTS records_key ON records (processor, neighbor)",
     "CREATE UNIQUE INDEX IF NOT EXISTS links_key ON links (u, v)",
-    "CREATE INDEX IF NOT EXISTS links_v ON links (v)",
+)
+
+#: A record row written in place: an existing row keeps its rowid (its place
+#: in the processor's record order), a new one goes last.
+_UPSERT_RECORD = (
+    "INSERT INTO records (ckpt_id, processor, neighbor, payload) VALUES (?, ?, ?, ?) "
+    "ON CONFLICT (processor, neighbor) DO UPDATE SET "
+    "ckpt_id = excluded.ckpt_id, payload = excluded.payload"
 )
 
 
@@ -299,10 +306,11 @@ class CheckpointStore:
     A store is opened either *fresh* (:meth:`initialize` writes the schema
     version, the service configuration and the genesis topology) or for
     *recovery* (the constructor validates the schema version, upgrades a
-    v1 or v2 store, and the accessors read everything back; a constructor
-    that raises closes its connection).  All writes commit immediately —
-    the journal is the crash-safety boundary, so an op acknowledged to a
-    client is an op the restore will replay.
+    v1, v2 or v3 store, and the accessors read everything back; a
+    constructor that raises closes its connection).  A journal append
+    commits at once — the journal is the crash-safety boundary, so an op
+    acknowledged to a client is an op the restore will replay.  An applied
+    mark waits for :meth:`commit`, and a checkpoint is its own transaction.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -314,9 +322,11 @@ class CheckpointStore:
             existing = self._meta("schema_version")
             if existing == "1":
                 self._migrate_v1()
-            elif existing == "2":
-                # A v2 image is complete, hence a valid v3 image as it stands.
+            elif existing in ("2", "3"):
+                # A complete v2 image, or a v3 image of whole processors, is a
+                # valid v4 image as it stands.  v4 reads no link by its v column.
                 with self._conn:
+                    self._conn.execute("DROP INDEX IF EXISTS links_v")
                     self._set_meta("schema_version", str(SCHEMA_VERSION))
             elif existing is not None and int(existing) != SCHEMA_VERSION:
                 raise ConfigurationError(
@@ -418,10 +428,20 @@ class CheckpointStore:
         return int(cursor.lastrowid)
 
     def mark_applied(self, seq: int, latency_ms: float, apply_rank: int) -> None:
+        """Record that op ``seq`` was applied, ``apply_rank``-th; not committed.
+
+        The caller commits (:meth:`commit`) before any checkpoint that
+        covers the op: a checkpoint that fails rolls back its own
+        transaction, and that must not take the op's rank with it (the
+        restore replays its prefix in rank order).
+        """
         self._conn.execute(
             "UPDATE journal SET applied=1, latency_ms=?, apply_rank=? WHERE seq=?",
             (latency_ms, apply_rank, seq),
         )
+
+    def commit(self) -> None:
+        """Make the applied marks written since the last commit durable."""
         self._conn.commit()
 
     def journal_ops(
@@ -473,24 +493,31 @@ class CheckpointStore:
 
         ``healer`` is a :class:`~repro.distributed.DistributedForgivingGraph`
         at a quiescent point (between adversarial moves); ``seq`` is the
-        highest applied journal sequence number the state reflects.
+        highest applied journal sequence number the state reflects.  Its
+        network must keep checkpoint marks (``network.marks``) started where
+        it equalled the stored image — a network that keeps none raises
+        :class:`ConfigurationError`.
 
-        Only the processors in ``network.dirty`` are rewritten: their own
-        Table 1 record rows and every sourced link incident to them are
-        deleted and re-inserted from the live state (a removed processor's
-        rows are just deleted).  Every other processor keeps the rows an
-        earlier checkpoint wrote, or none if it is as genesis made it — so
-        the network's marks must cover every change since the genesis
-        bootstrap.  The new header replaces the superseded one and the
-        accusations beyond those already stored are appended, all in one
-        transaction: a checkpoint that fails mid-write rolls back and
-        leaves the previous image intact, and the written ids leave
-        ``network.dirty`` only once the transaction has committed.
+        Exactly the marked rows are rewritten: each marked record's row is
+        written in place (a new one after its processor's other rows), each
+        marked link's row is deleted and written again if the link still has
+        sources, and a removed processor's record rows go.  Every other row
+        stays as an earlier checkpoint wrote it.  The new header replaces the
+        superseded one and the accusations beyond those already stored are
+        appended, all in one transaction: a checkpoint that fails mid-write
+        rolls back and leaves the previous image intact, and the marks are
+        drained only once the transaction has committed.
         """
         network = healer.network
+        marks = network.marks
+        if marks is None:
+            raise ConfigurationError(
+                "the network keeps no checkpoint marks, so a checkpoint cannot "
+                "tell what changed; start them (Network.start_marks) where the "
+                "network equals the stored image"
+            )
+        processors = network.processors
         conn = self._conn
-        nodes = set(network.dirty)
-        owners = {node: _dumps(node) for node in nodes}
         with conn:
             ckpt = int(
                 conn.execute(
@@ -499,33 +526,35 @@ class CheckpointStore:
                     (
                         seq,
                         network.n_ever,
-                        _dumps(tuple(network.processors)),
+                        _dumps(tuple(processors)),
                         _dumps(tuple(network.quarantined)),
                     ),
                 ).lastrowid
             )
             conn.execute("DELETE FROM checkpoints WHERE ckpt_id < ?", (ckpt,))
-            owner_rows = [(owner,) for owner in owners.values()]
-            conn.executemany("DELETE FROM records WHERE processor=?", owner_rows)
-            conn.executemany("DELETE FROM links WHERE u=?", owner_rows)
-            conn.executemany("DELETE FROM links WHERE v=?", owner_rows)
-            record_rows = []
-            for node, owner in owners.items():
-                processor = network.processors.get(node)
-                if processor is None:
-                    continue
-                for neighbor, record in processor.edges.items():
-                    record_rows.append((ckpt, owner, _dumps(neighbor), _record_payload(record)))
             conn.executemany(
-                "INSERT INTO records (ckpt_id, processor, neighbor, payload) VALUES (?, ?, ?, ?)",
-                record_rows,
+                "DELETE FROM records WHERE processor=?",
+                [(_dumps(node),) for node in marks.removed],
             )
+            record_rows = []
+            for owner, neighbor in marks.records:
+                processor = processors.get(owner)
+                if processor is not None:
+                    record = processor.edges[neighbor]
+                    record_rows.append((ckpt, _dumps(owner), _dumps(neighbor), _record_payload(record)))
+            conn.executemany(_UPSERT_RECORD, record_rows)
+            pairs = []
             link_rows = []
-            for link, keys in network.export_link_sources(nodes).items():
+            for link in marks.links:
                 u, v = sorted(link, key=NodeKey)
-                link_rows.append(
-                    (ckpt, _dumps(u), _dumps(v), _dumps(tuple(sorted(keys, key=repr))))
-                )
+                stored_u, stored_v = _dumps(u), _dumps(v)
+                pairs += ((stored_u, stored_v), (stored_v, stored_u))
+                keys = network.link_sources(u, v)
+                if keys:
+                    link_rows.append(
+                        (ckpt, stored_u, stored_v, _dumps(tuple(sorted(keys, key=repr))))
+                    )
+            conn.executemany("DELETE FROM links WHERE u=? AND v=?", pairs)
             conn.executemany(
                 "INSERT INTO links (ckpt_id, u, v, sources) VALUES (?, ?, ?, ?)", link_rows
             )
@@ -538,7 +567,7 @@ class CheckpointStore:
                     for a in network.transcript.accusations[stored:]
                 ],
             )
-        network.dirty.difference_update(nodes)
+        marks.clear()
         return ckpt
 
     def latest_checkpoint(self) -> Optional[CheckpointInfo]:
@@ -568,24 +597,27 @@ class CheckpointStore:
 
         The image is the genesis plus the rows.  Processors missing from the
         header's alive list go, with their links, and those added since
-        genesis are created.  A processor with record rows takes exactly
-        those rows, and every link incident to it comes from the link rows;
-        every other record and link stays as the bootstrap made it.  The
-        header's quarantine set and the stored accusations (see
-        :meth:`load_transcript`) complete the image.  The census is left to
-        the caller: it comes from the oracle's journal replay.
+        genesis are created.  Each record row overrides that one record, in
+        row order, so a processor keeps its records in their live order; each
+        link row gives that link exactly its sources.  Every other record and
+        link stays as the bootstrap made it, which is exact: records are
+        never removed, and only ``("rt", ...)`` link sources ever are, so a
+        genesis link without a row still holds just its real-edge source, or
+        went with a dead endpoint.  The header's quarantine set and the
+        stored accusations (see :meth:`load_transcript`) complete the image.
+        The census is left to the caller: it comes from the oracle's journal
+        replay.
         """
         alive = set(ckpt.alive)
         for node in [node for node in network.processors if node not in alive]:
             network.remove_processor(node)
         for node in ckpt.alive:
             network.add_processor(node)
-        records = self.load_records()
-        for owner, rows in records.items():
-            network.processors[owner].edges = {
-                neighbor: EdgeRecord(**fields) for neighbor, fields in rows.items()
-            }
-        network.replace_link_sources(self.load_links(), nodes=records)
+        for owner, rows in self.load_records().items():
+            edges = network.processors[owner].edges
+            for neighbor, fields in rows.items():
+                edges[neighbor] = EdgeRecord(**fields)
+        network.replace_link_sources(self.load_links())
         network.quarantined = set(ckpt.quarantined)
         for accused, reporter, reason, round_ in self.load_transcript():
             network.transcript.record(
@@ -595,12 +627,13 @@ class CheckpointStore:
     def load_records(self) -> Dict[NodeId, Dict[NodeId, Dict[str, object]]]:
         """The image's record rows: ``{processor: {neighbor: fields}}``.
 
-        Only the processors a checkpoint rewrote since genesis have rows
-        (:meth:`load_image` composes the rest from the genesis).
+        Only the records a checkpoint rewrote since genesis have rows
+        (:meth:`load_image` composes the rest from the genesis); each
+        processor's come in row order, which is its record order.
         """
         out: Dict[NodeId, Dict[NodeId, Dict[str, object]]] = {}
         for owner, neighbor, payload in self._conn.execute(
-            "SELECT processor, neighbor, payload FROM records"
+            "SELECT processor, neighbor, payload FROM records ORDER BY rowid"
         ):
             fields = {
                 name: decode_value(value)
@@ -611,7 +644,7 @@ class CheckpointStore:
 
     def load_links(self) -> Dict[frozenset, Set[Tuple]]:
         """The image's link rows in the ``replace_link_sources`` wire format:
-        every sourced link incident to a processor that has record rows."""
+        every sourced link whose sources changed since genesis."""
         out: Dict[frozenset, Set[Tuple]] = {}
         for u, v, sources in self._conn.execute("SELECT u, v, sources FROM links"):
             out[frozenset((_loads(u), _loads(v)))] = set(_loads(sources))

@@ -294,7 +294,7 @@ class TestLinkSources:
         for node in ("u", "v", "w"):
             network.add_processor(node)
         network.connect("u", "v")
-        network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}}, nodes=["u"])
+        network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}})
         assert network.link_source_count("u", "v") == 1
         assert network.link_source_count("v", "w") == 0
         assert network.export_link_sources() == {frozenset(("u", "v")): {("real", "u", "v")}}

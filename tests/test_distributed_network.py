@@ -284,50 +284,65 @@ class TestProcessorState:
 
 
 class TestDirtyTracking:
-    """Every write of Table 1 records or sourced links marks ``Network.dirty``
-    with exactly the processors whose checkpoint rows it changed."""
+    """Once started, the checkpoint marks note every write of a Table 1
+    record, as ``(owner, neighbor)``, every write of a link's sources, as its
+    endpoint pair, and every removed processor."""
+
+    def test_marks_are_off_until_started(self):
+        net = Network()
+        for node in "ab":
+            net.add_processor(node)
+        net.add_link_source(("k",), "a", "b")
+        net.processors["a"].ensure_edge("b")
+        net.remove_processor("b")
+        assert net.marks is None
+        marks = net.start_marks()
+        assert net.marks is marks
+        assert (marks.records, marks.links, marks.removed) == ({}, set(), set())
 
     def test_link_writes_mark_their_endpoints(self):
         net = Network()
         for node in "abc":
             net.add_processor(node)
-        assert net.dirty == {"a", "b", "c"}
+        marks = net.start_marks()
+        ab, bc = frozenset("ab"), frozenset("bc")
         writes = [
-            (lambda: net.add_link_source(("k",), "a", "b"), {"a", "b"}),
-            (lambda: net.remove_link_source(("k",), "a", "b"), {"a", "b"}),
-            (lambda: net.add_link_source(("k",), "a", "b"), {"a", "b"}),
-            (lambda: net.disconnect("a", "b"), {"a", "b"}),
+            (lambda: net.add_link_source(("k",), "a", "b"), {ab}, set()),
+            (lambda: net.remove_link_source(("k",), "a", "b"), {ab}, set()),
+            (lambda: net.add_link_source(("k",), "a", "b"), {ab}, set()),
+            (lambda: net.disconnect("a", "b"), {ab}, set()),
             # A link without sources has no checkpoint row to change.
-            (lambda: net.connect("a", "c"), set()),
-            (lambda: net.disconnect("a", "c"), set()),
-            (lambda: net.add_link_source(("k",), "b", "c"), {"b", "c"}),
-            (lambda: net.add_link_source(("k",), "a", "b"), {"a", "b"}),
-            (lambda: net.remove_processor("a"), {"a", "b"}),
-            (lambda: net.replace_link_sources({frozenset("bc"): {("j",)}}, "bc"), {"b", "c"}),
+            (lambda: net.connect("a", "c"), set(), set()),
+            (lambda: net.disconnect("a", "c"), set(), set()),
+            (lambda: net.add_link_source(("k",), "b", "c"), {bc}, set()),
+            (lambda: net.add_link_source(("k",), "a", "b"), {ab}, set()),
+            (lambda: net.remove_processor("a"), {ab}, {"a"}),
+            (lambda: net.replace_link_sources({bc: {("j",)}}), {bc}, set()),
         ]
-        for write, marked in writes:
-            net.dirty.clear()
+        for write, links, removed in writes:
+            marks.clear()
             write()
-            assert net.dirty == marked
+            assert (marks.records, marks.links, marks.removed) == ({}, links, removed)
 
     def test_record_writes_mark_their_owner(self):
         net = Network()
         processor = net.add_processor("v")
+        marks = net.start_marks()
         helper = Port("v", "x")
         writes = [
-            (lambda: processor.ensure_edge("x"), {"v"}),
-            (lambda: processor.ensure_edge("x"), set()),
+            (lambda: processor.ensure_edge("x"), [("v", "x")]),
+            (lambda: processor.ensure_edge("x"), []),
             (
                 lambda: processor.receive(
                     HelperAssignment(sender="w", receiver="v", helper_port=helper, create=True)
                 ),
-                {"v"},
+                [("v", "x")],
             ),
             (
                 lambda: processor.receive(
                     HelperAssignment(sender="w", receiver="v", helper_port=helper, create=False)
                 ),
-                {"v"},
+                [("v", "x")],
             ),
             (
                 lambda: processor.receive(
@@ -335,18 +350,23 @@ class TestDirtyTracking:
                         sender="w", receiver="v", child_port=helper, parent_port=Port("w", "x")
                     )
                 ),
-                {"v"},
+                [("v", "x")],
             ),
-            (lambda: processor.receive(DeletionNotice(sender="v", receiver="v", deleted="x")), {"v"}),
-            (lambda: processor.receive(DeletionNotice(sender="v", receiver="v", deleted="y")), set()),
+            (
+                lambda: processor.receive(DeletionNotice(sender="v", receiver="v", deleted="x")),
+                [("v", "x")],
+            ),
+            (lambda: processor.receive(DeletionNotice(sender="v", receiver="v", deleted="y")), []),
+            (lambda: [processor.ensure_edge(n) for n in "zyx"], [("v", "z"), ("v", "y")]),
         ]
         for write, marked in writes:
-            net.dirty.clear()
+            marks.clear()
             write()
-            assert net.dirty == marked
+            assert list(marks.records) == marked
+            assert not marks.links and not marks.removed
         record = processor.edges["x"]
         record.has_helper, record.helper_victim = True, "old"
-        net.dirty.clear()
+        marks.clear()
         processor.apply_strip(RepairContext(victim="z", released=[helper]))
         assert not record.has_helper
-        assert net.dirty == {"v"}
+        assert list(marks.records) == [("v", "x")]

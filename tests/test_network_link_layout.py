@@ -5,7 +5,8 @@ that project onto it.  The state machine below drives every topology writer
 — processors coming and going, bare and sourced links, repair scaffolds and
 the checkpoint restore's bulk ``replace_link_sources`` — and after every
 step compares every reader with a model made of one ``{frozenset: set}``
-map plus the open scaffold's links.
+map plus the open scaffold's links, and checks that every link whose
+sources changed is in the checkpoint marks.
 """
 
 import pytest
@@ -48,6 +49,7 @@ class LinkLayoutMachine(RuleBasedStateMachine):
         whose links got a source (and maybe lost it again), so the rules
         start from a topology worth rewriting."""
         self.net = Network()
+        self.net.start_marks()
         self.live = set()
         #: Model: link -> its source keys (an empty set = an unsourced link).
         self.links = {}
@@ -98,6 +100,7 @@ class LinkLayoutMachine(RuleBasedStateMachine):
                 self.net.remove_processor(node)
             return
         self.net.remove_processor(node)
+        assert node in self.net.marks.removed
         self.live.discard(node)
         for link in [link for link in self.links if node in link]:
             del self.links[link]
@@ -160,10 +163,7 @@ class LinkLayoutMachine(RuleBasedStateMachine):
                 ),
                 label="expected",
             )
-        owned = data.draw(st.sets(nodes), label="nodes")
-        self.net.replace_link_sources(expected, owned)
-        for link in [link for link in self.links if link & owned]:
-            del self.links[link]
+        self.net.replace_link_sources(expected)
         for link, link_keys in expected.items():
             self.links[link] = set(link_keys)
 
@@ -212,6 +212,7 @@ class LinkLayoutMachine(RuleBasedStateMachine):
                 assert net.are_linked(u, v) == (link in self.links)
                 sources = self.links.get(link, set())
                 assert net.link_source_count(u, v) == len(sources)
+                assert net.link_sources(u, v) == frozenset(sources)
                 for key in KEYS:
                     assert net.has_link_source(key, u, v) == (key in sources)
         iterated = [frozenset(pair) for pair in net.iter_links()]
@@ -221,20 +222,15 @@ class LinkLayoutMachine(RuleBasedStateMachine):
 
     @invariant()
     def export_matches_the_model(self):
-        sourced = self.sourced()
-        assert self.net.export_link_sources() == sourced
-        for subset in ((), (0,), (1, 2), tuple(NODES)):
-            assert self.net.export_link_sources(subset) == {
-                link: keys for link, keys in sourced.items() if link & set(subset)
-            }
+        assert self.net.export_link_sources() == self.sourced()
 
     @invariant()
-    def source_changes_mark_live_endpoints_dirty(self):
+    def source_changes_mark_their_links(self):
         sourced = self.sourced()
         for link in set(sourced) | set(self.last_sourced):
             if sourced.get(link) != self.last_sourced.get(link):
-                assert link & self.live <= self.net.dirty
-        self.net.dirty.clear()
+                assert link in self.net.marks.links
+        self.net.marks.clear()
         self.last_sourced = sourced
 
 
@@ -250,26 +246,29 @@ def test_replace_link_sources_creates_the_links_it_sources():
     network = Network()
     for node in "uvw":
         network.add_processor(node)
-    network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}}, nodes=["u"])
+    network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}})
     assert network.are_linked("u", "v")
     assert network.neighbors("u") == ["v"]
     assert network.num_links() == 1
     assert not network.are_linked("v", "w")
 
 
-def test_replace_link_sources_owns_only_the_links_of_its_nodes():
-    """A write scoped to ``nodes`` replaces their links and leaves the rest."""
+def test_replace_link_sources_sets_only_the_links_it_names():
+    """Each named link gets exactly its keys; every other link stays."""
     network = Network()
     for node in "uvwx":
         network.add_processor(node)
     network.add_link_source(("real", "u", "v"), "u", "v")
+    network.add_link_source(("rt", 2), "u", "v")
     network.add_link_source(("real", "u", "w"), "u", "w")
-    network.add_link_source(("real", "w", "x"), "w", "x")
-    network.replace_link_sources({frozenset(("u", "x")): {("rt", 1)}}, nodes=["u"])
-    assert network.links() == {("u", "x"), ("w", "x")}
+    network.replace_link_sources(
+        {frozenset(("u", "x")): {("rt", 1)}, frozenset(("u", "v")): {("real", "u", "v")}}
+    )
+    assert network.links() == {("u", "v"), ("u", "w"), ("u", "x")}
     assert network.export_link_sources() == {
+        frozenset(("u", "v")): {("real", "u", "v")},
+        frozenset(("u", "w")): {("real", "u", "w")},
         frozenset(("u", "x")): {("rt", 1)},
-        frozenset(("w", "x")): {("real", "w", "x")},
     }
 
 
@@ -277,4 +276,4 @@ def test_replace_link_sources_rejects_a_dead_endpoint():
     network = Network()
     network.add_processor("u")
     with pytest.raises(UnknownNodeError):
-        network.replace_link_sources({frozenset(("u", "ghost")): {("real", "u", "ghost")}}, ["u"])
+        network.replace_link_sources({frozenset(("u", "ghost")): {("real", "u", "ghost")}})

@@ -10,9 +10,12 @@ Pins the tentpole claims:
   ``healer`` entry older stores carry;
 * the checkpoint store round-trips the full distributed state (Table 1
   records through the typed codec, sourced links, transcript, census);
-  its one image is the genesis plus rows for the processors checkpoints
-  rewrote, read back by one composer, and the direct row encoder writes
-  exactly the bytes of the tagged-list reference codec;
+  its one image is the genesis plus one row per record and per link a
+  checkpoint rewrote, read back by one composer (exact because only RT
+  link sources are ever removed), a checkpoint writes exactly the rows its
+  marks name, and the direct row encoder writes exactly the bytes of the
+  tagged-list reference codec;
+* v1, v2 and v3 stores open and restore;
 * a store that fails to open, or a restore of a path without a store,
   leaves no connection open and creates no file;
 * crash-recover is real: abandoning a daemon mid-churn and restoring
@@ -20,6 +23,9 @@ Pins the tentpole claims:
   certifies (every suffix deletion converged, empty audit,
   ``verify_consistency``); a replay that did not converge is reported as
   such and not checkpointed;
+* a checkpoint that fails keeps the previous image, the marks, and the
+  apply ranks the pump committed before it, and a crash at any write
+  statement of a seeded run loses no acknowledged op;
 * a processor rejoining with a stale checkpoint image mid-repair is a
   digest divergence that recovery heals with genuine retransmissions;
 * concurrent client streams are deterministic under a fixed seed;
@@ -29,6 +35,7 @@ Pins the tentpole claims:
 """
 
 import dataclasses
+import importlib.util
 import json
 import random
 import sqlite3
@@ -43,7 +50,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition,
 from repro.baselines import HealerSpec, available_healers
 from repro.core.errors import ConfigurationError
 from repro.core.ports import Port
-from repro.distributed import DistributedForgivingGraph, fault_schedule
+from repro.distributed import DistributedForgivingGraph, Network, fault_schedule
 from repro.distributed.faults import DELIVERY_PRESETS, FAULT_PRESETS, FaultSpec
 from repro.distributed.processor import EdgeRecord, Processor
 from repro.generators import make_graph
@@ -64,6 +71,11 @@ from repro.service.store import (
     decode_value,
     encode_value,
 )
+
+_REGEN = Path(__file__).resolve().parent / "golden" / "regen.py"
+_spec = importlib.util.spec_from_file_location("golden_regen", _REGEN)
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 # --------------------------------------------------------------------------- #
@@ -306,8 +318,11 @@ class TestStore:
 
     @pytest.mark.parametrize("preset", ["lossless", "byzantine"])
     def test_checkpoint_round_trip(self, tmp_path, preset):
-        """Records, links, census and transcript survive the store verbatim,
-        through the first (whole) image and an incremental rewrite of it.
+        """Records, links, census and transcript survive the store verbatim:
+        after each of two checkpoints the genesis plus the rows composes the
+        live state, records in order, and the second checkpoint rewrote only
+        what changed after the first.  A network that keeps no marks cannot
+        be checkpointed.
 
         Under ``byzantine`` each checkpoint adds accusations and quarantines
         processors, so the rewrite also appends to the transcript and drops
@@ -322,25 +337,26 @@ class TestStore:
         store = CheckpointStore(tmp_path / "run.db")
         store.initialize({"probe": True}, graph)
         names = [f.name for f in dataclasses.fields(EdgeRecord)]
+        with pytest.raises(ConfigurationError):
+            store.write_checkpoint(healer, seq=0)
+        assert store.latest_checkpoint() is None
+        marks = network.start_marks()
 
         for seq, moves in ((5, 5), (8, 3)):
             for _ in range(moves):
                 healer.delete_batch([rng.choice(sorted(healer.alive_nodes, key=repr))])
             ckpt_id = store.write_checkpoint(healer, seq=seq)
-            assert not network.dirty
+            assert not (marks.records or marks.links or marks.removed)
 
-            records = store.load_records()
-            assert set(records) == set(network.processors)
-            for node, processor in network.processors.items():
-                stored = records[node]
-                assert set(stored) == set(processor.edges)
-                for neighbor, record in processor.edges.items():
-                    assert list(stored[neighbor]) == names
+            _assert_image_matches(store, network)
+            for node, stored in store.load_records().items():
+                for neighbor, fields in stored.items():
+                    assert list(fields) == names
+                    record = network.processors[node].edges[neighbor]
                     for name in names:
-                        assert stored[neighbor][name] == getattr(record, name), (
+                        assert fields[name] == getattr(record, name), (
                             f"{node}->{neighbor}.{name} did not round-trip"
                         )
-            assert store.load_links() == network.export_link_sources()
             assert store.load_transcript() == _accusations(network)
             info = store.latest_checkpoint()
             assert info.ckpt_id == ckpt_id
@@ -362,10 +378,45 @@ class TestStore:
         assert store.genesis_graph().number_of_edges() == graph.number_of_edges()
         store.close()
 
-    def test_record_payload_order_is_schema_v3(self):
-        """Checkpoint payloads list EdgeRecord fields in this order under v3
-        (unchanged since v2; v3 made the genesis the image's base)."""
-        assert SCHEMA_VERSION == 3
+    @pytest.mark.parametrize("preset", [*DELIVERY_PRESETS, "byzantine"])
+    def test_only_rt_link_sources_are_ever_removed(self, preset):
+        """The image reader's premise: no real-edge source is ever removed,
+        so a genesis link lasts as long as both of its endpoints, through
+        deletions, bursts and insertions, under faults and liars alike."""
+        graph = make_graph("power_law", 60, seed=4)
+        healer = DistributedForgivingGraph.from_graph(
+            graph, fault_schedule=fault_schedule(preset, seed=4)
+        )
+        network = healer.network
+        removed = []
+        remove = Network.remove_link_source
+
+        def recording(self, key, u, v):
+            removed.append(key)
+            return remove(self, key, u, v)
+
+        rng = random.Random(4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Network, "remove_link_source", recording)
+            for step in range(24):
+                alive = sorted(healer.alive_nodes, key=repr)
+                if step % 4 == 3:
+                    healer.insert(1000 + step, rng.sample(alive, 3))
+                elif step % 4 == 2:
+                    healer.delete_batch(rng.sample(alive, 3))
+                else:
+                    healer.delete(rng.choice(alive))
+                for u, v in graph.edges:
+                    if network.has_processor(u) and network.has_processor(v):
+                        assert network.has_link_source(("real", frozenset((u, v))), u, v)
+        assert removed
+        assert {key[0] for key in removed} == {"rt"}
+
+    def test_record_payload_order_is_schema_v4(self):
+        """Checkpoint payloads list EdgeRecord fields in this order under v4
+        (unchanged since v2; v3 made the genesis the image's base, v4 made
+        rows stand per record and per link)."""
+        assert SCHEMA_VERSION == 4
         assert [f.name for f in dataclasses.fields(EdgeRecord)] == [
             "neighbor",
             "endpoint",
@@ -413,9 +464,9 @@ class TestStore:
 
         for _ in range(2):
             # v1 wrote each checkpoint as a full image under its own ckpt_id:
-            # marking every processor makes the checkpoint write one.
+            # marking every record and link makes the checkpoint write one.
             churn(4)
-            daemon.healer.network.dirty.update(daemon.healer.network.processors)
+            _mark_whole_processors(daemon.healer.network, daemon.healer.network.processors)
             ckpt = daemon.checkpoint()
             legacy.execute("INSERT INTO checkpoints SELECT * FROM live.checkpoints")
             for table, columns in (
@@ -461,26 +512,30 @@ class TestStore:
             store.initialize({}, make_graph("ring", 4))
         store.close()
 
-    def test_v2_store_opens_unchanged_and_restores(self, tmp_path):
-        """A v2 store holds a complete image, a valid v3 image: opening it
-        rewrites no row, and it restores and certifies."""
-        db = tmp_path / "v2.db"
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_v2_and_v3_stores_open_unchanged_and_restore(self, tmp_path, version):
+        """A v2 store holds a complete image and a v3 store every row of each
+        processor a checkpoint rewrote.  Both are valid v4 images: opening
+        one rewrites no row, and it restores and certifies."""
+        db = tmp_path / f"v{version}.db"
         config = ServiceConfig(
             graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=0, batch_window=3
         )
         daemon = HealerDaemon.create(db, config)
         network = daemon.healer.network
         _drive(daemon, 8, seed=5)
-        # v2's first checkpoint wrote the whole image, later ones what changed.
-        network.dirty.update(network.processors)
+        # v2's first checkpoint wrote the whole image; every later one (and
+        # every v3 one) wrote whole processors, each that changed.
+        _mark_whole_processors(network, network.processors if version == 2 else None)
         daemon.checkpoint()
         client = daemon.client("c")
         for node in sorted(daemon._projected_alive, key=repr)[:4]:
             client.delete(node)
         daemon.pump()
+        _mark_whole_processors(network)
         daemon.checkpoint()
         client.delete(sorted(daemon._projected_alive, key=repr)[0])
-        daemon.store._set_meta("schema_version", "2")
+        daemon.store._set_meta("schema_version", str(version))
         daemon.store._conn.commit()
         daemon.close()
 
@@ -671,11 +726,16 @@ def _records(network):
     ]
 
 
+def _genesis(store):
+    """A network bootstrapped from the store's genesis, the image's base."""
+    return DistributedForgivingGraph.from_graph(store.genesis_graph()).network
+
+
 def _image(store):
     """The store's image, composed the way a restore composes it: a genesis
     bootstrap turned into the image by the checkpoint rows (the genesis
     alone before the first checkpoint)."""
-    network = DistributedForgivingGraph.from_graph(store.genesis_graph()).network
+    network = _genesis(store)
     ckpt = store.latest_checkpoint()
     if ckpt is not None:
         store.load_image(network, ckpt)
@@ -700,6 +760,114 @@ def _stored_processors(store):
         decode_value(json.loads(owner))
         for (owner,) in store._conn.execute("SELECT DISTINCT processor FROM records")
     }
+
+
+def _stored_records(store, ckpt_id=None):
+    """The ``(processor, neighbor)`` keys of the record rows, or of those ``ckpt_id`` wrote."""
+    return {
+        (decode_value(json.loads(owner)), decode_value(json.loads(neighbor)))
+        for owner, neighbor in store._conn.execute(
+            "SELECT processor, neighbor FROM records WHERE ckpt_id = coalesce(?, ckpt_id)",
+            (ckpt_id,),
+        )
+    }
+
+
+def _stored_links(store, ckpt_id=None):
+    """The endpoint pairs of the link rows, or of those ``ckpt_id`` wrote."""
+    return {
+        frozenset((decode_value(json.loads(u)), decode_value(json.loads(v))))
+        for u, v in store._conn.execute(
+            "SELECT u, v FROM links WHERE ckpt_id = coalesce(?, ckpt_id)", (ckpt_id,)
+        )
+    }
+
+
+def _live_rows(network):
+    """Every record by ``(processor, neighbor)`` and every link's sources."""
+    records = {
+        (node, neighbor): dataclasses.astuple(record)
+        for node, processor in network.processors.items()
+        for neighbor, record in processor.edges.items()
+    }
+    return records, network.export_link_sources()
+
+
+def _changed(before, after):
+    """The keys whose values differ between two ``{key: value}`` maps."""
+    return {key for key in before.keys() | after.keys() if before.get(key) != after.get(key)}
+
+
+def _mark_whole_processors(network, nodes=None):
+    """Mark every record and sourced link of ``nodes`` — by default of each
+    processor the marks touch — which is what a checkpoint before schema
+    v4 rewrote for each processor it rewrote."""
+    marks = network.marks
+    if nodes is None:
+        nodes = {owner for owner, _ in marks.records}.union(*marks.links)
+    for node in nodes:
+        processor = network.processors.get(node)
+        if processor is None:
+            continue
+        for neighbor in processor.edges:
+            processor.mark_record(neighbor)
+        for neighbor in network.neighbors(node):
+            if network.link_sources(node, neighbor):
+                marks.links.add(frozenset((node, neighbor)))
+
+
+class _Crash(Exception):
+    """The write statement a test chose to fail."""
+
+
+class _FaultyConnection:
+    """A store's sqlite connection that counts its write statements (those
+    starting with ``statement``, or any INSERT/UPDATE/DELETE) and fails the
+    ``fail_at``-th one with :class:`_Crash` instead of running it.  With
+    ``close`` the connection first closes without committing, which is
+    what a killed process leaves of sqlite's committed state."""
+
+    def __init__(self, conn, fail_at=None, statement=None, close=False):
+        self._conn = conn
+        self._fail_at = fail_at
+        self._statement = statement
+        self._close = close
+        self.writes = 0
+        self.crashed = False
+
+    def _count(self, sql):
+        sql = sql.lstrip()
+        if self._statement is not None:
+            counted = sql.startswith(self._statement)
+        else:
+            counted = sql.split(None, 1)[0].upper() in ("INSERT", "UPDATE", "DELETE")
+        if counted:
+            self.writes += 1
+            if self.writes == self._fail_at:
+                self.crashed = True
+                if self._close:
+                    self._conn.close()
+                raise _Crash(f"write statement {self.writes}: {sql[:40]}")
+
+    def execute(self, sql, *args):
+        self._count(sql)
+        return self._conn.execute(sql, *args)
+
+    def executemany(self, sql, rows):
+        self._count(sql)
+        return self._conn.executemany(sql, rows)
+
+    def __enter__(self):
+        self._conn.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        if self.crashed and self._close:
+            return False  # nothing left to roll back: the connection is gone
+        return self._conn.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
 
 
 # --------------------------------------------------------------------------- #
@@ -923,32 +1091,67 @@ class TestHealerDaemon:
 
     def test_first_checkpoint_writes_only_what_changed_since_genesis(self, tmp_path):
         """The genesis is the image's base: a fresh daemon's first checkpoint
-        writes the processors changed since genesis and no other, and the
-        status endpoint reports its time and how many it rewrote."""
+        writes the records and links written since genesis and no other, and
+        the status endpoint reports its time and the rows it rewrote."""
         config = ServiceConfig(
             graph=GraphSpec("power_law", 64), seed=4, checkpoint_every=0, batch_window=3
         )
         daemon = HealerDaemon.create(tmp_path / "run.db", config)
         store, network = daemon.store, daemon.healer.network
-        assert not network.dirty
+        marks = network.marks
+        assert not (marks.records or marks.links or marks.removed)
         daemon.checkpoint()
-        assert _stored_processors(store) == set()
-        assert store._conn.execute("SELECT COUNT(*) FROM links").fetchone() == (0,)
+        assert _stored_records(store) == set()
+        assert _stored_links(store) == set()
         _assert_image_matches(store, network)
 
         _drive(daemon, 12, seed=4)
-        changed = set(network.dirty)
-        assert 0 < len(changed) < len(network.processors)
+        records, links = list(marks.records), set(marks.links)
+        live_records = sum(len(p.edges) for p in network.processors.values())
+        assert 0 < len(records) < live_records
         daemon.checkpoint()
-        assert _stored_processors(store) == {
-            node for node in changed if node in network.processors and network.processors[node].edges
-        }
+        assert _stored_records(store) == {key for key in records if key[0] in network.processors}
+        assert _stored_links(store) == {link for link in links if network.link_sources(*link)}
         _assert_image_matches(store, network)
         status = daemon.status()["checkpoint"]
-        assert status["last_processors"] == len(changed)
-        assert status["processors"] == len(changed)
+        assert status["last_record_rows"] == status["record_rows"] == len(records)
+        assert status["last_link_rows"] == status["link_rows"] == len(links)
         assert status["total_ms"] >= status["last_ms"] > 0
         daemon.close()
+
+    @pytest.mark.parametrize("fault", ["lossless", "reorder"])
+    def test_checkpoint_after_one_deletion_writes_exactly_what_changed(self, tmp_path, fault):
+        """A fresh daemon's first deletion strips no earlier repair, so each
+        record and link it writes ends changed: the checkpoint after it
+        writes exactly the records and links that changed, drops the rows
+        of the links that went, and keeps nothing else.  (A later repair may
+        strip an RT edge and rebuild the same one, a rewrite that ends equal;
+        under ``delay`` recovery retracts and re-adds links the same way.)"""
+        for seed in range(3):
+            config = ServiceConfig(
+                graph=GraphSpec("power_law", 64), fault=fault, seed=seed, checkpoint_every=0
+            )
+            daemon = HealerDaemon.create(tmp_path / f"run{seed}.db", config)
+            store, healer = daemon.store, daemon.healer
+            records, links = _live_rows(healer.network)
+            victim = max(healer.alive_nodes, key=lambda n: (healer.g_prime_degree(n), repr(n)))
+            daemon.client("c").delete(victim)
+            daemon.pump()
+            ckpt = daemon.checkpoint()
+            now_records, now_links = _live_rows(healer.network)
+            changed_records = _changed(records, now_records) & now_records.keys()
+            changed_links = _changed(links, now_links)
+            gone = changed_links - now_links.keys()
+            assert gone and all(victim in link for link in gone)
+            assert _stored_records(store) == _stored_records(store, ckpt) == changed_records
+            assert _stored_links(store) == _stored_links(store, ckpt) == changed_links - gone
+            status = daemon.status()["checkpoint"]
+            assert (status["last_record_rows"], status["last_link_rows"]) == (
+                len(changed_records),
+                len(changed_links),
+            )
+            _assert_image_matches(store, healer.network)
+            daemon.close()
 
     def test_concurrent_streams_deterministic_under_fixed_seed(self, tmp_path):
         """Same seed, same submissions => bit-identical service state."""
@@ -988,34 +1191,40 @@ class TestHealerDaemon:
         daemon.checkpoint()
         checkpoints = daemon.status()["checkpoints"]
         assert checkpoints >= 5
-        network = daemon.healer.network
+        store, network = daemon.store, daemon.healer.network
 
         def rows(table):
-            return daemon.store._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            return store._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
 
         assert rows("checkpoints") == 1
-        assert daemon.store.checkpoint_count() == checkpoints
-        # One row per record and per sourced link of the processors the
-        # checkpoints rewrote, and no row for the ones still as genesis
-        # made them.
-        stored = _stored_processors(daemon.store)
-        assert 0 < len(stored) < len(network.processors)
-        assert rows("records") == sum(len(network.processors[node].edges) for node in stored)
-        assert rows("links") == len(network.export_link_sources(stored))
+        assert store.checkpoint_count() == checkpoints
+        # One row per live record and per sourced link some checkpoint
+        # rewrote: every one that differs from genesis has a row, and the
+        # rest of the live state has none.
+        genesis_records, genesis_links = _live_rows(_genesis(store))
+        records, links = _live_rows(network)
+        stored_records, stored_links = _stored_records(store), _stored_links(store)
+        assert _changed(genesis_records, records) & records.keys() <= stored_records
+        assert stored_records <= records.keys()
+        assert 0 < len(stored_records) < len(records)
+        assert rows("records") == len(stored_records)
+        assert _changed(genesis_links, links) & links.keys() <= stored_links <= links.keys()
+        assert rows("links") == len(stored_links)
         assert rows("transcript") == len(network.transcript)
-        _assert_image_matches(daemon.store, network)
+        _assert_image_matches(store, network)
         daemon.close()
 
     def test_failed_checkpoint_leaves_the_previous_image(self, tmp_path, monkeypatch):
         """A checkpoint that fails mid-write rolls back: the next journal
         write commits none of it, and the next checkpoint writes every
-        processor changed since the last good one."""
+        record and link changed since the last good one."""
         db = tmp_path / "run.db"
         config = ServiceConfig(
             graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=0, batch_window=3
         )
         daemon = HealerDaemon.create(db, config)
         store, network = daemon.store, daemon.healer.network
+        marks = network.marks
         client = daemon.client("c")
         rng = random.Random(3)
 
@@ -1038,7 +1247,9 @@ class TestHealerDaemon:
         def disk_full(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(network, "export_link_sources", disk_full)
+        # The header is written and superseded by the time the first record
+        # row is encoded.
+        monkeypatch.setattr("repro.service.store._record_payload", disk_full)
         with pytest.raises(OSError):
             daemon.checkpoint()
         monkeypatch.undo()
@@ -1046,25 +1257,89 @@ class TestHealerDaemon:
 
         assert store.latest_checkpoint().ckpt_id == good
         assert image_rows() == image
-        failed = set(network.dirty)
-        assert failed
+        failed_records, failed_links = set(marks.records), set(marks.links)
+        assert failed_records and failed_links
         daemon.pump()
-        union = set(network.dirty)
-        assert failed <= union
+        assert failed_records <= marks.records.keys() and failed_links <= marks.links
+        union_records, union_links = set(marks.records), set(marks.links)
         ckpt = daemon.checkpoint()
-        stamped = {
-            decode_value(json.loads(owner))
-            for (owner,) in store._conn.execute(
-                "SELECT DISTINCT processor FROM records WHERE ckpt_id=?", (ckpt,)
-            )
+        assert _stored_records(store, ckpt) == {
+            key for key in union_records if key[0] in network.processors
         }
-        assert stamped == {
-            node for node in union if node in network.processors and network.processors[node].edges
+        assert _stored_links(store, ckpt) == {
+            link for link in union_links if network.link_sources(*link)
         }
         _assert_image_matches(store, network)
         daemon.close()
 
         restored, report = HealerDaemon.restore(db)
+        assert report.converged and report.audit_clean and report.verified, report
+        restored.close()
+
+    def test_failed_checkpoint_keeps_the_pumps_applied_marks(self, tmp_path, monkeypatch):
+        """A checkpoint that fails inside ``pump`` rolls back only itself: the
+        ops the pump applied before it keep their apply ranks on disk, the
+        stored image is the previous one, and the checkpoint marks carry
+        over, so the next checkpoint writes them and a restore certifies."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=6, batch_window=3
+        )
+        daemon = HealerDaemon.create(db, config)
+        store, network = daemon.store, daemon.healer.network
+        client = daemon.client("c")
+        rng = random.Random(3)
+
+        def submit(ops):
+            for _ in range(ops):
+                client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))
+
+        def on_disk(query):
+            conn = sqlite3.connect(str(db))
+            try:
+                return conn.execute(query).fetchall()
+            finally:
+                conn.close()
+
+        def image_rows():
+            return [
+                sorted(on_disk(f"SELECT * FROM {table}"))
+                for table in ("checkpoints", "records", "links", "transcript")
+            ]
+
+        submit(6)
+        daemon.pump()
+        assert store.checkpoint_count() == 1
+        image = image_rows()
+        submit(8)
+        # The pump applies two waves of three, then its checkpoint fails at
+        # its first record row, mid-transaction.
+        failing = _FaultyConnection(store._conn, fail_at=1, statement="INSERT INTO records")
+        monkeypatch.setattr(store, "_conn", failing)
+        with pytest.raises(_Crash):
+            daemon.pump()
+        monkeypatch.undo()
+        assert failing.crashed and daemon.backlog == 2
+
+        ranks = dict(on_disk("SELECT seq, apply_rank FROM journal WHERE applied=1"))
+        assert len(ranks) == 12
+        assert sorted(ranks.values()) == list(range(1, 13))
+        assert max(ranks) == daemon._applied_seq
+        assert image_rows() == image
+        image = _image(store)
+        image_records, image_links = _live_rows(image)
+        records, links = _live_rows(network)
+        marks = network.marks
+        assert _changed(image_records, records) & records.keys() <= marks.records.keys()
+        assert _changed(image_links, links) <= marks.links
+        assert image.processors.keys() - network.processors.keys() <= marks.removed
+
+        daemon.pump()
+        daemon.checkpoint()
+        _assert_image_matches(store, network)
+        daemon.close()
+        restored, report = HealerDaemon.restore(db)
+        assert report.suffix_ops == 0
         assert report.converged and report.audit_clean and report.verified, report
         restored.close()
 
@@ -1107,7 +1382,7 @@ class TestHealerDaemon:
         restored, report = HealerDaemon.restore(db)
         assert report.converged and report.audit_clean and report.verified, report
         assert len(compared) == checkpoints + 1
-        # The network rebuilt from the image is not dirty, so the
+        # The marks start once the network equals the image, so the
         # re-anchoring checkpoint rewrote only what the suffix changed.
         (kept,) = restored.store._conn.execute(
             "SELECT COUNT(*) FROM records WHERE ckpt_id < ?", (compared[-1],)
@@ -1130,6 +1405,90 @@ class TestHealerDaemon:
             assert payload["journal"]["applied"] == 6
         finally:
             daemon.close()
+
+
+def _crash_program(db, seed, crash_at=None):
+    """A seeded run of two clients on ``power_law`` n=24: 12 inserts and
+    deletes, a pump every 4 submissions and a checkpoint every 4 applied
+    ops.  The store fails its ``crash_at``-th write statement as a kill
+    would (the connection closes without committing) and the run stops
+    there.  Returns the ops whose submission returned, as ``(seq, kind,
+    node)``, and the write statements the run made."""
+    config = ServiceConfig(
+        graph=GraphSpec("power_law", 24), seed=seed, checkpoint_every=4, batch_window=3
+    )
+    daemon = HealerDaemon.create(db, config)
+    connection = _FaultyConnection(daemon.store._conn, fail_at=crash_at, close=True)
+    daemon.store._conn = connection
+    clients = [daemon.client("a"), daemon.client("b")]
+    rng = random.Random(seed)
+    acknowledged = []
+    try:
+        for step in range(12):
+            client = clients[step % 2]
+            alive = sorted(daemon._projected_alive, key=repr)
+            if rng.random() < 0.3:
+                node, kind = 100 + step, "insert"
+                seq = client.insert(node, rng.sample(alive, 2))
+            else:
+                node, kind = rng.choice(alive), "delete"
+                seq = client.delete(node)
+            acknowledged.append((seq, kind, node))
+            if step % 4 == 3:
+                daemon.pump()
+        daemon.pump()
+    except _Crash:
+        pass
+    finally:
+        daemon.close()
+    return acknowledged, connection.writes
+
+
+class TestCrashPoints:
+    def test_a_crash_at_any_write_loses_no_acknowledged_op(self, tmp_path):
+        """Crash a seeded run at each of its write statements in turn: every
+        journal append, applied mark and checkpoint statement.  Each time
+        the restore certifies, every op whose submission returned is applied
+        exactly once, and a second crash at the same statement restores to
+        the same golden digest."""
+        seed = 0
+        _, writes = _crash_program(tmp_path / "full.db", seed)
+        check = sqlite3.connect(str(tmp_path / "full.db"))
+        assert check.execute("SELECT MAX(ckpt_id) FROM checkpoints").fetchone()[0] >= 2
+        check.close()
+        for crash_at in range(1, writes + 1):
+            digests = []
+            for attempt in range(2):
+                db = tmp_path / f"crash{crash_at}-{attempt}.db"
+                acknowledged, _ = _crash_program(db, seed, crash_at)
+                restored, report = HealerDaemon.restore(db)
+                try:
+                    assert report.converged and report.audit_clean and report.verified, (
+                        crash_at,
+                        report,
+                    )
+                    journal = restored.store.journal_ops()
+                    assert [(op.seq, op.kind, op.node) for op in journal] == acknowledged
+                    assert restored.store.applied_len() == len(acknowledged)
+                    ranks = [op.apply_rank for op in journal]
+                    assert None not in ranks and len(set(ranks)) == len(ranks)
+                    genesis = set(restored.store.genesis_graph())
+                    inserted = {node for _, kind, node in acknowledged if kind == "insert"}
+                    deleted = {node for _, kind, node in acknowledged if kind == "delete"}
+                    assert restored.healer.deleted_nodes == deleted
+                    assert restored.healer.alive_nodes == (genesis | inserted) - deleted
+                    digests.append(
+                        regen.digest(
+                            {
+                                "state": regen.state_parts(restored.healer),
+                                "restart": dataclasses.asdict(report),
+                                "ranks": ranks,
+                            }
+                        )
+                    )
+                finally:
+                    restored.close()
+            assert digests[0] == digests[1], crash_at
 
 
 class TestServiceMetrics:
@@ -1159,17 +1518,19 @@ class TestServiceMetrics:
     def test_percentile_is_nearest_rank(self, samples, q, expected):
         assert percentile(samples, q) == expected
 
-    def test_checkpoint_time_and_processors(self):
+    def test_checkpoint_time_and_rows(self):
         metrics = ServiceMetrics()
-        metrics.record_checkpoint(12.5, 40)
-        metrics.record_checkpoint(2.25, 3)
+        metrics.record_checkpoint(12.5, 40, 9)
+        metrics.record_checkpoint(2.25, 3, 1)
         snap = metrics.snapshot()
         assert snap["checkpoints_written"] == 2
         assert snap["checkpoint"] == {
             "last_ms": 2.25,
             "total_ms": 14.75,
-            "last_processors": 3,
-            "processors": 43,
+            "last_record_rows": 3,
+            "record_rows": 43,
+            "last_link_rows": 1,
+            "link_rows": 10,
         }
 
     def test_window_bounds_samples(self):
