@@ -1,0 +1,96 @@
+#!/usr/bin/env python
+"""heap_report — the heap a finished max-degree attack retains, per module.
+
+Runs 120 max-degree deletions on ``power_law`` n=2000 (seed 0) through the
+distributed healer under ``tracemalloc``, keeping the graph, the healer and
+the attack session, and reports what is still allocated once the attack is
+over.  Each allocation is charged to the module that made it (the caller,
+for code generated at run time such as a dataclass ``__init__``): one line
+per ``repro`` subpackage, one for networkx and one for everything else,
+then the total, all in KiB per node ever seen::
+
+    python scripts/heap_report.py
+    python scripts/heap_report.py --max-kib 6.8   # exit 1 above 6.8 KiB/node
+
+Figures depend on the Python version (object layouts differ), so compare
+runs on one interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from repro import AttackSession  # noqa: E402
+from repro.adversary import AttackSchedule, MaxDegreeDeletion  # noqa: E402
+from repro.distributed import DistributedForgivingGraph  # noqa: E402
+from repro.generators import make_graph  # noqa: E402
+
+N, MOVES, SEED = 2000, 120, 0
+PACKAGE = SRC / "repro"
+
+
+def owner(traceback: tracemalloc.Traceback) -> str:
+    """The group an allocation is charged to: that of the most recent frame
+    with a source file (generated code reports a ``<...>`` name)."""
+    files = [frame.filename for frame in traceback if not frame.filename.startswith("<")]
+    path = Path(files[-1] if files else "<unknown>")
+    if path.is_relative_to(PACKAGE):
+        return "repro." + path.relative_to(PACKAGE).parts[0].removesuffix(".py")
+    if "networkx" in path.parts:
+        return "networkx"
+    return "other"
+
+
+def attack():
+    """The attack, run to its end; returns what it keeps alive."""
+    graph = make_graph("power_law", N, seed=SEED)
+    healer = DistributedForgivingGraph.from_graph(graph)
+    schedule = AttackSchedule(
+        steps=MOVES, deletion_strategy=MaxDegreeDeletion(), delete_probability=1.0, seed=SEED
+    )
+    session = AttackSession(healer, schedule, measure_every=0, measure_final=False)
+    for _event in session.stream():
+        pass
+    healer.compact_journals()
+    return graph, healer, session
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--max-kib", type=float, default=None, help="exit 1 when the total exceeds this"
+    )
+    args = parser.parse_args(argv)
+
+    tracemalloc.start(2)
+    kept = attack()
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    nodes = kept[1].nodes_ever
+
+    retained = Counter()
+    for stat in snapshot.statistics("traceback"):
+        retained[owner(stat.traceback)] += stat.size
+    total_kib = sum(retained.values()) / 1024 / nodes
+    print(f"# power_law n={N}, {MOVES} max-degree deletions, seed {SEED}; Python {sys.version.split()[0]}")
+    groups = sorted(name for name in retained if name.startswith("repro."))
+    for name in groups + ["networkx", "other"]:
+        print(f"{name} = {retained[name] / 1024 / nodes:.2f} KiB/node")
+    print(f"total = {total_kib:.2f} KiB/node")
+    if args.max_kib is not None and total_kib > args.max_kib:
+        print(f"# over the ceiling of {args.max_kib} KiB/node", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

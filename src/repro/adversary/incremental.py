@@ -19,6 +19,13 @@ top entry wins iff its owner is still alive and its stored degree matches the
 current one, otherwise it is stale and discarded — any fresher entry for the
 same node sits elsewhere in the heap.
 
+Stale entries below the top are never popped, so a long attack would let
+the heap grow with every touch.  Once it holds more than
+``REBUILD_FACTOR * alive + REBUILD_SLACK`` entries, a drain rebuilds it from
+the current degrees, one entry per survivor.  Picks cannot change: an entry
+orders on ``(degree, NodeKey)`` before its sequence number, and no two
+survivors share a ``NodeKey``.
+
 Healers that do not expose the journal (the baselines) are detected by
 :func:`SurvivorDegreeTracker.supports`, and the strategies fall back to the
 retained sorted reference scan.
@@ -34,6 +41,11 @@ from ..core.ports import NodeId, NodeKey
 from ..core.views import actual_view_of
 
 __all__ = ["SurvivorDegreeTracker"]
+
+#: A drain rebuilds the heap once it holds more than
+#: ``REBUILD_FACTOR * alive + REBUILD_SLACK`` entries.
+REBUILD_FACTOR = 2
+REBUILD_SLACK = 64
 
 
 class SurvivorDegreeTracker:
@@ -97,12 +109,15 @@ class SurvivorDegreeTracker:
 
     def _bind(self, healer) -> None:
         self._healer_ref = weakref.ref(healer)
-        self._seq = 0
         self._keys.clear()
         log = healer.degree_touch_log
         self._cursor = len(log)
         register = getattr(log, "register_cursor", None)
         self._journal_cursor = register(self._cursor) if register is not None else None
+        self._seed(healer)
+
+    def _seed(self, healer) -> None:
+        """Fill the heap with one current entry per survivor."""
         graph = actual_view_of(healer)
         degree = graph.degree
         entries: List[Tuple[int, NodeKey, int, NodeId]] = []
@@ -140,6 +155,8 @@ class SurvivorDegreeTracker:
                         node,
                     ),
                 )
+        if len(heap) > REBUILD_FACTOR * healer.num_alive + REBUILD_SLACK:
+            self._seed(healer)
 
     def _peek(self, healer) -> Optional[NodeId]:
         graph = actual_view_of(healer)

@@ -17,11 +17,12 @@ the *virtual graph* (:meth:`ForgivingGraph.virtual_graph`)
     the actual healed network: the homomorphic image of the virtual graph
     obtained by mapping every port and helper to its owning processor and
     dropping self-loops.  All guarantees of Theorem 1 are measured on ``G``.
-    The engine maintains ``G`` *incrementally*: every healed edge carries a
-    count of its sources (one per surviving real edge, one per RT virtual
-    edge projecting onto it), and repairs apply exact deltas — only the
-    broken RT glue ever gains or loses sources.  Zero-copy read access is
-    available through :meth:`ForgivingGraph.actual_view` /
+    The engine maintains ``G`` *incrementally*: every healed edge has a
+    number of sources (one per surviving real edge, one per RT virtual
+    edge projecting onto it; see :meth:`ForgivingGraph.edge_multiplicity`),
+    and repairs apply exact deltas — only the broken RT glue ever gains or
+    loses sources.  Zero-copy read access is available through
+    :meth:`ForgivingGraph.actual_view` /
     :meth:`ForgivingGraph.g_prime_graph_view`, and the from-scratch builder
     is retained as ``_rebuild_actual()`` for cross-checking.
 
@@ -137,11 +138,15 @@ class ForgivingGraph:
         # ``G`` is the image of the virtual graph under the processor projection,
         # so one healed edge can have several sources (a surviving real edge and
         # any number of RT virtual edges between the same two processors).
-        # ``_edge_mult`` counts those sources per healed edge; an edge lives in
-        # ``_actual`` exactly while its count is positive, which lets delete()
-        # apply per-repair deltas instead of rebuilding ``G`` from scratch.
+        # An edge lives in ``_actual`` exactly while it has a source, and its
+        # presence there counts the first one; ``_extra_sources`` counts the
+        # sources beyond the first, only for the few edges that have more.
+        # That lets delete() apply per-repair deltas instead of rebuilding
+        # ``G`` from scratch.  ``_num_edges`` counts the edges of ``_actual``
+        # (networkx counts them in O(n)).
         self._actual = nx.Graph()
-        self._edge_mult: Dict[frozenset, int] = {}
+        self._extra_sources: Dict[frozenset, int] = {}
+        self._num_edges = 0
         # Degree-touch journal --------------------------------------------------------------
         # Append-only log of nodes whose healed degree may have changed, fed by
         # the same edge-delta hooks that maintain ``G``.  Incremental consumers
@@ -340,11 +345,14 @@ class ForgivingGraph:
     def _rebuild_actual(self) -> nx.Graph:
         """Build the healed graph ``G`` from scratch (the seed implementation).
 
-        The engine maintains ``G`` incrementally (see ``_edge_mult``); this
-        from-scratch builder is kept as the ground truth for cross-checking —
-        :meth:`check_invariants` asserts the incrementally-maintained graph
-        matches it, and the equivalence tests exercise that after every event
-        of randomized churn runs.
+        The engine maintains ``G`` incrementally (an edge per sourced pair,
+        plus ``_extra_sources`` for the pairs with more than one source);
+        this from-scratch builder is kept as the ground truth for
+        cross-checking — :meth:`check_invariants` asserts the
+        incrementally-maintained graph matches it, and the equivalence tests
+        exercise that after every event of randomized churn runs.  Its walk
+        visits every source once: each surviving real edge, then each RT
+        virtual edge between two processors.
         """
         actual = nx.Graph()
         actual.add_nodes_from(self._alive)
@@ -363,28 +371,42 @@ class ForgivingGraph:
         """Record one more source (real edge or RT virtual edge) for healed edge (u, v)."""
         if u == v:
             return
-        key = frozenset((u, v))
-        count = self._edge_mult.get(key, 0)
-        if count == 0:
-            self._actual.add_edge(u, v)
-            self._degree_touch_log.append(u)
-            self._degree_touch_log.append(v)
-        self._edge_mult[key] = count + 1
+        if self._actual.has_edge(u, v):
+            key = frozenset((u, v))
+            self._extra_sources[key] = self._extra_sources.get(key, 0) + 1
+            return
+        self._actual.add_edge(u, v)
+        self._num_edges += 1
+        self._degree_touch_log.append(u)
+        self._degree_touch_log.append(v)
 
     def _edge_source_removed(self, u: NodeId, v: NodeId) -> None:
         """Drop one source of healed edge (u, v); the edge disappears at zero sources."""
         if u == v:
             return
         key = frozenset((u, v))
-        count = self._edge_mult.get(key, 0)
-        if count <= 1:
-            self._edge_mult.pop(key, None)
-            if self._actual.has_edge(u, v):
-                self._actual.remove_edge(u, v)
-                self._degree_touch_log.append(u)
-                self._degree_touch_log.append(v)
-        else:
-            self._edge_mult[key] = count - 1
+        extra = self._extra_sources.get(key)
+        if extra is not None:
+            if extra == 1:
+                del self._extra_sources[key]
+            else:
+                self._extra_sources[key] = extra - 1
+        elif self._actual.has_edge(u, v):
+            self._actual.remove_edge(u, v)
+            self._num_edges -= 1
+            self._degree_touch_log.append(u)
+            self._degree_touch_log.append(v)
+
+    def edge_multiplicity(self, u: NodeId, v: NodeId) -> int:
+        """Number of sources of healed edge ``(u, v)``, 0 when it is absent.
+
+        One per surviving real edge and one per RT virtual edge projecting
+        onto it: the count the distributed network keeps per link as its
+        source keys (``Network.link_source_count``).
+        """
+        if u == v or not self._actual.has_edge(u, v):
+            return 0
+        return 1 + self._extra_sources.get(frozenset((u, v)), 0)
 
     @property
     def degree_touch_log(self) -> Journal[NodeId]:
@@ -462,8 +484,7 @@ class ForgivingGraph:
 
         degree_g_prime = self._g_prime.degree[node]
         degree_actual = self._actual.degree[node] if node in self._actual else 0
-        # ``_edge_mult`` keys are exactly the healed edges, so edge counts are O(1).
-        edges_before = len(self._edge_mult)
+        edges_before = self._num_edges
 
         # 1. The processor dies: it disappears from the alive set, all its
         #    ports disappear, and every helper node it simulates disappears.
@@ -615,7 +636,7 @@ class ForgivingGraph:
             for rt in affected_rts.values():
                 self._rts.pop(rt.rt_id, None)
 
-        edges_after = len(self._edge_mult)
+        edges_after = self._num_edges
         # Edges lost purely because the node vanished:
         lost_with_node = degree_actual
         delta = edges_after - (edges_before - lost_with_node)

@@ -7,9 +7,10 @@ rounds — every message sent in round ``r`` is delivered at the start of round
 ``r + 1``, matching the paper's cost model where a message takes at most one
 time unit to traverse an edge and local computation is free.
 
-The topology is one map: processor -> {linked processor: that link's set
-of source keys}.  Both endpoints hold the same set object, so a link and
-its sources cannot disagree, and an unsourced link holds an empty set.
+The topology is one map: processor -> {linked processor: that link's
+source keys, as one tuple}.  Both endpoints hold the same tuple object and
+every write replaces it on both sides, so a link and its sources cannot
+disagree; an unsourced link holds ``()``.
 :meth:`Network.connect` / :meth:`Network.disconnect` /
 :meth:`Network.are_linked` are O(1), neighbour iteration and
 :meth:`Network.remove_processor` O(deg) — no operation on the repair path
@@ -33,20 +34,22 @@ message-native (PR 4):
 *Sourced links.*  A healed-graph link exists because one or more *sources*
 project onto it: the surviving real edge, and any number of RT virtual
 edges between the same two processors.  :meth:`add_link_source` /
-:meth:`remove_link_source` maintain each link's set of source keys —
-the distributed twin of the engine's edge-multiplicity counting — and the
-link itself appears/disappears as its source set becomes (non-)empty.
-Source updates are driven by received protocol messages (helper
-assignments) and local strip knowledge, *not* by the reference engine.
-Keyed sets (instead of bare counters) make the bookkeeping idempotent, so
-retransmitted messages cannot corrupt the topology.
+:meth:`remove_link_source` maintain each link's source keys — the
+distributed twin of the engine's edge-multiplicity counting — and the link
+itself appears/disappears as its sources become (non-)empty.  Source
+updates are driven by received protocol messages (helper assignments) and
+local strip knowledge, *not* by the reference engine.  Keys (instead of
+bare counters) make the bookkeeping idempotent, so retransmitted messages
+cannot corrupt the topology.  A key appears at most once per link, and
+nearly every link has exactly one, so an immutable tuple holds them in a
+fraction of a set's memory.
 
 *Scaffolding.*  A repair creates temporary links for its own traffic (the
 ``BT_v`` tree, probe hops, merge wiring).  While a scaffold is open
 (:meth:`begin_scaffold`), :meth:`send` auto-creates missing links and
 records them; :meth:`end_scaffold` drops every recorded link that holds no
 source by then — "delete the edges E_v" of Algorithm A.3,
-decided from the network's own source sets rather than an engine probe.
+decided from the network's own link sources rather than an engine probe.
 
 Faults: an optional :class:`~repro.distributed.faults.FaultSchedule` is
 consulted at delivery time — messages can be dropped, delayed whole rounds,
@@ -67,9 +70,12 @@ digest retransmission) heals around it.
 
 Checkpoint marks: once the healer service's checkpoint owner calls
 :meth:`Network.start_marks`, every write of a Table 1 record, of a link's
-source set, or a processor's removal is noted in :attr:`Network.marks`
+sources, or a processor's removal is noted in :attr:`Network.marks`
 (a :class:`CheckpointMarks`), so a checkpoint rewrites exactly those rows.
-Until then nothing is recorded: an attack run keeps no marks.
+A link's first write since the last checkpoint also records the tuple it
+replaced, which is free since tuples are immutable, so a checkpoint can
+leave alone a link whose sources ended where they were.  Until then
+nothing is recorded: an attack run keeps no marks.
 """
 
 from __future__ import annotations
@@ -97,15 +103,20 @@ class CheckpointMarks:
     """What changed since the checkpoint store last wrote its image.
 
     The network and its processors add to it wherever they write that
-    state; the store drains it once a checkpoint has committed.
+    state; the store drains it once a checkpoint has committed.  Every write
+    marks, whether or not it changes the value.
     """
 
     #: Each Table 1 record written, as ``(processor, neighbor)``, in the
     #: order of its first write: records created since the last checkpoint
     #: are listed in creation order, the order their processor holds them.
     records: Dict[Tuple[NodeId, NodeId], None] = field(default_factory=dict)
-    #: Each link whose source set was written, as its ``frozenset`` endpoint pair.
-    links: Set[frozenset] = field(default_factory=set)
+    #: Each link whose sources were written, as its ``frozenset`` endpoint
+    #: pair, mapped to its source-key tuple as of its first write since the
+    #: last checkpoint (the tuple that write replaced, ``()`` if it had
+    #: none): the value the stored image holds, so a link whose sources end
+    #: equal to it needs no row rewritten.
+    links: Dict[frozenset, Tuple] = field(default_factory=dict)
     #: Each processor removed.
     removed: Set[NodeId] = field(default_factory=set)
 
@@ -121,9 +132,10 @@ class Network:
     def __init__(self, fault_schedule: Optional[FaultSchedule] = None) -> None:
         self.processors: Dict[NodeId, Processor] = {}
         #: Processor -> {linked processor: the link's source keys} (an empty
-        #: dict while isolated).  Both endpoints share one key set; an
-        #: unsourced link (bare or scaffold) holds an empty one.
-        self._links: Dict[NodeId, Dict[NodeId, Set[Tuple]]] = {}
+        #: dict while isolated).  The keys are one tuple, shared by both
+        #: endpoints and replaced on every write (never mutated in place);
+        #: an unsourced link (bare or scaffold) holds ``()``.
+        self._links: Dict[NodeId, Dict[NodeId, Tuple]] = {}
         self._outbox: List[Message] = []
         #: Messages a fault delayed: (deliver_at_round, message).
         self._delayed: List[Tuple[int, Message]] = []
@@ -172,9 +184,15 @@ class Network:
         self.marks = CheckpointMarks()
         return self.marks
 
-    def _mark_link(self, u: NodeId, v: NodeId) -> None:
+    def _mark_link(self, u: NodeId, v: NodeId, keys: Tuple) -> None:
+        """Mark link ``(u, v)``, whose sources are ``keys`` before this write."""
         if self.marks is not None:
-            self.marks.links.add(frozenset((u, v)))
+            self.marks.links.setdefault(frozenset((u, v)), keys)
+
+    def _set_keys(self, u: NodeId, v: NodeId, keys: Tuple) -> None:
+        """Give link ``(u, v)`` between two live processors the tuple ``keys``
+        on both sides, creating the link if it is absent."""
+        self._links[u][v] = self._links[v][u] = keys
 
     def stamp(self, message: Message) -> Message:
         """Assign the next per-network id — for messages delivered out of
@@ -219,7 +237,7 @@ class Network:
         for neighbor, keys in self._links.pop(node).items():
             del self._links[neighbor][node]
             if keys:
-                self._mark_link(node, neighbor)
+                self._mark_link(node, neighbor, keys)
 
     def has_processor(self, node: NodeId) -> bool:
         """True when ``node`` currently has a processor."""
@@ -231,15 +249,8 @@ class Network:
             return
         if u not in self.processors or v not in self.processors:
             raise UnknownNodeError(u if u not in self.processors else v, "connect")
-        self._link_keys(u, v)
-
-    def _link_keys(self, u: NodeId, v: NodeId) -> Set[Tuple]:
-        """The key set of link ``(u, v)`` between two live processors,
-        creating the link unsourced if it is absent."""
-        keys = self._links[u].get(v)
-        if keys is None:
-            keys = self._links[u][v] = self._links[v][u] = set()
-        return keys
+        if v not in self._links[u]:
+            self._set_keys(u, v, ())
 
     def disconnect(self, u: NodeId, v: NodeId) -> None:
         """Drop the link between ``u`` and ``v`` if it exists (dead ends tolerated)."""
@@ -248,7 +259,7 @@ class Network:
         keys = self._links[u].pop(v)
         del self._links[v][u]
         if keys:
-            self._mark_link(u, v)
+            self._mark_link(u, v, keys)
 
     def are_linked(self, u: NodeId, v: NodeId) -> bool:
         """True when a link currently exists between ``u`` and ``v``."""
@@ -266,8 +277,10 @@ class Network:
         """
         if u == v or u not in self.processors or v not in self.processors:
             return
-        self._link_keys(u, v).add(key)
-        self._mark_link(u, v)
+        keys = self._links[u].get(v, ())
+        self._mark_link(u, v, keys)
+        if key not in keys:
+            self._set_keys(u, v, keys + (key,))
 
     def remove_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
         """Drop one source of link ``(u, v)``; the link vanishes at zero sources
@@ -275,9 +288,13 @@ class Network:
         keys = self._links.get(u, _NO_LINKS).get(v)
         if not keys:
             return
-        keys.discard(key)
-        self._mark_link(u, v)
-        if not keys and (self._scaffold is None or frozenset((u, v)) not in self._scaffold):
+        self._mark_link(u, v, keys)
+        if key not in keys:
+            return
+        keys = tuple(other for other in keys if other != key)
+        if keys or (self._scaffold is not None and frozenset((u, v)) in self._scaffold):
+            self._set_keys(u, v, keys)
+        else:
             del self._links[u][v], self._links[v][u]
 
     def has_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> bool:
@@ -307,10 +324,8 @@ class Network:
                     raise UnknownNodeError(node, "replace_link_sources")
         for link, keys in expected.items():
             u, v = link
-            link_keys = self._link_keys(u, v)
-            link_keys.clear()
-            link_keys.update(keys)
-            self._mark_link(u, v)
+            self._mark_link(u, v, self._links[u].get(v, ()))
+            self._set_keys(u, v, tuple(keys))
 
     def export_link_sources(self) -> Dict[frozenset, Set[Tuple]]:
         """Snapshot every sourced link in the ``frozenset`` wire format.

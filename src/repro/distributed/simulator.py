@@ -860,8 +860,8 @@ class DistributedForgivingGraph:
                 f"link set diverges from the healed graph "
                 f"(missing={len(missing)}, unexpected={len(extra)})"
             )
-        for key, count in self._engine._edge_mult.items():
-            u, v = tuple(key)
+        for u, v in healed_edges:
+            count = self._engine.edge_multiplicity(u, v)
             have = self.network.link_source_count(u, v)
             if have != count:
                 raise InvariantViolationError(

@@ -8,6 +8,7 @@ labels ``0 .. n-1`` so that experiments can insert fresh nodes with labels
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Union
 
@@ -26,6 +27,7 @@ __all__ = [
     "grid_graph",
     "binary_tree_graph",
     "erdos_renyi_graph",
+    "gnp_random_graph",
     "power_law_graph",
     "random_regular_graph",
 ]
@@ -91,8 +93,46 @@ def erdos_renyi_graph(n: int, seed: SeedLike = None, avg_degree: float = 6.0) ->
     _require_positive(n, 2)
     rng = _rng(seed)
     p = min(1.0, avg_degree / max(n - 1, 1))
-    graph = nx.gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31 - 1)))
+    graph = gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31 - 1)))
     return _ensure_connected(graph, rng)
+
+
+#: Draws taken from the generator at a time (8 MiB of doubles).
+_GNP_BLOCK = 1 << 20
+
+
+def gnp_random_graph(n: int, p: float, seed: int) -> nx.Graph:
+    """Exactly ``nx.gnp_random_graph(n, p, seed=seed)``, drawn in numpy blocks.
+
+    networkx draws one ``random.Random(seed).random()`` per pair of
+    ``itertools.combinations(range(n), 2)`` and adds the pair when the draw
+    is below ``p``: one Python call per pair.  numpy's legacy
+    ``RandomState`` runs the same MT19937 and builds each double from two
+    words the same way, so loaded with the Python generator's state it
+    yields the same draws.  The hits are added in pair order, so nodes,
+    edges and every adjacency order match networkx's.
+    """
+    if p >= 1:
+        return nx.complete_graph(n)
+    graph = nx.empty_graph(n)
+    if p <= 0 or n < 2:
+        return graph
+    _version, internal, _gauss = random.Random(seed).getstate()
+    state = np.random.RandomState()
+    state.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    pairs = n * (n - 1) // 2
+    hits = [
+        np.flatnonzero(state.random_sample(min(_GNP_BLOCK, pairs - start)) < p) + start
+        for start in range(0, pairs, _GNP_BLOCK)
+    ]
+    index = np.concatenate(hits)
+    # Pair index -> (u, v): row u holds the n - 1 - u pairs (u, u + 1 .. n - 1).
+    row_lengths = np.arange(n - 1, 0, -1)
+    row_starts = np.cumsum(row_lengths) - row_lengths
+    u = np.searchsorted(row_starts, index, side="right") - 1
+    v = index - row_starts[u] + u + 1
+    graph.add_edges_from(zip(u.tolist(), v.tolist()))
+    return graph
 
 
 def power_law_graph(n: int, seed: SeedLike = None, attachment: int = 3) -> nx.Graph:

@@ -10,10 +10,11 @@ state (Table 1 records, sourced links, accountability transcript, census)
 into the one live image :class:`~repro.service.store.CheckpointStore`
 keeps.  The genesis is that image's base: the daemon starts the network's
 checkpoint marks after its genesis bootstrap, so every checkpoint, the
-first included, rewrites only the records and links written since the
-previous one.  A pump commits the applied marks of its ops once before
-each checkpoint it writes and once at its end; each submission commits on
-its own, since that commit is the client's acknowledgement.
+first included, rewrites only the records written and the links whose
+sources changed since the previous one.  A pump commits the applied marks
+of its ops once before each checkpoint it writes and once at its end; each
+submission commits on its own, since that commit is the client's
+acknowledgement.
 
 Crash-recover is real, twice over:
 
@@ -416,15 +417,14 @@ class HealerDaemon:
         apply ranks of the ops it covers.  The metrics record the
         checkpoint's wall time and the record and link rows it rewrote.
         """
-        marks = self.healer.network.marks
-        record_rows, link_rows = len(marks.records), len(marks.links)
+        record_rows = len(self.healer.network.marks.records)
         self.store.commit()
         started = time.perf_counter()
         ckpt_id = self.store.write_checkpoint(self.healer, seq=self._applied_seq)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._checkpoint_count += 1
         self._ops_since_checkpoint = 0
-        self.metrics.record_checkpoint(elapsed_ms, record_rows, link_rows)
+        self.metrics.record_checkpoint(elapsed_ms, record_rows, self.store.last_link_rows)
         return ckpt_id
 
     # ------------------------------------------------------------------ #

@@ -10,14 +10,15 @@ checkpoint that last brought it up to date (journal watermark and census).
 
 The genesis is the image's base, and the rows hold only what changed
 since: one row per Table 1 record and one per link.  The network notes
-every record written, every link whose source set was written and every
-processor removed (``Network.marks``, started by the daemon after its
-genesis bootstrap), and :meth:`CheckpointStore.write_checkpoint` rewrites
-exactly those rows, in one transaction that also replaces the header.  A
-checkpoint therefore costs what changed since the previous one, the first
-one included, and retention needs no policy: the tables hold one image,
-never a copy per checkpoint, and a checkpoint that fails mid-write rolls
-back to the previous image intact.
+every record written, every link whose sources were written (with the
+sources it had before) and every processor removed (``Network.marks``,
+started by the daemon after its genesis bootstrap), and
+:meth:`CheckpointStore.write_checkpoint` rewrites exactly those rows but
+the links whose sources ended where they were, in one transaction that
+also replaces the header.  A checkpoint therefore costs what changed since
+the previous one, the first one included, and retention needs no policy:
+the tables hold one image, never a copy per checkpoint, and a checkpoint
+that fails mid-write rolls back to the previous image intact.
 
 :meth:`CheckpointStore.load_image` reads the image back onto a network
 bootstrapped from the genesis: processors missing from the header's alive
@@ -315,6 +316,8 @@ class CheckpointStore:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        #: Link rows the last :meth:`write_checkpoint` rewrote or deleted.
+        self.last_link_rows = 0
         self._conn = sqlite3.connect(str(self.path))
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
@@ -500,7 +503,8 @@ class CheckpointStore:
 
         Exactly the marked rows are rewritten: each marked record's row is
         written in place (a new one after its processor's other rows), each
-        marked link's row is deleted and written again if the link still has
+        marked link whose sources differ from those its mark recorded (the
+        image's) has its row deleted and written again if the link still has
         sources, and a removed processor's record rows go.  Every other row
         stays as an earlier checkpoint wrote it.  The new header replaces the
         superseded one and the accusations beyond those already stored are
@@ -545,11 +549,13 @@ class CheckpointStore:
             conn.executemany(_UPSERT_RECORD, record_rows)
             pairs = []
             link_rows = []
-            for link in marks.links:
+            for link, stored_keys in marks.links.items():
+                keys = network.link_sources(*link)
+                if keys == frozenset(stored_keys):
+                    continue
                 u, v = sorted(link, key=NodeKey)
                 stored_u, stored_v = _dumps(u), _dumps(v)
                 pairs += ((stored_u, stored_v), (stored_v, stored_u))
-                keys = network.link_sources(u, v)
                 if keys:
                     link_rows.append(
                         (ckpt, stored_u, stored_v, _dumps(tuple(sorted(keys, key=repr))))
@@ -568,6 +574,7 @@ class CheckpointStore:
                 ],
             )
         marks.clear()
+        self.last_link_rows = len(pairs) // 2
         return ckpt
 
     def latest_checkpoint(self) -> Optional[CheckpointInfo]:

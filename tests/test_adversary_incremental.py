@@ -122,3 +122,18 @@ def test_degree_touch_log_grows_with_repairs():
     mid = len(fg.degree_touch_log)
     fg.insert("fresh", attach_to=[1])
     assert len(fg.degree_touch_log) > mid
+
+
+def test_tracker_heap_stays_bounded_under_a_long_attack():
+    """Stale entries pile up under a long max-degree attack; each drain keeps
+    the heap within 2 * alive + 64 entries, and every pick still equals the
+    sorted reference's."""
+    fg = ForgivingGraph.from_graph(make_graph("power_law", 500, seed=0))
+    strategy, reference = MaxDegreeDeletion(), MaxDegreeDeletionReference()
+    tracker = strategy._tracker
+    for move in range(300):
+        victim = strategy.choose_victim(fg)
+        assert victim == reference.choose_victim(fg), f"divergence at move {move}"
+        fg.delete(victim)
+        tracker._drain(fg)
+        assert len(tracker._heap) <= 2 * fg.num_alive + 64, f"heap unbounded at move {move}"

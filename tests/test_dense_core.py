@@ -271,7 +271,7 @@ class TestShardedSweeps:
 
 
 class TestLinkSources:
-    """The link-source table: one source set per link, keyed by its endpoints."""
+    """The link-source table: one source-key tuple per link, keyed by its endpoints."""
 
     def test_source_lifecycle(self):
         network = Network()

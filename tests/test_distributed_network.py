@@ -286,7 +286,8 @@ class TestProcessorState:
 class TestDirtyTracking:
     """Once started, the checkpoint marks note every write of a Table 1
     record, as ``(owner, neighbor)``, every write of a link's sources, as its
-    endpoint pair, and every removed processor."""
+    endpoint pair with the sources its first write replaced, and every
+    removed processor."""
 
     def test_marks_are_off_until_started(self):
         net = Network()
@@ -298,31 +299,45 @@ class TestDirtyTracking:
         assert net.marks is None
         marks = net.start_marks()
         assert net.marks is marks
-        assert (marks.records, marks.links, marks.removed) == ({}, set(), set())
+        assert (marks.records, marks.links, marks.removed) == ({}, {}, set())
 
     def test_link_writes_mark_their_endpoints(self):
         net = Network()
         for node in "abc":
             net.add_processor(node)
         marks = net.start_marks()
-        ab, bc = frozenset("ab"), frozenset("bc")
+        ab, bc, k = frozenset("ab"), frozenset("bc"), ("k",)
         writes = [
-            (lambda: net.add_link_source(("k",), "a", "b"), {ab}, set()),
-            (lambda: net.remove_link_source(("k",), "a", "b"), {ab}, set()),
-            (lambda: net.add_link_source(("k",), "a", "b"), {ab}, set()),
-            (lambda: net.disconnect("a", "b"), {ab}, set()),
+            (lambda: net.add_link_source(k, "a", "b"), {ab: ()}, set()),
+            (lambda: net.remove_link_source(k, "a", "b"), {ab: (k,)}, set()),
+            (lambda: net.add_link_source(k, "a", "b"), {ab: ()}, set()),
+            (lambda: net.disconnect("a", "b"), {ab: (k,)}, set()),
             # A link without sources has no checkpoint row to change.
-            (lambda: net.connect("a", "c"), set(), set()),
-            (lambda: net.disconnect("a", "c"), set(), set()),
-            (lambda: net.add_link_source(("k",), "b", "c"), {bc}, set()),
-            (lambda: net.add_link_source(("k",), "a", "b"), {ab}, set()),
-            (lambda: net.remove_processor("a"), {ab}, {"a"}),
-            (lambda: net.replace_link_sources({bc: {("j",)}}), {bc}, set()),
+            (lambda: net.connect("a", "c"), {}, set()),
+            (lambda: net.disconnect("a", "c"), {}, set()),
+            (lambda: net.add_link_source(k, "b", "c"), {bc: ()}, set()),
+            (lambda: net.add_link_source(k, "a", "b"), {ab: ()}, set()),
+            (lambda: net.remove_processor("a"), {ab: (k,)}, {"a"}),
+            (lambda: net.replace_link_sources({bc: {("j",)}}), {bc: (k,)}, set()),
         ]
         for write, links, removed in writes:
             marks.clear()
             write()
             assert (marks.records, marks.links, marks.removed) == ({}, links, removed)
+
+    def test_a_link_mark_keeps_the_sources_before_its_first_write(self):
+        """Later writes mark the link again but keep the first recorded
+        sources: those the stored image holds."""
+        net = Network()
+        for node in "ab":
+            net.add_processor(node)
+        net.add_link_source(("k",), "a", "b")
+        marks = net.start_marks()
+        net.add_link_source(("j",), "b", "a")
+        net.remove_link_source(("k",), "a", "b")
+        net.add_link_source(("k",), "a", "b")
+        assert marks.links == {frozenset("ab"): (("k",),)}
+        assert net.link_sources("a", "b") == {("j",), ("k",)}
 
     def test_record_writes_mark_their_owner(self):
         net = Network()

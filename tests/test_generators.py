@@ -7,8 +7,10 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.generators import GraphSpec, available_topologies, make_graph
 from repro.generators.graphs import (
+    _ensure_connected,
     binary_tree_graph,
     erdos_renyi_graph,
+    gnp_random_graph,
     grid_graph,
     power_law_graph,
     random_regular_graph,
@@ -107,3 +109,37 @@ class TestGraphSpec:
     def test_equality(self):
         assert GraphSpec("star", 8) == GraphSpec("star", 8)
         assert GraphSpec("star", 8) != GraphSpec("star", 9)
+
+
+def _layout(graph):
+    """Nodes, edges and every adjacency, each in the graph's own order."""
+    return list(graph.nodes), list(graph.edges), [list(graph.adj[node]) for node in graph]
+
+
+class TestGnpRandomGraph:
+    """The numpy G(n, p) sampler reproduces networkx's, order for order."""
+
+    SEEDS = (0, 1, 3, 7, 99, 12345, 2**31 - 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 200])
+    def test_matches_networkx(self, n):
+        for p in (0, 0.3, 0.5, 1, 6 / (n - 1)):
+            for seed in self.SEEDS:
+                expected = nx.gnp_random_graph(n, p, seed=seed)
+                assert _layout(gnp_random_graph(n, p, seed)) == _layout(expected), (n, p, seed)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_matches_networkx_at_benchmark_sizes(self, n):
+        """Sparse, as ``erdos_renyi_graph`` draws them; the pairs span two
+        blocks at n=2000."""
+        for seed in (0, 2**31 - 2):
+            expected = nx.gnp_random_graph(n, 6 / (n - 1), seed=seed)
+            assert _layout(gnp_random_graph(n, 6 / (n - 1), seed)) == _layout(expected), seed
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_erdos_renyi_graph_is_unchanged(self, seed):
+        """The topology is the networkx-sampled one, connected the same way."""
+        rng = np.random.default_rng(seed)
+        expected = nx.gnp_random_graph(300, 6 / 299, seed=int(rng.integers(0, 2**31 - 1)))
+        expected = _ensure_connected(expected, rng)
+        assert _layout(erdos_renyi_graph(300, seed=seed)) == _layout(expected)

@@ -9,6 +9,8 @@ the rebuild exactly — nodes, edges and degrees.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,24 @@ def assert_incremental_matches_rebuild(fg: ForgivingGraph) -> None:
     assert {v: maintained.degree[v] for v in maintained} == {
         v: rebuilt.degree[v] for v in rebuilt
     }
-    # the edge-multiplicity ledger matches the edge set it is meant to index
-    assert len(fg._edge_mult) == maintained.number_of_edges()
+    assert fg._num_edges == maintained.number_of_edges()
+    # every healed edge's multiplicity matches its sources counted from
+    # scratch, walked as the rebuild walks them
+    alive = fg.alive_nodes
+    sources = Counter(
+        frozenset((u, v)) for u, v in fg.g_prime_graph_view().edges if u in alive and v in alive
+    )
+    for rt in fg.reconstruction_trees():
+        for parent, child in rt.virtual_edges():
+            if parent.processor != child.processor:
+                sources[frozenset((parent.processor, child.processor))] += 1
+    assert set(sources) == {frozenset(e) for e in maintained.edges}
+    for edge, count in sources.items():
+        assert fg.edge_multiplicity(*edge) == count
+    nodes = sorted(maintained, key=repr)[:8]
+    assert all(
+        fg.edge_multiplicity(u, v) == 0 for u in nodes for v in nodes if not maintained.has_edge(u, v)
+    )
 
 
 @pytest.mark.parametrize("topology", ["erdos_renyi", "power_law", "star", "path"])

@@ -1,12 +1,14 @@
 """The network's link layout against a plain model.
 
-A :class:`Network` keeps each link together with the set of source keys
-that project onto it.  The state machine below drives every topology writer
-— processors coming and going, bare and sourced links, repair scaffolds and
-the checkpoint restore's bulk ``replace_link_sources`` — and after every
-step compares every reader with a model made of one ``{frozenset: set}``
-map plus the open scaffold's links, and checks that every link whose
-sources changed is in the checkpoint marks.
+A :class:`Network` keeps each link together with the source keys that
+project onto it, as one tuple both endpoints share.  The state machine
+below drives every topology writer — processors coming and going, bare and
+sourced links, repair scaffolds and the checkpoint restore's bulk
+``replace_link_sources`` — and after every step compares every reader with
+a model made of one ``{frozenset: set}`` map plus the open scaffold's
+links, checks that both endpoints hold the identical tuple, and checks
+that every link whose sources changed is in the checkpoint marks with the
+sources it had before the step.
 """
 
 import pytest
@@ -225,11 +227,24 @@ class LinkLayoutMachine(RuleBasedStateMachine):
         assert self.net.export_link_sources() == self.sourced()
 
     @invariant()
+    def both_endpoints_share_one_tuple(self):
+        layout = self.net._links
+        for u, links in layout.items():
+            for v, keys in links.items():
+                assert type(keys) is tuple and layout[v][u] is keys
+                assert len(set(keys)) == len(keys)
+                # An unsourced link holds ``()``.
+                assert set(keys) == self.links[frozenset((u, v))]
+
+    @invariant()
     def source_changes_mark_their_links(self):
         sourced = self.sourced()
+        marked = self.net.marks.links
         for link in set(sourced) | set(self.last_sourced):
             if sourced.get(link) != self.last_sourced.get(link):
-                assert link in self.net.marks.links
+                assert link in marked
+        for link, before in marked.items():
+            assert set(before) == self.last_sourced.get(link, set())
         self.net.marks.clear()
         self.last_sourced = sourced
 

@@ -801,7 +801,8 @@ def _changed(before, after):
 def _mark_whole_processors(network, nodes=None):
     """Mark every record and sourced link of ``nodes`` — by default of each
     processor the marks touch — which is what a checkpoint before schema
-    v4 rewrote for each processor it rewrote."""
+    v4 rewrote for each processor it rewrote.  Each link is marked as if
+    the image held no sources for it, so the checkpoint rewrites its row."""
     marks = network.marks
     if nodes is None:
         nodes = {owner for owner, _ in marks.records}.union(*marks.links)
@@ -813,7 +814,7 @@ def _mark_whole_processors(network, nodes=None):
             processor.mark_record(neighbor)
         for neighbor in network.neighbors(node):
             if network.link_sources(node, neighbor):
-                marks.links.add(frozenset((node, neighbor)))
+                marks.links[frozenset((node, neighbor))] = ()
 
 
 class _Crash(Exception):
@@ -1091,8 +1092,9 @@ class TestHealerDaemon:
 
     def test_first_checkpoint_writes_only_what_changed_since_genesis(self, tmp_path):
         """The genesis is the image's base: a fresh daemon's first checkpoint
-        writes the records and links written since genesis and no other, and
-        the status endpoint reports its time and the rows it rewrote."""
+        writes the records written since genesis and the links whose sources
+        changed since genesis, and no other, and the status endpoint reports
+        its time and the rows it rewrote."""
         config = ServiceConfig(
             graph=GraphSpec("power_law", 64), seed=4, checkpoint_every=0, batch_window=3
         )
@@ -1104,18 +1106,22 @@ class TestHealerDaemon:
         assert _stored_records(store) == set()
         assert _stored_links(store) == set()
         _assert_image_matches(store, network)
+        _, genesis_links = _live_rows(network)
 
         _drive(daemon, 12, seed=4)
-        records, links = list(marks.records), set(marks.links)
+        records = list(marks.records)
         live_records = sum(len(p.edges) for p in network.processors.values())
         assert 0 < len(records) < live_records
+        _, links = _live_rows(network)
+        changed_links = _changed(genesis_links, links)
+        assert changed_links <= marks.links.keys()
         daemon.checkpoint()
         assert _stored_records(store) == {key for key in records if key[0] in network.processors}
-        assert _stored_links(store) == {link for link in links if network.link_sources(*link)}
+        assert _stored_links(store) == changed_links & links.keys()
         _assert_image_matches(store, network)
         status = daemon.status()["checkpoint"]
         assert status["last_record_rows"] == status["record_rows"] == len(records)
-        assert status["last_link_rows"] == status["link_rows"] == len(links)
+        assert status["last_link_rows"] == status["link_rows"] == len(changed_links)
         assert status["total_ms"] >= status["last_ms"] > 0
         daemon.close()
 
@@ -1152,6 +1158,41 @@ class TestHealerDaemon:
             )
             _assert_image_matches(store, healer.network)
             daemon.close()
+
+    def test_a_link_whose_sources_end_unchanged_writes_no_row(self, tmp_path):
+        """A repair's strip can remove an RT edge that its merge rebuilds with
+        the same key.  The link is marked, but its sources end where the
+        image holds them, so the checkpoint leaves its row alone; it writes
+        exactly the links that changed, and the image still equals the live
+        state.  (``power_law`` n=64, seed 0: the seventh deletion does this.)"""
+        config = ServiceConfig(graph=GraphSpec("power_law", 64), seed=0, checkpoint_every=0)
+        daemon = HealerDaemon.create(tmp_path / "run.db", config)
+        store, network = daemon.store, daemon.healer.network
+        client, rng = daemon.client("c"), random.Random(0)
+
+        def delete_one():
+            client.delete(rng.choice(sorted(daemon._projected_alive, key=repr)))
+            daemon.pump()
+
+        for _ in range(6):
+            delete_one()
+        previous = daemon.checkpoint()
+        _, before = _live_rows(network)
+        delete_one()
+        _, after = _live_rows(network)
+        rebuilt = {
+            link
+            for link, keys in network.marks.links.items()
+            if any(key[0] == "rt" for key in keys) and before.get(link) == after.get(link)
+        }
+        assert rebuilt
+        changed = _changed(before, after)
+        ckpt = daemon.checkpoint()
+        assert rebuilt <= _stored_links(store, previous)
+        assert _stored_links(store, ckpt) == changed & after.keys()
+        assert daemon.status()["checkpoint"]["last_link_rows"] == len(changed)
+        _assert_image_matches(store, network)
+        daemon.close()
 
     def test_concurrent_streams_deterministic_under_fixed_seed(self, tmp_path):
         """Same seed, same submissions => bit-identical service state."""
@@ -1260,7 +1301,7 @@ class TestHealerDaemon:
         failed_records, failed_links = set(marks.records), set(marks.links)
         assert failed_records and failed_links
         daemon.pump()
-        assert failed_records <= marks.records.keys() and failed_links <= marks.links
+        assert failed_records <= marks.records.keys() and failed_links <= marks.links.keys()
         union_records, union_links = set(marks.records), set(marks.links)
         ckpt = daemon.checkpoint()
         assert _stored_records(store, ckpt) == {
@@ -1331,7 +1372,7 @@ class TestHealerDaemon:
         records, links = _live_rows(network)
         marks = network.marks
         assert _changed(image_records, records) & records.keys() <= marks.records.keys()
-        assert _changed(image_links, links) <= marks.links
+        assert _changed(image_links, links) <= marks.links.keys()
         assert image.processors.keys() - network.processors.keys() <= marks.removed
 
         daemon.pump()
