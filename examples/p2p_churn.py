@@ -168,7 +168,7 @@ def scaling_demo(total_peers: int = 2_000, shards: int = 4) -> None:
 
 def burst_demo(peers: int = 120) -> None:
     """A burst of simultaneous departures healed concurrently in one fabric."""
-    from repro.core.ports import NodeKey
+    from repro.core.ports import node_order_key
     from repro.core.views import g_prime_view_of
     from repro.distributed.simulator import DistributedForgivingGraph
     from repro.experiments import select_disjoint_victims
@@ -178,7 +178,7 @@ def burst_demo(peers: int = 120) -> None:
     degree = g_prime_view_of(probe).degree
     candidates = [
         v
-        for v in sorted(probe.alive_nodes, key=lambda v: (-degree[v], NodeKey(v)))
+        for v in sorted(probe.alive_nodes, key=lambda v: (-degree[v], node_order_key(v)))
         if degree[v] >= 3
     ]
     # Skip the biggest hubs — their repair footprints blanket the overlay;

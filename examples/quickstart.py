@@ -58,7 +58,7 @@ def main() -> None:
         fg, schedule, healer_name="forgiving_graph", measure_every=0, measure_final=False
     )
     for event in session.stream():
-        report = fg.events[-1].report
+        report = fg.last_event.report
         print(
             f"deleted {event.node!r}: repair merged {report.merged_complete_trees} pieces "
             f"into an RT of {report.new_rt_size} leaves "

@@ -12,6 +12,12 @@ then the total, all in KiB per node ever seen::
     python scripts/heap_report.py
     python scripts/heap_report.py --max-kib 6.8   # exit 1 above 6.8 KiB/node
 
+Two last lines say what a full garbage collection costs while all of that
+is alive: the number of objects the collector tracks (a full collection
+walks every one) and the wall time of one full collection, taken after
+``tracemalloc`` stops.  No threshold applies to them: the time depends on
+the host.
+
 Figures depend on the Python version (object layouts differ), so compare
 runs on one interpreter.
 """
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -81,11 +88,18 @@ def main(argv=None) -> int:
     for stat in snapshot.statistics("traceback"):
         retained[owner(stat.traceback)] += stat.size
     total_kib = sum(retained.values()) / 1024 / nodes
+    del snapshot  # its traces are tuples the collector would walk too
+    start = time.perf_counter()
+    gc.collect()
+    pause_ms = (time.perf_counter() - start) * 1000
+    tracked = len(gc.get_objects())
     print(f"# power_law n={N}, {MOVES} max-degree deletions, seed {SEED}; Python {sys.version.split()[0]}")
     groups = sorted(name for name in retained if name.startswith("repro."))
     for name in groups + ["networkx", "other"]:
         print(f"{name} = {retained[name] / 1024 / nodes:.2f} KiB/node")
     print(f"total = {total_kib:.2f} KiB/node")
+    print(f"gc_tracked = {tracked} objects")
+    print(f"gc_full_collection = {pause_ms:.1f} ms")
     if args.max_kib is not None and total_kib > args.max_kib:
         print(f"# over the ceiling of {args.max_kib} KiB/node", file=sys.stderr)
         return 1

@@ -23,8 +23,8 @@ Stale entries below the top are never popped, so a long attack would let
 the heap grow with every touch.  Once it holds more than
 ``REBUILD_FACTOR * alive + REBUILD_SLACK`` entries, a drain rebuilds it from
 the current degrees, one entry per survivor.  Picks cannot change: an entry
-orders on ``(degree, NodeKey)`` before its sequence number, and no two
-survivors share a ``NodeKey``.
+orders on ``(degree, node_order_key)`` before its sequence number, and no two
+survivors share an order key.
 
 Healers that do not expose the journal (the baselines) are detected by
 :func:`SurvivorDegreeTracker.supports`, and the strategies fall back to the
@@ -37,7 +37,7 @@ import heapq
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from ..core.ports import NodeId, NodeKey
+from ..core.ports import NodeId, node_order_key
 from ..core.views import actual_view_of
 
 __all__ = ["SurvivorDegreeTracker"]
@@ -56,7 +56,7 @@ class SurvivorDegreeTracker:
     largest:
         True tracks the maximum-degree survivor, False the minimum-degree
         one.  Ties break to the first node in the repository's canonical
-        order (:class:`repro.core.ports.NodeKey`), matching the reference
+        order (:func:`repro.core.ports.node_order_key`), matching the reference
         scans exactly.
     """
 
@@ -64,7 +64,7 @@ class SurvivorDegreeTracker:
 
     def __init__(self, largest: bool = True) -> None:
         self._largest = largest
-        self._heap: List[Tuple[int, NodeKey, int, NodeId]] = []
+        self._heap: List[Tuple[int, tuple, int, NodeId]] = []
         self._cursor = 0
         #: Registered journal cursor: pins the undrained suffix against
         #: :meth:`ForgivingGraph.compact_journals` (held weakly by the
@@ -72,9 +72,9 @@ class SurvivorDegreeTracker:
         self._journal_cursor = None
         self._seq = 0
         self._healer_ref: Optional[weakref.ref] = None
-        # NodeKeys are immutable per node; cache them so repeated journal
-        # touches of the same node do not re-allocate key objects.
-        self._keys: Dict[NodeId, NodeKey] = {}
+        # Order keys are immutable per node; cache them so every heap entry
+        # of a node shares one key.  Rebuilt to the survivors with the heap.
+        self._keys: Dict[NodeId, tuple] = {}
 
     @staticmethod
     def supports(healer) -> bool:
@@ -97,10 +97,10 @@ class SurvivorDegreeTracker:
         return self._peek(healer)
 
     # ------------------------------------------------------------------ #
-    def _key_of(self, node: NodeId) -> NodeKey:
+    def _key_of(self, node: NodeId) -> tuple:
         key = self._keys.get(node)
         if key is None:
-            key = NodeKey(node)
+            key = node_order_key(node)
             self._keys[node] = key
         return key
 
@@ -109,7 +109,6 @@ class SurvivorDegreeTracker:
 
     def _bind(self, healer) -> None:
         self._healer_ref = weakref.ref(healer)
-        self._keys.clear()
         log = healer.degree_touch_log
         self._cursor = len(log)
         register = getattr(log, "register_cursor", None)
@@ -117,14 +116,14 @@ class SurvivorDegreeTracker:
         self._seed(healer)
 
     def _seed(self, healer) -> None:
-        """Fill the heap with one current entry per survivor."""
+        """Fill the heap with one current entry per survivor, keeping only their keys."""
         graph = actual_view_of(healer)
         degree = graph.degree
-        entries: List[Tuple[int, NodeKey, int, NodeId]] = []
+        cached, self._keys = self._keys, {}
+        entries: List[Tuple[int, tuple, int, NodeId]] = []
         for seq, node in enumerate(healer.alive_nodes):
-            entries.append(
-                (self._sign(degree[node] if node in graph else 0), self._key_of(node), seq, node)
-            )
+            key = self._keys[node] = cached.get(node) or node_order_key(node)
+            entries.append((self._sign(degree[node] if node in graph else 0), key, seq, node))
         self._seq = len(entries)
         heapq.heapify(entries)
         self._heap = entries

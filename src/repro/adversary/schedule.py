@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, Optional, Union
 import numpy as np
 
 from ..core.errors import ConfigurationError
-from ..core.ports import NodeId, NodeKey
+from ..core.ports import NodeId, sorted_nodes
 from ..core.views import g_prime_view_of
 from .strategies import (
     DeletionStrategy,
@@ -172,7 +172,7 @@ class AttackSchedule:
         repair machine decides there how much of it runs in parallel —
         while any other healer plays it as back-to-back single deletions.
         """
-        alive = sorted(healer.alive_nodes, key=NodeKey)
+        alive = sorted_nodes(healer.alive_nodes)
         k = min(self.burst_size, healer.num_alive - self.min_survivors)
         if not alive or k < 1:
             return None

@@ -4,18 +4,21 @@ The paper's first success metric is ``max_v deg(v, G_T) / deg(v, G'_T)``: how
 much healing has inflated any node's degree relative to the insertion-only
 graph.  These helpers compute the per-node ratios and the aggregate report
 from any healer exposing the shared protocol (``actual_graph`` /
-``g_prime_view`` / ``alive_nodes``); degrees are read off zero-copy views
-(:mod:`repro.core.views`), so no graph is ever copied per measurement.
+``g_prime_view`` / ``alive_nodes``).  The per-node ratios read zero-copy
+views (:mod:`repro.core.views`); the aggregate report reads both graphs'
+degrees off a CSR snapshot (:mod:`repro.analysis.fastpaths`), so a
+:func:`repro.analysis.guarantee_report` takes it off the snapshot its
+stretch and connectivity use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
+from typing import Dict, Optional
 
 from ..core.ports import NodeId
 from ..core.views import healer_views
+from .fastpaths import HealerSnapshot, snapshot_healer
 
 __all__ = ["per_node_degree_factors", "degree_increase_factor", "degree_report", "DegreeReport"]
 
@@ -60,17 +63,22 @@ class DegreeReport:
         }
 
 
-def degree_report(healer) -> DegreeReport:
-    """Compute a :class:`DegreeReport` for the healer's current state."""
-    factors = per_node_degree_factors(healer)
-    g_prime, actual = healer_views(healer)
-    alive = healer.alive_nodes
-    actual_degrees: List[int] = [actual.degree[v] for v in alive if v in actual]
-    g_prime_degrees: List[int] = [g_prime.degree[v] for v in alive if v in g_prime]
+def degree_report(healer, snapshot: Optional[HealerSnapshot] = None) -> DegreeReport:
+    """Compute a :class:`DegreeReport` for the healer's current state.
+
+    Degrees come from the CSR rows of ``snapshot`` (taken here when not
+    given) under its alive mask: a node absent from a graph has an empty
+    row, so its degree there reads 0, as in :func:`per_node_degree_factors`.
+    """
+    snap = snapshot if snapshot is not None else snapshot_healer(healer)
+    actual = snap.actual.degrees()[snap.alive_mask]
+    g_prime = snap.g_prime.degrees()[snap.alive_mask]
+    based = g_prime > 0
+    factors = actual[based] / g_prime[based]
     return DegreeReport(
-        max_factor=max(factors.values()) if factors else 0.0,
-        mean_factor=(sum(factors.values()) / len(factors)) if factors else 0.0,
-        max_actual_degree=max(actual_degrees) if actual_degrees else 0,
-        max_g_prime_degree=max(g_prime_degrees) if g_prime_degrees else 0,
-        num_nodes=len(alive),
+        max_factor=float(factors.max()) if factors.size else 0.0,
+        mean_factor=float(factors.mean()) if factors.size else 0.0,
+        max_actual_degree=int(actual.max()) if actual.size else 0,
+        max_g_prime_degree=int(g_prime.max()) if g_prime.size else 0,
+        num_nodes=snap.num_alive,
     )

@@ -31,6 +31,7 @@ Key pieces
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import networkx as nx
@@ -125,20 +126,16 @@ class CSRGraph:
 
         Nodes of the index absent from ``graph`` become isolated rows, so
         snapshots of the healed graph (alive nodes only) and of ``G'`` (all
-        nodes ever) can share one index.
+        nodes ever) can share one index.  Each edge ``(u, v)`` is stored as
+        row ``u`` -> ``v`` and row ``v`` -> ``u``, in edge order.
         """
         n = len(index)
-        m = graph.number_of_edges()
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        lookup = index._index
-        pos = 0
-        for u, v in graph.edges:
-            rows[pos] = lookup[u]
-            cols[pos] = lookup[v]
-            pos += 1
-        rows[m:] = cols[:m]
-        cols[m:] = rows[:m]
+        ends = np.fromiter(
+            map(index._index.__getitem__, chain.from_iterable(graph.edges)), dtype=np.int64
+        )
+        tails, heads = ends[0::2], ends[1::2]
+        rows = np.concatenate((tails, heads))
+        cols = np.concatenate((heads, tails))
         counts = np.bincount(rows, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -108,13 +108,13 @@ def guarantee_report(
     """Measure the Theorem 1 quantities for a healer's current state.
 
     ``max_sources`` limits the stretch computation to a sample of BFS
-    sources (see :func:`repro.analysis.stretch.stretch_report`).  All the
-    graph-distance metrics are taken off one CSR snapshot; pass a
+    sources (see :func:`repro.analysis.stretch.stretch_report`).  Degrees,
+    stretch and connectivity are all taken off one CSR snapshot; pass a
     ``session`` to reuse its node indexing across repeated calls during an
     attack.
     """
     snap = snapshot_healer(healer, session)
-    degrees = degree_report(healer)
+    degrees = degree_report(healer, snapshot=snap)
     stretch = stretch_report(healer, max_sources=max_sources, seed=seed, snapshot=snap)
     name = healer_name if healer_name is not None else getattr(healer, "name", type(healer).__name__)
     return GuaranteeReport(

@@ -38,7 +38,7 @@ from .haft import (
     strip,
     validate_haft,
 )
-from .ports import NodeId, NodeKey, Port, edge_key, node_order_key, port_order_key, sorted_nodes
+from .ports import NodeId, Port, edge_key, node_order_key, port_order_key, sorted_nodes
 from .views import actual_view_of, g_prime_view_of, healer_views
 from .reconstruction_tree import (
     ReconstructionTree,
@@ -76,7 +76,6 @@ __all__ = [
     "binary_decomposition",
     # ports
     "NodeId",
-    "NodeKey",
     "Port",
     "edge_key",
     "node_order_key",

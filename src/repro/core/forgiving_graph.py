@@ -99,7 +99,7 @@ class RepairReport:
 
 @dataclass
 class HealingEvent:
-    """One entry of the event log kept by :class:`ForgivingGraph`."""
+    """One insert or delete, as :attr:`ForgivingGraph.last_event` records it."""
 
     step: int
     kind: str  # "insert" or "delete"
@@ -155,7 +155,9 @@ class ForgivingGraph:
         # per-move cost is proportional to the repair delta instead of O(n).
         self._degree_touch_log: Journal[NodeId] = Journal()
         # Auditing -------------------------------------------------------------------------
-        self.events: List[HealingEvent] = []
+        #: The latest insert or delete (``None`` before the first op); earlier
+        #: events are not kept, so a long run holds one, not one per op.
+        self.last_event: Optional[HealingEvent] = None
         self._step = 0
         self._check_invariants = check_invariants
         self._invariant_check_limit = invariant_check_limit
@@ -462,8 +464,8 @@ class ForgivingGraph:
             self._g_prime.add_edge(node, neighbor)
             self._edge_source_added(node, neighbor)
         self._step += 1
-        self.events.append(
-            HealingEvent(step=self._step, kind="insert", node=node, attached_to=tuple(neighbors))
+        self.last_event = HealingEvent(
+            step=self._step, kind="insert", node=node, attached_to=tuple(neighbors)
         )
         self._maybe_check()
 
@@ -644,7 +646,7 @@ class ForgivingGraph:
         report.edges_removed = max(-delta, 0)
 
         self._step += 1
-        self.events.append(HealingEvent(step=self._step, kind="delete", node=node, report=report))
+        self.last_event = HealingEvent(step=self._step, kind="delete", node=node, report=report)
         self._maybe_check()
         return report
 

@@ -14,8 +14,8 @@ graph onto the real network a one-liner (a port or helper maps to its owning
 processor).
 
 Node identifiers are used as they are everywhere, the message-passing
-network included: any hashable works, and :class:`NodeKey` gives them the
-one canonical total order every deterministic tie-break relies on.
+network included: any hashable works, and :func:`node_order_key` gives them
+the one canonical total order every deterministic tie-break relies on.
 """
 
 from __future__ import annotations
@@ -62,54 +62,31 @@ class Port(NamedTuple):
 _NATURALLY_ORDERED = (int, float, str, bytes)
 
 
-class NodeKey:
-    """Deterministic total order on node identifiers.
+def node_order_key(node: NodeId) -> tuple:
+    """The canonical total-order key of a node identifier, as a plain tuple.
 
     Nodes are grouped by type name, then compared by their *natural* order
     within the type (``2 < 10`` for ints, lexicographic for strings) when the
-    type's ``<`` is known to be total, falling back to ``repr`` otherwise.
+    type's ``<`` is known to be total, falling back to ``repr`` otherwise: the
+    key is ``(type name, node)`` for ``int``/``float``/``str``/``bytes`` and
+    their subclasses, ``(type name + "\\x00", repr(node))`` for anything else.
+    The NUL suffix keeps the two kinds apart when two classes share one
+    ``__name__`` and leaves the order between distinct type names as it is.
+    Keys are tuples, so comparing and sorting them runs in C.
+
     Unlike plain repr comparison, this order is invariant under
     order-preserving relabelings: two isomorphic graphs whose ids map
     monotonically onto each other tie-break identically, which is what makes
     merge orders (``compute_haft``) reproducible across id types.
     """
-
-    __slots__ = ("type_name", "value")
-
-    def __init__(self, value: NodeId) -> None:
-        self.type_name = type(value).__name__
-        self.value = value
-
-    def __lt__(self, other: "NodeKey") -> bool:
-        if self.type_name != other.type_name:
-            return self.type_name < other.type_name
-        a, b = self.value, other.value
-        if isinstance(a, _NATURALLY_ORDERED) and isinstance(b, _NATURALLY_ORDERED):
-            return a < b
-        return repr(a) < repr(b)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NodeKey)
-            and self.type_name == other.type_name
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.type_name, repr(self.value)))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NodeKey({self.value!r})"
-
-
-def node_order_key(node: NodeId) -> NodeKey:
-    """The canonical total-order key for a node identifier (see :class:`NodeKey`)."""
-    return NodeKey(node)
+    if isinstance(node, _NATURALLY_ORDERED):
+        return (type(node).__name__, node)
+    return (type(node).__name__ + "\x00", repr(node))
 
 
 def port_order_key(port: "Port") -> tuple:
     """Total-order key for a :class:`Port` built from its node ids' natural order."""
-    return (NodeKey(port.processor), NodeKey(port.neighbor))
+    return (node_order_key(port.processor), node_order_key(port.neighbor))
 
 
 def sorted_nodes(nodes) -> list:
@@ -120,20 +97,20 @@ def sorted_nodes(nodes) -> list:
     and the retained reference measurement all index into it, and the
     sampled-stretch equivalence between ``stretch_report`` and
     ``stretch_report_reference`` relies on every caller ordering identically
-    — do not fork local copies.  The order is :class:`NodeKey`'s total order
-    (natural within a type), so it is stable under order-preserving id
+    — do not fork local copies.  The order is :func:`node_order_key`'s total
+    order (natural within a type), so it is stable under order-preserving id
     relabelings.
     """
-    return sorted(nodes, key=NodeKey)
+    return sorted(nodes, key=node_order_key)
 
 
 def edge_key(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
     """Return a canonical, order-independent key for the undirected edge ``{u, v}``.
 
     ``G'`` is an undirected graph; both ``(u, v)`` and ``(v, u)`` must map to
-    the same record.  Endpoints are ordered by :class:`NodeKey`, the
+    the same record.  Endpoints are ordered by :func:`node_order_key`, the
     repository's canonical total order on node ids.
     """
     if u == v:
         raise ValueError(f"self-loop edge ({u!r}, {v!r}) is not allowed")
-    return (u, v) if not NodeKey(v) < NodeKey(u) else (v, u)
+    return (u, v) if not node_order_key(v) < node_order_key(u) else (v, u)

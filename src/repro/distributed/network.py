@@ -85,7 +85,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ProtocolError, UnknownNodeError
-from ..core.ports import NodeId, NodeKey
+from ..core.ports import NodeId, node_order_key, sorted_nodes
 from .accountability import AccountabilityTranscript, InjectionLog
 from .faults import FaultSchedule
 from .messages import Message, words_to_bits
@@ -395,7 +395,7 @@ class Network:
         """Iterate the current links in arbitrary endpoint/iteration order.
 
         The unsorted fast accessor for internal consumers (set builders,
-        graph constructors) — no per-pair :class:`NodeKey` comparisons.
+        graph constructors) — no per-pair order-key comparisons.
         Use :meth:`links` when canonical tuple order matters.
         """
         seen: Set[NodeId] = set()
@@ -408,17 +408,17 @@ class Network:
     def links(self) -> Set[Tuple[NodeId, NodeId]]:
         """Return the current link set as canonically ordered tuples (inspection only).
 
-        Tuple endpoints are ordered by :class:`repro.core.ports.NodeKey`, the
-        repository's relabeling-invariant total order on node identifiers.
+        Tuple endpoints are ordered by :func:`repro.core.ports.node_order_key`,
+        the repository's relabeling-invariant total order on node identifiers.
         """
         result: Set[Tuple[NodeId, NodeId]] = set()
         for u, v in self.iter_links():
-            result.add((u, v) if NodeKey(u) < NodeKey(v) else (v, u))
+            result.add((u, v) if node_order_key(u) < node_order_key(v) else (v, u))
         return result
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
-        """Current link neighbours of ``node``, in canonical :class:`NodeKey` order."""
-        return sorted(self._links.get(node, _NO_LINKS), key=NodeKey)
+        """Current link neighbours of ``node``, in canonical :func:`node_order_key` order."""
+        return sorted_nodes(self._links.get(node, _NO_LINKS))
 
     # ------------------------------------------------------------------ #
     # message passing

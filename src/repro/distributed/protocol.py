@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.forgiving_graph import ForgivingGraph
-from ..core.ports import NodeId, NodeKey, Port
+from ..core.ports import NodeId, Port, sorted_nodes
 from ..core.reconstruction_tree import ReconstructionTree, RTHelper, RTNode
 from .merge import PieceSummary, plan_strip, trivial_summary
 from .messages import AnchorLink, DeletionNotice, Probe
@@ -131,13 +131,11 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
     Reads only zero-copy views and O(deg)/O(broken-region) structures: the
     plan's cost is proportional to the victim's neighbourhood and the
     affected RTs' broken glue, never to the size of the network.  Orderings
-    use the canonical :class:`repro.core.ports.NodeKey` total order, so
+    use the canonical :func:`repro.core.ports.node_order_key` total order, so
     planned trajectories are stable under order-preserving id relabelings.
     """
     actual = engine.actual_view()
-    neighbors = (
-        sorted(actual.neighbors(victim), key=NodeKey) if victim in actual else []
-    )
+    neighbors = sorted_nodes(actual.neighbors(victim)) if victim in actual else []
     plan = RepairPlan(victim=victim, neighbors=list(neighbors))
 
     def context_for(node: NodeId) -> RepairContext:
@@ -233,7 +231,7 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
                 anchors.append(neighbor)
                 anchor_ready[neighbor] = 1
 
-    plan.anchors = sorted(set(anchors), key=NodeKey)
+    plan.anchors = sorted_nodes(set(anchors))
     plan.bt_edges = _balanced_tree_edges(plan.anchors)
     if plan.anchors:
         plan.leader = plan.anchors[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..adversary.schedule import churn_schedule, deletion_only_schedule
 from ..adversary.strategies import MaxDegreeDeletion
-from ..core.ports import NodeKey
+from ..core.ports import node_order_key
 from ..core.views import g_prime_view_of
 from ..analysis.bounds import lower_bound_stretch, stretch_bound
 from ..analysis.invariants import guarantee_report
@@ -732,7 +732,7 @@ def experiment_e14_concurrent_bursts(scale: str = "full") -> Section:
     degree = g_prime_view_of(probe).degree
     candidates = [
         v
-        for v in sorted(probe.alive_nodes, key=lambda v: (-degree[v], NodeKey(v)))
+        for v in sorted(probe.alive_nodes, key=lambda v: (-degree[v], node_order_key(v)))
         if degree[v] >= 3
     ]
     # Hubs' footprints blanket a power-law graph; skipping the largest few

@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import networkx as nx
 
 from ..core.errors import ConfigurationError
-from ..core.ports import NodeId, NodeKey, Port
+from ..core.ports import NodeId, Port, sorted_nodes
 from ..distributed.network import Network
 from ..distributed.processor import EdgeRecord
 
@@ -237,8 +237,8 @@ CREATE TABLE IF NOT EXISTS meta (
 #: sourced link changed since genesis, and one per accusation, each stamped
 #: with the ``ckpt_id`` of the checkpoint that wrote it.  A processor's
 #: record rows are in its record order by rowid.  A link row orders its
-#: endpoints by ``NodeKey``; rows migrated from v1 keep their stored order,
-#: which no read or delete depends on (a rewrite matches either order).
+#: endpoints by ``node_order_key``; rows migrated from v1 keep their stored
+#: order, which no read or delete depends on (a rewrite matches either order).
 _TABLES = """
 CREATE TABLE IF NOT EXISTS genesis_nodes (
     node TEXT NOT NULL
@@ -553,7 +553,7 @@ class CheckpointStore:
                 keys = network.link_sources(*link)
                 if keys == frozenset(stored_keys):
                     continue
-                u, v = sorted(link, key=NodeKey)
+                u, v = sorted_nodes(link)
                 stored_u, stored_v = _dumps(u), _dumps(v)
                 pairs += ((stored_u, stored_v), (stored_v, stored_u))
                 if keys:

@@ -1,6 +1,6 @@
 """Network accessors, link sources, the oracle cross-check and sharded sweeps.
 
-Pinned here: the unsorted fast accessors agree with their NodeKey-ordered
+Pinned here: the unsorted fast accessors agree with their canonically ordered
 variants as sets; a churned network matches the oracle, replays identically
 under an order-preserving relabeling of the node ids, and keeps every
 removed or quarantined identifier in its census; the link-source table's
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ProtocolError
-from repro.core.ports import NodeKey
+from repro.core.ports import node_order_key
 from repro.distributed import DistributedForgivingGraph, Network
 from repro.distributed.messages import DeletionNotice
 from repro.engine import AttackSession
@@ -59,7 +59,7 @@ def _churned_healer(n: int, seed: int = 9):
 def _relabeled_churn(offset: int, steps: int = 40, seed: int = 23):
     """One seeded churn on ``power_law(40)`` with every node id shifted by ``offset``.
 
-    Moves pick nodes by position in ``NodeKey`` order, which an
+    Moves pick nodes by position in ``node_order_key`` order, which an
     order-preserving relabeling leaves unchanged, so every offset replays
     the same churn.
     """
@@ -71,7 +71,7 @@ def _relabeled_churn(offset: int, steps: int = 40, seed: int = 23):
     fresh = 10_000
     for _ in range(steps):
         alive = sorted(
-            (x for x in healer.alive_nodes if healer.network.has_processor(x)), key=NodeKey
+            (x for x in healer.alive_nodes if healer.network.has_processor(x)), key=node_order_key
         )
         if rng.random() < 0.6 and len(alive) > 4:
             healer.delete(alive[int(rng.integers(len(alive)))])
@@ -107,7 +107,7 @@ class TestChurnedNetwork:
         healer = _churned_healer(n=40)
         network = healer.network
         deleted = [r.deleted_node for r in healer.cost_reports]
-        liars = sorted(network.processors, key=NodeKey)[:2]
+        liars = sorted(network.processors, key=node_order_key)[:2]
         census = network.n_ever
         for node in liars:
             network.quarantine(node)
@@ -123,7 +123,7 @@ class TestChurnedNetwork:
     def test_quarantine_drops_links_and_their_sources(self):
         network = _churned_healer(n=40).network
         liar = max(
-            sorted(network.processors, key=NodeKey),
+            sorted(network.processors, key=node_order_key),
             key=lambda node: len(network.neighbors(node)),
         )
         neighbors = network.neighbors(liar)
@@ -137,7 +137,7 @@ class TestChurnedNetwork:
 
 
 class TestUnsortedAccessors:
-    """Satellite: fast unsorted accessors agree with the NodeKey-ordered ones."""
+    """Satellite: fast unsorted accessors agree with the canonically ordered ones."""
 
     def _network(self):
         return _churned_healer(n=40).network

@@ -27,7 +27,7 @@ import dataclasses
 import pytest
 
 from repro.adversary import deletion_burst_schedule
-from repro.core.ports import NodeKey
+from repro.core.ports import node_order_key
 from repro.core.views import g_prime_view_of
 from repro.distributed.faults import FAULT_PRESETS, fault_schedule
 from repro.distributed.simulator import DistributedForgivingGraph
@@ -42,7 +42,7 @@ def _disjoint_burst(graph, min_k=3, limit=8):
     degree = g_prime_view_of(probe).degree
     candidates = [
         v
-        for v in sorted(probe.alive_nodes, key=lambda v: (-degree[v], NodeKey(v)))
+        for v in sorted(probe.alive_nodes, key=lambda v: (-degree[v], node_order_key(v)))
         if degree[v] >= 3
     ]
     victims = select_disjoint_victims(probe, candidates[5:], limit=limit)
@@ -147,8 +147,8 @@ class TestConcurrentAdmission:
     def test_overlapping_footprints_serialize_into_waves(self, burst_graph):
         probe = DistributedForgivingGraph.from_graph(burst_graph)
         degree = g_prime_view_of(probe).degree
-        hub = max(probe.alive_nodes, key=lambda v: (degree[v], NodeKey(v)))
-        neighbors = sorted(g_prime_view_of(probe).neighbors(hub), key=NodeKey)[:3]
+        hub = max(probe.alive_nodes, key=lambda v: (degree[v], node_order_key(v)))
+        neighbors = sorted(g_prime_view_of(probe).neighbors(hub), key=node_order_key)[:3]
         victims = [hub, *neighbors]
         healer = DistributedForgivingGraph.from_graph(burst_graph)
         burst = healer.delete_batch(victims, concurrency=None)

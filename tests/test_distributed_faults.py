@@ -70,7 +70,7 @@ class TestLosslessEquivalence:
             if victim is None or d.num_alive <= 3:
                 break
             report = d.delete(victim)
-            engine_event = d.engine.events[-1]
+            engine_event = d.engine.last_event
             assert report.helpers_created == engine_event.report.helpers_created
             assert report.helpers_released == engine_event.report.helpers_released
         d.verify_consistency()

@@ -93,7 +93,7 @@ class TestNetworkTopology:
         assert not net.are_linked("a", "b")
 
     def test_neighbors_and_links_use_canonical_natural_order(self):
-        """NodeKey ordering: ints compare numerically (2 < 10), not by repr."""
+        """Canonical node order: ints compare numerically (2 < 10), not by repr."""
         net = Network()
         for node in (1, 2, 10):
             net.add_processor(node)

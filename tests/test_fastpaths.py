@@ -30,7 +30,9 @@ from repro.analysis import (
     stretch_report_reference,
 )
 from repro.analysis.fastpaths import CSRGraph, NodeIndex
+from repro.core.ports import sorted_nodes
 from repro.baselines import HealerSpec
+from repro.distributed import DistributedForgivingGraph, fault_schedule
 from repro.generators import make_graph
 
 
@@ -194,6 +196,104 @@ def test_guarantee_report_with_session_matches_sessionless():
     assert with_session.as_row() == without.as_row()
     degrees = degree_report(fg)
     assert with_session.degree_factor == degrees.max_factor
+
+
+class ProcessorsView:
+    """A distributed healer measured on the graph its processors hold."""
+
+    def __init__(self, healer):
+        self._healer = healer
+        self._links = healer.network_graph()
+        self.name = "processors"
+        self.alive_nodes = healer.alive_nodes
+        self.num_alive = healer.num_alive
+        self.nodes_ever = healer.nodes_ever
+
+    def actual_view(self):
+        return self._links
+
+    def g_prime_graph_view(self):
+        return self._healer.g_prime_graph_view()
+
+
+def networkx_degree_factors(healer, actual):
+    """``deg(v, actual) / deg(v, G')`` per alive node, computed directly on networkx."""
+    g_prime = healer.g_prime_graph_view()
+    factors = []
+    for node in sorted_nodes(healer.alive_nodes):
+        base = g_prime.degree(node)
+        if base:
+            factors.append((actual.degree(node) if node in actual else 0) / base)
+    return factors
+
+
+def churned_views():
+    """Churned healers, each as (label, measured healer, its healed graph)."""
+    fg = ForgivingGraph.from_graph(make_graph("power_law", 60, seed=59))
+    churn_schedule(
+        steps=50, delete_probability=0.7, deletion_strategy=make_deletion_strategy("max_degree"), seed=59
+    ).run(fg)
+    fg.insert("isolated", attach_to=[])  # alive with G' degree 0: no factor
+    yield "oracle", fg, fg.actual_graph()
+    for preset in ("lossless", "delay", "byzantine"):
+        d = DistributedForgivingGraph.from_graph(
+            make_graph("erdos_renyi", 50, seed=61), fault_schedule=fault_schedule(preset, seed=61)
+        )
+        churn_schedule(steps=40, delete_probability=0.7, seed=61).run(d)
+        yield f"{preset}/oracle", d, d.actual_graph()
+        view = ProcessorsView(d)
+        yield f"{preset}/processors", view, view.actual_view()
+
+
+def test_degree_report_off_the_snapshot_matches_networkx():
+    """Both views: the max factor is bit-identical, the mean within 1e-12."""
+    graphs = {}
+    for label, healer, actual in churned_views():
+        graphs[label] = actual
+        factors = networkx_degree_factors(healer, actual)
+        alive = healer.alive_nodes
+        report = degree_report(healer, snapshot=snapshot_healer(healer))
+        assert report.max_factor == max(factors), label
+        assert report.mean_factor == pytest.approx(sum(factors) / len(factors), rel=1e-12, abs=1e-12)
+        assert report.max_actual_degree == max(actual.degree(v) for v in alive if v in actual)
+        assert report.max_g_prime_degree == max(healer.g_prime_graph_view().degree(v) for v in alive)
+        assert report.num_nodes == len(alive)
+        assert degree_report(healer) == report
+        guarantee = guarantee_report(healer, max_sources=8, seed=0)
+        assert guarantee.degree_factor == max(factors), label
+    assert len(graphs) == 7
+    # Quarantined liars make the processors' view a different graph.
+    assert not nx.utils.graphs_equal(graphs["byzantine/processors"], graphs["byzantine/oracle"])
+
+
+def per_edge_csr(graph, index):
+    """The per-edge CSR build ``CSRGraph.from_graph`` replaced, kept as the reference."""
+    n = len(index)
+    m = graph.number_of_edges()
+    rows = np.empty(2 * m, dtype=np.int64)
+    cols = np.empty(2 * m, dtype=np.int64)
+    for pos, (u, v) in enumerate(graph.edges):
+        rows[pos] = index.index_of(u)
+        cols[pos] = index.index_of(v)
+    rows[m:] = cols[:m]
+    cols[m:] = rows[:m]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows, kind="stable")]
+
+
+def test_csr_build_matches_the_per_edge_reference():
+    graphs = [nx.Graph(), nx.path_graph(1)]
+    for _, healer, actual in churned_views():
+        graphs += [healer.g_prime_graph_view(), actual]
+    for graph in graphs:
+        index = NodeIndex()
+        index.extend(["isolated", *graph.nodes])
+        csr = CSRGraph.from_graph(graph, index)
+        indptr, indices = per_edge_csr(graph, index)
+        assert csr.indptr.dtype == indptr.dtype and csr.indices.dtype == indices.dtype
+        assert np.array_equal(csr.indptr, indptr)
+        assert np.array_equal(csr.indices, indices)
 
 
 def test_node_index_is_stable_across_snapshots():

@@ -4,12 +4,15 @@ import networkx as nx
 import pytest
 
 from repro import ForgivingGraph
+from repro.adversary.schedule import churn_schedule
 from repro.core.errors import (
     DeletedNodeError,
     DuplicateNodeError,
     InvalidEdgeError,
     UnknownNodeError,
 )
+from repro.core.forgiving_graph import HealingEvent
+from repro.generators import make_graph
 
 
 class TestConstruction:
@@ -128,7 +131,7 @@ class TestInsertion:
     def test_insertion_is_logged(self):
         fg = ForgivingGraph.from_edges([(0, 1)])
         fg.insert(2, attach_to=[0])
-        event = fg.events[-1]
+        event = fg.last_event
         assert event.kind == "insert"
         assert event.node == 2
         assert event.attached_to == (0,)
@@ -177,10 +180,23 @@ class TestDeletion:
     def test_deletion_is_logged_with_report(self):
         fg = ForgivingGraph.from_edges([(0, 1), (1, 2)])
         fg.delete(1)
-        event = fg.events[-1]
+        event = fg.last_event
         assert event.kind == "delete"
         assert event.report is not None
         assert event.report.deleted_node == 1
+
+    def test_engine_keeps_only_the_latest_event(self):
+        """400 ops of churn leave one event on the engine, not one per op."""
+        fg = ForgivingGraph.from_graph(make_graph("erdos_renyi", 200, seed=3))
+        assert fg.last_event is None
+        moves = churn_schedule(steps=400, delete_probability=0.5, seed=3).run(fg)
+        assert len(moves) == 400
+        held = []
+        for value in vars(fg).values():
+            items = value if isinstance(value, list) else [value]
+            held += [item for item in items if isinstance(item, HealingEvent)]
+        assert held == [fg.last_event]
+        assert (fg.last_event.kind, fg.last_event.node) == (moves[-1].kind, moves[-1].node)
 
     def test_connectivity_preserved_after_cut_vertex_deletion(self):
         # 1 is a cut vertex of the path 0-1-2.

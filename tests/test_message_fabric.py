@@ -27,7 +27,7 @@ from repro.distributed import (
     Probe,
     fault_schedule,
 )
-from repro.core.ports import NodeKey, Port
+from repro.core.ports import Port, node_order_key
 from repro.distributed import messages
 from repro.distributed.faults import DELIVERY_PRESETS, FAULT_PRESETS
 from repro.distributed.merge import PieceSummary
@@ -403,7 +403,7 @@ class TestRetention:
         for _ in range(3):
             degree = healer.engine.g_prime_degree
             # Past the ten biggest hubs, whose repair footprints overlap.
-            candidates = sorted(healer.alive_nodes, key=lambda v: (-degree(v), NodeKey(v)))
+            candidates = sorted(healer.alive_nodes, key=lambda v: (-degree(v), node_order_key(v)))
             victims = select_disjoint_victims(healer, candidates[10:], limit=4)
             assert len(victims) == 4
             burst = healer.delete_batch(victims)

@@ -23,7 +23,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.errors import UnknownNodeError
-from repro.core.ports import NodeKey
+from repro.core.ports import node_order_key
 from repro.distributed import Network
 
 NODES = range(6)
@@ -206,7 +206,7 @@ class LinkLayoutMachine(RuleBasedStateMachine):
         net = self.net
         for u in NODES:
             expected_neighbors = sorted(
-                (v for v in NODES if v != u and self.linked(u, v)), key=NodeKey
+                (v for v in NODES if v != u and self.linked(u, v)), key=node_order_key
             )
             assert net.neighbors(u) == expected_neighbors
             for v in NODES:

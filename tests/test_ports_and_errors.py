@@ -1,6 +1,8 @@
 """Unit tests for port identifiers and the exception hierarchy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import (
     ConfigurationError,
@@ -13,10 +15,73 @@ from repro.core.errors import (
     ProtocolError,
     UnknownNodeError,
 )
-from repro.core.ports import NodeKey, Port, edge_key, sorted_nodes
+from repro.core.ports import Port, edge_key, node_order_key, sorted_nodes
+
+
+class ReferenceNodeKey:
+    """The order key class the tuple key replaced, kept as the reference."""
+
+    __slots__ = ("type_name", "value")
+
+    def __init__(self, value):
+        self.type_name = type(value).__name__
+        self.value = value
+
+    def __lt__(self, other):
+        if self.type_name != other.type_name:
+            return self.type_name < other.type_name
+        a, b = self.value, other.value
+        natural = (int, float, str, bytes)
+        if isinstance(a, natural) and isinstance(b, natural):
+            return a < b
+        return repr(a) < repr(b)
+
+
+#: Naturally ordered scalars (NaN included) and ``None``, which orders by repr.
+SCALAR_IDS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.none(),
+)
+
+#: Mixed node ids: half scalars, half nested tuples and frozensets (by repr).
+MIXED_IDS = st.one_of(
+    SCALAR_IDS,
+    st.recursive(
+        SCALAR_IDS,
+        lambda children: st.one_of(
+            st.tuples(children, children), st.frozensets(children, max_size=3)
+        ),
+        max_leaves=6,
+    ),
+)
 
 
 class TestNodeKey:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(MIXED_IDS, max_size=12))
+    def test_tuple_key_orders_like_the_reference_class(self, ids):
+        for a in ids:
+            for b in ids:
+                assert (node_order_key(a) < node_order_key(b)) == (
+                    ReferenceNodeKey(a) < ReferenceNodeKey(b)
+                )
+        # Identity, not equality: NaN ids must land in the same slots too.
+        ours = sorted(ids, key=node_order_key)
+        reference = sorted(ids, key=ReferenceNodeKey)
+        assert [id(x) for x in ours] == [id(x) for x in reference]
+        assert [id(x) for x in sorted_nodes(ids)] == [id(x) for x in reference]
+
+    def test_a_repr_ordered_type_named_like_a_natural_one_sorts_apart(self):
+        """Two classes sharing one ``__name__``, one natural: the reference
+        compared their reprs; the key keeps them apart and never compares an
+        int with a string."""
+        impostor = type("int", (), {"__repr__": lambda self: "impostor"})()
+        assert sorted_nodes([impostor, 5, 3]) == [3, 5, impostor]
+
     def test_natural_order_within_type(self):
         assert sorted_nodes([10, 2, 1]) == [1, 2, 10]  # not lexicographic "1","10","2"
         assert sorted_nodes(["b", "a10", "a2"]) == ["a10", "a2", "b"]
@@ -25,7 +90,7 @@ class TestNodeKey:
         assert sorted_nodes([1, "a", 2, "b"]) == [1, 2, "a", "b"]
 
     def test_total_order_for_partially_ordered_ids(self):
-        """Regression: sets order by subset (a partial order); NodeKey must not
+        """Regression: sets order by subset (a partial order); the key must not
         mix that with the repr fallback, or sorting becomes input-dependent."""
         from itertools import permutations
 
@@ -34,11 +99,11 @@ class TestNodeKey:
         assert len(orders) == 1
 
     def test_key_is_irreflexive_and_consistent(self):
-        assert not NodeKey(3) < NodeKey(3)
-        assert NodeKey(2) < NodeKey(10)
-        assert not NodeKey(10) < NodeKey(2)
-        assert NodeKey("x") == NodeKey("x")
-        assert NodeKey(1) != NodeKey(True)  # bool and int group separately
+        assert not node_order_key(3) < node_order_key(3)
+        assert node_order_key(2) < node_order_key(10)
+        assert not node_order_key(10) < node_order_key(2)
+        assert node_order_key("x") == node_order_key("x")
+        assert node_order_key(1) != node_order_key(True)  # bool and int group separately
 
 
 class TestPort:
