@@ -12,11 +12,14 @@ then the total, all in KiB per node ever seen::
     python scripts/heap_report.py
     python scripts/heap_report.py --max-kib 6.8   # exit 1 above 6.8 KiB/node
 
-Two last lines say what a full garbage collection costs while all of that
-is alive: the number of objects the collector tracks (a full collection
-walks every one) and the wall time of one full collection, taken after
-``tracemalloc`` stops.  No threshold applies to them: the time depends on
-the host.
+Three last lines are about the garbage collector.  Two say what a full
+collection costs while all of that is alive: the number of objects the
+collector tracks (a full collection walks every one) and the wall time of
+one full collection, taken after ``tracemalloc`` stops.  The third says how
+many full (generation-2) collections the attack itself triggered and their
+summed pause, taken by a ``gc.callbacks`` hook installed around the attack
+only (so under ``tracemalloc``).  No threshold applies to them: the times
+depend on the host.
 
 Figures depend on the Python version (object layouts differ), so compare
 runs on one interpreter.
@@ -56,6 +59,24 @@ def owner(traceback: tracemalloc.Traceback) -> str:
     return "other"
 
 
+class FullCollections:
+    """A ``gc.callbacks`` hook: the full collections it saw and their summed pause."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.pause_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.count += 1
+            self.pause_s += time.perf_counter() - self._started
+
+
 def attack():
     """The attack, run to its end; returns what it keeps alive."""
     graph = make_graph("power_law", N, seed=SEED)
@@ -78,7 +99,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     tracemalloc.start(2)
-    kept = attack()
+    collections = FullCollections()
+    gc.callbacks.append(collections)
+    try:
+        kept = attack()
+    finally:
+        gc.callbacks.remove(collections)
     gc.collect()
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
@@ -100,6 +126,10 @@ def main(argv=None) -> int:
     print(f"total = {total_kib:.2f} KiB/node")
     print(f"gc_tracked = {tracked} objects")
     print(f"gc_full_collection = {pause_ms:.1f} ms")
+    print(
+        f"gc_attack_full_collections = {collections.count} collections, "
+        f"{collections.pause_s * 1000:.1f} ms"
+    )
     if args.max_kib is not None and total_kib > args.max_kib:
         print(f"# over the ceiling of {args.max_kib} KiB/node", file=sys.stderr)
         return 1

@@ -28,7 +28,10 @@ survivors share an order key.
 
 Healers that do not expose the journal (the baselines) are detected by
 :func:`SurvivorDegreeTracker.supports`, and the strategies fall back to the
-retained sorted reference scan.
+retained sorted reference scan.  Degrees are read through the healer's O(1)
+``actual_degree`` accessor, never through a graph view: a fresh networkx view
+and its cached ``DegreeView`` form a reference cycle that only the cyclic
+garbage collector frees, and the tracker reads degrees on every move.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..core.ports import NodeId, node_order_key
-from ..core.views import actual_view_of
 
 __all__ = ["SurvivorDegreeTracker"]
 
@@ -117,13 +119,12 @@ class SurvivorDegreeTracker:
 
     def _seed(self, healer) -> None:
         """Fill the heap with one current entry per survivor, keeping only their keys."""
-        graph = actual_view_of(healer)
-        degree = graph.degree
+        degree = healer.actual_degree
         cached, self._keys = self._keys, {}
         entries: List[Tuple[int, tuple, int, NodeId]] = []
         for seq, node in enumerate(healer.alive_nodes):
             key = self._keys[node] = cached.get(node) or node_order_key(node)
-            entries.append((self._sign(degree[node] if node in graph else 0), key, seq, node))
+            entries.append((self._sign(degree(node)), key, seq, node))
         self._seq = len(entries)
         heapq.heapify(entries)
         self._heap = entries
@@ -138,34 +139,23 @@ class SurvivorDegreeTracker:
         self._cursor = len(log)
         if self._journal_cursor is not None:
             self._journal_cursor.advance_to(self._cursor)
-        graph = actual_view_of(healer)
-        degree = graph.degree
+        degree = healer.actual_degree
         is_alive = healer.is_alive
         heap = self._heap
         for node in touched:
             if is_alive(node):
                 self._seq += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        self._sign(degree[node] if node in graph else 0),
-                        self._key_of(node),
-                        self._seq,
-                        node,
-                    ),
-                )
+                heapq.heappush(heap, (self._sign(degree(node)), self._key_of(node), self._seq, node))
         if len(heap) > REBUILD_FACTOR * healer.num_alive + REBUILD_SLACK:
             self._seed(healer)
 
     def _peek(self, healer) -> Optional[NodeId]:
-        graph = actual_view_of(healer)
-        degree = graph.degree
+        degree = healer.actual_degree
         is_alive = healer.is_alive
         heap = self._heap
         while heap:
             stored_sign, _node_key, _seq, node = heap[0]
-            if is_alive(node):
-                if stored_sign == self._sign(degree[node] if node in graph else 0):
-                    return node
+            if is_alive(node) and stored_sign == self._sign(degree(node)):
+                return node
             heapq.heappop(heap)
         return None

@@ -158,7 +158,7 @@ class AttackSchedule:
         victim = self.deletion_strategy.choose_victim(healer)
         if victim is None:
             return None
-        victim_degree = g_prime_view_of(healer).degree[victim]
+        victim_degree = healer.g_prime_degree(victim)
         healer.delete(victim)
         return AttackEvent(step=step, kind="delete", node=victim, victim_degree=victim_degree)
 
@@ -178,8 +178,7 @@ class AttackSchedule:
             return None
         indices = rng.choice(len(alive), size=min(k, len(alive)), replace=False)
         victims = [alive[int(i)] for i in sorted(int(i) for i in indices)]
-        degree_view = g_prime_view_of(healer).degree
-        degrees = [degree_view[victim] for victim in victims]
+        degrees = [healer.g_prime_degree(victim) for victim in victims]
         batch = getattr(healer, "delete_batch", None)
         if batch is not None:
             batch(victims)

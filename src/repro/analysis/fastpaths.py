@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import networkx as nx
@@ -124,16 +125,32 @@ class CSRGraph:
     def from_graph(cls, graph: nx.Graph, index: NodeIndex) -> "CSRGraph":
         """Build the CSR arrays for ``graph`` using the dense ids of ``index``.
 
-        Nodes of the index absent from ``graph`` become isolated rows, so
-        snapshots of the healed graph (alive nodes only) and of ``G'`` (all
-        nodes ever) can share one index.  Each edge ``(u, v)`` is stored as
-        row ``u`` -> ``v`` and row ``v`` -> ``u``, in edge order.
+        Every node of ``graph`` must be in the index; nodes of the index
+        absent from ``graph`` become isolated rows, so snapshots of the
+        healed graph (alive nodes only) and of ``G'`` (all nodes ever) can
+        share one index.  Each edge ``(u, v)`` is stored as row ``u`` -> ``v``
+        and row ``v`` -> ``u``, in ``graph.edges`` order.  The edges come from
+        one walk of ``graph.adjacency()``, which lists each edge from both
+        ends and allocates nothing per edge; the end kept is the one
+        ``graph.edges`` yields, whose neighbour comes at or after its owner
+        in the graph's own node order (not the index's).
         """
         n = len(index)
-        ends = np.fromiter(
-            map(index._index.__getitem__, chain.from_iterable(graph.edges)), dtype=np.int64
+        lookup = index._index.__getitem__
+        adjacency = list(graph.adjacency())
+        owners = np.fromiter(
+            map(lookup, map(itemgetter(0), adjacency)), dtype=np.int64, count=len(adjacency)
         )
-        tails, heads = ends[0::2], ends[1::2]
+        neighbours = list(map(itemgetter(1), adjacency))
+        degrees = np.fromiter(map(len, neighbours), dtype=np.int64, count=len(neighbours))
+        ends = np.fromiter(
+            map(lookup, chain.from_iterable(neighbours)), dtype=np.int64, count=int(degrees.sum())
+        )
+        starts = np.repeat(owners, degrees)
+        position = np.zeros(n, dtype=np.int64)
+        position[owners] = np.arange(owners.size)
+        keep = position[ends] >= position[starts]
+        tails, heads = starts[keep], ends[keep]
         rows = np.concatenate((tails, heads))
         cols = np.concatenate((heads, tails))
         counts = np.bincount(rows, minlength=n)

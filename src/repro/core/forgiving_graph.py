@@ -23,7 +23,9 @@ the *virtual graph* (:meth:`ForgivingGraph.virtual_graph`)
     and repairs apply exact deltas — only the broken RT glue ever gains or
     loses sources.  Zero-copy read access is available through
     :meth:`ForgivingGraph.actual_view` /
-    :meth:`ForgivingGraph.g_prime_graph_view`, and the from-scratch builder
+    :meth:`ForgivingGraph.g_prime_graph_view`; per-node reads on a repair's
+    path (``actual_degree``, ``g_prime_degree``, ``actual_neighbors``,
+    ``g_prime_neighbors``) build no view at all.  The from-scratch builder
     is retained as ``_rebuild_actual()`` for cross-checking.
 
 The distributed message-passing version of the same algorithm lives in
@@ -44,7 +46,7 @@ Typical usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -286,6 +288,16 @@ class ForgivingGraph:
             raise UnknownNodeError(node, "g_prime_degree")
         return self._g_prime.degree[node]
 
+    def g_prime_neighbors(self, node: NodeId) -> Iterator[NodeId]:
+        """Iterator over the neighbours of ``node`` in ``G'`` (O(1), no graph view).
+
+        Like the views, it reads the engine's adjacency directly: do not
+        hold it across operations.
+        """
+        if node not in self._g_prime:
+            raise UnknownNodeError(node, "g_prime_neighbors")
+        return self._g_prime.neighbors(node)
+
     def actual_graph(self) -> nx.Graph:
         """Return the healed network ``G`` (a copy; mutations do not affect the engine)."""
         return self._actual.copy()
@@ -304,6 +316,15 @@ class ForgivingGraph:
         if node not in self._alive:
             raise UnknownNodeError(node, "actual_degree")
         return self._actual.degree[node]
+
+    def actual_neighbors(self, node: NodeId) -> Iterator[NodeId]:
+        """Iterator over the neighbours of ``node`` in ``G`` (O(1), no graph view).
+
+        Like :meth:`g_prime_neighbors`, do not hold it across operations.
+        """
+        if node not in self._alive:
+            raise UnknownNodeError(node, "actual_neighbors")
+        return self._actual.neighbors(node)
 
     def actual_edges(self) -> Set[Tuple[NodeId, NodeId]]:
         """Edge set of the healed network ``G`` (read off the maintained graph)."""

@@ -363,8 +363,9 @@ class FaultSchedule:
             fake = dataclasses.replace(original, height=original.height + 1)
         else:
             fake = dataclasses.replace(original, num_leaves=original.num_leaves + 1)
-        # ``replace`` recomputed the checksum over the lie; the adversary
-        # cannot forge the author's tag, so restore the stale honest one.
+        # Read unfrozen, the lie's checksum would be computed over the lie;
+        # the adversary cannot forge the author's tag, so the lie carries the
+        # honest one, which reading ``original.checksum`` freezes.
         object.__setattr__(fake, "checksum", original.checksum)
         out[index] = fake
         return tuple(out)

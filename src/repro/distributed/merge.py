@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -92,7 +93,13 @@ def real_source_key(u: NodeId, v: NodeId) -> Tuple[str, FrozenSet[NodeId]]:
 
 @dataclass(frozen=True)
 class PieceSummary:
-    """O(1)-word descriptor of one surviving complete tree (a primary root)."""
+    """O(1)-word descriptor of one surviving complete tree (a primary root).
+
+    Its hash is taken once, at construction, over the same field tuple the
+    generated ``__hash__`` would hash on every call: descriptors are set
+    members and dict keys on every hop of a repair.  The cached hash is left
+    out of pickles, since str hashes differ between processes.
+    """
 
     #: Port identifying the piece's root: a leaf's port or a helper's
     #: ``simulated_by`` port.
@@ -106,17 +113,22 @@ class PieceSummary:
     #: The piece's representative leaf port (the one free processor that will
     #: simulate the next helper created on top of it).
     representative: Port
-    #: Content checksum, always (re)computed by ``__post_init__``.
-    #: ``compare=False`` keeps equality/hash purely semantic; ``repr=False``
-    #: keeps it out of the message seals (which cover payload reprs).  The
-    #: byzantine fault layer corrupts a descriptor by overwriting fields
-    #: while *retaining* the honest checksum — the mismatch is what any
-    #: receiver can detect locally.  A byzantine *author* instead reseals a
-    #: self-consistent lie (valid checksum), caught only by cross-witnessing.
-    checksum: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "checksum", self.content_checksum())
+        fields = (self.root_port, self.root_is_leaf, self.num_leaves, self.height, self.representative)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_hash"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def content_checksum(self) -> int:
         return payload_checksum(
@@ -128,14 +140,25 @@ class PieceSummary:
             self.representative,
         )
 
+    #: Content checksum, computed on its first read and cached; not a field,
+    #: so equality, hash and repr (which the message seals cover) stay purely
+    #: semantic.  No honest path reads it.  The byzantine fault layer reads
+    #: the author's checksum before it builds a lie
+    #: (``FaultSchedule._corrupt_summaries``), which freezes the honest tag,
+    #: and copies it onto the lie — the mismatch is what any receiver can
+    #: detect locally.  A byzantine *author* instead sends a self-consistent
+    #: lie whose checksum nobody froze (valid), caught only by cross-witnessing.
+    checksum = cached_property(content_checksum)
+
     def checksum_valid(self) -> bool:
-        # Validity is immutable (frozen dataclass), so cache the verdict:
-        # an honest descriptor relayed across many hops hashes once.
-        cached = self.__dict__.get("_checksum_ok")
-        if cached is None:
-            cached = self.checksum == self.content_checksum()
-            object.__setattr__(self, "_checksum_ok", cached)
-        return cached
+        """True unless a frozen checksum disagrees with the content.
+
+        A descriptor whose checksum nobody read was never tampered with
+        (every tampering path freezes the honest tag first), so it verifies
+        for free, like a message whose seal nobody read.
+        """
+        frozen = self.__dict__.get("checksum")
+        return frozen is None or frozen == self.content_checksum()
 
 
 def trivial_summary(neighbor: NodeId, victim: NodeId) -> PieceSummary:

@@ -45,8 +45,9 @@ Byzantine accountability (PR 6) adds cheap integrity tags:
   when relayed verbatim inside an honestly-sealed envelope.
 
 Both tags cost O(1) words (folded into the existing per-descriptor word
-counts) and are computed lazily, so the lossless fast path pays nothing
-when nobody verifies.
+counts) and are computed lazily, on first read.  Every tampering path reads
+the honest tag before it mutates, which freezes it, and no honest path reads
+one, so the lossless fast path pays nothing when nobody verifies.
 
 Every message class is a slotted dataclass: no per-instance ``__dict__``,
 the envelope (sender, receiver, id, provenance tag, lazy seal cache) is
@@ -66,6 +67,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from ..core.ports import NodeId, Port
@@ -100,9 +102,10 @@ def payload_checksum(*parts: object) -> int:
     """Cheap content checksum over payload parts (CRC32 of their repr).
 
     A port's repr is its named tuple's, fixed by its field names (for
-    example ``Port(processor=1, neighbor='a')``), and descriptor
-    dataclasses exclude their own checksum fields from ``repr``, so the
-    digest covers exactly the semantic content.  This stands in for a collision-resistant hash:
+    example ``Port(processor=1, neighbor='a')``), and a descriptor's
+    checksum is not one of its dataclass fields, so it stays out of the
+    descriptor's ``repr`` and the digest covers exactly the semantic
+    content.  This stands in for a collision-resistant hash:
     the simulation never *searches* for collisions, it only compares a
     frozen tag against recomputed content.
     """
@@ -120,6 +123,14 @@ SEALED_KINDS = frozenset(
         "Digest",
     }
 )
+
+#: Payload fields that carry checksummed descriptors, each with the flaw a
+#: failed descriptor checksum there proves (see ``Processor._verify``).
+_DESCRIPTOR_FLAWS = {
+    "roots": "descriptor-checksum",
+    "pieces": "descriptor-checksum",
+    "records": "record-checksum",
+}
 
 
 def words_to_bits(words: int, n_ever: int) -> int:
@@ -177,11 +188,18 @@ class Message:
     #: Names of the payload fields the seal covers, in declaration order
     #: (every declared payload field of a sealed kind, none otherwise).
     _seal_names = ()
+    #: ``(field name, flaw)`` for each sealed payload field that carries
+    #: checksummed descriptors, in declaration order (see
+    #: ``_DESCRIPTOR_FLAWS``); the receive gate walks only these.
+    _descriptor_fields = ()
 
     def __init_subclass__(cls) -> None:
         cls.kind = cls.__name__
         cls.sealed = cls.__name__ in SEALED_KINDS
         cls._seal_names = tuple(inspect.get_annotations(cls)) if cls.sealed else ()
+        cls._descriptor_fields = tuple(
+            (name, _DESCRIPTOR_FLAWS[name]) for name in cls._seal_names if name in _DESCRIPTOR_FLAWS
+        )
 
     def __repr__(self) -> str:  # debugging/traces only — never on the hot path
         return (
@@ -388,15 +406,6 @@ class PortDigest:
     #: for a different deletion — the owner refuses assignments for a busy
     #: port, so the leader must learn the refusal is permanent.
     busy_with: Optional[NodeId] = None
-    #: Content checksum set by ``__post_init__`` (``compare=False`` keeps
-    #: equality/hash on the semantic fields, ``repr=False`` keeps it out of
-    #: message seals).  The fault layer corrupts a digest by mutating fields
-    #: and *keeping* the honest checksum — forging a matching one would mean
-    #: breaking the (simulated) collision resistance.
-    checksum: int = field(default=0, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "checksum", self.content_checksum())
 
     def content_checksum(self) -> int:
         return payload_checksum(
@@ -411,14 +420,20 @@ class PortDigest:
             self.busy_with,
         )
 
+    #: Content checksum, computed on its first read and cached; not a field,
+    #: so equality, hash and repr (which the message seals cover) stay on the
+    #: semantic fields.  No honest path reads it.  The fault layer reads the
+    #: owner's checksum before it doctors a digest
+    #: (``FaultSchedule._corrupt_records``), which freezes the honest tag, and
+    #: copies it onto the lie — forging a matching one would mean breaking
+    #: the (simulated) collision resistance.
+    checksum = cached_property(content_checksum)
+
     def checksum_valid(self) -> bool:
-        # Validity is immutable (frozen dataclass), so cache the verdict:
-        # an honest descriptor relayed across many hops hashes once.
-        cached = self.__dict__.get("_checksum_ok")
-        if cached is None:
-            cached = self.checksum == self.content_checksum()
-            object.__setattr__(self, "_checksum_ok", cached)
-        return cached
+        """True unless a frozen checksum disagrees with the content (see
+        :meth:`~repro.distributed.merge.PieceSummary.checksum_valid`)."""
+        frozen = self.__dict__.get("checksum")
+        return frozen is None or frozen == self.content_checksum()
 
 
 #: Identifier words per serialized :class:`PortDigest` (port + 4 pointer

@@ -428,15 +428,10 @@ class Processor:
         """Local integrity check of one sealed message; returns the flaw."""
         if not message.seal_valid():
             return "stale-seal"
-        for summary in getattr(message, "roots", ()):
-            if not summary.checksum_valid():
-                return "descriptor-checksum"
-        for summary in getattr(message, "pieces", ()):
-            if not summary.checksum_valid():
-                return "descriptor-checksum"
-        for record in getattr(message, "records", ()):
-            if not record.checksum_valid():
-                return "record-checksum"
+        for name, flaw in message._descriptor_fields:
+            for descriptor in getattr(message, name):
+                if not descriptor.checksum_valid():
+                    return flaw
         return None
 
     # -- repair-flow helpers -----------------------------------------------
@@ -618,7 +613,7 @@ class Processor:
             if prior is None:
                 context.witnessed[key] = (summary, message)
                 admitted.append(summary)
-            elif prior[0] == summary:
+            elif prior[0] is summary or prior[0] == summary:
                 admitted.append(summary)
             else:
                 evidence = tuple(
@@ -897,8 +892,8 @@ class Processor:
         receiver, rt_index, original = candidates[
             int(schedule._byz_rng.integers(len(candidates)))
         ]
-        # ``replace`` re-runs ``__post_init__``: the forged descriptor gets a
-        # *valid* checksum over the lie, and the fresh message a valid seal.
+        # ``replace`` builds a fresh descriptor whose checksum nobody froze,
+        # so it is *valid* over the lie, and the fresh message a valid seal.
         forged = dataclasses.replace(original, num_leaves=original.num_leaves + 1)
         message = Digest(
             sender=self.node_id,

@@ -128,15 +128,15 @@ class RepairPlan:
 def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
     """Inspect the engine *before* the deletion and lay out the repair.
 
-    Reads only zero-copy views and O(deg)/O(broken-region) structures: the
-    plan's cost is proportional to the victim's neighbourhood and the
-    affected RTs' broken glue, never to the size of the network.  Orderings
+    Reads only the engine's O(1) per-node accessors and O(deg)/
+    O(broken-region) structures, and builds no graph view: the plan's cost
+    is proportional to the victim's neighbourhood and the affected RTs'
+    broken glue, never to the size of the network.  Orderings
     use the canonical :func:`repro.core.ports.node_order_key` total order, so
     planned trajectories are stable under order-preserving id relabelings.
     """
-    actual = engine.actual_view()
-    neighbors = sorted_nodes(actual.neighbors(victim)) if victim in actual else []
-    plan = RepairPlan(victim=victim, neighbors=list(neighbors))
+    neighbors = sorted_nodes(engine.actual_neighbors(victim)) if engine.is_alive(victim) else []
+    plan = RepairPlan(victim=victim, neighbors=neighbors)
 
     def context_for(node: NodeId) -> RepairContext:
         context = plan.contexts.get(node)
@@ -220,8 +220,7 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
             anchor_ready[anchor] = max(anchor_ready.get(anchor, 1), 2 * length)
     # Directly-connected neighbours contribute trivial single-leaf pieces and
     # anchor themselves.
-    g_prime = engine.g_prime_graph_view()
-    for neighbor in g_prime.neighbors(victim):
+    for neighbor in engine.g_prime_neighbors(victim):
         if engine.is_alive(neighbor):
             summary = trivial_summary(neighbor, victim)
             plan.all_summaries.append(summary)
@@ -280,8 +279,7 @@ def _merge_deadline(current: Optional[int], candidate: int) -> int:
 def _dead_rt_nodes(engine: ForgivingGraph, victim: NodeId) -> Dict[int, List[RTNode]]:
     """The RT nodes (leaves and helpers) that die with ``victim``, per RT id."""
     dead: Dict[int, List[RTNode]] = {}
-    g_prime = engine.g_prime_graph_view()
-    for neighbor in g_prime.neighbors(victim):
+    for neighbor in engine.g_prime_neighbors(victim):
         own_port = Port(victim, neighbor)
         leaf_rt = engine._rt_of_leaf.get(own_port)
         if leaf_rt is not None:

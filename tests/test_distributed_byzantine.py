@@ -40,7 +40,9 @@ from repro.distributed.merge import PieceSummary
 from repro.distributed.messages import (
     SEALED_KINDS,
     Digest,
+    PortDigest,
     PrimaryRootList,
+    PrimaryRootReport,
 )
 from repro.distributed.metrics import aggregate_byzantine
 from repro.distributed.processor import Processor
@@ -56,6 +58,16 @@ def make_summary(num_leaves: int = 1) -> PieceSummary:
         num_leaves=num_leaves,
         height=0 if num_leaves == 1 else 1,
         representative=port,
+    )
+
+
+def make_record() -> PortDigest:
+    return PortDigest(
+        port=Port(processor=1, neighbor=2),
+        helper_for_victim=True,
+        helper_left=Port(processor=3, neighbor=4),
+        helper_right=Port(processor=5, neighbor=6),
+        rt_parent=Port(processor=7, neighbor=8),
     )
 
 
@@ -140,7 +152,6 @@ class TestIntegrityPrimitives:
         assert relayed.checksum_valid()  # honest copies re-derive cleanly
         tampered = dataclasses.replace(honest, num_leaves=2, root_is_leaf=False)
         object.__setattr__(tampered, "checksum", honest.checksum)
-        object.__setattr__(tampered, "_checksum_ok", None)
         assert not tampered.checksum_valid()
 
     def test_authored_forgery_verifies_clean_locally(self):
@@ -158,6 +169,31 @@ class TestIntegrityPrimitives:
             pieces=(forged,),
         )
         assert Processor._verify(message) is None
+
+    def test_a_relayed_tampered_descriptor_fails_its_checksum(self):
+        # Hop 1 (byzantine) tampers with descriptors in flight; hop 2
+        # (honest) relays what it received inside a fresh message whose
+        # seal nobody read, so the seal verifies and only the descriptor's
+        # own frozen checksum can tell.
+        schedule = FaultSchedule(
+            seed=3, byzantine={1: ByzantinePolicy(corrupt_pieces=1.0, lie_records=1.0)}
+        )
+        first_hop = PrimaryRootList(sender=1, receiver=2, deleted=0, roots=(make_summary(),))
+        assert schedule.corrupt_in_place(first_hop) == "corrupt-pieces"
+        (lie,) = first_hop.roots
+        first_hop = Digest(sender=1, receiver=2, deleted=0, records=(make_record(),))
+        assert schedule.corrupt_in_place(first_hop) == "lie-records"
+        (record_lie,) = first_hop.records
+        pieces = (make_summary(num_leaves=2), lie)
+        relays = [
+            (PrimaryRootReport(sender=2, receiver=3, deleted=0, roots=pieces), "descriptor-checksum"),
+            (PrimaryRootList(sender=2, receiver=3, deleted=0, roots=pieces), "descriptor-checksum"),
+            (Digest(sender=2, receiver=3, deleted=0, rt_index=0, pieces=pieces), "descriptor-checksum"),
+            (Digest(sender=2, receiver=3, deleted=0, records=(make_record(), record_lie)), "record-checksum"),
+        ]
+        for relay, flaw in relays:
+            assert relay.seal_valid()
+            assert Processor._verify(relay) == flaw
 
     def test_corrupt_in_place_always_yields_a_detectable_lie(self):
         policy = ByzantinePolicy(

@@ -296,6 +296,22 @@ def test_csr_build_matches_the_per_edge_reference():
         assert np.array_equal(csr.indices, indices)
 
 
+def test_csr_build_keeps_the_graph_edge_order_under_any_index_order():
+    """Each edge is kept at the end ``graph.edges`` yields, by the graph's node
+    order: an index in another order (reversed here) must not change which."""
+    looped = nx.Graph([(3, 1), (1, 2), (2, 2), (0, 3), (2, 0)])
+    graphs = [looped]
+    for _, healer, actual in churned_views():
+        graphs += [healer.g_prime_graph_view(), actual]
+    for graph in graphs:
+        index = NodeIndex()
+        index.extend(["isolated", *reversed(list(graph.nodes))])
+        csr = CSRGraph.from_graph(graph, index)
+        indptr, indices = per_edge_csr(graph, index)
+        assert np.array_equal(csr.indptr, indptr)
+        assert np.array_equal(csr.indices, indices)
+
+
 def test_node_index_is_stable_across_snapshots():
     fg = ForgivingGraph.from_graph(make_graph("erdos_renyi", 20, seed=53))
     session = MeasurementSession()

@@ -4,15 +4,24 @@ Two properties the repair's cost bound (Lemma 4) relies on end to end: the
 oracle's merge checks its helper registry in place instead of copying it
 (the registry holds every helper port of the run), and the round loop ticks
 only the participants with a timer due (most participants are idle in most
-rounds).
+rounds).  Two more keep local work off an honest deletion: integrity tags
+are computed only when somebody reads them (no liar, no descriptor
+checksum), and per-move reads of the oracle build no networkx graph view.
 """
 
-from repro.adversary import MaxDegreeDeletion
+import pickle
+
+import networkx.classes.graphviews as graphviews
+
+from repro.adversary import AttackSchedule, MaxDegreeDeletion
+from repro.core.ports import Port, sorted_nodes
+from repro.distributed import merge, messages
 from repro.distributed.faults import FaultSchedule, LinkFaultPolicy
+from repro.distributed.merge import PieceSummary
 from repro.distributed.messages import Probe
 from repro.distributed.network import Network
 from repro.distributed.processor import Processor, RepairContext, SpineRole
-from repro.distributed.protocol import execute_repair
+from repro.distributed.protocol import execute_repair, select_disjoint_victims
 from repro.distributed.simulator import DistributedForgivingGraph
 from repro.generators import make_graph
 
@@ -146,3 +155,81 @@ def test_report_waiting_for_a_late_probe_fires_in_the_round_it_lands(monkeypatch
     sent = next(r for r, _, reported in rounds if reported)
     assert landed > role.report_round
     assert sent == landed
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count calls to ``name`` through each module that binds it."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _verified_descriptors(monkeypatch):
+    """Every descriptor the receive gate checks, in order."""
+    seen = []
+    original = Processor._verify
+
+    def verify(message):
+        for name in ("roots", "pieces", "records"):
+            seen.extend(getattr(message, name, ()))
+        return original(message)
+
+    monkeypatch.setattr(Processor, "_verify", staticmethod(verify))
+    return seen
+
+
+def _max_degree_schedule(moves: int) -> AttackSchedule:
+    return AttackSchedule(
+        steps=moves, deletion_strategy=MaxDegreeDeletion(), delete_probability=1.0, seed=4
+    )
+
+
+def test_lossless_attack_computes_no_descriptor_checksum(monkeypatch):
+    checksums = _count_calls(monkeypatch, "payload_checksum", merge, messages)
+    verified = _verified_descriptors(monkeypatch)
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
+    assert len(list(_max_degree_schedule(20).play(healer))) == 20
+    assert verified  # descriptors crossed the receive gate
+    assert checksums == []
+    healer.verify_consistency()
+
+
+def test_lossless_batch_wave_computes_no_descriptor_checksum(monkeypatch):
+    checksums = _count_calls(monkeypatch, "payload_checksum", merge, messages)
+    verified = _verified_descriptors(monkeypatch)
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
+    victims = select_disjoint_victims(healer, sorted_nodes(healer.alive_nodes), limit=4)
+    burst = healer.delete_batch(victims)
+    assert len(victims) == 4 and burst.waves == 1
+    assert verified
+    assert checksums == []
+    healer.verify_consistency()
+
+
+def test_lossless_attack_builds_no_graph_view_per_move(monkeypatch):
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
+    moves = _max_degree_schedule(21).play(healer)
+    next(moves)  # the first move binds the victim tracker and the schedule
+    views = _count_calls(monkeypatch, "generic_graph_view", graphviews)
+    assert len(list(moves)) == 20
+    assert views == []
+    healer.verify_consistency()
+
+
+def test_piece_summary_hashes_its_fields_once():
+    port, other = Port(processor=1, neighbor=2), Port(processor=3, neighbor=4)
+    summary = PieceSummary(
+        root_port=port, root_is_leaf=False, num_leaves=2, height=1, representative=other
+    )
+    assert hash(summary) == hash((port, False, 2, 1, other))
+    # str hashes differ between processes: the cached hash is not pickled.
+    assert "_hash" not in summary.__getstate__()
+    copy = pickle.loads(pickle.dumps(summary))
+    assert copy == summary and hash(copy) == hash(summary)
