@@ -21,6 +21,8 @@ counts *total applied operations in the store*, so a resumed run finishes
 the remaining budget.  ``--status-json PATH`` dumps a final status
 snapshot for artifact upload; ``--rejoin-stale`` runs one
 stale-checkpoint rejoin at the end (the digest-divergence healing demo).
+The restore and rejoin lines end with their wall time (``restore_s=``,
+``rejoin_s=``), genesis bootstrap included.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -103,13 +106,15 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.resume:
+        started = time.perf_counter()
         daemon, report = HealerDaemon.restore(args.db)
+        restore_s = time.perf_counter() - started
         print(
             f"restored from checkpoint seq={report.checkpoint_seq}: "
             f"{report.prefix_ops} prefix ops (oracle replay), "
             f"{report.suffix_ops} suffix ops (full path), "
             f"converged={report.converged} audit_clean={report.audit_clean} "
-            f"verified={report.verified}"
+            f"verified={report.verified} restore_s={restore_s:.3f}"
         )
         if not (report.converged and report.audit_clean and report.verified):
             print("restore certification FAILED", file=sys.stderr)
@@ -136,13 +141,15 @@ def main() -> int:
         drive_churn(daemon, args.ops)
         daemon.checkpoint()
         if args.rejoin_stale:
+            started = time.perf_counter()
             rejoin = daemon.rejoin_stale()
+            rejoin_s = time.perf_counter() - started
             print(
                 f"rejoin: victim={rejoin.victim!r} stale={rejoin.stale!r} "
                 f"rolled_back={rejoin.records_rolled_back} "
                 f"sweeps={rejoin.sweeps} retransmissions={rejoin.retransmissions} "
                 f"converged={rejoin.converged} audit_clean={rejoin.audit_clean} "
-                f"verified={rejoin.verified}"
+                f"verified={rejoin.verified} rejoin_s={rejoin_s:.3f}"
             )
             if not (rejoin.converged and rejoin.audit_clean and rejoin.verified):
                 print("rejoin healing FAILED", file=sys.stderr)

@@ -57,6 +57,7 @@ from .errors import (
     InvariantViolationError,
     UnknownNodeError,
 )
+from .graph_fill import edge_pairs, fill_graph
 from .journal import Journal
 from .ports import NodeId, Port
 from .reconstruction_tree import (
@@ -174,41 +175,42 @@ class ForgivingGraph:
         nodes: Iterable[NodeId] = (),
         **kwargs,
     ) -> "ForgivingGraph":
-        """Build a Forgiving Graph whose initial network ``G_0`` has the given edges."""
+        """Build a Forgiving Graph whose initial network ``G_0`` has the given edges.
+
+        ``nodes`` come first (isolated ones included), then each edge's
+        endpoints as it is read; a repeated edge is skipped and a self-loop
+        raises :class:`InvalidEdgeError`.
+        """
         fg = cls(**kwargs)
-        for node in nodes:
-            fg._add_initial_node(node)
-        for u, v in edges:
-            fg._add_initial_node(u)
-            fg._add_initial_node(v)
-            fg._add_initial_edge(u, v)
+        fg._load_genesis(nodes, edges)
         fg._maybe_check()
         return fg
 
     @classmethod
     def from_graph(cls, graph: nx.Graph, **kwargs) -> "ForgivingGraph":
         """Build a Forgiving Graph from an existing networkx graph ``G_0``."""
-        fg = cls(**kwargs)
-        for node in graph.nodes:
-            fg._add_initial_node(node)
-        for u, v in graph.edges:
-            fg._add_initial_edge(u, v)
-        fg._maybe_check()
-        return fg
+        return cls.from_edges(graph.edges, graph.nodes, **kwargs)
 
-    def _add_initial_node(self, node: NodeId) -> None:
-        if node in self._g_prime:
-            return
-        self._g_prime.add_node(node)
-        self._alive.add(node)
-        self._actual.add_node(node)
+    def _load_genesis(
+        self, nodes: Iterable[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]
+    ) -> Iterator[Tuple[NodeId, NodeId]]:
+        """Load ``G_0`` into this empty engine; returns its edges in load order.
 
-    def _add_initial_edge(self, u: NodeId, v: NodeId) -> None:
-        if u == v:
-            raise InvalidEdgeError(f"self-loop ({u!r}, {v!r}) not allowed")
-        if not self._g_prime.has_edge(u, v):
-            self._edge_source_added(u, v)
-        self._g_prime.add_edge(u, v)
+        Writes what adding each node and then each edge one at a time
+        would, in the same order: ``G'`` and ``G`` get the same nodes and
+        adjacency (each graph its own edge dicts), every node is alive, and
+        each edge is one source of its healed edge and appends its
+        endpoints, ``u`` then ``v``, to the degree-touch journal.
+        """
+        endpoints = fill_graph(self._g_prime, nodes, edges)
+        fill_graph(self._actual, self._g_prime, edge_pairs(endpoints))
+        # Iterating the graph (not passing a dict) adds the nodes one at a
+        # time, so the set's table, and its iteration order, are the ones
+        # one add() per node would leave.
+        self._alive.update(self._g_prime)
+        self._num_edges = len(endpoints) // 2
+        self._degree_touch_log.extend(endpoints)
+        return edge_pairs(endpoints)
 
     # ------------------------------------------------------------------ #
     # basic queries

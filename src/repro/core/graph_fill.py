@@ -1,0 +1,104 @@
+"""One pass that fills a fresh networkx graph.
+
+networkx's ``add_nodes_from`` and ``add_edges_from`` pay per item for
+generality nothing here uses (attribute updates, 3-tuples, a cache clear
+per call), several microseconds per edge.  This module is the one place
+that writes a graph's node and adjacency maps directly, in exactly the
+layout those two networkx calls would leave: :func:`fill_graph` loads an
+edge sequence (the engine's ``G'`` and ``G``), and
+:func:`fill_graph_from_adjacency` a symmetric adjacency map (the
+processors' graph, ``DistributedForgivingGraph.network_graph``).
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, List, Mapping, Tuple
+
+import networkx as nx
+
+from .errors import InvalidEdgeError
+from .ports import NodeId
+
+__all__ = ["edge_pairs", "fill_graph", "fill_graph_from_adjacency"]
+
+
+def fill_graph(
+    graph: nx.Graph,
+    nodes: Iterable[NodeId],
+    edges: Iterable[Tuple[NodeId, NodeId]],
+) -> List[NodeId]:
+    """Load ``nodes``, then ``edges``, into the empty ``graph``; return what was added.
+
+    The graph ends as ``graph.add_nodes_from(nodes)`` followed by
+    ``graph.add_edges_from(edges)`` leaves a fresh :class:`networkx.Graph`:
+    nodes in first-seen order (an edge's endpoints join, ``u`` then ``v``,
+    as it is read), each node's neighbours in the order its edges were
+    read, and one attribute dict per edge, shared by its two directions.
+    An edge read again, in either direction, is skipped.  The returned
+    list holds the endpoints of the edges added, ``u`` then ``v`` per
+    edge, in order (:func:`edge_pairs` reads it back as edges): flat, so
+    no tuple per edge is held while a load runs.
+
+    A self-loop raises :class:`InvalidEdgeError` (neither ``G_0`` nor the
+    processors' links may hold one) and a ``None`` node ``ValueError``,
+    as networkx does.
+    """
+    node_attrs, adj = graph._node, graph._adj
+    if adj:
+        raise ValueError("fill_graph loads an empty graph")
+
+    def add_node(node: NodeId) -> None:
+        if node is None:
+            raise ValueError("None cannot be a node")
+        adj[node] = {}
+        node_attrs[node] = {}
+
+    for node in nodes:
+        if node not in adj:
+            add_node(node)
+    endpoints: List[NodeId] = []
+    for u, v in edges:
+        if u == v:
+            raise InvalidEdgeError(f"self-loop ({u!r}, {v!r}) not allowed")
+        if u not in adj:
+            add_node(u)
+        if v not in adj:
+            add_node(v)
+        u_nbrs = adj[u]
+        if v not in u_nbrs:
+            u_nbrs[v] = adj[v][u] = {}
+            endpoints += (u, v)
+    return endpoints
+
+
+def edge_pairs(endpoints: List[NodeId]) -> Iterator[Tuple[NodeId, NodeId]]:
+    """The edges of a :func:`fill_graph` endpoint list, ``(u, v)`` in order."""
+    ends = iter(endpoints)
+    return zip(ends, ends)
+
+
+def fill_graph_from_adjacency(
+    graph: nx.Graph, adjacency: Mapping[NodeId, Iterable[NodeId]]
+) -> None:
+    """Load the symmetric ``adjacency`` map into the empty ``graph``.
+
+    The graph ends as ``add_nodes_from(adjacency)`` followed by
+    ``add_edges_from`` over each edge once, as ``(u, v)`` from the endpoint
+    ``u`` that comes first in the map's order (the edges
+    ``Network.iter_links`` and networkx's ``graph.edges`` yield), leaves
+    it: nodes in the map's order, and one attribute dict per edge, shared
+    by its two directions.  A node's row lists the neighbours before it in
+    the map's order first, then the rest in the order the map lists them.
+    """
+    node_attrs, adj = graph._node, graph._adj
+    if adj:
+        raise ValueError("fill_graph_from_adjacency loads an empty graph")
+    for node in adjacency:
+        adj[node] = {}
+        node_attrs[node] = {}
+    for u, nbrs in adjacency.items():
+        row = adj[u]
+        for v in nbrs:
+            # A neighbour earlier in the map already linked this edge.
+            if v not in row:
+                row[v] = adj[v][u] = {}

@@ -20,7 +20,7 @@ construction that can only happen to a reader that never registered.
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, List, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, List, Sequence, TypeVar, Union
 
 __all__ = ["Journal", "JournalCursor", "JournalCompactedError"]
 
@@ -69,6 +69,9 @@ class Journal(Sequence[T]):
     # ------------------------------------------------------------------ #
     def append(self, entry: T) -> None:
         self._entries.append(entry)
+
+    def extend(self, entries: Iterable[T]) -> None:
+        self._entries.extend(entries)
 
     # ------------------------------------------------------------------ #
     # consumer API

@@ -88,9 +88,10 @@ from ..core.errors import ProtocolError, UnknownNodeError
 from ..core.ports import NodeId, node_order_key, sorted_nodes
 from .accountability import AccountabilityTranscript, InjectionLog
 from .faults import FaultSchedule
+from .merge import real_source_key
 from .messages import Message, words_to_bits
 from .metrics import NetworkMetrics
-from .processor import Processor
+from .processor import Processor, init_record
 
 __all__ = ["CheckpointMarks", "Network"]
 
@@ -216,6 +217,39 @@ class Network:
             self.n_ever += 1
             self._word_bits = words_to_bits(1, self.n_ever)
         return processor
+
+    def load_genesis(
+        self, nodes: Iterable[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]
+    ) -> None:
+        """Create ``G_0``'s processors and links on this empty network, in one pass.
+
+        Figure 1's pre-processing: each endpoint of a ``G_0`` edge runs
+        ``Init`` locally, so no message is sent.  Writes what
+        :meth:`add_processor` per node, then per edge
+        ``add_link_source(real_source_key(u, v), u, v)`` and both endpoints'
+        :meth:`Processor.ensure_edge` would, in the same order: each link
+        holds its real edge's key in one tuple, shared by both endpoints,
+        and each processor's records follow the edge order.  ``nodes`` must
+        be distinct, and ``edges`` distinct pairs of them with no self-loop,
+        as the engine's load or a stored genesis graph gives them.
+        """
+        if self.processors:
+            raise ProtocolError("load_genesis needs a network without processors")
+        processors, links = self.processors, self._links
+        for node in nodes:
+            processor = Processor(node)
+            processor.network = self
+            processors[node] = processor
+            links[node] = {}
+        # An iterator, not the dict: the set then grows one add at a time,
+        # as add_processor grows it, and iterates in the same order.
+        self._ever_ids.update(iter(processors))
+        self.n_ever = len(processors)
+        self._word_bits = words_to_bits(1, self.n_ever)
+        for u, v in edges:
+            links[u][v] = links[v][u] = (real_source_key(u, v),)
+            processors[u].edges[v] = init_record(u, v)
+            processors[v].edges[u] = init_record(v, u)
 
     def ever_had_processor(self, node: NodeId) -> bool:
         """True when ``node`` has had a processor at some point (alive or not).

@@ -87,6 +87,7 @@ __all__ = [
     "Processor",
     "RepairContext",
     "SpineRole",
+    "init_record",
 ]
 
 
@@ -131,6 +132,13 @@ class EdgeRecord:
         self.helper_children_count = 0
         self.helper_representative = None
         self.helper_victim = None
+
+
+def init_record(owner: NodeId, neighbor: NodeId) -> EdgeRecord:
+    """The record ``Init(owner)`` (Algorithm A.2) creates for the ``G'`` edge to
+    ``neighbor``: the representative is the owner's own port, every other
+    field empty."""
+    return EdgeRecord(neighbor=neighbor, representative=Port(owner, neighbor))
 
 
 #: Per-(class, kind) handler lookup cache: ``receive`` resolves its
@@ -248,8 +256,7 @@ class Processor:
         """
         record = self.edges.get(neighbor)
         if record is None:
-            record = EdgeRecord(neighbor=neighbor, representative=Port(self.node_id, neighbor))
-            self.edges[neighbor] = record
+            record = self.edges[neighbor] = init_record(self.node_id, neighbor)
             self.mark_record(neighbor)
         return record
 

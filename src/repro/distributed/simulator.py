@@ -76,6 +76,7 @@ import networkx as nx
 
 from ..core.errors import InvariantViolationError
 from ..core.forgiving_graph import ForgivingGraph
+from ..core.graph_fill import fill_graph, fill_graph_from_adjacency
 from ..core.ports import NodeId, Port
 from ..core.reconstruction_tree import RTHelper, RTLeaf
 from .faults import FaultSchedule
@@ -220,12 +221,17 @@ class DistributedForgivingGraph:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_graph(cls, graph: nx.Graph, **kwargs) -> "DistributedForgivingGraph":
-        """Build the distributed healer from an initial networkx graph ``G_0``."""
+        """Build the distributed healer from an initial networkx graph ``G_0``.
+
+        The engine and the network each load ``G_0`` in one pass, in
+        ``graph.nodes`` and ``graph.edges`` order; a self-loop raises
+        :class:`~repro.core.errors.InvalidEdgeError`.
+        """
         healer = cls(**kwargs)
-        for node in graph.nodes:
-            healer._bootstrap_node(node)
-        for u, v in graph.edges:
-            healer._bootstrap_edge(u, v)
+        edges = healer._engine._load_genesis(graph.nodes, graph.edges)
+        # The network counts its processors itself; ``verify_consistency``
+        # cross-checks its ``n_ever`` against the engine's ``nodes_ever``.
+        healer.network.load_genesis(graph.nodes, edges)
         return healer
 
     @classmethod
@@ -234,24 +240,8 @@ class DistributedForgivingGraph:
     ) -> "DistributedForgivingGraph":
         """Build the distributed healer from an initial edge list."""
         graph = nx.Graph()
-        graph.add_nodes_from(nodes)
-        graph.add_edges_from(edges)
+        fill_graph(graph, nodes, edges)
         return cls.from_graph(graph, **kwargs)
-
-    def _bootstrap_node(self, node: NodeId) -> None:
-        # The network counts additions itself; ``verify_consistency``
-        # cross-checks its ``n_ever`` against the engine's ``nodes_ever``.
-        self._engine._add_initial_node(node)
-        self.network.add_processor(node)
-
-    def _bootstrap_edge(self, u: NodeId, v: NodeId) -> None:
-        self._engine._add_initial_edge(u, v)
-        # Pre-processing (Figure 1): each endpoint starts knowing its G_0
-        # neighbours, i.e. runs Init(v) locally — no messages needed.  The
-        # link is sourced by the real edge itself.
-        self.network.add_link_source(real_source_key(u, v), u, v)
-        self.network.processors[u].ensure_edge(v)
-        self.network.processors[v].ensure_edge(u)
 
     # ------------------------------------------------------------------ #
     # healer protocol (delegated views)
@@ -303,11 +293,12 @@ class DistributedForgivingGraph:
 
         This is the message-native counterpart of :meth:`actual_graph` —
         under a lossless network the two are identical; under faults they
-        diverge until :meth:`reconverge` restores the fixed point.
+        diverge until :meth:`reconverge` restores the fixed point.  Its
+        nodes are the processors, in order (the link map holds one row per
+        processor).
         """
         graph = nx.Graph()
-        graph.add_nodes_from(self.network.processors)
-        graph.add_edges_from(self.network.iter_links())
+        fill_graph_from_adjacency(graph, self.network._links)
         return graph
 
     def g_prime_view(self) -> nx.Graph:

@@ -504,10 +504,11 @@ class HealerDaemon:
 
         # The restart: re-read the checkpoint image, composed as a restore
         # composes it (a record no checkpoint rewrote reads as genesis made
-        # it), scoped to what this repair wrote.  The repair context
+        # it) but on the genesis network alone, since nothing here reads an
+        # oracle, and scoped to what this repair wrote.  The repair context
         # survives (a rejoiner answers digest requests; losing the context
         # entirely is the *crash* case).
-        image = DistributedForgivingGraph.from_graph(self.store.genesis_graph()).network
+        image = self.store.genesis_network()
         self.store.load_image(image, self.store.latest_checkpoint())
         processor = network.processors[stale]
         rolled_back = 0

@@ -407,12 +407,28 @@ class CheckpointStore:
         return json.loads(raw)
 
     def genesis_graph(self) -> nx.Graph:
+        """The genesis topology, its nodes and edges in the order they were stored.
+
+        The order is the bootstrap's: it sets each processor's record order
+        and the order its links were sourced, so both reads follow rowid.
+        """
         graph = nx.Graph()
-        for (node,) in self._conn.execute("SELECT node FROM genesis_nodes"):
+        for (node,) in self._conn.execute("SELECT node FROM genesis_nodes ORDER BY rowid"):
             graph.add_node(_loads(node))
-        for u, v in self._conn.execute("SELECT u, v FROM genesis_edges"):
+        for u, v in self._conn.execute("SELECT u, v FROM genesis_edges ORDER BY rowid"):
             graph.add_edge(_loads(u), _loads(v))
         return graph
+
+    def genesis_network(self) -> Network:
+        """The genesis processors and links on a network of their own, no engine.
+
+        The base :meth:`load_image` composes an image on, for a reader that
+        needs the image alone (the stale-processor rejoin).
+        """
+        genesis = self.genesis_graph()
+        network = Network()
+        network.load_genesis(genesis.nodes, genesis.edges)
+        return network
 
     # ------------------------------------------------------------------ #
     # journal

@@ -27,7 +27,8 @@ Pins the tentpole claims:
   apply ranks the pump committed before it, and a crash at any write
   statement of a seeded run loses no acknowledged op;
 * a processor rejoining with a stale checkpoint image mid-repair is a
-  digest divergence that recovery heals with genuine retransmissions;
+  digest divergence that recovery heals with genuine retransmissions; the
+  image it re-reads is composed on the genesis network alone, no engine;
 * concurrent client streams are deterministic under a fixed seed;
 * generated daemon programs (submit, pump, checkpoint, crash + restore,
   stale rejoin) keep the stored image equal to the live state after every
@@ -1089,6 +1090,30 @@ class TestHealerDaemon:
             assert (report.records_rolled_back, report.retransmissions) == (1, 2), (seed, report)
             assert report.converged and report.audit_clean and report.verified, (seed, report)
             daemon.close()
+
+    def test_rejoin_image_composes_on_the_genesis_network_alone(self, tmp_path):
+        """The image a stale rejoin re-reads is composed on the network
+        layer's genesis load, with no engine; it equals the image composed
+        over a full ``from_graph`` bootstrap (the reference): processors,
+        records in order, and link sources."""
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 64), seed=5, checkpoint_every=8, batch_window=3
+        )
+        daemon = HealerDaemon.create(tmp_path / "run.db", config)
+        _drive(daemon, 24, seed=2)
+        daemon.checkpoint()
+        store = daemon.store
+        assert _stored_records(store) and _stored_links(store)
+        image = store.genesis_network()
+        store.load_image(image, store.latest_checkpoint())
+        reference = _image(store)
+        assert list(image.processors) == list(reference.processors)
+        assert _records(image) == _records(reference)
+        assert [list(links.items()) for links in image._links.values()] == [
+            list(links.items()) for links in reference._links.values()
+        ]
+        assert image.export_link_sources() == reference.export_link_sources()
+        daemon.close()
 
     def test_first_checkpoint_writes_only_what_changed_since_genesis(self, tmp_path):
         """The genesis is the image's base: a fresh daemon's first checkpoint
