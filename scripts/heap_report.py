@@ -16,10 +16,11 @@ Three last lines are about the garbage collector.  Two say what a full
 collection costs while all of that is alive: the number of objects the
 collector tracks (a full collection walks every one) and the wall time of
 one full collection, taken after ``tracemalloc`` stops.  The third says how
-many full (generation-2) collections the attack itself triggered and their
-summed pause, taken by a ``gc.callbacks`` hook installed around the attack
-only (so under ``tracemalloc``).  No threshold applies to them: the times
-depend on the host.
+many young (generation-0), middle (generation-1) and full (generation-2)
+collections the attack itself triggered, and the full ones' summed pause,
+taken by a ``gc.callbacks`` hook installed around the attack only (so under
+``tracemalloc``).  No threshold applies to them: the times depend on the
+host, and the counts on the interpreter.
 
 Figures depend on the Python version (object layouts differ), so compare
 runs on one interpreter.
@@ -59,22 +60,23 @@ def owner(traceback: tracemalloc.Traceback) -> str:
     return "other"
 
 
-class FullCollections:
-    """A ``gc.callbacks`` hook: the full collections it saw and their summed pause."""
+class Collections:
+    """A ``gc.callbacks`` hook: the collections it saw per generation, and
+    the full (generation-2) ones' summed pause."""
 
     def __init__(self) -> None:
-        self.count = 0
-        self.pause_s = 0.0
+        self.counts = [0, 0, 0]
+        self.full_pause_s = 0.0
         self._started = 0.0
 
     def __call__(self, phase: str, info: dict) -> None:
-        if info["generation"] != 2:
-            return
+        generation = info["generation"]
         if phase == "start":
             self._started = time.perf_counter()
-        else:
-            self.count += 1
-            self.pause_s += time.perf_counter() - self._started
+            return
+        self.counts[generation] += 1
+        if generation == 2:
+            self.full_pause_s += time.perf_counter() - self._started
 
 
 def attack():
@@ -99,7 +101,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     tracemalloc.start(2)
-    collections = FullCollections()
+    collections = Collections()
     gc.callbacks.append(collections)
     try:
         kept = attack()
@@ -126,9 +128,10 @@ def main(argv=None) -> int:
     print(f"total = {total_kib:.2f} KiB/node")
     print(f"gc_tracked = {tracked} objects")
     print(f"gc_full_collection = {pause_ms:.1f} ms")
+    young, middle, full = collections.counts
     print(
-        f"gc_attack_full_collections = {collections.count} collections, "
-        f"{collections.pause_s * 1000:.1f} ms"
+        f"gc_attack_collections = {young} young, {middle} middle, {full} full "
+        f"({collections.full_pause_s * 1000:.1f} ms in full)"
     )
     if args.max_kib is not None and total_kib > args.max_kib:
         print(f"# over the ceiling of {args.max_kib} KiB/node", file=sys.stderr)

@@ -39,7 +39,7 @@ import networkx as nx
 import numpy as np
 
 from ..core.ports import NodeId, sorted_nodes
-from ..core.views import healer_views
+from ..core.views import actual_view_of, healer_views
 
 try:  # pragma: no cover - exercised implicitly by whichever env runs the tests
     from scipy.sparse import csr_matrix as _scipy_csr_matrix
@@ -288,21 +288,43 @@ class MeasurementSession:
     expensive node-label translation is incremental across the dozens of
     snapshots taken during a sweep.  Create one per attack (the experiment
     runner does) and call :meth:`snapshot` whenever metrics are needed.
+
+    ``G'`` is insertion-only and every insertion adds a node, so a healer's
+    ``nodes_ever`` names its ``G'``.  The session keeps the last ``G'`` CSR
+    it built, with the healer it came from, and hands it out again while
+    that healer's ``nodes_ever`` and the index are unchanged: a deletions-only
+    attack builds it once.
     """
 
     def __init__(self) -> None:
         self.index = NodeIndex()
+        #: ``(healer, nodes_ever, CSR)`` of the last ``G'`` CSR built.
+        self._g_prime: Optional[tuple] = None
 
     def snapshot(self, healer) -> HealerSnapshot:
         """Take a CSR snapshot of the healer's current ``G'`` / ``G`` state."""
-        g_prime, actual = healer_views(healer)
-        self.index.extend(g_prime.nodes)
+        index = self.index
+        nodes_ever = healer.nodes_ever
+        cached = self._g_prime
+        if (
+            cached is not None
+            and cached[0] is healer
+            and cached[1] == nodes_ever
+            and cached[2].num_nodes == len(index)
+        ):
+            g_prime = cached[2]
+            actual = actual_view_of(healer)
+        else:
+            g_prime_graph, actual = healer_views(healer)
+            index.extend(g_prime_graph.nodes)
+            g_prime = CSRGraph.from_graph(g_prime_graph, index)
+            self._g_prime = (healer, nodes_ever, g_prime)
         alive = healer.alive_nodes
         return HealerSnapshot(
-            index=self.index,
-            g_prime=CSRGraph.from_graph(g_prime, self.index),
-            actual=CSRGraph.from_graph(actual, self.index),
-            alive_mask=self.index.mask_of(alive),
+            index=index,
+            g_prime=g_prime,
+            actual=CSRGraph.from_graph(actual, index),
+            alive_mask=index.mask_of(alive),
             alive_sorted=sorted_nodes(alive),
         )
 

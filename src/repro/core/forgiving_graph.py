@@ -57,7 +57,7 @@ from .errors import (
     InvariantViolationError,
     UnknownNodeError,
 )
-from .graph_fill import edge_pairs, fill_graph
+from .graph_fill import add_edge, edge_pairs, fill_graph, loopless_degree, remove_edge
 from .journal import Journal
 from .ports import NodeId, Port
 from .reconstruction_tree import (
@@ -317,7 +317,7 @@ class ForgivingGraph:
         """Degree of ``node`` in the healed network ``G`` (O(1), no graph build)."""
         if node not in self._alive:
             raise UnknownNodeError(node, "actual_degree")
-        return self._actual.degree[node]
+        return loopless_degree(self._actual, node)  # G never holds a self-loop
 
     def actual_neighbors(self, node: NodeId) -> Iterator[NodeId]:
         """Iterator over the neighbours of ``node`` in ``G`` (O(1), no graph view).
@@ -393,14 +393,16 @@ class ForgivingGraph:
 
     # -- incremental healed-graph deltas ---------------------------------------------
     def _edge_source_added(self, u: NodeId, v: NodeId) -> None:
-        """Record one more source (real edge or RT virtual edge) for healed edge (u, v)."""
+        """Record one more source (real edge or RT virtual edge) for healed edge (u, v).
+
+        Both endpoints are alive, so both are nodes of ``G``.
+        """
         if u == v:
             return
-        if self._actual.has_edge(u, v):
+        if not add_edge(self._actual, u, v):
             key = frozenset((u, v))
             self._extra_sources[key] = self._extra_sources.get(key, 0) + 1
             return
-        self._actual.add_edge(u, v)
         self._num_edges += 1
         self._degree_touch_log.append(u)
         self._degree_touch_log.append(v)
@@ -416,8 +418,7 @@ class ForgivingGraph:
                 del self._extra_sources[key]
             else:
                 self._extra_sources[key] = extra - 1
-        elif self._actual.has_edge(u, v):
-            self._actual.remove_edge(u, v)
+        elif remove_edge(self._actual, u, v):
             self._num_edges -= 1
             self._degree_touch_log.append(u)
             self._degree_touch_log.append(v)

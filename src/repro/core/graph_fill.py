@@ -1,13 +1,17 @@
-"""One pass that fills a fresh networkx graph.
+"""Direct access to a networkx graph's node and adjacency maps.
 
-networkx's ``add_nodes_from`` and ``add_edges_from`` pay per item for
-generality nothing here uses (attribute updates, 3-tuples, a cache clear
-per call), several microseconds per edge.  This module is the one place
-that writes a graph's node and adjacency maps directly, in exactly the
-layout those two networkx calls would leave: :func:`fill_graph` loads an
-edge sequence (the engine's ``G'`` and ``G``), and
-:func:`fill_graph_from_adjacency` a symmetric adjacency map (the
-processors' graph, ``DistributedForgivingGraph.network_graph``).
+networkx's ``add_nodes_from``, ``add_edges_from``, ``add_edge`` and
+``remove_edge`` pay per call for generality nothing here uses (attribute
+updates, 3-tuples, node creation, a clear of the backend-conversion cache,
+which no graph here ever fills), several microseconds per edge on a bulk
+load.  This module is the one place that writes a graph's node and
+adjacency maps directly, in exactly the layout those networkx calls would
+leave: :func:`fill_graph` loads an edge sequence (the engine's ``G'`` and
+``G``), :func:`fill_graph_from_adjacency` a symmetric adjacency map (the
+processors' graph, ``DistributedForgivingGraph.network_graph``),
+:func:`add_edge` / :func:`remove_edge` change one edge of a live graph (the
+engine's incremental ``G``), and :func:`loopless_degree` reads a node's
+degree there.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ import networkx as nx
 from .errors import InvalidEdgeError
 from .ports import NodeId
 
-__all__ = ["edge_pairs", "fill_graph", "fill_graph_from_adjacency"]
+__all__ = [
+    "add_edge",
+    "edge_pairs",
+    "fill_graph",
+    "fill_graph_from_adjacency",
+    "loopless_degree",
+    "remove_edge",
+]
 
 
 def fill_graph(
@@ -102,3 +113,38 @@ def fill_graph_from_adjacency(
             # A neighbour earlier in the map already linked this edge.
             if v not in row:
                 row[v] = adj[v][u] = {}
+
+
+def add_edge(graph: nx.Graph, u: NodeId, v: NodeId) -> bool:
+    """Add the edge ``(u, v)`` between two distinct nodes of ``graph`` unless it is there.
+
+    Leaves what ``graph.add_edge(u, v)`` would: one empty attribute dict
+    shared by both directions, ``v`` last in ``u``'s row and ``u`` last in
+    ``v``'s.  Both nodes must be in the graph.  Returns True when the edge
+    was added.
+    """
+    adj = graph._adj
+    u_nbrs = adj[u]
+    if v in u_nbrs:
+        return False
+    u_nbrs[v] = adj[v][u] = {}
+    return True
+
+
+def remove_edge(graph: nx.Graph, u: NodeId, v: NodeId) -> bool:
+    """Remove the edge ``(u, v)`` (``u != v``) from ``graph`` if it is there.
+
+    Leaves what ``graph.remove_edge(u, v)`` would.  Returns True when the
+    edge was removed.
+    """
+    adj = graph._adj
+    u_nbrs = adj.get(u)
+    if u_nbrs is None or v not in u_nbrs:
+        return False
+    del u_nbrs[v], adj[v][u]
+    return True
+
+
+def loopless_degree(graph: nx.Graph, node: NodeId) -> int:
+    """``graph.degree[node]`` for a graph without self-loops: the row's length."""
+    return len(graph._adj[node])

@@ -438,6 +438,8 @@ def extract_surviving_complete_trees(
     """
     complete_roots: List[RTNode] = []
     released: List[Port] = []
+    #: The released helpers themselves, unlinked once the walk is done.
+    discarded: List[RTHelper] = []
 
     if dead_nodes is None:
         dead_nodes = [
@@ -467,6 +469,7 @@ def extract_surviving_complete_trees(
                 complete_roots.append(node)
                 return
             released.append(node.simulated_by)
+            discarded.append(node)
             if node.left is not None:
                 record_cut(node, node.left)
                 complete_roots.append(node.left)
@@ -509,9 +512,19 @@ def extract_surviving_complete_trees(
                         collect_strip(child)
             if id(node) not in dead_ids:
                 released.append(node.simulated_by)
+                discarded.append(node)
 
     for node in complete_roots:
         node.detach()
+    # The released helpers and the dead nodes leave the tree for good.  Their
+    # parent and child links form reference cycles, so unlinking them lets
+    # reference counting free them now instead of a full collection later.
+    for node in discarded:
+        node.parent = node.left = node.right = node.representative = None
+    for node in dead_nodes:
+        node.parent = None
+        if isinstance(node, RTHelper):
+            node.left = node.right = node.representative = None
     complete_roots.sort(key=lambda n: -n.num_leaves)
     return complete_roots, released
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.ports import NodeId, Port, port_order_key
@@ -98,7 +98,9 @@ class PieceSummary:
     Its hash is taken once, at construction, over the same field tuple the
     generated ``__hash__`` would hash on every call: descriptors are set
     members and dict keys on every hop of a repair.  The cached hash is left
-    out of pickles, since str hashes differ between processes.
+    out of pickles, since str hashes differ between processes.  So is its
+    :attr:`identity`, built once too, since every hop's witness table keys
+    by it.
     """
 
     #: Port identifying the piece's root: a leaf's port or a helper's
@@ -117,13 +119,16 @@ class PieceSummary:
     def __post_init__(self) -> None:
         fields = (self.root_port, self.root_is_leaf, self.num_leaves, self.height, self.representative)
         object.__setattr__(self, "_hash", hash(fields))
+        #: The piece this descriptor describes, ``(root_port, root_is_leaf)``:
+        #: honest descriptors with one identity are equal within a repair.
+        object.__setattr__(self, "identity", fields[:2])
 
     def __hash__(self) -> int:
         return self._hash
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_hash"]
+        del state["_hash"], state["identity"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -413,21 +418,11 @@ class MergeOutcome:
         return sources
 
 
-@dataclass
-class _Piece:
-    """Mutable merge-time wrapper around a summary or a freshly made helper."""
-
-    port: Port
-    is_leaf: bool
-    num_leaves: int
-    height: int
-    representative: Port
-    #: Merge order ``(num_leaves, port_order_key(representative))``, fixed
-    #: when the piece is made so sorting and every ``insort`` probe reuse it.
-    key: Tuple[int, tuple]
-
-
-_piece_key = attrgetter("key")
+#: A piece during the merge is a plain tuple ``(key, port, is_leaf, height,
+#: representative)``.  ``key`` is its merge order ``(num_leaves,
+#: port_order_key(representative))``, fixed when the piece is made so that
+#: sorting and every ``insort`` probe reuse it; ``key[0]`` is the leaf count.
+_piece_key = itemgetter(0)
 
 
 def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeOutcome:
@@ -449,13 +444,12 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
     if not summaries:
         return outcome
     pieces = [
-        _Piece(
-            port=s.root_port,
-            is_leaf=s.root_is_leaf,
-            num_leaves=s.num_leaves,
-            height=s.height,
-            representative=s.representative,
-            key=(s.num_leaves, port_order_key(s.representative)),
+        (
+            (s.num_leaves, port_order_key(s.representative)),
+            s.root_port,
+            s.root_is_leaf,
+            s.height,
+            s.representative,
         )
         for s in dict.fromkeys(summaries)  # idempotent under retransmission
     ]
@@ -464,22 +458,22 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
     # nodes (a helper is always an ancestor of its own leaf), so parent
     # lookups key on (port, is_leaf), never on the port alone.
     parent_of: Dict[Tuple[Port, bool], Port] = {}
-    helper_records: List[Tuple[Port, _Piece, _Piece, _Piece]] = []
+    made: List[Tuple[tuple, tuple, tuple]] = []  # (left, right, helper), in creation order
 
-    def make_helper(a: _Piece, b: _Piece) -> _Piece:
-        num_leaves = a.num_leaves + b.num_leaves
-        merged = _Piece(
-            port=a.representative,
-            is_leaf=False,
-            num_leaves=num_leaves,
-            height=1 + max(a.height, b.height),
-            representative=b.representative,
-            # Same representative as ``b``, so the same port order key.
-            key=(num_leaves, b.key[1]),
+    def make_helper(a: tuple, b: tuple) -> tuple:
+        # The helper is simulated by ``a``'s representative and inherits
+        # ``b``'s, so it also inherits ``b``'s port order key.
+        port = a[4]
+        merged = (
+            (a[0][0] + b[0][0], b[0][1]),
+            port,
+            False,
+            1 + (a[3] if a[3] > b[3] else b[3]),
+            b[4],
         )
-        parent_of[(a.port, a.is_leaf)] = merged.port
-        parent_of[(b.port, b.is_leaf)] = merged.port
-        helper_records.append((merged.port, a, b, merged))
+        parent_of[(a[1], a[2])] = port
+        parent_of[(b[1], b[2])] = port
+        made.append((a, b, merged))
         return merged
 
     forest = sorted(pieces, key=_piece_key)
@@ -488,7 +482,7 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
         i = 0
         while i < len(forest) - 1:
             a, b = forest[i], forest[i + 1]
-            if a.num_leaves == b.num_leaves:
+            if a[0][0] == b[0][0]:
                 merged = make_helper(a, b)
                 del forest[i : i + 2]
                 bisect.insort_left(forest, merged, key=_piece_key)
@@ -502,24 +496,27 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
     else:
         root = forest[0]
 
-    for port, left, right, merged in helper_records:
-        outcome.helpers.append(
+    helpers = outcome.helpers
+    for (_, left_port, left_is_leaf, _, _), (_, right_port, right_is_leaf, _, _), merged in made:
+        (num_leaves, _), port, _, height, representative = merged
+        helpers.append(
             MergedHelper(
                 port=port,
-                left_port=left.port,
-                left_is_leaf=left.is_leaf,
-                right_port=right.port,
-                right_is_leaf=right.is_leaf,
+                left_port=left_port,
+                left_is_leaf=left_is_leaf,
+                right_port=right_port,
+                right_is_leaf=right_is_leaf,
                 parent_port=parent_of.get((port, False)),
-                height=merged.height,
-                num_leaves=merged.num_leaves,
-                representative=merged.representative,
+                height=height,
+                num_leaves=num_leaves,
+                representative=representative,
             )
         )
-    for piece in pieces:
-        parent = parent_of.get((piece.port, piece.is_leaf))
+    parent_updates = outcome.parent_updates
+    for _, port, is_leaf, _, _ in pieces:
+        parent = parent_of.get((port, is_leaf))
         if parent is not None:
-            outcome.parent_updates.append((piece.port, piece.is_leaf, parent))
-    outcome.root_port = root.port
-    outcome.root_is_leaf = root.is_leaf
+            parent_updates.append((port, is_leaf, parent))
+    outcome.root_port = root[1]
+    outcome.root_is_leaf = root[2]
     return outcome

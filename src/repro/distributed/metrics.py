@@ -141,11 +141,12 @@ class NetworkMetrics:
         """Account for one sent message."""
         self.total_messages += 1
         self.total_bits += bits
-        self.max_message_bits = max(self.max_message_bits, bits)
+        if bits > self.max_message_bits:
+            self.max_message_bits = bits
         if self.epoch_windows:
             epoch_window = self.epoch_windows.get(epoch)
             if epoch_window is not None:
-                epoch_window.record_message(sender, bits, kind=kind)
+                epoch_window.record_message(sender, bits, kind)
 
     def record_rounds(self, rounds: int) -> None:
         """Account for ``rounds`` parallel communication rounds."""

@@ -311,25 +311,29 @@ class Network:
         """
         if u == v or u not in self.processors or v not in self.processors:
             return
-        keys = self._links[u].get(v, ())
-        self._mark_link(u, v, keys)
+        u_links = self._links[u]
+        keys = u_links.get(v, ())
+        if self.marks is not None:
+            self._mark_link(u, v, keys)
         if key not in keys:
-            self._set_keys(u, v, keys + (key,))
+            u_links[v] = self._links[v][u] = keys + (key,)
 
     def remove_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
         """Drop one source of link ``(u, v)``; the link vanishes at zero sources
         (unless an open repair scaffold is still using it)."""
-        keys = self._links.get(u, _NO_LINKS).get(v)
+        u_links = self._links.get(u, _NO_LINKS)
+        keys = u_links.get(v)
         if not keys:
             return
-        self._mark_link(u, v, keys)
+        if self.marks is not None:
+            self._mark_link(u, v, keys)
         if key not in keys:
             return
         keys = tuple(other for other in keys if other != key)
         if keys or (self._scaffold is not None and frozenset((u, v)) in self._scaffold):
-            self._set_keys(u, v, keys)
+            u_links[v] = self._links[v][u] = keys
         else:
-            del self._links[u][v], self._links[v][u]
+            del u_links[v], self._links[v][u]
 
     def has_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> bool:
         """True when ``key`` currently sources the link ``(u, v)``."""
@@ -471,18 +475,21 @@ class Network:
         """
         sender = message.sender
         receiver = message.receiver
-        if sender not in self.processors:
+        processors = self.processors
+        if sender not in processors:
             raise ProtocolError(f"sender {sender!r} does not exist")
-        if receiver not in self.processors:
+        if receiver not in processors:
             raise ProtocolError(f"receiver {receiver!r} does not exist")
-        if sender != receiver and not self.are_linked(sender, receiver):
-            if self._scaffold is not None:
-                self.scaffold_link(sender, receiver)
-            else:
+        links = self._links[sender]
+        if receiver not in links and sender != receiver:
+            # What scaffold_link does: an unsourced link, both ends, recorded.
+            if self._scaffold is None:
                 raise ProtocolError(
                     f"{message.kind} from {sender!r} to {receiver!r} "
                     "would travel between unlinked processors"
                 )
+            links[receiver] = self._links[receiver][sender] = ()
+            self._scaffold.add(frozenset((sender, receiver)))
         schedule = self.fault_schedule
         if (
             schedule is not None
@@ -497,16 +504,14 @@ class Network:
             schedule.corrupt_in_place(message)
         if message.byz_origin is not None:
             self.injection_log.note_sent(message.byz_origin, self._round)
-        self.stamp(message)
+        # What stamp does: the next per-network id.
+        self._message_seq = message.message_id = self._message_seq + 1
         # ``payload_words * _word_bits`` equals ``message.size_bits(n_ever)``
         # (same formula, the log cached per processor addition).  Every
         # repair-protocol message carries the ``deleted`` victim it serves,
         # which keys the per-repair epoch windows.
         self.metrics.record_message(
-            sender=sender,
-            kind=message.kind,
-            bits=message.payload_words * self._word_bits,
-            epoch=message.deleted,
+            sender, message.kind, message.payload_words * self._word_bits, message.deleted
         )
         self._outbox.append(message)
 
@@ -548,17 +553,17 @@ class Network:
             if permutation is not None:
                 batch = [batch[i] for i in permutation]
         delivered = 0
+        processors, send = self.processors, self.send
         for message in batch:
-            processor = self.processors.get(message.receiver)
+            processor = processors.get(message.receiver)
             if processor is None:
                 # Receiver died mid-round; the paper assumes one attack per round.
                 continue
             if message.byz_origin is not None:
                 self.injection_log.note_delivered(message.byz_origin, message.receiver)
-            responses = processor.receive(message)
             delivered += 1
-            for response in responses or ():
-                self.send(response)
+            for response in processor.receive(message):
+                send(response)
         return delivered
 
     def drop_in_flight(self) -> int:
@@ -642,12 +647,13 @@ class Network:
         participant order.  Returns how many messages the timers produced.
         """
         produced = 0
+        processors, send = self.processors, self.send
         for node in participants:
-            processor = self.processors.get(node)
+            processor = processors.get(node)
             if processor is None:
                 continue
-            for message in processor.tick(round_index) or ():
-                self.send(message)
+            for message in processor.tick(round_index):
+                send(message)
                 produced += 1
         return produced
 

@@ -52,7 +52,8 @@ the engine is an oracle, never a participant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import dataclasses
 
@@ -148,7 +149,18 @@ _HANDLER_CACHE: Dict[Tuple[type, str], Optional[object]] = {}
 _UNRESOLVED = object()
 
 
-@dataclass
+#: The read-only empty mapping every dict field of a :class:`SpineRole` or
+#: :class:`RepairContext`, and a :class:`Processor`'s repair maps, hold until
+#: a role writes a first entry; the writer then gives the field a dict of
+#: its own.  Unused roles thus allocate nothing, and a read needs no guard.
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+def _no_entries() -> Mapping:
+    return _NO_ENTRIES
+
+
+@dataclass(slots=True)
 class SpineRole:
     """One processor's position on one affected RT's probe path."""
 
@@ -165,24 +177,30 @@ class SpineRole:
     probe_forwarded: bool = False
     report_sent: bool = False
     #: Descriptors received from deeper hops, folded into the next report.
-    collected: Dict[PieceSummary, None] = field(default_factory=dict)
+    collected: Mapping[PieceSummary, None] = field(default_factory=_no_entries)
     #: Pieces the predecessor has acknowledged knowing (recovery gossip):
     #: once everything this hop vouches for is in here, its knowledge has
     #: provably reached the previous hop and its digests go quiet.
-    confirmed: Dict[PieceSummary, None] = field(default_factory=dict)
+    confirmed: Mapping[PieceSummary, None] = field(default_factory=_no_entries)
 
 
-@dataclass
+@dataclass(slots=True)
 class RepairContext:
-    """Everything one processor knows locally about one repair."""
+    """Everything one processor knows locally about one repair.
+
+    A participant pays only for the roles it plays: each sequence field
+    starts as ``()`` and each mapping field as the shared read-only empty
+    mapping, and whatever writes a role's first entry creates that field's
+    own list or dict.
+    """
 
     victim: NodeId
     #: Spine roles, one per affected RT this processor sits on the path of.
-    spines: List[SpineRole] = field(default_factory=list)
+    spines: Sequence[SpineRole] = ()
     #: Helper ports to mark red (a local action once the failure is learnt).
-    released: List[Port] = field(default_factory=list)
+    released: Sequence[Port] = ()
     #: Link sources destroyed with the broken glue: (key, u, v) triples.
-    glue: List[Tuple[Tuple, NodeId, NodeId]] = field(default_factory=list)
+    glue: Sequence[Tuple[Tuple, NodeId, NodeId]] = ()
     #: Round at which off-spine strip knowledge self-applies (the failure
     #: wave through the broken region is model-level); ``None`` when the
     #: strip is driven by probe receipt only.
@@ -196,10 +214,10 @@ class RepairContext:
     shipped: bool = False
     #: Descriptors gathered at this anchor (own pieces, spine reports, and —
     #: for interior BT_v nodes — children's lists), insertion-ordered.
-    gathered: Dict[PieceSummary, None] = field(default_factory=dict)
+    gathered: Mapping[PieceSummary, None] = field(default_factory=_no_entries)
     #: Gathered pieces the ``BT_v`` parent has acknowledged knowing
     #: (recovery gossip) — the anchor-level twin of ``SpineRole.confirmed``.
-    pieces_confirmed: Dict[PieceSummary, None] = field(default_factory=dict)
+    pieces_confirmed: Mapping[PieceSummary, None] = field(default_factory=_no_entries)
 
     # --- leader role ------------------------------------------------------
     is_leader: bool = False
@@ -208,24 +226,30 @@ class RepairContext:
     epoch: int = 0
     #: Helper ports ever instructed by this leader during this repair (used
     #: to retract assignments a re-merge superseded).
-    instructed: Dict[Port, None] = field(default_factory=dict)
+    instructed: Mapping[Port, None] = field(default_factory=_no_entries)
     #: Ports whose record digest matched the current outcome (recovery
-    #: gossip); cleared on every re-merge, since a new epoch's instructions
+    #: gossip); emptied on every re-merge, since a new epoch's instructions
     #: must be re-confirmed.
-    confirmed_ports: Dict[Port, None] = field(default_factory=dict)
+    confirmed_ports: Mapping[Port, None] = field(default_factory=_no_entries)
 
     # --- byzantine accountability ----------------------------------------
     #: Cross-witness table: the first descriptor seen per piece identity
-    #: ``(root_port, root_is_leaf)``, with the message that carried it
-    #: (``None`` for pre-failure local knowledge).  Within one repair every
-    #: honest descriptor for the same identity is identical (pieces are
-    #: disjoint and their content is pre-failure state), so a validly-sealed
-    #: newcomer that *contradicts* the witnessed copy proves its author —
-    #: the piece's own root processor — lied; the conflicting message pair
-    #: is the accusation's evidence.
-    witnessed: Dict[Tuple[Port, bool], Tuple[PieceSummary, Optional[Message]]] = field(
-        default_factory=dict
-    )
+    #: (``PieceSummary.identity``, its ``(root_port, root_is_leaf)``).
+    #: Within one repair every honest descriptor for the same identity is
+    #: identical (pieces are disjoint and their content is pre-failure
+    #: state), so a validly-sealed newcomer that *contradicts* the witnessed
+    #: copy proves its author — the piece's own root processor — lied.
+    witnessed: Mapping[Tuple[Port, bool], PieceSummary] = field(default_factory=_no_entries)
+    #: The message that carried each witnessed descriptor, by identity (none
+    #: for pre-failure local knowledge): with the contradicting newcomer's
+    #: carrier, the accusation's evidence.
+    carriers: Mapping[Tuple[Port, bool], Message] = field(default_factory=_no_entries)
+
+    def gather(self, summary: PieceSummary) -> None:
+        """Add ``summary`` to the gathered descriptors (the anchor role's write)."""
+        if self.gathered is _NO_ENTRIES:
+            self.gathered = {}
+        self.gathered[summary] = None
 
 
 class Processor:
@@ -240,10 +264,12 @@ class Processor:
         #: write in the network's checkpoint marks.  ``None`` for standalone
         #: processors (unit tests), where both are skipped.
         self.network = None
-        #: Active repair contexts, keyed by the deleted node.
-        self.repairs: Dict[NodeId, RepairContext] = {}
+        #: Active repair contexts, keyed by the deleted node.  Like the
+        #: epochs below, the shared empty mapping while there are none, so
+        #: a processor outside every repair holds no repair state.
+        self.repairs: Mapping[NodeId, RepairContext] = _NO_ENTRIES
         #: Newest dissemination epoch seen per repair (stale-message guard).
-        self.repair_epochs: Dict[NodeId, int] = {}
+        self.repair_epochs: Mapping[NodeId, int] = _NO_ENTRIES
 
     # ------------------------------------------------------------------ #
     # local knowledge
@@ -289,20 +315,30 @@ class Processor:
         table: descriptors it can vouch for locally are the first witnesses
         against any later, contradicting claim about the same pieces.
         """
+        if self.repairs is _NO_ENTRIES:
+            self.repairs = {}
         self.repairs[context.victim] = context
+        witnessed = context.witnessed
         for role in context.spines:
             for summary in role.summaries:
-                context.witnessed.setdefault(
-                    (summary.root_port, summary.root_is_leaf), (summary, None)
-                )
+                if witnessed is _NO_ENTRIES:
+                    witnessed = context.witnessed = {}
+                witnessed.setdefault(summary.identity, summary)
         for summary in context.gathered:
-            context.witnessed.setdefault(
-                (summary.root_port, summary.root_is_leaf), (summary, None)
-            )
+            if witnessed is _NO_ENTRIES:
+                witnessed = context.witnessed = {}
+            witnessed.setdefault(summary.identity, summary)
 
     def uninstall_repair(self, victim: NodeId) -> None:
-        self.repairs.pop(victim, None)
-        self.repair_epochs.pop(victim, None)
+        """Forget one repair; a map left empty goes back to the shared one."""
+        if victim in self.repairs:
+            del self.repairs[victim]
+            if not self.repairs:
+                self.repairs = _NO_ENTRIES
+        if victim in self.repair_epochs:
+            del self.repair_epochs[victim]
+            if not self.repair_epochs:
+                self.repair_epochs = _NO_ENTRIES
 
     def apply_strip(self, context: RepairContext) -> None:
         """Mark red / drop glue from local knowledge (free local work).
@@ -333,23 +369,34 @@ class Processor:
         fire yet — a report still waiting for its probe — keeps the value in
         the past, and the round loop retries it every round.
         """
-        pending: List[int] = []
+        due: Optional[int] = None
         for context in self.repairs.values():
-            if not context.stripped and context.strip_round is not None:
-                pending.append(context.strip_round)
+            at = context.strip_round
+            if at is not None and not context.stripped and (due is None or at < due):
+                due = at
             for role in context.spines:
                 if not role.report_sent and role.prev_hop is not None:
-                    pending.append(role.report_round)
+                    at = role.report_round
+                    if due is None or at < due:
+                        due = at
+            at = context.ship_round
             if (
-                context.is_anchor
+                at is not None
+                and context.is_anchor
                 and not context.shipped
-                and context.ship_round is not None
                 and context.bt_parent is not None
+                and (due is None or at < due)
             ):
-                pending.append(context.ship_round)
-            if context.is_leader and context.outcome is None and context.decide_round is not None:
-                pending.append(context.decide_round)
-        return min(pending, default=None)
+                due = at
+            at = context.decide_round
+            if (
+                at is not None
+                and context.is_leader
+                and context.outcome is None
+                and (due is None or at < due)
+            ):
+                due = at
+        return due
 
     def tick(self, round_index: int) -> List[Message]:
         """Fire deadline-driven actions for the given round.
@@ -380,7 +427,7 @@ class Processor:
                 and context.bt_parent is not None
             ):
                 context.shipped = True
-                out.extend(self._emit_list(context, list(context.gathered)))
+                out.extend(self._emit_list(context, context.gathered))
             if (
                 context.is_leader
                 and context.outcome is None
@@ -393,7 +440,7 @@ class Processor:
     # ------------------------------------------------------------------ #
     # message handling
     # ------------------------------------------------------------------ #
-    def receive(self, message: Message) -> List[Message]:
+    def receive(self, message: Message) -> Sequence[Message]:
         """Dispatch an incoming message; returns any response messages.
 
         Structural messages are integrity-checked first (when the
@@ -402,13 +449,17 @@ class Processor:
         an authored payload — the whole message is discarded undispatched
         (containment: a detected lie influences nothing) and the sender is
         accused and quarantined.  Honest messages are valid by construction,
-        so this gate can never fire on delivery faults alone.
+        so this gate can never fire on delivery faults alone.  Returns
+        ``()`` when nothing goes back.
         """
-        # Seal gate ordered cheapest-first: ``sealed`` is a per-class flag
-        # (False for the unsealed majority — probes, notices, requests), so
-        # most messages pay one attribute check here instead of a frozenset
-        # lookup plus two network reads.
-        if message.sealed and message.sender != self.node_id:
+        # The check runs only where it can find a flaw: on a kind that
+        # carries checksummed descriptors, or on a sealed kind whose seal
+        # somebody froze (an unread seal verifies by construction, see
+        # ``Message.seal_valid``).  Both tests are class or slot reads, so
+        # probes, notices and unfrozen instructions skip it outright.
+        if (
+            message._descriptor_fields or (message._seal is not None and message.sealed)
+        ) and message.sender != self.node_id:
             network = self.network
             if network is not None:
                 flaw = self._verify(message)
@@ -419,7 +470,7 @@ class Processor:
                         reason=flaw,
                         evidence=(message,),
                     )
-                    return []
+                    return ()
         cls = type(self)
         kind = message.kind
         handler = _HANDLER_CACHE.get((cls, kind), _UNRESOLVED)
@@ -427,8 +478,8 @@ class Processor:
             handler = getattr(cls, f"_on_{kind}", None)
             _HANDLER_CACHE[(cls, kind)] = handler
         if handler is not None:
-            return handler(self, message) or []
-        return []
+            return handler(self, message) or ()
+        return ()
 
     @staticmethod
     def _verify(message: Message) -> Optional[str]:
@@ -452,14 +503,15 @@ class Processor:
         receiver that never existed is not waived — the message goes out and
         :meth:`Network.send` keeps its fail-fast ``ProtocolError``.
         """
-        if message.receiver == self.node_id:
+        receiver = message.receiver
+        if receiver == self.node_id:
             out.extend(self.receive(message))
             return
         network = self.network
         if (
             network is not None
-            and not network.has_processor(message.receiver)
-            and network.ever_had_processor(message.receiver)
+            and receiver not in network.processors
+            and receiver in network._ever_ids
         ):
             return
         out.append(message)
@@ -471,7 +523,7 @@ class Processor:
     def _emit_report(self, context: RepairContext, role: SpineRole) -> List[Message]:
         """Send this hop's report wave (own pieces + everything collected)."""
         role.report_sent = True
-        payload = list(dict.fromkeys([*role.summaries, *role.collected]))
+        payload = dict.fromkeys((*role.summaries, *role.collected))
         out: List[Message] = []
         for chunk in _chunks(payload, MAX_ROOTS_PER_MESSAGE) or [()]:
             self._emit(
@@ -479,14 +531,14 @@ class Processor:
                     sender=self.node_id,
                     receiver=role.prev_hop,
                     deleted=context.victim,
-                    roots=tuple(chunk),
+                    roots=chunk,
                     rt_index=role.rt_index,
                 ),
                 out,
             )
         return out
 
-    def _emit_list(self, context: RepairContext, summaries: List[PieceSummary]) -> List[Message]:
+    def _emit_list(self, context: RepairContext, summaries: Iterable[PieceSummary]) -> List[Message]:
         """Ship descriptors up the ``BT_v`` tree (chunked)."""
         out: List[Message] = []
         for chunk in _chunks(summaries, MAX_ROOTS_PER_MESSAGE) or [()]:
@@ -495,7 +547,7 @@ class Processor:
                     sender=self.node_id,
                     receiver=context.bt_parent,
                     deleted=context.victim,
-                    roots=tuple(chunk),
+                    roots=chunk,
                 ),
                 out,
             )
@@ -512,13 +564,17 @@ class Processor:
         victim = context.victim
         epoch = context.epoch
         out: List[Message] = []
-        current_ports = outcome.helper_ports()
-        # Retract helpers instructed under a superseded (partial) outcome.
-        for port in list(context.instructed):
-            if port not in current_ports:
-                self._emit(helper_retraction(self.node_id, victim, port, epoch), out)
+        instructed = context.instructed
+        if instructed:
+            # Retract helpers instructed under a superseded (partial) outcome.
+            current_ports = outcome.helper_ports()
+            for port in list(instructed):
+                if port not in current_ports:
+                    self._emit(helper_retraction(self.node_id, victim, port, epoch), out)
+        elif outcome.helpers:
+            instructed = context.instructed = {}
         for helper in outcome.helpers:
-            context.instructed[helper.port] = None
+            instructed[helper.port] = None
             self._emit(helper_assignment(self.node_id, victim, helper, epoch), out)
         for child_port, child_is_leaf, parent_port in outcome.parent_updates:
             self._emit(
@@ -535,7 +591,7 @@ class Processor:
         context.epoch += 1
         context.outcome = merge_summaries(context.victim, list(context.gathered))
         # A new epoch's instructions must be confirmed afresh.
-        context.confirmed_ports.clear()
+        context.confirmed_ports = _NO_ENTRIES
         return self._disseminate(context)
 
     # -- handlers ----------------------------------------------------------
@@ -606,25 +662,28 @@ class Processor:
         descriptor is rejected (first witness wins), containing the lie at
         this hop.
         """
+        witnessed, carriers = context.witnessed, context.carriers
+        if summaries:
+            if witnessed is _NO_ENTRIES:
+                witnessed = context.witnessed = {}
+            if carriers is _NO_ENTRIES and message is not None:
+                carriers = context.carriers = {}
         network = self.network
-        if network is None:
-            for summary in summaries:
-                context.witnessed.setdefault(
-                    (summary.root_port, summary.root_is_leaf), (summary, message)
-                )
-            return summaries
         admitted: List[PieceSummary] = []
         for summary in summaries:
-            key = (summary.root_port, summary.root_is_leaf)
-            prior = context.witnessed.get(key)
+            key = summary.identity
+            prior = witnessed.get(key)
             if prior is None:
-                context.witnessed[key] = (summary, message)
+                witnessed[key] = summary
+                if message is not None:
+                    carriers[key] = message
                 admitted.append(summary)
-            elif prior[0] is summary or prior[0] == summary:
+            elif prior is summary or prior == summary or network is None:
+                # A standalone processor (no network) has nobody to accuse.
                 admitted.append(summary)
             else:
                 evidence = tuple(
-                    m for m in (prior[1], message) if m is not None
+                    m for m in (carriers.get(key), message) if m is not None
                 )
                 network.accuse(
                     accused=summary.root_port.processor,
@@ -657,9 +716,13 @@ class Processor:
         if role is None or role.position == 0 or role.prev_hop is None:
             # Anchor position (or no spine role): fold into the gathered set.
             return self._absorb(context, summaries, message, admitted=True)
-        fresh = [s for s in summaries if s not in role.collected]
-        for summary in fresh:
-            role.collected[summary] = None
+        collected = role.collected
+        fresh = [s for s in summaries if s not in collected]
+        if fresh:
+            if collected is _NO_ENTRIES:
+                collected = role.collected = {}
+            for summary in fresh:
+                collected[summary] = None
         if not role.report_sent:
             return self._emit_report(context, role)
         # Late wave: relay the fresh descriptors without re-batching.
@@ -670,7 +733,7 @@ class Processor:
                     sender=self.node_id,
                     receiver=role.prev_hop,
                     deleted=context.victim,
-                    roots=tuple(chunk),
+                    roots=chunk,
                     rt_index=role.rt_index,
                 ),
                 out,
@@ -693,10 +756,10 @@ class Processor:
         if not admitted:
             summaries = self._admit_pieces(context, summaries, message)
         fresh = [s for s in summaries if s not in context.gathered]
-        for summary in fresh:
-            context.gathered[summary] = None
         if not fresh:
             return []
+        for summary in fresh:
+            context.gather(summary)
         if context.is_leader:
             if context.outcome is not None:
                 return self._remerge(context)
@@ -710,10 +773,11 @@ class Processor:
         if port is None or port.processor != self.node_id:
             return
         if message.deleted is not None:
-            newest = self.repair_epochs.get(message.deleted, -1)
-            if message.epoch < newest:
+            if message.epoch < self.repair_epochs.get(message.deleted, -1):
                 return  # stale instruction from a superseded merge epoch
-            self.repair_epochs[message.deleted] = max(newest, message.epoch)
+            if self.repair_epochs is _NO_ENTRIES:
+                self.repair_epochs = {}
+            self.repair_epochs[message.deleted] = message.epoch
         record = self.ensure_edge(port.neighbor)
         if message.child_is_helper:
             record.helper_parent = message.parent_port
@@ -729,10 +793,11 @@ class Processor:
             return
         victim = message.deleted
         if victim is not None:
-            newest = self.repair_epochs.get(victim, -1)
-            if message.epoch < newest:
+            if message.epoch < self.repair_epochs.get(victim, -1):
                 return  # stale instruction from a superseded merge epoch
-            self.repair_epochs[victim] = max(newest, message.epoch)
+            if self.repair_epochs is _NO_ENTRIES:
+                self.repair_epochs = {}
+            self.repair_epochs[victim] = message.epoch
         record = self.ensure_edge(port.neighbor)
         if not message.create:
             if record.has_helper and (victim is None or record.helper_victim == victim):
@@ -755,10 +820,11 @@ class Processor:
         record.helper_children_count = 2
         record.helper_representative = message.representative_port
         self.mark_record(port.neighbor)
-        if self.network is not None:
+        network = self.network
+        if network is not None:
             for child in (message.left_port, message.right_port):
                 if child is not None:
-                    self.network.add_link_source(
+                    network.add_link_source(
                         link_source_key(port, child), self.node_id, child.processor
                     )
 
@@ -819,7 +885,7 @@ class Processor:
                         rt_index=role.rt_index,
                         probed=role.probed,
                         stripped=context.stripped,
-                        pieces=tuple(chunk),
+                        pieces=chunk,
                     ),
                     out,
                 )
@@ -832,7 +898,7 @@ class Processor:
                         receiver=context.bt_parent,
                         deleted=victim,
                         stripped=context.stripped,
-                        pieces=tuple(chunk),
+                        pieces=chunk,
                     ),
                     out,
                 )
@@ -842,13 +908,13 @@ class Processor:
                 if port not in context.confirmed_ports:
                     targets.setdefault(port.processor, {})[port] = None
             for owner, ports in targets.items():
-                for chunk in _chunks(list(ports), MAX_PORTS_PER_REQUEST):
+                for chunk in _chunks(ports, MAX_PORTS_PER_REQUEST):
                     self._emit(
                         DigestRequest(
                             sender=self.node_id,
                             receiver=owner,
                             deleted=victim,
-                            ports=tuple(chunk),
+                            ports=chunk,
                         ),
                         out,
                     )
@@ -1000,10 +1066,14 @@ class Processor:
                     ),
                     None,
                 )
-                if role is not None:
+                if role is not None and message.pieces:
+                    if role.confirmed is _NO_ENTRIES:
+                        role.confirmed = {}
                     for summary in message.pieces:
                         role.confirmed[summary] = None
-            elif message.sender == context.bt_parent:
+            elif message.sender == context.bt_parent and message.pieces:
+                if context.pieces_confirmed is _NO_ENTRIES:
+                    context.pieces_confirmed = {}
                 for summary in message.pieces:
                     context.pieces_confirmed[summary] = None
             return out
@@ -1162,6 +1232,8 @@ class Processor:
                 )
                 if not applied:
                     port_ok = False
+                    if context.instructed is _NO_ENTRIES:
+                        context.instructed = {}
                     context.instructed[helper.port] = None
                     self._emit(helper_assignment(self.node_id, victim, helper, epoch), out)
             elif record.helper_for_victim and record.port in context.instructed:
@@ -1190,8 +1262,10 @@ class Processor:
                         out,
                     )
             if port_ok:
+                if context.confirmed_ports is _NO_ENTRIES:
+                    context.confirmed_ports = {}
                 context.confirmed_ports[record.port] = None
-            else:
+            elif context.confirmed_ports is not _NO_ENTRIES:
                 context.confirmed_ports.pop(record.port, None)
         return out
 
@@ -1200,5 +1274,8 @@ class Processor:
         return f"Processor({self.node_id!r}, edges={len(self.edges)})"
 
 
-def _chunks(items: List, size: int) -> List[List]:
+def _chunks(items: Iterable, size: int) -> List[Tuple]:
+    """``items`` as consecutive tuples of at most ``size`` (a payload that
+    fits in one message is one tuple, sliced without a copy)."""
+    items = tuple(items)
     return [items[i : i + size] for i in range(0, len(items), size)]

@@ -145,6 +145,9 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
             plan.contexts[node] = context
         return context
 
+    # A context's containers start empty and shared (see RepairContext); the
+    # writes below give a participant containers of its own only for the
+    # roles it plays.
     affected = engine.affected_reconstruction_trees(victim)
     dead_by_rt = _dead_rt_nodes(engine, victim)
     anchors: List[NodeId] = []
@@ -163,17 +166,17 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
             for summary in strip.summaries:
                 plan.all_summaries.append(summary)
                 owner = summary.root_port.processor
-                context_for(owner).gathered[summary] = None
+                context_for(owner).gather(summary)
                 if owner not in anchor_ready:
                     anchors.append(owner)
                     anchor_ready[owner] = 1
             for processor, released in strip.released_by_processor.items():
                 context = context_for(processor)
-                context.released.extend(released)
+                context.released = [*context.released, *released]
                 context.strip_round = _merge_deadline(context.strip_round, 1)
             for processor, glue in strip.glue_by_processor.items():
                 context = context_for(processor)
-                context.glue.extend(glue)
+                context.glue = [*context.glue, *glue]
                 context.strip_round = _merge_deadline(context.strip_round, 1)
             continue
         plan.all_summaries.extend(strip.summaries)
@@ -195,22 +198,22 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
                 # deeper down by its own slot initiates the wave itself.
                 report_round=2 * length - position,
             )
-            context.spines.append(role)
+            context.spines = [*context.spines, role]
             if position == 0:
                 # The anchor's own pieces are its local knowledge: they join
                 # its gathered set directly instead of travelling a report.
                 for summary in by_position.get(0, ()):
-                    context.gathered[summary] = None
+                    context.gather(summary)
         # Strip knowledge of off-spine processors (broken-region interior):
         # applied on a model-level failure-detection deadline, see module doc.
         for processor, released in strip.released_by_processor.items():
             context = context_for(processor)
-            context.released.extend(released)
+            context.released = [*context.released, *released]
             if processor not in path:
                 context.strip_round = _merge_deadline(context.strip_round, 1)
         for processor, glue in strip.glue_by_processor.items():
             context = context_for(processor)
-            context.glue.extend(glue)
+            context.glue = [*context.glue, *glue]
             if processor not in path:
                 context.strip_round = _merge_deadline(context.strip_round, 1)
         if path:
@@ -225,7 +228,7 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
             summary = trivial_summary(neighbor, victim)
             plan.all_summaries.append(summary)
             context = context_for(neighbor)
-            context.gathered[summary] = None
+            context.gather(summary)
             if neighbor not in anchor_ready:
                 anchors.append(neighbor)
                 anchor_ready[neighbor] = 1
@@ -242,23 +245,24 @@ def _assign_anchor_roles(plan: RepairPlan, anchor_ready: Dict[NodeId, int]) -> N
     """Wire the anchors into ``BT_v`` and compute their shipping deadlines."""
     if not plan.anchors:
         return
-    index_of = {anchor: i for i, anchor in enumerate(plan.anchors)}
     children: Dict[NodeId, List[NodeId]] = {}
     parent_of: Dict[NodeId, NodeId] = {}
     for parent, child in plan.bt_edges:
         children.setdefault(parent, []).append(child)
         parent_of[child] = parent
     # Ship rounds bottom-up: a child ships at S, the parent holds its own
-    # batch until every child's list could have arrived (S + 2).
+    # batch until every child's list could have arrived (S + 2).  A child
+    # always comes after its parent in the anchor order.
     ship: Dict[NodeId, int] = {}
-    for anchor in sorted(plan.anchors, key=lambda a: -index_of[a]):
+    for anchor in reversed(plan.anchors):
         ready = anchor_ready.get(anchor, 1)
         for child in children.get(anchor, ()):
             ready = max(ready, ship[child] + 2)
         ship[anchor] = ready
     deadline = 1
     for anchor in plan.anchors:
-        context = plan.contexts.setdefault(anchor, RepairContext(victim=plan.victim))
+        # Every anchor got its context where it became an anchor.
+        context = plan.contexts[anchor]
         context.is_anchor = True
         context.bt_parent = parent_of.get(anchor)
         if anchor == plan.leader:

@@ -254,7 +254,8 @@ class HealerDaemon:
 
         # 3. Full-path suffix replay: everything after the checkpoint goes
         #    back through submit-validation-free application (it was already
-        #    validated when first journalled).
+        #    validated when first journalled).  The pump also compacts the
+        #    journal entries the prefix replay left.
         suffix = store.journal_ops(after=checkpoint_seq, order="seq")
         daemon._pending = list(suffix)
         for op in suffix:
@@ -353,6 +354,9 @@ class HealerDaemon:
         once before each checkpoint (see :meth:`checkpoint`) and once when
         the backlog is done.  A crash in between loses only marks of ops
         past the last checkpoint, which the restore replays as its suffix.
+
+        Memory: the engine's journals are compacted once the backlog is
+        done, so a pump leaves none of their entries behind.
         """
         applied = 0
         while self._pending:
@@ -405,6 +409,10 @@ class HealerDaemon:
             ):
                 self.checkpoint()
         self.store.commit()
+        # Nothing in the service tails the engine's journals, so all they
+        # hold is drained; left alone, every healed-degree change since
+        # genesis would stay in memory.
+        self.healer.compact_journals()
         return applied
 
     def checkpoint(self) -> int:

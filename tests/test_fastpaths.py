@@ -188,6 +188,42 @@ def test_pairwise_stretch_values():
 # --------------------------------------------------------------------------- #
 # aggregate report plumbing
 # --------------------------------------------------------------------------- #
+def _csr_arrays(csr):
+    return csr.num_nodes, csr.indptr.tolist(), csr.indices.tolist()
+
+
+def test_session_reuses_the_g_prime_csr_until_an_insertion():
+    """``G'`` only grows, one node per insertion: while ``nodes_ever`` stands
+    still the session hands out the CSR it built, equal to a fresh one."""
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 80, seed=9))
+    session = MeasurementSession()
+    first = session.snapshot(healer).g_prime
+    for victim in sorted(healer.alive_nodes)[:6]:
+        healer.delete(victim)
+    reused = session.snapshot(healer)
+    assert reused.g_prime is first
+    fresh = MeasurementSession().snapshot(healer)
+    assert _csr_arrays(reused.g_prime) == _csr_arrays(fresh.g_prime)
+    assert _csr_arrays(reused.actual) == _csr_arrays(fresh.actual)
+
+    healer.insert("new", sorted(healer.alive_nodes)[:3])
+    rebuilt = session.snapshot(healer).g_prime
+    assert rebuilt is not first
+    assert rebuilt.num_nodes == first.num_nodes + 1
+    assert _csr_arrays(rebuilt) == _csr_arrays(MeasurementSession().snapshot(healer).g_prime)
+    assert session.snapshot(healer).g_prime is rebuilt
+
+
+def test_session_keys_the_g_prime_csr_to_its_healer():
+    graph = make_graph("power_law", 40, seed=2)
+    first, second = (DistributedForgivingGraph.from_graph(graph) for _ in range(2))
+    session = MeasurementSession()
+    csr = session.snapshot(first).g_prime
+    assert first.nodes_ever == second.nodes_ever
+    assert session.snapshot(second).g_prime is not csr
+    assert session.snapshot(second).g_prime is session.snapshot(second).g_prime
+
+
 def test_guarantee_report_with_session_matches_sessionless():
     fg = churned_forgiving_graph(n=40, seed=47)
     session = MeasurementSession()

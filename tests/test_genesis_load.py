@@ -22,7 +22,7 @@ from repro.adversary import MaxDegreeDeletion
 from repro.analysis.fastpaths import CSRGraph, NodeIndex
 from repro.core.errors import InvalidEdgeError, ProtocolError
 from repro.core.forgiving_graph import ForgivingGraph
-from repro.core.graph_fill import fill_graph
+from repro.core.graph_fill import add_edge, fill_graph, loopless_degree, remove_edge
 from repro.distributed import DistributedForgivingGraph, Network, fault_schedule
 from repro.distributed.merge import real_source_key
 from repro.generators import make_graph
@@ -315,3 +315,29 @@ def test_network_graph_matches_networkx_add_from():
     csr, reference_csr = CSRGraph.from_graph(graph, index), CSRGraph.from_graph(reference, index)
     assert csr.indptr.tolist() == reference_csr.indptr.tolist()
     assert csr.indices.tolist() == reference_csr.indices.tolist()
+
+
+def test_one_edge_writers_match_networkx():
+    """``add_edge``/``remove_edge`` (the engine's incremental ``G``) leave the
+    layout networkx's own calls leave, and ``loopless_degree`` reads its
+    degrees."""
+    rng = random.Random(3)
+    graph, reference = nx.Graph(), nx.Graph()
+    nodes = [*range(12), "a", "b", ("t", 1)]
+    graph.add_nodes_from(nodes)
+    reference.add_nodes_from(nodes)
+    for _ in range(400):
+        u, v = rng.sample(nodes, 2)
+        if rng.random() < 0.6:
+            assert add_edge(graph, u, v) == (not reference.has_edge(u, v))
+            reference.add_edge(u, v)
+        else:
+            assert remove_edge(graph, u, v) == reference.has_edge(u, v)
+            if reference.has_edge(u, v):
+                reference.remove_edge(u, v)
+        assert _layout(graph) == _layout(reference)
+    assert not remove_edge(graph, "absent", 0)
+    _assert_one_dict_per_edge(graph)
+    assert [loopless_degree(graph, node) for node in nodes] == [
+        reference.degree[node] for node in nodes
+    ]

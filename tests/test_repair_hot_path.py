@@ -9,6 +9,7 @@ are computed only when somebody reads them (no liar, no descriptor
 checksum), and per-move reads of the oracle build no networkx graph view.
 """
 
+import gc
 import pickle
 
 import networkx.classes.graphviews as graphviews
@@ -68,6 +69,29 @@ def test_oracle_delete_never_walks_its_helper_registry():
     registry.armed = False
     healer.verify_consistency()
     engine.check_invariants()
+
+
+def test_deletions_leave_no_reference_cycles():
+    """The oracle's strip unlinks the RT nodes it discards, and nothing else
+    on the deletion path builds a reference cycle, so reference counting
+    frees what a repair leaves behind: no garbage waits for a full
+    collection, which walks the whole heap."""
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
+    strategy = MaxDegreeDeletion()
+    for _ in range(5):
+        healer.delete(strategy.choose_victim(healer))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(25):
+            healer.delete(strategy.choose_victim(healer))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    healer.verify_consistency()
+    healer.engine.check_invariants()
 
 
 def _has_due_timer(processor: Processor, round_index: int) -> bool:

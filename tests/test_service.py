@@ -891,6 +891,39 @@ class TestHealerDaemon:
         assert status["latency_ms"]["p50"] > 0
         daemon.close()
 
+    def test_pumps_leave_no_degree_touch_journal_behind(self, tmp_path):
+        """Nothing in the service tails the engine's degree-touch journal, so
+        every pump compacts it to nothing, and so does a restore: a
+        long-lived daemon keeps no healed-degree change it has applied."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(graph=GraphSpec("power_law", 64), seed=5, checkpoint_every=16)
+        daemon = HealerDaemon.create(db, config)
+        log = daemon.healer.engine.degree_touch_log
+        client = daemon.client("churn")
+        rng = random.Random(13)
+        next_id = 1_000
+        for step in range(320):
+            alive = sorted(daemon._projected_alive)
+            # Delete with probability alive / 2n, so the graph stays near n.
+            if rng.random() < len(alive) / 128:
+                client.delete(rng.choice(alive))
+            else:
+                client.insert(next_id, rng.sample(alive, 3))
+                next_id += 1
+            if step % 8 == 7:
+                daemon.pump()
+                assert len(log) == log.compacted, step
+        assert log.compacted > 1_000  # the churn did touch degrees
+        daemon.healer.verify_consistency()
+        daemon.store.close()
+        del daemon
+
+        restored, report = HealerDaemon.restore(db)
+        assert report.verified
+        log = restored.healer.engine.degree_touch_log
+        assert len(log) == log.compacted > 0
+        restored.close()
+
     def test_validation_rejects_bad_submissions(self, tmp_path):
         config = ServiceConfig(graph=GraphSpec("ring", 8), seed=0)
         daemon = HealerDaemon.create(tmp_path / "run.db", config)
