@@ -10,7 +10,7 @@ per ``repro`` subpackage, one for networkx and one for everything else,
 then the total, all in KiB per node ever seen::
 
     python scripts/heap_report.py
-    python scripts/heap_report.py --max-kib 6.8   # exit 1 above 6.8 KiB/node
+    python scripts/heap_report.py --max-kib 6.32  # exit 1 above 6.32 KiB/node
 
 Three last lines are about the garbage collector.  Two say what a full
 collection costs while all of that is alive: the number of objects the

@@ -143,12 +143,15 @@ class ForgivingGraph:
         # any number of RT virtual edges between the same two processors).
         # An edge lives in ``_actual`` exactly while it has a source, and its
         # presence there counts the first one; ``_extra_sources`` counts the
-        # sources beyond the first, only for the few edges that have more.
-        # That lets delete() apply per-repair deltas instead of rebuilding
-        # ``G`` from scratch.  ``_num_edges`` counts the edges of ``_actual``
-        # (networkx counts them in O(n)).
+        # sources beyond the first, only for the few edges that have more,
+        # under both orientations ``(u, v)`` and ``(v, u)`` so that a lookup
+        # keys by the pair as given.  That lets delete() apply per-repair
+        # deltas instead of rebuilding ``G`` from scratch.  ``_num_edges``
+        # counts the edges of ``_actual`` (networkx counts them in O(n)).
+        # Every edge of ``G'`` and ``G`` holds graph_fill.EDGE_DATA, the one
+        # shared read-only empty mapping: only graph_fill writes their edges.
         self._actual = nx.Graph()
-        self._extra_sources: Dict[frozenset, int] = {}
+        self._extra_sources: Dict[Tuple[NodeId, NodeId], int] = {}
         self._num_edges = 0
         # Degree-touch journal --------------------------------------------------------------
         # Append-only log of nodes whose healed degree may have changed, fed by
@@ -198,9 +201,10 @@ class ForgivingGraph:
 
         Writes what adding each node and then each edge one at a time
         would, in the same order: ``G'`` and ``G`` get the same nodes and
-        adjacency (each graph its own edge dicts), every node is alive, and
-        each edge is one source of its healed edge and appends its
-        endpoints, ``u`` then ``v``, to the degree-touch journal.
+        adjacency (every edge holding the shared ``EDGE_DATA``), every node
+        is alive, and each edge is one source of its healed edge and
+        appends its endpoints, ``u`` then ``v``, to the degree-touch
+        journal.
         """
         endpoints = fill_graph(self._g_prime, nodes, edges)
         fill_graph(self._actual, self._g_prime, edge_pairs(endpoints))
@@ -253,19 +257,41 @@ class ForgivingGraph:
         """The RTs that the deletion of ``node`` would dismantle and merge.
 
         These are the RTs in which ``node`` currently owns a leaf or
-        simulates a helper.  Used by the distributed layer to lay out the
-        probe paths of the repair before the deletion is applied.
+        simulates a helper, in the order :meth:`affected_rt_nodes` finds
+        them.
+        """
+        return self.affected_rt_nodes(node)[0]
+
+    def affected_rt_nodes(
+        self, node: NodeId
+    ) -> Tuple[List[ReconstructionTree], Dict[int, List[RTNode]]]:
+        """The RTs the deletion of ``node`` would dismantle, and the RT nodes dying in each.
+
+        One walk of ``node``'s ``G'`` neighbours, each looked up in the leaf
+        registry and then the helper registry: the RTs come in the order
+        that walk first meets them, and each RT id maps to its leaves and
+        helpers owned by ``node``, in the same order.  Used by the
+        distributed layer to lay out the repair before the deletion is
+        applied; :meth:`delete` makes the same walk.
         """
         if node not in self._g_prime:
             raise UnknownNodeError(node, "affected_reconstruction_trees")
+        rt_of_leaf, rt_of_helper = self._rt_of_leaf, self._rt_of_helper
         affected: Dict[int, ReconstructionTree] = {}
+        dead: Dict[int, List[RTNode]] = {}
         for neighbor in self._g_prime.neighbors(node):
-            own_port = Port(node, neighbor)
-            for registry in (self._rt_of_leaf, self._rt_of_helper):
-                rt = registry.get(own_port)
-                if rt is not None:
-                    affected[rt.rt_id] = rt
-        return list(affected.values())
+            # The registries key by Port, which equals and hashes like the
+            # plain pair: a lookup needs no Port of its own.
+            own = (node, neighbor)
+            rt = rt_of_leaf.get(own)
+            if rt is not None:
+                affected[rt.rt_id] = rt
+                dead.setdefault(rt.rt_id, []).append(rt.leaves[own])
+            rt = rt_of_helper.get(own)
+            if rt is not None:
+                affected[rt.rt_id] = rt
+                dead.setdefault(rt.rt_id, []).append(rt.helpers[own])
+        return list(affected.values()), dead
 
     # ------------------------------------------------------------------ #
     # the three graph views
@@ -400,8 +426,8 @@ class ForgivingGraph:
         if u == v:
             return
         if not add_edge(self._actual, u, v):
-            key = frozenset((u, v))
-            self._extra_sources[key] = self._extra_sources.get(key, 0) + 1
+            extra = self._extra_sources
+            extra[(u, v)] = extra[(v, u)] = extra.get((u, v), 0) + 1
             return
         self._num_edges += 1
         self._degree_touch_log.append(u)
@@ -411,13 +437,13 @@ class ForgivingGraph:
         """Drop one source of healed edge (u, v); the edge disappears at zero sources."""
         if u == v:
             return
-        key = frozenset((u, v))
-        extra = self._extra_sources.get(key)
+        extra_sources = self._extra_sources
+        extra = extra_sources.get((u, v))
         if extra is not None:
             if extra == 1:
-                del self._extra_sources[key]
+                del extra_sources[(u, v)], extra_sources[(v, u)]
             else:
-                self._extra_sources[key] = extra - 1
+                extra_sources[(u, v)] = extra_sources[(v, u)] = extra - 1
         elif remove_edge(self._actual, u, v):
             self._num_edges -= 1
             self._degree_touch_log.append(u)
@@ -432,7 +458,7 @@ class ForgivingGraph:
         """
         if u == v or not self._actual.has_edge(u, v):
             return 0
-        return 1 + self._extra_sources.get(frozenset((u, v)), 0)
+        return 1 + self._extra_sources.get((u, v), 0)
 
     @property
     def degree_touch_log(self) -> Journal[NodeId]:
@@ -485,7 +511,7 @@ class ForgivingGraph:
         self._actual.add_node(node)
         self._degree_touch_log.append(node)
         for neighbor in neighbors:
-            self._g_prime.add_edge(node, neighbor)
+            add_edge(self._g_prime, node, neighbor)
             self._edge_source_added(node, neighbor)
         self._step += 1
         self.last_event = HealingEvent(
@@ -514,38 +540,38 @@ class ForgivingGraph:
 
         # 1. The processor dies: it disappears from the alive set, all its
         #    ports disappear, and every helper node it simulates disappears.
-        self._alive.discard(node)
-        self._deleted.add(node)
-        for neighbor in self._g_prime.neighbors(node):
-            if neighbor in self._alive:
-                self._edge_source_removed(node, neighbor)
-
-        # Locate the affected RTs *and* the dead RT nodes inside them through
-        # the port registries — O(deg) lookups, no table or tree scans.
-        affected_rts: Dict[int, ReconstructionTree] = {}
-        dead_rt_nodes: Dict[int, List[RTNode]] = {}
-        for neighbor in self._g_prime.neighbors(node):
-            own_port = Port(node, neighbor)
-            leaf_rt = self._rt_of_leaf.get(own_port)
-            if leaf_rt is not None:
-                affected_rts[leaf_rt.rt_id] = leaf_rt
-                dead_rt_nodes.setdefault(leaf_rt.rt_id, []).append(leaf_rt.leaves[own_port])
-            helper_rt = self._rt_of_helper.get(own_port)
-            if helper_rt is not None:
-                affected_rts[helper_rt.rt_id] = helper_rt
-                dead_rt_nodes.setdefault(helper_rt.rt_id, []).append(
-                    helper_rt.helpers[own_port]
-                )
-
         # 2. Neighbours that were directly connected (both endpoints alive
         #    until now) contribute a fresh trivial leaf each.
+        # One walk of the G' neighbours does both: it drops the real edges,
+        # takes the dead ports out of both registries (which locates the
+        # affected RTs and the dead RT nodes inside them: O(deg) lookups, no
+        # table or tree scans) and makes the trivial leaves.  The registries
+        # key by Port, which equals and hashes like the plain pair, so only
+        # a new leaf builds a Port.
+        alive = self._alive
+        alive.discard(node)
+        self._deleted.add(node)
+        rt_of_leaf, rt_of_helper = self._rt_of_leaf, self._rt_of_helper
+        affected_rts: Dict[int, ReconstructionTree] = {}
+        dead_rt_nodes: Dict[int, List[RTNode]] = {}
         complete_trees: List[RTNode] = []
         new_trivial_leaves: List[RTLeaf] = []
         for neighbor in self._g_prime.neighbors(node):
-            if neighbor in self._alive and Port(neighbor, node) not in self._rt_of_leaf:
-                leaf = RTLeaf(Port(neighbor, node))
-                complete_trees.append(leaf)
-                new_trivial_leaves.append(leaf)
+            if neighbor in alive:
+                self._edge_source_removed(node, neighbor)
+                if (neighbor, node) not in rt_of_leaf:
+                    leaf = RTLeaf(Port(neighbor, node))
+                    complete_trees.append(leaf)
+                    new_trivial_leaves.append(leaf)
+            own = (node, neighbor)
+            rt = rt_of_leaf.pop(own, None)
+            if rt is not None:
+                affected_rts[rt.rt_id] = rt
+                dead_rt_nodes.setdefault(rt.rt_id, []).append(rt.leaves[own])
+            rt = rt_of_helper.pop(own, None)
+            if rt is not None:
+                affected_rts[rt.rt_id] = rt
+                dead_rt_nodes.setdefault(rt.rt_id, []).append(rt.helpers[own])
 
         # 3. Every affected RT is dismantled into its surviving complete
         #    pieces; helpers outside those pieces are released.  Both the
@@ -570,13 +596,12 @@ class ForgivingGraph:
         for p, c in removed_virtual_edges:
             self._edge_source_removed(p, c)
 
-        # Registry cleanup: the dead processor's ports vanish wholesale and
-        # every released helper port becomes free again (it may be picked to
-        # simulate one of the merge's new helpers).
-        self._purge_processor(node)
+        # Registry cleanup (the dead processor's ports left both registries
+        # in the walk above): every released helper port becomes free again
+        # (it may be picked to simulate one of the merge's new helpers).
         for released_ports in released_by_rt.values():
             for port in released_ports:
-                self._rt_of_helper.pop(port, None)
+                rt_of_helper.pop(port, None)
         # By now every healed edge incident to the dead processor has lost
         # all its sources (real edges above, RT projections with the broken
         # glue), so only the bare node remains.
@@ -673,16 +698,6 @@ class ForgivingGraph:
         self.last_event = HealingEvent(step=self._step, kind="delete", node=node, report=report)
         self._maybe_check()
         return report
-
-    # ------------------------------------------------------------------ #
-    # RT registry maintenance
-    # ------------------------------------------------------------------ #
-    def _purge_processor(self, node: NodeId) -> None:
-        """Remove every port-keyed record owned by a (now dead) processor."""
-        for neighbor in self._g_prime.neighbors(node):
-            port = Port(node, neighbor)
-            self._rt_of_leaf.pop(port, None)
-            self._rt_of_helper.pop(port, None)
 
     # ------------------------------------------------------------------ #
     # invariants (Lemma 3, Theorem 1 mechanics)

@@ -5,17 +5,26 @@ networkx's ``add_nodes_from``, ``add_edges_from``, ``add_edge`` and
 updates, 3-tuples, node creation, a clear of the backend-conversion cache,
 which no graph here ever fills), several microseconds per edge on a bulk
 load.  This module is the one place that writes a graph's node and
-adjacency maps directly, in exactly the layout those networkx calls would
-leave: :func:`fill_graph` loads an edge sequence (the engine's ``G'`` and
-``G``), :func:`fill_graph_from_adjacency` a symmetric adjacency map (the
+adjacency maps directly, in the layout those networkx calls would leave:
+:func:`fill_graph` loads an edge sequence (the engine's ``G'`` and ``G``),
+:func:`fill_graph_from_adjacency` a symmetric adjacency map (the
 processors' graph, ``DistributedForgivingGraph.network_graph``),
 :func:`add_edge` / :func:`remove_edge` change one edge of a live graph (the
-engine's incremental ``G``), and :func:`loopless_degree` reads a node's
-degree there.
+engine's incremental ``G`` and its inserts into ``G'``), and
+:func:`loopless_degree` reads a node's degree there.
+
+No edge of the engine's graphs carries attributes, so every edge those
+writers make holds the one shared read-only empty mapping
+:data:`EDGE_DATA` in place of an empty dict of its own: a graph of ``m``
+edges holds no per-edge attribute dict, and writing into an edge's data
+through the engine's views raises.  Copies (``graph.copy()``) get a fresh
+dict per edge, as does the graph :func:`fill_graph_from_adjacency` fills,
+which its caller owns.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Iterator, List, Mapping, Tuple
 
 import networkx as nx
@@ -24,6 +33,7 @@ from .errors import InvalidEdgeError
 from .ports import NodeId
 
 __all__ = [
+    "EDGE_DATA",
     "add_edge",
     "edge_pairs",
     "fill_graph",
@@ -31,6 +41,10 @@ __all__ = [
     "loopless_degree",
     "remove_edge",
 ]
+
+#: The attribute mapping of every edge :func:`fill_graph` and
+#: :func:`add_edge` write: empty, read-only and shared by all of them.
+EDGE_DATA: Mapping = MappingProxyType({})
 
 
 def fill_graph(
@@ -43,12 +57,13 @@ def fill_graph(
     The graph ends as ``graph.add_nodes_from(nodes)`` followed by
     ``graph.add_edges_from(edges)`` leaves a fresh :class:`networkx.Graph`:
     nodes in first-seen order (an edge's endpoints join, ``u`` then ``v``,
-    as it is read), each node's neighbours in the order its edges were
-    read, and one attribute dict per edge, shared by its two directions.
-    An edge read again, in either direction, is skipped.  The returned
-    list holds the endpoints of the edges added, ``u`` then ``v`` per
-    edge, in order (:func:`edge_pairs` reads it back as edges): flat, so
-    no tuple per edge is held while a load runs.
+    as it is read) and each node's neighbours in the order its edges were
+    read; every edge holds :data:`EDGE_DATA` in both directions, where
+    networkx gives each edge an empty dict of its own.  An edge read again,
+    in either direction, is skipped.  The returned list holds the endpoints
+    of the edges added, ``u`` then ``v`` per edge, in order
+    (:func:`edge_pairs` reads it back as edges): flat, so no tuple per edge
+    is held while a load runs.
 
     A self-loop raises :class:`InvalidEdgeError` (neither ``G_0`` nor the
     processors' links may hold one) and a ``None`` node ``ValueError``,
@@ -77,7 +92,7 @@ def fill_graph(
             add_node(v)
         u_nbrs = adj[u]
         if v not in u_nbrs:
-            u_nbrs[v] = adj[v][u] = {}
+            u_nbrs[v] = adj[v][u] = EDGE_DATA
             endpoints += (u, v)
     return endpoints
 
@@ -98,8 +113,9 @@ def fill_graph_from_adjacency(
     ``u`` that comes first in the map's order (the edges
     ``Network.iter_links`` and networkx's ``graph.edges`` yield), leaves
     it: nodes in the map's order, and one attribute dict per edge, shared
-    by its two directions.  A node's row lists the neighbours before it in
-    the map's order first, then the rest in the order the map lists them.
+    by its two directions (the caller owns the graph and may write edge
+    data).  A node's row lists the neighbours before it in the map's order
+    first, then the rest in the order the map lists them.
     """
     node_attrs, adj = graph._node, graph._adj
     if adj:
@@ -118,16 +134,16 @@ def fill_graph_from_adjacency(
 def add_edge(graph: nx.Graph, u: NodeId, v: NodeId) -> bool:
     """Add the edge ``(u, v)`` between two distinct nodes of ``graph`` unless it is there.
 
-    Leaves what ``graph.add_edge(u, v)`` would: one empty attribute dict
-    shared by both directions, ``v`` last in ``u``'s row and ``u`` last in
-    ``v``'s.  Both nodes must be in the graph.  Returns True when the edge
-    was added.
+    Leaves what ``graph.add_edge(u, v)`` would, ``v`` last in ``u``'s row
+    and ``u`` last in ``v``'s, except that the edge holds :data:`EDGE_DATA`
+    in both directions.  Both nodes must be in the graph.  Returns True when
+    the edge was added.
     """
     adj = graph._adj
     u_nbrs = adj[u]
     if v in u_nbrs:
         return False
-    u_nbrs[v] = adj[v][u] = {}
+    u_nbrs[v] = adj[v][u] = EDGE_DATA
     return True
 
 

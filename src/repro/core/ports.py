@@ -38,7 +38,9 @@ class Port(NamedTuple):
     Ports key every table of the data structure and order every merge, so
     the type is a tuple: hashing, equality and ordering run in C.  A port
     therefore equals, and hashes like, the plain pair ``(processor,
-    neighbor)``; no container mixes ports with plain pairs of node ids.  The
+    neighbor)``; no container mixes ports with plain pairs of node ids as
+    keys, and a Port-keyed table is looked up by the plain pair, so a
+    lookup builds no Port (the engine's registries, the planner).  The
     repr, ``Port(processor=1, neighbor='a')``, is part of every message seal
     (:func:`repro.distributed.messages.payload_checksum`).  Code that
     dispatches on type must test ``Port`` before ``tuple``.

@@ -44,7 +44,7 @@ import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.ports import NodeId, Port, port_order_key
 from ..core.reconstruction_tree import (
@@ -91,7 +91,7 @@ def real_source_key(u: NodeId, v: NodeId) -> Tuple[str, FrozenSet[NodeId]]:
     return ("real", frozenset((u, v)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PieceSummary:
     """O(1)-word descriptor of one surviving complete tree (a primary root).
 
@@ -100,7 +100,10 @@ class PieceSummary:
     members and dict keys on every hop of a repair.  The cached hash is left
     out of pickles, since str hashes differ between processes.  So is its
     :attr:`identity`, built once too, since every hop's witness table keys
-    by it.
+    by it.  The dataclass supplies equality, repr and the frozen
+    ``__setattr__``; the one constructor below writes the instance dict
+    directly, where a frozen dataclass's generated ``__init__`` pays an
+    ``object.__setattr__`` call per field.
     """
 
     #: Port identifying the piece's root: a leaf's port or a helper's
@@ -116,12 +119,24 @@ class PieceSummary:
     #: simulate the next helper created on top of it).
     representative: Port
 
-    def __post_init__(self) -> None:
-        fields = (self.root_port, self.root_is_leaf, self.num_leaves, self.height, self.representative)
-        object.__setattr__(self, "_hash", hash(fields))
+    def __init__(
+        self,
+        root_port: Port,
+        root_is_leaf: bool,
+        num_leaves: int,
+        height: int,
+        representative: Port,
+    ) -> None:
+        state = self.__dict__
+        state["root_port"] = root_port
+        state["root_is_leaf"] = root_is_leaf
+        state["num_leaves"] = num_leaves
+        state["height"] = height
+        state["representative"] = representative
+        state["_hash"] = hash((root_port, root_is_leaf, num_leaves, height, representative))
         #: The piece this descriptor describes, ``(root_port, root_is_leaf)``:
         #: honest descriptors with one identity are equal within a repair.
-        object.__setattr__(self, "identity", fields[:2])
+        state["identity"] = (root_port, root_is_leaf)
 
     def __hash__(self) -> int:
         return self._hash
@@ -132,8 +147,16 @@ class PieceSummary:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # The fields rebuild the hash and identity; the state adds a frozen
+        # checksum, if one was read before pickling.
+        self.__init__(
+            state["root_port"],
+            state["root_is_leaf"],
+            state["num_leaves"],
+            state["height"],
+            state["representative"],
+        )
         self.__dict__.update(state)
-        self.__post_init__()
 
     def content_checksum(self) -> int:
         return payload_checksum(
@@ -318,9 +341,13 @@ def plan_strip(
 # --------------------------------------------------------------------------- #
 # ComputeHaft on summaries (the leader's local computation)
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class MergedHelper:
-    """One helper node the merge creates, described entirely by ports."""
+class MergedHelper(NamedTuple):
+    """One helper node the merge creates, described entirely by ports.
+
+    A named tuple: equality, hash and repr read as a frozen dataclass's
+    would, for a fraction of its build cost (the leader builds one per new
+    helper).
+    """
 
     #: Port whose processor simulates the helper.
     port: Port
@@ -501,15 +528,15 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
         (num_leaves, _), port, _, height, representative = merged
         helpers.append(
             MergedHelper(
-                port=port,
-                left_port=left_port,
-                left_is_leaf=left_is_leaf,
-                right_port=right_port,
-                right_is_leaf=right_is_leaf,
-                parent_port=parent_of.get((port, False)),
-                height=height,
-                num_leaves=num_leaves,
-                representative=representative,
+                port,
+                left_port,
+                left_is_leaf,
+                right_port,
+                right_is_leaf,
+                parent_of.get((port, False)),
+                height,
+                num_leaves,
+                representative,
             )
         )
     parent_updates = outcome.parent_updates

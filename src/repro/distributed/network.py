@@ -150,9 +150,10 @@ class Network:
         self.metrics = NetworkMetrics()
         #: Optional fault injection applied at delivery time.
         self.fault_schedule = fault_schedule
-        #: Links auto-created for the currently open repair scaffold
+        #: Links auto-created for the currently open repair scaffold, each
+        #: recorded once, as the ``(u, v)`` pair it was opened with
         #: (``None`` while no scaffold is open).
-        self._scaffold: Optional[Set[frozenset]] = None
+        self._scaffold: Optional[Set[Tuple[NodeId, NodeId]]] = None
         #: Number of processors ever added (message sizing's ``n``).  Counted
         #: per addition, so removals never shrink it; the distributed healer
         #: cross-checks it against the engine's ``nodes_ever``.
@@ -174,6 +175,11 @@ class Network:
         #: The checkpoint marks, ``None`` until :meth:`start_marks`: only the
         #: service's checkpoint owner drains them, so nothing else keeps any.
         self.marks: Optional[CheckpointMarks] = None
+        #: Per repair (keyed by its victim), the processors outside its
+        #: participants that hold its dissemination epoch because it
+        #: instructed them (``Processor.repair_epochs``); whoever retires
+        #: the repair pops its entry and drops the epoch there too.
+        self.epoch_holders: Dict[NodeId, List[NodeId]] = {}
 
     def start_marks(self) -> CheckpointMarks:
         """Record checkpoint marks from now on, dropping any recorded so far.
@@ -330,7 +336,8 @@ class Network:
         if key not in keys:
             return
         keys = tuple(other for other in keys if other != key)
-        if keys or (self._scaffold is not None and frozenset((u, v)) in self._scaffold):
+        scaffold = self._scaffold
+        if keys or (scaffold is not None and ((u, v) in scaffold or (v, u) in scaffold)):
             u_links[v] = self._links[v][u] = keys
         else:
             del u_links[v], self._links[v][u]
@@ -407,17 +414,27 @@ class Network:
         """Open a scaffold: sends may auto-create links, all recorded."""
         self._scaffold = set()
 
+    def _record_scaffold(self, u: NodeId, v: NodeId) -> None:
+        """Record the link ``(u, v)`` just opened in the open scaffold.
+
+        A link opened again in the other direction (it went with a removed
+        processor, say) stays recorded as the pair it was first opened with.
+        """
+        scaffold = self._scaffold
+        if (v, u) not in scaffold:
+            scaffold.add((u, v))
+
     def scaffold_link(self, u: NodeId, v: NodeId) -> None:
         """Explicitly create (and record) a repair-local link."""
         if u == v or self.are_linked(u, v):
             return
         self.connect(u, v)
         if self._scaffold is not None:
-            self._scaffold.add(frozenset((u, v)))
+            self._record_scaffold(u, v)
 
     def end_scaffold(self) -> int:
         """Drop every scaffold link that acquired no source; returns how many."""
-        scaffold, self._scaffold = self._scaffold or set(), None
+        scaffold, self._scaffold = self._scaffold or (), None
         dropped = 0
         for u, v in scaffold:
             if not self._links.get(u, _NO_LINKS).get(v):
@@ -489,7 +506,7 @@ class Network:
                     "would travel between unlinked processors"
                 )
             links[receiver] = self._links[receiver][sender] = ()
-            self._scaffold.add(frozenset((sender, receiver)))
+            self._record_scaffold(sender, receiver)
         schedule = self.fault_schedule
         if (
             schedule is not None

@@ -268,7 +268,8 @@ class Processor:
         #: epochs below, the shared empty mapping while there are none, so
         #: a processor outside every repair holds no repair state.
         self.repairs: Mapping[NodeId, RepairContext] = _NO_ENTRIES
-        #: Newest dissemination epoch seen per repair (stale-message guard).
+        #: Newest dissemination epoch seen per repair (stale-message guard),
+        #: kept until the repair is retired.
         self.repair_epochs: Mapping[NodeId, int] = _NO_ENTRIES
 
     # ------------------------------------------------------------------ #
@@ -768,16 +769,33 @@ class Processor:
             return self._emit_list(context, fresh)
         return []
 
+    def _accept_epoch(self, victim: NodeId, epoch: int) -> bool:
+        """Note an instruction's dissemination epoch; False when it is stale.
+
+        The first epoch this processor holds for a repair it is not a
+        participant of is reported to the network
+        (:attr:`Network.epoch_holders`), so retiring the repair finds it.
+        """
+        epochs = self.repair_epochs
+        seen = epochs.get(victim)
+        if seen is not None:
+            if epoch < seen:
+                return False  # stale instruction from a superseded merge epoch
+        else:
+            if epochs is _NO_ENTRIES:
+                epochs = self.repair_epochs = {}
+            network = self.network
+            if network is not None and victim not in self.repairs:
+                network.epoch_holders.setdefault(victim, []).append(self.node_id)
+        epochs[victim] = epoch
+        return True
+
     def _on_ParentUpdate(self, message: ParentUpdate) -> None:
         port = message.child_port
         if port is None or port.processor != self.node_id:
             return
-        if message.deleted is not None:
-            if message.epoch < self.repair_epochs.get(message.deleted, -1):
-                return  # stale instruction from a superseded merge epoch
-            if self.repair_epochs is _NO_ENTRIES:
-                self.repair_epochs = {}
-            self.repair_epochs[message.deleted] = message.epoch
+        if message.deleted is not None and not self._accept_epoch(message.deleted, message.epoch):
+            return
         record = self.ensure_edge(port.neighbor)
         if message.child_is_helper:
             record.helper_parent = message.parent_port
@@ -792,12 +810,8 @@ class Processor:
         if port is None or port.processor != self.node_id:
             return
         victim = message.deleted
-        if victim is not None:
-            if message.epoch < self.repair_epochs.get(victim, -1):
-                return  # stale instruction from a superseded merge epoch
-            if self.repair_epochs is _NO_ENTRIES:
-                self.repair_epochs = {}
-            self.repair_epochs[victim] = message.epoch
+        if victim is not None and not self._accept_epoch(victim, message.epoch):
+            return
         record = self.ensure_edge(port.neighbor)
         if not message.create:
             if record.has_helper and (victim is None or record.helper_victim == victim):

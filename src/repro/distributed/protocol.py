@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.forgiving_graph import ForgivingGraph
-from ..core.ports import NodeId, Port, sorted_nodes
+from ..core.ports import NodeId, sorted_nodes
 from ..core.reconstruction_tree import ReconstructionTree, RTHelper, RTNode
 from .merge import PieceSummary, plan_strip, trivial_summary
 from .messages import AnchorLink, DeletionNotice, Probe
@@ -147,9 +147,8 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
 
     # A context's containers start empty and shared (see RepairContext); the
     # writes below give a participant containers of its own only for the
-    # roles it plays.
-    affected = engine.affected_reconstruction_trees(victim)
-    dead_by_rt = _dead_rt_nodes(engine, victim)
+    # roles it plays, and append to them from then on.
+    affected, dead_by_rt = engine.affected_rt_nodes(victim)
     anchors: List[NodeId] = []
     anchor_ready: Dict[NodeId, int] = {}
     for rt_index, rt in enumerate(affected):
@@ -158,69 +157,73 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
         path = _dedupe(p for p in _right_spine_processors(rt) if p != victim)
         plan.probe_paths.append(path)
         plan.primary_root_counts.append(_primary_root_count(rt))
-        strip = plan_strip(rt, victim, dead_by_rt.get(rt.rt_id, []), path)
-        if not path:
+        strip = plan_strip(rt, victim, dead_by_rt[rt.rt_id], path)
+        plan.all_summaries.extend(strip.summaries)
+        if path:
+            # Spine roles: who probes whom, who vouches for which pieces.
+            by_position: Dict[int, List[PieceSummary]] = {}
+            for summary, position in zip(strip.summaries, strip.spine_positions):
+                by_position.setdefault(position, []).append(summary)
+            length = len(path)
+            for position, processor in enumerate(path):
+                context = context_for(processor)
+                role = SpineRole(
+                    rt_index=rt_index,
+                    position=position,
+                    prev_hop=path[position - 1] if position > 0 else None,
+                    next_hop=path[position + 1] if position + 1 < length else None,
+                    summaries=tuple(by_position.get(position, ())) if position > 0 else (),
+                    # The report wave should have returned from the spine's
+                    # end by round 2(L-1); a probed processor that heard
+                    # nothing from deeper down by its own slot initiates the
+                    # wave itself.
+                    report_round=2 * length - position,
+                )
+                if context.spines:
+                    context.spines.append(role)
+                else:
+                    context.spines = [role]
+                if position == 0:
+                    # The anchor's own pieces are its local knowledge: they
+                    # join its gathered set directly instead of travelling a
+                    # report.
+                    for summary in by_position.get(0, ()):
+                        context.gather(summary)
+            anchor = path[0]
+            if anchor not in anchor_ready:
+                anchors.append(anchor)
+            anchor_ready[anchor] = max(anchor_ready.get(anchor, 1), 2 * length)
+        else:
             # The whole spine died with the victim: surviving fragments (they
             # hang off the left) detect the failure directly — their owners
             # anchor themselves with their own pieces.
             for summary in strip.summaries:
-                plan.all_summaries.append(summary)
                 owner = summary.root_port.processor
                 context_for(owner).gather(summary)
                 if owner not in anchor_ready:
                     anchors.append(owner)
                     anchor_ready[owner] = 1
-            for processor, released in strip.released_by_processor.items():
-                context = context_for(processor)
-                context.released = [*context.released, *released]
-                context.strip_round = _merge_deadline(context.strip_round, 1)
-            for processor, glue in strip.glue_by_processor.items():
-                context = context_for(processor)
-                context.glue = [*context.glue, *glue]
-                context.strip_round = _merge_deadline(context.strip_round, 1)
-            continue
-        plan.all_summaries.extend(strip.summaries)
-        # Spine roles: who probes whom, who vouches for which pieces.
-        by_position: Dict[int, List[PieceSummary]] = {}
-        for summary, position in zip(strip.summaries, strip.spine_positions):
-            by_position.setdefault(position, []).append(summary)
-        length = len(path)
-        for position, processor in enumerate(path):
-            context = context_for(processor)
-            role = SpineRole(
-                rt_index=rt_index,
-                position=position,
-                prev_hop=path[position - 1] if position > 0 else None,
-                next_hop=path[position + 1] if position + 1 < length else None,
-                summaries=tuple(by_position.get(position, ())) if position > 0 else (),
-                # The report wave should have returned from the spine's end
-                # by round 2(L-1); a probed processor that heard nothing from
-                # deeper down by its own slot initiates the wave itself.
-                report_round=2 * length - position,
-            )
-            context.spines = [*context.spines, role]
-            if position == 0:
-                # The anchor's own pieces are its local knowledge: they join
-                # its gathered set directly instead of travelling a report.
-                for summary in by_position.get(0, ()):
-                    context.gather(summary)
-        # Strip knowledge of off-spine processors (broken-region interior):
-        # applied on a model-level failure-detection deadline, see module doc.
+        # Strip knowledge of off-spine processors (broken-region interior,
+        # or everyone once the spine died) is applied on a model-level
+        # failure-detection deadline, round 1, see module doc.  The strip's
+        # lists are fresh per call: the first one a participant gets becomes
+        # its own.
         for processor, released in strip.released_by_processor.items():
             context = context_for(processor)
-            context.released = [*context.released, *released]
+            if context.released:
+                context.released.extend(released)
+            else:
+                context.released = released
             if processor not in path:
-                context.strip_round = _merge_deadline(context.strip_round, 1)
+                context.strip_round = 1
         for processor, glue in strip.glue_by_processor.items():
             context = context_for(processor)
-            context.glue = [*context.glue, *glue]
+            if context.glue:
+                context.glue.extend(glue)
+            else:
+                context.glue = glue
             if processor not in path:
-                context.strip_round = _merge_deadline(context.strip_round, 1)
-        if path:
-            anchor = path[0]
-            if anchor not in anchor_ready:
-                anchors.append(anchor)
-            anchor_ready[anchor] = max(anchor_ready.get(anchor, 1), 2 * length)
+                context.strip_round = 1
     # Directly-connected neighbours contribute trivial single-leaf pieces and
     # anchor themselves.
     for neighbor in engine.g_prime_neighbors(victim):
@@ -274,24 +277,6 @@ def _assign_anchor_roles(plan: RepairPlan, anchor_ready: Dict[NodeId, int]) -> N
     # Dissemination leaves the leader at decide time and lands one round
     # later; leave one more round of slack for self-delivered responses.
     plan.max_deadline = deadline + 2
-
-
-def _merge_deadline(current: Optional[int], candidate: int) -> int:
-    return candidate if current is None else min(current, candidate)
-
-
-def _dead_rt_nodes(engine: ForgivingGraph, victim: NodeId) -> Dict[int, List[RTNode]]:
-    """The RT nodes (leaves and helpers) that die with ``victim``, per RT id."""
-    dead: Dict[int, List[RTNode]] = {}
-    for neighbor in engine.g_prime_neighbors(victim):
-        own_port = Port(victim, neighbor)
-        leaf_rt = engine._rt_of_leaf.get(own_port)
-        if leaf_rt is not None:
-            dead.setdefault(leaf_rt.rt_id, []).append(leaf_rt.leaves[own_port])
-        helper_rt = engine._rt_of_helper.get(own_port)
-        if helper_rt is not None:
-            dead.setdefault(helper_rt.rt_id, []).append(helper_rt.helpers[own_port])
-    return dead
 
 
 def _right_spine_processors(rt: ReconstructionTree) -> List[NodeId]:

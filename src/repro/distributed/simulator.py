@@ -648,12 +648,16 @@ class DistributedForgivingGraph:
         return repairs, reports, rounds
 
     def _retire(self, repairs: Iterable[_Repair]) -> None:
-        """Uninstall finished repairs from their surviving participants."""
+        """Uninstall finished repairs from their surviving participants, and
+        drop their epochs from every other processor they instructed."""
+        network = self.network
+        processors, holders = network.processors, network.epoch_holders
         for repair in repairs:
-            for node in repair.participants:
-                processor = self.network.processors.get(node)
+            victim = repair.victim
+            for node in (*repair.participants, *holders.pop(victim, ())):
+                processor = processors.get(node)
                 if processor is not None:
-                    processor.uninstall_repair(repair.victim)
+                    processor.uninstall_repair(victim)
 
     # ------------------------------------------------------------------ #
     # reconvergence (gossip-digest anti-entropy, message-native)

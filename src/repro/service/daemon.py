@@ -147,6 +147,9 @@ class HealerDaemon:
         self._applied_seq = applied_seq
         self._apply_rank = apply_rank
         self._pending: List[JournalOp] = []
+        #: The identifiers the backlog inserts: with the ones the network
+        #: ever had a processor for, every identifier already spent.
+        self._pending_inserts: Set[NodeId] = set()
         self._ops_since_checkpoint = 0
         #: Projected alive set = healer state + unpumped backlog effects,
         #: what submissions validate against.
@@ -257,9 +260,8 @@ class HealerDaemon:
         #    validated when first journalled).  The pump also compacts the
         #    journal entries the prefix replay left.
         suffix = store.journal_ops(after=checkpoint_seq, order="seq")
-        daemon._pending = list(suffix)
         for op in suffix:
-            daemon._project(op)
+            daemon._enqueue(op)
         daemon.pump(checkpoint=False)
 
         # 4. Certification.  The restored healer's cost reports are exactly
@@ -297,11 +299,14 @@ class HealerDaemon:
         """Validate against the projected state, journal durably, enqueue."""
         attach = tuple(dict.fromkeys(attach))
         if kind == "insert":
-            # An identifier is spent once the engine has seen it (alive or
-            # deleted) or the backlog names it: applying the insert would
-            # raise in every pump and every restore of this store.
-            if node in self.healer.g_prime_graph_view() or any(
-                op.node == node for op in self._pending
+            # An identifier is spent once a processor has had it (every
+            # node the engine has seen, alive or deleted) or the backlog
+            # inserts it (any other id a backlog op names was inserted
+            # before): applying the insert would raise in every pump and
+            # every restore of this store.
+            if (
+                self.healer.network.ever_had_processor(node)
+                or node in self._pending_inserts
             ):
                 raise ConfigurationError(
                     f"cannot insert {node!r}: the identifier is already in use"
@@ -322,13 +327,14 @@ class HealerDaemon:
             raise ConfigurationError(f"unknown op kind {kind!r}")
         seq = self.store.append_op(client, kind, node, attach)
         self._journal_len += 1
-        op = JournalOp(seq=seq, client=client, kind=kind, node=node, attach=attach)
-        self._pending.append(op)
-        self._project(op)
+        self._enqueue(JournalOp(seq=seq, client=client, kind=kind, node=node, attach=attach))
         return seq
 
-    def _project(self, op: JournalOp) -> None:
+    def _enqueue(self, op: JournalOp) -> None:
+        """Add ``op`` to the backlog and project its effect."""
+        self._pending.append(op)
         if op.kind == "insert":
+            self._pending_inserts.add(op.node)
             self._projected_alive.add(op.node)
         else:
             self._projected_alive.discard(op.node)
@@ -365,6 +371,7 @@ class HealerDaemon:
                 started = time.perf_counter()
                 self.healer.insert(op.node, attach_to=op.attach)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
+                self._pending_inserts.discard(op.node)
                 self._apply_rank += 1
                 self.store.mark_applied(op.seq, elapsed_ms, self._apply_rank)
                 self._applied_len += 1

@@ -6,7 +6,9 @@ import networkx as nx
 import pytest
 
 from repro.adversary import MaxDegreeDeletion, RandomDeletion, make_deletion_strategy
-from repro.distributed import DistributedForgivingGraph
+from repro.core.ports import sorted_nodes
+from repro.distributed import DistributedForgivingGraph, fault_schedule
+from repro.distributed.protocol import select_disjoint_victims
 from repro.generators import make_graph
 
 
@@ -141,3 +143,59 @@ class TestLemma4Budgets:
         row = report.as_row()
         assert row["degree"] == 8
         assert row["messages"] == report.messages
+
+
+def _repair_state(healer):
+    """Per processor, the victims of the repairs it holds contexts and
+    dissemination epochs for (only processors holding either)."""
+    return {
+        node: (set(processor.repairs), set(processor.repair_epochs))
+        for node, processor in healer.network.processors.items()
+        if processor.repairs or processor.repair_epochs
+    }
+
+
+class TestRepairStateRetires:
+    """A finished repair leaves no state behind on any processor once it is
+    retired: its contexts leave its participants, and its dissemination
+    epochs leave every processor it instructed, participant or not.  The
+    repair ``delete()`` leaves installed keeps both until the next deletion
+    (``reconverge()`` reads them)."""
+
+    @pytest.mark.parametrize("fault", [None, "byzantine"], ids=["lossless", "byzantine"])
+    def test_delete_keeps_only_the_installed_repair(self, fault):
+        schedule = fault_schedule(fault, seed=3) if fault else None
+        healer = DistributedForgivingGraph.from_graph(
+            make_graph("power_law", 300, seed=3), fault_schedule=schedule
+        )
+        strategy = MaxDegreeDeletion()
+        instructed_outsiders = 0
+        for _ in range(30):
+            victim = strategy.choose_victim(healer)
+            healer.delete(victim)
+            state = _repair_state(healer)
+            participants = set(healer._installed.participants)
+            for node, (repairs, epochs) in state.items():
+                assert repairs <= {victim} and epochs <= {victim}, node
+                if epochs and node not in participants:
+                    instructed_outsiders += 1
+        # The attack did instruct processors outside the plans' participants.
+        assert instructed_outsiders > 0
+        assert set(healer.network.epoch_holders) <= {victim}
+        if fault:
+            assert healer.network.quarantined
+        healer.delete_batch([strategy.choose_victim(healer)])
+        assert _repair_state(healer) == {}
+        assert healer.network.epoch_holders == {}
+
+    def test_delete_batch_retires_every_wave(self):
+        healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 300, seed=5))
+        strategy = MaxDegreeDeletion()
+        for _ in range(4):
+            healer.delete_batch([strategy.choose_victim(healer)])
+            victims = select_disjoint_victims(healer, sorted_nodes(healer.alive_nodes), limit=6)
+            burst = healer.delete_batch(victims)
+            assert burst.waves >= 1 and len(burst.reports) == len(victims)
+            assert _repair_state(healer) == {}
+            assert healer.network.epoch_holders == {}
+        healer.verify_consistency()

@@ -10,6 +10,12 @@ iteration order, the edge count, the extra sources and the degree-touch
 journal; the network's processor order, each link row's order, one key
 tuple per link held by both endpoints, the census and the word size; and
 every processor's records in order.
+
+Edge data is the one deliberate difference: every edge of the engine's
+graphs holds the shared read-only ``graph_fill.EDGE_DATA`` (so writing
+edge data through the engine's views raises), where networkx gives each
+edge a dict of its own, as ``network_graph()`` still does for the graph
+its caller owns.
 """
 
 import dataclasses
@@ -22,7 +28,7 @@ from repro.adversary import MaxDegreeDeletion
 from repro.analysis.fastpaths import CSRGraph, NodeIndex
 from repro.core.errors import InvalidEdgeError, ProtocolError
 from repro.core.forgiving_graph import ForgivingGraph
-from repro.core.graph_fill import add_edge, fill_graph, loopless_degree, remove_edge
+from repro.core.graph_fill import EDGE_DATA, add_edge, fill_graph, loopless_degree, remove_edge
 from repro.distributed import DistributedForgivingGraph, Network, fault_schedule
 from repro.distributed.merge import real_source_key
 from repro.generators import make_graph
@@ -111,18 +117,24 @@ def _edge_dicts(graph):
 
 
 def _assert_one_dict_per_edge(graph):
+    """Each edge holds an empty dict of its own (a graph its caller owns)."""
     dicts = _edge_dicts(graph)
     assert len({id(data) for data in dicts.values()}) == len(dicts)
-    assert all(data == {} for data in dicts.values())
+    assert all(type(data) is dict and data == {} for data in dicts.values())
+
+
+def _assert_shared_edge_data(graph):
+    """Every edge holds the one shared read-only mapping, in both directions."""
+    dicts = _edge_dicts(graph)
+    assert dicts
+    assert all(data is EDGE_DATA for data in dicts.values())
 
 
 def _assert_engines_equal(fg, reference):
     for name in ("_g_prime", "_actual"):
         graph = getattr(fg, name)
         assert _layout(graph) == _layout(getattr(reference, name)), name
-        _assert_one_dict_per_edge(graph)
-    prime_dicts = {id(data) for data in _edge_dicts(fg._g_prime).values()}
-    assert prime_dicts.isdisjoint(id(data) for data in _edge_dicts(fg._actual).values())
+        _assert_shared_edge_data(graph)
     assert list(fg._alive) == list(reference._alive)
     assert fg._deleted == reference._deleted == set()
     assert fg._num_edges == reference._num_edges == fg._actual.number_of_edges()
@@ -319,8 +331,8 @@ def test_network_graph_matches_networkx_add_from():
 
 def test_one_edge_writers_match_networkx():
     """``add_edge``/``remove_edge`` (the engine's incremental ``G``) leave the
-    layout networkx's own calls leave, and ``loopless_degree`` reads its
-    degrees."""
+    layout networkx's own calls leave, but for the shared edge mapping, and
+    ``loopless_degree`` reads its degrees."""
     rng = random.Random(3)
     graph, reference = nx.Graph(), nx.Graph()
     nodes = [*range(12), "a", "b", ("t", 1)]
@@ -337,7 +349,33 @@ def test_one_edge_writers_match_networkx():
                 reference.remove_edge(u, v)
         assert _layout(graph) == _layout(reference)
     assert not remove_edge(graph, "absent", 0)
-    _assert_one_dict_per_edge(graph)
+    _assert_shared_edge_data(graph)
     assert [loopless_degree(graph, node) for node in nodes] == [
         reference.degree[node] for node in nodes
     ]
+
+
+def test_engine_edges_share_one_read_only_mapping():
+    """After a genesis load, churn with inserts and deletions, every edge of
+    the engine's ``G'`` and ``G`` still holds ``EDGE_DATA``: writing edge
+    data through the views raises, copies get dicts of their own, and the
+    processors' graph gives each edge its own writable dict."""
+    healer = _churned_healer()
+    engine = healer.engine
+    for graph in (engine._g_prime, engine._actual):
+        _assert_shared_edge_data(graph)
+    assert EDGE_DATA == {} and len(EDGE_DATA) == 0
+    for view in (engine.actual_view(), engine.g_prime_graph_view()):
+        u, v = next(iter(view.edges))
+        with pytest.raises(TypeError):
+            view[u][v]["weight"] = 1.0
+        with pytest.raises(TypeError):
+            view.edges[u, v]["weight"] = 1.0
+    assert EDGE_DATA == {}
+    for copy in (engine.actual_graph(), engine.g_prime_view()):
+        _assert_one_dict_per_edge(copy)
+    graph = healer.network_graph()
+    _assert_one_dict_per_edge(graph)
+    u, v = next(iter(graph.edges))
+    graph[u][v]["weight"] = 2.0
+    assert graph[v][u] == {"weight": 2.0} and EDGE_DATA == {}

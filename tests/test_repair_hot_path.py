@@ -7,16 +7,22 @@ only the participants with a timer due (most participants are idle in most
 rounds).  Two more keep local work off an honest deletion: integrity tags
 are computed only when somebody reads them (no liar, no descriptor
 checksum), and per-move reads of the oracle build no networkx graph view.
+And a deletion allocates only what the healed state keeps: the oracle and
+the planner look their Port-keyed registries up by the plain pair, and the
+healed-edge source counts key by pairs too.
 """
 
 import gc
 import pickle
+import random
+from collections import Counter
 
 import networkx.classes.graphviews as graphviews
 
 from repro.adversary import AttackSchedule, MaxDegreeDeletion
+from repro.core.forgiving_graph import ForgivingGraph
 from repro.core.ports import Port, sorted_nodes
-from repro.distributed import merge, messages
+from repro.distributed import merge, messages, simulator
 from repro.distributed.faults import FaultSchedule, LinkFaultPolicy
 from repro.distributed.merge import PieceSummary
 from repro.distributed.messages import Probe
@@ -257,3 +263,101 @@ def test_piece_summary_hashes_its_fields_once():
     assert "_hash" not in summary.__getstate__()
     copy = pickle.loads(pickle.dumps(summary))
     assert copy == summary and hash(copy) == hash(summary)
+
+
+def test_deletions_build_ports_only_for_new_trivial_pieces(monkeypatch):
+    """The oracle's ``delete`` and ``plan_repair`` look the port registries up
+    by the plain pair a Port equals and hashes as, so the only Ports they
+    construct are kept: one per new trivial leaf (the oracle) and one per
+    trivial piece (the planner), that is one each per alive ``G'``
+    neighbour of the victim."""
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
+    engine = healer.engine
+    built = Counter()
+    expected = Counter()
+    inside = []
+    new = Port.__new__
+
+    def counted_new(cls, processor, neighbor):
+        if inside:
+            built[inside[-1]] += 1
+        return new(cls, processor, neighbor)
+
+    def counted(name, function):
+        def call(*args):
+            inside.append(name)
+            try:
+                return function(*args)
+            finally:
+                inside.pop()
+
+        return call
+
+    plan, delete = simulator.plan_repair, ForgivingGraph.delete
+
+    def plan_repair(engine, victim):
+        alive = sum(1 for node in engine.g_prime_neighbors(victim) if engine.is_alive(node))
+        expected["plan_repair"] += alive
+        expected["delete"] += alive
+        return counted("plan_repair", plan)(engine, victim)
+
+    monkeypatch.setattr(Port, "__new__", counted_new)
+    monkeypatch.setattr(simulator, "plan_repair", plan_repair)
+    monkeypatch.setattr(ForgivingGraph, "delete", counted("delete", delete))
+    assert len(list(_max_degree_schedule(20).play(healer))) == 20
+    assert expected["delete"] > 0 and len(healer.cost_reports) == 20
+    assert built == expected
+    monkeypatch.undo()
+    healer.verify_consistency()
+    engine.check_invariants()
+
+
+def _reference_multiplicities(engine):
+    """Each healed edge's sources counted from scratch: surviving real edges
+    and RT virtual edges between two processors."""
+    counts = Counter()
+    for u, v in engine._g_prime.edges:
+        if engine.is_alive(u) and engine.is_alive(v):
+            counts[frozenset((u, v))] += 1
+    for rt in engine._rts.values():
+        for parent, child in rt.virtual_edges():
+            if parent.processor != child.processor:
+                counts[frozenset((parent.processor, child.processor))] += 1
+    return counts
+
+
+def test_edge_multiplicity_counts_every_source_from_both_orientations(monkeypatch):
+    """Churn that stacks several sources on one healed edge, added as
+    ``(u, v)`` and as ``(v, u)``, and removes them again: the pair-keyed
+    extra-source counts read the reference count either way round."""
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
+    engine = healer.engine
+    orientations = {}
+    add = ForgivingGraph._edge_source_added
+
+    def added(self, u, v):
+        if self._actual.has_edge(u, v):  # a source beyond the first
+            orientations.setdefault(frozenset((u, v)), set()).add((u, v))
+        add(self, u, v)
+
+    monkeypatch.setattr(ForgivingGraph, "_edge_source_added", added)
+    strategy = MaxDegreeDeletion()
+    rng = random.Random(4)
+    for step in range(60):
+        if step % 3 == 2:
+            healer.insert(1_000 + step, rng.sample(sorted_nodes(engine.alive_nodes), 3))
+        else:
+            healer.delete(strategy.choose_victim(healer))
+        reference = _reference_multiplicities(engine)
+        assert set(reference) == {frozenset(edge) for edge in engine.actual_view().edges}
+        for edge, count in reference.items():
+            u, v = edge
+            assert engine.edge_multiplicity(u, v) == engine.edge_multiplicity(v, u) == count
+            assert healer.network.link_source_count(u, v) == count
+        extra = engine._extra_sources
+        assert all(extra[(v, u)] == count for (u, v), count in extra.items())
+        assert len(extra) == 2 * sum(1 for count in reference.values() if count > 1)
+    assert max(reference.values()) >= 3
+    stacked = [edge for edge, seen in orientations.items() if len(seen) == 2]
+    assert any(reference.get(edge, 0) >= 2 for edge in stacked)
+    assert engine.edge_multiplicity(0, 0) == 0

@@ -43,6 +43,7 @@ import sqlite3
 import tempfile
 from pathlib import Path
 
+import networkx.classes.graphviews as graphviews
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -970,6 +971,55 @@ class TestHealerDaemon:
         assert report.converged and report.audit_clean and report.verified
         assert node not in restored.healer.alive_nodes
         restored.close()
+
+    def test_insert_validation_checks_ids_without_a_graph_view(self, tmp_path, monkeypatch):
+        """An insert's id check is O(1): the network's ever-had-a-processor
+        census plus the ids the backlog inserts, with no view of ``G'`` and
+        no scan of the backlog.  It still refuses every spent id: alive,
+        deleted (before and after a restore), or named by the backlog."""
+        db = tmp_path / "run.db"
+        daemon = HealerDaemon.create(db, ServiceConfig(graph=GraphSpec("ring", 8), seed=0))
+        client = daemon.client("c")
+        views = []
+        original = graphviews.generic_graph_view
+
+        def counted(*args, **kwargs):
+            views.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphviews, "generic_graph_view", counted)
+
+        def refused(node):
+            journalled = daemon.store.journal_len()
+            with pytest.raises(ConfigurationError, match="already in use"):
+                client.insert(node, [1])
+            assert daemon.store.journal_len() == journalled
+
+        client.delete(3)
+        client.insert("fresh", [1, 2])
+        client.insert("short-lived", [1])
+        client.delete("short-lived")
+        for node in (0, 3, "fresh", "short-lived"):  # alive, pending deletion, pending
+            refused(node)
+        assert views == []
+        assert daemon.pump() == 4
+        assert daemon._pending_inserts == set()
+        for node in (0, 3, "fresh", "short-lived"):  # alive or deleted
+            refused(node)
+        client.insert("late", [0])
+        assert views == []
+        daemon.pump()
+        daemon.store.close()
+        del daemon
+
+        daemon, report = HealerDaemon.restore(db)
+        assert report.verified
+        views.clear()  # the restore's certification reads the oracle's views
+        client = daemon.client("c")
+        for node in (0, 3, "fresh", "short-lived", "late"):
+            refused(node)
+        assert views == []
+        daemon.close()
 
     def test_kill_and_restart_reconverges(self, tmp_path):
         """Abandoning the daemon mid-churn loses nothing the journal holds."""
