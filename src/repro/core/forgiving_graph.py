@@ -253,15 +253,6 @@ class ForgivingGraph:
         """The current reconstruction trees (non-trivial structure only)."""
         return list(self._rts.values())
 
-    def affected_reconstruction_trees(self, node: NodeId) -> List[ReconstructionTree]:
-        """The RTs that the deletion of ``node`` would dismantle and merge.
-
-        These are the RTs in which ``node`` currently owns a leaf or
-        simulates a helper, in the order :meth:`affected_rt_nodes` finds
-        them.
-        """
-        return self.affected_rt_nodes(node)[0]
-
     def affected_rt_nodes(
         self, node: NodeId
     ) -> Tuple[List[ReconstructionTree], Dict[int, List[RTNode]]]:
@@ -275,7 +266,7 @@ class ForgivingGraph:
         applied; :meth:`delete` makes the same walk.
         """
         if node not in self._g_prime:
-            raise UnknownNodeError(node, "affected_reconstruction_trees")
+            raise UnknownNodeError(node, "affected_rt_nodes")
         rt_of_leaf, rt_of_helper = self._rt_of_leaf, self._rt_of_helper
         affected: Dict[int, ReconstructionTree] = {}
         dead: Dict[int, List[RTNode]] = {}

@@ -41,7 +41,7 @@ tests assert that the message-native structure converges to it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -149,13 +149,7 @@ class PieceSummary:
     def __setstate__(self, state: dict) -> None:
         # The fields rebuild the hash and identity; the state adds a frozen
         # checksum, if one was read before pickling.
-        self.__init__(
-            state["root_port"],
-            state["root_is_leaf"],
-            state["num_leaves"],
-            state["height"],
-            state["representative"],
-        )
+        self.__init__(*(state[f.name] for f in fields(self)))
         self.__dict__.update(state)
 
     def content_checksum(self) -> int:

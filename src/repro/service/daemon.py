@@ -147,9 +147,6 @@ class HealerDaemon:
         self._applied_seq = applied_seq
         self._apply_rank = apply_rank
         self._pending: List[JournalOp] = []
-        #: The identifiers the backlog inserts: with the ones the network
-        #: ever had a processor for, every identifier already spent.
-        self._pending_inserts: Set[NodeId] = set()
         self._ops_since_checkpoint = 0
         #: Projected alive set = healer state + unpumped backlog effects,
         #: what submissions validate against.
@@ -301,12 +298,10 @@ class HealerDaemon:
         if kind == "insert":
             # An identifier is spent once a processor has had it (every
             # node the engine has seen, alive or deleted) or the backlog
-            # inserts it (any other id a backlog op names was inserted
-            # before): applying the insert would raise in every pump and
+            # names it: applying the insert would raise in every pump and
             # every restore of this store.
-            if (
-                self.healer.network.ever_had_processor(node)
-                or node in self._pending_inserts
+            if self.healer.network.ever_had_processor(node) or any(
+                op.node == node for op in self._pending
             ):
                 raise ConfigurationError(
                     f"cannot insert {node!r}: the identifier is already in use"
@@ -334,7 +329,6 @@ class HealerDaemon:
         """Add ``op`` to the backlog and project its effect."""
         self._pending.append(op)
         if op.kind == "insert":
-            self._pending_inserts.add(op.node)
             self._projected_alive.add(op.node)
         else:
             self._projected_alive.discard(op.node)
@@ -371,7 +365,6 @@ class HealerDaemon:
                 started = time.perf_counter()
                 self.healer.insert(op.node, attach_to=op.attach)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
-                self._pending_inserts.discard(op.node)
                 self._apply_rank += 1
                 self.store.mark_applied(op.seq, elapsed_ms, self._apply_rank)
                 self._applied_len += 1

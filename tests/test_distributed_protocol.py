@@ -32,7 +32,7 @@ class TestPlanRepair:
         plan = plan_repair(fg, 4)  # node 4 sits between the two RTs
         assert len(plan.probe_paths) == 2
         # Probe paths walk the right spine: their length is bounded by depth+1.
-        for path, rt in zip(plan.probe_paths, fg.affected_reconstruction_trees(4)):
+        for path, rt in zip(plan.probe_paths, fg.affected_rt_nodes(4)[0]):
             assert 1 <= len(path) <= rt.depth + 1
 
     def test_primary_root_counts_are_popcounts(self):
@@ -45,7 +45,7 @@ class TestPlanRepair:
     def test_affected_rts_requires_known_node(self):
         fg = ForgivingGraph.from_edges([(0, 1)])
         with pytest.raises(UnknownNodeError):
-            fg.affected_reconstruction_trees(99)
+            fg.affected_rt_nodes(99)
 
 
 class TestBalancedTreeEdges:

@@ -12,7 +12,9 @@ the planner look their Port-keyed registries up by the plain pair, and the
 healed-edge source counts key by pairs too.
 """
 
+import dataclasses
 import gc
+import inspect
 import pickle
 import random
 from collections import Counter
@@ -258,11 +260,21 @@ def test_piece_summary_hashes_its_fields_once():
     summary = PieceSummary(
         root_port=port, root_is_leaf=False, num_leaves=2, height=1, representative=other
     )
+    # The hand-written constructor takes every field, in field order, and
+    # hashes all of them: a field added to the class alone fails here.
+    names = [f.name for f in dataclasses.fields(PieceSummary)]
+    assert list(inspect.signature(PieceSummary).parameters) == names
+    assert hash(summary) == hash(tuple(getattr(summary, name) for name in names))
     assert hash(summary) == hash((port, False, 2, 1, other))
     # str hashes differ between processes: the cached hash is not pickled.
     assert "_hash" not in summary.__getstate__()
     copy = pickle.loads(pickle.dumps(summary))
     assert copy == summary and hash(copy) == hash(summary)
+    assert copy.identity == summary.identity and "checksum" not in copy.__dict__
+    # A frozen checksum survives the round trip.
+    frozen = summary.checksum
+    copy = pickle.loads(pickle.dumps(summary))
+    assert copy.__dict__["checksum"] == frozen and copy.checksum_valid()
 
 
 def test_deletions_build_ports_only_for_new_trivial_pieces(monkeypatch):

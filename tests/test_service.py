@@ -973,10 +973,10 @@ class TestHealerDaemon:
         restored.close()
 
     def test_insert_validation_checks_ids_without_a_graph_view(self, tmp_path, monkeypatch):
-        """An insert's id check is O(1): the network's ever-had-a-processor
-        census plus the ids the backlog inserts, with no view of ``G'`` and
-        no scan of the backlog.  It still refuses every spent id: alive,
-        deleted (before and after a restore), or named by the backlog."""
+        """An insert's id check reads the network's ever-had-a-processor
+        census and the backlog, with no view of ``G'``.  It still refuses
+        every spent id: alive, deleted (before and after a restore), or
+        named by the backlog."""
         db = tmp_path / "run.db"
         daemon = HealerDaemon.create(db, ServiceConfig(graph=GraphSpec("ring", 8), seed=0))
         client = daemon.client("c")
@@ -1003,7 +1003,6 @@ class TestHealerDaemon:
             refused(node)
         assert views == []
         assert daemon.pump() == 4
-        assert daemon._pending_inserts == set()
         for node in (0, 3, "fresh", "short-lived"):  # alive or deleted
             refused(node)
         client.insert("late", [0])
