@@ -22,7 +22,7 @@ the remaining budget.  ``--status-json PATH`` dumps a final status
 snapshot for artifact upload; ``--rejoin-stale`` runs one
 stale-checkpoint rejoin at the end (the digest-divergence healing demo).
 The restore and rejoin lines end with their wall time (``restore_s=``,
-``rejoin_s=``), genesis bootstrap included.
+genesis bootstrap included, and ``rejoin_s=``).
 """
 
 from __future__ import annotations

@@ -10,17 +10,21 @@ per ``repro`` subpackage, one for networkx and one for everything else,
 then the total, all in KiB per node ever seen::
 
     python scripts/heap_report.py
-    python scripts/heap_report.py --max-kib 6.32  # exit 1 above 6.32 KiB/node
+    python scripts/heap_report.py --max-kib 5.20  # exit 1 above 5.20 KiB/node
 
-Three last lines are about the garbage collector.  Two say what a full
-collection costs while all of that is alive: the number of objects the
-collector tracks (a full collection walks every one) and the wall time of
-one full collection, taken after ``tracemalloc`` stops.  The third says how
-many young (generation-0), middle (generation-1) and full (generation-2)
-collections the attack itself triggered, and the full ones' summed pause,
-taken by a ``gc.callbacks`` hook installed around the attack only (so under
-``tracemalloc``).  No threshold applies to them: the times depend on the
-host, and the counts on the interpreter.
+Three lines after it are about the garbage collector.  Two say what a
+full collection costs while all of that is alive: the number of objects
+the collector tracks (a full collection walks every one) and the wall time
+of one full collection, taken after ``tracemalloc`` stops.  The third says
+how many young (generation-0), middle (generation-1) and full
+(generation-2) collections the attack itself triggered, and the full ones'
+summed pause, taken by a ``gc.callbacks`` hook installed around the attack
+only (so under ``tracemalloc``).  No threshold applies to them: the times
+depend on the host, and the counts on the interpreter.  The last line is a
+census of the network, taken after everything else: the Table 1 records
+its processors hold built against their ``G'`` edge ends (the rest are
+still the records ``Init`` made, held as ``None``), and the links whose
+only source is their real edge against all links.
 
 Figures depend on the Python version (object layouts differ), so compare
 runs on one interpreter.
@@ -42,6 +46,7 @@ sys.path.insert(0, str(SRC))
 from repro import AttackSession  # noqa: E402
 from repro.adversary import AttackSchedule, MaxDegreeDeletion  # noqa: E402
 from repro.distributed import DistributedForgivingGraph  # noqa: E402
+from repro.distributed.merge import real_source_key  # noqa: E402
 from repro.generators import make_graph  # noqa: E402
 
 N, MOVES, SEED = 2000, 120, 0
@@ -132,6 +137,18 @@ def main(argv=None) -> int:
     print(
         f"gc_attack_collections = {young} young, {middle} middle, {full} full "
         f"({collections.full_pause_s * 1000:.1f} ms in full)"
+    )
+    network = kept[1].network
+    ends = held = 0
+    for processor in network.processors.values():
+        ends += len(processor.edges)
+        held += sum(record is not None for record in processor.edges.values())
+    real_only = sum(
+        keys == {real_source_key(*link)} for link, keys in network.export_link_sources().items()
+    )
+    print(
+        f"census = {held} of {ends} Table 1 records held (one per G' edge end), "
+        f"{real_only} of {network.num_links()} links sourced by their real edge alone"
     )
     if args.max_kib is not None and total_kib > args.max_kib:
         print(f"# over the ceiling of {args.max_kib} KiB/node", file=sys.stderr)

@@ -42,7 +42,13 @@ local strip knowledge, *not* by the reference engine.  Keys (instead of
 bare counters) make the bookkeeping idempotent, so retransmitted messages
 cannot corrupt the topology.  A key appears at most once per link, and
 nearly every link has exactly one, so an immutable tuple holds them in a
-fraction of a set's memory.
+fraction of a set's memory.  A link holds its own real edge as
+:data:`REAL_EDGE`, one shared marker, so every link sourced by its real
+edge alone holds the same one-key tuple; the marker is written out as
+:func:`~repro.distributed.merge.real_source_key` wherever keys leave the
+network (:meth:`Network.link_sources`, :meth:`Network.export_link_sources`,
+:meth:`Network.changed_links`) and read back from it by
+:meth:`Network.replace_link_sources`.
 
 *Scaffolding.*  A repair creates temporary links for its own traffic (the
 ``BT_v`` tree, probe hops, merge wiring).  While a scaffold is open
@@ -74,8 +80,9 @@ sources, or a processor's removal is noted in :attr:`Network.marks`
 (a :class:`CheckpointMarks`), so a checkpoint rewrites exactly those rows.
 A link's first write since the last checkpoint also records the tuple it
 replaced, which is free since tuples are immutable, so a checkpoint can
-leave alone a link whose sources ended where they were.  Until then
-nothing is recorded: an attack run keeps no marks.
+leave alone a link whose sources ended where they were
+(:meth:`Network.changed_links`).  Until then nothing is recorded: an attack
+run keeps no marks.
 """
 
 from __future__ import annotations
@@ -91,12 +98,40 @@ from .faults import FaultSchedule
 from .merge import real_source_key
 from .messages import Message, words_to_bits
 from .metrics import NetworkMetrics
-from .processor import Processor, init_record
+from .processor import Processor
 
-__all__ = ["CheckpointMarks", "Network"]
+__all__ = ["CheckpointMarks", "Network", "REAL_EDGE"]
 
 #: Read-only stand-in for the link map of a node without a processor.
 _NO_LINKS = MappingProxyType({})
+
+
+class _RealEdge:
+    """The type of :data:`REAL_EDGE`; copies and unpickling give the one
+    instance back, so ``is`` finds it in any link's keys."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "REAL_EDGE"
+
+    def __reduce__(self) -> str:
+        return "REAL_EDGE"
+
+
+#: The source key a link holds for its own surviving real ``G'`` edge, in
+#: place of ``real_source_key(u, v)``, which it stands for.
+REAL_EDGE = _RealEdge()
+#: The keys of a link sourced by its real edge alone, shared by all of them.
+_REAL_ONLY = (REAL_EDGE,)
+
+
+def _exported(keys: Tuple, u: NodeId, v: NodeId) -> Tuple:
+    """Link ``(u, v)``'s ``keys`` as they leave the network: its real-edge
+    marker written out as ``real_source_key(u, v)``."""
+    if REAL_EDGE not in keys:
+        return keys
+    return tuple(real_source_key(u, v) if key is REAL_EDGE else key for key in keys)
 
 
 @dataclass(slots=True)
@@ -112,12 +147,13 @@ class CheckpointMarks:
     #: order of its first write: records created since the last checkpoint
     #: are listed in creation order, the order their processor holds them.
     records: Dict[Tuple[NodeId, NodeId], None] = field(default_factory=dict)
-    #: Each link whose sources were written, as its ``frozenset`` endpoint
-    #: pair, mapped to its source-key tuple as of its first write since the
-    #: last checkpoint (the tuple that write replaced, ``()`` if it had
-    #: none): the value the stored image holds, so a link whose sources end
-    #: equal to it needs no row rewritten.
-    links: Dict[frozenset, Tuple] = field(default_factory=dict)
+    #: Each link whose sources were written, as the ``(u, v)`` endpoint pair
+    #: its first write named (a later write naming ``(v, u)`` finds it),
+    #: mapped to its source-key tuple as of that first write since the last
+    #: checkpoint (the tuple that write replaced, ``()`` if it had none): the
+    #: value the stored image holds, so a link whose sources end equal to it
+    #: needs no row rewritten.
+    links: Dict[Tuple[NodeId, NodeId], Tuple] = field(default_factory=dict)
     #: Each processor removed.
     removed: Set[NodeId] = field(default_factory=set)
 
@@ -194,7 +230,25 @@ class Network:
     def _mark_link(self, u: NodeId, v: NodeId, keys: Tuple) -> None:
         """Mark link ``(u, v)``, whose sources are ``keys`` before this write."""
         if self.marks is not None:
-            self.marks.links.setdefault(frozenset((u, v)), keys)
+            links = self.marks.links
+            if (v, u) not in links:
+                links.setdefault((u, v), keys)
+
+    def changed_links(self) -> Iterator[Tuple[NodeId, NodeId, Tuple]]:
+        """Each marked link whose sources differ from those its mark recorded,
+        as ``(u, v, keys)``: its source keys as they leave the network, ``()``
+        when it has none left.
+
+        A link holds each key once, so the two tuples are compared as
+        multisets, and only a changed link's keys are written out.
+        """
+        for (u, v), before in self.marks.links.items():
+            keys = self._links.get(u, _NO_LINKS).get(v, ())
+            if keys is before or (
+                len(keys) == len(before) and all(key in before for key in keys)
+            ):
+                continue
+            yield u, v, _exported(keys, u, v)
 
     def _set_keys(self, u: NodeId, v: NodeId, keys: Tuple) -> None:
         """Give link ``(u, v)`` between two live processors the tuple ``keys``
@@ -230,14 +284,15 @@ class Network:
         """Create ``G_0``'s processors and links on this empty network, in one pass.
 
         Figure 1's pre-processing: each endpoint of a ``G_0`` edge runs
-        ``Init`` locally, so no message is sent.  Writes what
+        ``Init`` locally, so no message is sent.  Holds what
         :meth:`add_processor` per node, then per edge
         ``add_link_source(real_source_key(u, v), u, v)`` and both endpoints'
-        :meth:`Processor.ensure_edge` would, in the same order: each link
-        holds its real edge's key in one tuple, shared by both endpoints,
-        and each processor's records follow the edge order.  ``nodes`` must
-        be distinct, and ``edges`` distinct pairs of them with no self-loop,
-        as the engine's load or a stored genesis graph gives them.
+        :meth:`Processor.ensure_edge` would, in the same order, but builds
+        neither a record nor a key: each link holds the one shared
+        real-edge-only tuple, and each processor holds ``None`` per record
+        (``Init``'s), in edge order.  ``nodes`` must be distinct, and
+        ``edges`` distinct pairs of them with no self-loop, as the engine's
+        load or a stored genesis graph gives them.
         """
         if self.processors:
             raise ProtocolError("load_genesis needs a network without processors")
@@ -252,10 +307,10 @@ class Network:
         self._ever_ids.update(iter(processors))
         self.n_ever = len(processors)
         self._word_bits = words_to_bits(1, self.n_ever)
+        records = {node: processor.edges for node, processor in processors.items()}
         for u, v in edges:
-            links[u][v] = links[v][u] = (real_source_key(u, v),)
-            processors[u].edges[v] = init_record(u, v)
-            processors[v].edges[u] = init_record(v, u)
+            links[u][v] = links[v][u] = _REAL_ONLY
+            records[u][v] = records[v][u] = None
 
     def ever_had_processor(self, node: NodeId) -> bool:
         """True when ``node`` has had a processor at some point (alive or not).
@@ -313,7 +368,8 @@ class Network:
 
         Creates the link if this is its first source.  Dead endpoints are
         tolerated silently: a message-driven update may race with the
-        adversary's removal, and the removal wins.
+        adversary's removal, and the removal wins.  The key is held as
+        given, so a link's own real edge is added as :data:`REAL_EDGE`.
         """
         if u == v or u not in self.processors or v not in self.processors:
             return
@@ -343,23 +399,27 @@ class Network:
             del u_links[v], self._links[v][u]
 
     def has_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> bool:
-        """True when ``key`` currently sources the link ``(u, v)``."""
-        return key in self._links.get(u, _NO_LINKS).get(v, ())
+        """True when ``key`` currently sources the link ``(u, v)``
+        (``real_source_key(u, v)`` does while the link holds its real edge)."""
+        keys = self._links.get(u, _NO_LINKS).get(v, ())
+        return key in keys or (REAL_EDGE in keys and key == real_source_key(u, v))
 
     def link_source_count(self, u: NodeId, v: NodeId) -> int:
         """Number of sources of link ``(u, v)`` (the engine's edge multiplicity)."""
         return len(self._links.get(u, _NO_LINKS).get(v, ()))
 
     def link_sources(self, u: NodeId, v: NodeId) -> frozenset:
-        """The source keys of link ``(u, v)``; empty when it is unsourced or absent."""
-        return frozenset(self._links.get(u, _NO_LINKS).get(v, ()))
+        """The source keys of link ``(u, v)`` as they leave the network; empty
+        when it is unsourced or absent."""
+        return frozenset(_exported(self._links.get(u, _NO_LINKS).get(v, ()), u, v))
 
     def replace_link_sources(self, expected: Dict[frozenset, Set[Tuple]]) -> None:
         """Give each link of ``expected`` exactly its keys (a checkpoint restore's bulk write).
 
         ``expected`` is keyed by ``frozenset`` endpoint pairs — the format
         :meth:`export_link_sources` writes and the checkpoint store reloads.
-        Each link is created if absent; every other link is left as it is.
+        A link's own ``real_source_key`` becomes :data:`REAL_EDGE`.  Each
+        link is created if absent; every other link is left as it is.
         An entry naming a node without a processor raises
         :class:`UnknownNodeError` before anything is written.
         """
@@ -369,8 +429,10 @@ class Network:
                     raise UnknownNodeError(node, "replace_link_sources")
         for link, keys in expected.items():
             u, v = link
+            real = real_source_key(u, v)
+            keys = tuple(REAL_EDGE if key == real else key for key in keys)
             self._mark_link(u, v, self._links[u].get(v, ()))
-            self._set_keys(u, v, tuple(keys))
+            self._set_keys(u, v, _REAL_ONLY if keys == _REAL_ONLY else keys)
 
     def export_link_sources(self) -> Dict[frozenset, Set[Tuple]]:
         """Snapshot every sourced link in the ``frozenset`` wire format.
@@ -383,7 +445,7 @@ class Network:
         for node, links in self._links.items():
             for neighbor, keys in links.items():
                 if keys and neighbor not in visited:
-                    out[frozenset((node, neighbor))] = set(keys)
+                    out[frozenset((node, neighbor))] = set(_exported(keys, node, neighbor))
             visited.add(node)
         return out
 

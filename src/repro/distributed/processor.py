@@ -7,6 +7,9 @@ real node's current endpoint, whether the processor is simulating a helper
 node for this edge, the real node's RT parent and representative, plus the
 helper node's parent / children / height / children-count / representative.
 Its field order is also the checkpoint store's record payload order.
+A record still equal to what ``Init`` made is held as ``None``: the dict
+keeps its place in record order, :meth:`Processor.ensure_edge` builds it
+on its first write, and :meth:`Processor.record` reads it.
 Beside the records a processor holds only its active repair contexts; it
 keeps no log of the messages it received (the network's metrics count the
 traffic, and an accusation carries its own evidence).
@@ -138,8 +141,18 @@ class EdgeRecord:
 def init_record(owner: NodeId, neighbor: NodeId) -> EdgeRecord:
     """The record ``Init(owner)`` (Algorithm A.2) creates for the ``G'`` edge to
     ``neighbor``: the representative is the owner's own port, every other
-    field empty."""
-    return EdgeRecord(neighbor=neighbor, representative=Port(owner, neighbor))
+    field empty.
+
+    A processor holds ``None`` in its place until the record's first write
+    (see :attr:`Processor.edges`), so one is built only when a write needs
+    it or a read asks for it.
+    """
+    return EdgeRecord(neighbor, None, True, False, None, Port(owner, neighbor))
+
+
+#: ``dict.get`` default that tells a missing ``G'`` edge apart from a
+#: record held as ``None`` (still ``Init``'s).
+_NO_EDGE = object()
 
 
 #: Per-(class, kind) handler lookup cache: ``receive`` resolves its
@@ -257,8 +270,11 @@ class Processor:
 
     def __init__(self, node_id: NodeId) -> None:
         self.node_id = node_id
-        #: One record per ``G'`` edge, keyed by the neighbour's identifier.
-        self.edges: Dict[NodeId, EdgeRecord] = {}
+        #: One entry per ``G'`` edge, keyed by the neighbour's identifier, in
+        #: record order: the live record once a write made it
+        #: (:meth:`ensure_edge`), ``None`` while it is still the record
+        #: ``Init`` made, which holds no helper.  :meth:`record` reads either.
+        self.edges: Dict[NodeId, Optional[EdgeRecord]] = {}
         #: Back-reference set by :meth:`Network.add_processor`; lets message
         #: handlers update the sourced link set and note each record they
         #: write in the network's checkpoint marks.  ``None`` for standalone
@@ -276,16 +292,33 @@ class Processor:
     # local knowledge
     # ------------------------------------------------------------------ #
     def ensure_edge(self, neighbor: NodeId) -> EdgeRecord:
-        """Create (or return) the edge record for the ``G'`` edge to ``neighbor``.
+        """The live record for the ``G'`` edge to ``neighbor``, for a write.
 
-        Mirrors ``Init(v)`` (Algorithm A.2): the representative starts as the
-        processor's own port and every other field is empty.
+        The one writer's entry point.  A record held as ``None`` is built as
+        ``Init(v)`` (Algorithm A.2) made it, in its place in record order;
+        with no ``G'`` edge to ``neighbor`` the record is created that way,
+        last, and marked.  The caller marks what it then writes.
         """
-        record = self.edges.get(neighbor)
+        edges = self.edges
+        record = edges.get(neighbor, _NO_EDGE)
         if record is None:
-            record = self.edges[neighbor] = init_record(self.node_id, neighbor)
+            record = edges[neighbor] = init_record(self.node_id, neighbor)
+        elif record is _NO_EDGE:
+            record = edges[neighbor] = init_record(self.node_id, neighbor)
             self.mark_record(neighbor)
         return record
+
+    def record(self, neighbor: NodeId) -> Optional[EdgeRecord]:
+        """The record for the ``G'`` edge to ``neighbor``, for a read.
+
+        The live record, or for one still held as ``None`` a fresh ``Init``
+        record that is never stored, so a read builds nothing it keeps.
+        ``None`` only when this processor has no ``G'`` edge to ``neighbor``.
+        """
+        record = self.edges.get(neighbor, _NO_EDGE)
+        if record is None:
+            return init_record(self.node_id, neighbor)
+        return None if record is _NO_EDGE else record
 
     def mark_record(self, neighbor: NodeId) -> None:
         """Note in the network's checkpoint marks (if it keeps any) that the
@@ -300,7 +333,11 @@ class Processor:
 
     def helper_ports(self) -> List[Port]:
         """Ports for which this processor currently simulates a helper node."""
-        return [Port(self.node_id, nbr) for nbr, rec in self.edges.items() if rec.has_helper]
+        return [
+            Port(self.node_id, nbr)
+            for nbr, rec in self.edges.items()
+            if rec is not None and rec.has_helper
+        ]
 
     def degree_in_edges(self) -> int:
         """Number of ``G'`` edges this processor participates in."""
@@ -349,6 +386,7 @@ class Processor:
         """
         context.stripped = True
         for port in context.released:
+            # None: no such edge, or Init's record, which holds no helper.
             record = self.edges.get(port.neighbor)
             if record is not None and record.has_helper and record.helper_victim != context.victim:
                 record.clear_helper()
@@ -597,11 +635,12 @@ class Processor:
 
     # -- handlers ----------------------------------------------------------
     def _on_InsertionNotice(self, message: InsertionNotice) -> None:
-        self.ensure_edge(message.inserted)
+        if message.inserted not in self.edges:
+            self.ensure_edge(message.inserted)
 
     def _on_DeletionNotice(self, message: DeletionNotice) -> None:
-        record = self.edges.get(message.deleted)
-        if record is not None:
+        if message.deleted in self.edges:
+            record = self.ensure_edge(message.deleted)
             record.neighbor_alive = False
             record.endpoint = None
             self.mark_record(message.deleted)
@@ -812,6 +851,8 @@ class Processor:
         victim = message.deleted
         if victim is not None and not self._accept_epoch(victim, message.epoch):
             return
+        if not message.create and self.edges.get(port.neighbor, _NO_EDGE) is None:
+            return  # Init's record simulates no helper: nothing to retract
         record = self.ensure_edge(port.neighbor)
         if not message.create:
             if record.has_helper and (victim is None or record.helper_victim == victim):
@@ -1154,7 +1195,7 @@ class Processor:
 
     def _port_digest(self, port: Port, victim: NodeId) -> PortDigest:
         """Summarize one of this processor's own Table 1 records for a digest."""
-        record = self.edges.get(port.neighbor)
+        record = self.record(port.neighbor)
         if record is None:
             return PortDigest(port=port, links_ok=False)
         helper_for_victim = record.has_helper and record.helper_victim == victim

@@ -85,7 +85,6 @@ from .merge import (
     helper_retraction,
     link_source_key,
     parent_update,
-    real_source_key,
 )
 from .messages import InsertionNotice, PrimaryRootList, Probe
 from .metrics import (
@@ -95,7 +94,7 @@ from .metrics import (
     MetricsWindow,
     RecoveryCostReport,
 )
-from .network import Network
+from .network import REAL_EDGE, Network
 from .protocol import (
     RepairPlan,
     execute_repair,
@@ -352,7 +351,7 @@ class DistributedForgivingGraph:
                 # oracle records the edge, but no processor can ack the
                 # attachment, so the message-native side skips the wiring.
                 continue
-            self.network.add_link_source(real_source_key(node, neighbor), node, neighbor)
+            self.network.add_link_source(REAL_EDGE, node, neighbor)
             processor.ensure_edge(neighbor)
             self.network.processors[neighbor].ensure_edge(node)
             self.network.send(InsertionNotice(sender=node, receiver=neighbor, inserted=node))
@@ -820,7 +819,7 @@ class DistributedForgivingGraph:
         processor = self.network.processors.get(port.processor)
         if processor is None:
             return None
-        return processor.edges.get(port.neighbor)
+        return processor.record(port.neighbor)
 
     # ------------------------------------------------------------------ #
     # consistency between distributed state and the reference engine
@@ -869,10 +868,10 @@ class DistributedForgivingGraph:
             engine_helpers.update(rt.helpers)
 
         recorded: Dict[Port, Tuple[Optional[Port], Optional[Port]]] = {}
-        for node_id, processor in self.network.processors.items():
-            for neighbor, record in processor.edges.items():
-                if record.has_helper:
-                    recorded[Port(node_id, neighbor)] = (record.helper_left, record.helper_right)
+        for processor in self.network.processors.values():
+            for port in processor.helper_ports():
+                record = processor.record(port.neighbor)
+                recorded[port] = (record.helper_left, record.helper_right)
 
         missing = set(engine_helpers) - set(recorded)
         if missing:

@@ -31,7 +31,7 @@ Crash-recover is real, twice over:
 
 * **Stale-processor rejoin** — :meth:`HealerDaemon.rejoin_stale` restarts
   one repair participant from the latest checkpoint image *mid-repair*
-  (its genesis records, overridden by any rows a checkpoint wrote):
+  (its own record rows over the records ``Init`` made, read alone):
   the records it re-reads predate the repair it just took part in, which
   is exactly a digest divergence for the PR 5 gossip recovery to heal.
   The rollback is scoped to what the interrupted repair wrote (its helper
@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.errors import ConfigurationError, ForgivingGraphError
 from ..core.ports import NodeId
+from ..distributed.processor import EdgeRecord, init_record
 from ..distributed.simulator import DistributedForgivingGraph
 from .config import ServiceConfig
 from .metrics import ServiceMetrics, StatusServer
@@ -510,20 +511,20 @@ class HealerDaemon:
                 verified=self._verify_quietly(),
             )
 
-        # The restart: re-read the checkpoint image, composed as a restore
-        # composes it (a record no checkpoint rewrote reads as genesis made
-        # it) but on the genesis network alone, since nothing here reads an
-        # oracle, and scoped to what this repair wrote.  The repair context
-        # survives (a rejoiner answers digest requests; losing the context
-        # entirely is the *crash* case).
-        image = self.store.genesis_network()
-        self.store.load_image(image, self.store.latest_checkpoint())
+        # The restart: re-read the checkpoint image of this one processor,
+        # its record rows over the records Init made, scoped to what this
+        # repair wrote.  A record still held as None is Init's, as is its
+        # image (a record any write touched stays built), so it needs no
+        # rollback.  The repair context survives (a rejoiner answers digest
+        # requests; losing the context entirely is the *crash* case).
+        rows = self.store.load_records(stale).get(stale, {})
         processor = network.processors[stale]
         rolled_back = 0
-        for neighbor, stored in image.processors[stale].edges.items():
-            record = processor.edges.get(neighbor)
+        for neighbor, record in processor.edges.items():
             if record is None:
                 continue
+            fields = rows.get(neighbor)
+            stored = init_record(stale, neighbor) if fields is None else EdgeRecord(**fields)
             changed = False
             if record.has_helper and record.helper_victim == repair.victim:
                 record.clear_helper()

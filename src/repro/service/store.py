@@ -26,7 +26,9 @@ list go, a record row overrides that one record, a link row sets that one
 link's sources, and every other record and link is the one genesis made.
 That composition is exact because records are never removed, and only
 ``("rt", ...)`` link sources ever are: a link with a real-edge source, as
-every genesis link has, exists until one of its endpoints dies.
+every genesis link has, exists until one of its endpoints dies.  A
+processor's image alone is its record rows over the records ``Init`` made
+(:meth:`CheckpointStore.load_records` with an owner reads just those rows).
 
 The store is plain sqlite in WAL mode (journal appends survive a ``kill
 -9`` between checkpoints), and every value that names a node or port goes
@@ -419,17 +421,6 @@ class CheckpointStore:
             graph.add_edge(_loads(u), _loads(v))
         return graph
 
-    def genesis_network(self) -> Network:
-        """The genesis processors and links on a network of their own, no engine.
-
-        The base :meth:`load_image` composes an image on, for a reader that
-        needs the image alone (the stale-processor rejoin).
-        """
-        genesis = self.genesis_graph()
-        network = Network()
-        network.load_genesis(genesis.nodes, genesis.edges)
-        return network
-
     # ------------------------------------------------------------------ #
     # journal
     # ------------------------------------------------------------------ #
@@ -560,16 +551,13 @@ class CheckpointStore:
             for owner, neighbor in marks.records:
                 processor = processors.get(owner)
                 if processor is not None:
-                    record = processor.edges[neighbor]
+                    record = processor.record(neighbor)
                     record_rows.append((ckpt, _dumps(owner), _dumps(neighbor), _record_payload(record)))
             conn.executemany(_UPSERT_RECORD, record_rows)
             pairs = []
             link_rows = []
-            for link, stored_keys in marks.links.items():
-                keys = network.link_sources(*link)
-                if keys == frozenset(stored_keys):
-                    continue
-                u, v = sorted_nodes(link)
+            for u, v, keys in network.changed_links():
+                u, v = sorted_nodes((u, v))
                 stored_u, stored_v = _dumps(u), _dumps(v)
                 pairs += ((stored_u, stored_v), (stored_v, stored_u))
                 if keys:
@@ -620,14 +608,17 @@ class CheckpointStore:
 
         The image is the genesis plus the rows.  Processors missing from the
         header's alive list go, with their links, and those added since
-        genesis are created.  Each record row overrides that one record, in
-        row order, so a processor keeps its records in their live order; each
-        link row gives that link exactly its sources.  Every other record and
-        link stays as the bootstrap made it, which is exact: records are
-        never removed, and only ``("rt", ...)`` link sources ever are, so a
-        genesis link without a row still holds just its real-edge source, or
-        went with a dead endpoint.  The header's quarantine set and the
-        stored accusations (see :meth:`load_transcript`) complete the image.
+        genesis are created.  Each record row is written over that one
+        record through :meth:`~repro.distributed.processor.Processor.ensure_edge`,
+        in row order, so a processor keeps its records in their live order
+        and only records with a row are built; each link row gives that
+        link exactly its sources.  Every other record and link stays as the
+        bootstrap made it (a record as ``Init`` made it, held as ``None``),
+        which is exact: records are never removed, and only ``("rt", ...)``
+        link sources ever are, so a genesis link without a row still holds
+        just its real-edge source, or went with a dead endpoint.  The
+        header's quarantine set and the stored accusations (see
+        :meth:`load_transcript`) complete the image.
         The census is left to the caller: it comes from the oracle's journal
         replay.
         """
@@ -637,9 +628,11 @@ class CheckpointStore:
         for node in ckpt.alive:
             network.add_processor(node)
         for owner, rows in self.load_records().items():
-            edges = network.processors[owner].edges
+            processor = network.processors[owner]
             for neighbor, fields in rows.items():
-                edges[neighbor] = EdgeRecord(**fields)
+                record = processor.ensure_edge(neighbor)
+                for name, value in fields.items():
+                    setattr(record, name, value)
         network.replace_link_sources(self.load_links())
         network.quarantined = set(ckpt.quarantined)
         for accused, reporter, reason, round_ in self.load_transcript():
@@ -647,22 +640,34 @@ class CheckpointStore:
                 accused=accused, reporter=reporter, reason=reason, evidence=(), round=round_
             )
 
-    def load_records(self) -> Dict[NodeId, Dict[NodeId, Dict[str, object]]]:
+    def load_records(
+        self, owner: Optional[NodeId] = None
+    ) -> Dict[NodeId, Dict[NodeId, Dict[str, object]]]:
         """The image's record rows: ``{processor: {neighbor: fields}}``.
 
         Only the records a checkpoint rewrote since genesis have rows
         (:meth:`load_image` composes the rest from the genesis); each
-        processor's come in row order, which is its record order.
+        processor's come in row order, which is its record order.  Given an
+        ``owner``, only that processor's rows are read: its image is those
+        rows over the records ``Init`` made.
         """
+        if owner is None:
+            rows = self._conn.execute(
+                "SELECT processor, neighbor, payload FROM records ORDER BY rowid"
+            )
+        else:
+            rows = self._conn.execute(
+                "SELECT processor, neighbor, payload FROM records WHERE processor=? "
+                "ORDER BY rowid",
+                (_dumps(owner),),
+            )
         out: Dict[NodeId, Dict[NodeId, Dict[str, object]]] = {}
-        for owner, neighbor, payload in self._conn.execute(
-            "SELECT processor, neighbor, payload FROM records ORDER BY rowid"
-        ):
+        for node, neighbor, payload in rows:
             fields = {
                 name: decode_value(value)
                 for name, value in zip(_RECORD_FIELDS, json.loads(payload))
             }
-            out.setdefault(_loads(owner), {})[_loads(neighbor)] = fields
+            out.setdefault(_loads(node), {})[_loads(neighbor)] = fields
         return out
 
     def load_links(self) -> Dict[frozenset, Set[Tuple]]:

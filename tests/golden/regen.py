@@ -87,7 +87,13 @@ def _text(value: object) -> str:
 def _records(healer: DistributedForgivingGraph) -> List[object]:
     names = [f.name for f in dataclasses.fields(EdgeRecord)]
     return [
-        [node, [[getattr(record, name) for name in names] for _, record in processor.edges.items()]]
+        [
+            node,
+            [
+                [getattr(record, name) for name in names]
+                for record in map(processor.record, processor.edges)
+            ],
+        ]
         for node, processor in healer.network.processors.items()
     ]
 

@@ -285,9 +285,9 @@ class TestProcessorState:
 
 class TestDirtyTracking:
     """Once started, the checkpoint marks note every write of a Table 1
-    record, as ``(owner, neighbor)``, every write of a link's sources, as its
-    endpoint pair with the sources its first write replaced, and every
-    removed processor."""
+    record, as ``(owner, neighbor)``, every write of a link's sources, as the
+    endpoint pair its first write named with the sources that write
+    replaced, and every removed processor."""
 
     def test_marks_are_off_until_started(self):
         net = Network()
@@ -323,11 +323,14 @@ class TestDirtyTracking:
         for write, links, removed in writes:
             marks.clear()
             write()
-            assert (marks.records, marks.links, marks.removed) == ({}, links, removed)
+            marked = {frozenset(pair): keys for pair, keys in marks.links.items()}
+            assert len(marked) == len(marks.links)
+            assert (marks.records, marked, marks.removed) == ({}, links, removed)
 
     def test_a_link_mark_keeps_the_sources_before_its_first_write(self):
-        """Later writes mark the link again but keep the first recorded
-        sources: those the stored image holds."""
+        """Later writes, in either direction, find the link under the pair
+        its first write named and keep the first recorded sources: those the
+        stored image holds."""
         net = Network()
         for node in "ab":
             net.add_processor(node)
@@ -336,7 +339,7 @@ class TestDirtyTracking:
         net.add_link_source(("j",), "b", "a")
         net.remove_link_source(("k",), "a", "b")
         net.add_link_source(("k",), "a", "b")
-        assert marks.links == {frozenset("ab"): (("k",),)}
+        assert marks.links == {("b", "a"): (("k",),)}
         assert net.link_sources("a", "b") == {("j",), ("k",)}
 
     def test_record_writes_mark_their_owner(self):

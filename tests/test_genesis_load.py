@@ -7,9 +7,15 @@ graph: the engine's ``G'`` and ``G`` and the processors' graph
 here as the reference, and every field is compared with them, orders
 included: node and adjacency order of both engine graphs, the alive set's
 iteration order, the edge count, the extra sources and the degree-touch
-journal; the network's processor order, each link row's order, one key
-tuple per link held by both endpoints, the census and the word size; and
-every processor's records in order.
+journal; the network's processor order, each link row's order, its link
+sources as they leave the network, the census and the word size; and every
+processor's records in order, each read through ``Processor.record``.
+
+The network keeps ``G_0`` implicit, which the reference does not: a loaded
+network holds ``None`` for every record (still the one ``Init`` made) and
+one shared ``(REAL_EDGE,)`` tuple for every link, so it builds no record
+and no real-edge key.  Reads never build a record that stays, and each
+writer builds exactly the records it writes, in record order.
 
 Edge data is the one deliberate difference: every edge of the engine's
 graphs holds the shared read-only ``graph_fill.EDGE_DATA`` (so writing
@@ -19,7 +25,10 @@ its caller owns.
 """
 
 import dataclasses
+import importlib.util
 import random
+import tempfile
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -29,9 +38,21 @@ from repro.analysis.fastpaths import CSRGraph, NodeIndex
 from repro.core.errors import InvalidEdgeError, ProtocolError
 from repro.core.forgiving_graph import ForgivingGraph
 from repro.core.graph_fill import EDGE_DATA, add_edge, fill_graph, loopless_degree, remove_edge
+from repro.core.ports import Port
 from repro.distributed import DistributedForgivingGraph, Network, fault_schedule
 from repro.distributed.merge import real_source_key
+from repro.distributed.messages import (
+    DeletionNotice,
+    HelperAssignment,
+    InsertionNotice,
+    ParentUpdate,
+)
+from repro.distributed.network import REAL_EDGE
+from repro.distributed.processor import EdgeRecord
 from repro.generators import make_graph
+from repro.generators.graphs import GraphSpec
+from repro.service import HealerDaemon, ServiceConfig
+from repro.service.store import CheckpointStore
 
 
 # --------------------------------------------------------------------------- #
@@ -144,10 +165,29 @@ def _assert_engines_equal(fg, reference):
 
 
 def _records(network):
+    """Every processor's records in order, each read through ``record``."""
     return [
-        (node, [(nbr, dataclasses.astuple(record)) for nbr, record in p.edges.items()])
+        (node, [(nbr, dataclasses.astuple(p.record(nbr))) for nbr in p.edges])
         for node, p in network.processors.items()
     ]
+
+
+def _held(network):
+    """The records a network holds built, as ``(owner, neighbor)`` in order."""
+    return [
+        (node, nbr)
+        for node, p in network.processors.items()
+        for nbr, record in p.edges.items()
+        if record is not None
+    ]
+
+
+def _assert_genesis_implicit(network):
+    """No record built and no real-edge key: every record is ``None`` and
+    every link holds the one shared ``(REAL_EDGE,)`` tuple."""
+    assert _held(network) == []
+    tuples = {id(keys): keys for links in network._links.values() for keys in links.values()}
+    assert list(tuples.values()) in ([], [(REAL_EDGE,)])
 
 
 def _assert_networks_equal(network, reference):
@@ -156,13 +196,20 @@ def _assert_networks_equal(network, reference):
         assert processor.node_id == node
         assert processor.network is network
         assert processor.repairs == {} and processor.repair_epochs == {}
+        assert list(processor.edges) == list(reference.processors[node].edges)
+        assert processor.degree_in_edges() == reference.processors[node].degree_in_edges()
     assert _records(network) == _records(reference)
     assert list(network._links) == list(reference._links)
     for node, links in network._links.items():
-        assert list(links.items()) == list(reference._links[node].items()), node
+        assert list(links) == list(reference._links[node]), node
         for other, keys in links.items():
-            assert len(keys) == 1
             assert network._links[other][node] is keys
+            assert network.link_sources(node, other) == reference.link_sources(node, other)
+            assert network.link_source_count(node, other) == 1
+            real = real_source_key(node, other)
+            assert network.has_link_source(real, node, other)
+            assert reference.has_link_source(real, node, other)
+    assert network.export_link_sources() == reference.export_link_sources()
     assert network.n_ever == reference.n_ever
     assert list(network._ever_ids) == list(reference._ever_ids)
     assert network._word_bits == reference._word_bits
@@ -171,8 +218,10 @@ def _assert_networks_equal(network, reference):
 
 def _assert_healers_equal(healer, reference):
     _assert_engines_equal(healer.engine, reference.engine)
+    _assert_genesis_implicit(healer.network)
     _assert_networks_equal(healer.network, reference.network)
     healer.verify_consistency()
+    _assert_genesis_implicit(healer.network)
 
 
 # --------------------------------------------------------------------------- #
@@ -379,3 +428,171 @@ def test_engine_edges_share_one_read_only_mapping():
     u, v = next(iter(graph.edges))
     graph[u][v]["weight"] = 2.0
     assert graph[v][u] == {"weight": 2.0} and EDGE_DATA == {}
+
+
+# --------------------------------------------------------------------------- #
+# Init's records stay implicit: reads build nothing, writers what they write
+# --------------------------------------------------------------------------- #
+def _golden_records():
+    spec = importlib.util.spec_from_file_location(
+        "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py"
+    )
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    return regen._records
+
+
+def test_reads_build_no_record():
+    """After a 20-move max-degree attack, every reader of records and link
+    sources leaves the records held unchanged: the consistency check, the
+    plan audit, the golden digest's records, the link export and a
+    checkpoint of every record (most of them still ``Init``'s)."""
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=3))
+    strategy = MaxDegreeDeletion()
+    for _ in range(20):
+        healer.delete(strategy.choose_victim(healer))
+    network = healer.network
+    held = _held(network)
+    ends = sum(p.degree_in_edges() for p in network.processors.values())
+    assert 0 < len(held) < ends // 2
+    records = _records(network)
+
+    healer.verify_consistency()
+    assert healer.audit_reference() == []
+    _golden_records()(healer)
+    network.export_link_sources()
+    for u, v in network.iter_links():
+        network.link_sources(u, v)
+    marks = network.start_marks()
+    for processor in network.processors.values():
+        for neighbor in processor.edges:
+            processor.mark_record(neighbor)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore(Path(tmp) / "run.db")
+        try:
+            store.initialize({}, make_graph("power_law", 200, seed=3))
+            store.write_checkpoint(healer, seq=0)
+            (rows,) = store._conn.execute("SELECT COUNT(*) FROM records").fetchone()
+        finally:
+            store.close()
+    assert rows == ends and not marks.records
+    assert _held(network) == held
+    assert _records(network) == records
+
+
+class TestWritersBuildWhatTheyWrite:
+    """Each writer builds exactly the records it writes, in their place in
+    record order, and marks only those; a link write marks its link once."""
+
+    @staticmethod
+    def _network():
+        network = Network()
+        network.load_genesis("vxyzw", [("v", "x"), ("v", "y"), ("v", "z"), ("x", "y")])
+        return network, network.start_marks(), network.processors["v"]
+
+    def test_the_four_handlers(self):
+        network, marks, v = self._network()
+        helper = Port("v", "y")
+        rt_key = ("rt", helper, Port("x", "v"))
+        assign = HelperAssignment(
+            sender="w", receiver="v", helper_port=helper, left_port=Port("x", "v"), create=True
+        )
+        update = ParentUpdate(sender="w", receiver="v", child_port=Port("v", "x"), parent_port=helper)
+        writes = [
+            (InsertionNotice(sender="x", receiver="v", inserted="x"), [], [], {}),
+            (
+                HelperAssignment(sender="w", receiver="v", helper_port=helper, create=False),
+                [],
+                [],
+                {},
+            ),
+            (DeletionNotice(sender="v", receiver="v", deleted="z"), ["z"], [("v", "z")], {}),
+            (DeletionNotice(sender="v", receiver="v", deleted="w"), ["z"], [], {}),
+            (assign, ["y", "z"], [("v", "y")], {("v", "x"): (REAL_EDGE,)}),
+            (update, ["x", "y", "z"], [("v", "x")], {}),
+            (
+                InsertionNotice(sender="w", receiver="v", inserted="w"),
+                ["x", "y", "z", "w"],
+                [("v", "w")],
+                {},
+            ),
+        ]
+        for message, built, marked, links in writes:
+            marks.clear()
+            v.receive(message)
+            assert [nbr for nbr, record in v.edges.items() if record is not None] == built
+            assert list(marks.records) == marked
+            assert marks.links == links
+        assert list(v.edges) == ["x", "y", "z", "w"]
+        assert v.edges["z"].neighbor_alive is False
+        assert v.edges["y"].has_helper and v.edges["y"].helper_left == Port("x", "v")
+        assert v.edges["x"].rt_parent == helper
+        assert v.record("w") == EdgeRecord("w", representative=Port("v", "w"))
+        assert _held(network) == [("v", "x"), ("v", "y"), ("v", "z"), ("v", "w")]
+        assert network.link_sources("x", "v") == {real_source_key("v", "x"), rt_key}
+
+    def test_the_record_accessor(self):
+        network, marks, v = self._network()
+        read = v.record("y")
+        assert read == EdgeRecord("y", representative=Port("v", "y"))
+        assert v.record("y") is not read and v.edges["y"] is None
+        assert v.record("w") is None
+        written = v.ensure_edge("y")
+        assert v.record("y") is written and v.ensure_edge("y") is written
+        assert list(marks.records) == []
+        assert v.ensure_edge("w") is v.edges["w"]
+        assert list(marks.records) == [("v", "w")] and list(v.edges) == ["x", "y", "z", "w"]
+
+    def test_an_insert(self):
+        healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 40, seed=2))
+        network = healer.network
+        marks = network.start_marks()
+        healer.insert("new", attach_to=[3, 7])
+        assert _held(network)[-1:] == [("new", 7)]
+        assert set(_held(network)) == {(3, "new"), (7, "new"), ("new", 3), ("new", 7)}
+        assert list(marks.records) == [("new", 3), (3, "new"), ("new", 7), (7, "new")]
+        assert list(network.processors[3].edges)[-1] == "new"
+        assert network.link_sources("new", 3) == {real_source_key(3, "new")}
+        assert {frozenset(pair) for pair in marks.links} == {
+            frozenset(("new", 3)), frozenset(("new", 7))
+        }
+
+    def test_load_image_and_the_rejoin_rollback(self, tmp_path):
+        """A restore builds exactly the records with rows, in record order,
+        and a stale rejoin's rollback builds none: it rewrites only records
+        the repair already built."""
+        config = ServiceConfig(graph=GraphSpec("power_law", 64), seed=3, checkpoint_every=0)
+        daemon = HealerDaemon.create(tmp_path / "run.db", config)
+        store, healer = daemon.store, daemon.healer
+        for victim in sorted(healer.alive_nodes)[:4]:
+            daemon.client("c").delete(victim)
+        daemon.pump()
+        daemon.checkpoint()
+        rows = {(owner, nbr) for owner, stored in store.load_records().items() for nbr in stored}
+        assert rows and set(_held(healer.network)) == rows
+        restored = DistributedForgivingGraph.from_graph(store.genesis_graph()).network
+        _assert_genesis_implicit(restored)
+        store.load_image(restored, store.latest_checkpoint())
+        assert _held(restored) == _held(healer.network)
+        assert _records(restored) == _records(healer.network)
+
+        seen = {}
+        reconverge = healer.reconverge
+
+        def at_rollback():
+            seen["held"] = _held(healer.network)
+            seen["marks"] = list(healer.network.marks.records)
+            return reconverge()
+
+        delete = healer.delete
+
+        def after_delete(victim):
+            report = delete(victim)
+            seen["before"] = (_held(healer.network), list(healer.network.marks.records))
+            return report
+
+        healer.delete, healer.reconverge = after_delete, at_rollback
+        report = daemon.rejoin_stale()
+        assert report.stale is not None and report.records_rolled_back
+        assert (seen["held"], seen["marks"]) == seen["before"]
+        daemon.close()

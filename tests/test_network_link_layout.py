@@ -25,6 +25,8 @@ from hypothesis.stateful import (
 from repro.core.errors import UnknownNodeError
 from repro.core.ports import node_order_key
 from repro.distributed import Network
+from repro.distributed.merge import real_source_key
+from repro.distributed.network import REAL_EDGE
 
 NODES = range(6)
 KEYS = [("real", 0), ("real", 1), ("rt", 2), ("rt", 3)]
@@ -239,7 +241,8 @@ class LinkLayoutMachine(RuleBasedStateMachine):
     @invariant()
     def source_changes_mark_their_links(self):
         sourced = self.sourced()
-        marked = self.net.marks.links
+        marked = {frozenset(pair): keys for pair, keys in self.net.marks.links.items()}
+        assert len(marked) == len(self.net.marks.links)  # each link marked once
         for link in set(sourced) | set(self.last_sourced):
             if sourced.get(link) != self.last_sourced.get(link):
                 assert link in marked
@@ -292,3 +295,29 @@ def test_replace_link_sources_rejects_a_dead_endpoint():
     network.add_processor("u")
     with pytest.raises(UnknownNodeError):
         network.replace_link_sources({frozenset(("u", "ghost")): {("real", "u", "ghost")}})
+
+
+def test_replace_link_sources_holds_a_links_own_real_key_as_the_marker():
+    """Only a link's own ``real_source_key`` becomes the shared real-edge
+    marker (real-only links then share one tuple); any other key, a real
+    key of another pair included, is held as given, and every key leaves
+    the network as it came in."""
+    network = Network()
+    for node in "uvw":
+        network.add_processor(node)
+    marks = network.start_marks()
+    expected = {
+        frozenset("uv"): {real_source_key("u", "v")},
+        frozenset("vw"): {real_source_key("w", "v")},
+        frozenset("uw"): {real_source_key("v", "w"), ("rt", 1)},
+    }
+    network.replace_link_sources(expected)
+    layout = network._links
+    assert layout["u"]["v"] is layout["w"]["v"] == (REAL_EDGE,)
+    assert set(layout["u"]["w"]) == {real_source_key("v", "w"), ("rt", 1)}
+    assert network.export_link_sources() == expected
+    assert network.link_sources("v", "u") == {real_source_key("u", "v")}
+    assert network.has_link_source(real_source_key("u", "v"), "v", "u")
+    assert not network.has_link_source(real_source_key("u", "w"), "u", "w")
+    assert {frozenset(pair) for pair in marks.links} == set(expected)
+    assert len(marks.links) == len(expected)

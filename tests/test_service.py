@@ -54,7 +54,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.ports import Port
 from repro.distributed import DistributedForgivingGraph, Network, fault_schedule
 from repro.distributed.faults import DELIVERY_PRESETS, FAULT_PRESETS, FaultSpec
-from repro.distributed.processor import EdgeRecord, Processor
+from repro.distributed.processor import EdgeRecord, Processor, init_record
 from repro.generators import make_graph
 from repro.generators.graphs import GraphSpec
 from repro.service import (
@@ -312,7 +312,9 @@ class TestStore:
                 healer.insert(1000 + step, rng.sample(alive, 3))
             else:
                 healer.delete_batch([rng.choice(alive)])
-        records = [r for p in healer.network.processors.values() for r in p.edges.values()]
+        records = [
+            p.record(neighbor) for p in healer.network.processors.values() for neighbor in p.edges
+        ]
         assert any(record.has_helper for record in records)
         for record in records:
             reference = _ENCODE([encode_value(getattr(record, name)) for name in _RECORD_FIELDS])
@@ -354,7 +356,7 @@ class TestStore:
             for node, stored in store.load_records().items():
                 for neighbor, fields in stored.items():
                     assert list(fields) == names
-                    record = network.processors[node].edges[neighbor]
+                    record = network.processors[node].record(neighbor)
                     for name in names:
                         assert fields[name] == getattr(record, name), (
                             f"{node}->{neighbor}.{name} did not round-trip"
@@ -721,9 +723,10 @@ def _accusations(network):
 
 
 def _records(network):
-    """Every processor's Table 1 records, in the network's own orders."""
+    """Every processor's Table 1 records, in the network's own orders, each
+    read through ``Processor.record``."""
     return [
-        (node, [(neighbor, dataclasses.astuple(record)) for neighbor, record in p.edges.items()])
+        (node, [(neighbor, dataclasses.astuple(p.record(neighbor))) for neighbor in p.edges])
         for node, p in network.processors.items()
     ]
 
@@ -788,11 +791,19 @@ def _stored_links(store, ckpt_id=None):
 def _live_rows(network):
     """Every record by ``(processor, neighbor)`` and every link's sources."""
     records = {
-        (node, neighbor): dataclasses.astuple(record)
+        (node, neighbor): dataclasses.astuple(processor.record(neighbor))
         for node, processor in network.processors.items()
-        for neighbor, record in processor.edges.items()
+        for neighbor in processor.edges
     }
     return records, network.export_link_sources()
+
+
+def _marked_links(marks):
+    """The links the marks name, as ``frozenset`` endpoint pairs; each link
+    is marked once, under the pair its first write named."""
+    links = {frozenset(pair) for pair in marks.links}
+    assert len(links) == len(marks.links)
+    return links
 
 
 def _changed(before, after):
@@ -816,7 +827,8 @@ def _mark_whole_processors(network, nodes=None):
             processor.mark_record(neighbor)
         for neighbor in network.neighbors(node):
             if network.link_sources(node, neighbor):
-                marks.links[frozenset((node, neighbor))] = ()
+                marks.links.pop((neighbor, node), None)
+                marks.links[(node, neighbor)] = ()
 
 
 class _Crash(Exception):
@@ -1173,28 +1185,50 @@ class TestHealerDaemon:
             assert report.converged and report.audit_clean and report.verified, (seed, report)
             daemon.close()
 
-    def test_rejoin_image_composes_on_the_genesis_network_alone(self, tmp_path):
-        """The image a stale rejoin re-reads is composed on the network
-        layer's genesis load, with no engine; it equals the image composed
-        over a full ``from_graph`` bootstrap (the reference): processors,
-        records in order, and link sources."""
+    def test_rejoin_reads_only_the_stale_processors_rows(self, tmp_path):
+        """The image a stale rejoin re-reads is one processor's own record
+        rows (``load_records`` with an owner) over the records ``Init``
+        made, with no genesis load.  For every processor that equals the
+        image a restore composes (the reference: a genesis bootstrap plus
+        every row), records in order."""
         config = ServiceConfig(
             graph=GraphSpec("power_law", 64), seed=5, checkpoint_every=8, batch_window=3
         )
         daemon = HealerDaemon.create(tmp_path / "run.db", config)
         _drive(daemon, 24, seed=2)
         daemon.checkpoint()
-        store = daemon.store
-        assert _stored_records(store) and _stored_links(store)
-        image = store.genesis_network()
-        store.load_image(image, store.latest_checkpoint())
-        reference = _image(store)
-        assert list(image.processors) == list(reference.processors)
-        assert _records(image) == _records(reference)
-        assert [list(links.items()) for links in image._links.values()] == [
-            list(links.items()) for links in reference._links.values()
-        ]
-        assert image.export_link_sources() == reference.export_link_sources()
+        store, network = daemon.store, daemon.healer.network
+        every_row = store.load_records()
+        assert every_row and len(every_row) < len(network.processors)
+        reference = dict(_records(_image(store)))
+        for node, processor in network.processors.items():
+            rows = store.load_records(node)
+            assert rows == ({node: every_row[node]} if node in every_row else {})
+            own = rows.get(node, {})
+            image = [
+                (
+                    neighbor,
+                    dataclasses.astuple(
+                        EdgeRecord(**own[neighbor])
+                        if neighbor in own
+                        else init_record(node, neighbor)
+                    ),
+                )
+                for neighbor in processor.edges
+            ]
+            assert image == reference[node], node
+
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        try:
+            report = daemon.rejoin_stale()
+        finally:
+            store._conn.set_trace_callback(None)
+        assert report.stale is not None
+        assert report.converged and report.audit_clean and report.verified, report
+        assert not [sql for sql in statements if "genesis" in sql]
+        record_reads = [sql for sql in statements if "FROM records" in sql]
+        assert len(record_reads) == 1 and "WHERE processor=" in record_reads[0]
         daemon.close()
 
     def test_first_checkpoint_writes_only_what_changed_since_genesis(self, tmp_path):
@@ -1221,7 +1255,7 @@ class TestHealerDaemon:
         assert 0 < len(records) < live_records
         _, links = _live_rows(network)
         changed_links = _changed(genesis_links, links)
-        assert changed_links <= marks.links.keys()
+        assert changed_links <= _marked_links(marks)
         daemon.checkpoint()
         assert _stored_records(store) == {key for key in records if key[0] in network.processors}
         assert _stored_links(store) == changed_links & links.keys()
@@ -1288,9 +1322,10 @@ class TestHealerDaemon:
         delete_one()
         _, after = _live_rows(network)
         rebuilt = {
-            link
+            frozenset(link)
             for link, keys in network.marks.links.items()
-            if any(key[0] == "rt" for key in keys) and before.get(link) == after.get(link)
+            if any(type(key) is tuple and key[0] == "rt" for key in keys)
+            and before.get(frozenset(link)) == after.get(frozenset(link))
         }
         assert rebuilt
         changed = _changed(before, after)
@@ -1405,11 +1440,11 @@ class TestHealerDaemon:
 
         assert store.latest_checkpoint().ckpt_id == good
         assert image_rows() == image
-        failed_records, failed_links = set(marks.records), set(marks.links)
+        failed_records, failed_links = set(marks.records), _marked_links(marks)
         assert failed_records and failed_links
         daemon.pump()
-        assert failed_records <= marks.records.keys() and failed_links <= marks.links.keys()
-        union_records, union_links = set(marks.records), set(marks.links)
+        assert failed_records <= marks.records.keys() and failed_links <= _marked_links(marks)
+        union_records, union_links = set(marks.records), _marked_links(marks)
         ckpt = daemon.checkpoint()
         assert _stored_records(store, ckpt) == {
             key for key in union_records if key[0] in network.processors
@@ -1479,7 +1514,7 @@ class TestHealerDaemon:
         records, links = _live_rows(network)
         marks = network.marks
         assert _changed(image_records, records) & records.keys() <= marks.records.keys()
-        assert _changed(image_links, links) <= marks.links.keys()
+        assert _changed(image_links, links) <= _marked_links(marks)
         assert image.processors.keys() - network.processors.keys() <= marks.removed
 
         daemon.pump()
