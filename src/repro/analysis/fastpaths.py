@@ -7,7 +7,7 @@ adversarial moves).  This module converts a healer's graphs into int-indexed
 CSR adjacency arrays once per measurement and runs the distance and
 connectivity primitives on numpy: distances come from a batched *bitset* BFS
 (all sources advance together, 64 per machine word), components from scipy
-``csgraph`` when available with a pure-numpy fallback.
+``csgraph``.
 
 Key pieces
 ----------
@@ -37,22 +37,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from ..core.ports import NodeId, sorted_nodes
 from ..core.views import actual_view_of, healer_views
 
-try:  # pragma: no cover - exercised implicitly by whichever env runs the tests
-    from scipy.sparse import csr_matrix as _scipy_csr_matrix
-    from scipy.sparse import csgraph as _scipy_csgraph
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _scipy_csr_matrix = None
-    _scipy_csgraph = None
-    HAVE_SCIPY = False
-
 __all__ = [
-    "HAVE_SCIPY",
     "NodeIndex",
     "CSRGraph",
     "HealerSnapshot",
@@ -228,32 +218,11 @@ class CSRGraph:
         """Connected-component label per dense id (isolated nodes get their own)."""
         if self._components is not None:
             return self._components
-        if HAVE_SCIPY:
-            matrix = _scipy_csr_matrix(
-                (
-                    np.ones(self.indices.size, dtype=np.int8),
-                    self.indices,
-                    self.indptr,
-                ),
-                shape=(self.num_nodes, self.num_nodes),
-            )
-            _, labels = _scipy_csgraph.connected_components(
-                matrix, directed=True, connection="weak"
-            )
-        else:
-            labels = np.full(self.num_nodes, -1, dtype=np.int64)
-            # Isolated rows (session snapshots carry one per dead node) each
-            # form their own component; label them without launching a BFS so
-            # the fallback stays linear in the live graph, not in nodes_ever.
-            isolated = np.flatnonzero(np.diff(self.indptr) == 0)
-            labels[isolated] = np.arange(isolated.size)
-            next_label = isolated.size
-            for start in range(self.num_nodes):
-                if labels[start] >= 0:
-                    continue
-                reached = np.isfinite(self.bfs_distances(np.array([start]))[0])
-                labels[reached] = next_label
-                next_label += 1
+        matrix = csr_matrix(
+            (np.ones(self.indices.size, dtype=np.int8), self.indices, self.indptr),
+            shape=(self.num_nodes, self.num_nodes),
+        )
+        _, labels = csgraph.connected_components(matrix, directed=True, connection="weak")
         self._components = labels
         return labels
 

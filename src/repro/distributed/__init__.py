@@ -47,12 +47,12 @@ decided by the merge leader from the descriptors that physically arrived
 and applied by owners from the instructions they physically received — so
 faulty links make processors disagree — and each repair's
 :class:`BackgroundRecovery` heals the divergence with digest gossip in the
-repair's own round loop, never a global audit (the plan-based audit
-survives only as
-the :meth:`~DistributedForgivingGraph.audit_reference` oracle).  The
-centralized reference engine is an *oracle*: the tests in
-``tests/test_distributed_*`` assert the message-built state converges to
-it exactly.  Cost accounting stays O(repair) end to end (per-repair metrics
+repair's own round loop, never a global audit: each repair's plan is
+dropped once seeded.  The centralized reference engine is an *oracle*:
+:meth:`~DistributedForgivingGraph.verify_consistency`, the one oracle
+check, compares the message-built state with it (links, source
+multiplicities, helper records and RT parent pointers), and the tests in
+``tests/test_distributed_*`` assert that state converges to it exactly.  Cost accounting stays O(repair) end to end (per-repair metrics
 window, message-driven link sources, per-sweep digest budgets), within
 Lemma 4's own asymptotics.
 

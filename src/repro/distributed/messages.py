@@ -50,20 +50,19 @@ the honest tag before it mutates, which freezes it, and no honest path reads
 one, so the lossless fast path pays nothing when nobody verifies.
 
 Every message class is a slotted dataclass: no per-instance ``__dict__``,
-the envelope (sender, receiver, id, provenance tag, lazy seal cache) is
+the envelope (sender, receiver, provenance tag, lazy seal cache) is
 declared once on :class:`Message`, and each subclass declares only its
 payload fields, in positional order.  ``kind``, ``sealed`` and fixed
 payload sizes are class attributes, so the delivery loop pays attribute
 loads, not method calls; a sealed kind's seal covers its declared payload
 fields in declaration order.  A message is built once by its sender,
-stamped with a per-network id when it enters
-:meth:`~repro.distributed.network.Network.send`, and never reused.
+handed to :meth:`~repro.distributed.network.Network.send`, and never
+reused.
 """
 
 from __future__ import annotations
 
 import inspect
-import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -89,14 +88,6 @@ __all__ = [
     "payload_checksum",
     "SEALED_KINDS",
 ]
-
-#: Fallback id source for messages constructed outside any network (unit
-#: tests).  Messages that travel through a
-#: :class:`~repro.distributed.network.Network` are re-stamped from that
-#: network's own counter, so in-network ids are deterministic per run
-#: regardless of how many networks the process ran earlier.
-_message_counter = itertools.count(1)
-
 
 def payload_checksum(*parts: object) -> int:
     """Cheap content checksum over payload parts (CRC32 of their repr).
@@ -156,9 +147,6 @@ class Message:
 
     sender: NodeId
     receiver: NodeId
-    #: Networkless fallback id; :meth:`Network.stamp` overwrites it with the
-    #: network's own counter when the message enters a network.
-    message_id: int = field(init=False, default_factory=_message_counter.__next__)
     #: Oracle-side provenance tag: set to the liar's NodeId when the fault
     #: layer (or a byzantine processor's forging hook) corrupted this
     #: message's payload.  Protocol code never reads it — it only feeds the
@@ -202,10 +190,7 @@ class Message:
         )
 
     def __repr__(self) -> str:  # debugging/traces only — never on the hot path
-        return (
-            f"{self.kind}(sender={self.sender!r}, receiver={self.receiver!r}, "
-            f"id={self.message_id})"
-        )
+        return f"{self.kind}(sender={self.sender!r}, receiver={self.receiver!r})"
 
     def size_bits(self, n_ever: int) -> int:
         """Size of this message in bits when identifiers need ``log2 n`` bits."""

@@ -23,8 +23,7 @@ message's ``deleted`` epoch tag charges it to, so a cost report is
 assembled from O(repair) state instead of full counter snapshots.
 
 There is one message path: a handler constructs a message, :meth:`send`
-checks the link, applies any byzantine corruption, stamps the per-network
-message id and counts it with one
+checks the link, applies any byzantine corruption and counts it with one
 :meth:`~repro.distributed.metrics.NetworkMetrics.record_message` call, and
 :meth:`deliver_round` hands it to its receiver in the next round.
 
@@ -176,12 +175,6 @@ class Network:
         self._outbox: List[Message] = []
         #: Messages a fault delayed: (deliver_at_round, message).
         self._delayed: List[Tuple[int, Message]] = []
-        #: Per-network message id counter: every message entering this
-        #: network is stamped from it, so ids are deterministic per run no
-        #: matter how many networks the process ran before this one (the
-        #: module-global fallback counter only serves messages that never
-        #: touch a network).
-        self._message_seq = 0
         self._round = 0
         self.metrics = NetworkMetrics()
         #: Optional fault injection applied at delivery time.
@@ -254,13 +247,6 @@ class Network:
         """Give link ``(u, v)`` between two live processors the tuple ``keys``
         on both sides, creating the link if it is absent."""
         self._links[u][v] = self._links[v][u] = keys
-
-    def stamp(self, message: Message) -> Message:
-        """Assign the next per-network id — for messages delivered out of
-        band (never passing :meth:`send`, which stamps everything else)."""
-        self._message_seq += 1
-        message.message_id = self._message_seq
-        return message
 
     # ------------------------------------------------------------------ #
     # topology management
@@ -583,8 +569,6 @@ class Network:
             schedule.corrupt_in_place(message)
         if message.byz_origin is not None:
             self.injection_log.note_sent(message.byz_origin, self._round)
-        # What stamp does: the next per-network id.
-        self._message_seq = message.message_id = self._message_seq + 1
         # ``payload_words * _word_bits`` equals ``message.size_bits(n_ever)``
         # (same formula, the log cached per processor addition).  Every
         # repair-protocol message carries the ``deleted`` victim it serves,

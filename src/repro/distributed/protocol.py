@@ -113,12 +113,6 @@ class RepairPlan:
     bt_edges: List[Tuple[NodeId, NodeId]] = field(default_factory=list)
     #: The ``BT_v`` root: the anchor that computes and disseminates the merge.
     leader: Optional[NodeId] = None
-    #: Primary-root counts per affected RT (payload sizes of the list messages).
-    primary_root_counts: List[int] = field(default_factory=list)
-    #: Every surviving piece of the repair (RT pieces + trivial leaves) —
-    #: the union of all participants' local knowledge.  The protocol never
-    #: hands this set to anyone; it is the reconvergence audit's yardstick.
-    all_summaries: List[PieceSummary] = field(default_factory=list)
     #: Per-participant local knowledge, ready to install.
     contexts: Dict[NodeId, RepairContext] = field(default_factory=dict)
     #: Last round at which any participant still has a timer pending.
@@ -156,9 +150,7 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
         # spine slots are skipped (the probe hops over them).
         path = _dedupe(p for p in _right_spine_processors(rt) if p != victim)
         plan.probe_paths.append(path)
-        plan.primary_root_counts.append(_primary_root_count(rt))
         strip = plan_strip(rt, victim, dead_by_rt[rt.rt_id], path)
-        plan.all_summaries.extend(strip.summaries)
         if path:
             # Spine roles: who probes whom, who vouches for which pieces.
             by_position: Dict[int, List[PieceSummary]] = {}
@@ -229,7 +221,6 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
     for neighbor in engine.g_prime_neighbors(victim):
         if engine.is_alive(neighbor):
             summary = trivial_summary(neighbor, victim)
-            plan.all_summaries.append(summary)
             context = context_for(neighbor)
             context.gather(summary)
             if neighbor not in anchor_ready:
@@ -294,11 +285,6 @@ def _dedupe(path: Sequence[NodeId]) -> List[NodeId]:
     return list(dict.fromkeys(path))
 
 
-def _primary_root_count(rt: ReconstructionTree) -> int:
-    """Number of primary roots of an RT = number of 1-bits of its leaf count."""
-    return bin(max(rt.size, 1)).count("1")
-
-
 def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     """Install ``plan``'s contexts and fire its Phase 0/1 seeding.
 
@@ -325,7 +311,7 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     for neighbor in plan.neighbors:
         if network.has_processor(neighbor):
             network.processors[neighbor].receive(
-                network.stamp(DeletionNotice(sender=neighbor, receiver=neighbor, deleted=victim))
+                DeletionNotice(sender=neighbor, receiver=neighbor, deleted=victim)
             )
 
     # Phase 1 seeding — BT_v formation and the first probe hops.

@@ -42,11 +42,11 @@ cost (digest messages/bits — paid even when nothing was lost) from fault
 cost (retransmissions), each checked against Lemma-4-style per-sweep
 budgets.
 
-The plan-based audit this module replaces survives as
-:meth:`DistributedForgivingGraph._audit_reference` — an oracle used only by
-``verify_consistency``-style checks; the recovery tests run with the
-plan's global knowledge *poisoned* (``quarantine_plan_audit``) to prove the
-recovery path never reads it.
+Nothing global is left to consult: the healer drops each repair's plan
+once :func:`~repro.distributed.protocol.seed_repair` has installed it, so
+recovery has the participants' own contexts and records to work from.
+Whether it reached the oracle's fixed point is checked, outside the
+protocol, by :meth:`DistributedForgivingGraph.verify_consistency`.
 
 Two byzantine notes.  Recovery traffic passes through the same
 ``receive()``-time verification as repair traffic, so a liar that keeps

@@ -34,11 +34,11 @@ Table 1 records, gossips it along spine/anchor links as real ``Digest`` /
 ``DigestRequest`` messages through :meth:`Network.deliver_round` (so faults
 hit recovery traffic as well), and retransmits only what its neighbours'
 digests show missing, until a sweep is silent.  :meth:`reconverge` runs one
-more such recovery on demand for the repair ``delete`` left installed.  The
-old plan-based global audit survives as :meth:`_audit_reference` — an
-oracle for ``verify_consistency``-style checks, never consulted by the
-recovery (``quarantine_plan_audit`` poisons the plan's global knowledge to
-prove it structurally).
+more such recovery on demand for the repair ``delete`` left installed.  A
+repair's plan is dropped once :func:`~repro.distributed.protocol.seed_repair`
+has installed it, so nothing global outlives the seeding: the one oracle
+check is :meth:`verify_consistency`, which compares the state the processors
+reached with the reference engine's.
 
 Fault tolerance is **byzantine-aware** (PR 6): when the fault schedule
 carries a byzantine axis, designated processors corrupt outgoing payloads
@@ -70,7 +70,7 @@ exposes the degree-touch journal the incremental adversaries consume, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -78,15 +78,9 @@ from ..core.errors import InvariantViolationError
 from ..core.forgiving_graph import ForgivingGraph
 from ..core.graph_fill import fill_graph, fill_graph_from_adjacency
 from ..core.ports import NodeId, Port
-from ..core.reconstruction_tree import RTHelper, RTLeaf
+from ..core.reconstruction_tree import RTHelper, RTLeaf, RTNode
 from .faults import FaultSchedule
-from .merge import (
-    helper_assignment,
-    helper_retraction,
-    link_source_key,
-    parent_update,
-)
-from .messages import InsertionNotice, PrimaryRootList, Probe
+from .messages import InsertionNotice
 from .metrics import (
     BurstCostReport,
     ByzantineReport,
@@ -95,6 +89,7 @@ from .metrics import (
     RecoveryCostReport,
 )
 from .network import REAL_EDGE, Network
+from .processor import EdgeRecord
 from .protocol import (
     RepairPlan,
     execute_repair,
@@ -108,54 +103,26 @@ from .recovery import BackgroundRecovery
 __all__ = ["DistributedForgivingGraph"]
 
 
-class _Quarantine:
-    """Poison proving the recovery path never reads the plan's global knowledge.
-
-    The repair plan's ``contexts`` map (every participant's knowledge) and
-    ``all_summaries`` union are exactly what no single processor of the
-    paper's model holds; the digest recovery must work without them, so
-    ``quarantine_plan_audit`` replaces both with this poison before any
-    reconvergence runs.  Any read of it raises.
-    """
-
-    def _trip(self, what: str):
-        raise AssertionError(
-            f"message-native recovery consulted the repair plan's global knowledge ({what})"
-        )
-
-    def __getattr__(self, name):
-        self._trip(name)
-
-    def __iter__(self):
-        self._trip("iter")
-
-    def __len__(self):
-        self._trip("len")
-
-    def __getitem__(self, index):
-        self._trip("getitem")
-
-    def __bool__(self):
-        self._trip("bool")
-
-
 @dataclass
 class _Repair:
-    """One admitted repair, as recovery, reporting and audits read it.
+    """One admitted repair, as recovery and reporting read it.
 
-    Everything but ``plan`` is copied out of the plan at admission, so
-    nothing after seeding needs to read the plan again once its global
-    knowledge has been quarantined; ``participants`` are the processors
-    :func:`seed_repair` installed the repair on.
+    Every field but ``participants`` is copied out of the plan at
+    admission, and ``participants`` are the processors :func:`seed_repair`
+    installed the repair on, so the plan itself is dropped once seeded.
     """
 
-    plan: RepairPlan
     victim: NodeId
     leader: Optional[NodeId]
     degree: int
     helpers_released: int
     deadline: int
     participants: List[NodeId] = field(default_factory=list)
+
+
+def _child_port(node: RTNode) -> Port:
+    """The port a parent's Table 1 record names for its child ``node``."""
+    return node.port if isinstance(node, RTLeaf) else node.simulated_by
 
 
 @dataclass(frozen=True)
@@ -185,13 +152,6 @@ class DistributedForgivingGraph:
         should find the network consistent, matching the paper's
         one-attack-at-a-time model).  Off, repairs end without recovery and
         :meth:`reconverge` runs it on demand.
-    quarantine_plan_audit:
-        After every repair replace the plan's *global* knowledge (the
-        per-participant context map and the all-pieces union — exactly what
-        no single processor holds) with poison objects, so any reconvergence
-        that follows provably runs on gossip digests alone.  Used by the
-        recovery tests and experiment E12; the plan-based
-        :meth:`_audit_reference` naturally raises under it.
     """
 
     name = "distributed_forgiving_graph"
@@ -200,7 +160,6 @@ class DistributedForgivingGraph:
         self,
         fault_schedule: Optional[FaultSchedule] = None,
         auto_reconverge: bool = True,
-        quarantine_plan_audit: bool = False,
     ) -> None:
         self._engine = ForgivingGraph()
         self.network = Network(fault_schedule=fault_schedule)
@@ -211,7 +170,6 @@ class DistributedForgivingGraph:
         #: One ledger per :meth:`delete_batch` call, in order.
         self.burst_reports: List[BurstCostReport] = []
         self.auto_reconverge = auto_reconverge
-        self.quarantine_plan_audit = quarantine_plan_audit
         #: The last delete()'s repair, installed until the next deletion.
         self._installed: Optional[_Repair] = None
 
@@ -368,7 +326,7 @@ class DistributedForgivingGraph:
         recovery rides the same round loop.  The oracle is read before the
         repair (the victim's ``G'`` degree, and the RTs ``plan_repair`` lays
         out), never by the message path.  The repair stays installed until
-        the next deletion, for :meth:`reconverge` and :meth:`audit_reference`.
+        the next deletion, for :meth:`reconverge`.
         """
         if self._installed is not None:
             self._retire([self._installed])
@@ -378,16 +336,6 @@ class DistributedForgivingGraph:
         )
         self._installed = repairs[0]
         return reports[0]
-
-    def _poison_plan(self, plan: RepairPlan) -> None:
-        """Under ``quarantine_plan_audit``, poison the plan's global knowledge.
-
-        From here on any recovery of the plan's repair must run on gossip
-        digests alone.
-        """
-        if self.quarantine_plan_audit:
-            plan.contexts = _Quarantine()
-            plan.all_summaries = _Quarantine()
 
     def _byzantine_mark(self) -> Optional[_ByzantineMark]:
         """Snapshot the transcript and injection-log counters before a repair.
@@ -531,12 +479,10 @@ class DistributedForgivingGraph:
         metrics = network.metrics
         mark = self._byzantine_mark()
 
-        # Everything reporting needs is copied out of the plans now, so the
-        # plan-audit quarantine can poison their global knowledge before a
-        # single message flows.
+        # Everything recovery and reporting need is copied out of the plans
+        # now; nothing reads a plan once it is seeded.
         repairs = [
             _Repair(
-                plan=plan,
                 victim=victim,
                 leader=plan.leader,
                 degree=self._engine.g_prime_degree(victim),
@@ -555,9 +501,9 @@ class DistributedForgivingGraph:
             if network.has_processor(repair.victim):
                 network.remove_processor(repair.victim)
         network.begin_scaffold()
-        for repair in repairs:
+        for repair, (_, plan) in zip(repairs, wave):
             metrics.begin_epoch_window(repair.victim)
-            repair.participants = seed_repair(network, repair.plan)
+            repair.participants = seed_repair(network, plan)
 
         repair_windows: Dict[NodeId, MetricsWindow] = {}
         recoveries: Dict[NodeId, BackgroundRecovery] = {}
@@ -581,8 +527,6 @@ class DistributedForgivingGraph:
                     max_sweeps=max_sweeps,
                     on_start=_roll_window,
                 )
-        for repair in repairs:
-            self._poison_plan(repair.plan)
 
         # All epochs' probes, reports, merges, assignments and digests
         # interleave in the same delivery stream.
@@ -612,8 +556,7 @@ class DistributedForgivingGraph:
             if victim in recoveries:
                 recon = recoveries[victim].report(recovery_window)
                 self.recovery_reports.append(recon)
-            # The leader's own installed context, never the plan's context
-            # map (which may be quarantined).
+            # The leader's own installed context: the plan is gone.
             leader = network.processors.get(repair.leader)
             context = leader.repairs.get(victim) if leader is not None else None
             outcome = context.outcome if context is not None else None
@@ -702,194 +645,109 @@ class DistributedForgivingGraph:
         return report
 
     # ------------------------------------------------------------------ #
-    # the retained plan-based audit (an oracle, never on the recovery path)
-    # ------------------------------------------------------------------ #
-    def audit_reference(self) -> List:
-        """Run the plan-based global audit for the last repair (oracle only).
-
-        Returns the retransmissions the old god's-eye audit would still
-        want — an empty list certifies the digest recovery reached the same
-        fixed point the global audit recognizes.  Used by the equivalence
-        tests as a ``verify_consistency``-style check; it reads the plan's
-        global knowledge, so it *raises* under ``quarantine_plan_audit``
-        (which is exactly the structural proof the recovery tests want).
-        """
-        repair = self._installed
-        return [] if repair is None else self._audit_reference(repair.plan)
-
-    def _audit_reference(self, plan: RepairPlan) -> List:
-        """One global audit pass: the retransmissions the repair still needs.
-
-        The seed-era detection, retained as an oracle: it walks *every*
-        participant's plan context and the full piece union — knowledge no
-        single processor of the paper's model holds — which is why the
-        digest protocol replaced it on the recovery path.
-        """
-        resends: List = []
-        network = self.network
-        victim = plan.victim
-        leader = plan.leader
-        leader_context = plan.contexts.get(leader) if leader is not None else None
-
-        # (1) Strip knowledge that never applied: resend the probe.
-        for node, context in plan.contexts.items():
-            if not context.stripped and (context.released or context.glue):
-                sender = leader if leader is not None else node
-                resends.append(
-                    Probe(sender=sender, receiver=node, deleted=victim, hops=0)
-                )
-
-        if leader_context is None:
-            return resends
-
-        # (2) Pieces the leader never learnt about: their owners re-offer them.
-        known = set(leader_context.gathered)
-        for summary in plan.all_summaries:
-            if summary not in known:
-                resends.append(
-                    PrimaryRootList(
-                        sender=summary.root_port.processor,
-                        receiver=leader,
-                        deleted=victim,
-                        roots=(summary,),
-                    )
-                )
-        outcome = leader_context.outcome
-        if outcome is None or set(outcome.summaries) != set(leader_context.gathered):
-            # The leader has (or just regained) more knowledge than its last
-            # merge used; nudge it to re-merge by re-offering anything known.
-            if outcome is not None and not any(
-                isinstance(m, PrimaryRootList) for m in resends
-            ):
-                refresh = next(iter(leader_context.gathered), None)
-                if refresh is not None:
-                    resends.append(
-                        PrimaryRootList(
-                            sender=leader, receiver=leader, deleted=victim, roots=(refresh,)
-                        )
-                    )
-            return resends
-
-        # (3) Outcome instructions that never applied (or were superseded).
-        epoch = leader_context.epoch
-        current_ports = outcome.helper_ports()
-        for helper in outcome.helpers:
-            record = self._record_of(helper.port)
-            applied = (
-                record is not None
-                and record.has_helper
-                and record.helper_victim == victim
-                and record.helper_left == helper.left_port
-                and record.helper_right == helper.right_port
-                and record.helper_parent == helper.parent_port
-            )
-            links_ok = all(
-                network.has_link_source(key, u, v)
-                for key, u, v in (
-                    (link_source_key(helper.port, child), helper.port.processor, child.processor)
-                    for child in (helper.left_port, helper.right_port)
-                )
-                if u != v
-            )
-            if not applied or not links_ok:
-                resends.append(helper_assignment(leader, victim, helper, epoch))
-        for child_port, child_is_leaf, parent_port in outcome.parent_updates:
-            record = self._record_of(child_port)
-            if record is None:
-                continue
-            applied = (
-                record.helper_parent == parent_port
-                if not child_is_leaf
-                else record.rt_parent == parent_port
-            )
-            if not applied:
-                resends.append(
-                    parent_update(leader, victim, child_port, child_is_leaf, parent_port, epoch)
-                )
-        # (4) Assignments a re-merge superseded but that are still applied.
-        for port in leader_context.instructed:
-            if port in current_ports:
-                continue
-            record = self._record_of(port)
-            if record is not None and record.has_helper and record.helper_victim == victim:
-                resends.append(helper_retraction(leader, victim, port, epoch))
-        return resends
-
-    def _record_of(self, port: Port):
-        processor = self.network.processors.get(port.processor)
-        if processor is None:
-            return None
-        return processor.record(port.neighbor)
-
-    # ------------------------------------------------------------------ #
     # consistency between distributed state and the reference engine
     # ------------------------------------------------------------------ #
     def verify_consistency(self) -> None:
         """Check that the distributed state matches the reference oracle.
 
-        Four families of checks, all raising
-        :class:`InvariantViolationError` on mismatch: the network's
-        addition-counted ``n_ever`` must equal the engine's ``nodes_ever``
-        (the engine-driven cross-check of the message-sizing ``n``); the
-        message-maintained link set must equal the healed graph's edge set;
-        every link's *source multiplicity* must equal the engine's edge
-        multiplicity (the distributed twin of the incremental ``G``
-        bookkeeping); and for every helper node the engine maintains, the
-        simulating processor must have ``has_helper`` set with the matching
-        children pointers, with no processor claiming a helper the engine
-        does not know about.
+        Raises :class:`InvariantViolationError` on the first divergence
+        :meth:`audit_reference` would list.
         """
-        if self.network.n_ever != self._engine.nodes_ever:
-            raise InvariantViolationError(
-                f"network counted {self.network.n_ever} processors ever, "
-                f"engine has seen {self._engine.nodes_ever} nodes"
+        for divergence in self._divergences():
+            raise InvariantViolationError(divergence)
+
+    def audit_reference(self) -> List[str]:
+        """Every divergence :meth:`verify_consistency` raises on, as a list.
+
+        Empty exactly when ``verify_consistency`` passes: the restore and
+        rejoin certifications take both of their verdicts from one call.
+        """
+        return list(self._divergences())
+
+    def _divergences(self) -> Iterator[str]:
+        """Each way the distributed state differs from the reference oracle.
+
+        Five families of checks: the network's addition-counted ``n_ever``
+        must equal the engine's ``nodes_ever`` (the engine-driven
+        cross-check of the message-sizing ``n``); the message-maintained
+        link set must equal the healed graph's edge set; every link's
+        *source multiplicity* must equal the engine's edge multiplicity
+        (the distributed twin of the incremental ``G`` bookkeeping); for
+        every helper node the engine maintains, the simulating processor
+        must have ``has_helper`` set with the matching children pointers,
+        with no processor claiming a helper the engine does not know about;
+        and below each RT's root, every leaf's ``rt_parent`` and every
+        helper's ``helper_parent`` must name the port simulating its parent
+        in the engine's RT.  Roots are not compared: a merge instructs only
+        the pieces it hangs under a new parent, so a piece left as the root
+        keeps the parent pointer it had before its parent died.
+        """
+        network, engine = self.network, self._engine
+        if network.n_ever != engine.nodes_ever:
+            yield (
+                f"network counted {network.n_ever} processors ever, "
+                f"engine has seen {engine.nodes_ever} nodes"
             )
 
-        healed_edges = {frozenset(edge) for edge in self._engine.actual_view().edges}
-        links = {frozenset(link) for link in self.network.iter_links()}
+        healed_edges = {frozenset(edge) for edge in engine.actual_view().edges}
+        links = {frozenset(link) for link in network.iter_links()}
         if links != healed_edges:
-            missing = healed_edges - links
-            extra = links - healed_edges
-            raise InvariantViolationError(
+            yield (
                 f"link set diverges from the healed graph "
-                f"(missing={len(missing)}, unexpected={len(extra)})"
+                f"(missing={len(healed_edges - links)}, unexpected={len(links - healed_edges)})"
             )
         for u, v in healed_edges:
-            count = self._engine.edge_multiplicity(u, v)
-            have = self.network.link_source_count(u, v)
+            count = engine.edge_multiplicity(u, v)
+            have = network.link_source_count(u, v)
             if have != count:
-                raise InvariantViolationError(
+                yield (
                     f"link ({u!r}, {v!r}) has {have} message-tracked sources, "
                     f"engine counts multiplicity {count}"
                 )
 
+        processors = network.processors
         engine_helpers: Dict[Port, RTHelper] = {}
-        for rt in self._engine.reconstruction_trees():
+        for rt in engine.reconstruction_trees():
             engine_helpers.update(rt.helpers)
+            for port, leaf in rt.leaves.items():
+                if leaf.parent is None:
+                    continue
+                processor = processors.get(port.processor)
+                record = processor.record(port.neighbor) if processor is not None else None
+                have = record.rt_parent if record is not None else None
+                expected = leaf.parent.simulated_by
+                if have != expected:
+                    yield f"leaf {port} has rt_parent {have}, its engine RT parent is {expected}"
 
-        recorded: Dict[Port, Tuple[Optional[Port], Optional[Port]]] = {}
-        for processor in self.network.processors.values():
+        recorded: Dict[Port, EdgeRecord] = {}
+        for processor in processors.values():
             for port in processor.helper_ports():
-                record = processor.record(port.neighbor)
-                recorded[port] = (record.helper_left, record.helper_right)
-
+                recorded[port] = processor.record(port.neighbor)
         missing = set(engine_helpers) - set(recorded)
         if missing:
-            raise InvariantViolationError(
-                f"{len(missing)} helper nodes are unknown to their processors: {sorted(map(str, missing))[:5]}"
+            yield (
+                f"{len(missing)} helper nodes are unknown to their processors: "
+                f"{sorted(map(str, missing))[:5]}"
             )
         extra = set(recorded) - set(engine_helpers)
         if extra:
-            raise InvariantViolationError(
-                f"{len(extra)} processors claim helpers the engine does not have: {sorted(map(str, extra))[:5]}"
+            yield (
+                f"{len(extra)} processors claim helpers the engine does not have: "
+                f"{sorted(map(str, extra))[:5]}"
             )
         for port, helper in engine_helpers.items():
-            left, right = recorded[port]
-            expected_left = helper.left.port if isinstance(helper.left, RTLeaf) else helper.left.simulated_by
-            expected_right = helper.right.port if isinstance(helper.right, RTLeaf) else helper.right.simulated_by
-            if left != expected_left or right != expected_right:
-                raise InvariantViolationError(
-                    f"helper {port} child pointers diverge between processor and engine"
+            record = recorded.get(port)
+            if record is None:
+                continue
+            if (record.helper_left, record.helper_right) != (
+                _child_port(helper.left),
+                _child_port(helper.right),
+            ):
+                yield f"helper {port} child pointers diverge between processor and engine"
+            if helper.parent is not None and record.helper_parent != helper.parent.simulated_by:
+                yield (
+                    f"helper {port} has helper_parent {record.helper_parent}, "
+                    f"its engine RT parent is {helper.parent.simulated_by}"
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

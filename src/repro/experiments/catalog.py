@@ -574,10 +574,9 @@ def experiment_e11_fault_tolerance(scale: str = "full") -> Section:
 def experiment_e12_recovery_cost(scale: str = "full") -> Section:
     """Recovery cost of the gossip-digest anti-entropy protocol, per fault preset.
 
-    Every preset plays the identical attack with the repair plan's global
-    knowledge *poisoned* (``quarantine_plan_audit``), so each row also
-    certifies that the recovery ran on digest messages alone.  The lossless
-    row drives :meth:`reconverge` explicitly after every deletion: its
+    Every preset plays the identical attack.  No repair plan outlives its
+    seeding, so each row also certifies that the recovery ran on the
+    processors' own state and digest messages alone.  The lossless row drives :meth:`reconverge` explicitly after every deletion: its
     digest traffic is the pure *detection* price — one silent sweep, zero
     retransmissions — while the faulty rows show what drops/delays add in
     retransmissions and extra sweeps, all within the Lemma-4-style
@@ -593,9 +592,7 @@ def experiment_e12_recovery_cost(scale: str = "full") -> Section:
     # permanent oracle divergence, which E13 measures instead.
     for preset in DELIVERY_PRESETS:
         healer = DistributedForgivingGraph.from_graph(
-            graph,
-            fault_schedule=fault_schedule(preset, seed=12),
-            quarantine_plan_audit=True,
+            graph, fault_schedule=fault_schedule(preset, seed=12)
         )
         schedule = deletion_only_schedule(
             steps=deletions, strategy=MaxDegreeDeletion(), min_survivors=3
@@ -628,7 +625,7 @@ def experiment_e12_recovery_cost(scale: str = "full") -> Section:
     preamble = (
         "Recovery is message-native: participants gossip compact digests of their own "
         "repair state (acknowledged chunk by chunk) and retransmit only what digests "
-        "show missing, with the plan-based global audit poisoned.  Rows separate the "
+        "show missing; no repair plan outlives its seeding.  Rows separate the "
         "price of detection (digest traffic, paid even on a lossless network) from the "
         "price of the faults (retransmissions, extra sweeps), under explicit per-sweep "
         "Lemma-4-style budgets."
@@ -643,9 +640,8 @@ def experiment_e13_byzantine_containment(scale: str = "full") -> Section:
     preset lie policy: designated processors corrupt outgoing descriptors,
     lie in digests and equivocate assignments.  Detection is message-native
     — payload seals, descriptor checksums, cross-witness validation — and
-    the repair plan's global knowledge is *poisoned*
-    (``quarantine_plan_audit``), so every accusation provably came from the
-    messages alone.  Each row scores the transcript against the oracle-side
+    no repair plan outlives its seeding, so every accusation came from the
+    processors' own state and the messages alone.  Each row scores the transcript against the oracle-side
     injection log: ``all_lies_caught`` (every origin whose lie was actually
     delivered got accused), ``false_accusations`` (must stay zero — honest
     processors are never quarantined), the **containment radius** (how many
@@ -665,11 +661,7 @@ def experiment_e13_byzantine_containment(scale: str = "full") -> Section:
             byzantine_fraction=fraction,
             byzantine_policy=policy,
         )
-        healer = DistributedForgivingGraph.from_graph(
-            graph,
-            fault_schedule=sched,
-            quarantine_plan_audit=True,
-        )
+        healer = DistributedForgivingGraph.from_graph(graph, fault_schedule=sched)
         schedule = deletion_only_schedule(
             steps=deletions, strategy=MaxDegreeDeletion(), min_survivors=3
         )

@@ -26,8 +26,8 @@ Crash-recover is real, twice over:
   turns the bootstrapped network into the stored image with the
   checkpoint rows, then replays the suffix — the ops the crash
   interrupted — through the full message-native path, and certifies the
-  result (every suffix deletion converged, ``audit_reference`` is empty,
-  ``verify_consistency`` passes).
+  result (every suffix deletion converged, and the oracle check finds no
+  divergence).
 
 * **Stale-processor rejoin** — :meth:`HealerDaemon.rejoin_stale` restarts
   one repair participant from the latest checkpoint image *mid-repair*
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core.errors import ConfigurationError, ForgivingGraphError
+from ..core.errors import ConfigurationError
 from ..core.ports import NodeId
 from ..distributed.processor import EdgeRecord, init_record
 from ..distributed.simulator import DistributedForgivingGraph
@@ -74,9 +74,9 @@ class RestartReport:
     #: background recovery reached the fixed point); True for a suffix
     #: without deletions.
     converged: bool
-    #: ``audit_reference()`` came back empty after the suffix replay.  The
-    #: plan audit covers only a sequential repair whose contexts are still
-    #: installed, and the replay's ``delete_batch`` waves never leave one.
+    #: ``audit_reference()`` came back empty after the suffix replay: the
+    #: divergences ``verify_consistency()`` raises on, listed, so this
+    #: always equals ``verified``.
     audit_clean: bool
     #: ``verify_consistency()`` passed (records/links/census match the oracle).
     verified: bool
@@ -165,23 +165,23 @@ class HealerDaemon:
     # ------------------------------------------------------------------ #
     @classmethod
     def create(cls, db_path: Union[str, Path], config: ServiceConfig) -> "HealerDaemon":
-        """Start a fresh run: build genesis, initialize the store."""
+        """Start a fresh run: build genesis, initialize the store.
+
+        The checkpoint marks start after the genesis bootstrap, the stored
+        image's base, so checkpoints write only what changed since."""
         genesis = config.graph.build(seed=config.seed)
         store = CheckpointStore(db_path)
         store.initialize(config.to_json(), genesis)
         healer = cls._build_healer(config, genesis)
+        healer.network.start_marks()
         return cls(store, config, healer)
 
     @staticmethod
     def _build_healer(config: ServiceConfig, genesis) -> DistributedForgivingGraph:
-        """The healer bootstrapped from ``genesis``, the stored image's base:
-        its checkpoint marks start after the bootstrap, so checkpoints write
-        only what changed since."""
-        healer = DistributedForgivingGraph.from_graph(
+        """The healer bootstrapped from ``genesis``, the stored image's base."""
+        return DistributedForgivingGraph.from_graph(
             genesis, fault_schedule=config.fault.build(config.seed)
         )
-        healer.network.start_marks()
-        return healer
 
     @classmethod
     def restore(
@@ -197,9 +197,11 @@ class HealerDaemon:
         (:meth:`~repro.service.store.CheckpointStore.load_image`), and the
         crash suffix replays through the full message-native path.  The
         restored daemon is certified before it is returned: every suffix
-        deletion's recovery reached its fixed point, the plan-based audit
-        wants nothing, and ``verify_consistency`` ties every record and
-        link back to the oracle.  A restore that replayed a suffix writes a
+        deletion's recovery reached its fixed point, and the oracle check
+        (:meth:`~repro.distributed.simulator.DistributedForgivingGraph.audit_reference`,
+        run once) ties every record and link back to the oracle.  The
+        checkpoint marks start once, where the network equals the image,
+        before the suffix replay.  A restore that replayed a suffix writes a
         fresh checkpoint only when the replay converged and verified.
 
         A path that holds no file is refused without creating one, and a
@@ -245,8 +247,9 @@ class HealerDaemon:
             network = healer.network
             store.load_image(network, ckpt)
             network.set_census(engine.nodes_ever, ever_ids=ever_ids)
-            # The network now equals the stored image: nothing to rewrite.
-            network.start_marks()
+        # The network now equals the stored image (the bootstrap alone when
+        # there is no checkpoint): nothing to rewrite.
+        healer.network.start_marks()
 
         daemon = cls(
             store, config, healer, applied_seq=checkpoint_seq, apply_rank=apply_rank
@@ -265,19 +268,14 @@ class HealerDaemon:
         # 4. Certification.  The restored healer's cost reports are exactly
         #    the suffix replay's, so they carry its convergence.
         converged = all(report.converged for report in daemon.healer.cost_reports)
-        audit = daemon.healer.audit_reference()
-        verified = True
-        try:
-            daemon.healer.verify_consistency()
-        except ForgivingGraphError:
-            verified = False
+        clean = not daemon.healer.audit_reference()
         report = RestartReport(
             checkpoint_seq=checkpoint_seq,
             prefix_ops=prefix_count,
             suffix_ops=len(suffix),
             converged=converged,
-            audit_clean=not audit,
-            verified=verified,
+            audit_clean=clean,
+            verified=clean,
         )
         if suffix and report.converged and report.verified:
             # Re-anchor durability at the certified state, so the *next*
@@ -500,6 +498,7 @@ class HealerDaemon:
             # Degenerate repair (leader-only): nothing to restart, but the
             # deletion itself still converged — report it as such.
             recovery = healer.reconverge()
+            clean = not healer.audit_reference()
             return RejoinReport(
                 victim=victim,
                 stale=None,
@@ -507,8 +506,8 @@ class HealerDaemon:
                 converged=recovery.converged,
                 sweeps=recovery.sweeps,
                 retransmissions=recovery.retransmissions,
-                audit_clean=not healer.audit_reference(),
-                verified=self._verify_quietly(),
+                audit_clean=clean,
+                verified=clean,
             )
 
         # The restart: re-read the checkpoint image of this one processor,
@@ -548,6 +547,7 @@ class HealerDaemon:
         recovery = healer.reconverge()
         self.metrics.record_recovery(recovery)
         self.metrics.record_rejoin()
+        clean = not healer.audit_reference()
         return RejoinReport(
             victim=victim,
             stale=stale,
@@ -555,16 +555,9 @@ class HealerDaemon:
             converged=recovery.converged,
             sweeps=recovery.sweeps,
             retransmissions=recovery.retransmissions,
-            audit_clean=not healer.audit_reference(),
-            verified=self._verify_quietly(),
+            audit_clean=clean,
+            verified=clean,
         )
-
-    def _verify_quietly(self) -> bool:
-        try:
-            self.healer.verify_consistency()
-        except ForgivingGraphError:
-            return False
-        return True
 
     # ------------------------------------------------------------------ #
     # observability

@@ -12,8 +12,7 @@ expose to one sha256 digest over canonical JSON:
 * every accusation as ``(accused, reporter, reason, round, evidence)``, each
   evidence message reduced to ``(kind, sender, receiver, seal)``.
 
-Message ids and anything timed are left out: ids are an allocation detail no
-ledger reads, and wall-clock numbers differ run to run.
+Anything timed is left out: wall-clock numbers differ run to run.
 
 ``tests/test_golden_digests.py`` recomputes the digests and compares them to
 ``digests.json``.  A mismatch means the observable behaviour changed; find

@@ -346,7 +346,6 @@ class TestLinkSources:
         assert list(inspect.signature(DistributedForgivingGraph).parameters) == [
             "fault_schedule",
             "auto_reconverge",
-            "quarantine_plan_audit",
         ]
 
     def test_strict_links_still_enforced(self):

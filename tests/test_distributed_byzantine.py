@@ -8,8 +8,8 @@ Three layers of coverage:
 * end-to-end per lie class — corrupted descriptors, digest status/record
   lies, equivocated assignments and forged digests each end in an
   accusation that names the right processor, quarantines it, and still
-  lets the recovery reach its silent fixed point with the plan audit
-  poisoned;
+  lets the recovery reach its silent fixed point from the processors'
+  local knowledge alone (the repair plan is dropped once seeded);
 * accounting — the oracle-side injection log vs the protocol-side
   transcript (every delivered lie accused, zero false accusations, honest
   runs under every delivery preset accusation-free), and the per-deletion
@@ -80,7 +80,7 @@ def byzantine_attack(
     seed: int = 9,
     delivery=None,
 ) -> DistributedForgivingGraph:
-    """A max-degree attack with the given lie policy, the plan-audit poison armed."""
+    """A max-degree attack with the given lie policy."""
     kwargs = {"default": delivery} if delivery is not None else {}
     schedule = FaultSchedule(
         seed=seed,
@@ -95,11 +95,9 @@ def byzantine_attack(
 def attack_under(
     schedule: FaultSchedule, *, n: int = 48, steps: int = 18, seed: int = 9
 ) -> DistributedForgivingGraph:
-    """A max-degree attack under ``schedule``, the plan-audit poison armed."""
+    """A max-degree attack under ``schedule``."""
     healer = DistributedForgivingGraph.from_graph(
-        make_graph("power_law", n, seed=seed),
-        fault_schedule=schedule,
-        quarantine_plan_audit=True,
+        make_graph("power_law", n, seed=seed), fault_schedule=schedule
     )
     strategy = MaxDegreeDeletion()
     for _ in range(steps):
@@ -123,8 +121,8 @@ def assert_accountable(healer: DistributedForgivingGraph) -> None:
     # Quarantine is the crash machinery: accused processors are gone.
     assert healer.network.quarantined == accused
     assert all(not healer.network.has_processor(node) for node in accused)
-    # Recovery reached the silent fixed point around every quarantine,
-    # with the repair plan's global knowledge poisoned throughout.
+    # Recovery reached the silent fixed point around every quarantine, from
+    # each processor's own repair state (no plan outlives its seeding).
     assert all(report.converged for report in healer.cost_reports)
 
 
@@ -363,7 +361,6 @@ class TestReportThreading:
         healer = DistributedForgivingGraph.from_graph(
             graph,
             fault_schedule=fault_schedule("byzantine", seed=9),
-            quarantine_plan_audit=True,
         )
         schedule = deletion_only_schedule(
             steps=18, strategy=MaxDegreeDeletion(), min_survivors=3

@@ -15,6 +15,8 @@ Pins the PR 4 tentpole claims:
   is replayable.
 """
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from repro.adversary import MaxDegreeDeletion, RandomDeletion
 from repro.analysis.bounds import stretch_bound
 from repro.core.errors import InvariantViolationError
+from repro.core.ports import sorted_nodes
 from repro.distributed import DistributedForgivingGraph, fault_schedule
 from repro.distributed.faults import (
     BYZANTINE_PRESETS,
@@ -179,6 +182,25 @@ class TestFaultInjection:
         first, second = run(13), run(14)
         assert [r["deleted"] for r in first] == [r["deleted"] for r in second]
         assert first != second
+
+    @pytest.mark.xfail(strict=True, raises=InvariantViolationError, reason="ROADMAP item 1(a)")
+    def test_drop_keeps_a_stale_helper_parent_behind_a_converged_report(self):
+        """A false convergence only the parent-pointer check sees: on
+        ``power_law`` n=120 under ``drop`` seed 0, with max-degree moves and
+        every third move a random one, the 12th deletion (victim 62) reports
+        ``converged=True`` while helper port (100, 14) keeps ``helper_parent``
+        (117, 0) where the oracle has (118, 0)."""
+        d = DistributedForgivingGraph.from_graph(
+            make_graph("power_law", 120, seed=0), fault_schedule=fault_schedule("drop", seed=0)
+        )
+        rng = random.Random(0)
+        for move in range(12):
+            assert d.audit_reference() == []
+            alive = sorted_nodes(d.alive_nodes)
+            victim = rng.choice(alive) if move % 3 == 2 else max(alive, key=d.actual_degree)
+            assert d.delete(victim).converged
+        assert victim == 62
+        d.verify_consistency()
 
     def test_dropped_messages_are_counted_per_repair(self):
         d = DistributedForgivingGraph.from_graph(

@@ -36,11 +36,6 @@ class TestMessages:
         assert DeletionNotice(sender=1, receiver=2, deleted=3).kind == "DeletionNotice"
         assert HelperAssignment(sender=1, receiver=2).kind == "HelperAssignment"
 
-    def test_message_ids_are_unique(self):
-        a = Probe(sender=1, receiver=2)
-        b = Probe(sender=1, receiver=2)
-        assert a.message_id != b.message_id
-
     def test_words_to_bits_minimum(self):
         assert words_to_bits(3, n_ever=2) == 3
 

@@ -35,13 +35,6 @@ class TestPlanRepair:
         for path, rt in zip(plan.probe_paths, fg.affected_rt_nodes(4)[0]):
             assert 1 <= len(path) <= rt.depth + 1
 
-    def test_primary_root_counts_are_popcounts(self):
-        fg = ForgivingGraph.from_edges([(0, i) for i in range(1, 14)])
-        fg.delete(0)
-        # Attack a leaf next: its only RT has 13 leaves -> popcount(13) = 3.
-        plan = plan_repair(fg, 1)
-        assert plan.primary_root_counts == [3]
-
     def test_affected_rts_requires_known_node(self):
         fg = ForgivingGraph.from_edges([(0, 1)])
         with pytest.raises(UnknownNodeError):

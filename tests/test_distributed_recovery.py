@@ -2,13 +2,13 @@
 
 Pins the tentpole claims:
 
-* recovery is **message-native**: ``reconverge()`` reaches the fixed point
-  with the repair plan's global knowledge *poisoned* (any read raises) and
-  the oracle quarantined, under lossless and every fault preset — the
-  digest protocol works from per-processor local knowledge plus messages
+* recovery is **message-native**: every repair's plan is dropped once
+  seeded (nothing holds it once the deletion returns), and recovery reaches
+  the fixed point under lossless and every fault preset — the digest
+  protocol works from per-processor local knowledge plus messages
   delivered through ``Network.deliver_round`` alone;
-* the retained plan-based audit is an oracle: after a digest recovery it
-  finds nothing left to retransmit, and under the poison it raises;
+* the one oracle check is ``verify_consistency``: after a digest recovery
+  ``audit_reference()`` (the same check, as a list) finds no divergence;
 * recovery has its own cost ledger (``RecoveryCostReport``): detection
   (digest) traffic split from retransmissions, Lemma-4-style per-sweep
   budgets, threaded into ``DeletionCostReport`` and the engine's
@@ -24,7 +24,9 @@ Pins the tentpole claims:
   whether or not a recovery ran.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -34,6 +36,7 @@ from repro.distributed import (
     DistributedForgivingGraph,
     RecoveryCostReport,
     fault_schedule,
+    simulator,
 )
 from repro.distributed.metrics import DIGEST_KINDS
 from repro.generators import make_graph
@@ -63,8 +66,8 @@ class TestNoGlobalKnowledge:
     """The no-global-knowledge guard of the ISSUE's test checklist."""
 
     @pytest.mark.parametrize("preset", ["lossless", "drop", "delay", "reorder", "chaos"])
-    def test_recovery_converges_with_plan_audit_poisoned(self, preset):
-        healer = faulty_healer(preset, quarantine_plan_audit=True)
+    def test_recovery_converges_under_every_preset(self, preset):
+        healer = faulty_healer(preset)
         attack(healer, steps=15, reconverge_lossless=True)
         assert len(healer.recovery_reports) > 0
         assert all(r.converged for r in healer.recovery_reports)
@@ -72,14 +75,35 @@ class TestNoGlobalKnowledge:
         assert all(r.within_round_budget for r in healer.recovery_reports)
         healer.verify_consistency()
 
-    def test_plan_audit_raises_under_the_poison(self):
-        healer = faulty_healer("drop", quarantine_plan_audit=True)
-        attack(healer, steps=3)
-        with pytest.raises(AssertionError, match="global knowledge"):
-            healer.audit_reference()
+    def test_no_plan_outlives_its_deletion(self, monkeypatch):
+        """Every plan ``delete`` and ``delete_batch`` build is unreachable once
+        the call returns: recovery and reporting run on what the processors
+        hold, so nothing global is left to consult."""
+        plans = []
+
+        def spy(engine, victim):
+            plan = real_plan_repair(engine, victim)
+            plans.append(weakref.ref(plan))
+            return plan
+
+        def reachable():
+            gc.collect()
+            return [ref for ref in plans if ref() is not None]
+
+        real_plan_repair = simulator.plan_repair
+        monkeypatch.setattr(simulator, "plan_repair", spy)
+        healer = faulty_healer("drop")
+        strategy = MaxDegreeDeletion()
+        for _ in range(3):
+            healer.delete(strategy.choose_victim(healer))
+            assert reachable() == []
+        healer.delete_batch(sorted(healer.alive_nodes)[:4])
+        assert reachable() == []
+        assert len(plans) >= 7
 
     def test_audit_reference_finds_nothing_after_digest_recovery(self):
-        """The digest fixed point is the one the global audit recognizes."""
+        """The digest fixed point is the oracle's: the consistency check,
+        listed, finds no divergence after every recovery."""
         healer = faulty_healer("chaos")
         strategy = RandomDeletion(seed=5)
         for _ in range(12):
@@ -96,7 +120,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("preset", ["lossless", "drop", "delay", "reorder", "chaos"])
     def test_recovery_is_deterministic_given_the_seed(self, preset):
         def run():
-            healer = faulty_healer(preset, seed=13, quarantine_plan_audit=True)
+            healer = faulty_healer(preset, seed=13)
             attack(healer, steps=12, strategy=RandomDeletion(seed=2), reconverge_lossless=True)
             return [r.as_row() for r in healer.recovery_reports]
 

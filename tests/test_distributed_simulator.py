@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.adversary import MaxDegreeDeletion, RandomDeletion, make_deletion_strategy
+from repro.core.errors import InvariantViolationError
 from repro.core.ports import sorted_nodes
 from repro.distributed import DistributedForgivingGraph, fault_schedule
 from repro.distributed.protocol import select_disjoint_victims
@@ -82,6 +83,28 @@ class TestConsistencyWithEngine:
             elif d.num_alive > 3:
                 d.delete(sorted(d.alive_nodes)[step % d.num_alive])
         d.verify_consistency()
+
+    @pytest.mark.parametrize("field", ["rt_parent", "helper_parent"])
+    def test_a_wrong_parent_pointer_is_a_divergence(self, field):
+        """Below each RT's root, every leaf's ``rt_parent`` and every helper's
+        ``helper_parent`` must name the oracle's RT parent: one pointer set
+        by hand fails the check, which names the field."""
+        d = DistributedForgivingGraph.from_graph(make_graph("power_law", 50, seed=4))
+        strategy = MaxDegreeDeletion()
+        for _ in range(10):
+            d.delete(strategy.choose_victim(d))
+        d.verify_consistency()
+        assert d.audit_reference() == []
+        port = next(
+            port
+            for rt in d.engine.reconstruction_trees()
+            for port, node in (rt.leaves if field == "rt_parent" else rt.helpers).items()
+            if node.parent is not None
+        )
+        setattr(d.network.processors[port.processor].ensure_edge(port.neighbor), field, None)
+        with pytest.raises(InvariantViolationError, match=field) as raised:
+            d.verify_consistency()
+        assert d.audit_reference() == [str(raised.value)]
 
     def test_healed_graph_stays_connected(self):
         d = DistributedForgivingGraph.from_graph(make_graph("power_law", 40, seed=6))

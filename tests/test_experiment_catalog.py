@@ -110,8 +110,8 @@ class TestTheorem2AndComparisons:
         by_preset = {row["fault_preset"]: row for row in rows}
         assert set(by_preset) == {"lossless", "drop", "delay", "reorder", "chaos"}
         for row in rows:
-            # Every preset runs with the plan audit poisoned; converging and
-            # matching the oracle certifies message-native recovery.
+            # No repair plan outlives its seeding, so converging and matching
+            # the oracle certifies message-native recovery.
             assert row["all_converged"]
             assert row["consistent_with_oracle"]
             assert row["within_digest_budgets"] and row["within_round_budgets"]

@@ -444,8 +444,8 @@ def _golden_records():
 
 def test_reads_build_no_record():
     """After a 20-move max-degree attack, every reader of records and link
-    sources leaves the records held unchanged: the consistency check, the
-    plan audit, the golden digest's records, the link export and a
+    sources leaves the records held unchanged: the consistency check and
+    its list form, the golden digest's records, the link export and a
     checkpoint of every record (most of them still ``Init``'s)."""
     healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=3))
     strategy = MaxDegreeDeletion()

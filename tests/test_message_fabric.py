@@ -1,16 +1,16 @@
-"""The message layer: slotted records, per-network ids, ledgers, delivery.
+"""The message layer: slotted records, ledgers, delivery.
 
 Messages and Table 1 records are ``__slots__`` layouts (no per-instance
-``__dict__``, every slot set by the constructor); a network stamps every
-message it carries from its own id counter, so ids replay exactly per run;
-``NetworkMetrics`` counts every accepted message exactly once, at its
-``size_bits(n_ever)`` size, under every fault preset; delivery neither loses
-nor duplicates a message it did not account as dropped; no message stays
-reachable from the healer once its wave is over; a reply queued to a
-sender that a later message in the same round gets quarantined is
-discarded quietly at delivery; and one specimen per message class pins its
-payload size and seal, and that tampering with any sealed field shows.  The Lemma 4 ledgers the message path feeds
-are also pinned by the golden digests (``tests/test_golden_digests.py``).
+``__dict__``, every slot set by the constructor); ``NetworkMetrics`` counts
+every accepted message exactly once, at its ``size_bits(n_ever)`` size,
+under every fault preset; delivery neither loses nor duplicates a message it
+did not account as dropped; no message stays reachable from the healer once
+its wave is over; a reply queued to a sender that a later message in the
+same round gets quarantined is discarded quietly at delivery; and one
+specimen per message class pins its payload size and seal, and that
+tampering with any sealed field shows.  The Lemma 4 ledgers the message
+path feeds are also pinned by the golden digests
+(``tests/test_golden_digests.py``).
 """
 
 import gc
@@ -317,27 +317,6 @@ class TestMessageLayerPins:
         assert message.seal_valid()
         setattr(message, name, mutated(getattr(message, name)))
         assert not message.seal_valid()
-
-
-class TestMessageIds:
-    def test_message_ids_are_per_network_deterministic(self, received_messages):
-        def delivered_ids():
-            received_messages.clear()
-            run_flood(ring_network(width=4), 3, width=4, burst=2)
-            return [m.message_id for m in received_messages]
-
-        first = delivered_ids()
-        assert len(first) == 3 * 4 * 2
-        assert first == delivered_ids()
-
-    def test_ids_follow_the_order_messages_enter_the_network(self):
-        network = ring_network(width=3)
-        first = DeletionNotice(0, 1, -1)
-        second = Probe(1, 2, -1)
-        out_of_band = network.stamp(DeletionNotice(2, 2, -1))
-        network.send(first)
-        network.send(second)
-        assert (out_of_band.message_id, first.message_id, second.message_id) == (1, 2, 3)
 
 
 class TestAccounting:

@@ -1063,6 +1063,41 @@ class TestHealerDaemon:
         assert status["recovery"]["fixed_point_noisy"] == 0
         restored.close()
 
+    @pytest.mark.parametrize("checkpoint_every", [8, 0], ids=["image", "genesis"])
+    def test_restore_starts_checkpoint_marks_once(self, tmp_path, monkeypatch, checkpoint_every):
+        """A restore starts the checkpoint marks once, where the network
+        equals the stored image: ``load_image`` writes into a network that
+        keeps no marks, and without a checkpoint the bootstrap is the image."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(
+            graph=GraphSpec("power_law", 40), seed=3, checkpoint_every=checkpoint_every
+        )
+        daemon = HealerDaemon.create(db, config)
+        assert daemon.healer.network.marks is not None
+        _drive(daemon, 20, seed=7)
+        daemon.store.close()
+        del daemon
+
+        marks_at_load, starts = [], []
+        load_image, start_marks = CheckpointStore.load_image, Network.start_marks
+
+        def spied_load_image(store, network, ckpt):
+            marks_at_load.append(network.marks)
+            return load_image(store, network, ckpt)
+
+        def spied_start_marks(network):
+            starts.append(network.marks)
+            return start_marks(network)
+
+        monkeypatch.setattr(CheckpointStore, "load_image", spied_load_image)
+        monkeypatch.setattr(Network, "start_marks", spied_start_marks)
+        restored, report = HealerDaemon.restore(db)
+        assert report.converged and report.verified
+        assert (report.checkpoint_seq > 0) == bool(checkpoint_every)
+        assert marks_at_load == ([None] if checkpoint_every else [])
+        assert starts == [None]
+        restored.close()
+
     def test_restore_of_a_store_with_a_healer_entry(self, tmp_path):
         """A store whose config still carries the ``healer`` entry older
         stores were written with restores and certifies."""
