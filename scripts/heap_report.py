@@ -10,7 +10,7 @@ per ``repro`` subpackage, one for networkx and one for everything else,
 then the total, all in KiB per node ever seen::
 
     python scripts/heap_report.py
-    python scripts/heap_report.py --max-kib 5.20  # exit 1 above 5.20 KiB/node
+    python scripts/heap_report.py --max-kib 4.93  # exit 1 above 4.93 KiB/node
 
 Three lines after it are about the garbage collector.  Two say what a
 full collection costs while all of that is alive: the number of objects

@@ -6,18 +6,21 @@ The reference implementations scan and sort the whole alive set per move —
 O(n log n) even when a repair touched a handful of nodes.  This module keeps
 a lazy heap over ``(degree, node)`` pairs that is refreshed from the engine's
 *degree-touch journal* (:attr:`repro.core.ForgivingGraph.degree_touch_log`):
-every repair appends the nodes whose healed degree it changed, and the
-tracker re-pushes exactly those (deduplicated per drain), so the per-move
-cost is O(delta log n) — proportional to the repair, not to the graph.
+every repair appends the nodes whose healed degree it touched, and the
+tracker re-pushes those of them whose degree differs from the one it last
+pushed for them (deduplicated per drain), so the per-move cost is
+O(delta log n) — proportional to the repair, not to the graph.
 
 Correctness rests on one invariant: *for every alive node, the heap contains
 at least one entry carrying its current healed degree.*  Seeding at bind time
 establishes it; the journal keeps it (every degree change journals the node,
-and draining pushes the node with its degree at drain time); entries are
-never removed except when proven stale.  Popping therefore works lazily: the
-top entry wins iff its owner is still alive and its stored degree matches the
-current one, otherwise it is stale and discarded — any fresher entry for the
-same node sits elsewhere in the heap.
+and draining pushes the node with its degree at drain time unless the entry
+it last pushed already carries that degree); entries are never removed
+except when proven stale, and a node's last pushed entry is never stale at
+a pick, since every change to its degree since was drained first.  Popping
+therefore works lazily: the top entry wins iff its owner is still alive and
+its stored degree matches the current one, otherwise it is stale and
+discarded — any fresher entry for the same node sits elsewhere in the heap.
 
 Stale entries below the top are never popped, so a long attack would let
 the heap grow with every touch.  Once it holds more than
@@ -62,7 +65,7 @@ class SurvivorDegreeTracker:
         scans exactly.
     """
 
-    __slots__ = ("_largest", "_heap", "_cursor", "_journal_cursor", "_seq", "_healer_ref", "_keys")
+    __slots__ = ("_largest", "_heap", "_cursor", "_journal_cursor", "_seq", "_healer_ref", "_last")
 
     def __init__(self, largest: bool = True) -> None:
         self._largest = largest
@@ -74,9 +77,11 @@ class SurvivorDegreeTracker:
         self._journal_cursor = None
         self._seq = 0
         self._healer_ref: Optional[weakref.ref] = None
-        # Order keys are immutable per node; cache them so every heap entry
-        # of a node shares one key.  Rebuilt to the survivors with the heap.
-        self._keys: Dict[NodeId, tuple] = {}
+        #: Per node, the entry last pushed for it: its degree, which a drain
+        #: compares before pushing again, beside its order key (immutable
+        #: per node, so every entry of a node shares one key).  Rebuilt to
+        #: the survivors with the heap.
+        self._last: Dict[NodeId, Tuple[int, tuple, int, NodeId]] = {}
 
     @staticmethod
     def supports(healer) -> bool:
@@ -99,13 +104,6 @@ class SurvivorDegreeTracker:
         return self._peek(healer)
 
     # ------------------------------------------------------------------ #
-    def _key_of(self, node: NodeId) -> tuple:
-        key = self._keys.get(node)
-        if key is None:
-            key = node_order_key(node)
-            self._keys[node] = key
-        return key
-
     def _sign(self, degree: int) -> int:
         return -degree if self._largest else degree
 
@@ -118,13 +116,17 @@ class SurvivorDegreeTracker:
         self._seed(healer)
 
     def _seed(self, healer) -> None:
-        """Fill the heap with one current entry per survivor, keeping only their keys."""
+        """Fill the heap with one current entry per survivor; those become
+        the survivors' last pushed entries, and a dead node's is forgotten."""
         degree = healer.actual_degree
-        cached, self._keys = self._keys, {}
+        cached, last = self._last, {}
         entries: List[Tuple[int, tuple, int, NodeId]] = []
         for seq, node in enumerate(healer.alive_nodes):
-            key = self._keys[node] = cached.get(node) or node_order_key(node)
-            entries.append((self._sign(degree(node)), key, seq, node))
+            previous = cached.get(node)
+            key = previous[1] if previous is not None else node_order_key(node)
+            entry = last[node] = (self._sign(degree(node)), key, seq, node)
+            entries.append(entry)
+        self._last = last
         self._seq = len(entries)
         heapq.heapify(entries)
         self._heap = entries
@@ -141,11 +143,17 @@ class SurvivorDegreeTracker:
             self._journal_cursor.advance_to(self._cursor)
         degree = healer.actual_degree
         is_alive = healer.is_alive
-        heap = self._heap
+        heap, last = self._heap, self._last
         for node in touched:
             if is_alive(node):
+                sign = self._sign(degree(node))
+                previous = last.get(node)
+                if previous is not None and previous[0] == sign:
+                    continue  # the entry last pushed still carries this degree
+                key = node_order_key(node) if previous is None else previous[1]
                 self._seq += 1
-                heapq.heappush(heap, (self._sign(degree(node)), self._key_of(node), self._seq, node))
+                entry = last[node] = (sign, key, self._seq, node)
+                heapq.heappush(heap, entry)
         if len(heap) > REBUILD_FACTOR * healer.num_alive + REBUILD_SLACK:
             self._seed(healer)
 

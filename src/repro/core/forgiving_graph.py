@@ -57,7 +57,7 @@ from .errors import (
     InvariantViolationError,
     UnknownNodeError,
 )
-from .graph_fill import add_edge, edge_pairs, fill_graph, loopless_degree, remove_edge
+from .graph_fill import add_edge, add_node, edge_pairs, fill_graph, loopless_degree, remove_edge
 from .journal import Journal
 from .ports import NodeId, Port
 from .reconstruction_tree import (
@@ -148,8 +148,9 @@ class ForgivingGraph:
         # keys by the pair as given.  That lets delete() apply per-repair
         # deltas instead of rebuilding ``G`` from scratch.  ``_num_edges``
         # counts the edges of ``_actual`` (networkx counts them in O(n)).
-        # Every edge of ``G'`` and ``G`` holds graph_fill.EDGE_DATA, the one
-        # shared read-only empty mapping: only graph_fill writes their edges.
+        # Every node of ``G'`` and ``G`` holds graph_fill.NODE_DATA and every
+        # edge graph_fill.EDGE_DATA, shared read-only empty mappings: only
+        # graph_fill adds their nodes and writes their edges.
         self._actual = nx.Graph()
         self._extra_sources: Dict[Tuple[NodeId, NodeId], int] = {}
         self._num_edges = 0
@@ -497,9 +498,9 @@ class ForgivingGraph:
                 raise InvalidEdgeError(f"cannot attach {node!r} to itself")
             if neighbor not in self._alive:
                 raise UnknownNodeError(neighbor, "insertion must attach to alive nodes")
-        self._g_prime.add_node(node)
+        add_node(self._g_prime, node)
         self._alive.add(node)
-        self._actual.add_node(node)
+        add_node(self._actual, node)
         self._degree_touch_log.append(node)
         for neighbor in neighbors:
             add_edge(self._g_prime, node, neighbor)

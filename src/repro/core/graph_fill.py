@@ -9,17 +9,19 @@ adjacency maps directly, in the layout those networkx calls would leave:
 :func:`fill_graph` loads an edge sequence (the engine's ``G'`` and ``G``),
 :func:`fill_graph_from_adjacency` a symmetric adjacency map (the
 processors' graph, ``DistributedForgivingGraph.network_graph``),
-:func:`add_edge` / :func:`remove_edge` change one edge of a live graph (the
-engine's incremental ``G`` and its inserts into ``G'``), and
-:func:`loopless_degree` reads a node's degree there.
+:func:`add_node` adds one node and :func:`add_edge` / :func:`remove_edge`
+change one edge of a live graph (the engine's incremental ``G`` and its
+inserts into ``G'``), and :func:`loopless_degree` reads a node's degree
+there.
 
-No edge of the engine's graphs carries attributes, so every edge those
-writers make holds the one shared read-only empty mapping
-:data:`EDGE_DATA` in place of an empty dict of its own: a graph of ``m``
-edges holds no per-edge attribute dict, and writing into an edge's data
+No node or edge of the engine's graphs carries attributes, so every node
+those writers make holds the one shared read-only empty mapping
+:data:`NODE_DATA`, and every edge :data:`EDGE_DATA`, in place of an empty
+dict of its own: a graph of ``n`` nodes and ``m`` edges holds no per-node
+or per-edge attribute dict, and writing into a node's or an edge's data
 through the engine's views raises.  Copies (``graph.copy()``) get a fresh
-dict per edge, as does the graph :func:`fill_graph_from_adjacency` fills,
-which its caller owns.
+dict per node and per edge, as does the graph
+:func:`fill_graph_from_adjacency` fills, which its caller owns.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .ports import NodeId
 
 __all__ = [
     "EDGE_DATA",
+    "NODE_DATA",
     "add_edge",
+    "add_node",
     "edge_pairs",
     "fill_graph",
     "fill_graph_from_adjacency",
@@ -45,6 +49,9 @@ __all__ = [
 #: The attribute mapping of every edge :func:`fill_graph` and
 #: :func:`add_edge` write: empty, read-only and shared by all of them.
 EDGE_DATA: Mapping = MappingProxyType({})
+#: The attribute mapping of every node :func:`fill_graph` and
+#: :func:`add_node` write, like :data:`EDGE_DATA` for edges.
+NODE_DATA: Mapping = MappingProxyType({})
 
 
 def fill_graph(
@@ -58,8 +65,9 @@ def fill_graph(
     ``graph.add_edges_from(edges)`` leaves a fresh :class:`networkx.Graph`:
     nodes in first-seen order (an edge's endpoints join, ``u`` then ``v``,
     as it is read) and each node's neighbours in the order its edges were
-    read; every edge holds :data:`EDGE_DATA` in both directions, where
-    networkx gives each edge an empty dict of its own.  An edge read again,
+    read; every node holds :data:`NODE_DATA` and every edge
+    :data:`EDGE_DATA` in both directions, where networkx gives each node
+    and each edge an empty dict of its own.  An edge read again,
     in either direction, is skipped.  The returned list holds the endpoints
     of the edges added, ``u`` then ``v`` per edge, in order
     (:func:`edge_pairs` reads it back as edges): flat, so no tuple per edge
@@ -69,27 +77,20 @@ def fill_graph(
     processors' links may hold one) and a ``None`` node ``ValueError``,
     as networkx does.
     """
-    node_attrs, adj = graph._node, graph._adj
+    adj = graph._adj
     if adj:
         raise ValueError("fill_graph loads an empty graph")
-
-    def add_node(node: NodeId) -> None:
-        if node is None:
-            raise ValueError("None cannot be a node")
-        adj[node] = {}
-        node_attrs[node] = {}
-
     for node in nodes:
         if node not in adj:
-            add_node(node)
+            add_node(graph, node)
     endpoints: List[NodeId] = []
     for u, v in edges:
         if u == v:
             raise InvalidEdgeError(f"self-loop ({u!r}, {v!r}) not allowed")
         if u not in adj:
-            add_node(u)
+            add_node(graph, u)
         if v not in adj:
-            add_node(v)
+            add_node(graph, v)
         u_nbrs = adj[u]
         if v not in u_nbrs:
             u_nbrs[v] = adj[v][u] = EDGE_DATA
@@ -112,10 +113,11 @@ def fill_graph_from_adjacency(
     ``add_edges_from`` over each edge once, as ``(u, v)`` from the endpoint
     ``u`` that comes first in the map's order (the edges
     ``Network.iter_links`` and networkx's ``graph.edges`` yield), leaves
-    it: nodes in the map's order, and one attribute dict per edge, shared
-    by its two directions (the caller owns the graph and may write edge
-    data).  A node's row lists the neighbours before it in the map's order
-    first, then the rest in the order the map lists them.
+    it: nodes in the map's order, one attribute dict per node, and one per
+    edge, shared by its two directions (the caller owns the graph and may
+    write node and edge data).  A node's row lists the neighbours before it
+    in the map's order first, then the rest in the order the map lists
+    them.
     """
     node_attrs, adj = graph._node, graph._adj
     if adj:
@@ -129,6 +131,19 @@ def fill_graph_from_adjacency(
             # A neighbour earlier in the map already linked this edge.
             if v not in row:
                 row[v] = adj[v][u] = {}
+
+
+def add_node(graph: nx.Graph, node: NodeId) -> None:
+    """Add ``node``, which ``graph`` does not hold, with no neighbours.
+
+    Leaves what ``graph.add_node(node)`` would, except that the node holds
+    :data:`NODE_DATA`; a ``None`` node raises ``ValueError``, as networkx
+    does.
+    """
+    if node is None:
+        raise ValueError("None cannot be a node")
+    graph._adj[node] = {}
+    graph._node[node] = NODE_DATA
 
 
 def add_edge(graph: nx.Graph, u: NodeId, v: NodeId) -> bool:

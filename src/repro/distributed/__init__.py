@@ -11,8 +11,10 @@ Lemma 4).  This package provides
   descriptors that travel in messages, the read-only strip planner, and
   ``ComputeHaft`` on descriptors alone,
 * :mod:`repro.distributed.network` — a synchronous round-based
-  message-passing simulator with sourced links, repair scaffolding,
-  optional fault injection and per-processor counters,
+  message-passing simulator with sourced links (the link table holds
+  exactly them), repair scaffolding as a permission (an open repair talks
+  over temporary edges it never writes as links), optional fault injection
+  and per-repair counters (per-processor counts included),
 * :mod:`repro.distributed.faults` — seeded per-link drop/delay/reorder
   policies, the per-processor byzantine payload-corruption axis
   (:class:`ByzantinePolicy`), and the named presets shared by E11/E13,

@@ -61,7 +61,8 @@ class MetricsWindow:
     (its per-sender dict has one entry per processor that actually sent a
     message), which is what keeps the simulator's per-deletion accounting
     O(delta) — diffing two copies of the run-wide counters would be O(n)
-    per deletion regardless of how small the repair was.
+    per deletion regardless of how small the repair was.  A message's counts
+    are written here by :meth:`NetworkMetrics.record_message` itself.
     """
 
     messages: int = 0
@@ -78,16 +79,6 @@ class MetricsWindow:
     #: retransmitted repair traffic.
     messages_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     bits_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def record_message(self, sender: NodeId, bits: int, kind: str = "") -> None:
-        """Account for one message sent while the window is open."""
-        self.messages += 1
-        self.bits += bits
-        if bits > self.max_message_bits:
-            self.max_message_bits = bits
-        self.messages_by_node[sender] += 1
-        self.messages_by_kind[kind] += 1
-        self.bits_by_kind[kind] += bits
 
     def count_for_kinds(self, kinds) -> int:
         """Messages of the given kinds sent within the window."""
@@ -138,15 +129,23 @@ class NetworkMetrics:
         return self.epoch_windows.pop(key, None) or MetricsWindow()
 
     def record_message(self, sender: NodeId, kind: str, bits: int, epoch: object = None) -> None:
-        """Account for one sent message."""
+        """Account for one sent message: in the run-wide totals, and in the
+        open window of its ``epoch``, if there is one (the one ledger call a
+        message costs)."""
         self.total_messages += 1
         self.total_bits += bits
         if bits > self.max_message_bits:
             self.max_message_bits = bits
         if self.epoch_windows:
-            epoch_window = self.epoch_windows.get(epoch)
-            if epoch_window is not None:
-                epoch_window.record_message(sender, bits, kind)
+            window = self.epoch_windows.get(epoch)
+            if window is not None:
+                window.messages += 1
+                window.bits += bits
+                if bits > window.max_message_bits:
+                    window.max_message_bits = bits
+                window.messages_by_node[sender] += 1
+                window.messages_by_kind[kind] += 1
+                window.bits_by_kind[kind] += bits
 
     def record_rounds(self, rounds: int) -> None:
         """Account for ``rounds`` parallel communication rounds."""

@@ -10,13 +10,13 @@ time unit to traverse an edge and local computation is free.
 The topology is one map: processor -> {linked processor: that link's
 source keys, as one tuple}.  Both endpoints hold the same tuple object and
 every write replaces it on both sides, so a link and its sources cannot
-disagree; an unsourced link holds ``()``.
+disagree; a bare link (only :meth:`Network.connect` makes one) holds ``()``.
 :meth:`Network.connect` / :meth:`Network.disconnect` /
 :meth:`Network.are_linked` are O(1), neighbour iteration and
 :meth:`Network.remove_processor` O(deg) — no operation on the repair path
 ever scans the full link set.  The network enforces that
-messages only travel along existing links (or repair scaffolding, see
-below), and keeps the counters that Lemma 4 bounds: run-wide totals, and
+messages only travel along existing links (except while a repair is open,
+see below), and keeps the counters that Lemma 4 bounds: run-wide totals, and
 per repair a :class:`~repro.distributed.metrics.MetricsWindow` (opened with
 ``metrics.begin_epoch_window(victim)``, per-node counts included) that each
 message's ``deleted`` epoch tag charges it to, so a cost report is
@@ -49,12 +49,14 @@ network (:meth:`Network.link_sources`, :meth:`Network.export_link_sources`,
 :meth:`Network.changed_links`) and read back from it by
 :meth:`Network.replace_link_sources`.
 
-*Scaffolding.*  A repair creates temporary links for its own traffic (the
-``BT_v`` tree, probe hops, merge wiring).  While a scaffold is open
-(:meth:`begin_scaffold`), :meth:`send` auto-creates missing links and
-records them; :meth:`end_scaffold` drops every recorded link that holds no
-source by then — "delete the edges E_v" of Algorithm A.3,
-decided from the network's own link sources rather than an engine probe.
+*Scaffolding.*  A repair talks over temporary edges of its own (the
+``BT_v`` tree, probe hops, merge wiring), which Algorithm A.3 adds for the
+repair and deletes once it is over.  The network holds them as a
+permission, not as links: while a repair is open (:meth:`begin_scaffold`
+until :meth:`end_scaffold`), :meth:`send` lets any two live processors
+talk, and writes nothing into the link table.  So at every moment the
+table holds exactly the sourced links (and any bare link :meth:`connect`
+made), and a link whose last source goes is removed at once.
 
 Faults: an optional :class:`~repro.distributed.faults.FaultSchedule` is
 consulted at delivery time — messages can be dropped, delayed whole rounds,
@@ -170,7 +172,7 @@ class Network:
         #: Processor -> {linked processor: the link's source keys} (an empty
         #: dict while isolated).  The keys are one tuple, shared by both
         #: endpoints and replaced on every write (never mutated in place);
-        #: an unsourced link (bare or scaffold) holds ``()``.
+        #: a bare link (only :meth:`connect` makes one) holds ``()``.
         self._links: Dict[NodeId, Dict[NodeId, Tuple]] = {}
         self._outbox: List[Message] = []
         #: Messages a fault delayed: (deliver_at_round, message).
@@ -179,10 +181,8 @@ class Network:
         self.metrics = NetworkMetrics()
         #: Optional fault injection applied at delivery time.
         self.fault_schedule = fault_schedule
-        #: Links auto-created for the currently open repair scaffold, each
-        #: recorded once, as the ``(u, v)`` pair it was opened with
-        #: (``None`` while no scaffold is open).
-        self._scaffold: Optional[Set[Tuple[NodeId, NodeId]]] = None
+        #: True while a repair is open: any two live processors may talk.
+        self._scaffold_open = False
         #: Number of processors ever added (message sizing's ``n``).  Counted
         #: per addition, so removals never shrink it; the distributed healer
         #: cross-checks it against the engine's ``nodes_ever``.
@@ -367,8 +367,8 @@ class Network:
             u_links[v] = self._links[v][u] = keys + (key,)
 
     def remove_link_source(self, key: Tuple, u: NodeId, v: NodeId) -> None:
-        """Drop one source of link ``(u, v)``; the link vanishes at zero sources
-        (unless an open repair scaffold is still using it)."""
+        """Drop one source of link ``(u, v)``; the link goes with its last
+        source, whether or not a repair is open."""
         u_links = self._links.get(u, _NO_LINKS)
         keys = u_links.get(v)
         if not keys:
@@ -378,8 +378,7 @@ class Network:
         if key not in keys:
             return
         keys = tuple(other for other in keys if other != key)
-        scaffold = self._scaffold
-        if keys or (scaffold is not None and ((u, v) in scaffold or (v, u) in scaffold)):
+        if keys:
             u_links[v] = self._links[v][u] = keys
         else:
             del u_links[v], self._links[v][u]
@@ -459,36 +458,14 @@ class Network:
     # repair scaffolding
     # ------------------------------------------------------------------ #
     def begin_scaffold(self) -> None:
-        """Open a scaffold: sends may auto-create links, all recorded."""
-        self._scaffold = set()
+        """Open a repair: until :meth:`end_scaffold`, any two live processors
+        may talk, over a temporary edge the link table never holds."""
+        self._scaffold_open = True
 
-    def _record_scaffold(self, u: NodeId, v: NodeId) -> None:
-        """Record the link ``(u, v)`` just opened in the open scaffold.
-
-        A link opened again in the other direction (it went with a removed
-        processor, say) stays recorded as the pair it was first opened with.
-        """
-        scaffold = self._scaffold
-        if (v, u) not in scaffold:
-            scaffold.add((u, v))
-
-    def scaffold_link(self, u: NodeId, v: NodeId) -> None:
-        """Explicitly create (and record) a repair-local link."""
-        if u == v or self.are_linked(u, v):
-            return
-        self.connect(u, v)
-        if self._scaffold is not None:
-            self._record_scaffold(u, v)
-
-    def end_scaffold(self) -> int:
-        """Drop every scaffold link that acquired no source; returns how many."""
-        scaffold, self._scaffold = self._scaffold or (), None
-        dropped = 0
-        for u, v in scaffold:
-            if not self._links.get(u, _NO_LINKS).get(v):
-                self.disconnect(u, v)
-                dropped += 1
-        return dropped
+    def end_scaffold(self) -> None:
+        """Close the open repair: its temporary edges go with it, and an
+        unlinked send raises again."""
+        self._scaffold_open = False
 
     def num_links(self) -> int:
         """Number of current links (O(n) sum of neighbour-map sizes)."""
@@ -533,10 +510,10 @@ class Network:
         model only lets processors talk to their immediate neighbours
         (names of other vertices may be *carried* in messages, but not used
         as direct destinations), so an unlinked send raises
-        :class:`ProtocolError`.  While a repair scaffold is open, a missing
-        link is created and recorded instead: the repair is entitled to
-        wire its own temporary edges (Algorithm A.3), and the scaffold
-        teardown reclaims them.
+        :class:`ProtocolError`.  While a repair is open
+        (:meth:`begin_scaffold`), any two live processors may talk: the
+        repair is entitled to its own temporary edges (Algorithm A.3), and
+        one that carries a message is never written into the link table.
         """
         sender = message.sender
         receiver = message.receiver
@@ -545,16 +522,15 @@ class Network:
             raise ProtocolError(f"sender {sender!r} does not exist")
         if receiver not in processors:
             raise ProtocolError(f"receiver {receiver!r} does not exist")
-        links = self._links[sender]
-        if receiver not in links and sender != receiver:
-            # What scaffold_link does: an unsourced link, both ends, recorded.
-            if self._scaffold is None:
-                raise ProtocolError(
-                    f"{message.kind} from {sender!r} to {receiver!r} "
-                    "would travel between unlinked processors"
-                )
-            links[receiver] = self._links[receiver][sender] = ()
-            self._record_scaffold(sender, receiver)
+        if (
+            not self._scaffold_open
+            and receiver not in self._links[sender]
+            and sender != receiver
+        ):
+            raise ProtocolError(
+                f"{message.kind} from {sender!r} to {receiver!r} "
+                "would travel between unlinked processors"
+            )
         schedule = self.fault_schedule
         if (
             schedule is not None

@@ -646,9 +646,9 @@ class Processor:
             self.mark_record(message.deleted)
 
     def _on_AnchorLink(self, message) -> None:
-        # BT_v formation is topological (the scaffold records the link); the
-        # processor only needs to remember it took part, which the message
-        # log already does.
+        # BT_v formation is topological: the edge is one of the open
+        # repair's temporary edges, which the network lets the repair use
+        # without a link, and the message itself is all it takes.
         return
 
     def _on_Probe(self, message: Probe) -> List[Message]:

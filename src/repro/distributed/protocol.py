@@ -295,8 +295,11 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     deadlines — so several seeded repairs can share one round loop: every
     message carries ``deleted=plan.victim`` as its epoch tag and every
     handler keys its state by that victim, so interleaved traffic from
-    other epochs never collides.  A scaffold must already be open on
-    ``network``.  Returns the live participants.
+    other epochs never collides.  A repair must already be open on
+    ``network`` (:meth:`~repro.distributed.network.Network.begin_scaffold`):
+    BT_v's edges and the probe hops are the repair's temporary edges, which
+    the open repair lets it use without writing a link.  Returns the live
+    participants.
     """
     victim = plan.victim
     participants = [node for node in plan.contexts if network.has_processor(node)]
@@ -317,7 +320,6 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     # Phase 1 seeding — BT_v formation and the first probe hops.
     for parent, child in plan.bt_edges:
         if network.has_processor(parent) and network.has_processor(child):
-            network.scaffold_link(parent, child)
             network.send(AnchorLink(sender=child, receiver=parent, deleted=victim))
     for rt_index, path in enumerate(plan.probe_paths):
         live = [p for p in path if network.has_processor(p)]
@@ -357,7 +359,8 @@ def execute_repair(
     deadline but never earlier than the next round, so a timer past due that
     cannot fire yet is retried every round.  A tick with nothing due is a
     no-op, so this fires exactly what ticking every participant would.
-    Seeding (:func:`seed_repair`) and the scaffold are the caller's.  At
+    Seeding (:func:`seed_repair`) and opening and closing the repair
+    (``Network.begin_scaffold`` / ``end_scaffold``) are the caller's.  At
     ``max_rounds`` each unfinished recovery is finished with its epoch's
     in-flight count as leftover, and everything in flight is discarded into
     its epoch's ``dropped`` tally, so stale traffic never reaches a later

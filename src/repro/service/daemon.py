@@ -221,9 +221,12 @@ class HealerDaemon:
         if not store.initialized:
             raise ConfigurationError(f"store {store.path} holds no service run to restore")
         config = ServiceConfig.from_json(store.config_json())
-        genesis = store.genesis_graph()
+        # Every read decodes through one memo, so the restored state holds
+        # one object per node id and per port.
+        memo: Dict[object, object] = {}
+        genesis = store.genesis_graph(memo)
         healer = cls._build_healer(config, genesis)
-        ckpt = store.latest_checkpoint()
+        ckpt = store.latest_checkpoint(memo)
         # Without a checkpoint the genesis itself is the recovery point and
         # the whole journal is the suffix.
         prefix_count = checkpoint_seq = apply_rank = 0
@@ -231,7 +234,7 @@ class HealerDaemon:
             # 1. Oracle prefix replay: the engine is deterministic given
             #    the engine-application order, which apply_rank recorded.
             engine = healer.engine
-            prefix = store.journal_ops(until=ckpt.seq, order="rank")
+            prefix = store.journal_ops(until=ckpt.seq, order="rank", memo=memo)
             ever_ids = set(genesis.nodes)
             for op in prefix:
                 if op.kind == "insert":
@@ -245,7 +248,7 @@ class HealerDaemon:
 
             # 2. The distributed side: the genesis bootstrap plus the rows.
             network = healer.network
-            store.load_image(network, ckpt)
+            store.load_image(network, ckpt, memo)
             network.set_census(engine.nodes_ever, ever_ids=ever_ids)
         # The network now equals the stored image (the bootstrap alone when
         # there is no checkpoint): nothing to rewrite.
@@ -260,7 +263,7 @@ class HealerDaemon:
         #    back through submit-validation-free application (it was already
         #    validated when first journalled).  The pump also compacts the
         #    journal entries the prefix replay left.
-        suffix = store.journal_ops(after=checkpoint_seq, order="seq")
+        suffix = store.journal_ops(after=checkpoint_seq, order="seq", memo=memo)
         for op in suffix:
             daemon._enqueue(op)
         daemon.pump(checkpoint=False)

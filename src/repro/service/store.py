@@ -38,7 +38,12 @@ inspectable with the sqlite CLI.  Encoded node ids are also the image's row
 keys (a rewrite finds a record's or a link's row by its encoded ids), so the
 codec's bytes are part of the schema: the writer's direct text encoder
 (``_dumps``) must write exactly what :func:`encode_value` plus the compact
-JSON encoder write.
+JSON encoder write.  Decoding goes through a *memo*, a dict that maps each
+node id and each :class:`Port` decoded so far to the one object standing
+for it: every reader takes one (a fresh one per call by default), and a
+restore hands the same memo to all its reads, so the state it rebuilds
+holds one object per distinct id and per distinct port, however many
+records, links and journal entries name it.
 
 A schema v2 store holds a complete image and a v3 store every row of each
 processor some checkpoint rewrote; both are valid v4 images, so they open
@@ -120,21 +125,35 @@ def encode_value(value: object) -> object:
     )
 
 
-def decode_value(payload: object) -> object:
-    """Inverse of :func:`encode_value`."""
+def decode_value(payload: object, memo: Optional[Dict[object, object]] = None) -> object:
+    """Inverse of :func:`encode_value`.
+
+    Each id and :class:`Port` decoded is looked up in ``memo`` (a fresh
+    dict when none is given) and the object already there returned, so
+    values decoded through one memo share one object per distinct id and
+    per distinct port.  The memo's keys are the ids themselves (ints and
+    strings never compare equal) and the ports, which compare and hash like
+    their plain pairs; no plain pair is ever put in it.
+    """
+    if memo is None:
+        memo = {}
     if payload is None or payload is True or payload is False:
         return payload
     tag = payload[0]
-    if tag == "i":
-        return payload[1]
-    if tag == "s":
-        return payload[1]
+    if tag == "i" or tag == "s":
+        value = payload[1]
+        return memo.setdefault(value, value)
     if tag == "P":
-        return Port(decode_value(payload[1]), decode_value(payload[2]))
+        pair = (decode_value(payload[1], memo), decode_value(payload[2], memo))
+        port = memo.get(pair)
+        if port is None:
+            port = Port(*pair)
+            memo[port] = port
+        return port
     if tag == "t":
-        return tuple(decode_value(item) for item in payload[1])
+        return tuple(decode_value(item, memo) for item in payload[1])
     if tag == "f":
-        return frozenset(decode_value(item) for item in payload[1])
+        return frozenset(decode_value(item, memo) for item in payload[1])
     raise ConfigurationError(f"unknown codec tag {tag!r} in stored value")
 
 
@@ -190,8 +209,8 @@ def _record_payload(record: EdgeRecord) -> str:
     return "[" + ",".join(map(_dumps, _record_values(record))) + "]"
 
 
-def _loads(text: str) -> object:
-    return decode_value(json.loads(text))
+def _loads(text: str, memo: Optional[Dict[object, object]] = None) -> object:
+    return decode_value(json.loads(text), memo)
 
 
 @dataclass(frozen=True)
@@ -408,17 +427,21 @@ class CheckpointStore:
             raise ConfigurationError(f"store {self.path} holds no service config")
         return json.loads(raw)
 
-    def genesis_graph(self) -> nx.Graph:
+    def genesis_graph(self, memo: Optional[Dict[object, object]] = None) -> nx.Graph:
         """The genesis topology, its nodes and edges in the order they were stored.
 
         The order is the bootstrap's: it sets each processor's record order
         and the order its links were sourced, so both reads follow rowid.
+        Ids are decoded through ``memo`` (see :func:`decode_value`), so an
+        edge's ends are the objects its nodes are.
         """
+        if memo is None:
+            memo = {}
         graph = nx.Graph()
         for (node,) in self._conn.execute("SELECT node FROM genesis_nodes ORDER BY rowid"):
-            graph.add_node(_loads(node))
+            graph.add_node(_loads(node, memo))
         for u, v in self._conn.execute("SELECT u, v FROM genesis_edges ORDER BY rowid"):
-            graph.add_edge(_loads(u), _loads(v))
+            graph.add_edge(_loads(u, memo), _loads(v, memo))
         return graph
 
     # ------------------------------------------------------------------ #
@@ -455,9 +478,14 @@ class CheckpointStore:
         self._conn.commit()
 
     def journal_ops(
-        self, after: int = 0, until: Optional[int] = None, order: str = "seq"
+        self,
+        after: int = 0,
+        until: Optional[int] = None,
+        order: str = "seq",
+        memo: Optional[Dict[object, object]] = None,
     ) -> List[JournalOp]:
-        """Journalled ops with ``after < seq <= until``.
+        """Journalled ops with ``after < seq <= until``, their ids decoded
+        through ``memo`` (see :func:`decode_value`).
 
         ``order="seq"`` returns submission order; ``order="rank"`` returns
         engine-application order (only meaningful for fully-applied ranges
@@ -465,6 +493,8 @@ class CheckpointStore:
         """
         if order not in ("seq", "rank"):
             raise ConfigurationError(f"unknown journal order {order!r}")
+        if memo is None:
+            memo = {}
         column = "seq" if order == "seq" else "apply_rank"
         rows = self._conn.execute(
             f"SELECT seq, client, kind, node, attach, apply_rank FROM journal "
@@ -476,8 +506,8 @@ class CheckpointStore:
                 seq=seq,
                 client=client,
                 kind=kind,
-                node=_loads(node),
-                attach=tuple(_loads(attach)),
+                node=_loads(node, memo),
+                attach=tuple(_loads(attach, memo)),
                 apply_rank=apply_rank,
             )
             for seq, client, kind, node, attach, apply_rank in rows
@@ -581,20 +611,26 @@ class CheckpointStore:
         self.last_link_rows = len(pairs) // 2
         return ckpt
 
-    def latest_checkpoint(self) -> Optional[CheckpointInfo]:
+    def latest_checkpoint(
+        self, memo: Optional[Dict[object, object]] = None
+    ) -> Optional[CheckpointInfo]:
+        """The latest header, its ids decoded through ``memo`` (see
+        :func:`decode_value`), or ``None`` before the first checkpoint."""
         row = self._conn.execute(
             "SELECT ckpt_id, seq, n_ever, alive, quarantined FROM checkpoints "
             "ORDER BY ckpt_id DESC LIMIT 1"
         ).fetchone()
         if row is None:
             return None
+        if memo is None:
+            memo = {}
         ckpt_id, seq, n_ever, alive, quarantined = row
         return CheckpointInfo(
             ckpt_id=ckpt_id,
             seq=seq,
             n_ever=n_ever,
-            alive=tuple(_loads(alive)),
-            quarantined=tuple(_loads(quarantined)),
+            alive=tuple(_loads(alive, memo)),
+            quarantined=tuple(_loads(quarantined, memo)),
         )
 
     def checkpoint_count(self) -> int:
@@ -603,7 +639,12 @@ class CheckpointStore:
         (latest,) = self._conn.execute("SELECT MAX(ckpt_id) FROM checkpoints").fetchone()
         return int(latest or 0)
 
-    def load_image(self, network: Network, ckpt: CheckpointInfo) -> None:
+    def load_image(
+        self,
+        network: Network,
+        ckpt: CheckpointInfo,
+        memo: Optional[Dict[object, object]] = None,
+    ) -> None:
         """Turn ``network``, bootstrapped from :meth:`genesis_graph`, into the image.
 
         The image is the genesis plus the rows.  Processors missing from the
@@ -618,30 +659,37 @@ class CheckpointStore:
         link sources ever are, so a genesis link without a row still holds
         just its real-edge source, or went with a dead endpoint.  The
         header's quarantine set and the stored accusations (see
-        :meth:`load_transcript`) complete the image.
+        :meth:`load_transcript`) complete the image.  Every row is decoded
+        through ``memo`` (see :func:`decode_value`): given the one the
+        genesis and the header were read through, the image names each id
+        and port with the bootstrap's object.
         The census is left to the caller: it comes from the oracle's journal
         replay.
         """
+        if memo is None:
+            memo = {}
         alive = set(ckpt.alive)
         for node in [node for node in network.processors if node not in alive]:
             network.remove_processor(node)
         for node in ckpt.alive:
             network.add_processor(node)
-        for owner, rows in self.load_records().items():
+        for owner, rows in self.load_records(memo=memo).items():
             processor = network.processors[owner]
             for neighbor, fields in rows.items():
                 record = processor.ensure_edge(neighbor)
                 for name, value in fields.items():
                     setattr(record, name, value)
-        network.replace_link_sources(self.load_links())
+        network.replace_link_sources(self.load_links(memo))
         network.quarantined = set(ckpt.quarantined)
-        for accused, reporter, reason, round_ in self.load_transcript():
+        for accused, reporter, reason, round_ in self.load_transcript(memo):
             network.transcript.record(
                 accused=accused, reporter=reporter, reason=reason, evidence=(), round=round_
             )
 
     def load_records(
-        self, owner: Optional[NodeId] = None
+        self,
+        owner: Optional[NodeId] = None,
+        memo: Optional[Dict[object, object]] = None,
     ) -> Dict[NodeId, Dict[NodeId, Dict[str, object]]]:
         """The image's record rows: ``{processor: {neighbor: fields}}``.
 
@@ -649,8 +697,11 @@ class CheckpointStore:
         (:meth:`load_image` composes the rest from the genesis); each
         processor's come in row order, which is its record order.  Given an
         ``owner``, only that processor's rows are read: its image is those
-        rows over the records ``Init`` made.
+        rows over the records ``Init`` made.  Ids and ports are decoded
+        through ``memo`` (see :func:`decode_value`).
         """
+        if memo is None:
+            memo = {}
         if owner is None:
             rows = self._conn.execute(
                 "SELECT processor, neighbor, payload FROM records ORDER BY rowid"
@@ -664,30 +715,38 @@ class CheckpointStore:
         out: Dict[NodeId, Dict[NodeId, Dict[str, object]]] = {}
         for node, neighbor, payload in rows:
             fields = {
-                name: decode_value(value)
+                name: decode_value(value, memo)
                 for name, value in zip(_RECORD_FIELDS, json.loads(payload))
             }
-            out.setdefault(_loads(node), {})[_loads(neighbor)] = fields
+            out.setdefault(_loads(node, memo), {})[_loads(neighbor, memo)] = fields
         return out
 
-    def load_links(self) -> Dict[frozenset, Set[Tuple]]:
+    def load_links(self, memo: Optional[Dict[object, object]] = None) -> Dict[frozenset, Set[Tuple]]:
         """The image's link rows in the ``replace_link_sources`` wire format:
-        every sourced link whose sources changed since genesis."""
+        every sourced link whose sources changed since genesis, its ids and
+        ports decoded through ``memo`` (see :func:`decode_value`)."""
+        if memo is None:
+            memo = {}
         out: Dict[frozenset, Set[Tuple]] = {}
         for u, v, sources in self._conn.execute("SELECT u, v, sources FROM links"):
-            out[frozenset((_loads(u), _loads(v)))] = set(_loads(sources))
+            out[frozenset((_loads(u, memo), _loads(v, memo)))] = set(_loads(sources, memo))
         return out
 
-    def load_transcript(self) -> List[Tuple[NodeId, NodeId, str, int]]:
+    def load_transcript(
+        self, memo: Optional[Dict[object, object]] = None
+    ) -> List[Tuple[NodeId, NodeId, str, int]]:
         """The image's accusations, in order, as ``(accused, reporter, reason, round)``.
 
         Message evidence does not round-trip the store (evidence tuples hold
         live :class:`Message` objects); restored accusations carry empty
         evidence, which preserves the verdicts and the quarantine set — the
-        durable part of accountability.
+        durable part of accountability.  Ids are decoded through ``memo``
+        (see :func:`decode_value`).
         """
+        if memo is None:
+            memo = {}
         return [
-            (_loads(accused), _loads(reporter), reason, round_)
+            (_loads(accused, memo), _loads(reporter, memo), reason, round_)
             for accused, reporter, reason, round_ in self._conn.execute(
                 "SELECT accused, reporter, reason, round FROM transcript ORDER BY rowid"
             )

@@ -124,6 +124,34 @@ def test_degree_touch_log_grows_with_repairs():
     assert len(fg.degree_touch_log) > mid
 
 
+def test_a_drain_pushes_only_survivors_whose_degree_changed():
+    """A drain whose touched survivors all kept their degree pushes
+    nothing, and a repair's drain pushes exactly the touched survivors whose
+    degree moved since the last pick (every survivor's last entry carries
+    its degree at that pick)."""
+    fg = ForgivingGraph.from_graph(make_graph("power_law", 80, seed=7))
+    tracker = SurvivorDegreeTracker(largest=True)
+    victim = tracker.pick(fg)
+    pushed = tracker._seq
+    for node in sorted(fg.alive_nodes, key=repr)[:10]:
+        fg.degree_touch_log.append(node)
+    assert tracker.pick(fg) == victim
+    assert tracker._seq == pushed
+    for _ in range(3):
+        before = {node: fg.actual_degree(node) for node in fg.alive_nodes}
+        cursor = len(fg.degree_touch_log)
+        fg.delete(victim)
+        touched = set(fg.degree_touch_log[cursor:])
+        changed = {
+            node for node in touched if fg.is_alive(node) and fg.actual_degree(node) != before[node]
+        }
+        assert len(touched) > len(changed) > 0
+        victim = tracker.pick(fg)
+        assert victim == MaxDegreeDeletionReference().choose_victim(fg)
+        assert tracker._seq - pushed == len(changed)
+        pushed = tracker._seq
+
+
 def test_tracker_heap_stays_bounded_under_a_long_attack():
     """Stale entries pile up under a long max-degree attack; each drain keeps
     the heap within 2 * alive + 64 entries, and every pick still equals the

@@ -5,7 +5,8 @@ variants as sets; a churned network matches the oracle, replays identically
 under an order-preserving relabeling of the node ids, and keeps every
 removed or quarantined identifier in its census; the link-source table's
 lifecycle (idempotent adds, the link vanishing with its last source or its
-endpoint, scaffold teardown, the ``frozenset`` wire format), strict links,
+endpoint, an open repair talking without writing a link, the ``frozenset``
+wire format), strict links,
 the cadence-gated oracle cross-check inside ``AttackSession``, and the
 plan-footprint independence machinery behind the sharded sweeps.
 """
@@ -313,23 +314,30 @@ class TestLinkSources:
         assert not network.are_linked("u", "v")
 
     def test_end_scaffold_keeps_only_sourced_links(self):
+        """An open repair lets two live processors talk without writing a
+        link, a link goes with its last source even then, and closing the
+        repair leaves the sourced links as they are and unlinked sends
+        raising again."""
         network = Network()
         for node in "uvw":
             network.add_processor(node)
         network.begin_scaffold()
-        network.send(DeletionNotice(sender="u", receiver="v", deleted="x"))  # wires u-v
-        network.scaffold_link("v", "w")
-        assert network.are_linked("u", "v") and network.are_linked("v", "w")
+        network.send(DeletionNotice(sender="u", receiver="v", deleted="x"))
+        assert not network.are_linked("u", "v")
         key = ("real", "v", "w")
         network.add_link_source(key, "v", "w")
         network.remove_link_source(key, "v", "w")
-        assert network.are_linked("v", "w")  # the open scaffold still uses it
+        assert not network.are_linked("v", "w")  # gone with its last source
+        network.send(DeletionNotice(sender="w", receiver="v", deleted="x"))
         network.add_link_source(key, "v", "w")
-        assert network.end_scaffold() == 1
-        assert not network.are_linked("u", "v")
-        assert network.are_linked("v", "w")
+        assert network.links() == {("v", "w")}
+        network.end_scaffold()
+        assert network.links() == {("v", "w")}
+        assert network.pending_messages == 2
         with pytest.raises(ProtocolError):
             network.send(DeletionNotice(sender="u", receiver="v", deleted="x"))
+        network.send(DeletionNotice(sender="v", receiver="w", deleted="x"))
+        assert network.pending_messages == 3
 
     def test_dense_option_is_gone(self):
         with pytest.raises(TypeError):

@@ -17,11 +17,12 @@ one shared ``(REAL_EDGE,)`` tuple for every link, so it builds no record
 and no real-edge key.  Reads never build a record that stays, and each
 writer builds exactly the records it writes, in record order.
 
-Edge data is the one deliberate difference: every edge of the engine's
-graphs holds the shared read-only ``graph_fill.EDGE_DATA`` (so writing
-edge data through the engine's views raises), where networkx gives each
-edge a dict of its own, as ``network_graph()`` still does for the graph
-its caller owns.
+Node and edge data are the one deliberate difference: every node of the
+engine's graphs holds the shared read-only ``graph_fill.NODE_DATA`` and
+every edge ``graph_fill.EDGE_DATA`` (so writing node or edge data through
+the engine's views raises), where networkx gives each node and each edge a
+dict of its own, as ``network_graph()`` still does for the graph its
+caller owns.
 """
 
 import dataclasses
@@ -37,7 +38,15 @@ from repro.adversary import MaxDegreeDeletion
 from repro.analysis.fastpaths import CSRGraph, NodeIndex
 from repro.core.errors import InvalidEdgeError, ProtocolError
 from repro.core.forgiving_graph import ForgivingGraph
-from repro.core.graph_fill import EDGE_DATA, add_edge, fill_graph, loopless_degree, remove_edge
+from repro.core.graph_fill import (
+    EDGE_DATA,
+    NODE_DATA,
+    add_edge,
+    add_node,
+    fill_graph,
+    loopless_degree,
+    remove_edge,
+)
 from repro.core.ports import Port
 from repro.distributed import DistributedForgivingGraph, Network, fault_schedule
 from repro.distributed.merge import real_source_key
@@ -151,10 +160,24 @@ def _assert_shared_edge_data(graph):
     assert all(data is EDGE_DATA for data in dicts.values())
 
 
+def _assert_shared_node_data(graph):
+    """Every node holds the one shared read-only mapping."""
+    assert graph._node
+    assert all(data is NODE_DATA for data in graph._node.values())
+
+
+def _assert_one_dict_per_node(graph):
+    """Each node holds an empty dict of its own (a graph its caller owns)."""
+    dicts = list(graph._node.values())
+    assert len({id(data) for data in dicts}) == len(dicts)
+    assert all(type(data) is dict and data == {} for data in dicts)
+
+
 def _assert_engines_equal(fg, reference):
     for name in ("_g_prime", "_actual"):
         graph = getattr(fg, name)
         assert _layout(graph) == _layout(getattr(reference, name)), name
+        _assert_shared_node_data(graph)
         _assert_shared_edge_data(graph)
     assert list(fg._alive) == list(reference._alive)
     assert fg._deleted == reference._deleted == set()
@@ -379,14 +402,19 @@ def test_network_graph_matches_networkx_add_from():
 
 
 def test_one_edge_writers_match_networkx():
-    """``add_edge``/``remove_edge`` (the engine's incremental ``G``) leave the
-    layout networkx's own calls leave, but for the shared edge mapping, and
-    ``loopless_degree`` reads its degrees."""
+    """``add_node`` (an insert) and ``add_edge``/``remove_edge`` (the engine's
+    incremental ``G``) leave the layout networkx's own calls leave, but for
+    the shared node and edge mappings, and ``loopless_degree`` reads its
+    degrees."""
     rng = random.Random(3)
     graph, reference = nx.Graph(), nx.Graph()
     nodes = [*range(12), "a", "b", ("t", 1)]
-    graph.add_nodes_from(nodes)
+    for node in nodes:
+        add_node(graph, node)
     reference.add_nodes_from(nodes)
+    with pytest.raises(ValueError):
+        add_node(graph, None)
+    assert _layout(graph) == _layout(reference)
     for _ in range(400):
         u, v = rng.sample(nodes, 2)
         if rng.random() < 0.6:
@@ -398,6 +426,7 @@ def test_one_edge_writers_match_networkx():
                 reference.remove_edge(u, v)
         assert _layout(graph) == _layout(reference)
     assert not remove_edge(graph, "absent", 0)
+    _assert_shared_node_data(graph)
     _assert_shared_edge_data(graph)
     assert [loopless_degree(graph, node) for node in nodes] == [
         reference.degree[node] for node in nodes
@@ -428,6 +457,31 @@ def test_engine_edges_share_one_read_only_mapping():
     u, v = next(iter(graph.edges))
     graph[u][v]["weight"] = 2.0
     assert graph[v][u] == {"weight": 2.0} and EDGE_DATA == {}
+
+
+def test_engine_nodes_share_one_read_only_mapping():
+    """Beside the edges' ``EDGE_DATA``: after a genesis load, churn with
+    inserts and deletions, every node of the engine's ``G'`` and ``G`` holds
+    ``NODE_DATA``, so writing node data through the views raises, while
+    copies and the processors' graph give each node a dict of its own."""
+    healer = _churned_healer()
+    engine = healer.engine
+    for graph in (engine._g_prime, engine._actual):
+        _assert_shared_node_data(graph)
+        assert "joined" in graph and ("late", 1) in graph  # inserted nodes too
+    assert NODE_DATA == {} and len(NODE_DATA) == 0
+    for view in (engine.actual_view(), engine.g_prime_graph_view()):
+        for node in (next(iter(view.nodes)), "joined"):
+            with pytest.raises(TypeError):
+                view.nodes[node]["color"] = "red"
+    assert NODE_DATA == {}
+    for copy in (engine.actual_graph(), engine.g_prime_view()):
+        _assert_one_dict_per_node(copy)
+    graph = healer.network_graph()
+    _assert_one_dict_per_node(graph)
+    node = next(iter(graph.nodes))
+    graph.nodes[node]["color"] = "red"
+    assert graph.nodes[node] == {"color": "red"} and NODE_DATA == {}
 
 
 # --------------------------------------------------------------------------- #

@@ -3,12 +3,14 @@
 A :class:`Network` keeps each link together with the source keys that
 project onto it, as one tuple both endpoints share.  The state machine
 below drives every topology writer — processors coming and going, bare and
-sourced links, repair scaffolds and the checkpoint restore's bulk
-``replace_link_sources`` — and after every step compares every reader with
-a model made of one ``{frozenset: set}`` map plus the open scaffold's
-links, checks that both endpoints hold the identical tuple, and checks
-that every link whose sources changed is in the checkpoint marks with the
-sources it had before the step.
+sourced links, and the checkpoint restore's bulk ``replace_link_sources``
+— and sends, with a repair open or not, and after every step compares
+every reader with a model made of one ``{frozenset: set}`` map and a flag
+for the open repair, checks that both endpoints hold the identical tuple,
+and checks that every link whose sources changed is in the checkpoint
+marks with the sources it had before the step.  An open repair lets any
+two live processors talk and writes no link, and a link goes with its last
+source whether or not a repair is open.
 """
 
 import pytest
@@ -18,14 +20,14 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
 )
 
-from repro.core.errors import UnknownNodeError
+from repro.core.errors import ProtocolError, UnknownNodeError
 from repro.core.ports import node_order_key
 from repro.distributed import Network
 from repro.distributed.merge import real_source_key
+from repro.distributed.messages import DeletionNotice
 from repro.distributed.network import REAL_EDGE
 
 NODES = range(6)
@@ -38,9 +40,9 @@ keys = st.sampled_from(KEYS)
 class LinkLayoutMachine(RuleBasedStateMachine):
     """Random topology writes on at most six processors, checked step by step.
 
-    A rule that takes two endpoints draws either an existing link (one of
-    the open scaffold's, or any), so removals hit, or two arbitrary nodes,
-    so dead endpoints, self-links and absent links come up too.
+    A rule that takes two endpoints draws either an existing link, so
+    removals hit, or two arbitrary nodes, so dead endpoints, self-links and
+    absent links come up too.
     """
 
     @initialize(
@@ -49,26 +51,27 @@ class LinkLayoutMachine(RuleBasedStateMachine):
         data=st.data(),
     )
     def start(self, live, sourced, data):
-        """Processors, some sourced links and, half the time, an open scaffold
-        whose links got a source (and maybe lost it again), so the rules
-        start from a topology worth rewriting."""
+        """Processors, some sourced links and, half the time, an open repair
+        whose traffic went between unlinked processors and whose links got
+        a source (and maybe lost it again), so the rules start from a
+        topology worth rewriting."""
         self.net = Network()
         self.net.start_marks()
         self.live = set()
         #: Model: link -> its source keys (an empty set = an unsourced link).
         self.links = {}
-        #: Model: the open scaffold's recorded links, ``None`` while closed.
-        self.scaffold = None
+        #: Model: whether a repair is open.
+        self.repair_open = False
         self.last_sourced = {}
         for node in sorted(live):
             self.add_processor(node)
         for key, u, v in sourced:
             self.add_source(key, u, v)
-        if data.draw(st.booleans(), label="scaffolding"):
+        if data.draw(st.booleans(), label="repairing"):
             self.begin_scaffold()
             pairs = [(u, v) for u in sorted(live) for v in sorted(live) if u < v]
-            for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=3), label="scaffolded"):
-                self.link_scaffold(u, v)
+            for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=3), label="talked"):
+                self.send_between(u, v)
                 key = data.draw(keys, label="key")
                 self.add_source(key, u, v)
                 if data.draw(st.booleans(), label="retract"):
@@ -81,12 +84,10 @@ class LinkLayoutMachine(RuleBasedStateMachine):
         return {link: set(keys) for link, keys in self.links.items() if keys}
 
     def draw_endpoints(self, data, links):
-        """One of ``links`` (preferring the open scaffold's) or two arbitrary nodes."""
-        pools = [pool for pool in ((self.scaffold or set()) & links, links) if pool]
-        pick = data.draw(st.integers(0, len(pools)), label="pool")
-        if pick == len(pools):
+        """One of ``links`` or two arbitrary nodes."""
+        if not links or data.draw(st.booleans(), label="arbitrary"):
             return data.draw(nodes, label="u"), data.draw(nodes, label="v")
-        u, v = data.draw(st.sampled_from(sorted(sorted(link) for link in pools[pick])), label="link")
+        u, v = data.draw(st.sampled_from(sorted(sorted(link) for link in links)), label="link")
         return (v, u) if data.draw(st.booleans(), label="flip") else (u, v)
 
     # ------------------------------------------------------------------ #
@@ -153,7 +154,7 @@ class LinkLayoutMachine(RuleBasedStateMachine):
         if not sources:
             return
         sources.discard(key)
-        if not sources and (self.scaffold is None or link not in self.scaffold):
+        if not sources:
             del self.links[link]
 
     @rule(data=st.data())
@@ -172,33 +173,33 @@ class LinkLayoutMachine(RuleBasedStateMachine):
             self.links[link] = set(link_keys)
 
     # ------------------------------------------------------------------ #
-    # repair scaffolding
+    # repairs and sends
     # ------------------------------------------------------------------ #
     @rule()
     def begin_scaffold(self):
         self.net.begin_scaffold()
-        self.scaffold = set()
-
-    @precondition(lambda machine: len(machine.live) >= 2)
-    @rule(data=st.data())
-    def scaffold_link(self, data):
-        self.link_scaffold(*data.draw(st.permutations(sorted(self.live)), label="pair")[:2])
-
-    def link_scaffold(self, u, v):
-        self.net.scaffold_link(u, v)
-        if self.linked(u, v):
-            return
-        self.links[frozenset((u, v))] = set()
-        if self.scaffold is not None:
-            self.scaffold.add(frozenset((u, v)))
+        self.repair_open = True
 
     @rule()
     def end_scaffold(self):
-        scaffold, self.scaffold = self.scaffold or set(), None
-        dropped = [link for link in scaffold if not self.links.get(link)]
-        for link in dropped:
-            self.links.pop(link, None)
-        assert self.net.end_scaffold() == len(dropped)
+        self.net.end_scaffold()
+        self.repair_open = False
+
+    @rule(data=st.data())
+    def send(self, data):
+        self.send_between(*self.draw_endpoints(data, self.links.keys()))
+
+    def send_between(self, u, v):
+        """A send queues or raises, and writes no link either way."""
+        queued = self.net.pending_messages
+        message = DeletionNotice(sender=u, receiver=v, deleted="x")
+        if not {u, v} <= self.live or not (u == v or self.repair_open or self.linked(u, v)):
+            with pytest.raises(ProtocolError):
+                self.net.send(message)
+            assert self.net.pending_messages == queued
+            return
+        self.net.send(message)
+        assert self.net.pending_messages == queued + 1
 
     # ------------------------------------------------------------------ #
     # readers

@@ -9,7 +9,9 @@ are computed only when somebody reads them (no liar, no descriptor
 checksum), and per-move reads of the oracle build no networkx graph view.
 And a deletion allocates only what the healed state keeps: the oracle and
 the planner look their Port-keyed registries up by the plain pair, and the
-healed-edge source counts key by pairs too.
+healed-edge source counts key by pairs too.  It writes only what changes,
+too: a repair's temporary edges are a permission, never links, so the link
+table holds exactly the sourced links while a repair runs.
 """
 
 import dataclasses
@@ -20,14 +22,16 @@ import random
 from collections import Counter
 
 import networkx.classes.graphviews as graphviews
+import pytest
 
 from repro.adversary import AttackSchedule, MaxDegreeDeletion
+from repro.core.errors import ProtocolError
 from repro.core.forgiving_graph import ForgivingGraph
 from repro.core.ports import Port, sorted_nodes
 from repro.distributed import merge, messages, simulator
 from repro.distributed.faults import FaultSchedule, LinkFaultPolicy
 from repro.distributed.merge import PieceSummary
-from repro.distributed.messages import Probe
+from repro.distributed.messages import DeletionNotice, Probe
 from repro.distributed.network import Network
 from repro.distributed.processor import Processor, RepairContext, SpineRole
 from repro.distributed.protocol import execute_repair, select_disjoint_victims
@@ -253,6 +257,55 @@ def test_lossless_attack_builds_no_graph_view_per_move(monkeypatch):
     assert len(list(moves)) == 20
     assert views == []
     healer.verify_consistency()
+
+
+def test_repairs_write_no_scaffold_link(monkeypatch):
+    """Through every round of a 20-move max-degree attack, before and after
+    its deliveries, every link in the table has a source: a repair's traffic
+    between unlinked processors writes no link, and a link goes with its
+    last source.  An unlinked send inside a repair leaves no link, and
+    outside one it still raises."""
+    healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
+    network = healer.network
+    deliver_round = Network.deliver_round
+    unsourced = []
+    rounds = []
+
+    def check(self):
+        unsourced.extend(
+            (node, neighbor)
+            for node, links in self._links.items()
+            for neighbor, keys in links.items()
+            if not keys
+        )
+
+    def spied(self):
+        check(self)
+        delivered = deliver_round(self)
+        check(self)
+        rounds.append(delivered)
+        return delivered
+
+    monkeypatch.setattr(Network, "deliver_round", spied)
+    assert len(list(_max_degree_schedule(20).play(healer))) == 20
+    assert len(rounds) > 20 and sum(rounds) > 0
+    assert unsourced == []
+    healer.verify_consistency()
+
+    u, v = next(
+        (u, v)
+        for u in sorted_nodes(network.processors)
+        for v in sorted_nodes(network.processors)
+        if u != v and not network.are_linked(u, v)
+    )
+    links = network.links()
+    network.begin_scaffold()
+    network.send(DeletionNotice(sender=u, receiver=v, deleted=u))
+    network.end_scaffold()
+    assert network.links() == links and network.in_flight == 1
+    with pytest.raises(ProtocolError):
+        network.send(DeletionNotice(sender=u, receiver=v, deleted=u))
+    assert network.in_flight == 1
 
 
 def test_piece_summary_hashes_its_fields_once():

@@ -1081,9 +1081,9 @@ class TestHealerDaemon:
         marks_at_load, starts = [], []
         load_image, start_marks = CheckpointStore.load_image, Network.start_marks
 
-        def spied_load_image(store, network, ckpt):
+        def spied_load_image(store, network, ckpt, *memo):
             marks_at_load.append(network.marks)
-            return load_image(store, network, ckpt)
+            return load_image(store, network, ckpt, *memo)
 
         def spied_start_marks(network):
             starts.append(network.marks)
@@ -1096,6 +1096,54 @@ class TestHealerDaemon:
         assert (report.checkpoint_seq > 0) == bool(checkpoint_every)
         assert marks_at_load == ([None] if checkpoint_every else [])
         assert starts == [None]
+        restored.close()
+
+    def test_restore_decodes_each_identity_once(self, tmp_path):
+        """Every read of a restore decodes through one memo, so the restored
+        records and link keys hold one object per distinct ``Port`` value
+        and one per node id, however many rows name it (ids past 256, which
+        CPython does not cache, included)."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(graph=GraphSpec("power_law", 400), seed=3, checkpoint_every=8)
+        daemon = HealerDaemon.create(db, config)
+        _drive(daemon, 24, seed=7)
+        daemon.checkpoint()
+        daemon.close()
+        restored, report = HealerDaemon.restore(db)
+        assert report.verified and report.suffix_ops == 0
+        network = restored.healer.network
+        ports, ids = {}, {}
+
+        def note(value):
+            if isinstance(value, Port):
+                ports.setdefault(value, set()).add(id(value))
+                note(value.processor)
+                note(value.neighbor)
+            elif isinstance(value, (tuple, frozenset)):
+                for item in value:
+                    note(item)
+            elif type(value) is int or type(value) is str:
+                ids.setdefault(value, set()).add(id(value))
+
+        for owner, processor in network.processors.items():
+            note(owner)
+            for neighbor, record in processor.edges.items():
+                note(neighbor)
+                if record is not None:
+                    for name in ("neighbor", "helper_victim"):
+                        note(getattr(record, name))
+                    for name in _RECORD_FIELDS:
+                        value = getattr(record, name)
+                        if isinstance(value, Port):
+                            note(value)
+        for u, links in network._links.items():
+            note(u)
+            for v, keys in links.items():
+                note(v)
+                note(tuple(key for key in keys if isinstance(key, tuple)))
+        assert len(ports) > 100 and max(ids, key=lambda node: (type(node) is int, node)) > 256
+        assert all(len(objects) == 1 for objects in ports.values())
+        assert all(len(objects) == 1 for objects in ids.values())
         restored.close()
 
     def test_restore_of_a_store_with_a_healer_entry(self, tmp_path):
