@@ -267,9 +267,16 @@ def test_repairs_write_no_scaffold_link(monkeypatch):
     outside one it still raises."""
     healer = DistributedForgivingGraph.from_graph(make_graph("power_law", 200, seed=4))
     network = healer.network
-    deliver_round = Network.deliver_round
+    deliver_round, send = Network.deliver_round, Network.send
     unsourced = []
     rounds = []
+    unlinked = []
+
+    def spied_send(self, message):
+        sender, receiver = message.sender, message.receiver
+        if sender != receiver and receiver not in self._links.get(sender, {}):
+            unlinked.append(message.kind)
+        send(self, message)
 
     def check(self):
         unsourced.extend(
@@ -287,8 +294,10 @@ def test_repairs_write_no_scaffold_link(monkeypatch):
         return delivered
 
     monkeypatch.setattr(Network, "deliver_round", spied)
+    monkeypatch.setattr(Network, "send", spied_send)
     assert len(list(_max_degree_schedule(20).play(healer))) == 20
     assert len(rounds) > 20 and sum(rounds) > 0
+    assert unlinked  # the repairs did talk over temporary edges
     assert unsourced == []
     healer.verify_consistency()
 
