@@ -40,7 +40,6 @@ tests assert that the message-native structure converges to it.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
@@ -361,32 +360,16 @@ def helper_assignment(
     sender: NodeId, victim: NodeId, helper: MergedHelper, epoch: int
 ) -> HelperAssignment:
     """The instruction that makes ``helper``'s owner simulate it."""
+    port, left, _, right, _, parent, height, num_leaves, representative = helper
     return HelperAssignment(
-        sender=sender,
-        receiver=helper.port.processor,
-        deleted=victim,
-        helper_port=helper.port,
-        parent_port=helper.parent_port,
-        left_port=helper.left_port,
-        right_port=helper.right_port,
-        create=True,
-        representative_port=helper.representative,
-        height=helper.height,
-        num_leaves=helper.num_leaves,
-        epoch=epoch,
+        sender, port.processor, victim, port, parent, left, right, True, representative,
+        height, num_leaves, epoch,
     )
 
 
 def helper_retraction(sender: NodeId, victim: NodeId, port: Port, epoch: int) -> HelperAssignment:
     """The instruction that drops the helper ``port``'s owner simulates for ``victim``."""
-    return HelperAssignment(
-        sender=sender,
-        receiver=port.processor,
-        deleted=victim,
-        helper_port=port,
-        create=False,
-        epoch=epoch,
-    )
+    return HelperAssignment(sender, port.processor, victim, port, None, None, None, False, None, 0, 0, epoch)
 
 
 def parent_update(
@@ -399,13 +382,7 @@ def parent_update(
 ) -> ParentUpdate:
     """The instruction that re-parents one piece root (a ``parent_updates`` entry)."""
     return ParentUpdate(
-        sender=sender,
-        receiver=child_port.processor,
-        deleted=victim,
-        child_port=child_port,
-        parent_port=parent_port,
-        child_is_helper=not child_is_leaf,
-        epoch=epoch,
+        sender, child_port.processor, victim, child_port, parent_port, not child_is_leaf, epoch
     )
 
 
@@ -439,11 +416,15 @@ class MergeOutcome:
         return sources
 
 
-#: A piece during the merge is a plain tuple ``(key, port, is_leaf, height,
-#: representative)``.  ``key`` is its merge order ``(num_leaves,
-#: port_order_key(representative))``, fixed when the piece is made so that
-#: sorting and every ``insort`` probe reuse it; ``key[0]`` is the leaf count.
-_piece_key = itemgetter(0)
+#: A piece during the merge is a list ``[num_leaves, order, port, is_leaf,
+#: height, representative, parent]``, a new helper's with its two pieces
+#: appended.  ``order`` is ``port_order_key(representative)``, fixed when the
+#: piece is made; ``parent`` is the port of the helper the piece is merged
+#: under, written by that merge (``None`` while it is a root).
+_merge_order = itemgetter(1)
+#: Builds a :class:`MergedHelper` from its fields in order without the named
+#: tuple's Python-level ``__new__`` (the leader builds one per new helper).
+_new_helper = tuple.__new__
 
 
 def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeOutcome:
@@ -461,83 +442,60 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
     merge order, same equal-size binary-addition phase, same smallest-first
     chain — so identical inputs yield the identical structure.
     """
-    outcome = MergeOutcome(victim=victim, summaries=tuple(summaries))
     if not summaries:
-        return outcome
+        return MergeOutcome(victim, ())
     pieces = [
-        (
-            (s.num_leaves, port_order_key(s.representative)),
+        [
+            s.num_leaves,
+            port_order_key(s.representative),
             s.root_port,
             s.root_is_leaf,
             s.height,
             s.representative,
-        )
+            None,
+        ]
         for s in dict.fromkeys(summaries)  # idempotent under retransmission
     ]
+    made: List[list] = []  # the new helpers, in creation order
 
-    # A leaf and the helper simulated by the same port are *distinct* virtual
-    # nodes (a helper is always an ancestor of its own leaf), so parent
-    # lookups key on (port, is_leaf), never on the port alone.
-    parent_of: Dict[Tuple[Port, bool], Port] = {}
-    made: List[Tuple[tuple, tuple, tuple]] = []  # (left, right, helper), in creation order
-
-    def make_helper(a: tuple, b: tuple) -> tuple:
+    def make_helper(a: list, b: list) -> list:
         # The helper is simulated by ``a``'s representative and inherits
-        # ``b``'s, so it also inherits ``b``'s port order key.
-        port = a[4]
-        merged = (
-            (a[0][0] + b[0][0], b[0][1]),
-            port,
-            False,
-            1 + (a[3] if a[3] > b[3] else b[3]),
-            b[4],
-        )
-        parent_of[(a[1], a[2])] = port
-        parent_of[(b[1], b[2])] = port
-        made.append((a, b, merged))
+        # ``b``'s, so it also inherits ``b``'s merge order.
+        port = a[5]
+        a[6] = b[6] = port
+        merged = [a[0] + b[0], b[1], port, False, 1 + (a[4] if a[4] > b[4] else b[4]), b[5], None, a, b]
+        made.append(merged)
         return merged
 
-    forest = sorted(pieces, key=_piece_key)
-    if len(forest) > 1:
-        # Phase 1 — combine equal-sized complete trees (binary-addition carries).
-        i = 0
-        while i < len(forest) - 1:
-            a, b = forest[i], forest[i + 1]
-            if a[0][0] == b[0][0]:
-                merged = make_helper(a, b)
-                del forest[i : i + 2]
-                bisect.insort_left(forest, merged, key=_piece_key)
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        # Phase 2 — chain distinct sizes smallest-first (larger tree on the left).
-        root = forest[0]
-        for tree in forest[1:]:
-            root = make_helper(tree, root)
-    else:
-        root = forest[0]
+    # Phase 1 — combine equal-sized complete trees (binary-addition carries),
+    # smallest size first: a size's pieces, in merge order, pair up first
+    # with second, third with fourth and so on, each pair's helper joins the
+    # pieces of twice the size, and an odd one out is left for phase 2.
+    # This is the pairing compute_haft's scan over the sorted forest makes.
+    by_size: Dict[int, List[list]] = {}
+    for piece in pieces:
+        by_size.setdefault(piece[0], []).append(piece)
+    forest: List[list] = []
+    while by_size:
+        size = min(by_size)
+        group = sorted(by_size.pop(size), key=_merge_order)
+        for i in range(1, len(group), 2):
+            by_size.setdefault(2 * size, []).append(make_helper(group[i - 1], group[i]))
+        if len(group) % 2:
+            forest.append(group[-1])
+    # Phase 2 — chain distinct sizes smallest-first (larger tree on the left).
+    root = forest[0]
+    for tree in forest[1:]:
+        root = make_helper(tree, root)
 
-    helpers = outcome.helpers
-    for (_, left_port, left_is_leaf, _, _), (_, right_port, right_is_leaf, _, _), merged in made:
-        (num_leaves, _), port, _, height, representative = merged
-        helpers.append(
-            MergedHelper(
-                port,
-                left_port,
-                left_is_leaf,
-                right_port,
-                right_is_leaf,
-                parent_of.get((port, False)),
-                height,
-                num_leaves,
-                representative,
-            )
+    # A leaf and the helper simulated by the same port are *distinct*
+    # virtual nodes, so each piece holds its own parent.
+    helpers = [
+        _new_helper(
+            MergedHelper,
+            (port, left[2], left[3], right[2], right[3], parent, height, num_leaves, representative),
         )
-    parent_updates = outcome.parent_updates
-    for _, port, is_leaf, _, _ in pieces:
-        parent = parent_of.get((port, is_leaf))
-        if parent is not None:
-            parent_updates.append((port, is_leaf, parent))
-    outcome.root_port = root[1]
-    outcome.root_is_leaf = root[2]
-    return outcome
+        for num_leaves, _, port, _, height, representative, parent, left, right in made
+    ]
+    parent_updates = [(piece[2], piece[3], piece[6]) for piece in pieces if piece[6] is not None]
+    return MergeOutcome(victim, tuple(summaries), helpers, root[2], root[3], parent_updates)

@@ -157,7 +157,7 @@ class Message:
     _seal: Optional[int] = field(init=False, default=None)
 
     #: Short name of the message type (used by handler dispatch and the
-    #: per-kind ledgers).  A plain class attribute — stamped per subclass
+    #: digest ledger).  A plain class attribute — stamped per subclass
     #: below — delivery reads ``kind`` several times per message (counters,
     #: dispatch, seals), so the hot loop pays one attribute load, not a
     #: method call.

@@ -73,20 +73,11 @@ class MetricsWindow:
     #: Lemma 4 bounds; the run-wide maximum stays on :class:`NetworkMetrics`).
     max_message_bits: int = 0
     messages_by_node: Dict[NodeId, int] = field(default_factory=lambda: defaultdict(int))
-    #: Per-kind message/bit counts within the window (one entry per message
-    #: type that actually occurred — O(repair) state, like everything else
-    #: here).  The recovery ledger uses these to split digest traffic from
-    #: retransmitted repair traffic.
-    messages_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    bits_by_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def count_for_kinds(self, kinds) -> int:
-        """Messages of the given kinds sent within the window."""
-        return sum(self.messages_by_kind.get(kind, 0) for kind in kinds)
-
-    def bits_for_kinds(self, kinds) -> int:
-        """Bits of the given kinds sent within the window."""
-        return sum(self.bits_by_kind.get(kind, 0) for kind in kinds)
+    #: Messages and bits of the :data:`DIGEST_KINDS` within the window: the
+    #: recovery ledger splits digest traffic from retransmitted repair
+    #: traffic with these, and nothing reads any other kind's share.
+    digest_messages: int = 0
+    digest_bits: int = 0
 
     def record_dropped(self) -> None:
         """Account for one fault-dropped (or loudly discarded) message."""
@@ -101,7 +92,7 @@ class MetricsWindow:
 class NetworkMetrics:
     """Running totals of the message-passing simulator.
 
-    Per-sender and per-kind counts live only on each repair's
+    Per-sender and digest counts live only on each repair's
     :class:`MetricsWindow`.
     """
 
@@ -144,8 +135,9 @@ class NetworkMetrics:
                 if bits > window.max_message_bits:
                     window.max_message_bits = bits
                 window.messages_by_node[sender] += 1
-                window.messages_by_kind[kind] += 1
-                window.bits_by_kind[kind] += bits
+                if kind in DIGEST_KINDS:
+                    window.digest_messages += 1
+                    window.digest_bits += bits
 
     def record_rounds(self, rounds: int) -> None:
         """Account for ``rounds`` parallel communication rounds."""

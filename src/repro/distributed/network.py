@@ -10,8 +10,9 @@ time unit to traverse an edge and local computation is free.
 The topology is one map: processor -> {linked processor: that link's
 source keys, as one tuple}.  Both endpoints hold the same tuple object and
 every write replaces it on both sides, so a link and its sources cannot
-disagree; a bare link (only :meth:`Network.connect` makes one) holds ``()``.
-:meth:`Network.connect` / :meth:`Network.disconnect` /
+disagree.  Every link has a source: the network makes a link only where
+one is added (:meth:`Network.add_link_source`,
+:meth:`Network.replace_link_sources`).  Writing a source and
 :meth:`Network.are_linked` are O(1), neighbour iteration and
 :meth:`Network.remove_processor` O(deg) — no operation on the repair path
 ever scans the full link set.  The network enforces that
@@ -55,8 +56,8 @@ repair and deletes once it is over.  The network holds them as a
 permission, not as links: while a repair is open (:meth:`begin_scaffold`
 until :meth:`end_scaffold`), :meth:`send` lets any two live processors
 talk, and writes nothing into the link table.  So at every moment the
-table holds exactly the sourced links (and any bare link :meth:`connect`
-made), and a link whose last source goes is removed at once.
+table holds exactly the sourced links, and a link whose last source goes
+is removed at once.
 
 Faults: an optional :class:`~repro.distributed.faults.FaultSchedule` is
 consulted at delivery time — messages can be dropped, delayed whole rounds,
@@ -171,8 +172,7 @@ class Network:
         self.processors: Dict[NodeId, Processor] = {}
         #: Processor -> {linked processor: the link's source keys} (an empty
         #: dict while isolated).  The keys are one tuple, shared by both
-        #: endpoints and replaced on every write (never mutated in place);
-        #: a bare link (only :meth:`connect` makes one) holds ``()``.
+        #: endpoints and replaced on every write (never mutated in place).
         self._links: Dict[NodeId, Dict[NodeId, Tuple]] = {}
         self._outbox: List[Message] = []
         #: Messages a fault delayed: (deliver_at_round, message).
@@ -324,24 +324,6 @@ class Network:
         """True when ``node`` currently has a processor."""
         return node in self.processors
 
-    def connect(self, u: NodeId, v: NodeId) -> None:
-        """Create a bidirectional link between two existing processors."""
-        if u == v:
-            return
-        if u not in self.processors or v not in self.processors:
-            raise UnknownNodeError(u if u not in self.processors else v, "connect")
-        if v not in self._links[u]:
-            self._set_keys(u, v, ())
-
-    def disconnect(self, u: NodeId, v: NodeId) -> None:
-        """Drop the link between ``u`` and ``v`` if it exists (dead ends tolerated)."""
-        if not self.are_linked(u, v):
-            return
-        keys = self._links[u].pop(v)
-        del self._links[v][u]
-        if keys:
-            self._mark_link(u, v, keys)
-
     def are_linked(self, u: NodeId, v: NodeId) -> bool:
         """True when a link currently exists between ``u`` and ``v``."""
         return v in self._links.get(u, _NO_LINKS)
@@ -443,7 +425,9 @@ class Network:
         engine's ``nodes_ever``, both read it) and forget which identifiers
         ever existed (``ever_had_processor`` distinguishes crashed peers
         from protocol bugs).  The checkpoint loader sets both explicitly;
-        the word size is recomputed to match.
+        the word size is recomputed to match.  Only the ids the set lacks
+        are added, one at a time: merging a whole set would size the table
+        for both (nearly equal) sets at once.
         """
         if n_ever < len(self.processors):
             raise ValueError(
@@ -451,7 +435,8 @@ class Network:
                 "live processors"
             )
         self.n_ever = n_ever
-        self._ever_ids.update(ever_ids)
+        ever = self._ever_ids
+        ever.update(node for node in ever_ids if node not in ever)
         self._word_bits = words_to_bits(1, self.n_ever)
 
     # ------------------------------------------------------------------ #
@@ -695,21 +680,6 @@ class Network:
                 send(message)
                 produced += 1
         return produced
-
-    def run_until_quiet(self, max_rounds: int = 10_000) -> int:
-        """Deliver rounds until no messages remain in flight; returns rounds used."""
-        rounds = 0
-        while self.in_flight:
-            if rounds >= max_rounds:
-                raise ProtocolError(f"protocol did not quiesce within {max_rounds} rounds")
-            self.deliver_round()
-            rounds += 1
-        return rounds
-
-    @property
-    def pending_messages(self) -> int:
-        """Messages queued for the next round."""
-        return len(self._outbox)
 
     @property
     def in_flight(self) -> int:

@@ -155,10 +155,8 @@ def init_record(owner: NodeId, neighbor: NodeId) -> EdgeRecord:
 _NO_EDGE = object()
 
 
-#: Per-(class, kind) handler lookup cache: ``receive`` resolves its
-#: ``_on_<kind>`` handler through this table instead of a per-message
-#: ``getattr`` string build.
-_HANDLER_CACHE: Dict[Tuple[type, str], Optional[object]] = {}
+#: ``dict.get`` default for a message kind :attr:`Processor._handlers` has
+#: not resolved yet.
 _UNRESOLVED = object()
 
 
@@ -267,6 +265,16 @@ class RepairContext:
 
 class Processor:
     """A network processor: identifier, per-edge records, repair behaviour."""
+
+    #: Message kind -> this class's ``_on_<kind>`` handler (``None`` for a
+    #: kind it ignores), resolved on the kind's first receipt: ``receive``
+    #: dispatches with one lookup instead of a per-message ``getattr``.
+    #: Each subclass gets a table of its own, so its overrides are found.
+    _handlers: Dict[str, Optional[object]] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
 
     def __init__(self, node_id: NodeId) -> None:
         self.node_id = node_id
@@ -510,24 +518,30 @@ class Processor:
                         evidence=(message,),
                     )
                     return ()
-        cls = type(self)
-        kind = message.kind
-        handler = _HANDLER_CACHE.get((cls, kind), _UNRESOLVED)
+        handlers = self._handlers
+        handler = handlers.get(message.kind, _UNRESOLVED)
         if handler is _UNRESOLVED:
-            handler = getattr(cls, f"_on_{kind}", None)
-            _HANDLER_CACHE[(cls, kind)] = handler
+            kind = message.kind
+            handler = handlers[kind] = getattr(type(self), f"_on_{kind}", None)
         if handler is not None:
             return handler(self, message) or ()
         return ()
 
     @staticmethod
     def _verify(message: Message) -> Optional[str]:
-        """Local integrity check of one sealed message; returns the flaw."""
-        if not message.seal_valid():
+        """Local integrity check of one sealed message; returns the flaw.
+
+        An unread seal or descriptor checksum verifies by construction (see
+        ``Message.seal_valid`` and ``PieceSummary.checksum_valid``), so
+        only a frozen one is recomputed: a descriptor's is looked up in its
+        instance dict, where reading ``.checksum`` caches it.
+        """
+        if message._seal is not None and not message.seal_valid():
             return "stale-seal"
         for name, flaw in message._descriptor_fields:
             for descriptor in getattr(message, name):
-                if not descriptor.checksum_valid():
+                frozen = descriptor.__dict__.get("checksum")
+                if frozen is not None and frozen != descriptor.content_checksum():
                     return flaw
         return None
 
@@ -562,17 +576,13 @@ class Processor:
     def _emit_report(self, context: RepairContext, role: SpineRole) -> List[Message]:
         """Send this hop's report wave (own pieces + everything collected)."""
         role.report_sent = True
-        payload = dict.fromkeys((*role.summaries, *role.collected))
+        collected = role.collected
+        # A hop's own pieces are distinct, and distinct from any it collects.
+        payload = (*role.summaries, *collected) if collected else role.summaries
         out: List[Message] = []
         for chunk in _chunks(payload, MAX_ROOTS_PER_MESSAGE) or [()]:
             self._emit(
-                PrimaryRootReport(
-                    sender=self.node_id,
-                    receiver=role.prev_hop,
-                    deleted=context.victim,
-                    roots=chunk,
-                    rt_index=role.rt_index,
-                ),
+                PrimaryRootReport(self.node_id, role.prev_hop, context.victim, chunk, role.rt_index),
                 out,
             )
         return out
@@ -581,15 +591,7 @@ class Processor:
         """Ship descriptors up the ``BT_v`` tree (chunked)."""
         out: List[Message] = []
         for chunk in _chunks(summaries, MAX_ROOTS_PER_MESSAGE) or [()]:
-            self._emit(
-                PrimaryRootList(
-                    sender=self.node_id,
-                    receiver=context.bt_parent,
-                    deleted=context.victim,
-                    roots=chunk,
-                ),
-                out,
-            )
+            self._emit(PrimaryRootList(self.node_id, context.bt_parent, context.victim, chunk), out)
         return out
 
     def _decide(self, context: RepairContext) -> List[Message]:
@@ -665,13 +667,7 @@ class Processor:
             if role.next_hop is not None and not role.probe_forwarded:
                 role.probe_forwarded = True
                 self._emit(
-                    Probe(
-                        sender=self.node_id,
-                        receiver=role.next_hop,
-                        deleted=context.victim,
-                        hops=message.hops + 1,
-                        rt_index=role.rt_index,
-                    ),
+                    Probe(self.node_id, role.next_hop, context.victim, message.hops + 1, role.rt_index),
                     out,
                 )
             elif role.next_hop is None and not role.report_sent and role.prev_hop is not None:
@@ -683,15 +679,16 @@ class Processor:
         context = self.repairs.get(message.deleted)
         if context is None:
             return []
-        return self._fold_pieces(context, message.rt_index, list(message.roots), message)
+        return self._fold_pieces(context, message.rt_index, message.roots, message)
 
     def _admit_pieces(
         self,
         context: RepairContext,
-        summaries: List[PieceSummary],
+        summaries: Sequence[PieceSummary],
         message: Optional[Message],
+        known: Dict[PieceSummary, None],
     ) -> List[PieceSummary]:
-        """Cross-witness validation: reject descriptors contradicting a witness.
+        """Cross-witness validation, then add what is admitted to ``known``.
 
         Every incoming descriptor (already seal/checksum-clean) is compared
         against the first witnessed copy of the same piece identity.  Honest
@@ -700,16 +697,17 @@ class Processor:
         (a validly-sealed forgery); it is accused with the witnessed and
         incoming carrier messages as the evidence pair, and the forged
         descriptor is rejected (first witness wins), containing the lie at
-        this hop.
+        this hop.  Each admitted descriptor joins ``known`` (the hop's
+        collected or the anchor's gathered set) in the same pass; returns
+        those it did not hold yet, in order.
         """
         witnessed, carriers = context.witnessed, context.carriers
-        if summaries:
-            if witnessed is _NO_ENTRIES:
-                witnessed = context.witnessed = {}
-            if carriers is _NO_ENTRIES and message is not None:
-                carriers = context.carriers = {}
+        if witnessed is _NO_ENTRIES:
+            witnessed = context.witnessed = {}
+        if carriers is _NO_ENTRIES and message is not None:
+            carriers = context.carriers = {}
         network = self.network
-        admitted: List[PieceSummary] = []
+        fresh: List[PieceSummary] = []
         for summary in summaries:
             key = summary.identity
             prior = witnessed.get(key)
@@ -717,11 +715,9 @@ class Processor:
                 witnessed[key] = summary
                 if message is not None:
                     carriers[key] = message
-                admitted.append(summary)
-            elif prior is summary or prior == summary or network is None:
-                # A standalone processor (no network) has nobody to accuse.
-                admitted.append(summary)
-            else:
+            elif prior is not summary and prior != summary and network is not None:
+                # (A standalone processor, with no network, has nobody to
+                # accuse and admits it.)
                 evidence = tuple(
                     m for m in (carriers.get(key), message) if m is not None
                 )
@@ -731,13 +727,19 @@ class Processor:
                     reason="conflicting-descriptor",
                     evidence=evidence,
                 )
-        return admitted
+                continue
+            # One hash per descriptor: the write tells a new one by the size.
+            held = len(known)
+            known[summary] = None
+            if len(known) != held:
+                fresh.append(summary)
+        return fresh
 
     def _fold_pieces(
         self,
         context: RepairContext,
         rt_index: Optional[int],
-        summaries: List[PieceSummary],
+        summaries: Sequence[PieceSummary],
         message: Optional[Message] = None,
     ) -> List[Message]:
         """Fold piece descriptors that arrived on a spine (report or digest).
@@ -747,35 +749,27 @@ class Processor:
         and fresh ones are relayed towards the anchor like a late report
         wave.
         """
-        summaries = self._admit_pieces(context, summaries, message)
-        role = (
-            next((r for r in context.spines if r.rt_index == rt_index), None)
-            if rt_index is not None
-            else None
-        )
+        role = None
+        if rt_index is not None:
+            for candidate in context.spines:
+                if candidate.rt_index == rt_index:
+                    role = candidate
+                    break
         if role is None or role.position == 0 or role.prev_hop is None:
             # Anchor position (or no spine role): fold into the gathered set.
-            return self._absorb(context, summaries, message, admitted=True)
-        collected = role.collected
-        fresh = [s for s in summaries if s not in collected]
-        if fresh:
-            if collected is _NO_ENTRIES:
-                collected = role.collected = {}
-            for summary in fresh:
-                collected[summary] = None
+            return self._absorb(context, summaries, message)
+        fresh: Sequence[PieceSummary] = ()
+        if summaries:
+            if role.collected is _NO_ENTRIES:
+                role.collected = {}
+            fresh = self._admit_pieces(context, summaries, message, role.collected)
         if not role.report_sent:
             return self._emit_report(context, role)
         # Late wave: relay the fresh descriptors without re-batching.
         out: List[Message] = []
         for chunk in _chunks(fresh, MAX_ROOTS_PER_MESSAGE):
             self._emit(
-                PrimaryRootReport(
-                    sender=self.node_id,
-                    receiver=role.prev_hop,
-                    deleted=context.victim,
-                    roots=chunk,
-                    rt_index=role.rt_index,
-                ),
+                PrimaryRootReport(self.node_id, role.prev_hop, context.victim, chunk, role.rt_index),
                 out,
             )
         return out
@@ -784,22 +778,21 @@ class Processor:
         context = self.repairs.get(message.deleted)
         if context is None:
             return []
-        return self._absorb(context, list(message.roots), message)
+        return self._absorb(context, message.roots, message)
 
     def _absorb(
         self,
         context: RepairContext,
-        summaries: List[PieceSummary],
+        summaries: Sequence[PieceSummary],
         message: Optional[Message] = None,
-        admitted: bool = False,
     ) -> List[Message]:
-        if not admitted:
-            summaries = self._admit_pieces(context, summaries, message)
-        fresh = [s for s in summaries if s not in context.gathered]
+        if not summaries:
+            return []
+        if context.gathered is _NO_ENTRIES:
+            context.gathered = {}
+        fresh = self._admit_pieces(context, summaries, message, context.gathered)
         if not fresh:
             return []
-        for summary in fresh:
-            context.gather(summary)
         if context.is_leader:
             if context.outcome is not None:
                 return self._remerge(context)
@@ -1152,9 +1145,7 @@ class Processor:
                     out,
                 )
         if message.pieces:
-            out.extend(
-                self._fold_pieces(context, message.rt_index, list(message.pieces), message)
-            )
+            out.extend(self._fold_pieces(context, message.rt_index, message.pieces, message))
         if message.pieces or message.rt_index is not None:
             # Acknowledge the chunk so the sender's future digests shrink;
             # an unprobed empty digest is acked too (the resent probe may

@@ -302,9 +302,10 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     participants.
     """
     victim = plan.victim
-    participants = [node for node in plan.contexts if network.has_processor(node)]
+    processors = network.processors
+    participants = [node for node in plan.contexts if node in processors]
     for node in participants:
-        network.processors[node].install_repair(plan.contexts[node])
+        processors[node].install_repair(plan.contexts[node])
 
     # Phase 0 — notification: the victim's neighbours detect the failure
     # locally (the model of Figure 1 informs them for free, so this is
@@ -312,17 +313,16 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
     # their local strip knowledge, since their fragments are adjacent to
     # the failure.
     for neighbor in plan.neighbors:
-        if network.has_processor(neighbor):
-            network.processors[neighbor].receive(
-                DeletionNotice(sender=neighbor, receiver=neighbor, deleted=victim)
-            )
+        processor = processors.get(neighbor)
+        if processor is not None:
+            processor.receive(DeletionNotice(neighbor, neighbor, victim))
 
     # Phase 1 seeding — BT_v formation and the first probe hops.
     for parent, child in plan.bt_edges:
-        if network.has_processor(parent) and network.has_processor(child):
-            network.send(AnchorLink(sender=child, receiver=parent, deleted=victim))
+        if parent in processors and child in processors:
+            network.send(AnchorLink(child, parent, victim))
     for rt_index, path in enumerate(plan.probe_paths):
-        live = [p for p in path if network.has_processor(p)]
+        live = [p for p in path if p in processors]
         if not live:
             continue
         anchor = live[0]
@@ -331,13 +331,10 @@ def seed_repair(network: Network, plan: RepairPlan) -> List[NodeId]:
             if role.rt_index == rt_index:
                 role.probed = True
                 role.probe_forwarded = True
-        anchor_processor = network.processors[anchor]
         if not context.stripped:
-            anchor_processor.apply_strip(context)
+            processors[anchor].apply_strip(context)
         if len(live) > 1:
-            network.send(
-                Probe(sender=anchor, receiver=live[1], deleted=victim, hops=1, rt_index=rt_index)
-            )
+            network.send(Probe(anchor, live[1], victim, 1, rt_index))
     return participants
 
 
@@ -354,11 +351,12 @@ def execute_repair(
     timers and polls every recovery, until nothing is in flight, round
     ``deadline`` has passed and every recovery has finished.  Only the
     participants with a timer due are ticked, in participant order, through
-    one ``Network.tick`` call per round: a heap orders the participants by
-    :meth:`Processor.next_deadline`, and a ticked one goes back at its new
-    deadline but never earlier than the next round, so a timer past due that
-    cannot fire yet is retried every round.  A tick with nothing due is a
-    no-op, so this fires exactly what ticking every participant would.
+    one ``Network.tick`` call in each round that has one: a heap orders the
+    participants by :meth:`Processor.next_deadline`, and a ticked one goes
+    back at its new deadline but never earlier than the next round, so a
+    timer past due that cannot fire yet is retried every round.  A tick
+    with nothing due is a no-op, so this fires exactly what ticking every
+    participant would.
     Seeding (:func:`seed_repair`) and opening and closing the repair
     (``Network.begin_scaffold`` / ``end_scaffold``) are the caller's.  At
     ``max_rounds`` each unfinished recovery is finished with its epoch's
@@ -374,7 +372,7 @@ def execute_repair(
     while (
         network.in_flight
         or rounds < deadline
-        or any(not recovery.finished for recovery in recoveries)
+        or (recoveries and not all(recovery.finished for recovery in recoveries))
     ):
         if rounds >= max_rounds:
             for recovery in recoveries:
@@ -384,12 +382,14 @@ def execute_repair(
             break
         network.deliver_round()
         rounds += 1
-        ticked = _due_participants(processors, participants, timers, rounds)
-        network.tick(rounds, [participants[index] for index in ticked])
-        for index in ticked:
-            due = _next_deadline(processors, participants[index])
-            if due is not None:
-                heapq.heappush(timers, (max(due, rounds + 1), index))
+        if timers and timers[0][0] <= rounds:
+            ticked = _due_participants(processors, participants, timers, rounds)
+            if ticked:
+                network.tick(rounds, [participants[index] for index in ticked])
+                for index in ticked:
+                    due = _next_deadline(processors, participants[index])
+                    if due is not None:
+                        heapq.heappush(timers, (max(due, rounds + 1), index))
         for recovery in recoveries:
             recovery.step(rounds)
     return rounds

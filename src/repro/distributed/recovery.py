@@ -64,7 +64,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..core.ports import NodeId
-from .metrics import DIGEST_KINDS, MetricsWindow, RecoveryCostReport
+from .metrics import MetricsWindow, RecoveryCostReport
 from .network import Network
 
 __all__ = ["BackgroundRecovery"]
@@ -202,8 +202,8 @@ class BackgroundRecovery:
         Every message of the window that is not a digest is a
         retransmission of repair traffic.
         """
-        digest_messages = window.count_for_kinds(DIGEST_KINDS)
-        digest_bits = window.bits_for_kinds(DIGEST_KINDS)
+        digest_messages = window.digest_messages
+        digest_bits = window.digest_bits
         return RecoveryCostReport(
             victim=self.victim,
             degree=self.degree,

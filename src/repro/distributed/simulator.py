@@ -596,10 +596,11 @@ class DistributedForgivingGraph:
         processors, holders = network.processors, network.epoch_holders
         for repair in repairs:
             victim = repair.victim
-            for node in (*repair.participants, *holders.pop(victim, ())):
-                processor = processors.get(node)
-                if processor is not None:
-                    processor.uninstall_repair(victim)
+            for nodes in (repair.participants, holders.pop(victim, ())):
+                for node in nodes:
+                    processor = processors.get(node)
+                    if processor is not None:
+                        processor.uninstall_repair(victim)
 
     # ------------------------------------------------------------------ #
     # reconvergence (gossip-digest anti-entropy, message-native)

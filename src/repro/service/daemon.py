@@ -218,52 +218,56 @@ class HealerDaemon:
 
     @classmethod
     def _restore(cls, store: CheckpointStore) -> Tuple["HealerDaemon", RestartReport]:
-        if not store.initialized:
-            raise ConfigurationError(f"store {store.path} holds no service run to restore")
-        config = ServiceConfig.from_json(store.config_json())
-        # Every read decodes through one memo, so the restored state holds
-        # one object per node id and per port.
-        memo: Dict[object, object] = {}
-        genesis = store.genesis_graph(memo)
-        healer = cls._build_healer(config, genesis)
-        ckpt = store.latest_checkpoint(memo)
-        # Without a checkpoint the genesis itself is the recovery point and
-        # the whole journal is the suffix.
-        prefix_count = checkpoint_seq = apply_rank = 0
-        if ckpt is not None:
-            # 1. Oracle prefix replay: the engine is deterministic given
-            #    the engine-application order, which apply_rank recorded.
-            engine = healer.engine
-            prefix = store.journal_ops(until=ckpt.seq, order="rank", memo=memo)
-            ever_ids = set(genesis.nodes)
-            for op in prefix:
-                if op.kind == "insert":
-                    engine.insert(op.node, attach_to=op.attach)
-                    ever_ids.add(op.node)
-                else:
-                    engine.delete(op.node)
-            prefix_count = len(prefix)
-            checkpoint_seq = ckpt.seq
-            apply_rank = store.max_apply_rank()
+        # Every read runs in one read transaction, so a checkpoint another
+        # daemon commits meanwhile cannot mix its rows into the image; it
+        # ends before the suffix replay's first write.
+        with store.read_snapshot():
+            if not store.initialized:
+                raise ConfigurationError(f"store {store.path} holds no service run to restore")
+            config = ServiceConfig.from_json(store.config_json())
+            # Every read decodes through one memo, so the restored state holds
+            # one object per node id and per port.
+            memo: Dict[object, object] = {}
+            genesis = store.genesis_graph(memo)
+            healer = cls._build_healer(config, genesis)
+            ckpt = store.latest_checkpoint(memo)
+            # Without a checkpoint the genesis itself is the recovery point and
+            # the whole journal is the suffix.
+            prefix_count = checkpoint_seq = apply_rank = 0
+            if ckpt is not None:
+                # 1. Oracle prefix replay: the engine is deterministic given
+                #    the engine-application order, which apply_rank recorded.
+                engine = healer.engine
+                prefix = store.journal_ops(until=ckpt.seq, order="rank", memo=memo)
+                ever_ids = set(genesis.nodes)
+                for op in prefix:
+                    if op.kind == "insert":
+                        engine.insert(op.node, attach_to=op.attach)
+                        ever_ids.add(op.node)
+                    else:
+                        engine.delete(op.node)
+                prefix_count = len(prefix)
+                checkpoint_seq = ckpt.seq
+                apply_rank = store.max_apply_rank()
 
-            # 2. The distributed side: the genesis bootstrap plus the rows.
-            network = healer.network
-            store.load_image(network, ckpt, memo)
-            network.set_census(engine.nodes_ever, ever_ids=ever_ids)
-        # The network now equals the stored image (the bootstrap alone when
-        # there is no checkpoint): nothing to rewrite.
-        healer.network.start_marks()
+                # 2. The distributed side: the genesis bootstrap plus the rows.
+                network = healer.network
+                store.load_image(network, ckpt, memo)
+                network.set_census(engine.nodes_ever, ever_ids=ever_ids)
+            # The network now equals the stored image (the bootstrap alone when
+            # there is no checkpoint): nothing to rewrite.
+            healer.network.start_marks()
 
-        daemon = cls(
-            store, config, healer, applied_seq=checkpoint_seq, apply_rank=apply_rank
-        )
+            daemon = cls(
+                store, config, healer, applied_seq=checkpoint_seq, apply_rank=apply_rank
+            )
+            suffix = store.journal_ops(after=checkpoint_seq, order="seq", memo=memo)
         daemon.metrics.record_restart()
 
         # 3. Full-path suffix replay: everything after the checkpoint goes
         #    back through submit-validation-free application (it was already
         #    validated when first journalled).  The pump also compacts the
         #    journal entries the prefix replay left.
-        suffix = store.journal_ops(after=checkpoint_seq, order="seq", memo=memo)
         for op in suffix:
             daemon._enqueue(op)
         daemon.pump(checkpoint=False)

@@ -64,10 +64,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
@@ -385,6 +386,22 @@ class CheckpointStore:
 
     def close(self) -> None:
         self._conn.close()
+
+    @contextmanager
+    def read_snapshot(self) -> Iterator[None]:
+        """Run the enclosed reads in one read transaction.
+
+        In WAL mode every read inside it sees the store as of the first
+        one, whatever another connection commits meanwhile, so a restore
+        reads one consistent image (header, journal and rows) even from a
+        store a live daemon is checkpointing.  Nothing inside may write;
+        the transaction ends, raising or not, when the block does.
+        """
+        self._conn.execute("BEGIN")
+        try:
+            yield
+        finally:
+            self._conn.rollback()
 
     # ------------------------------------------------------------------ #
     # meta

@@ -32,6 +32,8 @@ from repro.experiments import (
 )
 from repro.generators import make_graph
 
+from network_helpers import connect, disconnect, pending_messages
+
 
 def _churned_healer(n: int, seed: int = 9):
     """A lossless healer after one delete-heavy churn."""
@@ -156,8 +158,8 @@ class TestUnsortedAccessors:
         network = Network()
         for node in "abc":
             network.add_processor(node)
-        network.connect("a", "b")
-        network.connect("b", "c")
+        connect(network, "a", "b")
+        connect(network, "b", "c")
         assert {frozenset(p) for p in network.iter_links()} == {
             frozenset("ab"),
             frozenset("bc"),
@@ -195,7 +197,7 @@ class TestCrossCheckCadence:
         # Corrupt the message-built topology behind the oracle's back: the
         # next cadence tick must catch it.
         victim_link = next(iter(healer.network.iter_links()))
-        healer.network.disconnect(*victim_link)
+        disconnect(healer.network, *victim_link)
         from repro.core.errors import InvariantViolationError
 
         with pytest.raises(InvariantViolationError):
@@ -294,7 +296,7 @@ class TestLinkSources:
         network = Network()
         for node in ("u", "v", "w"):
             network.add_processor(node)
-        network.connect("u", "v")
+        connect(network, "u", "v")
         network.replace_link_sources({frozenset(("u", "v")): {("real", "u", "v")}})
         assert network.link_source_count("u", "v") == 1
         assert network.link_source_count("v", "w") == 0
@@ -333,11 +335,11 @@ class TestLinkSources:
         assert network.links() == {("v", "w")}
         network.end_scaffold()
         assert network.links() == {("v", "w")}
-        assert network.pending_messages == 2
+        assert pending_messages(network) == 2
         with pytest.raises(ProtocolError):
             network.send(DeletionNotice(sender="u", receiver="v", deleted="x"))
         network.send(DeletionNotice(sender="v", receiver="w", deleted="x"))
-        assert network.pending_messages == 3
+        assert pending_messages(network) == 3
 
     def test_dense_option_is_gone(self):
         with pytest.raises(TypeError):

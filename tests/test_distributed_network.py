@@ -20,6 +20,8 @@ from repro.distributed import (
 )
 from repro.distributed.messages import words_to_bits
 
+from network_helpers import connect, disconnect, pending_messages, run_until_quiet
+
 
 class TestMessages:
     def test_size_scales_with_log_n(self):
@@ -56,25 +58,25 @@ class TestNetworkTopology:
         net = Network()
         for node in "abc":
             net.add_processor(node)
-        net.connect("a", "b")
-        net.connect("a", "c")
+        connect(net, "a", "b")
+        connect(net, "a", "c")
         assert net.are_linked("a", "b")
         assert net.neighbors("a") == ["b", "c"]
-        net.disconnect("a", "b")
+        disconnect(net, "a", "b")
         assert not net.are_linked("a", "b")
 
     def test_connect_requires_existing_processors(self):
         net = Network()
         net.add_processor("a")
         with pytest.raises(UnknownNodeError):
-            net.connect("a", "ghost")
+            connect(net, "a", "ghost")
 
     def test_removing_processor_drops_its_links(self):
         net = Network()
         for node in "abc":
             net.add_processor(node)
-        net.connect("a", "b")
-        net.connect("b", "c")
+        connect(net, "a", "b")
+        connect(net, "b", "c")
         net.remove_processor("b")
         assert net.links() == set()
 
@@ -82,9 +84,9 @@ class TestNetworkTopology:
         net = Network()
         for node in "ab":
             net.add_processor(node)
-        net.connect("a", "b")
+        connect(net, "a", "b")
         net.remove_processor("b")
-        net.disconnect("a", "b")  # no-op, no raise
+        disconnect(net, "a", "b")  # no-op, no raise
         assert not net.are_linked("a", "b")
 
     def test_neighbors_and_links_use_canonical_natural_order(self):
@@ -92,11 +94,11 @@ class TestNetworkTopology:
         net = Network()
         for node in (1, 2, 10):
             net.add_processor(node)
-        net.connect(1, 10)
-        net.connect(1, 2)
+        connect(net, 1, 10)
+        connect(net, 1, 2)
         assert net.neighbors(1) == [2, 10]
         assert (2, 10) not in net.links()
-        net.connect(10, 2)
+        connect(net, 10, 2)
         assert (2, 10) in net.links()
         assert net.num_links() == 3
 
@@ -106,13 +108,13 @@ class TestMessageDelivery:
         net = Network()
         net.add_processor("a")
         net.add_processor("b")
-        net.connect("a", "b")
+        connect(net, "a", "b")
         return net
 
     def test_messages_are_delivered_next_round(self, received_messages):
         net = self.make_pair()
         net.send(Probe(sender="a", receiver="b", deleted="x"))
-        assert net.pending_messages == 1
+        assert pending_messages(net) == 1
         assert received_messages == []
         delivered = net.deliver_round()
         assert delivered == 1
@@ -143,9 +145,9 @@ class TestMessageDelivery:
     def test_run_until_quiet(self):
         net = self.make_pair()
         net.send(Probe(sender="a", receiver="b"))
-        rounds = net.run_until_quiet()
+        rounds = run_until_quiet(net)
         assert rounds == 1
-        assert net.pending_messages == 0
+        assert pending_messages(net) == 0
 
     def test_message_to_dead_processor_is_dropped(self):
         net = self.make_pair()
@@ -306,10 +308,10 @@ class TestDirtyTracking:
             (lambda: net.add_link_source(k, "a", "b"), {ab: ()}, set()),
             (lambda: net.remove_link_source(k, "a", "b"), {ab: (k,)}, set()),
             (lambda: net.add_link_source(k, "a", "b"), {ab: ()}, set()),
-            (lambda: net.disconnect("a", "b"), {ab: (k,)}, set()),
+            (lambda: disconnect(net, "a", "b"), {ab: (k,)}, set()),
             # A link without sources has no checkpoint row to change.
-            (lambda: net.connect("a", "c"), {}, set()),
-            (lambda: net.disconnect("a", "c"), {}, set()),
+            (lambda: connect(net, "a", "c"), {}, set()),
+            (lambda: disconnect(net, "a", "c"), {}, set()),
             (lambda: net.add_link_source(k, "b", "c"), {bc: ()}, set()),
             (lambda: net.add_link_source(k, "a", "b"), {ab: ()}, set()),
             (lambda: net.remove_processor("a"), {ab: (k,)}, {"a"}),

@@ -47,6 +47,8 @@ from repro.distributed.messages import (
 from repro.distributed.protocol import select_disjoint_victims
 from repro.generators import make_graph
 
+from network_helpers import connect, pending_messages, run_until_quiet
+
 
 def ring_network(width: int = 8, schedule=None):
     """``width`` processors linked in a ring, so ``p`` may send to ``p + 1``."""
@@ -54,7 +56,7 @@ def ring_network(width: int = 8, schedule=None):
     for p in range(width):
         network.add_processor(p)
     for p in range(width):
-        network.connect(p, (p + 1) % width)
+        connect(network, p, (p + 1) % width)
     return network
 
 
@@ -360,11 +362,11 @@ class TestDelivery:
             network.send(DeletionNotice(0, 1, "v"))
         network.send(DeletionNotice(1, 2, "w"))
         network.deliver_round()
-        delayed = network.in_flight - network.pending_messages
+        delayed = network.in_flight - pending_messages(network)
         assert delayed > 0
-        assert network.pending_messages == 0
+        assert pending_messages(network) == 0
         assert network.in_flight_for("v") + network.in_flight_for("w") == network.in_flight
-        assert network.run_until_quiet() <= 4  # max_delay of the preset
+        assert run_until_quiet(network) <= 4  # max_delay of the preset
         assert network.in_flight_for("v") == 0
 
 
@@ -401,8 +403,6 @@ class TestAccusationOrdering:
         so ``send`` accepted it; the next round must discard it quietly
         rather than raise ``ProtocolError: receiver does not exist``.
         """
-        from repro.distributed.processor import _HANDLER_CACHE
-
         network = ring_network(width=2)
         honest = Digest(1, 0, -1)
         lie = Digest(1, 0, -1)
@@ -415,8 +415,8 @@ class TestAccusationOrdering:
         def answer_the_sender(processor, message):
             return [Digest(0, message.sender, -1, None, True, True, True)]
 
-        cls = type(network.processors[0])
-        monkeypatch.setitem(_HANDLER_CACHE, (cls, "Digest"), answer_the_sender)
+        handlers = type(network.processors[0])._handlers
+        monkeypatch.setitem(handlers, "Digest", answer_the_sender)
         network.deliver_round()
 
         assert 1 in network.quarantined

@@ -36,6 +36,8 @@ from repro.distributed.network import Network
 from repro.distributed.processor import Processor, RepairContext, SpineRole
 from repro.distributed.protocol import execute_repair, select_disjoint_victims
 from repro.distributed.simulator import DistributedForgivingGraph
+
+from network_helpers import connect
 from repro.generators import make_graph
 
 
@@ -170,8 +172,8 @@ def test_report_waiting_for_a_late_probe_fires_in_the_round_it_lands(monkeypatch
     network = Network(fault_schedule=schedule)
     for node in ("a", "b", "c"):
         network.add_processor(node)
-    network.connect("a", "b")
-    network.connect("b", "c")
+    connect(network, "a", "b")
+    connect(network, "b", "c")
     role = SpineRole(rt_index=0, position=1, prev_hop="a", next_hop="c", report_round=2)
     network.processors["b"].install_repair(RepairContext(victim="v", spines=[role]))
     network.send(Probe(sender="a", receiver="b", deleted="v", hops=1, rt_index=0))

@@ -40,6 +40,7 @@ import importlib.util
 import json
 import random
 import sqlite3
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1144,6 +1145,65 @@ class TestHealerDaemon:
         assert len(ports) > 100 and max(ids, key=lambda node: (type(node) is int, node)) > 256
         assert all(len(objects) == 1 for objects in ports.values())
         assert all(len(objects) == 1 for objects in ids.values())
+        restored.close()
+
+    def test_restore_reads_one_image_while_a_live_daemon_checkpoints(
+        self, tmp_path, monkeypatch
+    ):
+        """A second daemon churns (inserts included) and commits a checkpoint
+        between the restore's header read and its row reads: the restore
+        still reads the one image the header names, from its own snapshot,
+        and certifies it."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(graph=GraphSpec("power_law", 120), seed=5, checkpoint_every=0)
+        live = HealerDaemon.create(db, config)
+        _drive(live, 12, seed=1)
+        live.checkpoint()
+        header = CheckpointStore.latest_checkpoint
+        raced = []
+
+        def racing(store, memo=None):
+            ckpt = header(store, memo)
+            if not raced:
+                client = live.client("carol")
+                alive = sorted(live._projected_alive, key=repr)
+                for node in range(20_000, 20_004):
+                    client.insert(node, alive[:3])
+                    raced.append(node)
+                client.delete(alive[-1])
+                live.pump()
+                live.checkpoint()
+            return ckpt
+
+        monkeypatch.setattr(CheckpointStore, "latest_checkpoint", racing)
+        restored, report = HealerDaemon.restore(db)
+        monkeypatch.undo()
+        # The newer image names processors this header lacks.
+        assert raced and all(node in live.healer.network.processors for node in raced)
+        assert not any(node in restored.healer.network.processors for node in raced)
+        assert report.verified and report.converged and report.suffix_ops == 0
+        assert set(restored.healer.alive_nodes) != set(live.healer.alive_nodes)
+        restored.close()
+        live.close()
+
+    def test_restore_sizes_the_census_set_once(self, tmp_path):
+        """The restored id census is as large as a set grown one id at a time
+        over the same ids: the loader adds only the ids it lacks, instead of
+        merging a whole second set into it."""
+        db = tmp_path / "run.db"
+        config = ServiceConfig(graph=GraphSpec("power_law", 256), seed=2, checkpoint_every=0)
+        daemon = HealerDaemon.create(db, config)
+        _drive(daemon, 40, seed=3)
+        daemon.checkpoint()
+        daemon.close()
+        restored, report = HealerDaemon.restore(db)
+        assert report.verified
+        ever = restored.healer.network._ever_ids
+        assert len(ever) == restored.healer.nodes_ever > 256
+        grown = set()
+        for node in ever:
+            grown.add(node)
+        assert sys.getsizeof(ever) == sys.getsizeof(grown)
         restored.close()
 
     def test_restore_of_a_store_with_a_healer_entry(self, tmp_path):
