@@ -71,14 +71,6 @@ class NodeIndex:
     def __contains__(self, node: NodeId) -> bool:
         return node in self._index
 
-    def index_of(self, node: NodeId) -> int:
-        """The dense integer assigned to ``node`` (KeyError if never seen)."""
-        return self._index[node]
-
-    def node_at(self, idx: int) -> NodeId:
-        """The node identifier assigned to dense integer ``idx``."""
-        return self._nodes[idx]
-
     def extend(self, nodes: Iterable[NodeId]) -> None:
         """Assign integers to any not-yet-seen nodes, in iteration order."""
         index = self._index

@@ -77,15 +77,6 @@ class ForgivingTreeHealing(SelfHealer):
                 self._tree.add_edge(u, v)
         self._tree_built = True
 
-    def spanning_tree(self) -> nx.Graph:
-        """Return a copy of the maintained spanning forest (for tests / inspection)."""
-        self._ensure_tree()
-        return self._tree.copy()
-
-    def helper_roles(self) -> Dict[NodeId, int]:
-        """Return the number of helper positions each alive node currently simulates."""
-        return {node: count for node, count in self._roles.items() if node in self._alive}
-
     # ------------------------------------------------------------------ #
     # overridden operations
     # ------------------------------------------------------------------ #

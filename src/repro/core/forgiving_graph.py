@@ -57,7 +57,16 @@ from .errors import (
     InvariantViolationError,
     UnknownNodeError,
 )
-from .graph_fill import add_edge, add_node, edge_pairs, fill_graph, loopless_degree, remove_edge
+from .graph_fill import (
+    add_edge,
+    add_node,
+    copy_rows,
+    edge_pairs,
+    fill_graph,
+    fill_graph_from_rows,
+    loopless_degree,
+    remove_edge,
+)
 from .journal import Journal
 from .ports import NodeId, Port
 from .reconstruction_tree import (
@@ -186,29 +195,43 @@ class ForgivingGraph:
         raises :class:`InvalidEdgeError`.
         """
         fg = cls(**kwargs)
-        fg._load_genesis(nodes, edges)
+        fg._adopt_genesis(fill_graph(fg._g_prime, nodes, edges))
         fg._maybe_check()
         return fg
 
     @classmethod
     def from_graph(cls, graph: nx.Graph, **kwargs) -> "ForgivingGraph":
-        """Build a Forgiving Graph from an existing networkx graph ``G_0``."""
-        return cls.from_edges(graph.edges, graph.nodes, **kwargs)
+        """Build a Forgiving Graph from an existing networkx graph ``G_0``.
 
-    def _load_genesis(
-        self, nodes: Iterable[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]
-    ) -> Iterator[Tuple[NodeId, NodeId]]:
-        """Load ``G_0`` into this empty engine; returns its edges in load order.
-
-        Writes what adding each node and then each edge one at a time
-        would, in the same order: ``G'`` and ``G`` get the same nodes and
-        adjacency (every edge holding the shared ``EDGE_DATA``), every node
-        is alive, and each edge is one source of its healed edge and
-        appends its endpoints, ``u`` then ``v``, to the degree-touch
-        journal.
+        Loads what ``from_edges(graph.edges, graph.nodes)`` would.
         """
-        endpoints = fill_graph(self._g_prime, nodes, edges)
-        fill_graph(self._actual, self._g_prime, edge_pairs(endpoints))
+        fg = cls(**kwargs)
+        fg._load_genesis(graph)
+        fg._maybe_check()
+        return fg
+
+    def _load_genesis(self, graph: nx.Graph) -> Iterator[Tuple[NodeId, NodeId]]:
+        """Load ``G_0`` = ``graph`` into this empty engine; returns its edges in load order.
+
+        ``G'`` is filled straight from ``graph``'s adjacency rows, in
+        ``graph.nodes`` and ``graph.edges`` order, as one edge at a time
+        would fill it (see :meth:`_adopt_genesis` for the rest).
+        """
+        return self._adopt_genesis(fill_graph_from_rows(self._g_prime, graph))
+
+    def _adopt_genesis(self, endpoints: List[NodeId]) -> Iterator[Tuple[NodeId, NodeId]]:
+        """Finish a genesis load once ``G'`` holds ``G_0``; returns its edges in load order.
+
+        ``endpoints`` are the loaded edges' ends, ``u`` then ``v`` per edge,
+        as :func:`~repro.core.graph_fill.fill_graph` returns them.  Writes
+        what adding each node and then each edge one at a time would, in
+        the same order: ``G``, which equals ``G'`` at genesis, is a
+        row-for-row copy of it (every node holding the shared ``NODE_DATA``
+        and every edge ``EDGE_DATA``), every node is alive, and each edge
+        is one source of its healed edge and appends its endpoints, ``u``
+        then ``v``, to the degree-touch journal.
+        """
+        copy_rows(self._actual, self._g_prime)
         # Iterating the graph (not passing a dict) adds the nodes one at a
         # time, so the set's table, and its iteration order, are the ones
         # one add() per node would leave.
@@ -345,10 +368,6 @@ class ForgivingGraph:
         if node not in self._alive:
             raise UnknownNodeError(node, "actual_neighbors")
         return self._actual.neighbors(node)
-
-    def actual_edges(self) -> Set[Tuple[NodeId, NodeId]]:
-        """Edge set of the healed network ``G`` (read off the maintained graph)."""
-        return set(self._actual.edges)
 
     def virtual_graph(self) -> nx.Graph:
         """Return the virtual graph: surviving real edges plus the RTs.

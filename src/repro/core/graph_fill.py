@@ -5,14 +5,20 @@ networkx's ``add_nodes_from``, ``add_edges_from``, ``add_edge`` and
 updates, 3-tuples, node creation, a clear of the backend-conversion cache,
 which no graph here ever fills), several microseconds per edge on a bulk
 load.  This module is the one place that writes a graph's node and
-adjacency maps directly, in the layout those networkx calls would leave:
-:func:`fill_graph` loads an edge sequence (the engine's ``G'`` and ``G``),
+adjacency maps directly, in the layout those networkx calls would leave.
+
+For the engine's ``G'`` and ``G``: :func:`fill_graph` loads an edge
+sequence and :func:`fill_graph_from_rows` another graph's adjacency rows
+(``G'`` at genesis), :func:`copy_rows` copies one graph's rows into
+another (``G``, which equals ``G'`` at genesis), :func:`add_node` adds one
+node and :func:`add_edge` / :func:`remove_edge` change one edge of a live
+graph (the engine's incremental ``G`` and its inserts into ``G'``), and
+:func:`loopless_degree` reads a node's degree there.
+
+For graphs their caller owns: :func:`fill_owned_graph` loads nodes and an
+edge sequence (the generated topologies, the stored genesis graph) and
 :func:`fill_graph_from_adjacency` a symmetric adjacency map (the
-processors' graph, ``DistributedForgivingGraph.network_graph``),
-:func:`add_node` adds one node and :func:`add_edge` / :func:`remove_edge`
-change one edge of a live graph (the engine's incremental ``G`` and its
-inserts into ``G'``), and :func:`loopless_degree` reads a node's degree
-there.
+processors' graph, ``DistributedForgivingGraph.network_graph``).
 
 No node or edge of the engine's graphs carries attributes, so every node
 those writers make holds the one shared read-only empty mapping
@@ -20,8 +26,8 @@ those writers make holds the one shared read-only empty mapping
 dict of its own: a graph of ``n`` nodes and ``m`` edges holds no per-node
 or per-edge attribute dict, and writing into a node's or an edge's data
 through the engine's views raises.  Copies (``graph.copy()``) get a fresh
-dict per node and per edge, as does the graph
-:func:`fill_graph_from_adjacency` fills, which its caller owns.
+dict per node and per edge, as do the graphs :func:`fill_owned_graph` and
+:func:`fill_graph_from_adjacency` fill, which their callers own.
 """
 
 from __future__ import annotations
@@ -39,9 +45,12 @@ __all__ = [
     "NODE_DATA",
     "add_edge",
     "add_node",
+    "copy_rows",
     "edge_pairs",
     "fill_graph",
     "fill_graph_from_adjacency",
+    "fill_graph_from_rows",
+    "fill_owned_graph",
     "loopless_degree",
     "remove_edge",
 ]
@@ -98,10 +107,82 @@ def fill_graph(
     return endpoints
 
 
+def fill_graph_from_rows(graph: nx.Graph, source: nx.Graph) -> List[NodeId]:
+    """Load ``source`` into the empty ``graph`` from its adjacency rows.
+
+    Leaves, and returns, what ``fill_graph(graph, source.nodes,
+    source.edges)`` would: ``source``'s nodes in order, then each edge in
+    the order ``source.edges`` yields it, from the endpoint whose row comes
+    first (an entry already loaded from its other end is skipped, which is
+    how ``source.edges`` leaves it out), so every row lists the neighbours
+    before its node first, in node order, then the rest in ``source``'s row
+    order.  A self-loop raises :class:`InvalidEdgeError`.
+    """
+    adj = graph._adj
+    if adj:
+        raise ValueError("fill_graph_from_rows loads an empty graph")
+    rows = source._adj
+    for node in rows:
+        adj[node] = {}
+    graph._node.update(dict.fromkeys(rows, NODE_DATA))
+    endpoints: List[NodeId] = []
+    for u, nbrs in rows.items():
+        if u in nbrs:
+            raise InvalidEdgeError(f"self-loop ({u!r}, {u!r}) not allowed")
+        row = adj[u]
+        for v in nbrs:
+            if v not in row:
+                row[v] = adj[v][u] = EDGE_DATA
+                endpoints += (u, v)
+    return endpoints
+
+
+def copy_rows(graph: nx.Graph, source: nx.Graph) -> None:
+    """Make the empty ``graph`` a row-for-row copy of ``source``.
+
+    Nodes and every row in ``source``'s order, each node and edge holding
+    the mapping it holds in ``source`` (:data:`NODE_DATA` and
+    :data:`EDGE_DATA` for the engine's graphs), one new dict per row.
+    """
+    adj = graph._adj
+    if adj:
+        raise ValueError("copy_rows fills an empty graph")
+    adj.update({node: row.copy() for node, row in source._adj.items()})
+    graph._node.update(source._node)
+
+
 def edge_pairs(endpoints: List[NodeId]) -> Iterator[Tuple[NodeId, NodeId]]:
     """The edges of a :func:`fill_graph` endpoint list, ``(u, v)`` in order."""
     ends = iter(endpoints)
     return zip(ends, ends)
+
+
+def fill_owned_graph(
+    graph: nx.Graph,
+    nodes: Iterable[NodeId],
+    edges: Iterable[Tuple[NodeId, NodeId]],
+) -> None:
+    """Load ``nodes``, then ``edges`` between them, into the empty ``graph``.
+
+    The graph ends as ``graph.add_nodes_from(nodes)`` followed by
+    ``graph.add_edges_from(edges)`` leaves it: nodes in order, each node's
+    neighbours in the order its edges were read, one attribute dict per
+    node and one per edge, shared by its two directions (the caller owns
+    the graph and may write node and edge data).  An edge read again keeps
+    its place and its dict.  Every endpoint must be one of ``nodes``.
+    """
+    node_attrs, adj = graph._node, graph._adj
+    if adj:
+        raise ValueError("fill_owned_graph loads an empty graph")
+    for node in nodes:
+        if node is None:
+            raise ValueError("None cannot be a node")
+        adj[node] = {}
+        node_attrs[node] = {}
+    for u, v in edges:
+        u_nbrs = adj[u]
+        if v not in u_nbrs:
+            u_nbrs[v] = adj[v][u] = {}
 
 
 def fill_graph_from_adjacency(

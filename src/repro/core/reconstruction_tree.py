@@ -212,24 +212,6 @@ class ReconstructionTree:
         leaf = RTLeaf(port)
         return cls(root=leaf, leaves={port: leaf}, helpers={})
 
-    @classmethod
-    def from_merge(cls, root: RTNode) -> "ReconstructionTree":
-        """Wrap an already-merged tree, rebuilding the lookup tables by traversal."""
-        leaves: Dict[Port, RTLeaf] = {}
-        helpers: Dict[Port, RTHelper] = {}
-        for node in iter_rt_nodes(root):
-            if isinstance(node, RTLeaf):
-                if node.port in leaves:
-                    raise InvariantViolationError(f"port {node.port} appears twice as a leaf")
-                leaves[node.port] = node
-            else:
-                if node.simulated_by in helpers:
-                    raise InvariantViolationError(
-                        f"port {node.simulated_by} simulates two helpers in one RT"
-                    )
-                helpers[node.simulated_by] = node
-        return cls(root=root, leaves=leaves, helpers=helpers)
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -261,25 +243,6 @@ class ReconstructionTree:
                     if child is not None:
                         yield (node, child)
                         stack.append(child)
-
-    def leaf_distance(self, a: Port, b: Port) -> int:
-        """Tree distance (number of virtual hops) between two leaf ports."""
-        if a not in self.leaves or b not in self.leaves:
-            raise KeyError(f"ports {a} / {b} are not both leaves of this RT")
-        path_a = self._path_to_root(self.leaves[a])
-        path_b = self._path_to_root(self.leaves[b])
-        ancestors_a = {id(n): i for i, n in enumerate(path_a)}
-        for j, node in enumerate(path_b):
-            if id(node) in ancestors_a:
-                return ancestors_a[id(node)] + j
-        raise InvariantViolationError("leaves of the same RT share no common ancestor")
-
-    @staticmethod
-    def _path_to_root(node: RTNode) -> List[RTNode]:
-        path: List[RTNode] = [node]
-        while path[-1].parent is not None:
-            path.append(path[-1].parent)
-        return path
 
     # ------------------------------------------------------------------ #
     # validation

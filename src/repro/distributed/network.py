@@ -660,7 +660,7 @@ class Network:
         if node in self.processors:
             self.remove_processor(node)
 
-    def tick(self, round_index: int, participants) -> int:
+    def tick(self, round_index: int, participants) -> List[Optional[int]]:
         """Fire the round-``round_index`` timers of the given processors.
 
         Synchronous protocols act on timeouts as well as on messages (an
@@ -668,18 +668,22 @@ class Network:
         every report made it back).  The round loop
         (:func:`~repro.distributed.protocol.execute_repair`) calls this once
         per round with only the participants that have a timer due, in
-        participant order.  Returns how many messages the timers produced.
+        participant order.  Returns each participant's next deadline after
+        its tick, as :meth:`Processor.tick` reads it (``None`` when nothing
+        is pending or the processor is gone).
         """
-        produced = 0
+        deadlines: List[Optional[int]] = []
         processors, send = self.processors, self.send
         for node in participants:
             processor = processors.get(node)
             if processor is None:
+                deadlines.append(None)
                 continue
-            for message in processor.tick(round_index):
+            messages, due = processor.tick(round_index)
+            for message in messages:
                 send(message)
-                produced += 1
-        return produced
+            deadlines.append(due)
+        return deadlines
 
     @property
     def in_flight(self) -> int:

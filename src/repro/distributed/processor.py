@@ -347,10 +347,6 @@ class Processor:
             if rec is not None and rec.has_helper
         ]
 
-    def degree_in_edges(self) -> int:
-        """Number of ``G'`` edges this processor participates in."""
-        return len(self.edges)
-
     # ------------------------------------------------------------------ #
     # repair lifecycle
     # ------------------------------------------------------------------ #
@@ -445,44 +441,51 @@ class Processor:
                 due = at
         return due
 
-    def tick(self, round_index: int) -> List[Message]:
+    def tick(self, round_index: int) -> Tuple[List[Message], Optional[int]]:
         """Fire deadline-driven actions for the given round.
 
         A no-op unless :meth:`next_deadline` is at most ``round_index``.
+        Returns the messages the fired timers produced and the earliest
+        deadline among the timers left pending, read in the same pass: what
+        :meth:`next_deadline` would return after the tick, or an earlier
+        value when a message this tick handled locally retired one of the
+        timers already read (timers only retire, so it is never later).
         """
         out: List[Message] = []
+        due: Optional[int] = None
         for context in self.repairs.values():
-            if (
-                not context.stripped
-                and context.strip_round is not None
-                and round_index >= context.strip_round
-            ):
-                self.apply_strip(context)
+            at = context.strip_round
+            if at is not None and not context.stripped:
+                if round_index >= at:
+                    self.apply_strip(context)
+                elif due is None or at < due:
+                    due = at
             for role in context.spines:
-                if (
-                    role.probed
-                    and not role.report_sent
-                    and round_index >= role.report_round
-                    and role.prev_hop is not None
-                ):
-                    out.extend(self._emit_report(context, role))
+                if not role.report_sent and role.prev_hop is not None:
+                    at = role.report_round
+                    if role.probed and round_index >= at:
+                        out.extend(self._emit_report(context, role))
+                    elif due is None or at < due:
+                        due = at
+            at = context.ship_round
             if (
-                context.is_anchor
+                at is not None
+                and context.is_anchor
                 and not context.shipped
-                and context.ship_round is not None
-                and round_index >= context.ship_round
                 and context.bt_parent is not None
             ):
-                context.shipped = True
-                out.extend(self._emit_list(context, context.gathered))
-            if (
-                context.is_leader
-                and context.outcome is None
-                and context.decide_round is not None
-                and round_index >= context.decide_round
-            ):
-                out.extend(self._decide(context))
-        return out
+                if round_index >= at:
+                    context.shipped = True
+                    out.extend(self._emit_list(context, context.gathered))
+                elif due is None or at < due:
+                    due = at
+            at = context.decide_round
+            if at is not None and context.is_leader and context.outcome is None:
+                if round_index >= at:
+                    out.extend(self._decide(context))
+                elif due is None or at < due:
+                    due = at
+        return out, due
 
     # ------------------------------------------------------------------ #
     # message handling

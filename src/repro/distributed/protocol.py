@@ -353,9 +353,11 @@ def execute_repair(
     participants with a timer due are ticked, in participant order, through
     one ``Network.tick`` call in each round that has one: a heap orders the
     participants by :meth:`Processor.next_deadline`, and a ticked one goes
-    back at its new deadline but never earlier than the next round, so a
-    timer past due that cannot fire yet is retried every round.  A tick
-    with nothing due is a no-op, so this fires exactly what ticking every
+    back at the next deadline its tick hands back (never later than its
+    true one) but never earlier than the next round, so a timer past due
+    that cannot fire yet is retried every round.  A popped entry is
+    re-read, and a stale one goes back or is dropped untouched; a tick with
+    nothing due is a no-op, so this fires exactly what ticking every
     participant would.
     Seeding (:func:`seed_repair`) and opening and closing the repair
     (``Network.begin_scaffold`` / ``end_scaffold``) are the caller's.  At
@@ -385,9 +387,8 @@ def execute_repair(
         if timers and timers[0][0] <= rounds:
             ticked = _due_participants(processors, participants, timers, rounds)
             if ticked:
-                network.tick(rounds, [participants[index] for index in ticked])
-                for index in ticked:
-                    due = _next_deadline(processors, participants[index])
+                deadlines = network.tick(rounds, [participants[index] for index in ticked])
+                for index, due in zip(ticked, deadlines):
                     if due is not None:
                         heapq.heappush(timers, (max(due, rounds + 1), index))
         for recovery in recoveries:

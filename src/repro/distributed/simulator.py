@@ -181,11 +181,12 @@ class DistributedForgivingGraph:
         """Build the distributed healer from an initial networkx graph ``G_0``.
 
         The engine and the network each load ``G_0`` in one pass, in
-        ``graph.nodes`` and ``graph.edges`` order; a self-loop raises
+        ``graph.nodes`` and ``graph.edges`` order (the engine from
+        ``graph``'s adjacency rows); a self-loop raises
         :class:`~repro.core.errors.InvalidEdgeError`.
         """
         healer = cls(**kwargs)
-        edges = healer._engine._load_genesis(graph.nodes, graph.edges)
+        edges = healer._engine._load_genesis(graph)
         # The network counts its processors itself; ``verify_consistency``
         # cross-checks its ``n_ever`` against the engine's ``nodes_ever``.
         healer.network.load_genesis(graph.nodes, edges)

@@ -4,18 +4,27 @@ Every generator returns a connected :class:`networkx.Graph` with integer node
 labels ``0 .. n-1`` so that experiments can insert fresh nodes with labels
 ``>= n`` without collisions.  Randomised generators accept either a seed or a
 :class:`numpy.random.Generator` and are deterministic given the seed.
+
+``power_law`` and ``erdos_renyi`` call no networkx generator: they draw
+networkx's Barabási–Albert and G(n, p) streams, draw for draw, and write
+the graph's rows through :func:`repro.core.graph_fill.fill_owned_graph`
+instead of making one networkx call per edge or per new node.  The graphs
+are networkx's, node, edge and row order included, which
+``tests/test_generators.py`` pins.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Union
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
 from ..core.errors import ConfigurationError
+from ..core.graph_fill import fill_owned_graph
 
 __all__ = [
     "GraphSpec",
@@ -109,14 +118,14 @@ def gnp_random_graph(n: int, p: float, seed: int) -> nx.Graph:
     is below ``p``: one Python call per pair.  numpy's legacy
     ``RandomState`` runs the same MT19937 and builds each double from two
     words the same way, so loaded with the Python generator's state it
-    yields the same draws.  The hits are added in pair order, so nodes,
-    edges and every adjacency order match networkx's.
+    yields the same draws.  The hits are written in pair order, so nodes,
+    edges, every adjacency order and the one dict per node and per edge
+    match networkx's.
     """
     if p >= 1:
         return nx.complete_graph(n)
-    graph = nx.empty_graph(n)
     if p <= 0 or n < 2:
-        return graph
+        return nx.empty_graph(n)
     _version, internal, _gauss = random.Random(seed).getstate()
     state = np.random.RandomState()
     state.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
@@ -131,7 +140,10 @@ def gnp_random_graph(n: int, p: float, seed: int) -> nx.Graph:
     row_starts = np.cumsum(row_lengths) - row_lengths
     u = np.searchsorted(row_starts, index, side="right") - 1
     v = index - row_starts[u] + u + 1
-    graph.add_edges_from(zip(u.tolist(), v.tolist()))
+    # Each end is the node's own int object, one per node, not one per end.
+    nodes = np.array(range(n), dtype=object)
+    graph = nx.Graph()
+    fill_owned_graph(graph, nodes.tolist(), zip(nodes[u].tolist(), nodes[v].tolist()))
     return graph
 
 
@@ -141,11 +153,53 @@ def power_law_graph(n: int, seed: SeedLike = None, attachment: int = 3) -> nx.Gr
     This is the canonical model of the peer-to-peer / infrastructure networks
     that motivate the paper, and the topology on which targeted (max-degree)
     attacks are most damaging.
+
+    Exactly ``nx.barabasi_albert_graph(n, m, seed=s)`` for
+    ``m = min(attachment, n - 1)`` and ``s`` drawn from ``seed``: the same
+    initial star on nodes ``0 .. m``, the same ``random.Random(s).choice``
+    calls and the same target sets, and the same layout (nodes in order,
+    every adjacency row in edge order, one dict per node and one per edge),
+    written row by row instead of through one networkx call per new node.
+    A networkx release that changes its Barabási–Albert stream fails
+    ``tests/test_generators.py``, as it would for :func:`gnp_random_graph`.
     """
     _require_positive(n, 3)
+    if attachment < 1:
+        raise ConfigurationError(f"power_law attachment must be at least 1, got {attachment}")
     m = min(attachment, n - 1)
     rng = _rng(seed)
-    return nx.barabasi_albert_graph(n, m, seed=int(rng.integers(0, 2**31 - 1)))
+    # One int object per node, held by its row and by every row it is in,
+    # as in networkx's graph.
+    nodes = list(range(n))
+    graph = nx.Graph()
+    fill_owned_graph(graph, nodes, _barabasi_albert_edges(nodes, m, int(rng.integers(0, 2**31 - 1))))
+    return graph
+
+
+def _barabasi_albert_edges(nodes: List[int], m: int, seed: int) -> Iterator[Tuple[int, int]]:
+    """The edges ``nx.barabasi_albert_graph(len(nodes), m, seed=seed)`` adds, in its order.
+
+    First the star from ``nodes[0]`` to ``nodes[1 .. m]``; then each later
+    node ``source`` draws ``choice(repeated)`` until it holds ``m`` distinct
+    targets (a set, iterated in the order networkx adds its edges), where
+    ``repeated`` lists every node once per edge end it holds, in the order
+    they were added.
+    """
+    choice = random.Random(seed).choice
+    hub, star, later = nodes[0], nodes[1 : m + 1], nodes[m + 1 :]
+    repeated = [hub] * m
+    repeated += star
+    ends = star.copy()
+    for source in later:
+        targets = set()
+        while len(targets) < m:
+            targets.add(choice(repeated))
+        repeated += targets
+        repeated += repeat(source, m)
+        ends += targets
+    starts = [hub] * m
+    starts += chain.from_iterable(repeat(source, m) for source in later)
+    return zip(starts, ends)
 
 
 def random_regular_graph(n: int, seed: SeedLike = None, degree: int = 4) -> nx.Graph:

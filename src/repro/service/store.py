@@ -73,6 +73,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 import networkx as nx
 
 from ..core.errors import ConfigurationError
+from ..core.graph_fill import fill_owned_graph
 from ..core.ports import NodeId, Port, sorted_nodes
 from ..distributed.network import Network
 from ..distributed.processor import EdgeRecord
@@ -454,11 +455,13 @@ class CheckpointStore:
         """
         if memo is None:
             memo = {}
+        nodes = [
+            _loads(node, memo)
+            for (node,) in self._conn.execute("SELECT node FROM genesis_nodes ORDER BY rowid")
+        ]
+        edges = self._conn.execute("SELECT u, v FROM genesis_edges ORDER BY rowid")
         graph = nx.Graph()
-        for (node,) in self._conn.execute("SELECT node FROM genesis_nodes ORDER BY rowid"):
-            graph.add_node(_loads(node, memo))
-        for u, v in self._conn.execute("SELECT u, v FROM genesis_edges ORDER BY rowid"):
-            graph.add_edge(_loads(u, memo), _loads(v, memo))
+        fill_owned_graph(graph, nodes, ((_loads(u, memo), _loads(v, memo)) for u, v in edges))
         return graph
 
     # ------------------------------------------------------------------ #

@@ -251,7 +251,7 @@ class TestProcessorState:
         assert processor.edges["x"].helper_height == 3
         processor.ensure_edge("y")
         assert list(processor.edges) == ["x", "y"]
-        assert processor.degree_in_edges() == 2
+        assert len(processor.edges) == 2
 
     def test_clear_helper_resets_helper_fields_only(self):
         processor = Processor("v")

@@ -36,6 +36,16 @@ from repro.distributed import DistributedForgivingGraph, fault_schedule
 from repro.generators import make_graph
 
 
+def index_of(index, node):
+    """The dense integer ``index`` assigned to ``node`` (KeyError if never seen)."""
+    return index._index[node]
+
+
+def node_at(index, position):
+    """The node ``index`` assigned the dense integer ``position``."""
+    return index._nodes[position]
+
+
 def churned_forgiving_graph(n=40, seed=17, steps=30, strategy="random"):
     fg = ForgivingGraph.from_graph(make_graph("erdos_renyi", n, seed=seed))
     schedule = deletion_only_schedule(
@@ -57,10 +67,10 @@ def test_bfs_distances_match_networkx(topology):
     sources = np.arange(len(index))
     dist = csr.bfs_distances(sources)
     for s_i in range(len(index)):
-        source = index.node_at(s_i)
+        source = node_at(index, s_i)
         ref = nx.single_source_shortest_path_length(graph, source)
         for t_i in range(len(index)):
-            expected = ref.get(index.node_at(t_i), math.inf)
+            expected = ref.get(node_at(index, t_i), math.inf)
             assert dist[s_i, t_i] == expected
 
 
@@ -72,12 +82,12 @@ def test_bfs_distances_disconnected_and_isolated():
     index.extend(["lonely", *graph.nodes])  # isolated node first: empty CSR rows
     csr = CSRGraph.from_graph(graph, index)
     dist = csr.bfs_distances(index.indices_of([0, "a", "lonely"]))
-    assert dist[0, index.index_of(4)] == 4
-    assert math.isinf(dist[0, index.index_of("a")])
-    assert dist[1, index.index_of("b")] == 1
-    assert math.isinf(dist[1, index.index_of(0)])
-    assert dist[2, index.index_of("lonely")] == 0
-    assert np.isinf(np.delete(dist[2], index.index_of("lonely"))).all()
+    assert dist[0, index_of(index, 4)] == 4
+    assert math.isinf(dist[0, index_of(index, "a")])
+    assert dist[1, index_of(index, "b")] == 1
+    assert math.isinf(dist[1, index_of(index, 0)])
+    assert dist[2, index_of(index, "lonely")] == 0
+    assert np.isinf(np.delete(dist[2], index_of(index, "lonely"))).all()
 
 
 def test_bfs_single_source_batch_consistency():
@@ -102,10 +112,10 @@ def test_component_labels_match_networkx():
     csr = CSRGraph.from_graph(graph, index)
     labels = csr.component_labels()
     for component in nx.connected_components(graph):
-        ids = [index.index_of(v) for v in component]
+        ids = [index_of(index, v) for v in component]
         assert len({labels[i] for i in ids}) == 1
     reps = [next(iter(c)) for c in nx.connected_components(graph)]
-    assert len({labels[index.index_of(r)] for r in reps}) == len(reps)
+    assert len({labels[index_of(index, r)] for r in reps}) == len(reps)
 
 
 def test_connectivity_preserved_matches_reference_semantics():
@@ -309,8 +319,8 @@ def per_edge_csr(graph, index):
     rows = np.empty(2 * m, dtype=np.int64)
     cols = np.empty(2 * m, dtype=np.int64)
     for pos, (u, v) in enumerate(graph.edges):
-        rows[pos] = index.index_of(u)
-        cols[pos] = index.index_of(v)
+        rows[pos] = index_of(index, u)
+        cols[pos] = index_of(index, v)
     rows[m:] = cols[:m]
     cols[m:] = rows[:m]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -352,9 +362,9 @@ def test_node_index_is_stable_across_snapshots():
     fg = ForgivingGraph.from_graph(make_graph("erdos_renyi", 20, seed=53))
     session = MeasurementSession()
     first = session.snapshot(fg)
-    order_before = [first.index.node_at(i) for i in range(len(first.index))]
+    order_before = [node_at(first.index, i) for i in range(len(first.index))]
     fg.insert(1000, attach_to=sorted(fg.alive_nodes)[:2])
     fg.delete(sorted(fg.alive_nodes)[0])
     second = session.snapshot(fg)
-    assert [second.index.node_at(i) for i in range(len(order_before))] == order_before
+    assert [node_at(second.index, i) for i in range(len(order_before))] == order_before
     assert 1000 in second.index

@@ -116,6 +116,21 @@ def _layout(graph):
     return list(graph.nodes), list(graph.edges), [list(graph.adj[node]) for node in graph]
 
 
+def _assert_one_dict_per_node_and_edge(graph):
+    """Each node holds an empty dict of its own, and each edge one shared by
+    its two directions, as networkx's own calls leave them."""
+    nodes = list(graph._node.values())
+    assert len({id(data) for data in nodes}) == len(nodes)
+    assert all(type(data) is dict and data == {} for data in nodes)
+    edges = {}
+    for u, row in graph._adj.items():
+        for v, data in row.items():
+            assert graph._adj[v][u] is data, (u, v)
+            edges[frozenset((u, v))] = data
+    assert len({id(data) for data in edges.values()}) == len(edges) == graph.number_of_edges()
+    assert all(type(data) is dict and data == {} for data in edges.values())
+
+
 class TestGnpRandomGraph:
     """The numpy G(n, p) sampler reproduces networkx's, order for order."""
 
@@ -126,7 +141,9 @@ class TestGnpRandomGraph:
         for p in (0, 0.3, 0.5, 1, 6 / (n - 1)):
             for seed in self.SEEDS:
                 expected = nx.gnp_random_graph(n, p, seed=seed)
-                assert _layout(gnp_random_graph(n, p, seed)) == _layout(expected), (n, p, seed)
+                graph = gnp_random_graph(n, p, seed)
+                assert _layout(graph) == _layout(expected), (n, p, seed)
+                _assert_one_dict_per_node_and_edge(graph)
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_matches_networkx_at_benchmark_sizes(self, n):
@@ -143,3 +160,42 @@ class TestGnpRandomGraph:
         expected = nx.gnp_random_graph(300, 6 / 299, seed=int(rng.integers(0, 2**31 - 1)))
         expected = _ensure_connected(expected, rng)
         assert _layout(erdos_renyi_graph(300, seed=seed)) == _layout(expected)
+
+
+class TestPowerLawGraph:
+    """The row-writing Barabási–Albert generator reproduces networkx's,
+    draw for draw and order for order."""
+
+    SEEDS = (0, 1, 5, 11, 4101, 2**31 - 2)
+
+    @staticmethod
+    def _expected(n, seed, attachment=3):
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        return nx.barabasi_albert_graph(
+            n, min(attachment, n - 1), seed=int(rng.integers(0, 2**31 - 1))
+        )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 30, 200, 2000])
+    def test_matches_networkx(self, n):
+        for seed in self.SEEDS:
+            graph = power_law_graph(n, seed)
+            assert _layout(graph) == _layout(self._expected(n, seed)), (n, seed)
+            _assert_one_dict_per_node_and_edge(graph)
+
+    @pytest.mark.parametrize("attachment", [1, 2, 5])
+    def test_matches_networkx_for_other_attachments(self, attachment):
+        for n in (3, 6, 150):
+            graph = power_law_graph(n, 7, attachment=attachment)
+            assert _layout(graph) == _layout(self._expected(n, 7, attachment)), n
+
+    def test_matches_networkx_from_a_numpy_generator(self):
+        graph = power_law_graph(500, np.random.default_rng(23))
+        assert _layout(graph) == _layout(self._expected(500, np.random.default_rng(23)))
+        _assert_one_dict_per_node_and_edge(graph)
+
+    def test_make_graph_builds_it(self):
+        assert _layout(make_graph("power_law", 300, seed=9)) == _layout(self._expected(300, 9))
+
+    def test_attachment_below_one_raises(self):
+        with pytest.raises(ConfigurationError):
+            power_law_graph(10, 0, attachment=0)

@@ -2,10 +2,12 @@
 
 The engine and the network each load the initial graph in one pass, and
 one module (:mod:`repro.core.graph_fill`) fills every fresh networkx
-graph: the engine's ``G'`` and ``G`` and the processors' graph
+graph: the engine's ``G'`` (from the input graph's adjacency rows) and
+``G`` (a row-for-row copy of ``G'``) and the processors' graph
 ``network_graph()`` returns.  The per-edge loops they replaced are kept
-here as the reference, and every field is compared with them, orders
-included: node and adjacency order of both engine graphs, the alive set's
+here as the reference, as is the per-edge ``fill_graph`` load of both
+engine graphs that the row load replaced, and every field is compared
+with them, orders included: node and adjacency order of both engine graphs, the alive set's
 iteration order, the edge count, the extra sources and the degree-touch
 journal; the network's processor order, each link row's order, its link
 sources as they leave the network, the census and the word size; and every
@@ -43,6 +45,7 @@ from repro.core.graph_fill import (
     NODE_DATA,
     add_edge,
     add_node,
+    edge_pairs,
     fill_graph,
     loopless_degree,
     remove_edge,
@@ -101,6 +104,16 @@ def _reference_engine_from_graph(graph):
     for u, v in graph.edges:
         _reference_add_edge(fg, u, v)
     return fg
+
+
+def _reference_genesis_fill(graph):
+    """The per-edge genesis fill the row load replaced: ``G'`` through
+    ``fill_graph(graph.nodes, graph.edges)``, then ``G`` edge by edge again;
+    returns both graphs and the journal's endpoints."""
+    g_prime, actual = nx.Graph(), nx.Graph()
+    endpoints = fill_graph(g_prime, graph.nodes, graph.edges)
+    fill_graph(actual, g_prime, edge_pairs(endpoints))
+    return g_prime, actual, endpoints
 
 
 def _reference_distributed_from_graph(graph):
@@ -220,7 +233,7 @@ def _assert_networks_equal(network, reference):
         assert processor.network is network
         assert processor.repairs == {} and processor.repair_epochs == {}
         assert list(processor.edges) == list(reference.processors[node].edges)
-        assert processor.degree_in_edges() == reference.processors[node].degree_in_edges()
+        assert len(processor.edges) == len(reference.processors[node].edges)
     assert _records(network) == _records(reference)
     assert list(network._links) == list(reference._links)
     for node, links in network._links.items():
@@ -276,11 +289,19 @@ def _mixed_ids():
     return graph
 
 
+def _string_ids():
+    """A power-law graph relabelled onto strings, its edges added in shuffled order."""
+    edges = [(f"p{u}", f"p{v}") for u, v in make_graph("power_law", 300, seed=6).edges]
+    random.Random(6).shuffle(edges)
+    return nx.Graph(edges)
+
+
 GRAPHS = {
     "power_law-2000": lambda: make_graph("power_law", 2000, seed=11),
     "erdos_renyi-1000": lambda: make_graph("erdos_renyi", 1000, seed=12),
     "isolated-nodes": _with_isolated_nodes,
     "mixed-ids": _mixed_ids,
+    "string-ids": _string_ids,
 }
 
 #: Repeated edges in both directions, isolated and repeated ``nodes``, an
@@ -304,6 +325,33 @@ class TestGenesisLoadMatchesThePerEdgePath:
         _assert_healers_equal(
             DistributedForgivingGraph.from_graph(graph), _reference_distributed_from_graph(graph)
         )
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_rows_and_journal_match_the_per_edge_fill(self, name):
+        """``G'`` filled from the graph's rows and ``G`` copied from ``G'``
+        hold what filling both edge by edge held, row for row, and the
+        journal the same endpoints; ``G``'s rows are its own."""
+        graph = GRAPHS[name]()
+        g_prime, actual, endpoints = _reference_genesis_fill(graph)
+        for engine in (
+            ForgivingGraph.from_graph(graph),
+            DistributedForgivingGraph.from_graph(graph).engine,
+        ):
+            assert _layout(engine._g_prime) == _layout(g_prime)
+            assert _layout(engine._actual) == _layout(actual)
+            assert list(engine.degree_touch_log) == endpoints
+            rows = engine._actual._adj
+            assert not any(rows[node] is row for node, row in engine._g_prime._adj.items())
+
+    @pytest.mark.parametrize("loop", [0, 3, "lone"])
+    def test_a_self_loop_in_a_graph_raises(self, loop):
+        """Wherever the loop is, on an isolated node too."""
+        graph = _with_isolated_nodes()
+        graph.add_edge(loop, loop)
+        with pytest.raises(InvalidEdgeError):
+            ForgivingGraph.from_graph(graph)
+        with pytest.raises(InvalidEdgeError):
+            DistributedForgivingGraph.from_graph(graph)
 
     def test_engine_from_edges_with_duplicate_edges(self):
         fg = ForgivingGraph.from_edges(iter(DUPLICATE_EDGES), iter(DUPLICATE_NODES))
@@ -507,7 +555,7 @@ def test_reads_build_no_record():
         healer.delete(strategy.choose_victim(healer))
     network = healer.network
     held = _held(network)
-    ends = sum(p.degree_in_edges() for p in network.processors.values())
+    ends = sum(len(p.edges) for p in network.processors.values())
     assert 0 < len(held) < ends // 2
     records = _records(network)
 
