@@ -41,12 +41,16 @@ from .haft import (
 from .ports import NodeId, Port, edge_key, node_order_key, port_order_key, sorted_nodes
 from .views import actual_view_of, g_prime_view_of, healer_views
 from .reconstruction_tree import (
+    DeletionSurvey,
     ReconstructionTree,
     RTHelper,
     RTLeaf,
+    RTStrip,
     compute_haft,
     extract_surviving_complete_trees,
+    merge_order,
     representative_of,
+    strip_walk,
 )
 
 __all__ = [
@@ -85,8 +89,12 @@ __all__ = [
     "ReconstructionTree",
     "RTLeaf",
     "RTHelper",
+    "RTStrip",
+    "DeletionSurvey",
+    "strip_walk",
     "compute_haft",
     "extract_surviving_complete_trees",
+    "merge_order",
     "representative_of",
     # engine
     "ForgivingGraph",

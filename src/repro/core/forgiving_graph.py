@@ -70,11 +70,12 @@ from .graph_fill import (
 from .journal import Journal
 from .ports import NodeId, Port
 from .reconstruction_tree import (
+    DeletionSurvey,
     ReconstructionTree,
     RTLeaf,
     RTNode,
     compute_haft,
-    extract_surviving_complete_trees,
+    strip_walk,
 )
 
 __all__ = ["ForgivingGraph", "RepairReport", "HealingEvent"]
@@ -277,26 +278,41 @@ class ForgivingGraph:
         """The current reconstruction trees (non-trivial structure only)."""
         return list(self._rts.values())
 
-    def affected_rt_nodes(
-        self, node: NodeId
-    ) -> Tuple[List[ReconstructionTree], Dict[int, List[RTNode]]]:
-        """The RTs the deletion of ``node`` would dismantle, and the RT nodes dying in each.
+    def survey(self, node: NodeId) -> DeletionSurvey:
+        """What deleting ``node`` would do to the RTs, read without changing anything.
 
         One walk of ``node``'s ``G'`` neighbours, each looked up in the leaf
-        registry and then the helper registry: the RTs come in the order
-        that walk first meets them, and each RT id maps to its leaves and
-        helpers owned by ``node``, in the same order.  Used by the
-        distributed layer to lay out the repair before the deletion is
-        applied; :meth:`delete` makes the same walk.
+        registry and then the helper registry, finds the affected RTs (in
+        the order the walk first meets them) and the RT nodes ``node`` owns
+        in each, in the same order; each affected RT's strip is then walked
+        (:func:`~repro.core.reconstruction_tree.strip_walk`).  Every alive
+        neighbour will get a new trivial leaf, whose Port is built here.
+        :meth:`delete` applies the survey, and the distributed planner
+        describes it to the processors, so a deletion's strip is walked
+        once.  The registries key by Port, which equals and hashes like the
+        plain pair, so a lookup needs no Port of its own.
         """
         if node not in self._g_prime:
-            raise UnknownNodeError(node, "affected_rt_nodes")
-        rt_of_leaf, rt_of_helper = self._rt_of_leaf, self._rt_of_helper
+            raise UnknownNodeError(node, "survey")
+        alive, affected, dead = self._dying(node)
+        return DeletionSurvey(
+            node,
+            [strip_walk(rt, node, dead[rt_id]) for rt_id, rt in affected.items()],
+            [Port(neighbor, node) for neighbor in alive],
+        )
+
+    def _dying(
+        self, node: NodeId
+    ) -> Tuple[List[NodeId], Dict[int, ReconstructionTree], Dict[int, List[RTNode]]]:
+        """``node``'s alive ``G'`` neighbours, the RTs holding its RT nodes and
+        those nodes per RT id, from one walk of its ``G'`` neighbours."""
+        alive, rt_of_leaf, rt_of_helper = self._alive, self._rt_of_leaf, self._rt_of_helper
+        alive_neighbors: List[NodeId] = []
         affected: Dict[int, ReconstructionTree] = {}
         dead: Dict[int, List[RTNode]] = {}
         for neighbor in self._g_prime.neighbors(node):
-            # The registries key by Port, which equals and hashes like the
-            # plain pair: a lookup needs no Port of its own.
+            if neighbor in alive:
+                alive_neighbors.append(neighbor)
             own = (node, neighbor)
             rt = rt_of_leaf.get(own)
             if rt is not None:
@@ -306,7 +322,29 @@ class ForgivingGraph:
             if rt is not None:
                 affected[rt.rt_id] = rt
                 dead.setdefault(rt.rt_id, []).append(rt.helpers[own])
-        return list(affected.values()), dead
+        return alive_neighbors, affected, dead
+
+    def _check_survey(self, node: NodeId, survey: DeletionSurvey) -> None:
+        """Raise :class:`InvariantViolationError` unless ``survey`` still
+        describes deleting ``node``: the same victim, the same alive
+        neighbours, the same affected RTs, each unchanged since its strip was
+        walked, and the same dying RT nodes in each."""
+        if survey.victim != node:
+            raise InvariantViolationError(
+                f"a survey of the deletion of {survey.victim!r} cannot delete {node!r}"
+            )
+        alive, affected, dead = self._dying(node)
+        if [port.processor for port in survey.trivial_ports] != alive:
+            raise InvariantViolationError(
+                f"the alive neighbours of {node!r} changed since its deletion was surveyed"
+            )
+        if len(survey.strips) != len(affected) or any(
+            strip.rt is not rt or strip.changes != rt.changes or strip.dead != dead[rt_id]
+            for strip, (rt_id, rt) in zip(survey.strips, affected.items())
+        ):
+            raise InvariantViolationError(
+                f"the RTs the deletion of {node!r} breaks changed since it was surveyed"
+            )
 
     # ------------------------------------------------------------------ #
     # the three graph views
@@ -533,8 +571,16 @@ class ForgivingGraph:
     # ------------------------------------------------------------------ #
     # adversarial deletion + self-healing
     # ------------------------------------------------------------------ #
-    def delete(self, node: NodeId) -> RepairReport:
+    def delete(self, node: NodeId, survey: Optional[DeletionSurvey] = None) -> RepairReport:
         """Delete ``node`` (adversarial move) and run the self-healing repair.
+
+        ``survey`` is :meth:`survey`'s reading of this deletion, taken
+        before it: the distributed planner passes the one it described to
+        the processors, so the strip is walked once.  It must still hold —
+        the same victim, alive neighbours and dying RT nodes, and every
+        affected RT unchanged since (:attr:`ReconstructionTree.changes`) —
+        or :class:`InvariantViolationError` is raised before anything
+        changes.  Without one, the deletion surveys itself.
 
         Returns a :class:`RepairReport` describing the repair work, whose
         fields feed the cost experiments.  Raises if the node is unknown or
@@ -544,6 +590,10 @@ class ForgivingGraph:
             raise UnknownNodeError(node, "delete")
         if node not in self._alive:
             raise DeletedNodeError(node, "delete")
+        if survey is None:
+            survey = self.survey(node)
+        else:
+            self._check_survey(node, survey)
 
         degree_g_prime = self._g_prime.degree[node]
         degree_actual = self._actual.degree[node] if node in self._actual else 0
@@ -552,67 +602,45 @@ class ForgivingGraph:
         # 1. The processor dies: it disappears from the alive set, all its
         #    ports disappear, and every helper node it simulates disappears.
         # 2. Neighbours that were directly connected (both endpoints alive
-        #    until now) contribute a fresh trivial leaf each.
-        # One walk of the G' neighbours does both: it drops the real edges,
-        # takes the dead ports out of both registries (which locates the
-        # affected RTs and the dead RT nodes inside them: O(deg) lookups, no
-        # table or tree scans) and makes the trivial leaves.  The registries
-        # key by Port, which equals and hashes like the plain pair, so only
-        # a new leaf builds a Port.
-        alive = self._alive
-        alive.discard(node)
+        #    until now) lose their real edge and contribute a fresh trivial
+        #    leaf each, built on the survey's Port.
+        self._alive.discard(node)
         self._deleted.add(node)
         rt_of_leaf, rt_of_helper = self._rt_of_leaf, self._rt_of_helper
-        affected_rts: Dict[int, ReconstructionTree] = {}
-        dead_rt_nodes: Dict[int, List[RTNode]] = {}
-        complete_trees: List[RTNode] = []
-        new_trivial_leaves: List[RTLeaf] = []
-        for neighbor in self._g_prime.neighbors(node):
-            if neighbor in alive:
-                self._edge_source_removed(node, neighbor)
-                if (neighbor, node) not in rt_of_leaf:
-                    leaf = RTLeaf(Port(neighbor, node))
-                    complete_trees.append(leaf)
-                    new_trivial_leaves.append(leaf)
-            own = (node, neighbor)
-            rt = rt_of_leaf.pop(own, None)
-            if rt is not None:
-                affected_rts[rt.rt_id] = rt
-                dead_rt_nodes.setdefault(rt.rt_id, []).append(rt.leaves[own])
-            rt = rt_of_helper.pop(own, None)
-            if rt is not None:
-                affected_rts[rt.rt_id] = rt
-                dead_rt_nodes.setdefault(rt.rt_id, []).append(rt.helpers[own])
+        trivial_ports = survey.trivial_ports
+        for port in trivial_ports:
+            self._edge_source_removed(node, port.processor)
+        new_trivial_leaves = [RTLeaf(port) for port in trivial_ports]
+        complete_trees: List[RTNode] = list(new_trivial_leaves)
 
         # 3. Every affected RT is dismantled into its surviving complete
-        #    pieces; helpers outside those pieces are released.  Both the
+        #    pieces as the survey walked it; helpers outside those pieces are
+        #    released, and every released port becomes free again (it may be
+        #    picked to simulate one of the merge's new helpers).  Both the
         #    dismantling and the healed-graph deltas touch only the *broken
-        #    glue* (the paths from dead RT nodes to their roots plus the
-        #    strip spines): edges and subtrees internal to surviving pieces
-        #    are carried into the merged RT untouched.
+        #    glue* (the paths from dead RT nodes to their roots plus the strip
+        #    spines): edges and subtrees internal to surviving pieces are
+        #    carried into the merged RT untouched.  A destroyed glue edge
+        #    between two survivors may be built again by the merge, so its
+        #    source is only pending until the merge is known.
         helpers_released = 0
-        merged_rts = len(affected_rts) + len(new_trivial_leaves)
-        removed_virtual_edges: List[Tuple[NodeId, NodeId]] = []
-        released_by_rt: Dict[int, List[Port]] = {}
-        for rt in affected_rts.values():
-            pieces, released_ports = extract_surviving_complete_trees(
-                rt,
-                node,
-                removed_edges=removed_virtual_edges,
-                dead_nodes=dead_rt_nodes[rt.rt_id],
-            )
-            complete_trees.extend(pieces)
-            helpers_released += len(released_ports)
-            released_by_rt[rt.rt_id] = released_ports
-        for p, c in removed_virtual_edges:
-            self._edge_source_removed(p, c)
-
-        # Registry cleanup (the dead processor's ports left both registries
-        # in the walk above): every released helper port becomes free again
-        # (it may be picked to simulate one of the merge's new helpers).
-        for released_ports in released_by_rt.values():
-            for port in released_ports:
-                rt_of_helper.pop(port, None)
+        pending: Dict[Tuple[NodeId, NodeId], int] = {}
+        for strip in survey.strips:
+            for dead in strip.dead:
+                (rt_of_leaf if isinstance(dead, RTLeaf) else rt_of_helper).pop(dead.port, None)
+            strip.apply()
+            complete_trees.extend(strip.pieces)
+            for helper in strip.released:
+                rt_of_helper.pop(helper.simulated_by, None)
+            helpers_released += len(strip.released)
+            for parent, child in strip.cuts:
+                p, c = parent.processor, child.processor
+                if p == c:
+                    continue
+                if p == node or c == node:
+                    self._edge_source_removed(p, c)
+                else:
+                    pending[(p, c)] = pending.get((p, c), 0) + 1
         # By now every healed edge incident to the dead processor has lost
         # all its sources (real edges above, RT projections with the broken
         # glue), so only the bare node remains.
@@ -622,7 +650,7 @@ class ForgivingGraph:
             deleted_node=node,
             degree_in_g_prime=degree_g_prime,
             degree_in_actual=degree_actual,
-            merged_rts=merged_rts,
+            merged_rts=len(survey.strips) + len(new_trivial_leaves),
             merged_complete_trees=len(complete_trees),
             new_rt_size=0,
             helpers_created=0,
@@ -638,65 +666,87 @@ class ForgivingGraph:
         #    bookkeeping cost of a repair is proportional to the smaller
         #    trees, the broken glue and the dead node's degree — never to the
         #    bulk of the largest tree.
-        base: Optional[ReconstructionTree] = None
-        for rt in affected_rts.values():
-            if base is None or len(rt.leaves) + len(rt.helpers) > len(base.leaves) + len(
-                base.helpers
-            ):
-                base = rt
+        base_strip = None
+        for strip in survey.strips:
+            rt = strip.rt
+            if base_strip is None or len(rt.leaves) + len(rt.helpers) > len(
+                base_strip.rt.leaves
+            ) + len(base_strip.rt.helpers):
+                base_strip = strip
+        added: List[Tuple[NodeId, NodeId]] = []
         if complete_trees:
             # The registry itself is the safety net's busy set: compute_haft
             # only tests membership, and the new helpers are registered below.
-            new_root, new_helpers = compute_haft(complete_trees, busy_ports=self._rt_of_helper)
-            if base is None:
+            new_root, new_helpers = compute_haft(complete_trees, busy_ports=rt_of_helper)
+            if base_strip is None:
                 base = ReconstructionTree(root=new_root, leaves={}, helpers={})
                 self._rts[base.rt_id] = base
             else:
                 # Scrub the base tables of everything the repair destroyed.
-                for dead in dead_rt_nodes[base.rt_id]:
+                base = base_strip.rt
+                for dead in base_strip.dead:
                     if isinstance(dead, RTLeaf):
                         base.leaves.pop(dead.port, None)
                     else:
-                        base.helpers.pop(dead.simulated_by, None)
-                for port in released_by_rt[base.rt_id]:
-                    base.helpers.pop(port, None)
+                        base.helpers.pop(dead.port, None)
+                for helper in base_strip.released:
+                    base.helpers.pop(helper.simulated_by, None)
                 base.root = new_root
             # Fold the smaller RTs' survivors into the base tables and
             # re-point their registry entries.
-            for rt in affected_rts.values():
+            for strip in survey.strips:
+                rt = strip.rt
                 if rt is base:
                     continue
                 self._rts.pop(rt.rt_id, None)
-                released_set = set(released_by_rt[rt.rt_id])
+                released_set = {helper.simulated_by for helper in strip.released}
                 for port, leaf in rt.leaves.items():
                     if port.processor != node:
                         base.leaves[port] = leaf
-                        self._rt_of_leaf[port] = base
+                        rt_of_leaf[port] = base
                 for port, helper in rt.helpers.items():
                     if port.processor != node and port not in released_set:
                         base.helpers[port] = helper
-                        self._rt_of_helper[port] = base
+                        rt_of_helper[port] = base
             for leaf in new_trivial_leaves:
                 base.leaves[leaf.port] = leaf
-                self._rt_of_leaf[leaf.port] = base
+                rt_of_leaf[leaf.port] = base
             for helper in new_helpers:
                 base.helpers[helper.simulated_by] = helper
-                self._rt_of_helper[helper.simulated_by] = base
+                rt_of_helper[helper.simulated_by] = base
             # Every edge of the merged RT is either internal to a surviving
             # piece (its healed-edge source was never dropped) or one of the
-            # two child edges of a freshly created glue helper.
+            # two child edges of a freshly created glue helper.  A child edge
+            # between the two processors of a pending glue removal, either
+            # way round, takes the destroyed edge's place: both writes are
+            # skipped.
             for helper in new_helpers:
-                for child in (helper.left, helper.right):
-                    if child is not None:
-                        self._edge_source_added(helper.processor, child.processor)
+                p = helper.simulated_by.processor
+                for c in (helper.left.port.processor, helper.right.port.processor):
+                    if p == c:
+                        continue
+                    count = pending.get((p, c))
+                    if count:
+                        pending[(p, c)] = count - 1
+                        continue
+                    count = pending.get((c, p))
+                    if count:
+                        pending[(c, p)] = count - 1
+                        continue
+                    added.append((p, c))
             report.new_rt_size = base.size
             report.helpers_created = len(new_helpers)
-        elif base is not None:
+        elif base_strip is not None:
             # Nothing survived any affected RT: they dissolve entirely (all
             # their ports were the dead processor's, so the registries are
             # already clean).
-            for rt in affected_rts.values():
-                self._rts.pop(rt.rt_id, None)
+            for strip in survey.strips:
+                self._rts.pop(strip.rt.rt_id, None)
+        for (p, c), count in pending.items():
+            for _ in range(count):
+                self._edge_source_removed(p, c)
+        for p, c in added:
+            self._edge_source_added(p, c)
 
         edges_after = self._num_edges
         # Edges lost purely because the node vanished:

@@ -20,21 +20,38 @@ This module provides:
 
 * :class:`RTLeaf` / :class:`RTHelper` — the node types,
 * :class:`ReconstructionTree` — a single RT with port-indexed lookups,
-* :func:`extract_surviving_complete_trees` — the fragment-strip step run when
-  a processor dies (the distributed analogue is ``FindPrRoots`` /
-  Algorithm A.5),
-* :func:`compute_haft` — the merge of complete trees with the representative
-  mechanism (``ComputeHaft`` / Algorithm A.9).
+* :func:`strip_walk` — the read-only fragment-strip walk of one RT a
+  processor's death breaks (the distributed analogue is ``FindPrRoots`` /
+  Algorithms A.5–A.6), as an :class:`RTStrip` whose :meth:`RTStrip.apply`
+  then dismantles the RT; :class:`DeletionSurvey` holds one deletion's
+  strips and new trivial leaf ports, taken once before the deletion and
+  read both by the engine and by the distributed planner;
+  :func:`extract_surviving_complete_trees` is the walk and its application
+  in one call,
+* :func:`merge_order` — ComputeHaft's merge order (Algorithm A.9), from
+  which both :func:`compute_haft` (the merge of complete trees with the
+  representative mechanism) and the distributed leader's merge build their
+  helpers.
 
 The engine in :mod:`repro.core.forgiving_graph` wires these pieces together.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-from operator import itemgetter
-from typing import Container, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .errors import HaftStructureError, InvariantViolationError
 from .haft import validate_haft
@@ -45,7 +62,11 @@ __all__ = [
     "RTHelper",
     "RTNode",
     "ReconstructionTree",
+    "RTStrip",
+    "DeletionSurvey",
+    "strip_walk",
     "extract_surviving_complete_trees",
+    "merge_order",
     "compute_haft",
     "representative_of",
 ]
@@ -76,19 +97,12 @@ class RTLeaf:
 
     @property
     def processor(self) -> NodeId:
-        """The real processor that owns (simulates) this leaf."""
-        return self.port.processor
+        """The real processor that owns (simulates) this leaf.
 
-    def detach(self) -> None:
-        """Disconnect this leaf from its parent helper, if any."""
-        parent = self.parent
-        if parent is None:
-            return
-        if parent.left is self:
-            parent.left = None
-        if parent.right is self:
-            parent.right = None
-        self.parent = None
+        Hot paths read ``node.port.processor`` instead, which runs in C
+        for a leaf and a helper alike (see :attr:`RTHelper.port`).
+        """
+        return self.port.processor
 
     def root(self) -> "RTNode":
         node: RTNode = self
@@ -141,17 +155,6 @@ class RTHelper:
         self.height = 1 + max(left.height, right.height)
         self.num_leaves = left.num_leaves + right.num_leaves
 
-    def detach(self) -> None:
-        """Disconnect this helper from its parent, if any."""
-        parent = self.parent
-        if parent is None:
-            return
-        if parent.left is self:
-            parent.left = None
-        if parent.right is self:
-            parent.right = None
-        self.parent = None
-
     def root(self) -> "RTNode":
         node: RTNode = self
         while node.parent is not None:
@@ -164,6 +167,13 @@ class RTHelper:
             f"leaves={self.num_leaves}, h={self.height})"
         )
 
+
+#: Every RT node names its port ``port``: a leaf its own, a helper the port
+#: simulating it (the slot of ``simulated_by`` under a second name, so it
+#: costs no memory).  The port names the node in a virtual edge's link
+#: source and in every message, and ``node.port.processor`` reads the
+#: owning processor without the Python call of the ``processor`` property.
+RTHelper.port = RTHelper.simulated_by
 
 RTNode = Union[RTLeaf, RTHelper]
 
@@ -202,6 +212,9 @@ class ReconstructionTree:
         self.root = root
         self.leaves = leaves
         self.helpers = helpers
+        #: Strips applied to this RT so far: a :class:`RTStrip` walked at
+        #: one count describes the tree only while the count stands.
+        self.changes = 0
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -347,156 +360,242 @@ def _is_ancestor(ancestor: RTNode, node: RTNode) -> bool:
 # ---------------------------------------------------------------------- #
 # fragment stripping after a deletion (distributed analogue: FindPrRoots)
 # ---------------------------------------------------------------------- #
-def extract_surviving_complete_trees(
-    rt: ReconstructionTree,
-    dead_processor: NodeId,
-    removed_edges: Optional[List[Tuple[NodeId, NodeId]]] = None,
-    dead_nodes: Optional[List[RTNode]] = None,
-) -> Tuple[List[RTNode], List[Port]]:
-    """Break an RT touched by the deletion of ``dead_processor`` into complete trees.
+class RTStrip:
+    """One RT's strip walk for a deletion, taken before the RT is touched.
 
-    All leaves owned by ``dead_processor`` and all helpers simulated by it
-    vanish with the processor; the RT falls apart into fragments.  Following
-    the paper's repair (Figures 7–8), only the *complete* subtrees that
-    survive fully intact are kept — every other surviving helper is "marked
-    red" and released (its simulating port becomes free again), while every
-    surviving leaf is kept (at worst as a trivial complete tree of one leaf).
+    All leaves owned by the dead processor and all helpers it simulates
+    vanish with it; the RT falls apart into fragments.  Following the
+    paper's repair (Figures 7–8), only the *complete* subtrees that survive
+    fully intact are kept — every other surviving helper is "marked red" and
+    released (its simulating port becomes free again), while every
+    surviving leaf is kept (at worst as a trivial complete tree of one
+    leaf).  The walk (:func:`strip_walk`) only describes that outcome, in
+    traversal order; :meth:`apply` carries it out.
+    """
 
-    The dismantling walks only the *broken* part of the tree: the paths from
-    the dead nodes up to the root, plus the strip spines of the salvaged
+    __slots__ = ("rt", "dead", "changes", "pieces", "depths", "released", "cuts")
+
+    def __init__(self, rt: ReconstructionTree, dead: List[RTNode]) -> None:
+        self.rt = rt
+        #: The RT nodes (leaves and helpers) owned by the dead processor.
+        self.dead = dead
+        #: ``rt.changes`` when the walk was taken.
+        self.changes = rt.changes
+        #: Roots of the surviving complete pieces, in discovery order.
+        self.pieces: List[RTNode] = []
+        #: Per piece, the depth the walk records for it: its own depth in the
+        #: RT, except a left child split off an incomplete helper, which
+        #: gets that helper's depth.
+        self.depths: List[int] = []
+        #: Surviving helpers outside every piece, released in this order;
+        #: never the dead processor's own.
+        self.released: List[RTHelper] = []
+        #: Destroyed parent–child edges, as the ports of their two nodes
+        #: (see :attr:`RTHelper.port`), those incident to dead nodes
+        #: included.
+        self.cuts: List[Tuple[Port, Port]] = []
+
+    def apply(self) -> None:
+        """Dismantle the RT as walked: detach the pieces and unlink the rest.
+
+        The released helpers and the dead nodes leave the tree for good.
+        Their parent and child links form reference cycles, so unlinking
+        them lets reference counting free them now instead of a full
+        collection later.  Every piece's parent is one of them, so a piece
+        is detached by clearing its own parent.  Counts as a change of the
+        RT; its lookup tables are the caller's to reconcile.
+        """
+        self.rt.changes += 1
+        for node in self.pieces:
+            node.parent = None
+        for node in self.released:
+            node.parent = node.left = node.right = node.representative = None
+        for node in self.dead:
+            node.parent = None
+            if isinstance(node, RTHelper):
+                node.left = node.right = node.representative = None
+
+
+def strip_walk(rt: ReconstructionTree, dead_processor: NodeId, dead_nodes: List[RTNode]) -> RTStrip:
+    """Walk the strip of ``rt`` that the death of ``dead_processor`` causes, read-only.
+
+    The walk visits only the *broken* part of the tree: the paths from the
+    dead nodes up to the root, plus the strip spines of the salvaged
     subtrees hanging off those paths.  Intact complete subtrees are never
     entered (completeness is the O(1) counter test of Algorithm A.6), which
-    is what keeps the centralized repair cost proportional to the damage
-    rather than to the size of the tree.
-
-    Parameters
-    ----------
-    rt:
-        The reconstruction tree to dismantle.  It is consumed by this call:
-        afterwards its lookup tables must no longer be used (the engine
-        reconciles them itself).
-    dead_processor:
-        The processor the adversary just deleted.
-    removed_edges:
-        Optional accumulator.  When given, every virtual edge destroyed by
-        the dismantling (i.e. every parent-child edge of ``rt`` that is not
-        internal to a surviving complete piece) is appended as a projected
-        ``(processor, processor)`` pair.  The engine uses this to apply
-        exact healed-graph deltas: edges inside surviving pieces are carried
-        over to the merged RT untouched, so only the destroyed glue needs
-        accounting.
-    dead_nodes:
-        The RT nodes (leaves and helpers) owned by ``dead_processor``, when
-        the caller already knows them (the engine finds them through its
-        port registries in O(degree)).  Computed here by a table scan when
-        omitted.
-
-    Returns
-    -------
-    (complete_roots, released_helper_ports):
-        ``complete_roots`` are detached roots of fully-alive complete
-        subtrees (largest first), ready to be merged by :func:`compute_haft`.
-        ``released_helper_ports`` lists the ports whose helper node was
-        discarded (so the engine can clear its helper registry).
+    keeps a repair's cost proportional to the damage rather than to the
+    size of the tree.  ``dead_nodes`` are the RT nodes owned by
+    ``dead_processor``; with none, the whole tree is stripped as it is.
     """
-    complete_roots: List[RTNode] = []
-    released: List[Port] = []
-    #: The released helpers themselves, unlinked once the walk is done.
-    discarded: List[RTHelper] = []
+    strip = RTStrip(rt, dead_nodes)
+    pieces, depths, released, cuts = strip.pieces, strip.depths, strip.released, strip.cuts
 
-    if dead_nodes is None:
-        dead_nodes = [
-            leaf for port, leaf in rt.leaves.items() if port.processor == dead_processor
-        ]
-        dead_nodes += [
-            helper
-            for port, helper in rt.helpers.items()
-            if port.processor == dead_processor
-        ]
-
-    def record_cut(parent: RTHelper, child: RTNode) -> None:
-        if removed_edges is not None:
-            removed_edges.append((parent.processor, child.processor))
-
-    def collect_strip(node: RTNode) -> None:
+    def collect_strip(node: RTNode, depth: int) -> None:
         """Strip a fully-alive subtree into complete pieces (primary roots).
 
         Every subtree of an RT is itself a haft, so this is exactly the
         Strip operation: complete subtrees are kept whole, alive glue nodes
-        on the right spine are released.  Completeness is decided from the
-        eagerly-maintained counters (``num_leaves == 2^height``), so intact
-        pieces are never traversed.
+        on the right spine are released.
         """
         while True:
             if node.num_leaves == (1 << node.height):
-                complete_roots.append(node)
+                pieces.append(node)
+                depths.append(depth)
                 return
-            released.append(node.simulated_by)
-            discarded.append(node)
-            if node.left is not None:
-                record_cut(node, node.left)
-                complete_roots.append(node.left)
-            right = node.right
-            if right is None:
+            released.append(node)
+            port = node.simulated_by
+            left = node.left
+            if left is not None:
+                cuts.append((port, left.port))
+                pieces.append(left)
+                depths.append(depth)
+            node = node.right
+            if node is None:
                 return
-            record_cut(node, right)
-            node = right
+            cuts.append((port, node.port))
+            depth += 1
 
     root = rt.root
     if isinstance(root, RTLeaf):
         if root.port.processor != dead_processor:
-            complete_roots.append(root)
-        return complete_roots, released
-
+            pieces.append(root)
+            depths.append(0)
+        return strip
     if not dead_nodes:
-        # The dead processor never actually appeared in this RT (possible
-        # for callers outside the engine) — strip the whole tree as-is.
-        collect_strip(root)
-    else:
-        # Mark the broken region: every dead node plus every ancestor of a
-        # dead node.  Identity-keyed, since RT nodes are plain objects.
-        dead_ids = {id(dead) for dead in dead_nodes}
-        broken: Dict[int, RTNode] = {id(dead): dead for dead in dead_nodes}
-        for dead in dead_nodes:
-            cursor = dead.parent
-            while cursor is not None and id(cursor) not in broken:
-                broken[id(cursor)] = cursor
-                cursor = cursor.parent
-        # Every child edge of a broken node is destroyed; children outside
-        # the broken region root maximal fully-alive subtrees and are
-        # salvaged via Strip.  Surviving broken helpers are released.
-        for node in broken.values():
-            if isinstance(node, RTLeaf):
-                continue
-            for child in (node.left, node.right):
-                if child is not None:
-                    record_cut(node, child)
-                    if id(child) not in broken:
-                        collect_strip(child)
-            if id(node) not in dead_ids:
-                released.append(node.simulated_by)
-                discarded.append(node)
+        collect_strip(root, 0)
+        return strip
 
-    for node in complete_roots:
-        node.detach()
-    # The released helpers and the dead nodes leave the tree for good.  Their
-    # parent and child links form reference cycles, so unlinking them lets
-    # reference counting free them now instead of a full collection later.
-    for node in discarded:
-        node.parent = node.left = node.right = node.representative = None
-    for node in dead_nodes:
-        node.parent = None
-        if isinstance(node, RTHelper):
-            node.left = node.right = node.representative = None
-    complete_roots.sort(key=lambda n: -n.num_leaves)
-    return complete_roots, released
+    # Mark the broken region: every dead node plus every ancestor of a dead
+    # node.  Identity-keyed, since RT nodes are plain objects.
+    dead_ids = {id(dead) for dead in dead_nodes}
+    broken: Dict[int, RTNode] = {id(dead): dead for dead in dead_nodes}
+    for dead in dead_nodes:
+        cursor = dead.parent
+        while cursor is not None and id(cursor) not in broken:
+            broken[id(cursor)] = cursor
+            cursor = cursor.parent
+    # Every child edge of a broken node is destroyed; children outside the
+    # broken region root maximal fully-alive subtrees and are salvaged via
+    # Strip.  Surviving broken helpers are released.
+    for node in broken.values():
+        if isinstance(node, RTLeaf):
+            continue
+        depth = 0
+        cursor = node.parent
+        while cursor is not None:
+            depth += 1
+            cursor = cursor.parent
+        port = node.simulated_by
+        for child in (node.left, node.right):
+            if child is not None:
+                cuts.append((port, child.port))
+                if id(child) not in broken:
+                    collect_strip(child, depth + 1)
+        if id(node) not in dead_ids:
+            released.append(node)
+    return strip
+
+
+class DeletionSurvey(NamedTuple):
+    """What deleting ``victim`` does to the RTs, read before anything changes.
+
+    Taken by :meth:`repro.core.forgiving_graph.ForgivingGraph.survey`: the
+    distributed planner describes it to the processors, and
+    :meth:`~repro.core.forgiving_graph.ForgivingGraph.delete` applies it,
+    so each deletion's strip is walked once.
+    """
+
+    victim: NodeId
+    #: One strip per affected RT, in the order the walk of the victim's
+    #: ``G'`` neighbours first meets the RTs.
+    strips: List[RTStrip]
+    #: The ports of the new trivial leaves: one per alive ``G'`` neighbour
+    #: of the victim, ``(neighbour, victim)``, in neighbour order.
+    trivial_ports: List[Port]
+
+
+def extract_surviving_complete_trees(
+    rt: ReconstructionTree, dead_processor: NodeId
+) -> Tuple[List[RTNode], List[Port]]:
+    """Break an RT touched by the deletion of ``dead_processor`` into complete trees.
+
+    :func:`strip_walk` over the RT nodes ``dead_processor`` owns (found by a
+    table scan), followed by :meth:`RTStrip.apply`, so ``rt`` is consumed:
+    afterwards its lookup tables must no longer be used.  Returns the
+    detached roots of the fully-alive complete subtrees, largest first and
+    ready to be merged by :func:`compute_haft`, and the ports whose helper
+    was released.
+    """
+    dead_nodes: List[RTNode] = [
+        leaf for port, leaf in rt.leaves.items() if port.processor == dead_processor
+    ]
+    dead_nodes += [helper for port, helper in rt.helpers.items() if port.processor == dead_processor]
+    strip = strip_walk(rt, dead_processor, dead_nodes)
+    strip.apply()
+    pieces = sorted(strip.pieces, key=lambda node: -node.num_leaves)
+    return pieces, [helper.simulated_by for helper in strip.released]
 
 
 # ---------------------------------------------------------------------- #
 # ComputeHaft (Algorithm A.9) — merge with the representative mechanism
 # ---------------------------------------------------------------------- #
-#: Sort key of the ``(key, tree)`` pairs :func:`compute_haft` merges.
-_forest_key = itemgetter(0)
+def merge_order(sizes: Sequence[int], orders: Sequence[tuple]) -> List[Tuple[int, int]]:
+    """ComputeHaft's merge order over complete pieces (Algorithm A.9).
+
+    Piece ``i`` has ``sizes[i]`` leaves and the order ``orders[i]``, the
+    :func:`~repro.core.ports.port_order_key` of its representative port.
+    Returns ``(left, right)`` index pairs in creation order: pair ``k``
+    makes the helper numbered ``len(sizes) + k``, whose children are
+    ``left`` and ``right``; it is simulated by ``left``'s representative and
+    inherits ``right``'s, and with it ``right``'s order.  The last helper is
+    the root.
+
+    The forest is combined exactly like binary addition.  Phase 1 combines
+    equal-sized pieces, smallest size first: a size's pieces, in order,
+    pair up first with second, third with fourth and so on, each pair's
+    helper joins the pieces of twice the size, and an odd one out is left
+    over.  Phase 2 chains the leftovers, all of distinct sizes, smallest
+    first, the larger tree always on the left, so every prefix is a haft.
+
+    The order is total and survives id relabelings: equal sizes tie-break
+    on the representative ports' node ids in their *natural* order, not on
+    reprs, so isomorphic inputs whose ids map monotonically onto each other
+    produce identical hafts.  Pieces with equal orders keep their input
+    order.
+    """
+    order_of = list(orders)
+    by_size: Dict[int, List[int]] = {}
+    for index, size in enumerate(sizes):
+        group = by_size.get(size)
+        if group is None:
+            by_size[size] = [index]
+        else:
+            group.append(index)
+    pairs: List[Tuple[int, int]] = []
+    forest: List[int] = []
+    while by_size:
+        size = min(by_size)
+        group = by_size.pop(size)
+        if len(group) == 1:
+            forest.append(group[0])
+            continue
+        # A group lists its pieces in index order, so the stable sort keeps
+        # equal orders in input order.
+        group.sort(key=order_of.__getitem__)
+        carried = by_size.setdefault(2 * size, [])
+        for i in range(1, len(group), 2):
+            right = group[i]
+            pairs.append((group[i - 1], right))
+            carried.append(len(order_of))
+            order_of.append(order_of[right])
+        if len(group) % 2:
+            forest.append(group[-1])
+    root, made = forest[0], len(order_of)
+    for tree in forest[1:]:
+        pairs.append((tree, root))
+        root = made
+        made += 1
+    return pairs
 
 
 def compute_haft(
@@ -508,10 +607,9 @@ def compute_haft(
     This is the centralized equivalent of ``ComputeHaft`` (Algorithm A.9):
     the forest of complete trees (all of different provenance — surviving
     pieces of broken RTs plus trivial leaves of the deleted node's
-    neighbours) is combined exactly like binary addition, and every new
-    internal node is a fresh :class:`RTHelper` simulated by the
-    representative of one of the two trees it joins, inheriting the
-    representative of the other.
+    neighbours) is combined in :func:`merge_order`, and every new internal
+    node is a fresh :class:`RTHelper` simulated by the representative of one
+    of the two trees it joins, inheriting the representative of the other.
 
     Parameters
     ----------
@@ -531,69 +629,31 @@ def compute_haft(
     Returns
     -------
     (root, new_helpers):
-        The root of the merged haft and the list of helper nodes created.
+        The root of the merged haft and the list of helper nodes created,
+        in creation order.
     """
     if not complete_roots:
         raise ValueError("compute_haft() requires at least one complete tree")
     busy: Container[Port] = busy_ports if busy_ports is not None else ()
+    nodes: List[RTNode] = list(complete_roots)
+    representatives = [representative_of(node) for node in nodes]
+    pairs = merge_order(
+        [node.num_leaves for node in nodes],
+        [port_order_key(representative.port) for representative in representatives],
+    )
     claimed: Set[Port] = set()
     new_helpers: List[RTHelper] = []
-
-    def make_helper(simulating_rep: RTLeaf, inherited_rep: RTLeaf, left: RTNode, right: RTNode) -> RTHelper:
-        port = simulating_rep.port
+    for left, right in pairs:
+        port = representatives[left].port
         if port in busy or port in claimed:
             raise InvariantViolationError(
                 f"representative mechanism picked busy port {port} to simulate a helper"
             )
-        helper = RTHelper(simulated_by=port)
-        helper.attach_children(left, right)
-        helper.representative = inherited_rep
         claimed.add(port)
+        helper = RTHelper(simulated_by=port)
+        helper.attach_children(nodes[left], nodes[right])
+        helper.representative = inherited = representatives[right]
+        nodes.append(helper)
+        representatives.append(inherited)
         new_helpers.append(helper)
-        return helper
-
-    # Merge order must be a total order that survives id relabelings: equal
-    # sizes tie-break on the representative port's node ids in their *natural*
-    # order (port_order_key), not on reprs, so isomorphic inputs whose ids map
-    # monotonically onto each other produce identical hafts.  The forest holds
-    # ``(key, tree)`` pairs: each input's key is computed once, and a new
-    # helper's key reuses the one of the tree whose representative it inherits.
-    forest: List[Tuple[Tuple[int, tuple], RTNode]] = sorted(
-        (
-            ((node.num_leaves, port_order_key(representative_of(node).port)), node)
-            for node in complete_roots
-        ),
-        key=_forest_key,
-    )
-    if len(forest) == 1:
-        return forest[0][1], new_helpers
-
-    # Phase 1 — combine equal-sized complete trees (binary-addition carries).
-    i = 0
-    while i < len(forest) - 1:
-        (_, a), (b_key, b) = forest[i], forest[i + 1]
-        if a.num_leaves == b.num_leaves:
-            helper = make_helper(
-                simulating_rep=representative_of(a),
-                inherited_rep=representative_of(b),
-                left=a,
-                right=b,
-            )
-            del forest[i : i + 2]
-            bisect.insort_left(forest, ((helper.num_leaves, b_key[1]), helper), key=_forest_key)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-
-    # Phase 2 — chain the distinct-sized complete trees smallest-first; the
-    # larger tree is always the left child so every prefix is a haft.
-    root = forest[0][1]
-    for _, tree in forest[1:]:
-        helper = make_helper(
-            simulating_rep=representative_of(tree),
-            inherited_rep=representative_of(root),
-            left=tree,
-            right=root,
-        )
-        root = helper
-    return root, new_helpers
+    return nodes[-1], new_helpers

@@ -14,25 +14,26 @@ module removes that substitution:
   merge leader only ever knows the pieces whose descriptors actually
   *arrived*.
 
-* :func:`plan_strip` is the read-only twin of
-  :func:`repro.core.reconstruction_tree.extract_surviving_complete_trees`:
-  it inspects an affected RT *before* the deletion is applied and lays out
-  the repair's local knowledge — which complete pieces survive (as
-  summaries), which helpers are released ("marked red"), and which virtual
-  edges break.  Each item is attributed to the processor that knows it
-  locally, so the protocol can hand every participant exactly its own
-  pre-failure knowledge and nothing more.
+* :func:`plan_strip` describes one affected RT's strip walk — the
+  :class:`~repro.core.reconstruction_tree.RTStrip` of the engine's
+  pre-deletion survey, which the engine applies afterwards — as the
+  repair's local knowledge: which complete pieces survive (as summaries),
+  which helpers are released ("marked red"), and which virtual edges
+  break.  Each item is attributed to the processor that knows it locally,
+  so the protocol can hand every participant exactly its own pre-failure
+  knowledge and nothing more.
 
 * :func:`merge_summaries` replays ``ComputeHaft`` (Algorithm A.9) — the
   binary-addition combine plus the representative mechanism — purely on
   summaries, producing a :class:`MergeOutcome`: the new helper nodes (with
   simulating port, children, parent, representative) and the healed-graph
-  link sources they imply.  Given the full summary set it is provably
-  identical to the engine's :func:`~repro.core.reconstruction_tree.compute_haft`
-  (both sort by ``(num_leaves, port_order_key(representative))`` and combine
-  identically); given a *partial* set — messages were dropped — it yields a
-  self-consistent but divergent structure, which is what the simulator's
-  reconvergence loop detects and repairs.
+  link sources they imply.  It builds them from the one merge order,
+  :func:`~repro.core.reconstruction_tree.merge_order`, that the engine's
+  :func:`~repro.core.reconstruction_tree.compute_haft` builds its helpers
+  from, so given the full summary set the two are identical; given a
+  *partial* set — messages were dropped — it yields a self-consistent but
+  divergent structure, which is what the simulator's reconvergence loop
+  detects and repairs.
 
 The centralized engine is retained only as an *oracle*: the equivalence
 tests assert that the message-native structure converges to it.
@@ -42,17 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import itemgetter
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.ports import NodeId, Port, port_order_key
-from ..core.reconstruction_tree import (
-    ReconstructionTree,
-    RTHelper,
-    RTLeaf,
-    RTNode,
-    representative_of,
-)
+from ..core.reconstruction_tree import RTLeaf, RTNode, RTStrip, merge_order, representative_of
 from .messages import HelperAssignment, ParentUpdate, payload_checksum
 
 __all__ = [
@@ -182,9 +176,9 @@ class PieceSummary:
         return frozen is None or frozen == self.content_checksum()
 
 
-def trivial_summary(neighbor: NodeId, victim: NodeId) -> PieceSummary:
-    """The single-leaf piece a directly-connected neighbour contributes."""
-    port = Port(neighbor, victim)
+def trivial_summary(port: Port) -> PieceSummary:
+    """The single-leaf piece a directly-connected neighbour contributes: the
+    new leaf of ``port``, ``(neighbour, victim)``."""
     return PieceSummary(
         root_port=port, root_is_leaf=True, num_leaves=1, height=0, representative=port
     )
@@ -192,17 +186,9 @@ def trivial_summary(neighbor: NodeId, victim: NodeId) -> PieceSummary:
 
 def summary_of(node: RTNode) -> PieceSummary:
     """Summarize a complete subtree root (reads only O(1) cached counters)."""
-    if isinstance(node, RTLeaf):
-        return PieceSummary(
-            root_port=node.port,
-            root_is_leaf=True,
-            num_leaves=1,
-            height=0,
-            representative=node.port,
-        )
     return PieceSummary(
-        root_port=node.simulated_by,
-        root_is_leaf=False,
+        root_port=node.port,
+        root_is_leaf=isinstance(node, RTLeaf),
         num_leaves=node.num_leaves,
         height=node.height,
         representative=representative_of(node).port,
@@ -231,103 +217,36 @@ class StripPlan:
     )
 
 
-def _node_port(node: RTNode) -> Port:
-    return node.port if isinstance(node, RTLeaf) else node.simulated_by
+def plan_strip(strip: RTStrip, dead_processor: NodeId, probe_path: Sequence[NodeId]) -> StripPlan:
+    """Describe one affected RT's strip walk as the repair's local knowledge.
 
-
-def plan_strip(
-    rt: ReconstructionTree,
-    dead_processor: NodeId,
-    dead_nodes: Sequence[RTNode],
-    probe_path: Sequence[NodeId],
-) -> StripPlan:
-    """Lay out the strip of one affected RT without mutating it.
-
-    Mirrors :func:`extract_surviving_complete_trees` (same traversal, same
-    completeness test, same released set) but only *describes* the outcome:
-    the engine still performs the real dismantling when the oracle runs.
-    ``probe_path`` is the RT's right spine; every discovered item is
-    attributed to a spine position / owning processor so the protocol can
+    ``strip`` is the engine's read-only walk, taken before the deletion
+    (:meth:`~repro.core.forgiving_graph.ForgivingGraph.survey`); the engine
+    applies the same walk when the oracle runs.  ``probe_path`` is the RT's
+    right spine: a piece is reported from its root's spine position, or, off
+    the spine, from the position of its depth (deeper pieces need the probe
+    to travel further), and every released helper and destroyed edge is
+    attributed to the processor that owns it, so the protocol can
     distribute the knowledge.
     """
     plan = StripPlan()
     path_index = {proc: i for i, proc in enumerate(probe_path)}
     last_position = max(len(probe_path) - 1, 0)
-
-    def position_of(processor: NodeId, depth: int) -> int:
-        if processor in path_index:
-            return path_index[processor]
-        return min(depth, last_position)
-
-    def add_piece(node: RTNode, depth: int) -> None:
-        plan.summaries.append(summary_of(node))
-        plan.spine_positions.append(position_of(node.processor, depth))
-
-    def release(helper: RTHelper) -> None:
-        if helper.processor != dead_processor:
-            plan.released_by_processor.setdefault(helper.processor, []).append(
-                helper.simulated_by
-            )
-
-    def record_cut(parent: RTNode, child: RTNode) -> None:
+    summaries, positions = plan.summaries, plan.spine_positions
+    for node, depth in zip(strip.pieces, strip.depths):
+        summaries.append(summary_of(node))
+        position = path_index.get(node.port.processor)
+        positions.append(min(depth, last_position) if position is None else position)
+    released = plan.released_by_processor
+    for helper in strip.released:
+        port = helper.simulated_by
+        released.setdefault(port.processor, []).append(port)
+    glue = plan.glue_by_processor
+    for parent, child in strip.cuts:
         p, c = parent.processor, child.processor
-        if p == c or dead_processor in (p, c):
-            return  # self-projections carry no link; dead-incident links are purged
-        key = link_source_key(_node_port(parent), _node_port(child))
-        plan.glue_by_processor.setdefault(p, []).append((key, p, c))
-
-    def depth_of(node: RTNode) -> int:
-        depth = 0
-        cursor = node.parent
-        while cursor is not None:
-            depth += 1
-            cursor = cursor.parent
-        return depth
-
-    def collect_strip(node: RTNode, depth: int) -> None:
-        while True:
-            if node.num_leaves == (1 << node.height):
-                add_piece(node, depth)
-                return
-            release(node)
-            if node.left is not None:
-                record_cut(node, node.left)
-                add_piece(node.left, depth)
-            right = node.right
-            if right is None:
-                return
-            record_cut(node, right)
-            node = right
-            depth += 1
-
-    root = rt.root
-    if isinstance(root, RTLeaf):
-        if root.port.processor != dead_processor:
-            add_piece(root, 0)
-        return plan
-
-    if not dead_nodes:
-        collect_strip(root, 0)
-        return plan
-
-    dead_ids = {id(dead) for dead in dead_nodes}
-    broken: Dict[int, RTNode] = {id(dead): dead for dead in dead_nodes}
-    for dead in dead_nodes:
-        cursor = dead.parent
-        while cursor is not None and id(cursor) not in broken:
-            broken[id(cursor)] = cursor
-            cursor = cursor.parent
-    for node in broken.values():
-        if isinstance(node, RTLeaf):
-            continue
-        node_depth = depth_of(node)
-        for child in (node.left, node.right):
-            if child is not None:
-                record_cut(node, child)
-                if id(child) not in broken:
-                    collect_strip(child, node_depth + 1)
-        if id(node) not in dead_ids:
-            release(node)
+        # Self-projections carry no link; dead-incident links are purged.
+        if p != c and p != dead_processor and c != dead_processor:
+            glue.setdefault(p, []).append((link_source_key(parent, child), p, c))
     return plan
 
 
@@ -416,12 +335,6 @@ class MergeOutcome:
         return sources
 
 
-#: A piece during the merge is a list ``[num_leaves, order, port, is_leaf,
-#: height, representative, parent]``, a new helper's with its two pieces
-#: appended.  ``order`` is ``port_order_key(representative)``, fixed when the
-#: piece is made; ``parent`` is the port of the helper the piece is merged
-#: under, written by that merge (``None`` while it is a root).
-_merge_order = itemgetter(1)
 #: Builds a :class:`MergedHelper` from its fields in order without the named
 #: tuple's Python-level ``__new__`` (the leader builds one per new helper).
 _new_helper = tuple.__new__
@@ -437,65 +350,51 @@ def merge_summaries(victim: NodeId, summaries: Sequence[PieceSummary]) -> MergeO
     :class:`~repro.distributed.messages.HelperAssignment` /
     :class:`~repro.distributed.messages.ParentUpdate` messages.
 
-    The combine replicates :func:`repro.core.reconstruction_tree.compute_haft`
-    step for step — same ``(num_leaves, port_order_key(representative))``
-    merge order, same equal-size binary-addition phase, same smallest-first
-    chain — so identical inputs yield the identical structure.
+    The helpers follow :func:`~repro.core.reconstruction_tree.merge_order`,
+    the order :func:`repro.core.reconstruction_tree.compute_haft` builds the
+    engine's from, so identical inputs yield the identical structure.
     """
     if not summaries:
         return MergeOutcome(victim, ())
-    pieces = [
-        [
-            s.num_leaves,
-            port_order_key(s.representative),
-            s.root_port,
-            s.root_is_leaf,
-            s.height,
-            s.representative,
-            None,
-        ]
-        for s in dict.fromkeys(summaries)  # idempotent under retransmission
-    ]
-    made: List[list] = []  # the new helpers, in creation order
-
-    def make_helper(a: list, b: list) -> list:
-        # The helper is simulated by ``a``'s representative and inherits
-        # ``b``'s, so it also inherits ``b``'s merge order.
-        port = a[5]
-        a[6] = b[6] = port
-        merged = [a[0] + b[0], b[1], port, False, 1 + (a[4] if a[4] > b[4] else b[4]), b[5], None, a, b]
-        made.append(merged)
-        return merged
-
-    # Phase 1 — combine equal-sized complete trees (binary-addition carries),
-    # smallest size first: a size's pieces, in merge order, pair up first
-    # with second, third with fourth and so on, each pair's helper joins the
-    # pieces of twice the size, and an odd one out is left for phase 2.
-    # This is the pairing compute_haft's scan over the sorted forest makes.
-    by_size: Dict[int, List[list]] = {}
-    for piece in pieces:
-        by_size.setdefault(piece[0], []).append(piece)
-    forest: List[list] = []
-    while by_size:
-        size = min(by_size)
-        group = sorted(by_size.pop(size), key=_merge_order)
-        for i in range(1, len(group), 2):
-            by_size.setdefault(2 * size, []).append(make_helper(group[i - 1], group[i]))
-        if len(group) % 2:
-            forest.append(group[-1])
-    # Phase 2 — chain distinct sizes smallest-first (larger tree on the left).
-    root = forest[0]
-    for tree in forest[1:]:
-        root = make_helper(tree, root)
-
-    # A leaf and the helper simulated by the same port are *distinct*
-    # virtual nodes, so each piece holds its own parent.
+    pieces = list(dict.fromkeys(summaries))  # idempotent under retransmission
+    # One entry per piece, then one per new helper in creation order.  A
+    # leaf and the helper simulated by the same port are *distinct* virtual
+    # nodes, so each entry holds its own parent: the port of the helper it
+    # is merged under, ``None`` for the root.
+    ports = [s.root_port for s in pieces]
+    is_leaf = [s.root_is_leaf for s in pieces]
+    heights = [s.height for s in pieces]
+    sizes = [s.num_leaves for s in pieces]
+    representatives = [s.representative for s in pieces]
+    pairs = merge_order(sizes, [port_order_key(port) for port in representatives])
+    parents: List[Optional[Port]] = [None] * (len(pieces) + len(pairs))
+    for left, right in pairs:
+        # Simulated by ``left``'s representative, inheriting ``right``'s.
+        port = representatives[left]
+        parents[left] = parents[right] = port
+        ports.append(port)
+        is_leaf.append(False)
+        heights.append(1 + max(heights[left], heights[right]))
+        sizes.append(sizes[left] + sizes[right])
+        representatives.append(representatives[right])
     helpers = [
         _new_helper(
             MergedHelper,
-            (port, left[2], left[3], right[2], right[3], parent, height, num_leaves, representative),
+            (
+                ports[k],
+                ports[left],
+                is_leaf[left],
+                ports[right],
+                is_leaf[right],
+                parents[k],
+                heights[k],
+                sizes[k],
+                representatives[k],
+            ),
         )
-        for num_leaves, _, port, _, height, representative, parent, left, right in made
+        for k, (left, right) in enumerate(pairs, len(pieces))
     ]
-    parent_updates = [(piece[2], piece[3], piece[6]) for piece in pieces if piece[6] is not None]
-    return MergeOutcome(victim, tuple(summaries), helpers, root[2], root[3], parent_updates)
+    parent_updates = [
+        (ports[i], is_leaf[i], parents[i]) for i in range(len(pieces)) if parents[i] is not None
+    ]
+    return MergeOutcome(victim, tuple(summaries), helpers, ports[-1], is_leaf[-1], parent_updates)

@@ -31,9 +31,10 @@ leader from descriptors that physically travelled the network, so dropped or
 delayed messages make processors *disagree*; the anti-entropy recovery of
 :mod:`repro.distributed.recovery` detects and repairs the divergence.  The
 centralized engine is consulted only *before* the deletion, to lay out each
-participant's pre-failure local knowledge (:func:`plan_repair`) — the same
-role it plays for the adversary — and afterwards only by the equivalence
-tests, as an oracle.
+participant's pre-failure local knowledge (:func:`plan_repair`, which
+describes the engine's survey of the deletion, the one the oracle then
+applies) — the same role it plays for the adversary — and afterwards only
+by the equivalence tests, as an oracle.
 
 Round accounting is deadline-driven: the protocol is synchronous, so every
 participant knows when to act from timing bounds alone (an anchor ships its
@@ -71,7 +72,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.forgiving_graph import ForgivingGraph
 from ..core.ports import NodeId, sorted_nodes
-from ..core.reconstruction_tree import ReconstructionTree, RTHelper, RTNode
+from ..core.reconstruction_tree import DeletionSurvey, ReconstructionTree, RTHelper, RTNode
 from .merge import PieceSummary, plan_strip, trivial_summary
 from .messages import AnchorLink, DeletionNotice, Probe
 from .network import Network
@@ -117,20 +118,28 @@ class RepairPlan:
     contexts: Dict[NodeId, RepairContext] = field(default_factory=dict)
     #: Last round at which any participant still has a timer pending.
     max_deadline: int = 1
+    #: The engine's survey of the deletion, which this plan describes: the
+    #: oracle applies it (``ForgivingGraph.delete(victim, survey)``).
+    survey: Optional[DeletionSurvey] = None
 
 
 def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
     """Inspect the engine *before* the deletion and lay out the repair.
 
-    Reads only the engine's O(1) per-node accessors and O(deg)/
-    O(broken-region) structures, and builds no graph view: the plan's cost
-    is proportional to the victim's neighbourhood and the affected RTs'
-    broken glue, never to the size of the network.  Orderings
-    use the canonical :func:`repro.core.ports.node_order_key` total order, so
-    planned trajectories are stable under order-preserving id relabelings.
+    Describes the engine's survey of the deletion
+    (:meth:`~repro.core.forgiving_graph.ForgivingGraph.survey`: the affected
+    RTs' strip walks and the new trivial leaves' ports) to the processors,
+    and keeps it on the plan for the oracle to apply.  Reads only the
+    engine's O(1) per-node accessors and O(deg)/O(broken-region)
+    structures, and builds no graph view: the plan's cost is proportional
+    to the victim's neighbourhood and the affected RTs' broken glue, never
+    to the size of the network.  Orderings use the canonical
+    :func:`repro.core.ports.node_order_key` total order, so planned
+    trajectories are stable under order-preserving id relabelings.
     """
     neighbors = sorted_nodes(engine.actual_neighbors(victim)) if engine.is_alive(victim) else []
-    plan = RepairPlan(victim=victim, neighbors=neighbors)
+    survey = engine.survey(victim)
+    plan = RepairPlan(victim=victim, neighbors=neighbors, survey=survey)
 
     def context_for(node: NodeId) -> RepairContext:
         context = plan.contexts.get(node)
@@ -142,15 +151,14 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
     # A context's containers start empty and shared (see RepairContext); the
     # writes below give a participant containers of its own only for the
     # roles it plays, and append to them from then on.
-    affected, dead_by_rt = engine.affected_rt_nodes(victim)
     anchors: List[NodeId] = []
     anchor_ready: Dict[NodeId, int] = {}
-    for rt_index, rt in enumerate(affected):
+    for rt_index, walk in enumerate(survey.strips):
         # The victim's processor is gone by the time the repair runs; its
         # spine slots are skipped (the probe hops over them).
-        path = _dedupe(p for p in _right_spine_processors(rt) if p != victim)
+        path = _dedupe(p for p in _right_spine_processors(walk.rt) if p != victim)
         plan.probe_paths.append(path)
-        strip = plan_strip(rt, victim, dead_by_rt[rt.rt_id], path)
+        strip = plan_strip(walk, victim, path)
         if path:
             # Spine roles: who probes whom, who vouches for which pieces.
             by_position: Dict[int, List[PieceSummary]] = {}
@@ -216,16 +224,16 @@ def plan_repair(engine: ForgivingGraph, victim: NodeId) -> RepairPlan:
                 context.glue = glue
             if processor not in path:
                 context.strip_round = 1
-    # Directly-connected neighbours contribute trivial single-leaf pieces and
+    # Directly-connected neighbours contribute trivial single-leaf pieces,
+    # described on the ports the oracle's new leaves are built on, and
     # anchor themselves.
-    for neighbor in engine.g_prime_neighbors(victim):
-        if engine.is_alive(neighbor):
-            summary = trivial_summary(neighbor, victim)
-            context = context_for(neighbor)
-            context.gather(summary)
-            if neighbor not in anchor_ready:
-                anchors.append(neighbor)
-                anchor_ready[neighbor] = 1
+    for port in survey.trivial_ports:
+        neighbor = port.processor
+        context = context_for(neighbor)
+        context.gather(trivial_summary(port))
+        if neighbor not in anchor_ready:
+            anchors.append(neighbor)
+            anchor_ready[neighbor] = 1
 
     plan.anchors = sorted_nodes(set(anchors))
     plan.bt_edges = _balanced_tree_edges(plan.anchors)
@@ -275,7 +283,7 @@ def _right_spine_processors(rt: ReconstructionTree) -> List[NodeId]:
     path: List[NodeId] = []
     node: Optional[RTNode] = rt.root
     while node is not None:
-        path.append(node.processor)
+        path.append(node.port.processor)
         node = node.right if isinstance(node, RTHelper) else None
     return path
 

@@ -78,7 +78,7 @@ from ..core.errors import InvariantViolationError
 from ..core.forgiving_graph import ForgivingGraph
 from ..core.graph_fill import fill_graph, fill_graph_from_adjacency
 from ..core.ports import NodeId, Port
-from ..core.reconstruction_tree import RTHelper, RTLeaf, RTNode
+from ..core.reconstruction_tree import RTHelper
 from .faults import FaultSchedule
 from .messages import InsertionNotice
 from .metrics import (
@@ -118,11 +118,6 @@ class _Repair:
     helpers_released: int
     deadline: int
     participants: List[NodeId] = field(default_factory=list)
-
-
-def _child_port(node: RTNode) -> Port:
-    """The port a parent's Table 1 record names for its child ``node``."""
-    return node.port if isinstance(node, RTLeaf) else node.simulated_by
 
 
 @dataclass(frozen=True)
@@ -495,10 +490,12 @@ class DistributedForgivingGraph:
             for victim, plan in wave
         ]
         # The oracle executes the same move first (it owns the G'/alive
-        # bookkeeping every consumer reads); the message path never reads
+        # bookkeeping every consumer reads), applying the survey each plan
+        # describes: disjoint footprints share no RT, so each still holds
+        # after the wave's earlier deletions.  The message path never reads
         # its merge outcome.
-        for repair in repairs:
-            self._engine.delete(repair.victim)
+        for repair, (_, plan) in zip(repairs, wave):
+            self._engine.delete(repair.victim, survey=plan.survey)
             if network.has_processor(repair.victim):
                 network.remove_processor(repair.victim)
         network.begin_scaffold()
@@ -741,10 +738,8 @@ class DistributedForgivingGraph:
             record = recorded.get(port)
             if record is None:
                 continue
-            if (record.helper_left, record.helper_right) != (
-                _child_port(helper.left),
-                _child_port(helper.right),
-            ):
+            # A parent's Table 1 record names each child by its port.
+            if (record.helper_left, record.helper_right) != (helper.left.port, helper.right.port):
                 yield f"helper {port} child pointers diverge between processor and engine"
             if helper.parent is not None and record.helper_parent != helper.parent.simulated_by:
                 yield (

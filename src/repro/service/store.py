@@ -429,13 +429,14 @@ class CheckpointStore:
             )
         self._set_meta("schema_version", str(SCHEMA_VERSION))
         self._set_meta("config", json.dumps(config_json))
+        # Each node is encoded once: an edge row holds its ends' node texts.
+        texts = {node: _dumps(node) for node in genesis.nodes}
         self._conn.executemany(
-            "INSERT INTO genesis_nodes (node) VALUES (?)",
-            [(_dumps(node),) for node in genesis.nodes],
+            "INSERT INTO genesis_nodes (node) VALUES (?)", [(text,) for text in texts.values()]
         )
         self._conn.executemany(
             "INSERT INTO genesis_edges (u, v) VALUES (?, ?)",
-            [(_dumps(u), _dumps(v)) for u, v in genesis.edges],
+            [(texts[u], texts[v]) for u, v in genesis.edges],
         )
         self._conn.commit()
 

@@ -32,13 +32,14 @@ class TestPlanRepair:
         plan = plan_repair(fg, 4)  # node 4 sits between the two RTs
         assert len(plan.probe_paths) == 2
         # Probe paths walk the right spine: their length is bounded by depth+1.
-        for path, rt in zip(plan.probe_paths, fg.affected_rt_nodes(4)[0]):
-            assert 1 <= len(path) <= rt.depth + 1
+        assert len(plan.survey.strips) == 2
+        for path, strip in zip(plan.probe_paths, plan.survey.strips):
+            assert 1 <= len(path) <= strip.rt.depth + 1
 
     def test_affected_rts_requires_known_node(self):
         fg = ForgivingGraph.from_edges([(0, 1)])
         with pytest.raises(UnknownNodeError):
-            fg.affected_rt_nodes(99)
+            fg.survey(99)
 
 
 class TestBalancedTreeEdges:

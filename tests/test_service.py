@@ -44,6 +44,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import networkx as nx
 import networkx.classes.graphviews as graphviews
 import pytest
 from hypothesis import given, settings
@@ -437,6 +438,27 @@ class TestStore:
             "helper_representative",
             "helper_victim",
         ]
+
+    def test_genesis_rows_hold_each_value_encoded_on_its_own(self, tmp_path):
+        """``initialize`` encodes each node once and writes an edge's ends as
+        their nodes' texts: the rows equal per-value ``_dumps`` rows, in
+        graph order, and ``genesis_graph()`` reads the same graph back."""
+        graph = make_graph("power_law", 30, seed=2)
+        graph = nx.relabel_nodes(graph, {node: f"s{node}" for node in graph if node % 3 == 0})
+        assert {type(node) for node in graph} == {int, str}
+        store = CheckpointStore(tmp_path / "run.db")
+        try:
+            store.initialize({}, graph)
+            conn = store._conn
+            nodes = conn.execute("SELECT node FROM genesis_nodes ORDER BY rowid").fetchall()
+            edges = conn.execute("SELECT u, v FROM genesis_edges ORDER BY rowid").fetchall()
+            assert nodes == [(_dumps(node),) for node in graph.nodes]
+            assert edges == [(_dumps(u), _dumps(v)) for u, v in graph.edges]
+            loaded = store.genesis_graph()
+            assert list(loaded.nodes) == list(graph.nodes)
+            assert list(loaded.edges) == list(graph.edges)
+        finally:
+            store.close()
 
     def test_schema_version_guard(self, tmp_path):
         path = tmp_path / "run.db"
